@@ -29,7 +29,7 @@ const (
 // both as the live session's starting point and as the pristine factory that
 // journal recovery replays history into. The returned RNG has consumed
 // exactly the environment draws, so callers generate identical job batches.
-func chaosScenario(seed uint64, parallelism, shards int, linearScan, rebuildVacant, service bool, reg *metrics.Registry) (*metasched.Scheduler, *metasched.Service, *resource.Pool, *sim.RNG, error) {
+func chaosScenario(seed uint64, parallelism, shards int, service bool, reg *metrics.Registry) (*metasched.Scheduler, *metasched.Service, *resource.Pool, *sim.RNG, error) {
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
 	var nodes []*resource.Node
@@ -63,7 +63,6 @@ func chaosScenario(seed uint64, parallelism, shards int, linearScan, rebuildVaca
 		MaxPostponements: 5,
 		Parallelism:      parallelism,
 		Shards:           shards,
-		RebuildVacant:    rebuildVacant,
 		Metrics:          reg,
 		Retry: &metasched.RetryPolicy{
 			MaxAttempts:      2,
@@ -77,7 +76,6 @@ func chaosScenario(seed uint64, parallelism, shards int, linearScan, rebuildVaca
 			JobDeadline:      1600,
 		},
 	}
-	cfg.Search.UseLinearScan = linearScan
 	sched, err := metasched.New(cfg, grid)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -131,11 +129,11 @@ func durableOptions(journalPath string, checkpointEvery int, reg *metrics.Regist
 // checkpoint every checkpointEvery rounds — so a crashed session replays via
 // the recover subcommand. The invariant auditor runs after every event and
 // iteration; the command fails on the first violation.
-func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, parallelism, shards int, linearScan, rebuildVacant, service bool, reg *metrics.Registry) error {
+func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, parallelism, shards int, service bool, reg *metrics.Registry) error {
 	if journalPath != "" && !service {
 		return fmt.Errorf("chaos: -journal wraps the continuous service; add -service")
 	}
-	sched, svc, pool, rng, err := chaosScenario(seed, parallelism, shards, linearScan, rebuildVacant, service, reg)
+	sched, svc, pool, rng, err := chaosScenario(seed, parallelism, shards, service, reg)
 	if err != nil {
 		return err
 	}
@@ -222,7 +220,7 @@ func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, para
 // the recovery-coherence check run against the recovered state, and the
 // report ends with the canonical state hash — two recoveries of the same
 // journal must print the same hash.
-func runRecover(seed uint64, journalPath string, checkpointEvery, parallelism, shards int, linearScan, rebuildVacant bool, reg *metrics.Registry) error {
+func runRecover(seed uint64, journalPath string, checkpointEvery, parallelism, shards int, reg *metrics.Registry) error {
 	if journalPath == "" {
 		return fmt.Errorf("recover: -journal PATH is required")
 	}
@@ -230,7 +228,7 @@ func runRecover(seed uint64, journalPath string, checkpointEvery, parallelism, s
 		return fmt.Errorf("recover: %w", err)
 	}
 	factory := func() (*metasched.Service, error) {
-		_, svc, _, _, err := chaosScenario(seed, parallelism, shards, linearScan, rebuildVacant, true, reg)
+		_, svc, _, _, err := chaosScenario(seed, parallelism, shards, true, reg)
 		return svc, err
 	}
 	ds, rep, err := durable.Recover(durableOptions(journalPath, checkpointEvery, reg), factory)

@@ -53,10 +53,8 @@ func run(args []string) error {
 	iterations := fs.Int("iterations", 2000, "simulated scheduling iterations (paper: 25000)")
 	series := fs.Int("series", 300, "kept experiments in the Fig. 5 series")
 	file := fs.String("file", "", "scenario file for export/replay (\"-\" = stdout)")
-	parallelism := fs.Int("parallelism", 1, "worker goroutines for the alternative search (schedules are identical for every value)")
+	parallelism := fs.Int("parallelism", 1, "producer goroutines per refill round of a sharded (-shards > 1) alternative search (schedules are identical for every value)")
 	shards := fs.Int("shards", 1, "federate the grid into K sharded domains with cross-shard combination (schedules are identical for every value)")
-	linearScan := fs.Bool("linear-scan", false, "use the linear oracle scan instead of the bucketed slot index (results are identical for either)")
-	rebuildVacant := fs.Bool("rebuild-vacant", false, "rebuild the vacant-slot list from the bookings on every publication instead of maintaining the live store (results are identical for either)")
 	service := fs.Bool("service", false, "drive the session through the continuous-service event loop (eval queue + plan/apply rounds; transcripts are identical to batch mode)")
 	faults := fs.String("faults", "", "fault plan for the chaos scenario, e.g. \"fail@300:cpu3;recover@600:cpu3;revoke@450:cpu5:500-700\" (empty = seeded random plan)")
 	journal := fs.String("journal", "", "write-ahead journal path for the chaos -service session (checkpoints land at PATH.ckpt); recover replays it")
@@ -84,12 +82,11 @@ func run(args []string) error {
 	cfg := experiments.PaperStudyConfig(*seed, *iterations)
 	cfg.SeriesLength = *series
 	cfg.Metrics = reg
-	cfg.Search.UseLinearScan = *linearScan
 
 	if cmd == "mc" {
 		return runMC(*universe, *depth, *states, *mutation, *cexPath, *liveness, *service)
 	}
-	if err := dispatch(cmd, cfg, *seed, *iterations, *file, *faults, *journal, *checkpointEvery, *parallelism, *shards, *rebuildVacant, *service, reg); err != nil {
+	if err := dispatch(cmd, cfg, *seed, *iterations, *file, *faults, *journal, *checkpointEvery, *parallelism, *shards, *service, reg); err != nil {
 		return err
 	}
 	if reg != nil {
@@ -100,7 +97,7 @@ func run(args []string) error {
 
 // dispatch runs one subcommand; the caller dumps the metrics snapshot (if
 // requested) after it returns, so every subcommand gets -metrics for free.
-func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations int, file, faults, journal string, checkpointEvery, parallelism, shards int, rebuildVacant, service bool, reg *metrics.Registry) error {
+func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations int, file, faults, journal string, checkpointEvery, parallelism, shards int, service bool, reg *metrics.Registry) error {
 	switch cmd {
 	case "example":
 		return runExample()
@@ -199,9 +196,7 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 		fmt.Print(experiments.RenderClustered(points))
 		return nil
 	case "baseline":
-		bf, eco, err := experiments.BaselineStudy(experiments.BaselineConfig{
-			Seed: seed, Trials: iterations / 50, Parallelism: parallelism,
-		})
+		bf, eco, err := experiments.BaselineStudy(experiments.BaselineConfig{Seed: seed, Trials: iterations / 50})
 		if err != nil {
 			return err
 		}
@@ -209,11 +204,7 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 		fmt.Print(experiments.RenderBaseline(bf, eco))
 		return nil
 	case "dynamics":
-		alp, amp, err := experiments.DynamicsStudy(experiments.DynamicsConfig{
-			Seed:        seed,
-			Sessions:    iterations / 40,
-			Parallelism: parallelism,
-		})
+		alp, amp, err := experiments.DynamicsStudy(experiments.DynamicsConfig{Seed: seed, Sessions: iterations / 40})
 		if err != nil {
 			return err
 		}
@@ -227,11 +218,11 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 	case "pareto":
 		return runPareto(seed)
 	case "gridsim":
-		return runGridsim(seed, parallelism, shards, cfg.Search.UseLinearScan, rebuildVacant, service, reg)
+		return runGridsim(seed, parallelism, shards, service, reg)
 	case "chaos":
-		return runChaos(seed, faults, journal, checkpointEvery, parallelism, shards, cfg.Search.UseLinearScan, rebuildVacant, service, reg)
+		return runChaos(seed, faults, journal, checkpointEvery, parallelism, shards, service, reg)
 	case "recover":
-		return runRecover(seed, journal, checkpointEvery, parallelism, shards, cfg.Search.UseLinearScan, rebuildVacant, reg)
+		return runRecover(seed, journal, checkpointEvery, parallelism, shards, reg)
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -292,12 +283,11 @@ subcommands:
   recover   rebuild a crashed chaos -service session from its journal (-journal PATH)
   mc        bounded exhaustive model checker for the schedule/commit protocol
 
-flags (per subcommand): -seed N -iterations N -series N -file PATH -parallelism N
+flags (per subcommand): -seed N -iterations N -series N -file PATH
                         -shards K     (federate the grid into K sharded domains; identical results)
+                        -parallelism N (producer goroutines of a sharded search; identical results)
                         -metrics PATH (snapshot after the run; "-" = stdout, .json = JSON)
                         -pprof ADDR   (serve net/http/pprof while running)
-                        -linear-scan  (linear oracle scan instead of the slot index; identical results)
-                        -rebuild-vacant (full vacancy rebuild per publication instead of the live store; identical results)
                         -service      (continuous-service event loop for gridsim/chaos/mc; identical transcripts)
                         -faults PLAN  (chaos fault plan, e.g. "fail@300:cpu3;recover@600:cpu3")
                         -journal PATH (write-ahead journal for chaos -service; recover replays it)

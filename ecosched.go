@@ -180,10 +180,6 @@ var (
 	NewScheduler = metasched.New
 	// FindAlternatives runs the multi-pass alternative search.
 	FindAlternatives = alloc.FindAlternatives
-	// FindAlternativesParallel is FindAlternatives with the per-job window
-	// scans executed speculatively on a worker pool; the result is
-	// bit-identical to the sequential search for every input.
-	FindAlternativesParallel = alloc.FindAlternativesParallel
 	// FindAlternativesFair is the batch-at-once search variant: each
 	// round commits the globally earliest window across the whole batch.
 	FindAlternativesFair = alloc.FindAlternativesFair

@@ -15,6 +15,9 @@
 // subtract every found window from the vacant list, and repeat passes until a
 // full pass finds nothing — producing, for each job, a set of pairwise
 // disjoint execution alternatives for the batch optimizer (internal/dp).
+// There is one such loop (multiPass, search.go); FindAlternatives and
+// FindAlternativesSharded differ only in how many views of the vacancy it
+// scans.
 package alloc
 
 import (
@@ -55,7 +58,8 @@ func (s *Stats) Add(other Stats) {
 // algorithm's policy admits) or report that none exists.
 //
 // Implementations must not modify the list; window subtraction is the
-// caller's responsibility (see FindAlternatives).
+// caller's responsibility (see FindAlternatives, which additionally requires
+// the indexed stream scan ALP and AMP provide).
 type Algorithm interface {
 	// Name returns the algorithm's short name ("ALP" or "AMP").
 	Name() string
@@ -68,14 +72,13 @@ type Algorithm interface {
 // against a slot.Index, visiting only the slots the index's buckets cannot
 // dismiss. Both entry points are total functions of the same slot sequence,
 // so for any list they return byte-identical windows and Stats — the
-// scan-equivalence contract the oracle suites (indexed_test.go and the
-// metasched differentials) pin down:
+// scan-equivalence contract the oracle suite (indexed_test.go) pins down:
 //
 //   - FindWindowLinear is the paper's front-to-back scan of the raw list,
-//     kept verbatim as the reference oracle;
-//   - FindWindowIndexed is the production path, reached through
-//     FindAlternatives unless SearchOptions.UseLinearScan asks for the
-//     oracle.
+//     kept verbatim as the reference oracle; no search driver calls it;
+//   - FindWindowIndexed is the production scan of a one-view search; a
+//     search over several views merges their candidate streams into the same
+//     sequence (shardscan.go).
 type IndexedAlgorithm interface {
 	Algorithm
 	// FindWindowLinear searches the raw list front to back — the oracle.

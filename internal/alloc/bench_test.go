@@ -64,49 +64,6 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelSearch measures the speculative parallel pipeline against
-// the sequential multi-pass search on the large-batch disjoint-band scenario
-// (many jobs, long scans, rare commit conflicts — the workload the pipeline
-// targets). The p=1 sub-benchmark is the sequential baseline; speedup shows
-// with GOMAXPROCS >= 2 and grows with cores.
-func BenchmarkParallelSearch(b *testing.B) {
-	list, batch := disjointBandsFixture(8, 40, 8)
-	opts := SearchOptions{MaxAlternativesPerJob: 3}
-	for _, parallelism := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("p=%d", parallelism), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := FindAlternativesParallel(AMP{}, list, batch, opts, parallelism)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.TotalAlternatives() == 0 {
-					b.Fatal("no alternatives found")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelSearchConflicting measures the adversarial case: the
-// paper's statistical scenario, where every job's window lands near the list
-// front and almost every speculation conflicts. This bounds the overhead of
-// discarded speculative work.
-func BenchmarkParallelSearchConflicting(b *testing.B) {
-	sc, err := workload.GenerateScenario(workload.PaperSlotGenerator(), workload.PaperJobGenerator(), sim.NewRNG(9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, parallelism := range []int{1, 4} {
-		b.Run(fmt.Sprintf("p=%d", parallelism), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := FindAlternativesParallel(AMP{}, sc.Slots, sc.Batch, SearchOptions{}, parallelism); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // indexedBenchFixture builds an m-slot list that is almost entirely slow
 // (performance 1) nodes, with a thin band of fast (performance 3) slots in
 // the last eighth of the time axis, plus a batch mixing one job the grid can
@@ -116,9 +73,7 @@ func BenchmarkParallelSearchConflicting(b *testing.B) {
 // ~m per deep scan; the index answers the same scans from its bucket
 // aggregates — the probes' above-grid floor prunes every bucket via
 // maxPerf, and the deep job's floor of 2 prunes the slow prefix wholesale
-// and takes the selective permutation path inside the fast band. Shared by
-// BenchmarkIndexedSearch and BenchmarkLinearSearch, whose ratio CI records
-// in BENCH_slotindex.json.
+// and takes the selective permutation path inside the fast band.
 func indexedBenchFixture(m int) (*slot.List, *job.Batch) {
 	const (
 		fastEvery = 32
@@ -146,9 +101,9 @@ func indexedBenchFixture(m int) (*slot.List, *job.Batch) {
 		}
 	}
 	// One deep job keeps the multi-pass loop alive (and the index under
-	// incremental maintenance) without letting O(m) subtraction memmoves —
-	// paid identically by both scan variants — dominate the measurement;
-	// the probe fleet supplies the failing full scans being compared.
+	// incremental maintenance) without letting O(m) subtraction memmoves
+	// dominate the measurement; the probe fleet supplies the failing full
+	// scans being measured.
 	jobs := []*job.Job{mkJob("deep", 3, 150, 2, 10)}
 	for i := 0; i < 32; i++ {
 		jobs = append(jobs, mkJob(fmt.Sprintf("probe%d", i), 1, 150, 4, 10))
@@ -156,7 +111,11 @@ func indexedBenchFixture(m int) (*slot.List, *job.Batch) {
 	return slot.NewList(slots), job.MustNewBatch(jobs)
 }
 
-func benchmarkScanVariant(b *testing.B, opts SearchOptions) {
+// BenchmarkIndexedSearch measures the multi-pass search — bucketed slot
+// index, built once per search and maintained incrementally through window
+// subtractions — on the sparse-fast-node fixture.
+func BenchmarkIndexedSearch(b *testing.B) {
+	opts := SearchOptions{MaxAlternativesPerJob: 2}
 	for _, m := range []int{10000, 100000} {
 		list, batch := indexedBenchFixture(m)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
@@ -171,20 +130,6 @@ func benchmarkScanVariant(b *testing.B, opts SearchOptions) {
 			}
 		})
 	}
-}
-
-// BenchmarkIndexedSearch measures the default multi-pass search — bucketed
-// slot index, built once per search and maintained incrementally through
-// window subtractions — on the sparse-fast-node fixture. Compare against
-// BenchmarkLinearSearch: the acceptance floor is a 3x speedup at m=100000.
-func BenchmarkIndexedSearch(b *testing.B) {
-	benchmarkScanVariant(b, SearchOptions{MaxAlternativesPerJob: 2})
-}
-
-// BenchmarkLinearSearch measures the identical search through the
-// UseLinearScan oracle, whose every failing scan walks the full list.
-func BenchmarkLinearSearch(b *testing.B) {
-	benchmarkScanVariant(b, SearchOptions{MaxAlternativesPerJob: 2, UseLinearScan: true})
 }
 
 func BenchmarkMultiPassSearch(b *testing.B) {

@@ -23,29 +23,35 @@ import (
 // window starts. The ablation bench and the fairness experiment quantify the
 // trade.
 func FindAlternativesFair(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
-	if algo == nil {
-		return nil, fmt.Errorf("alloc: nil algorithm")
-	}
 	if list == nil {
 		return nil, fmt.Errorf("alloc: nil slot list")
 	}
+	// Probes are read-only between commits, so the one view serves every
+	// probe of a round and is updated once per committed window.
+	view := oneView(list, opts)
+	scan, subtract, err := newScanner(algo, []*slot.Index{view}, nil, opts, 1, nil)
+	if err != nil {
+		return nil, err
+	}
+	res, err := fairPasses(algo.Name(), batch, opts, scan, subtract)
+	if err != nil {
+		return nil, err
+	}
+	res.Remaining = view.List()
+	return res, nil
+}
+
+// fairPasses is the fair search's loop over a bound scan and subtraction;
+// the caller sets Remaining.
+func fairPasses(name string, batch *job.Batch, opts SearchOptions, scan scanFunc, subtract func(*slot.Window) error) (*SearchResult, error) {
 	if batch == nil || batch.Len() == 0 {
 		return nil, fmt.Errorf("alloc: empty batch")
 	}
-
 	res := &SearchResult{
-		Algorithm:    algo.Name() + "/fair",
+		Algorithm:    name + "/fair",
 		Alternatives: make(map[string][]*slot.Window, batch.Len()),
 	}
-	// Probes are read-only between commits, so the incremental index serves
-	// every probe of a round and is updated once per committed window.
-	working, scan, subtract := newScanner(algo, list, opts)
-	maxPasses := opts.MaxPasses
-	perJobCap := opts.MaxAlternativesPerJob
-	if opts.FirstOnly {
-		maxPasses = 1
-		perJobCap = 1
-	}
+	maxPasses, perJobCap := opts.caps()
 
 	for pass := 0; ; pass++ {
 		if maxPasses > 0 && pass >= maxPasses {
@@ -81,10 +87,10 @@ func FindAlternativesFair(algo Algorithm, list *slot.List, batch *job.Batch, opt
 				break
 			}
 			if err := best.Validate(); err != nil {
-				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", algo.Name(), err)
+				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", name, err)
 			}
 			if err := subtract(best); err != nil {
-				return nil, fmt.Errorf("alloc: subtracting window for %s: %w", best.JobName, err)
+				return nil, err
 			}
 			res.Alternatives[best.JobName] = append(res.Alternatives[best.JobName], best)
 			pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
@@ -94,7 +100,6 @@ func FindAlternativesFair(algo Algorithm, list *slot.List, batch *job.Batch, opt
 			break
 		}
 	}
-	res.Remaining = working
 	return res, nil
 }
 

@@ -53,7 +53,7 @@ func fuzzRequest(nodesWanted, perfTenths uint8, timeTicks, priceCenti, rhoCenti,
 // of the chosen algorithm (per-slot cap C for ALP, whole-window budget S for
 // AMP), and a scan that never visits more slots than the list holds. The
 // multi-pass search is then checked for pairwise-disjoint alternatives,
-// vacant-time conservation, and parallel/sequential agreement.
+// vacant-time conservation, and agreement with the linear reference.
 func FuzzFindWindow(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(3), uint8(2), uint8(5), uint16(80), uint16(500), uint16(100), uint16(0))
 	f.Add(uint64(7), uint8(8), uint8(2), uint8(1), uint8(12), uint16(40), uint16(90), uint16(250), uint16(900))
@@ -109,8 +109,8 @@ func FuzzFindWindow(f *testing.F) {
 
 		// Multi-pass search over a small batch built from variations of the
 		// fuzzed request: alternatives must stay pairwise disjoint, vacant
-		// time must shrink by exactly the occupied time, and the parallel
-		// pipeline must agree bit for bit with the sequential one.
+		// time must shrink by exactly the occupied time, and the indexed
+		// search must agree bit for bit with the linear reference.
 		jobs := make([]*job.Job, 0, 3)
 		for i := 0; i < 3; i++ {
 			cp := *j
@@ -123,7 +123,7 @@ func FuzzFindWindow(f *testing.F) {
 		if err != nil {
 			t.Fatalf("batch: %v", err)
 		}
-		for _, algo := range []Algorithm{ALP{}, AMP{}} {
+		for _, algo := range []IndexedAlgorithm{ALP{}, AMP{}} {
 			res, err := FindAlternatives(algo, list, batch, SearchOptions{MaxPasses: 4})
 			if err != nil {
 				t.Fatalf("%s FindAlternatives: %v", algo.Name(), err)
@@ -150,12 +150,12 @@ func FuzzFindWindow(f *testing.F) {
 				t.Fatalf("%s vacant time %v after occupying %v of %v, want %v",
 					algo.Name(), got, occupied, list.TotalTime(), want)
 			}
-			par, err := FindAlternativesParallel(algo, list, batch, SearchOptions{MaxPasses: 4}, 4)
+			oracle, err := findAlternativesLinear(algo, list, batch, SearchOptions{MaxPasses: 4})
 			if err != nil {
-				t.Fatalf("%s parallel: %v", algo.Name(), err)
+				t.Fatalf("%s linear: %v", algo.Name(), err)
 			}
-			if got, want := renderResult(t, batch, par), renderResult(t, batch, res); got != want {
-				t.Fatalf("%s parallel result diverged\n--- sequential ---\n%s\n--- parallel ---\n%s", algo.Name(), want, got)
+			if got, want := renderResult(t, batch, res), renderResult(t, batch, oracle); got != want {
+				t.Fatalf("%s indexed result diverged\n--- linear ---\n%s\n--- indexed ---\n%s", algo.Name(), want, got)
 			}
 		}
 	})

@@ -64,12 +64,18 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 	}
 }
 
-// TestIndexedSearchMatchesLinearOracle is the driver-level differential: the
-// default indexed FindAlternatives (sequential, parallel, and fair) must be
-// byte-identical to the UseLinearScan oracle on full SearchResults —
-// windows, discovery order, pass count, stats, and the remaining list.
+// TestIndexedSearchMatchesLinearOracle is the multi-pass differential, and
+// the one place the linear reference is multiplied through search options:
+// every production entry — FindAlternatives building its own index,
+// FindAlternatives adopting a prebuilt one whose tiling differs from a fresh
+// build's, FindAlternativesSharded over three views, and the fair search —
+// must be byte-identical to the same loop over FindWindowLinear on full
+// SearchResults: windows, discovery order, pass count, stats, and the
+// remaining list. Each scenario is searched at its generated prices and again
+// repriced the way the metascheduler's demand pricing publishes it, which
+// moves slots across ALP's per-slot cap and AMP's budget.
 func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
-	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
+	algos := []IndexedAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	options := []SearchOptions{
 		{},
 		{FirstOnly: true},
@@ -77,51 +83,55 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 		{MaxPasses: 3},
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
-		list, batch := diffScenario(t, seed)
-		for _, algo := range algos {
-			for oi, opts := range options {
-				linear := opts
-				linear.UseLinearScan = true
-				oracle, err := FindAlternatives(algo, list, batch, linear)
-				if err != nil {
-					t.Fatalf("seed %d %s opts %d: linear: %v", seed, algo.Name(), oi, err)
-				}
-				want := renderResult(t, batch, oracle)
-				indexed, err := FindAlternatives(algo, list, batch, opts)
-				if err != nil {
-					t.Fatalf("seed %d %s opts %d: indexed: %v", seed, algo.Name(), oi, err)
-				}
-				if got := renderResult(t, batch, indexed); got != want {
-					t.Fatalf("seed %d %s opts %d: indexed search diverged from linear oracle\n--- linear ---\n%s\n--- indexed ---\n%s",
-						seed, algo.Name(), oi, want, got)
-				}
-				if oi != 0 {
-					continue
-				}
-				for _, variant := range []struct {
-					name string
-					opts SearchOptions
-				}{{"indexed", opts}, {"linear", linear}} {
-					par, err := FindAlternativesParallel(algo, list, batch, variant.opts, 4)
+		generated, batch := diffScenario(t, seed)
+		factor := sim.Money(0.7 + 0.05*float64(seed%12))
+		repriced := generated.Reprice(func(s slot.Slot) sim.Money { return s.Price * factor })
+		for li, list := range []*slot.List{generated, repriced} {
+			for _, algo := range algos {
+				for oi, opts := range options {
+					if li == 1 && oi != 0 {
+						continue
+					}
+					oracle, err := findAlternativesLinear(algo, list, batch, opts)
 					if err != nil {
-						t.Fatalf("seed %d %s: parallel %s: %v", seed, algo.Name(), variant.name, err)
+						t.Fatalf("seed %d %s opts %d: linear: %v", seed, algo.Name(), oi, err)
 					}
-					if got := renderResult(t, batch, par); got != want {
-						t.Fatalf("seed %d %s: parallel %s diverged from linear oracle\n--- oracle ---\n%s\n--- got ---\n%s",
-							seed, algo.Name(), variant.name, want, got)
+					want := renderResult(t, batch, oracle)
+					check := func(name string, got *SearchResult, err error) {
+						t.Helper()
+						if err != nil {
+							t.Fatalf("seed %d list %d %s opts %d: %s: %v", seed, li, algo.Name(), oi, name, err)
+						}
+						if got := renderResult(t, batch, got); got != want {
+							t.Fatalf("seed %d list %d %s opts %d: %s search diverged from linear oracle\n--- linear ---\n%s\n--- %s ---\n%s",
+								seed, li, algo.Name(), oi, name, want, name, got)
+						}
 					}
-				}
-				fairOracle, err := FindAlternativesFair(algo, list, batch, linear)
-				if err != nil {
-					t.Fatalf("seed %d %s: fair linear: %v", seed, algo.Name(), err)
-				}
-				fairIndexed, err := FindAlternativesFair(algo, list, batch, opts)
-				if err != nil {
-					t.Fatalf("seed %d %s: fair indexed: %v", seed, algo.Name(), err)
-				}
-				if got, wantFair := renderResult(t, batch, fairIndexed), renderResult(t, batch, fairOracle); got != wantFair {
-					t.Fatalf("seed %d %s: fair indexed diverged from fair linear\n--- linear ---\n%s\n--- indexed ---\n%s",
-						seed, algo.Name(), wantFair, got)
+					indexed, err := FindAlternatives(algo, list, batch, opts)
+					check("indexed", indexed, err)
+
+					prebuilt := opts
+					prebuilt.Prebuilt = slot.NewIndexSize(list.Clone(), 5, nil)
+					adopted, err := FindAlternatives(algo, prebuilt.Prebuilt.List(), batch, prebuilt)
+					check("prebuilt", adopted, err)
+					if adopted.Remaining != prebuilt.Prebuilt.List() {
+						t.Fatalf("seed %d %s opts %d: Remaining is not the adopted index's list", seed, algo.Name(), oi)
+					}
+
+					views, shardOf := shardSplit(list, 3)
+					sharded, err := FindAlternativesSharded(algo, views, shardOf, batch, opts, 4, nil)
+					check("sharded", sharded, err)
+
+					if oi != 0 {
+						continue
+					}
+					fairOracle, err := findAlternativesFairLinear(algo, list, batch, opts)
+					if err != nil {
+						t.Fatalf("seed %d %s: fair linear: %v", seed, algo.Name(), err)
+					}
+					want = renderResult(t, batch, fairOracle)
+					fairIndexed, err := FindAlternativesFair(algo, list, batch, opts)
+					check("fair", fairIndexed, err)
 				}
 			}
 		}
@@ -129,16 +139,14 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 }
 
 // TestIndexedSearchDisjointBands repeats the oracle differential on the
-// low-conflict benchmark fixture, whose long rejecting scans are the index's
-// favorable case (whole buckets pruned by the tag-blind performance filter
-// stay visited-prefix-accurate).
+// low-conflict fixture, whose long rejecting scans are the index's favorable
+// case (whole buckets pruned by the tag-blind performance filter stay
+// visited-prefix-accurate).
 func TestIndexedSearchDisjointBands(t *testing.T) {
 	list, batch := disjointBandsFixture(6, 12, 6)
 	opts := SearchOptions{MaxAlternativesPerJob: 3}
-	linear := opts
-	linear.UseLinearScan = true
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
-		oracle, err := FindAlternatives(algo, list, batch, linear)
+	for _, algo := range []IndexedAlgorithm{ALP{}, AMP{}} {
+		oracle, err := findAlternativesLinear(algo, list, batch, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,14 +165,12 @@ func TestIndexedSearchDisjointBands(t *testing.T) {
 }
 
 // TestIndexedSearchBenchFixture pins the benchmark fixture itself: the
-// indexed and linear searches must agree on it and must find alternatives,
-// so the speedup the benchmarks report compares equal, non-empty work.
+// indexed search must agree with the linear reference on it and must find
+// alternatives, so BenchmarkIndexedSearch measures correct, non-empty work.
 func TestIndexedSearchBenchFixture(t *testing.T) {
 	list, batch := indexedBenchFixture(10000)
 	opts := SearchOptions{MaxAlternativesPerJob: 2}
-	linear := opts
-	linear.UseLinearScan = true
-	oracle, err := FindAlternatives(AMP{}, list, batch, linear)
+	oracle, err := findAlternativesLinear(AMP{}, list, batch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,13 +10,9 @@ import (
 // NewSearchMetrics and attach via SearchOptions.Metrics; a nil *SearchMetrics
 // disables instrumentation at zero cost on the scan hot path.
 //
-// Determinism note: every observation below happens on the sequential commit
-// path of the search — FindAlternatives' per-job loop or the parallel
-// pipeline's in-order accept loop — never inside a speculative worker
-// goroutine. Discarded speculative scans are therefore not double-counted,
-// and two identical seeded searches always produce identical counter values
-// (the parallel pipeline additionally reports its own rescan/round counters,
-// which are deterministic functions of the input and the parallelism knob).
+// Determinism note: every observation below happens in the multi-pass loop's
+// own goroutine, never inside a merge's producer goroutine, so two identical
+// seeded searches always produce identical counter values.
 type SearchMetrics struct {
 	// WindowsFound / WindowsMissed split the per-job scan outcomes.
 	WindowsFound  *metrics.Counter
@@ -34,22 +30,14 @@ type SearchMetrics struct {
 	// ScanLength is the distribution of visited-prefix lengths per scan —
 	// the deterministic work-unit analogue of per-scan latency.
 	ScanLength *metrics.Histogram
-	// SpeculativeRescans counts speculative scan results discarded by the
-	// parallel pipeline's prefix-consistency check (each is re-scanned in a
-	// later round); SnapshotRounds counts snapshot/scan/commit rounds.
-	// Both stay 0 for the sequential search.
-	SpeculativeRescans *metrics.Counter
-	SnapshotRounds     *metrics.Counter
 	// Index aggregates the slot-index maintenance instruments (rebuilds,
 	// incremental updates, bucket churn) under alloc/<algo>/index/.
 	Index *slot.IndexMetrics
-	// IndexScans counts committed scans answered through the index;
+	// IndexScans counts scans answered by the one-view indexed stream;
 	// BucketsVisited/BucketsPruned/SlotsSkipped sum their traversal work —
-	// the sublinearity evidence. Recorded only on the sequential drivers'
-	// commit paths; the parallel pipeline's workers scan per-round snapshot
-	// indexes whose bucket layout depends on round structure, so their
-	// traversal is deliberately unrecorded (the scheduling result itself is
-	// identical either way).
+	// the sublinearity evidence. A cross-shard merge walks its shards in
+	// chunks whose boundaries depend on the refill schedule, so its
+	// traversal is deliberately unrecorded (shard.Metrics counts its ranks).
 	IndexScans     *metrics.Counter
 	BucketsVisited *metrics.Counter
 	BucketsPruned  *metrics.Counter
@@ -65,22 +53,20 @@ func NewSearchMetrics(r *metrics.Registry, algo string) *SearchMetrics {
 	}
 	p := "alloc/" + algo + "/"
 	return &SearchMetrics{
-		WindowsFound:       r.Counter(p + "windows_found_total"),
-		WindowsMissed:      r.Counter(p + "windows_missed_total"),
-		SlotsExamined:      r.Counter(p + "slots_examined_total"),
-		SlotsRejected:      r.Counter(p + "slots_rejected_total"),
-		CandidatesEvicted:  r.Counter(p + "candidates_evicted_total"),
-		BudgetChecks:       r.Counter(p + "budget_checks_total"),
-		Passes:             r.Counter(p + "passes_total"),
-		Searches:           r.Counter(p + "searches_total"),
-		ScanLength:         r.Histogram(p+"scan_length_slots", metrics.ExpBuckets(8, 2, 8)),
-		SpeculativeRescans: r.Counter(p + "speculative_rescans_total"),
-		SnapshotRounds:     r.Counter(p + "snapshot_rounds_total"),
-		Index:              slot.NewIndexMetrics(r, p+"index/"),
-		IndexScans:         r.Counter(p + "index/scans_total"),
-		BucketsVisited:     r.Counter(p + "index/buckets_visited_total"),
-		BucketsPruned:      r.Counter(p + "index/buckets_pruned_total"),
-		SlotsSkipped:       r.Counter(p + "index/slots_skipped_total"),
+		WindowsFound:      r.Counter(p + "windows_found_total"),
+		WindowsMissed:     r.Counter(p + "windows_missed_total"),
+		SlotsExamined:     r.Counter(p + "slots_examined_total"),
+		SlotsRejected:     r.Counter(p + "slots_rejected_total"),
+		CandidatesEvicted: r.Counter(p + "candidates_evicted_total"),
+		BudgetChecks:      r.Counter(p + "budget_checks_total"),
+		Passes:            r.Counter(p + "passes_total"),
+		Searches:          r.Counter(p + "searches_total"),
+		ScanLength:        r.Histogram(p+"scan_length_slots", metrics.ExpBuckets(8, 2, 8)),
+		Index:             slot.NewIndexMetrics(r, p+"index/"),
+		IndexScans:        r.Counter(p + "index/scans_total"),
+		BucketsVisited:    r.Counter(p + "index/buckets_visited_total"),
+		BucketsPruned:     r.Counter(p + "index/buckets_pruned_total"),
+		SlotsSkipped:      r.Counter(p + "index/slots_skipped_total"),
 	}
 }
 
@@ -134,15 +120,4 @@ func (m *SearchMetrics) searchStarted() {
 		return
 	}
 	m.Searches.Inc()
-}
-
-// roundDone records one speculative round of the parallel pipeline:
-// discarded is the number of scan results invalidated by earlier
-// subtractions and queued for re-scanning.
-func (m *SearchMetrics) roundDone(discarded int) {
-	if m == nil {
-		return
-	}
-	m.SnapshotRounds.Inc()
-	m.SpeculativeRescans.Add(int64(discarded))
 }

@@ -5,6 +5,7 @@ import (
 
 	"ecosched/internal/metrics"
 	"ecosched/internal/sim"
+	"ecosched/internal/slot"
 	"ecosched/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func TestNilSearchMetricsZeroAllocs(t *testing.T) {
 		m.passDone()
 		m.scanDone(st, true)
 		m.scanDone(st, false)
-		m.roundDone(2)
+		m.probeDone(slot.ScanStats{BucketsVisited: 3})
 	}); avg != 0 {
 		t.Errorf("nil SearchMetrics observations allocate %.1f per run, want 0", avg)
 	}
@@ -66,20 +67,25 @@ func TestSearchMetricsNeutralAndAccurate(t *testing.T) {
 		t.Error("scan_length_slots histogram empty")
 	}
 
-	// The parallel pipeline with the same instruments must agree on the
-	// per-scan sums and additionally count its speculation rounds.
+	// The cross-shard merge with the same instruments must agree on the
+	// per-scan sums; it records no index probe.
 	reg2 := metrics.New()
-	opts2 := SearchOptions{Metrics: NewSearchMetrics(reg2, "AMP")}
-	par, err := FindAlternativesParallel(AMP{}, sc.Slots, sc.Batch, opts2, 4)
+	views, shardOf := shardSplit(sc.Slots, 3)
+	merged, err := FindAlternativesSharded(AMP{}, views, shardOf, sc.Batch, SearchOptions{Metrics: NewSearchMetrics(reg2, "AMP")}, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap2 := reg2.Snapshot()
-	if got := snap2.Counter("alloc/AMP/windows_found_total"); got != int64(par.TotalAlternatives()) {
-		t.Errorf("parallel windows_found_total %d != %d", got, par.TotalAlternatives())
+	if got, want := renderResult(t, sc.Batch, merged), renderResult(t, sc.Batch, plain); got != want {
+		t.Fatalf("instrumented merge diverged\n--- plain ---\n%s\n--- merge ---\n%s", want, got)
 	}
-	if got := snap2.Counter("alloc/AMP/snapshot_rounds_total"); got <= 0 {
-		t.Error("parallel pipeline recorded no snapshot rounds")
+	snap2 := reg2.Snapshot()
+	for _, name := range []string{"windows_found_total", "windows_missed_total", "slots_examined_total", "passes_total"} {
+		if got, want := snap2.Counter("alloc/AMP/"+name), snap.Counter("alloc/AMP/"+name); got != want {
+			t.Errorf("merge %s %d != one-view %d", name, got, want)
+		}
+	}
+	if got := snap2.Counter("alloc/AMP/index/scans_total"); got != 0 {
+		t.Errorf("merge recorded %d index probes, want 0", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ecosched/internal/job"
+	"ecosched/internal/resource"
 	"ecosched/internal/slot"
 )
 
@@ -22,30 +23,22 @@ type SearchOptions struct {
 	// alternative per job — the degenerate mode most classical schedulers
 	// use, kept for the search-passes ablation.
 	FirstOnly bool
-	// UseLinearScan forces the raw front-to-back list scan (the
-	// FindWindowLinear oracle) instead of the bucketed slot.Index the
-	// drivers use by default. Both paths return byte-identical results —
-	// the scan-equivalence suites pin this — so the knob exists for
-	// differential testing, benchmarking the index against its oracle, and
-	// as an escape hatch, mirroring the dp package's UseDenseDP.
-	UseLinearScan bool
-	// Prebuilt, when non-nil, is a ready-made index the search uses instead
-	// of building one over a clone of the input list — the grid's live
-	// store hands out such clones so the steady-state path never pays a
-	// NewIndex (gridsim.VacantView). The caller transfers ownership: the
-	// search mutates the index (and the list backing it — Remaining aliases
-	// Prebuilt.List()) and the input list argument must be that same list.
-	// Scan results do not depend on the index's bucket layout (the
+	// Prebuilt, when non-nil, is a ready-made index FindAlternatives
+	// searches instead of building one over a clone of the input list — the
+	// grid's live store hands out such clones so the steady-state path never
+	// pays a NewIndex (gridsim.ShardViews). The caller transfers ownership:
+	// the search mutates the index (and the list backing it — Remaining
+	// aliases Prebuilt.List()) and the input list argument must be that same
+	// list. Scan results do not depend on the index's bucket layout (the
 	// scan-order contract), so a prebuilt index whose tiling reflects its
 	// maintenance history returns byte-identical windows to a fresh build.
-	// Ignored — the historical clone-and-build path runs — when
-	// UseLinearScan is set or the algorithm has no indexed scan.
+	// FindAlternativesSharded takes its views as an argument and rejects
+	// this field.
 	Prebuilt *slot.Index
 	// Metrics, when non-nil, receives the search's observability counters
-	// (windows found, scan lengths, pass counts, speculative rescans).
-	// Instrumentation never influences which windows are found: all
-	// observations happen on the sequential commit path, and a nil value
-	// costs nothing (see internal/metrics).
+	// (windows found, scan lengths, pass counts). Instrumentation never
+	// influences which windows are found, and a nil value costs nothing
+	// (see internal/metrics).
 	Metrics *SearchMetrics
 }
 
@@ -67,8 +60,9 @@ type SearchResult struct {
 	// Stats accumulates the per-search counters across all window
 	// searches.
 	Stats Stats
-	// Remaining is the vacant list after all subtractions. The input list
-	// is never modified.
+	// Remaining is the vacant list after all subtractions: the searched
+	// view's own list, or the canonical merge of several views. A list
+	// passed to FindAlternatives without a Prebuilt index is never modified.
 	Remaining *slot.List
 }
 
@@ -110,37 +104,68 @@ func (r *SearchResult) AllJobsCovered(batch *job.Batch) bool {
 // alternatives never intersect in processor time: any per-job selection the
 // optimizer makes is simultaneously feasible without revising other jobs'
 // assignments.
+//
+// This is the one-view case of FindAlternativesSharded: the view is
+// opts.Prebuilt when the caller supplies one, otherwise an index built over
+// a clone of list.
 func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
-	if algo == nil {
-		return nil, fmt.Errorf("alloc: nil algorithm")
-	}
 	if list == nil {
 		return nil, fmt.Errorf("alloc: nil slot list")
 	}
+	return searchViews(algo, []*slot.Index{oneView(list, opts)}, nil, batch, opts, 1, nil)
+}
+
+// FindAlternativesParallel forwards to FindAlternatives; parallelism is
+// ignored.
+//
+// Deprecated: the speculative pipeline it named is gone. Call
+// FindAlternatives.
+func FindAlternativesParallel(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions, parallelism int) (*SearchResult, error) {
+	return FindAlternatives(algo, list, batch, opts)
+}
+
+// oneView returns the single view of a list-based search: the caller's
+// prebuilt index (ownership transfers), or a fresh index over a clone so the
+// input list is never modified.
+func oneView(list *slot.List, opts SearchOptions) *slot.Index {
+	if opts.Prebuilt != nil {
+		return opts.Prebuilt
+	}
+	return slot.NewIndex(list.Clone(), opts.Metrics.indexMetrics())
+}
+
+// scanFunc is one job's window scan over the search's current vacancy.
+type scanFunc func(*job.Job) (*slot.Window, Stats, bool)
+
+// searchViews is the search every entry point reduces to: the multi-pass
+// loop over K >= 1 node-disjoint views, which it mutates in place.
+func searchViews(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node) int,
+	batch *job.Batch, opts SearchOptions, parallelism int, work *ShardWork) (*SearchResult, error) {
+	scan, subtract, err := newScanner(algo, views, shardOf, opts, parallelism, work)
+	if err != nil {
+		return nil, err
+	}
+	res, err := multiPass(algo.Name(), batch, opts, scan, subtract)
+	if err != nil {
+		return nil, err
+	}
+	res.Remaining = remaining(views)
+	return res, nil
+}
+
+// multiPass is the Section 2 loop, the only one in the package (the fair
+// search commits by a different rule): passes over the batch in priority
+// order, the per-job cap, the pass cap, window validation, subtraction and
+// the search metrics. The caller sets Remaining.
+func multiPass(name string, batch *job.Batch, opts SearchOptions, scan scanFunc, subtract func(*slot.Window) error) (*SearchResult, error) {
 	if batch == nil || batch.Len() == 0 {
 		return nil, fmt.Errorf("alloc: empty batch")
 	}
-
 	res := &SearchResult{
-		Algorithm:    algo.Name(),
+		Algorithm:    name,
 		Alternatives: make(map[string][]*slot.Window, batch.Len()),
 	}
-
-	// newScanner decides the working list and the index lifetime: a caller-
-	// supplied prebuilt index is adopted as-is (its list IS the working
-	// list), otherwise an index is built once over a clone of the input.
-	// Either way the index is maintained incrementally through every window
-	// subtraction, so later passes pay bucket-local updates, never a
-	// rebuild. UseLinearScan (or an algorithm without an indexed scan)
-	// falls back to the raw-list oracle over a clone.
-	working, scan, subtract := newScanner(algo, list, opts)
-
-	maxPasses := opts.MaxPasses
-	perJobCap := opts.MaxAlternativesPerJob
-	if opts.FirstOnly {
-		maxPasses = 1
-		perJobCap = 1
-	}
+	maxPasses, perJobCap := opts.caps()
 	opts.Metrics.searchStarted()
 
 	for pass := 0; ; pass++ {
@@ -176,10 +201,10 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 				continue
 			}
 			if err := w.Validate(); err != nil {
-				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", algo.Name(), err)
+				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", name, err)
 			}
 			if err := subtract(w); err != nil {
-				return nil, fmt.Errorf("alloc: subtracting window for %s: %w", j.Name, err)
+				return nil, err
 			}
 			res.Alternatives[j.Name] = append(res.Alternatives[j.Name], w)
 			foundAny = true
@@ -188,52 +213,96 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 			break
 		}
 	}
-	res.Remaining = working
 	return res, nil
 }
 
-// newScanner binds the working list, the per-job window scan, and the window
-// subtraction of a sequential driver to either the indexed path (default) or
-// the linear oracle.
+// caps resolves the pass cap and the per-job cap, FirstOnly being one pass
+// of one window each.
+func (o SearchOptions) caps() (maxPasses, perJobCap int) {
+	if o.FirstOnly {
+		return 1, 1
+	}
+	return o.MaxPasses, o.MaxAlternativesPerJob
+}
+
+// newScanner binds the per-job window scan and the window subtraction to the
+// search's views. The views are the search's working state: the scan reads
+// them, every subtraction goes through the index owning the placement's node
+// so the buckets stay consistent, and nothing is rebuilt between passes.
 //
-// Index-lifetime contract: exactly one index serves the whole search, and it
-// owns every mutation of the working list — subtraction goes through it so
-// its buckets stay consistent. Where that index comes from varies: a caller-
-// supplied opts.Prebuilt is adopted (ownership transfer; its List() becomes
-// the working list and is mutated in place), otherwise the input list is
-// cloned and an index built over the clone. The linear path (UseLinearScan,
-// or an algorithm without an indexed scan) has no index at all and mutates a
-// clone directly; a Prebuilt is ignored there, never half-used. The probe
-// records traversal work only when metrics are attached, keeping the
-// disabled path allocation-free.
-func newScanner(algo Algorithm, list *slot.List, opts SearchOptions) (
-	working *slot.List, scan func(*job.Job) (*slot.Window, Stats, bool), subtract func(*slot.Window) error) {
-	ia, indexed := algo.(IndexedAlgorithm)
-	if !indexed || opts.UseLinearScan {
-		w := list.Clone()
-		return w, func(j *job.Job) (*slot.Window, Stats, bool) { return algo.FindWindow(w, j) },
-			w.SubtractWindow
+// The scan selects from the view count: one view is scanned directly by the
+// indexed stream (no cursor buffers, no merge, and the only path that records
+// the index probe — a merge's traversal depends on the refill schedule), more
+// than one by the cross-shard cursor merge. Both return byte-identical
+// windows and Stats for the same vacancy.
+func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node) int,
+	opts SearchOptions, parallelism int, work *ShardWork) (scanFunc, func(*slot.Window) error, error) {
+	if algo == nil {
+		return nil, nil, fmt.Errorf("alloc: nil algorithm")
 	}
-	ix := opts.Prebuilt
-	if ix != nil {
+	sa, ok := algo.(streamAlgorithm)
+	if !ok {
+		return nil, nil, fmt.Errorf("alloc: %s has no indexed stream scan", algo.Name())
+	}
+	if len(views) == 0 {
+		return nil, nil, fmt.Errorf("alloc: no views to search")
+	}
+	if shardOf == nil && len(views) > 1 {
+		return nil, nil, fmt.Errorf("alloc: nil shard assignment with %d views", len(views))
+	}
+	if work != nil && len(work.ScanSlots) < len(views) {
+		work.ScanSlots = make([]int64, len(views))
+	}
+	for _, ix := range views {
 		ix.SetMetrics(opts.Metrics.indexMetrics())
-	} else {
-		ix = slot.NewIndex(list.Clone(), opts.Metrics.indexMetrics())
 	}
+	// The probe exists only when metrics are attached, keeping the disabled
+	// path allocation-free.
 	var probe *slot.ScanStats
 	if opts.Metrics != nil {
 		probe = &slot.ScanStats{}
 	}
-	return ix.List(), func(j *job.Job) (*slot.Window, Stats, bool) {
-		if probe != nil {
-			*probe = slot.ScanStats{}
+	scan := func(j *job.Job) (*slot.Window, Stats, bool) {
+		if len(views) > 1 {
+			return findWindowSharded(sa, views, j, parallelism, work)
 		}
-		w, stats, ok := ia.FindWindowIndexed(ix, j, probe)
-		if probe != nil {
-			opts.Metrics.probeDone(*probe)
+		if probe == nil {
+			return findWindowIndexedStream(sa, views[0], j, nil)
 		}
+		*probe = slot.ScanStats{}
+		w, stats, ok := findWindowIndexedStream(sa, views[0], j, probe)
+		opts.Metrics.probeDone(*probe)
 		return w, stats, ok
-	}, ix.SubtractWindow
+	}
+	subtract := func(w *slot.Window) error {
+		for _, p := range w.Placements {
+			i := 0
+			if shardOf != nil {
+				i = shardOf(p.Source.Node)
+			}
+			if i < 0 || i >= len(views) {
+				return fmt.Errorf("alloc: subtract window %q: node %s assigned to view %d of %d", w.JobName, p.Source.Node.Label(), i, len(views))
+			}
+			if err := views[i].SubtractInterval(p.Source, p.Used); err != nil {
+				return fmt.Errorf("alloc: subtract window %q: %w", w.JobName, err)
+			}
+		}
+		return nil
+	}
+	return scan, subtract, nil
+}
+
+// remaining is the post-search vacancy: the one view's own list, or the
+// canonical merge of several.
+func remaining(views []*slot.Index) *slot.List {
+	if len(views) == 1 {
+		return views[0].List()
+	}
+	lists := make([]*slot.List, len(views))
+	for i, ix := range views {
+		lists[i] = ix.List()
+	}
+	return slot.MergeLists(lists...)
 }
 
 // FindFirst returns only the earliest alternative per job — one pass, one

@@ -19,10 +19,14 @@ func twoJobBatch() *job.Batch {
 	})
 }
 
+// smallList is three idle nodes. They carry distinct IDs so the list also
+// splits into shard views: the canonical cross-shard order breaks start ties
+// by node ID.
 func smallList() *slot.List {
 	a := mkNode("a", 1, 2)
 	b := mkNode("b", 1, 3)
 	c := mkNode("c", 1, 4)
+	a.ID, b.ID, c.ID = 1, 2, 3
 	return slot.NewList([]slot.Slot{
 		slot.New(a, 0, 400),
 		slot.New(b, 0, 400),
@@ -316,5 +320,35 @@ func TestSearchHonorsDeadlinesAcrossPasses(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestParallelDelegatesAndValidates pins what is left of the deprecated
+// FindAlternativesParallel until the benchmark harness stops naming it: any
+// parallelism returns FindAlternatives' result, and the arguments are
+// validated the same way.
+func TestParallelDelegatesAndValidates(t *testing.T) {
+	list, batch := diffScenario(t, 4)
+	seq, err := FindAlternatives(AMP{}, list, batch, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parallelism := range []int{0, 1, 4} {
+		got, err := FindAlternativesParallel(AMP{}, list, batch, SearchOptions{}, parallelism)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if renderResult(t, batch, got) != renderResult(t, batch, seq) {
+			t.Fatalf("parallelism=%d did not forward to FindAlternatives", parallelism)
+		}
+	}
+	if _, err := FindAlternativesParallel(nil, list, batch, SearchOptions{}, 4); err == nil {
+		t.Fatal("nil algorithm accepted")
+	}
+	if _, err := FindAlternativesParallel(AMP{}, nil, batch, SearchOptions{}, 4); err == nil {
+		t.Fatal("nil list accepted")
+	}
+	if _, err := FindAlternativesParallel(AMP{}, list, nil, SearchOptions{}, 4); err == nil {
+		t.Fatal("nil batch accepted")
 	}
 }

@@ -38,7 +38,8 @@ const (
 // the sum over refill rounds of the maximum ranks walked by any one shard
 // that round. On a machine with at least K free cores the critical path is
 // the wall-clock-proportional cost of candidate production; it is also the
-// deterministic, hardware-independent number the scaling study reports.
+// deterministic, hardware-independent number the shard/* metrics report. A
+// one-view search runs no merge and leaves every counter zero.
 type ShardWork struct {
 	ScanSlots    []int64
 	Merged       int64
@@ -268,125 +269,22 @@ func produceRound(refill []*shardCursor, f slot.Filter, req job.ResourceRequest,
 	wg.Wait()
 }
 
-// FindAlternativesSharded is FindAlternatives over a sharded vacant view: the
-// same multi-pass priority-order scheme, with every per-job window scan run
-// by the cross-shard merge driver and every found window subtracted from the
-// shard owning each placement's node. The caller transfers ownership of the
-// shard indexes (they are mutated in place, like SearchOptions.Prebuilt), and
-// shardOf must route every node to the index that holds its slots — the
-// shards must partition the vacant list by node. Results are byte-identical
-// to FindAlternatives over the merged list for every input; Remaining is the
-// merged post-subtraction list. opts.UseLinearScan and opts.Prebuilt are
-// rejected: the shard indexes are the prebuilt state, and the linear oracle
-// is inherently unsharded. work, when non-nil, accumulates scan-phase
-// accounting across all scans.
+// FindAlternativesSharded is the multi-pass search over a vacant view
+// published as K >= 1 node-disjoint indexes: one view is scanned directly,
+// several through the cross-shard merge, and every found window is
+// subtracted from the index owning each placement's node. The caller
+// transfers ownership of the indexes (they are mutated in place), and with
+// several of them shardOf must route every node to the index that holds its
+// slots. Results are byte-identical to FindAlternatives over the merged list
+// for every input; Remaining is the one view's own list, or the canonical
+// merge of several. opts.Prebuilt is rejected: the views are the prebuilt
+// state. parallelism bounds the producer goroutines of a merge's refill
+// round, and work, when non-nil, accumulates the merge's scan-phase
+// accounting; neither applies to a single view, where nothing fans out.
 func FindAlternativesSharded(algo Algorithm, shards []*slot.Index, shardOf func(*resource.Node) int,
 	batch *job.Batch, opts SearchOptions, parallelism int, work *ShardWork) (*SearchResult, error) {
-	if algo == nil {
-		return nil, fmt.Errorf("alloc: nil algorithm")
-	}
-	sa, ok := algo.(streamAlgorithm)
-	if !ok {
-		return nil, fmt.Errorf("alloc: %s has no sharded scan", algo.Name())
-	}
-	if len(shards) == 0 {
-		return nil, fmt.Errorf("alloc: no shard indexes")
-	}
-	if shardOf == nil && len(shards) > 1 {
-		return nil, fmt.Errorf("alloc: nil shard assignment with %d shards", len(shards))
-	}
-	if batch == nil || batch.Len() == 0 {
-		return nil, fmt.Errorf("alloc: empty batch")
-	}
-	if opts.UseLinearScan {
-		return nil, fmt.Errorf("alloc: linear scan cannot be sharded")
-	}
 	if opts.Prebuilt != nil {
 		return nil, fmt.Errorf("alloc: Prebuilt is not used by the sharded search; pass the shard indexes")
 	}
-	if work != nil && len(work.ScanSlots) < len(shards) {
-		work.ScanSlots = make([]int64, len(shards))
-	}
-
-	res := &SearchResult{
-		Algorithm:    algo.Name(),
-		Alternatives: make(map[string][]*slot.Window, batch.Len()),
-	}
-	for _, ix := range shards {
-		ix.SetMetrics(opts.Metrics.indexMetrics())
-	}
-	subtract := func(w *slot.Window) error {
-		for _, p := range w.Placements {
-			i := 0
-			if shardOf != nil {
-				i = shardOf(p.Source.Node)
-			}
-			if i < 0 || i >= len(shards) {
-				return fmt.Errorf("slot: subtract window %q: node %s assigned to shard %d of %d", w.JobName, p.Source.Node.Label(), i, len(shards))
-			}
-			if err := shards[i].SubtractInterval(p.Source, p.Used); err != nil {
-				return fmt.Errorf("slot: subtract window %q: %w", w.JobName, err)
-			}
-		}
-		return nil
-	}
-
-	maxPasses := opts.MaxPasses
-	perJobCap := opts.MaxAlternativesPerJob
-	if opts.FirstOnly {
-		maxPasses = 1
-		perJobCap = 1
-	}
-	opts.Metrics.searchStarted()
-
-	for pass := 0; ; pass++ {
-		if maxPasses > 0 && pass >= maxPasses {
-			break
-		}
-		// The sterile-pass rule: a pass every job would skip is neither run
-		// nor counted (same as FindAlternatives).
-		if perJobCap > 0 {
-			capped := true
-			for _, j := range batch.Jobs() {
-				if len(res.Alternatives[j.Name]) < perJobCap {
-					capped = false
-					break
-				}
-			}
-			if capped {
-				break
-			}
-		}
-		res.Passes++
-		opts.Metrics.passDone()
-		foundAny := false
-		for _, j := range batch.Jobs() {
-			if perJobCap > 0 && len(res.Alternatives[j.Name]) >= perJobCap {
-				continue
-			}
-			w, stats, ok := findWindowSharded(sa, shards, j, parallelism, work)
-			res.Stats.Add(stats)
-			opts.Metrics.scanDone(stats, ok)
-			if !ok {
-				continue
-			}
-			if err := w.Validate(); err != nil {
-				return nil, fmt.Errorf("alloc: %s produced invalid window: %w", algo.Name(), err)
-			}
-			if err := subtract(w); err != nil {
-				return nil, fmt.Errorf("alloc: subtracting window for %s: %w", j.Name, err)
-			}
-			res.Alternatives[j.Name] = append(res.Alternatives[j.Name], w)
-			foundAny = true
-		}
-		if !foundAny {
-			break
-		}
-	}
-	lists := make([]*slot.List, len(shards))
-	for i, ix := range shards {
-		lists[i] = ix.List()
-	}
-	res.Remaining = slot.MergeLists(lists...)
-	return res, nil
+	return searchViews(algo, shards, shardOf, batch, opts, parallelism, work)
 }

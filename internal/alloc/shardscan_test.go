@@ -116,8 +116,8 @@ func TestFindAlternativesShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// linearOnlyAlgo lacks the stream decomposition; the sharded driver must
-// reject it rather than silently diverge.
+// linearOnlyAlgo lacks the stream decomposition; the search must reject it
+// rather than silently diverge.
 type linearOnlyAlgo struct{}
 
 func (linearOnlyAlgo) Name() string { return "linear-only" }
@@ -127,7 +127,7 @@ func (linearOnlyAlgo) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Sta
 
 // TestFindAlternativesShardedRejects pins the sharded driver's argument
 // contract: no algorithm without a stream scan, no empty shard set, no nil
-// assignment with several shards, no linear-scan or Prebuilt options.
+// assignment with several shards, no Prebuilt option.
 func TestFindAlternativesShardedRejects(t *testing.T) {
 	list, batch := diffScenario(t, 2)
 	shards, shardOf := shardSplit(list, 2)
@@ -155,8 +155,8 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 			_, err := FindAlternativesSharded(ALP{}, shards, shardOf, nil, SearchOptions{}, 1, nil)
 			return err
 		}},
-		{"linear scan", func() error {
-			_, err := FindAlternativesSharded(ALP{}, shards, shardOf, batch, SearchOptions{UseLinearScan: true}, 1, nil)
+		{"non-stream algorithm, list entry", func() error {
+			_, err := FindAlternatives(linearOnlyAlgo{}, list, batch, SearchOptions{})
 			return err
 		}},
 		{"prebuilt", func() error {
@@ -168,11 +168,5 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: no error", tc.name)
 		}
-	}
-	if !SupportsSharded(ALP{}) || !SupportsSharded(AMP{}) {
-		t.Error("ALP/AMP must support the sharded driver")
-	}
-	if SupportsSharded(linearOnlyAlgo{}) {
-		t.Error("linear-only algorithm claims sharded support")
 	}
 }

@@ -15,53 +15,67 @@ import (
 // With a 3-slot list and 2 jobs each capped at 1 alternative, the first pass
 // caps everybody, so exactly one pass must run. The uncapped search still
 // counts its final empty pass: that one did scan and is how termination is
-// detected.
+// detected. The rule lives in the one loop; it is exercised under each scan
+// that loop can be bound to: the indexed scan of one view (linear=false,
+// par=1), the merge of two views fed by up to four producer goroutines
+// (linear=false, par=4), and the linear reference (linear=true).
 func TestNoSterileFinalPass(t *testing.T) {
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
-		for _, linear := range []bool{false, true} {
-			for _, parallelism := range []int{1, 4} {
-				name := fmt.Sprintf("%s/linear=%t/par=%d", algo.Name(), linear, parallelism)
-				t.Run(name, func(t *testing.T) {
-					reg := metrics.New()
-					opts := SearchOptions{
-						MaxAlternativesPerJob: 1,
-						UseLinearScan:         linear,
-						Metrics:               NewSearchMetrics(reg, algo.Name()),
-					}
-					res, err := FindAlternativesParallel(algo, smallList(), twoJobBatch(), opts, parallelism)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !res.AllJobsCovered(twoJobBatch()) {
-						t.Fatal("both jobs should reach their cap on an idle list")
-					}
-					if res.Passes != 1 {
-						t.Fatalf("Passes = %d, want 1: the all-capped pass must be neither run nor counted", res.Passes)
-					}
-					want := fmt.Sprintf("alloc/%s/passes_total", algo.Name())
-					if n := reg.Counter(want).Value(); n != 1 {
-						t.Fatalf("%s = %d, want 1", want, n)
-					}
-
-					// Uncapped control: the final empty pass is real scan work
-					// and stays counted.
-					res, err = FindAlternativesParallel(algo, smallList(), twoJobBatch(),
-						SearchOptions{UseLinearScan: linear}, parallelism)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Passes < 2 {
-						t.Fatalf("uncapped Passes = %d, want >= 2 (terminating empty pass included)", res.Passes)
-					}
+	searches := []struct {
+		linear bool
+		par    int
+		run    func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error)
+	}{
+		{false, 1, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
+			return FindAlternatives(algo, smallList(), twoJobBatch(), opts)
+		}},
+		{false, 4, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
+			views, shardOf := shardSplit(smallList(), 2)
+			return FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 4, nil)
+		}},
+		{true, 1, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
+			return findAlternativesLinear(algo, smallList(), twoJobBatch(), opts)
+		}},
+	}
+	for _, algo := range []IndexedAlgorithm{ALP{}, AMP{}} {
+		for _, search := range searches {
+			t.Run(fmt.Sprintf("%s/linear=%t/par=%d", algo.Name(), search.linear, search.par), func(t *testing.T) {
+				reg := metrics.New()
+				res, err := search.run(algo, SearchOptions{
+					MaxAlternativesPerJob: 1,
+					Metrics:               NewSearchMetrics(reg, algo.Name()),
 				})
-			}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.AllJobsCovered(twoJobBatch()) {
+					t.Fatal("both jobs should reach their cap on an idle list")
+				}
+				if res.Passes != 1 {
+					t.Fatalf("Passes = %d, want 1: the all-capped pass must be neither run nor counted", res.Passes)
+				}
+				want := fmt.Sprintf("alloc/%s/passes_total", algo.Name())
+				if n := reg.Counter(want).Value(); n != 1 {
+					t.Fatalf("%s = %d, want 1", want, n)
+				}
+
+				// Uncapped control: the final empty pass is real scan work
+				// and stays counted.
+				res, err = search.run(algo, SearchOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Passes < 2 {
+					t.Fatalf("uncapped Passes = %d, want >= 2 (terminating empty pass included)", res.Passes)
+				}
+			})
 		}
 	}
 }
 
-// TestCappedSearchSeqParIdentical pins the sequential and parallel drivers to
-// the same sterile-pass semantics: for a spread of caps the full results —
-// alternatives, pass counts, stats, remaining lists — must stay identical.
+// TestCappedSearchSeqParIdentical pins the one-view stream and the fanned-out
+// merge to the same capped-search results: for a spread of caps the full
+// results — alternatives, pass counts, stats, remaining lists — must stay
+// identical.
 func TestCappedSearchSeqParIdentical(t *testing.T) {
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
 		for cap := 0; cap <= 3; cap++ {
@@ -70,54 +84,68 @@ func TestCappedSearchSeqParIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := FindAlternativesParallel(algo, smallList(), twoJobBatch(), opts, 4)
+			views, shardOf := shardSplit(smallList(), 2)
+			par, err := FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 4, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if seq.Passes != par.Passes {
-				t.Fatalf("%s cap=%d: Passes diverged: seq %d, par %d", algo.Name(), cap, seq.Passes, par.Passes)
-			}
-			if seq.Stats != par.Stats {
-				t.Fatalf("%s cap=%d: Stats diverged: seq %+v, par %+v", algo.Name(), cap, seq.Stats, par.Stats)
-			}
-			if seq.Remaining.String() != par.Remaining.String() {
-				t.Fatalf("%s cap=%d: Remaining diverged", algo.Name(), cap)
-			}
-			if fmt.Sprint(seq.Alternatives) != fmt.Sprint(par.Alternatives) {
-				t.Fatalf("%s cap=%d: Alternatives diverged", algo.Name(), cap)
+			if got, want := renderResult(t, twoJobBatch(), par), renderResult(t, twoJobBatch(), seq); got != want {
+				t.Fatalf("%s cap=%d: merge diverged from stream\n--- stream ---\n%s\n--- merge ---\n%s", algo.Name(), cap, want, got)
 			}
 		}
 	}
 }
 
-// TestPrebuiltIndexEquivalence proves a search that adopts a caller-built
-// index (SearchOptions.Prebuilt) returns byte-identical results to the
-// historical clone-and-build path, for both drivers, and that the prebuilt
-// path really skips the rebuild (alloc/<algo>/index/rebuilds_total stays 0).
+// TestPrebuiltIndexEquivalence proves the one-view case of the unified
+// entry is the indexed stream scan and nothing more: handing
+// FindAlternativesSharded a single caller-built view returns byte-identical
+// results to FindAlternatives' clone-and-build, for any Parallelism (nothing
+// fans out over one view); the view is adopted, not rebuilt
+// (alloc/<algo>/index/rebuilds_total stays 0); Remaining is the view's own
+// list, not a merged copy; and a scan allocates exactly what
+// findWindowIndexedStream does — no cursors, no candidate buffers.
 func TestPrebuiltIndexEquivalence(t *testing.T) {
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
 		for _, parallelism := range []int{1, 4} {
 			name := fmt.Sprintf("%s/par=%d", algo.Name(), parallelism)
 			t.Run(name, func(t *testing.T) {
-				base, err := FindAlternativesParallel(algo, smallList(), twoJobBatch(), SearchOptions{}, parallelism)
+				base, err := FindAlternatives(algo, smallList(), twoJobBatch(), SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				reg := metrics.New()
 				opts := SearchOptions{Metrics: NewSearchMetrics(reg, algo.Name())}
-				opts.Prebuilt = slot.NewIndex(smallList().Clone(), nil)
-				got, err := FindAlternativesParallel(algo, opts.Prebuilt.List(), twoJobBatch(), opts, parallelism)
+				view := slot.NewIndex(smallList(), nil)
+				got, err := FindAlternativesSharded(algo, []*slot.Index{view}, nil, twoJobBatch(), opts, parallelism, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Passes != base.Passes || got.Stats != base.Stats ||
-					fmt.Sprint(got.Alternatives) != fmt.Sprint(base.Alternatives) ||
-					got.Remaining.String() != base.Remaining.String() {
-					t.Fatalf("prebuilt search diverged from clone-and-build:\nbase %+v\ngot  %+v", base, got)
+				if g, w := renderResult(t, twoJobBatch(), got), renderResult(t, twoJobBatch(), base); g != w {
+					t.Fatalf("one-view search diverged from clone-and-build\n--- build ---\n%s\n--- view ---\n%s", w, g)
 				}
-				rebuilds := fmt.Sprintf("alloc/%s/index/rebuilds_total", algo.Name())
-				if n := reg.Counter(rebuilds).Value(); n != 0 {
-					t.Fatalf("%s = %d, want 0: the prebuilt index must be adopted, not rebuilt", rebuilds, n)
+				if got.Remaining != view.List() {
+					t.Fatal("Remaining is not the view's own list")
+				}
+				counter := func(name string) int64 {
+					return reg.Counter(fmt.Sprintf("alloc/%s/%s", algo.Name(), name)).Value()
+				}
+				if n := counter("index/rebuilds_total"); n != 0 {
+					t.Fatalf("index/rebuilds_total = %d, want 0: the view must be adopted, not rebuilt", n)
+				}
+				if n, want := counter("index/scans_total"), counter("windows_found_total")+counter("windows_missed_total"); n != want {
+					t.Fatalf("index probe recorded %d scans, want all %d", n, want)
+				}
+
+				fresh := slot.NewIndex(smallList(), nil)
+				scan, _, err := newScanner(algo, []*slot.Index{fresh}, nil, SearchOptions{}, parallelism, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				j := twoJobBatch().Jobs()[0]
+				direct := testing.AllocsPerRun(50, func() { findWindowIndexedStream(algo.(streamAlgorithm), fresh, j, nil) })
+				unified := testing.AllocsPerRun(50, func() { scan(j) })
+				if unified != direct {
+					t.Fatalf("one-view scan allocates %.0f objects per job, findWindowIndexedStream %.0f", unified, direct)
 				}
 			})
 		}

@@ -20,8 +20,9 @@ type scanState interface {
 }
 
 // streamAlgorithm is implemented by algorithms whose scan decomposes into an
-// index prefilter plus a scanState fold — the shape both the indexed driver
-// and the sharded candidate merge consume. ALP and AMP both qualify.
+// index prefilter plus a scanState fold — the shape both the indexed scan and
+// the sharded candidate merge consume, and the only one the multi-pass search
+// accepts. ALP and AMP both qualify.
 type streamAlgorithm interface {
 	IndexedAlgorithm
 	// scanFilter returns the bucket prefilter equivalent to the algorithm's
@@ -29,15 +30,6 @@ type streamAlgorithm interface {
 	scanFilter(req job.ResourceRequest) slot.Filter
 	// newScan starts a fresh fold for one job's scan.
 	newScan(req job.ResourceRequest) scanState
-}
-
-// SupportsSharded reports whether the algorithm can run under the sharded
-// search driver (FindAlternativesSharded). Callers with a sharded grid fall
-// back to the unsharded path — byte-identical by the sharding differential —
-// when this is false.
-func SupportsSharded(algo Algorithm) bool {
-	_, ok := algo.(streamAlgorithm)
-	return ok
 }
 
 // alpScan is ALP's fold: the window under construction holds at most N

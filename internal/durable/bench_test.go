@@ -112,8 +112,7 @@ func benchDurableSession(b *testing.B, seed uint64, opts *durable.Options, reg *
 // enforce the write-path contract — every transition appended exactly one
 // record (8 submits + 3 ticks = 11) and the checkpoint cadence fired. The
 // dominant cost of a session is planning, so the journal's per-transition
-// JSON frame should price in the low percent range; CI publishes the results
-// as the BENCH_durable.json artifact.
+// JSON frame should price in the low percent range.
 func BenchmarkDurableSession(b *testing.B) {
 	for _, mode := range []struct {
 		name            string

@@ -24,8 +24,9 @@ const (
 // chaosScheduler builds the soak's seeded scenario: a 12-node grid with
 // owner-local load, a retry policy with backoff, degradation ladder and
 // deadline, and 8 submitted jobs — the same scenario family as the
-// metasched differential suite, plus the retry policy.
-func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, useDense, useLinear, rebuild bool) *metasched.Scheduler {
+// metasched differential suite, plus the retry policy. shards federates the
+// grid, with one producer goroutine per shard.
+func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy, shards int) *metasched.Scheduler {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -57,9 +58,8 @@ func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy meta
 		Step:             chaosStep,
 		MaxBatch:         4,
 		MaxPostponements: 3,
-		Parallelism:      parallelism,
-		UseDenseDP:       useDense,
-		RebuildVacant:    rebuild,
+		Parallelism:      shards,
+		Shards:           shards,
 		Retry: &metasched.RetryPolicy{
 			MaxAttempts:      2,
 			BackoffBase:      40,
@@ -72,7 +72,6 @@ func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy meta
 			JobDeadline:      1400,
 		},
 	}
-	cfg.Search.UseLinearScan = useLinear
 	sched, err := metasched.New(cfg, grid)
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +114,9 @@ func chaosPlan(t testing.TB, pool *resource.Pool, seed uint64, rate float64) *fa
 
 // chaosTranscript plays one full fault session and returns its canonical
 // transcript, failing the test on any scheduler error or audit violation.
-func chaosTranscript(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, useDense, useLinear, rebuild bool) string {
+func chaosTranscript(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy, shards int) string {
 	t.Helper()
-	sched := chaosScheduler(t, seed, algo, policy, parallelism, useDense, useLinear, rebuild)
+	sched := chaosScheduler(t, seed, algo, policy, shards)
 	plan := chaosPlan(t, sched.Grid().Pool(), seed, 0.6)
 	var b strings.Builder
 	sess, err := fault.NewSession(sched, plan, &b)
@@ -136,13 +135,13 @@ func chaosTranscript(t testing.TB, seed uint64, algo alloc.Algorithm, policy met
 // TestChaosSoak is the invariant-checked chaos soak: 50 seeded sessions
 // (10 under -short) through both algorithms, each injecting a dense random
 // fault schedule — node crashes, recoveries, slot revocations — with the
-// audit running after every event and iteration. Per seed and algorithm the
-// transcript must be byte-identical across every engine toggle: dense
-// versus frontier DP, linear versus indexed slot scan, sequential versus
-// parallel search, live vacant store versus full rebuild, and everything
-// flipped together. The base sessions run on the live store with the audit's
-// checkVacancy comparing it against the rebuild after every event and
-// iteration, so this is the 50-seed byte-identity proof for the store.
+// audit running after every event and iteration. The audit's invariant 7
+// compares every live vacant store against the rebuild oracle at each of
+// those points, so this is the 50-seed byte-identity proof for the store.
+// Per seed and algorithm the transcript must also be byte-identical between
+// the single-domain session and the grid federated into four shards with
+// four producers — the one configuration axis the search has — which puts
+// the faults on shard boundaries under the same audit, per shard.
 func TestChaosSoak(t *testing.T) {
 	seeds := uint64(50)
 	if testing.Short() {
@@ -155,35 +154,19 @@ func TestChaosSoak(t *testing.T) {
 		{"ALP", alloc.ALP{}},
 		{"AMP", alloc.AMP{}},
 	}
-	variants := []struct {
-		name        string
-		parallelism int
-		dense       bool
-		linear      bool
-		rebuild     bool
-	}{
-		{"dense", 1, true, false, false},
-		{"linear", 1, false, true, false},
-		{"parallel", 4, false, false, false},
-		{"rebuild", 1, false, false, true},
-		{"dense+linear+parallel+rebuild", 4, true, true, true},
-	}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		policy := metasched.MinimizeTime
 		if seed%2 == 0 {
 			policy = metasched.MinimizeCost
 		}
 		for _, a := range algos {
-			base := chaosTranscript(t, seed, a.algo, policy, 1, false, false, false)
+			base := chaosTranscript(t, seed, a.algo, policy, 1)
 			if !strings.Contains(base, "fault ") {
 				t.Fatalf("seed %d %s: chaos session injected no faults — the soak is not soaking", seed, a.name)
 			}
-			for _, v := range variants {
-				got := chaosTranscript(t, seed, a.algo, policy, v.parallelism, v.dense, v.linear, v.rebuild)
-				if got != base {
-					t.Fatalf("seed %d %s %v: %s transcript diverged from base\n--- base ---\n%s\n--- %s ---\n%s",
-						seed, a.name, policy, v.name, base, v.name, got)
-				}
+			if got := chaosTranscript(t, seed, a.algo, policy, 4); got != base {
+				t.Fatalf("seed %d %s %v: 4-shard transcript diverged from base\n--- base ---\n%s\n--- 4 shards ---\n%s",
+					seed, a.name, policy, base, got)
 			}
 		}
 	}
@@ -201,7 +184,7 @@ func TestEmptyPlanNeutrality(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, algo := range []alloc.Algorithm{alloc.ALP{}, alloc.AMP{}} {
 			// Baseline: plain scheduler loop, no fault layer.
-			sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1, false, false, false)
+			sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1)
 			var base strings.Builder
 			for i := 0; i < chaosIterations; i++ {
 				rep, err := sched.RunIteration()
@@ -213,7 +196,7 @@ func TestEmptyPlanNeutrality(t *testing.T) {
 			fault.WriteSummary(&base, sched, 0, 0)
 
 			for _, plan := range []*fault.Plan{nil, empty} {
-				sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1, false, false, false)
+				sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1)
 				var b strings.Builder
 				sess, err := fault.NewSession(sched, plan, &b)
 				if err != nil {
@@ -234,7 +217,7 @@ func TestEmptyPlanNeutrality(t *testing.T) {
 // TestSessionRejectsUnknownNodes checks plan/pool validation at session
 // construction.
 func TestSessionRejectsUnknownNodes(t *testing.T) {
-	sched := chaosScheduler(t, 1, alloc.ALP{}, metasched.MinimizeTime, 1, false, false, false)
+	sched := chaosScheduler(t, 1, alloc.ALP{}, metasched.MinimizeTime, 1)
 	plan, err := fault.ParsePlan("fail@100:ghost")
 	if err != nil {
 		t.Fatal(err)

@@ -57,16 +57,12 @@ type Grid struct {
 	// shard under SetSharding — stores[i] covers the nodes assigned to
 	// shard i, and an unsharded grid has a single store. Lazily built by
 	// the first publication and maintained in place by every mutation; nil
-	// until then or when rebuildVacant forces the oracle path. An
-	// individual entry goes nil while that shard self-heals.
+	// until then. An individual entry goes nil while that shard self-heals.
 	stores []*vacantStore
 	// shardCount and shardOf define the node partition (SetSharding);
 	// shardCount <= 1 means unsharded.
 	shardCount int
 	shardOf    func(*resource.Node) int
-	// rebuildVacant routes VacantSlots/VacantView through the full-rebuild
-	// oracle instead of the live store (see SetRebuildVacant).
-	rebuildVacant bool
 	// epoch counts logical mutations (bookings, removals, failures,
 	// recoveries, revocations, clock advances). A plan records the epoch of
 	// the snapshot it searched against; an unchanged epoch at apply time
@@ -170,15 +166,11 @@ func (g *Grid) AllTasks() []Task {
 // [Now, horizon): for each node, the complement of its bookings, sorted by
 // start time across nodes — exactly the structure of Fig. 1a / Fig. 2a.
 //
-// By default the list is an O(1) copy-on-write snapshot of the live store
-// (store.go), kept byte-identical to the rebuild by the mutation hooks; under
-// the RebuildVacant knob every call re-derives it from the bookings instead.
+// The list is an O(1) copy-on-write snapshot of the live store (store.go),
+// kept byte-identical to the RebuildVacantSlots oracle by the mutation hooks.
 func (g *Grid) VacantSlots(horizon sim.Time) (*slot.List, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
-	}
-	if g.rebuildVacant {
-		return g.RebuildVacantSlots(horizon)
 	}
 	g.ensureStore(horizon)
 	g.metrics.storeSnapshot()

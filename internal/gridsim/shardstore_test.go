@@ -68,54 +68,49 @@ func checkShardedStore(t *testing.T, g *Grid, horizon sim.Time, step string) {
 // TestShardedStoreLifecycleEquivalence drives a sharded grid through the full
 // mutation surface — populate, book, fail, recover, advance, horizon extend
 // and shrink — for several shard counts (including more shards than nodes, so
-// empty shards are exercised) on both the live and the rebuild path, checking
-// after every step that per-shard views, their canonical merge, and the
-// global publication all match the rebuild oracle.
+// empty shards are exercised), checking after every step that per-shard
+// views, their canonical merge, and the global publication all match the
+// rebuild oracle.
 func TestShardedStoreLifecycleEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2, 3, 4, 9} {
-		for _, rebuild := range []bool{false, true} {
-			pool := storePool(t, 6)
-			g, err := New(pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g.SetRebuildVacant(rebuild)
-			if err := g.SetSharding(k, byIDMod(k)); err != nil {
-				t.Fatalf("k=%d: SetSharding: %v", k, err)
-			}
-			if g.Shards() != k {
-				t.Fatalf("k=%d: Shards() = %d", k, g.Shards())
-			}
-			if err := g.Populate(LocalLoad{MeanGap: 40, DurMin: 20, DurMax: 60}, 0, 300, sim.NewRNG(11)); err != nil {
-				t.Fatal(err)
-			}
-			checkShardedStore(t, g, 400, "after populate")
-			if err := g.BookLocal("x1", "cpu1", 120, 180); err == nil {
-				checkShardedStore(t, g, 400, "after book cpu1")
-			}
-			if err := g.BookLocal("x2", "cpu4", 200, 260); err == nil {
-				checkShardedStore(t, g, 400, "after book cpu4")
-			}
-			checkShardedStore(t, g, 600, "after horizon extend")
-			n3 := pool.ByName("cpu3")
-			if _, err := g.FailNode(n3.ID, 300); err != nil {
-				t.Fatal(err)
-			}
-			checkShardedStore(t, g, 600, "after failure")
-			if err := g.RecoverNode(n3.ID); err != nil {
-				t.Fatal(err)
-			}
-			checkShardedStore(t, g, 600, "after recovery")
-			if err := g.Advance(250); err != nil {
-				t.Fatal(err)
-			}
-			checkShardedStore(t, g, 600, "after advance")
-			checkShardedStore(t, g, 500, "after horizon shrink")
-			if !rebuild {
-				if err := g.VacantStoreCoherent(); err != nil {
-					t.Fatalf("k=%d: final audit: %v", k, err)
-				}
-			}
+		pool := storePool(t, 6)
+		g, err := New(pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.SetSharding(k, byIDMod(k)); err != nil {
+			t.Fatalf("k=%d: SetSharding: %v", k, err)
+		}
+		if g.Shards() != k {
+			t.Fatalf("k=%d: Shards() = %d", k, g.Shards())
+		}
+		if err := g.Populate(LocalLoad{MeanGap: 40, DurMin: 20, DurMax: 60}, 0, 300, sim.NewRNG(11)); err != nil {
+			t.Fatal(err)
+		}
+		checkShardedStore(t, g, 400, "after populate")
+		if err := g.BookLocal("x1", "cpu1", 120, 180); err == nil {
+			checkShardedStore(t, g, 400, "after book cpu1")
+		}
+		if err := g.BookLocal("x2", "cpu4", 200, 260); err == nil {
+			checkShardedStore(t, g, 400, "after book cpu4")
+		}
+		checkShardedStore(t, g, 600, "after horizon extend")
+		n3 := pool.ByName("cpu3")
+		if _, err := g.FailNode(n3.ID, 300); err != nil {
+			t.Fatal(err)
+		}
+		checkShardedStore(t, g, 600, "after failure")
+		if err := g.RecoverNode(n3.ID); err != nil {
+			t.Fatal(err)
+		}
+		checkShardedStore(t, g, 600, "after recovery")
+		if err := g.Advance(250); err != nil {
+			t.Fatal(err)
+		}
+		checkShardedStore(t, g, 600, "after advance")
+		checkShardedStore(t, g, 500, "after horizon shrink")
+		if err := g.VacantStoreCoherent(); err != nil {
+			t.Fatalf("k=%d: final audit: %v", k, err)
 		}
 	}
 }

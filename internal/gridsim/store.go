@@ -40,29 +40,12 @@ import (
 // the horizon slides forward, trim when the clock advances, and self-heal by
 // dropping the affected shard if an exact-identity operation ever misses
 // (counted in incoherent_drops_total; the equivalence suites assert it stays
-// zero). SetRebuildVacant(true) disables the store entirely, re-routing every
-// publication through the pinned rebuild oracle.
+// zero).
 type vacantStore struct {
 	ix *slot.Index
 	// horizon is the exclusive right edge the store currently covers.
 	horizon sim.Time
 }
-
-// SetRebuildVacant toggles the oracle path: when on, VacantSlots and
-// VacantView rebuild the vacant list (and any index over it) from the
-// bookings on every call — the historical behavior — and the live stores are
-// released. Results are byte-identical either way; the knob exists for
-// differential testing, benchmarking the live store against its oracle, and
-// as an escape hatch (mirroring alloc's UseLinearScan and dp's UseDenseDP).
-func (g *Grid) SetRebuildVacant(on bool) {
-	g.rebuildVacant = on
-	if on {
-		g.stores = nil
-	}
-}
-
-// RebuildVacantEnabled reports whether the oracle path is forced.
-func (g *Grid) RebuildVacantEnabled() bool { return g.rebuildVacant }
 
 // SetSharding partitions the live store by node into k shards using the
 // given assignment (internal/shard provides the canonical one; gridsim only
@@ -185,14 +168,7 @@ func (g *Grid) ensureStore(horizon sim.Time) {
 // buildShardStore constructs one shard's store from scratch at the given
 // horizon — the only place the live path pays a full build.
 func (g *Grid) buildShardStore(i int, horizon sim.Time) {
-	var slots []slot.Slot
-	for _, n := range g.pool.Nodes() {
-		if g.shardIdx(n) != i || g.NodeFailed(n.ID) {
-			continue
-		}
-		slots = append(slots, g.vacantFragments(n, g.now, horizon)...)
-	}
-	ix := slot.NewIndexSize(slot.NewList(slots), slot.DefaultBucketSize, g.metrics.storeIndexMetrics())
+	ix := slot.NewIndex(g.shardOracle(i, horizon), g.metrics.storeIndexMetrics())
 	g.stores[i] = &vacantStore{ix: ix, horizon: horizon}
 	g.metrics.storeRebuilt(g.storeSlotsTotal())
 	if g.Shards() > 1 {
@@ -394,9 +370,9 @@ func (g *Grid) extendShardStore(si int, horizon sim.Time) {
 
 // RebuildVacantSlots is the pinned oracle: it derives the full vacant list
 // from the bookings — for each live node, the complement intervals over
-// [Now, horizon), sorted into canonical order — exactly as VacantSlots always
-// had. The live store must match it byte for byte at all times; the
-// equivalence suites and fault.Audit enforce that.
+// [Now, horizon), sorted into canonical order. No publication calls it; the
+// live store must match it byte for byte at all times, which the equivalence
+// suites and fault.Audit (VacantStoreCoherent, per shard) enforce.
 func (g *Grid) RebuildVacantSlots(horizon sim.Time) (*slot.List, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
@@ -424,53 +400,35 @@ func (g *Grid) shardOracle(si int, horizon sim.Time) *slot.List {
 	return slot.NewList(slots)
 }
 
-// VacantView publishes the vacancy over [Now, horizon) as both an ordered
-// list and a search-ready index over the same snapshot. On the unsharded live
-// path the index is an O(n)-copy clone of the store's — no walk, no sort, no
-// re-tiling — and the caller owns it outright: the alternative search
-// subtracts found windows from it directly (alloc.SearchOptions.Prebuilt)
-// without ever touching the store. Under the RebuildVacant knob the index is
-// nil and the list is a fresh oracle rebuild; callers fall back to building
-// their own index, which is exactly the historical code path. A sharded grid
-// also returns a nil index — the merged list is not any one shard's — and
-// sharded callers use ShardViews instead, which preserves the per-shard
-// prebuilt indexes.
+// VacantView publishes an unsharded grid's vacancy as ShardViews' single
+// view and that view's list; the caller owns both. A sharded grid returns
+// the merged list and a nil index — the merged list is not any one shard's.
+// The scheduler publishes through ShardViews for every K; this form remains
+// for callers that hold one list.
 func (g *Grid) VacantView(horizon sim.Time) (*slot.List, *slot.Index, error) {
-	if horizon <= g.now {
-		return nil, nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
-	}
-	if g.rebuildVacant {
-		l, err := g.RebuildVacantSlots(horizon)
+	if g.Shards() > 1 {
+		l, err := g.VacantSlots(horizon)
 		return l, nil, err
 	}
-	g.ensureStore(horizon)
-	if g.Shards() > 1 {
-		g.metrics.storeSnapshot()
-		return g.mergedStoreList(), nil, nil
+	views, err := g.ShardViews(horizon)
+	if err != nil {
+		return nil, nil, err
 	}
-	ix := g.stores[0].ix.Clone(nil)
-	g.metrics.storeSnapshot()
-	return ix.List(), ix, nil
+	return views[0].List(), views[0], nil
 }
 
 // ShardViews publishes the vacancy over [Now, horizon) as one search-ready
-// index per shard, each covering exactly its shard's nodes. On the live path
-// every view is an O(n)-copy clone of that shard's store; under the
-// RebuildVacant knob each is rebuilt from the bookings. The caller owns the
-// views outright (the sharded search subtracts from them in place), and
-// merging them in canonical order reproduces VacantSlots byte for byte.
+// index per shard (one in all for an unsharded grid), each an O(n)-copy clone
+// of that shard's live store — no walk, no sort, no re-tiling. The caller
+// owns the views outright (the search subtracts found windows from them in
+// place without ever touching the store), and merging them in canonical order
+// reproduces VacantSlots byte for byte.
 func (g *Grid) ShardViews(horizon sim.Time) ([]*slot.Index, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
 	}
-	views := make([]*slot.Index, g.Shards())
-	if g.rebuildVacant {
-		for i := range views {
-			views[i] = slot.NewIndex(g.shardOracle(i, horizon), nil)
-		}
-		return views, nil
-	}
 	g.ensureStore(horizon)
+	views := make([]*slot.Index, len(g.stores))
 	for i, st := range g.stores {
 		views[i] = st.ix.Clone(nil)
 	}

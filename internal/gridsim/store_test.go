@@ -225,16 +225,17 @@ func TestVacantSlotsHorizonEdgeCases(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.SetRebuildVacant(rebuild)
-				// Publish once before mutating so the live path exercises the
-				// incremental hooks, not just the initial build.
-				if !rebuild {
-					if _, err := g.VacantSlots(tc.horizon); err != nil {
-						t.Fatal(err)
-					}
+				// The live arm publishes once before mutating so it exercises
+				// the incremental hooks, not just the initial build; the
+				// rebuild arm pins the expectation on the oracle itself.
+				publish := g.VacantSlots
+				if rebuild {
+					publish = g.RebuildVacantSlots
+				} else if _, err := g.VacantSlots(tc.horizon); err != nil {
+					t.Fatal(err)
 				}
 				tc.book(t, g)
-				list, err := g.VacantSlots(tc.horizon)
+				list, err := publish(tc.horizon)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -281,15 +282,6 @@ func TestVacantViewCloneIsolation(t *testing.T) {
 	}
 	if after.String() != want {
 		t.Fatalf("store changed through a handed-out clone:\n--- before ---\n%s\n--- after ---\n%s", want, after.String())
-	}
-	// The rebuild path hands out no index at all.
-	g.SetRebuildVacant(true)
-	_, ix2, err := g.VacantView(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix2 != nil {
-		t.Fatal("rebuild path returned a prebuilt index")
 	}
 }
 

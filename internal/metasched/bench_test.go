@@ -19,7 +19,7 @@ import (
 // horizon, so every node contributes ~100 vacant fragments. It returns the
 // size of the vacant list at the final horizon so the benchmark can report
 // the scale it actually ran at.
-func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *metrics.Registry) int {
+func benchStoreSession(b *testing.B, seed uint64, service bool, reg *metrics.Registry) int {
 	b.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -51,7 +51,6 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 		MaxBatch:         4,
 		MaxPostponements: 3,
 		Parallelism:      1,
-		RebuildVacant:    rebuild,
 		Metrics:          reg,
 	}
 	cfg.Search.MaxAlternativesPerJob = 10
@@ -103,46 +102,30 @@ func benchStoreSession(b *testing.B, seed uint64, rebuild, service bool, reg *me
 	return vacant.Len()
 }
 
-// BenchmarkLiveStoreSession is the tentpole's scaling benchmark: a full
-// 1000-node session whose vacant-slot list holds ~100k slots, run once with
-// the live incrementally-maintained store and once with the RebuildVacant
-// oracle that re-derives the list from every node's booking list on each
-// publication. The live sub-benchmark also enforces the steady-state
-// contract at scale — the store is built exactly once per session
-// (gridsim/store/rebuilds_total), the search adopts the store's index
-// instead of rebuilding (alloc/AMP/index/rebuilds_total stays 0), and the
-// self-healing reset never fires. CI publishes the results as the
-// BENCH_livestore.json artifact.
+// BenchmarkLiveStoreSession is the live store's scaling benchmark: a full
+// 1000-node session whose vacant-slot list holds ~100k slots. It also
+// enforces the steady-state contract at scale — the store is built exactly
+// once per session (gridsim/store/rebuilds_total), the search adopts the
+// published view instead of building an index
+// (alloc/AMP/index/rebuilds_total stays 0), and the self-healing reset never
+// fires.
 func BenchmarkLiveStoreSession(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		rebuild bool
-	}{
-		{"live", false},
-		{"rebuild", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			slots := 0
-			for i := 0; i < b.N; i++ {
-				reg := metrics.New()
-				slots = benchStoreSession(b, uint64(i%10+1), mode.rebuild, false, reg)
-				if mode.rebuild {
-					continue
-				}
-				snap := reg.Snapshot()
-				if n := snap.Counter("gridsim/store/rebuilds_total"); n != 1 {
-					b.Fatalf("gridsim/store/rebuilds_total = %d, want exactly 1", n)
-				}
-				if n := snap.Counter("gridsim/store/incoherent_drops_total"); n != 0 {
-					b.Fatalf("gridsim/store/incoherent_drops_total = %d, want 0", n)
-				}
-				if n := snap.Counter("alloc/AMP/index/rebuilds_total"); n != 0 {
-					b.Fatalf("alloc/AMP/index/rebuilds_total = %d, want 0: the search must adopt the store's index", n)
-				}
-			}
-			b.ReportMetric(float64(slots), "slots/op")
-		})
+	slots := 0
+	for i := 0; i < b.N; i++ {
+		reg := metrics.New()
+		slots = benchStoreSession(b, uint64(i%10+1), false, reg)
+		snap := reg.Snapshot()
+		if n := snap.Counter("gridsim/store/rebuilds_total"); n != 1 {
+			b.Fatalf("gridsim/store/rebuilds_total = %d, want exactly 1", n)
+		}
+		if n := snap.Counter("gridsim/store/incoherent_drops_total"); n != 0 {
+			b.Fatalf("gridsim/store/incoherent_drops_total = %d, want 0", n)
+		}
+		if n := snap.Counter("alloc/AMP/index/rebuilds_total"); n != 0 {
+			b.Fatalf("alloc/AMP/index/rebuilds_total = %d, want 0: the search must adopt the store's index", n)
+		}
 	}
+	b.ReportMetric(float64(slots), "slots/op")
 }
 
 // BenchmarkServiceSession is BenchmarkLiveStoreSession's service-mode twin:
@@ -154,8 +137,7 @@ func BenchmarkLiveStoreSession(b *testing.B) {
 // schedules themselves are byte-identical. The service sub-benchmark also
 // enforces the event-loop contract at scale — every round consumed its due
 // evaluations (the queue ends empty) and no plan was rejected on the
-// undisturbed run. CI publishes the results as the BENCH_service.json
-// artifact.
+// undisturbed run.
 func BenchmarkServiceSession(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
@@ -168,7 +150,7 @@ func BenchmarkServiceSession(b *testing.B) {
 			slots := 0
 			for i := 0; i < b.N; i++ {
 				reg := metrics.New()
-				slots = benchStoreSession(b, uint64(i%10+1), false, mode.service, reg)
+				slots = benchStoreSession(b, uint64(i%10+1), mode.service, reg)
 				if !mode.service {
 					continue
 				}

@@ -18,24 +18,26 @@ import (
 // renders every externally observable decision — committed windows, plan
 // criteria, postponements, drops, requeues after a node failure, and the
 // final queue — as a canonical string. Two runs with the same seed must
-// produce the same transcript regardless of Parallelism (the determinism
-// contract of the speculative parallel search), regardless of useDense
-// (the plan-identity contract of the sparse frontier DP versus the dense
-// reference tables), and regardless of useLinear (the scan-equivalence
-// contract of the bucketed slot index versus the linear oracle scan).
+// produce the same transcript regardless of Parallelism and of Shards (the
+// one search loop scans one view or merges several, with any number of
+// producers, to the same result).
 //
 // The seed also selects configuration variety: demand pricing on seeds
 // divisible by 3, a live owner-local arrival stream on seeds divisible by 4,
 // and a mid-session node failure on seeds divisible by 5, so the differential
 // sweep covers repricing, non-dedicated resources, and the re-queue path.
 //
+// After every iteration the grid's live vacant stores are audited against
+// the rebuild oracle (Grid.VacantStoreCoherent), so every session any suite
+// plays through here is also a live-store-versus-rebuild differential.
+//
 // reg, when non-nil, attaches the observability registry to the session —
 // the transcript must not change (the metrics-neutrality contract). opts,
 // when given, mutate the assembled config last — the sharding differential
-// uses this to set Shards without widening the signature again.
-func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, useDense, useLinear, rebuild bool, reg *metrics.Registry, opts ...func(*metasched.Config)) string {
+// uses this to set Shards.
+func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, reg *metrics.Registry, opts ...func(*metasched.Config)) string {
 	t.Helper()
-	return sessionTranscript(t, seed, algo, policy, parallelism, useDense, useLinear, rebuild, reg, false, opts...)
+	return sessionTranscript(t, seed, algo, policy, parallelism, reg, false, opts...)
 }
 
 // sessionTranscript is the shared body of diffSessionTranscript and the
@@ -44,7 +46,7 @@ func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 // (Submit, Tick and HandleNodeFailure routed via the event loop). The
 // determinism contract of the continuous service is exactly that the two
 // render byte-identical transcripts.
-func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, useDense, useLinear, rebuild bool, reg *metrics.Registry, service bool, opts ...func(*metasched.Config)) string {
+func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, reg *metrics.Registry, service bool, opts ...func(*metasched.Config)) string {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -76,11 +78,8 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 		MaxBatch:         4,
 		MaxPostponements: 3,
 		Parallelism:      parallelism,
-		UseDenseDP:       useDense,
-		RebuildVacant:    rebuild,
 		Metrics:          reg,
 	}
-	cfg.Search.UseLinearScan = useLinear
 	if seed%3 == 0 {
 		cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 0.8, MaxFactor: 1.3}
 	}
@@ -149,6 +148,9 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 			fmt.Fprintf(&b, "  placed %s -> %v wait=%v\n", p.Job.Name, p.Window.Window, p.WaitTime)
 		}
 		fmt.Fprintf(&b, "  postponed=%v dropped=%v\n", rep.Postponed, rep.Dropped)
+		if err := grid.VacantStoreCoherent(); err != nil {
+			t.Fatalf("seed %d iteration %d: %v", seed, it, err)
+		}
 		if it == 1 && seed%5 == 0 {
 			requeued, err := failNode("n3")
 			if err != nil {
@@ -161,144 +163,17 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 	return b.String()
 }
 
-// TestParallelismDifferential drives full metascheduler sessions over 20
-// seeded random scenarios, both algorithms and both batch policies, and
-// asserts the Parallelism >= 4 schedule is byte-identical to the sequential
-// one: same committed windows, same plan times and costs, same postponement
-// and drop decisions, same recovery after failures.
-func TestParallelismDifferential(t *testing.T) {
-	algos := []struct {
-		name string
-		algo alloc.Algorithm
-	}{
-		{"ALP", alloc.ALP{}},
-		{"AMP", alloc.AMP{}},
-	}
-	policies := []metasched.Policy{metasched.MinimizeTime, metasched.MinimizeCost}
-	for seed := uint64(1); seed <= 20; seed++ {
-		for _, a := range algos {
-			for _, policy := range policies {
-				want := diffSessionTranscript(t, seed, a.algo, policy, 1, false, false, false, nil)
-				for _, parallelism := range []int{4, 8} {
-					got := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, false, nil)
-					if got != want {
-						t.Fatalf("seed %d %s %v: parallelism=%d transcript diverged from sequential\n--- sequential ---\n%s\n--- parallel ---\n%s",
-							seed, a.name, policy, parallelism, want, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestIndexedLinearDifferential drives full metascheduler sessions over 20
-// seeded random scenarios — ALP and both AMP window policies, both batch
-// policies, demand pricing, local arrivals and node failures mixed in by the
-// seed schedule, sequentially and through the speculative parallel pipeline —
-// and asserts the default bucketed slot index produces a byte-identical
-// session transcript to the UseLinearScan oracle: same committed windows,
-// same plan times and costs, same postponements, drops, and failure
-// recovery.
-func TestIndexedLinearDifferential(t *testing.T) {
-	algos := []struct {
-		name string
-		algo alloc.Algorithm
-	}{
-		{"ALP", alloc.ALP{}},
-		{"AMP/cheapest-N", alloc.AMP{}},
-		{"AMP/first-N", alloc.AMP{Policy: alloc.FirstN}},
-	}
-	policies := []metasched.Policy{metasched.MinimizeTime, metasched.MinimizeCost}
-	for seed := uint64(1); seed <= 20; seed++ {
-		for _, a := range algos {
-			for _, policy := range policies {
-				for _, parallelism := range []int{1, 4} {
-					linear := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, true, false, nil)
-					indexed := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, false, nil)
-					if linear != indexed {
-						t.Fatalf("seed %d %s %v p=%d: indexed transcript diverged from linear oracle\n--- linear ---\n%s\n--- indexed ---\n%s",
-							seed, a.name, policy, parallelism, linear, indexed)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFrontierDenseDifferential drives full metascheduler sessions over 20
-// seeded random scenarios — both algorithms, both batch policies, demand
-// pricing and local arrivals mixed in by the seed schedule — and asserts the
-// sparse frontier DP produces a byte-identical session transcript to the
-// dense reference tables: same committed windows, same plan times and
-// costs, same postponements, drops, and failure recovery.
-func TestFrontierDenseDifferential(t *testing.T) {
-	algos := []struct {
-		name string
-		algo alloc.Algorithm
-	}{
-		{"ALP", alloc.ALP{}},
-		{"AMP", alloc.AMP{}},
-	}
-	policies := []metasched.Policy{metasched.MinimizeTime, metasched.MinimizeCost}
-	for seed := uint64(1); seed <= 20; seed++ {
-		for _, a := range algos {
-			for _, policy := range policies {
-				dense := diffSessionTranscript(t, seed, a.algo, policy, 1, true, false, false, nil)
-				frontier := diffSessionTranscript(t, seed, a.algo, policy, 1, false, false, false, nil)
-				if dense != frontier {
-					t.Fatalf("seed %d %s %v: frontier transcript diverged from dense oracle\n--- dense ---\n%s\n--- frontier ---\n%s",
-						seed, a.name, policy, dense, frontier)
-				}
-			}
-		}
-	}
-}
-
-// TestLiveStoreRebuildDifferential drives full metascheduler sessions over 20
-// seeded random scenarios — both algorithms, both batch policies, indexed and
-// linear scans, sequential and parallel search — and asserts the live
-// vacant-slot store produces a byte-identical session transcript to the
-// RebuildVacant oracle that re-derives every publication from the bookings:
-// same committed windows, same plan times and costs, same postponements,
-// drops, and failure recovery.
-func TestLiveStoreRebuildDifferential(t *testing.T) {
-	algos := []struct {
-		name string
-		algo alloc.Algorithm
-	}{
-		{"ALP", alloc.ALP{}},
-		{"AMP", alloc.AMP{}},
-	}
-	policies := []metasched.Policy{metasched.MinimizeTime, metasched.MinimizeCost}
-	for seed := uint64(1); seed <= 20; seed++ {
-		for _, a := range algos {
-			for _, policy := range policies {
-				for _, useLinear := range []bool{false, true} {
-					for _, parallelism := range []int{1, 4} {
-						rebuilt := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, useLinear, true, nil)
-						live := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, useLinear, false, nil)
-						if live != rebuilt {
-							t.Fatalf("seed %d %s %v linear=%t p=%d: live-store transcript diverged from rebuild oracle\n--- rebuild ---\n%s\n--- live ---\n%s",
-								seed, a.name, policy, useLinear, parallelism, rebuilt, live)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestLiveStoreSteadyStateNoRebuilds pins the tentpole's performance contract
-// on a real session: on the live path the store is built exactly once (the
-// lazy first publication), every later iteration applies the committed
-// windows and the sliding horizon as deltas, the search adopts the prebuilt
-// index instead of rebuilding its own, and the self-healing reset never
-// fires. Seed 7 avoids demand pricing (seeds divisible by 3), which is the
-// documented prebuilt fall-back.
+// TestLiveStoreSteadyStateNoRebuilds pins the live store's performance
+// contract on a real session: the store is built exactly once (the lazy
+// first publication), every later iteration applies the committed windows
+// and the sliding horizon as deltas, the search adopts the published view
+// instead of building an index of its own, and the self-healing reset never
+// fires. Seed 7 avoids demand pricing (seeds divisible by 3), which builds an
+// index over each repriced view.
 func TestLiveStoreSteadyStateNoRebuilds(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		reg := metrics.New()
-		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, parallelism, false, false, false, reg)
+		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, parallelism, reg)
 		snap := reg.Snapshot()
 		if n := snap.Counter("gridsim/store/rebuilds_total"); n != 1 {
 			t.Errorf("parallelism %d: gridsim/store/rebuilds_total = %d, want exactly 1", parallelism, n)

@@ -58,21 +58,20 @@ type Config struct {
 	MaxPostponements int
 	// Search tunes the alternative search.
 	Search alloc.SearchOptions
-	// Parallelism is the number of goroutines running the per-job window
-	// scans of each iteration's alternative search. 0 or 1 keeps the
-	// classic sequential scan; higher values use the speculative parallel
-	// pipeline (alloc.FindAlternativesParallel), which is guaranteed to
-	// produce the identical schedule — only wall-clock time changes.
+	// Parallelism bounds the producer goroutines of one refill round of a
+	// sharded search (Shards > 1): each advances one shard's candidate
+	// cursor, and the merge that consumes them stays on the caller's
+	// goroutine, so the schedule is identical for every value — only
+	// wall-clock time changes. 0 or 1 produces serially. With one shard
+	// nothing fans out and the value is unused.
 	Parallelism int
 	// Shards partitions the grid's nodes into this many federated domains
-	// (internal/shard): each shard owns the live vacant store and search
-	// index of its node set, candidate production fans out per shard, and
-	// the combination layer merges per-job alternatives in canonical order
-	// before optimization — byte-identical schedules for every value (the
-	// sharding differential pins this). 0 or 1 keeps the single-domain
-	// behavior. Searches that cannot stream per shard (UseLinearScan, or
-	// an algorithm without an indexed scan) transparently fall back to the
-	// merged single-list search, still byte-identical.
+	// (internal/shard): each shard owns the live vacant store of its node
+	// set and publishes it as one view. The search is the same loop for
+	// every value — it scans one view directly and merges the candidate
+	// streams of several in canonical order — so schedules are byte-
+	// identical for every value (the sharding differential pins this).
+	// 0 or 1 is the single-domain, one-view case.
 	Shards int
 	// MaxBudgetStates, when positive, switches the minimize-time optimizer
 	// to the approximate money-grid DP (dp.MinimizeTimeGrid) with grid
@@ -81,13 +80,6 @@ type Config struct {
 	// Ignored under the minimize-cost policy, whose constraint axis is
 	// integral time and needs no discretization.
 	MaxBudgetStates int
-	// UseDenseDP switches the combination optimizer from the sparse
-	// Pareto-frontier engine (dp.NewFrontier) to the dense reference
-	// tables. The two are proven plan-identical by differential tests;
-	// the dense path exists as the oracle and costs O(n·q) time and
-	// memory per iteration instead of scaling with the number of distinct
-	// (time, cost) trade-offs.
-	UseDenseDP bool
 	// DemandPricing, when non-nil, scales the published slot prices by
 	// the grid's current utilization before each iteration's search —
 	// the supply-and-demand mechanism from the paper's future work.
@@ -106,14 +98,6 @@ type Config struct {
 	// across iterations: before each publication, fresh owner-local tasks
 	// are booked into the part of the horizon that became newly visible.
 	LocalArrivals *LocalArrivals
-	// RebuildVacant routes every publication through the grid's
-	// full-rebuild oracle (gridsim.RebuildVacantSlots) instead of the live
-	// vacant-slot store, and disables the prebuilt search index that rides
-	// on it. The two paths are byte-identical — the equivalence suites and
-	// the fault auditor pin this — so the knob exists for differential
-	// testing, benchmarking the store against its oracle, and as an escape
-	// hatch, mirroring UseDenseDP and Search.UseLinearScan.
-	RebuildVacant bool
 	// Retry, when non-nil, governs what a cancelled job does after a node
 	// failure or slot revocation: bounded attempts with deterministic
 	// exponential backoff, a price-cap degradation ladder, and terminal
@@ -288,7 +272,6 @@ func New(cfg Config, grid *gridsim.Grid) (*Scheduler, error) {
 		firstSubmit: make(map[string]sim.Time),
 		droppedJobs: make(map[string]string),
 	}
-	grid.SetRebuildVacant(cfg.RebuildVacant)
 	s.part = shard.New(cfg.Shards)
 	if s.part.K() > 1 {
 		if err := grid.SetSharding(s.part.K(), s.part.Of); err != nil {
@@ -400,28 +383,11 @@ func (s *Scheduler) findQueued(name string) *queued {
 }
 
 // optimize runs the second phase of the scheme on the covered sub-batch:
-// derive T* and B*, then solve the configured policy. The production path
-// builds the sparse frontier once and answers both the limit derivation and
-// the policy run from it; the dense path (UseDenseDP) rebuilds a table for
-// each, exactly as the reference formulation does.
+// build the sparse Pareto frontier once, derive T* and B* from it, and solve
+// the configured policy on it. (The dense tables the frontier replaced are
+// the dp package's reference, pinned there by TestFrontierMatchesDense*.)
 func (s *Scheduler) optimize(batch *job.Batch, alts dp.Alternatives) (*dp.Plan, error) {
 	gridEngine := s.cfg.Policy != MinimizeCost && s.cfg.MaxBudgetStates > 0
-	if s.cfg.UseDenseDP {
-		limits, err := dp.ComputeLimitsDense(batch, alts)
-		if err != nil {
-			return nil, err
-		}
-		s.metrics.engineUsed(nil, true, gridEngine)
-		switch s.cfg.Policy {
-		case MinimizeCost:
-			return dp.MinimizeCostDense(batch, alts, limits.Quota)
-		default:
-			if gridEngine {
-				return dp.MinimizeTimeGrid(batch, alts, limits.Budget, budgetGrid(limits.Budget, s.cfg.MaxBudgetStates))
-			}
-			return dp.MinimizeTimeDense(batch, alts, limits.Budget)
-		}
-	}
 	fr, err := dp.NewFrontier(batch, alts)
 	if err != nil {
 		return nil, err
@@ -430,7 +396,7 @@ func (s *Scheduler) optimize(batch *job.Batch, alts dp.Alternatives) (*dp.Plan, 
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.engineUsed(fr, false, gridEngine)
+	s.metrics.engineUsed(fr, gridEngine)
 	switch s.cfg.Policy {
 	case MinimizeCost:
 		return fr.MinimizeCost(limits.Quota)

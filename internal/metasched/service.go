@@ -11,12 +11,12 @@ import (
 // ServiceConfig parameterizes the continuous-service wrapper.
 type ServiceConfig struct {
 	// Workers bounds the planning worker pool of each evaluation round: it
-	// overrides the scheduler's Parallelism for the search phase only. The
-	// apply phase is always serial — a single applier re-validates every
-	// plan — and because the speculative parallel search is proven
-	// schedule-identical for every worker count, transcripts are
-	// byte-identical for every Workers value. 0 inherits the scheduler's
-	// configured Parallelism.
+	// overrides the scheduler's Parallelism (the producer goroutines of a
+	// sharded search's refill round) for that round's search only. The apply
+	// phase is always serial — a single applier re-validates every plan —
+	// and the search result does not depend on the worker count, so
+	// transcripts are byte-identical for every Workers value. 0 inherits the
+	// scheduler's configured Parallelism.
 	Workers int
 }
 
@@ -195,14 +195,10 @@ func (r *Round) Iteration() *Iteration { return r.it }
 // service's worker bound, and optimize the combination. The resulting Plan
 // is held pending until Apply.
 func (r *Round) Evaluate() error {
-	s := r.sv.s
-	saved := s.cfg.Parallelism
 	if r.sv.cfg.Workers > 0 {
-		s.cfg.Parallelism = r.sv.cfg.Workers
+		r.it.workers = r.sv.cfg.Workers
 	}
-	err := r.it.Plan()
-	s.cfg.Parallelism = saved
-	return err
+	return r.it.Plan()
 }
 
 // Plan returns the round's pending plan: non-nil between Evaluate and Apply

@@ -14,7 +14,7 @@ import (
 // seed schedule — driving the session through metasched.Service (events
 // enqueue evaluations, each step is an evaluation round) produces a
 // byte-identical transcript to batch RunIteration, across {ALP, AMP} ×
-// {sequential, parallel} × {live store, rebuild oracle} × shards {1, 4}.
+// Workers/Parallelism {1, 4} × shards {1, 4}.
 // The policy alternates with seed parity so both batch criteria are covered
 // without doubling the sweep.
 func TestServiceBatchDifferential(t *testing.T) {
@@ -32,16 +32,12 @@ func TestServiceBatchDifferential(t *testing.T) {
 		}
 		for _, a := range algos {
 			for _, parallelism := range []int{1, 4} {
-				for _, rebuild := range []bool{false, true} {
-					for _, shards := range []int{1, 4} {
-						batch := sessionTranscript(t, seed, a.algo, policy, parallelism,
-							false, false, rebuild, nil, false, withShards(shards))
-						service := sessionTranscript(t, seed, a.algo, policy, parallelism,
-							false, false, rebuild, nil, true, withShards(shards))
-						if service != batch {
-							t.Fatalf("seed %d %s %v p=%d rebuild=%t shards=%d: service transcript diverged from batch\n--- batch ---\n%s\n--- service ---\n%s",
-								seed, a.name, policy, parallelism, rebuild, shards, batch, service)
-						}
+				for _, shards := range []int{1, 4} {
+					batch := sessionTranscript(t, seed, a.algo, policy, parallelism, nil, false, withShards(shards))
+					service := sessionTranscript(t, seed, a.algo, policy, parallelism, nil, true, withShards(shards))
+					if service != batch {
+						t.Fatalf("seed %d %s %v p=%d shards=%d: service transcript diverged from batch\n--- batch ---\n%s\n--- service ---\n%s",
+							seed, a.name, policy, parallelism, shards, batch, service)
 					}
 				}
 			}
@@ -56,9 +52,9 @@ func TestServiceBatchDifferential(t *testing.T) {
 // queue drained, and the plan applies all took the fast path on an
 // undisturbed single-writer run.
 func TestServiceMetricsNeutralityAndAccounting(t *testing.T) {
-	bare := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false, nil, true)
+	bare := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, nil, true)
 	reg := metrics.New()
-	instrumented := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, false, false, false, reg, true)
+	instrumented := sessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, reg, true)
 	if bare != instrumented {
 		t.Fatalf("metrics changed the service transcript\n--- bare ---\n%s\n--- instrumented ---\n%s", bare, instrumented)
 	}

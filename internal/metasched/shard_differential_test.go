@@ -13,15 +13,16 @@ func withShards(k int) func(*metasched.Config) {
 	return func(c *metasched.Config) { c.Shards = k }
 }
 
-// TestShardDifferential is the sharding equivalence suite: over 20 seeded
-// random sessions (covering demand pricing, live local arrivals, and a
-// mid-session node failure by seed selection), both algorithms, sequential
-// and parallel producer pools, and both the live store and the rebuild-vacant
-// oracle path, the federated session at K ∈ {2, 4, 7} must produce a
-// transcript byte-identical to the single-domain K=1 session: same committed
-// windows, plan criteria, postponements, drops, and failure re-queues. The
-// batch policy alternates by seed so both criteria are swept without doubling
-// the run.
+// TestShardDifferential is the one-search-path equivalence suite: over 20
+// seeded random sessions (covering demand pricing, live local arrivals, and
+// a mid-session node failure by seed selection) and both algorithms, every
+// session at K ∈ {1, 2, 4, 7} × Parallelism ∈ {1, 4} must produce a
+// transcript byte-identical to the K=1, Parallelism=1 session: same
+// committed windows, plan criteria, postponements, drops, and failure
+// re-queues. K=1 is the one-view case of the same loop (where Parallelism
+// has nothing to fan out), K>1 the cursor merge with one or four producers;
+// CI runs the suite under -race. The batch policy alternates by seed so both
+// criteria are swept without doubling the run.
 func TestShardDifferential(t *testing.T) {
 	algos := []struct {
 		name string
@@ -36,34 +37,18 @@ func TestShardDifferential(t *testing.T) {
 			policy = metasched.MinimizeCost
 		}
 		for _, a := range algos {
-			for _, parallelism := range []int{1, 4} {
-				for _, rebuild := range []bool{false, true} {
-					want := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, rebuild, nil)
-					for _, k := range []int{2, 4, 7} {
-						got := diffSessionTranscript(t, seed, a.algo, policy, parallelism, false, false, rebuild, nil, withShards(k))
-						if got != want {
-							t.Fatalf("seed %d %s %v p=%d rebuild=%t: K=%d session diverged from K=1\n--- K=1 ---\n%s\n--- K=%d ---\n%s",
-								seed, a.name, policy, parallelism, rebuild, k, want, k, got)
-						}
+			want := diffSessionTranscript(t, seed, a.algo, policy, 1, nil)
+			for _, k := range []int{1, 2, 4, 7} {
+				for _, parallelism := range []int{1, 4} {
+					if k == 1 && parallelism == 1 {
+						continue
+					}
+					got := diffSessionTranscript(t, seed, a.algo, policy, parallelism, nil, withShards(k))
+					if got != want {
+						t.Fatalf("seed %d %s %v: K=%d p=%d session diverged from K=1 p=1\n--- K=1 p=1 ---\n%s\n--- K=%d p=%d ---\n%s",
+							seed, a.name, policy, k, parallelism, want, k, parallelism, got)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestShardLinearFallbackDifferential pins the transparent fallback: a
-// sharded session forced onto the linear scan cannot stream per shard, so it
-// searches the canonical merge of the shard stores — and must still be
-// byte-identical to the unsharded linear session.
-func TestShardLinearFallbackDifferential(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		for _, a := range []alloc.Algorithm{alloc.ALP{}, alloc.AMP{}} {
-			want := diffSessionTranscript(t, seed, a, metasched.MinimizeTime, 1, false, true, false, nil)
-			got := diffSessionTranscript(t, seed, a, metasched.MinimizeTime, 1, false, true, false, nil, withShards(4))
-			if got != want {
-				t.Fatalf("seed %d %s: sharded linear fallback diverged\n--- K=1 ---\n%s\n--- K=4 ---\n%s",
-					seed, a.Name(), want, got)
 			}
 		}
 	}
@@ -78,7 +63,7 @@ func TestShardLinearFallbackDifferential(t *testing.T) {
 func TestShardedSteadyStateAdoptsViews(t *testing.T) {
 	for _, parallelism := range []int{1, 4} {
 		reg := metrics.New()
-		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, parallelism, false, false, false, reg, withShards(2))
+		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, parallelism, reg, withShards(2))
 		snap := reg.Snapshot()
 		if n := snap.Counter("gridsim/store/rebuilds_total"); n != 2 {
 			t.Errorf("parallelism %d: gridsim/store/rebuilds_total = %d, want exactly 2 (one per shard)", parallelism, n)

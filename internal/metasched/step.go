@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"ecosched/internal/alloc"
 	"ecosched/internal/dp"
 	"ecosched/internal/job"
 	"ecosched/internal/shard"
@@ -36,6 +35,9 @@ type Iteration struct {
 	rep *IterationReport
 	// selected is the batch frozen by BeginIteration.
 	selected []*queued
+	// workers is the Parallelism Plan searches with: the scheduler's, unless
+	// the service's round overrides it.
+	workers int
 	// plan is the optimizer's combination bound to its snapshot epoch; nil
 	// when the batch was empty, nothing was covered, or the combination was
 	// infeasible.
@@ -73,7 +75,7 @@ func (s *Scheduler) BeginIteration() (*Iteration, error) {
 	selected := s.batchForIteration()
 	rep.BatchSize = len(selected)
 	s.metrics.iterationStarted(len(selected))
-	return &Iteration{s: s, rep: rep, selected: selected}, nil
+	return &Iteration{s: s, rep: rep, selected: selected, workers: s.cfg.Parallelism}, nil
 }
 
 // Plan runs the two-phase scheme over the frozen batch: publish the local
@@ -91,8 +93,8 @@ func (it *Iteration) Plan() error {
 		return nil
 	}
 	// The snapshot epoch is captured before publication: nothing between
-	// here and VacantView/ShardViews mutates the grid, so a plan stamped
-	// with this epoch was provably searched against the state it names.
+	// here and ShardViews mutates the grid, so a plan stamped with this epoch
+	// was provably searched against the state it names.
 	epoch := s.grid.Epoch()
 	horizon := s.grid.Now().Add(s.cfg.Horizon)
 	jobs := make([]*job.Job, len(it.selected))
@@ -103,67 +105,41 @@ func (it *Iteration) Plan() error {
 	if err != nil {
 		return err
 	}
-	var search *alloc.SearchResult
-	if s.part.K() > 1 && !s.cfg.Search.UseLinearScan && alloc.SupportsSharded(s.cfg.Algorithm) {
-		// Federated path: each shard publishes its own vacant view (a live
-		// store clone, or a per-shard rebuild under the oracle knob), the
-		// candidate scans fan out per shard, and the merge layer recombines
-		// them in canonical order — the trace and the schedule stay
-		// byte-identical to the single-domain session.
-		views, err := s.grid.ShardViews(horizon)
-		if err != nil {
-			return err
+	// One publication for every K: each shard's view is a clone of its live
+	// store (one shard when unsharded), which the search adopts instead of
+	// building an index — the windows the previous iteration committed
+	// already landed in the stores as deltas. The search scans one view
+	// directly and merges several in canonical order, so the trace and the
+	// schedule are byte-identical for every shard count.
+	views, err := s.grid.ShardViews(horizon)
+	if err != nil {
+		return err
+	}
+	vacantLen := 0
+	for _, v := range views {
+		vacantLen += v.Len()
+	}
+	if s.cfg.DemandPricing != nil {
+		factor := s.cfg.DemandPricing.factor(s.grid.Utilization(horizon))
+		it.rep.PriceFactor = float64(factor)
+		// Repricing derives fresh lists the store's indexes do not describe;
+		// this iteration pays an index build per view.
+		var im *slot.IndexMetrics
+		if s.cfg.Search.Metrics != nil {
+			im = s.cfg.Search.Metrics.Index
 		}
-		vacantLen := 0
-		for _, v := range views {
-			vacantLen += v.Len()
+		for i, v := range views {
+			repriced := v.List().Reprice(func(sl slot.Slot) sim.Money { return sl.Price * factor })
+			views[i] = slot.NewIndex(repriced, im)
 		}
-		if s.cfg.DemandPricing != nil {
-			factor := s.cfg.DemandPricing.factor(s.grid.Utilization(horizon))
-			it.rep.PriceFactor = float64(factor)
-			for i, v := range views {
-				repriced := v.List().Reprice(func(sl slot.Slot) sim.Money { return sl.Price * factor })
-				views[i] = slot.NewIndex(repriced, nil)
-			}
-			s.cfg.Trace.Record(trace.Repriced, "", "utilization factor %.3f over %d slots", float64(factor), vacantLen)
-		}
-		s.shardMetrics.Published(views)
-		s.metrics.published(vacantLen)
-		s.cfg.Trace.Record(trace.SearchStarted, "", "%s over %d slots for %d jobs", s.cfg.Algorithm.Name(), vacantLen, batch.Len())
-		search, err = shard.Search(s.cfg.Algorithm, s.part, views, batch, s.cfg.Search, s.cfg.Parallelism, s.shardMetrics)
-		if err != nil {
-			return err
-		}
-	} else {
-		// VacantView hands out the publication plus, on the live-store path, a
-		// prebuilt index clone the search adopts instead of rebuilding one —
-		// the committed windows of the previous iteration already landed in the
-		// store as deltas, so the steady-state path never pays a NewIndex. A
-		// sharded grid that cannot stream per shard (linear scan, or an
-		// algorithm without an indexed scan) lands here too: VacantView then
-		// serves the canonical merge of the shard stores with no prebuilt
-		// index, which searches identically to the single-domain list.
-		vacant, prebuilt, err := s.grid.VacantView(horizon)
-		if err != nil {
-			return err
-		}
-		if s.cfg.DemandPricing != nil {
-			factor := s.cfg.DemandPricing.factor(s.grid.Utilization(horizon))
-			it.rep.PriceFactor = float64(factor)
-			vacant = vacant.Reprice(func(sl slot.Slot) sim.Money { return sl.Price * factor })
-			s.cfg.Trace.Record(trace.Repriced, "", "utilization factor %.3f over %d slots", float64(factor), vacant.Len())
-			// Repricing derived a fresh list the index does not describe; fall
-			// back to the search's own build for this iteration.
-			prebuilt = nil
-		}
-		s.metrics.published(vacant.Len())
-		s.cfg.Trace.Record(trace.SearchStarted, "", "%s over %d slots for %d jobs", s.cfg.Algorithm.Name(), vacant.Len(), batch.Len())
-		searchOpts := s.cfg.Search
-		searchOpts.Prebuilt = prebuilt
-		search, err = alloc.FindAlternativesParallel(s.cfg.Algorithm, vacant, batch, searchOpts, s.cfg.Parallelism)
-		if err != nil {
-			return err
-		}
+		s.cfg.Trace.Record(trace.Repriced, "", "utilization factor %.3f over %d slots", float64(factor), vacantLen)
+	}
+	s.shardMetrics.Published(views)
+	s.metrics.published(vacantLen)
+	s.cfg.Trace.Record(trace.SearchStarted, "", "%s over %d slots for %d jobs", s.cfg.Algorithm.Name(), vacantLen, batch.Len())
+	search, err := shard.Search(s.cfg.Algorithm, s.part, views, batch, s.cfg.Search, it.workers, s.shardMetrics)
+	if err != nil {
+		return err
 	}
 	it.rep.Alternatives = search.TotalAlternatives()
 	s.metrics.searched(search.Stats.SlotsExamined, it.rep.Alternatives)

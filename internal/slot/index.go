@@ -44,12 +44,10 @@ type bucket struct {
 // The scan-order contract is the load-bearing property: Scan yields exactly
 // the slots a front-to-back filter of the raw list would yield, in the same
 // rank order, so the indexed ALP/AMP searches in internal/alloc reproduce
-// the linear oracle bit for bit (see the scan-equivalence suites there and
-// in internal/metasched).
+// the linear oracle bit for bit (see the scan-equivalence suite there).
 //
 // An Index is safe for concurrent readers as long as no goroutine mutates
-// it, which is how the parallel search shares one per-round snapshot index
-// across its scan workers.
+// it; the sharded search gives each producer goroutine an index of its own.
 type Index struct {
 	list    *List
 	target  int

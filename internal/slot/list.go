@@ -19,9 +19,9 @@ import (
 // A list supports cheap immutable snapshots (Snapshot) with copy-on-write
 // semantics: taking a snapshot is O(1), and the first mutation of either the
 // original or a descendant after a snapshot copies the backing storage, so a
-// snapshot is never affected by later mutations. Snapshots make the slot list
-// safe to scan from many goroutines while one goroutine keeps committing
-// subtractions to the live list (see internal/alloc's parallel search).
+// snapshot is never affected by later mutations. That is what lets the grid
+// publish its live vacant store (gridsim.VacantSlots, Index.Clone) without
+// copying it until one side writes.
 type List struct {
 	slots []Slot
 	// shared marks the backing array as potentially aliased by a snapshot;
@@ -148,23 +148,6 @@ func (l *List) ensureOwned() {
 	copy(owned, l.slots)
 	l.slots = owned
 	l.shared = false
-}
-
-// PrefixEqual reports whether the first n slots of l and other are pairwise
-// identical (same node, price, and span). It is the conflict test of the
-// speculative parallel search: a front-to-back window scan that examined only
-// the first n slots behaves identically on both lists when their n-prefixes
-// match. n larger than either list's length returns false.
-func (l *List) PrefixEqual(other *List, n int) bool {
-	if n > len(l.slots) || n > len(other.slots) {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if l.slots[i] != other.slots[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Insert adds a slot, keeping the canonical order. Empty slots are ignored,

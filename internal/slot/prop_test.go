@@ -174,33 +174,3 @@ func TestSnapshotWriteIsolation(t *testing.T) {
 		t.Fatal("second-generation snapshot observed a later mutation")
 	}
 }
-
-// TestPrefixEqual pins the conflict test used by the parallel search.
-func TestPrefixEqual(t *testing.T) {
-	rng := sim.NewRNG(11)
-	nodes := propNodes(5)
-	a := seedList(rng, nodes)
-	b := a.Clone()
-	if !a.PrefixEqual(b, a.Len()) {
-		t.Fatal("identical lists not prefix-equal at full length")
-	}
-	if !a.PrefixEqual(b, 0) {
-		t.Fatal("zero-length prefix must always be equal")
-	}
-	if a.PrefixEqual(b, a.Len()+1) {
-		t.Fatal("prefix longer than the lists reported equal")
-	}
-	// Diverge b at its last slot: prefixes before the change stay equal,
-	// the full prefix does not.
-	last := b.At(b.Len() - 1)
-	mid := last.Start().Add(last.Length() / 2)
-	if err := b.SubtractInterval(last, sim.Interval{Start: mid, End: last.End()}); err != nil {
-		t.Fatal(err)
-	}
-	if !a.PrefixEqual(b, b.Len()-1) {
-		t.Fatal("prefix before the divergence point should stay equal")
-	}
-	if a.PrefixEqual(b, a.Len()) {
-		t.Fatal("full prefix reported equal after divergence")
-	}
-}

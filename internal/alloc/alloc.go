@@ -21,8 +21,6 @@
 package alloc
 
 import (
-	"fmt"
-
 	"ecosched/internal/job"
 	"ecosched/internal/sim"
 	"ecosched/internal/slot"
@@ -205,16 +203,4 @@ func finishScanStats(stats *Stats, req job.ResourceRequest, limit, n, stopRank, 
 		stats.SlotsExamined = n
 	}
 	stats.SlotsRejected = limit - accepted
-}
-
-// validateInput rejects malformed requests up front so the scan loops can
-// assume a well-formed job.
-func validateInput(list *slot.List, j *job.Job) error {
-	if list == nil {
-		return fmt.Errorf("alloc: nil slot list")
-	}
-	if err := j.Validate(); err != nil {
-		return fmt.Errorf("alloc: %w", err)
-	}
-	return nil
 }

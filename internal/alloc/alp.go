@@ -35,7 +35,7 @@ func (a ALP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool)
 // scan is differentially tested against.
 func (ALP) FindWindowLinear(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
 	var stats Stats
-	if err := validateInput(list, j); err != nil {
+	if list == nil || j.Validate() != nil {
 		return nil, stats, false
 	}
 	req := j.Request

@@ -83,7 +83,7 @@ func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool)
 // indexed scan is differentially tested against.
 func (a AMP) FindWindowLinear(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
 	var stats Stats
-	if err := validateInput(list, j); err != nil {
+	if list == nil || j.Validate() != nil {
 		return nil, stats, false
 	}
 	req := j.Request

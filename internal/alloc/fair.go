@@ -37,12 +37,12 @@ func FindAlternativesFair(algo Algorithm, list *slot.List, batch *job.Batch, opt
 	if err != nil {
 		return nil, err
 	}
-	res.Remaining = view.List()
+	res.views = []*slot.Index{view}
 	return res, nil
 }
 
 // fairPasses is the fair search's loop over a bound scan and subtraction;
-// the caller sets Remaining.
+// the caller sets the result's views.
 func fairPasses(name string, batch *job.Batch, opts SearchOptions, scan scanFunc, subtract func(*slot.Window) error) (*SearchResult, error) {
 	if batch == nil || batch.Len() == 0 {
 		return nil, fmt.Errorf("alloc: empty batch")

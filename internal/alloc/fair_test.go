@@ -126,7 +126,7 @@ func TestFairDisjointAndConserving(t *testing.T) {
 				}
 			}
 		}
-		if res.Remaining.TotalTime()+used != sc.Slots.TotalTime() {
+		if res.Remaining().TotalTime()+used != sc.Slots.TotalTime() {
 			t.Fatalf("trial %d: time not conserved", trial)
 		}
 	}

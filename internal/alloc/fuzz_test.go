@@ -143,10 +143,10 @@ func FuzzFindWindow(f *testing.F) {
 					}
 				}
 			}
-			if err := res.Remaining.Validate(); err != nil {
+			if err := res.Remaining().Validate(); err != nil {
 				t.Fatalf("%s remaining list invalid: %v", algo.Name(), err)
 			}
-			if got, want := res.Remaining.TotalTime(), list.TotalTime()-occupied; got != want {
+			if got, want := res.Remaining().TotalTime(), list.TotalTime()-occupied; got != want {
 				t.Fatalf("%s vacant time %v after occupying %v of %v, want %v",
 					algo.Name(), got, occupied, list.TotalTime(), want)
 			}

@@ -23,14 +23,16 @@ func linearScanner(algo IndexedAlgorithm, list *slot.List) (*slot.List, scanFunc
 
 // findAlternativesLinear is the multi-pass reference: the production loop
 // (multiPass) over linearScanner. Every indexed, prebuilt and sharded search
-// in this package is compared against it; opts.Prebuilt is ignored.
+// in this package is compared against it; opts.Prebuilt is ignored. The
+// working list is handed to Remaining() as a one-view result: NewIndex and
+// List() only copy it out and back (the slot model suites pin that).
 func findAlternativesLinear(algo IndexedAlgorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
 	working, scan, subtract := linearScanner(algo, list)
 	res, err := multiPass(algo.Name(), batch, opts, scan, subtract)
 	if err != nil {
 		return nil, err
 	}
-	res.Remaining = working
+	res.views = []*slot.Index{slot.NewIndex(working, nil)}
 	return res, nil
 }
 
@@ -41,7 +43,7 @@ func findAlternativesFairLinear(algo IndexedAlgorithm, list *slot.List, batch *j
 	if err != nil {
 		return nil, err
 	}
-	res.Remaining = working
+	res.views = []*slot.Index{slot.NewIndex(working, nil)}
 	return res, nil
 }
 
@@ -60,7 +62,7 @@ func renderResult(t *testing.T, batch *job.Batch, res *SearchResult) string {
 		b.WriteByte('\n')
 	}
 	b.WriteString("remaining:\n")
-	b.WriteString(res.Remaining.String())
+	b.WriteString(res.Remaining().String())
 	return b.String()
 }
 

@@ -27,11 +27,10 @@ type SearchOptions struct {
 	// searches instead of building one over a clone of the input list — the
 	// grid's live store hands out such clones so the steady-state path never
 	// pays a NewIndex (gridsim.ShardViews). The caller transfers ownership:
-	// the search mutates the index (and the list backing it — Remaining
-	// aliases Prebuilt.List()) and the input list argument must be that same
-	// list. Scan results do not depend on the index's bucket layout (the
-	// scan-order contract), so a prebuilt index whose tiling reflects its
-	// maintenance history returns byte-identical windows to a fresh build.
+	// the search subtracts its windows from the index and does not read the
+	// input list argument. Scan results do not depend on the index's bucket
+	// layout (the scan-order contract), so a prebuilt index whose tiling
+	// reflects its maintenance history returns the windows of a fresh build.
 	// FindAlternativesSharded takes its views as an argument and rejects
 	// this field.
 	Prebuilt *slot.Index
@@ -60,10 +59,19 @@ type SearchResult struct {
 	// Stats accumulates the per-search counters across all window
 	// searches.
 	Stats Stats
-	// Remaining is the vacant list after all subtractions: the searched
-	// view's own list, or the canonical merge of several views. A list
-	// passed to FindAlternatives without a Prebuilt index is never modified.
-	Remaining *slot.List
+	// views are the searched views after all subtractions.
+	views []*slot.Index
+}
+
+// Remaining returns the vacant list after all subtractions, copied out of
+// the searched views in canonical order — O(n·K), computed when asked. A list
+// passed to FindAlternatives without a Prebuilt index is never modified.
+func (r *SearchResult) Remaining() *slot.List {
+	lists := make([]*slot.List, len(r.views))
+	for i, ix := range r.views {
+		lists[i] = ix.List()
+	}
+	return slot.MergeLists(lists...)
 }
 
 // TotalAlternatives returns the number of windows found across all jobs.
@@ -125,13 +133,13 @@ func FindAlternativesParallel(algo Algorithm, list *slot.List, batch *job.Batch,
 }
 
 // oneView returns the single view of a list-based search: the caller's
-// prebuilt index (ownership transfers), or a fresh index over a clone so the
-// input list is never modified.
+// prebuilt index (ownership transfers), or a fresh index holding a copy of
+// the list, so the input list is never modified.
 func oneView(list *slot.List, opts SearchOptions) *slot.Index {
 	if opts.Prebuilt != nil {
 		return opts.Prebuilt
 	}
-	return slot.NewIndex(list.Clone(), opts.Metrics.indexMetrics())
+	return slot.NewIndex(list, opts.Metrics.indexMetrics())
 }
 
 // scanFunc is one job's window scan over the search's current vacancy.
@@ -149,14 +157,14 @@ func searchViews(algo Algorithm, views []*slot.Index, shardOf func(*resource.Nod
 	if err != nil {
 		return nil, err
 	}
-	res.Remaining = remaining(views)
+	res.views = views
 	return res, nil
 }
 
 // multiPass is the Section 2 loop, the only one in the package (the fair
 // search commits by a different rule): passes over the batch in priority
 // order, the per-job cap, the pass cap, window validation, subtraction and
-// the search metrics. The caller sets Remaining.
+// the search metrics. The caller sets the result's views.
 func multiPass(name string, batch *job.Batch, opts SearchOptions, scan scanFunc, subtract func(*slot.Window) error) (*SearchResult, error) {
 	if batch == nil || batch.Len() == 0 {
 		return nil, fmt.Errorf("alloc: empty batch")
@@ -262,9 +270,13 @@ func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node
 	if opts.Metrics != nil {
 		probe = &slot.ScanStats{}
 	}
+	var merge *mergeScan
+	if len(views) > 1 {
+		merge = newMergeScan(views)
+	}
 	scan := func(j *job.Job) (*slot.Window, Stats, bool) {
-		if len(views) > 1 {
-			return findWindowSharded(sa, views, j, parallelism, work)
+		if merge != nil {
+			return merge.findWindow(sa, j, parallelism, work)
 		}
 		if probe == nil {
 			return findWindowIndexedStream(sa, views[0], j, nil)
@@ -290,19 +302,6 @@ func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node
 		return nil
 	}
 	return scan, subtract, nil
-}
-
-// remaining is the post-search vacancy: the one view's own list, or the
-// canonical merge of several.
-func remaining(views []*slot.Index) *slot.List {
-	if len(views) == 1 {
-		return views[0].List()
-	}
-	lists := make([]*slot.List, len(views))
-	for i, ix := range views {
-		lists[i] = ix.List()
-	}
-	return slot.MergeLists(lists...)
 }
 
 // FindFirst returns only the earliest alternative per job — one pass, one

@@ -94,14 +94,14 @@ func TestSearchTerminatesAndConservesTime(t *testing.T) {
 			}
 		}
 	}
-	if res.Remaining.TotalTime()+used != list.TotalTime() {
+	if res.Remaining().TotalTime()+used != list.TotalTime() {
 		t.Errorf("time not conserved: remaining %v + used %v != original %v",
-			res.Remaining.TotalTime(), used, list.TotalTime())
+			res.Remaining().TotalTime(), used, list.TotalTime())
 	}
-	if err := res.Remaining.Validate(); err != nil {
+	if err := res.Remaining().Validate(); err != nil {
 		t.Errorf("remaining list invalid: %v", err)
 	}
-	if res.Remaining.OverlapOnSameNode() {
+	if res.Remaining().OverlapOnSameNode() {
 		t.Error("remaining list has same-node overlaps")
 	}
 }
@@ -247,7 +247,7 @@ func TestSearchPropertyOnGeneratedScenarios(t *testing.T) {
 					}
 				}
 			}
-			if res.Remaining.TotalTime()+used != sc.Slots.TotalTime() {
+			if res.Remaining().TotalTime()+used != sc.Slots.TotalTime() {
 				return false
 			}
 		}

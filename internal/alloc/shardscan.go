@@ -18,7 +18,7 @@ import (
 // (scanState) assembles windows. The fold is memoryless over the candidate
 // sequence, and the merged sequence equals the unsharded index scan's — with
 // seq reconstructed as the candidate's global rank + 1 via CountLess across
-// the shard lists — so every window, eviction, budget check, and Stats
+// the shard indexes — so every window, eviction, budget check, and Stats
 // counter is byte-identical to FindWindowIndexed over the merged list. Only
 // candidate production fans out across goroutines; the fold stays sequential,
 // so determinism never depends on goroutine scheduling.
@@ -47,6 +47,21 @@ type ShardWork struct {
 	CriticalPath int64
 }
 
+// mergeScan is the cross-shard scan state of one search: a cursor per view
+// and the refill list, allocated once (newScanner) and reset for every job,
+// so a job scan allocates only what its candidates outgrow.
+type mergeScan struct {
+	cursors, refill []*shardCursor
+}
+
+func newMergeScan(views []*slot.Index) *mergeScan {
+	ms := &mergeScan{cursors: make([]*shardCursor, len(views)), refill: make([]*shardCursor, 0, len(views))}
+	for i, ix := range views {
+		ms.cursors[i] = &shardCursor{ix: ix}
+	}
+	return ms
+}
+
 // shardCursor is one shard's production state within a single job scan.
 type shardCursor struct {
 	ix    *slot.Index
@@ -54,6 +69,10 @@ type shardCursor struct {
 	pos   int // next unexamined rank; ranks < pos are produced or skipped
 	buf   []candidate
 	head  int
+	// front is the slot at rank pos while pos < limit — the canonical key
+	// bounding every candidate the cursor may still produce (buffered ones
+	// all order strictly before it). Read once per refill.
+	front slot.Slot
 	// walkedRound is the ranks walked in the current refill round, written
 	// only by this cursor's producer goroutine.
 	walkedRound int
@@ -80,14 +99,10 @@ func (cu *shardCursor) produce(f slot.Filter, req job.ResourceRequest, chunk int
 	})
 	cu.walkedRound = target - cu.pos
 	cu.pos = target
+	if cu.pos < cu.limit {
+		cu.front = cu.ix.At(cu.pos)
+	}
 }
-
-// frontierDefined reports whether the cursor still has unexamined ranks, and
-// frontier returns the canonical key bounding every candidate the cursor may
-// still produce: the slot at its next unexamined rank. Buffered candidates
-// all order strictly before the frontier (ranks are key-increasing).
-func (cu *shardCursor) frontierDefined() bool { return cu.pos < cu.limit }
-func (cu *shardCursor) frontier() slot.Slot   { return cu.ix.At(cu.pos) }
 
 // globalRank is the candidate slot's rank in the merged list: the sum of
 // slots ordering strictly before it across every shard (its own shard's
@@ -96,30 +111,30 @@ func (cu *shardCursor) frontier() slot.Slot   { return cu.ix.At(cu.pos) }
 func globalRank(cursors []*shardCursor, s slot.Slot) int {
 	r := 0
 	for _, cu := range cursors {
-		r += cu.ix.List().CountLess(s)
+		r += cu.ix.CountLess(s)
 	}
 	return r
 }
 
-// findWindowSharded runs one job's window scan over K shard indexes,
+// findWindow runs one job's window scan over the K shard indexes,
 // reproducing findWindowIndexedStream over the merged list exactly.
 // parallelism bounds the producer goroutines per refill round; any value
 // yields the same result. work, when non-nil, accumulates scan-phase
 // accounting.
-func findWindowSharded(sa streamAlgorithm, shards []*slot.Index, j *job.Job, parallelism int, work *ShardWork) (*slot.Window, Stats, bool) {
+func (ms *mergeScan) findWindow(sa streamAlgorithm, j *job.Job, parallelism int, work *ShardWork) (*slot.Window, Stats, bool) {
 	var stats Stats
-	if err := validateInput(shards[0].List(), j); err != nil {
+	if j.Validate() != nil {
 		return nil, stats, false
 	}
 	req := j.Request
 	f := sa.scanFilter(req)
 	st := sa.newScan(req)
 
-	cursors := make([]*shardCursor, len(shards))
+	cursors := ms.cursors
 	totalLimit, totalN := 0, 0
-	for i, ix := range shards {
-		limit, n := scanLimit(ix, req)
-		cursors[i] = &shardCursor{ix: ix, limit: limit}
+	for _, cu := range cursors {
+		limit, n := scanLimit(cu.ix, req)
+		*cu = shardCursor{ix: cu.ix, limit: limit, buf: cu.buf[:0]}
 		totalLimit += limit
 		totalN += n
 	}
@@ -134,7 +149,7 @@ func findWindowSharded(sa streamAlgorithm, shards []*slot.Index, j *job.Job, par
 		// instead of degrading to one producer per round as cursors drain one
 		// at a time; the buffer threshold keeps a slow-draining shard from
 		// accumulating unboundedly.
-		var refill []*shardCursor
+		refill := ms.refill[:0]
 		for _, cu := range cursors {
 			if cu.pos < cu.limit && len(cu.buf)-cu.head < chunk {
 				if cu.head > 0 {
@@ -190,7 +205,7 @@ func findWindowSharded(sa streamAlgorithm, shards []*slot.Index, j *job.Job, par
 			headSlot := cursors[best].buf[cursors[best].head].s
 			safe := true
 			for _, cu := range cursors {
-				if cu.frontierDefined() && !slot.Less(headSlot, cu.frontier()) {
+				if cu.pos < cu.limit && !slot.Less(headSlot, cu.front) {
 					safe = false
 					break
 				}
@@ -276,8 +291,7 @@ func produceRound(refill []*shardCursor, f slot.Filter, req job.ResourceRequest,
 // transfers ownership of the indexes (they are mutated in place), and with
 // several of them shardOf must route every node to the index that holds its
 // slots. Results are byte-identical to FindAlternatives over the merged list
-// for every input; Remaining is the one view's own list, or the canonical
-// merge of several. opts.Prebuilt is rejected: the views are the prebuilt
+// for every input. opts.Prebuilt is rejected: the views are the prebuilt
 // state. parallelism bounds the producer goroutines of a merge's refill
 // round, and work, when non-nil, accumulates the merge's scan-phase
 // accounting; neither applies to a single view, where nothing fans out.

@@ -40,13 +40,16 @@ func TestFindWindowShardedMatchesIndexed(t *testing.T) {
 		full := slot.NewIndex(list.Clone(), nil)
 		for _, k := range []int{1, 2, 3, 5, 7} {
 			shards, _ := shardSplit(list, k)
+			// One merge state for every scan below, as in a search: each job
+			// must start from cursors the previous job left dirty.
+			merge := newMergeScan(shards)
 			for _, algo := range algos {
 				sa := algo.(streamAlgorithm)
 				for _, j := range batch.Jobs() {
 					ww, wst, wok := algo.FindWindowIndexed(full, j, nil)
 					for _, parallelism := range []int{1, 4} {
 						work := &ShardWork{ScanSlots: make([]int64, k)}
-						gw, gst, gok := findWindowSharded(sa, shards, j, parallelism, work)
+						gw, gst, gok := merge.findWindow(sa, j, parallelism, work)
 						if gok != wok || gst != wst {
 							t.Fatalf("seed %d k=%d %s %s p=%d: sharded (ok=%v stats=%+v) != indexed (ok=%v stats=%+v)",
 								seed, k, algo.Name(), j.Name, parallelism, gok, gst, wok, wst)

@@ -101,8 +101,8 @@ func TestCappedSearchSeqParIdentical(t *testing.T) {
 // FindAlternativesSharded a single caller-built view returns byte-identical
 // results to FindAlternatives' clone-and-build, for any Parallelism (nothing
 // fans out over one view); the view is adopted, not rebuilt
-// (alloc/<algo>/index/rebuilds_total stays 0); Remaining is the view's own
-// list, not a merged copy; and a scan allocates exactly what
+// (alloc/<algo>/index/rebuilds_total stays 0) and searched in place
+// (Remaining reads the caller's view); and a scan allocates exactly what
 // findWindowIndexedStream does — no cursors, no candidate buffers.
 func TestPrebuiltIndexEquivalence(t *testing.T) {
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
@@ -123,8 +123,8 @@ func TestPrebuiltIndexEquivalence(t *testing.T) {
 				if g, w := renderResult(t, twoJobBatch(), got), renderResult(t, twoJobBatch(), base); g != w {
 					t.Fatalf("one-view search diverged from clone-and-build\n--- build ---\n%s\n--- view ---\n%s", w, g)
 				}
-				if got.Remaining != view.List() {
-					t.Fatal("Remaining is not the view's own list")
+				if got.Remaining().String() != view.List().String() {
+					t.Fatal("the view was not searched in place")
 				}
 				counter := func(name string) int64 {
 					return reg.Counter(fmt.Sprintf("alloc/%s/%s", algo.Name(), name)).Value()

@@ -99,7 +99,7 @@ func (a AMP) newScan(req job.ResourceRequest) scanState {
 // stopping rank. ALP's and AMP's FindWindowIndexed delegate here.
 func findWindowIndexedStream(sa streamAlgorithm, ix *slot.Index, j *job.Job, probe *slot.ScanStats) (*slot.Window, Stats, bool) {
 	var stats Stats
-	if err := validateInput(ix.List(), j); err != nil {
+	if j.Validate() != nil {
 		return nil, stats, false
 	}
 	req := j.Request

@@ -166,18 +166,16 @@ func (g *Grid) AllTasks() []Task {
 // [Now, horizon): for each node, the complement of its bookings, sorted by
 // start time across nodes — exactly the structure of Fig. 1a / Fig. 2a.
 //
-// The list is an O(1) copy-on-write snapshot of the live store (store.go),
-// kept byte-identical to the RebuildVacantSlots oracle by the mutation hooks.
+// The list is an O(n) copy of the live store (store.go), which the mutation
+// hooks keep byte-identical to the RebuildVacantSlots oracle. The scheduler
+// publishes through ShardViews, which copies nothing.
 func (g *Grid) VacantSlots(horizon sim.Time) (*slot.List, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
 	}
 	g.ensureStore(horizon)
 	g.metrics.storeSnapshot()
-	if g.Shards() > 1 {
-		return g.mergedStoreList(), nil
-	}
-	return g.stores[0].ix.List().Snapshot(), nil
+	return g.mergedStoreList(), nil
 }
 
 // Commit books every placement of a chosen window as a VO reservation named

@@ -35,7 +35,7 @@ type Metrics struct {
 	// The gridsim/store/ family instruments the live vacant-slot store
 	// (store.go). StoreRebuilds counts full builds — exactly one on the
 	// steady-state path (the lazy initial build); StoreSnapshots counts
-	// O(1) publications served from it. The churn counters split the
+	// publications served from it. The churn counters split the
 	// incremental maintenance by cause: punches (bookings subtracted),
 	// restores (cancellations merged back), node drops/restores (failure
 	// and recovery), trims (clock advances) and extends (horizon growth).

@@ -10,9 +10,10 @@ import (
 )
 
 // This file implements the grid's live vacant-slot store: a persistent
-// slot.List + slot.Index over [Now, horizon) that every state transition
-// maintains incrementally, so publishing vacancy (VacantSlots / VacantView)
-// is an O(1) copy-on-write snapshot instead of an O(nodes·tasks) rebuild.
+// slot.Index over [Now, horizon) that every state transition maintains
+// incrementally — each hook moves the slots of the one or two buckets it
+// lands in — so publishing vacancy (ShardViews) is a copy-on-write clone that
+// copies bucket pointers, instead of an O(nodes·tasks) rebuild.
 //
 // Sharding. Under SetSharding the store is split by node into K independent
 // stores, one per shard: stores[i] covers exactly the nodes the assignment
@@ -26,13 +27,13 @@ import (
 // maximal complement intervals of the node's bookings clipped to
 // [now, horizon). Every mutation hook below derives the affected slots' exact
 // identities from the booking neighbors — O(log n) binary searches, never a
-// rescan — and applies them through the index so bucket bookkeeping stays
-// consistent. Because the canonical slot order (start, node, end) is a strict
-// total order over well-formed vacant lists, incremental maintenance lands
-// every slot at exactly the rank the full-rebuild oracle's stable sort would,
-// and each store stays byte-identical to the oracle filtered to its nodes —
-// the equivalence the chaos soak, the model checker, and fault.Audit's
-// per-transition VacantStoreCoherent check all pin.
+// rescan — and applies them to the index. Because the canonical slot order
+// (start, node, end) is a strict total order over well-formed vacant lists,
+// incremental maintenance lands every slot at exactly the rank the
+// full-rebuild oracle's stable sort would, and each store stays
+// byte-identical to the oracle filtered to its nodes — the equivalence the
+// chaos soak, the model checker, and fault.Audit's per-transition
+// VacantStoreCoherent check all pin.
 //
 // Lifecycle. Stores build lazily on the first publication (one NewIndex per
 // shard on the steady-state path, counted in gridsim/store/rebuilds_total and,
@@ -377,22 +378,16 @@ func (g *Grid) RebuildVacantSlots(horizon sim.Time) (*slot.List, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
 	}
-	var slots []slot.Slot
-	for _, n := range g.pool.Nodes() {
-		if g.NodeFailed(n.ID) {
-			continue
-		}
-		slots = append(slots, g.vacantFragments(n, g.now, horizon)...)
-	}
-	return slot.NewList(slots), nil
+	return g.shardOracle(-1, horizon), nil
 }
 
 // shardOracle rebuilds one shard's vacant list from the bookings — the
-// rebuild oracle restricted to the shard's live nodes.
+// rebuild oracle restricted to the shard's live nodes, or to every live node
+// when si is negative.
 func (g *Grid) shardOracle(si int, horizon sim.Time) *slot.List {
 	var slots []slot.Slot
 	for _, n := range g.pool.Nodes() {
-		if g.shardIdx(n) != si || g.NodeFailed(n.ID) {
+		if (si >= 0 && g.shardIdx(n) != si) || g.NodeFailed(n.ID) {
 			continue
 		}
 		slots = append(slots, g.vacantFragments(n, g.now, horizon)...)
@@ -401,10 +396,10 @@ func (g *Grid) shardOracle(si int, horizon sim.Time) *slot.List {
 }
 
 // VacantView publishes an unsharded grid's vacancy as ShardViews' single
-// view and that view's list; the caller owns both. A sharded grid returns
-// the merged list and a nil index — the merged list is not any one shard's.
-// The scheduler publishes through ShardViews for every K; this form remains
-// for callers that hold one list.
+// view and an O(n) list copy of it; the caller owns both. A sharded grid
+// returns the merged list and a nil index — the merged list is not any one
+// shard's. The scheduler publishes through ShardViews for every K; this form
+// remains for callers that hold one list.
 func (g *Grid) VacantView(horizon sim.Time) (*slot.List, *slot.Index, error) {
 	if g.Shards() > 1 {
 		l, err := g.VacantSlots(horizon)
@@ -418,11 +413,12 @@ func (g *Grid) VacantView(horizon sim.Time) (*slot.List, *slot.Index, error) {
 }
 
 // ShardViews publishes the vacancy over [Now, horizon) as one search-ready
-// index per shard (one in all for an unsharded grid), each an O(n)-copy clone
-// of that shard's live store — no walk, no sort, no re-tiling. The caller
-// owns the views outright (the search subtracts found windows from them in
-// place without ever touching the store), and merging them in canonical order
-// reproduces VacantSlots byte for byte.
+// index per shard (one in all for an unsharded grid), each a copy-on-write
+// clone of that shard's live store — no walk, no sort, no slot copied: view
+// and store share every bucket until one of them writes to it, and that write
+// copies the one bucket. The caller owns the views outright (the search
+// subtracts found windows from them without ever touching the store), and
+// merging them in canonical order reproduces VacantSlots byte for byte.
 func (g *Grid) ShardViews(horizon sim.Time) ([]*slot.Index, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
@@ -436,9 +432,12 @@ func (g *Grid) ShardViews(horizon sim.Time) ([]*slot.Index, error) {
 	return views, nil
 }
 
-// mergedStoreList merges the shard stores' lists into the global canonical
-// list (fresh storage; later store mutations leave it untouched).
+// mergedStoreList copies the shard stores out into the global canonical list
+// (fresh storage; later store mutations leave it untouched).
 func (g *Grid) mergedStoreList() *slot.List {
+	if len(g.stores) == 1 {
+		return g.stores[0].ix.List() // already a fresh copy
+	}
 	lists := make([]*slot.List, len(g.stores))
 	for i, st := range g.stores {
 		lists[i] = st.ix.List()
@@ -470,16 +469,20 @@ func (g *Grid) VacantStoreCoherent() error {
 			return fmt.Errorf("gridsim: live store%s horizon stale: horizon %v not after current time %v", label, st.horizon, g.now)
 		}
 		oracle := g.shardOracle(si, st.horizon)
-		live := st.ix.List()
-		if live.Len() != oracle.Len() {
+		if st.ix.Len() != oracle.Len() {
 			return fmt.Errorf("gridsim: live store%s has %d slots, oracle rebuild has %d (horizon %v)",
-				label, live.Len(), oracle.Len(), st.horizon)
+				label, st.ix.Len(), oracle.Len(), st.horizon)
 		}
-		for i := 0; i < live.Len(); i++ {
-			if live.At(i) != oracle.At(i) {
-				return fmt.Errorf("gridsim: live store%s diverged at rank %d: have %v, oracle says %v (horizon %v)",
-					label, i, live.At(i), oracle.At(i), st.horizon)
+		var err error
+		st.ix.Each(func(i int, live slot.Slot) bool {
+			if live != oracle.At(i) {
+				err = fmt.Errorf("gridsim: live store%s diverged at rank %d: have %v, oracle says %v (horizon %v)",
+					label, i, live, oracle.At(i), st.horizon)
 			}
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil

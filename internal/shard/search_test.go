@@ -76,7 +76,7 @@ func renderSearch(res *alloc.SearchResult) string {
 		}
 	}
 	fmt.Fprintf(&b, "stats=%+v passes=%d\n", res.Stats, res.Passes)
-	fmt.Fprintf(&b, "remaining=%v\n", res.Remaining)
+	fmt.Fprintf(&b, "remaining=%v\n", res.Remaining())
 	return b.String()
 }
 

@@ -29,17 +29,76 @@ func BenchmarkListInsert(b *testing.B) {
 	}
 }
 
+// benchSizes names the store sizes of the benchmark's dense and wide grids.
+var benchSizes = []struct {
+	name string
+	n    int
+}{{"n=5k", 5_000}, {"n=100k", 100_000}}
+
+// BenchmarkSubtractInterval is the paper's cut (Fig. 1b) on a published view:
+// a clone of the store, renewed every 1024 cuts as a round's publication
+// would, takes one-tick cuts at scattered ranks. The cost must not depend on
+// the store size.
 func BenchmarkSubtractInterval(b *testing.B) {
-	base := benchBase()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := base.Clone()
-		target := l.At(i % l.Len())
-		mid := target.Start().Add(target.Length() / 3)
-		if err := l.SubtractInterval(target, sim.Interval{Start: mid, End: mid.Add(target.Length() / 3)}); err != nil {
-			b.Fatal(err)
-		}
+	for _, size := range benchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			list, _ := wideList(size.n)
+			base := NewIndex(list, nil)
+			ix := base.Clone(nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%1024 == 1023 {
+					b.StopTimer()
+					ix = base.Clone(nil)
+					b.StartTimer()
+				}
+				cutMiddle(b, ix, i*7919%ix.Len())
+			}
+		})
 	}
+}
+
+var benchIndex *Index
+
+// BenchmarkIndexClone is one publication of a 100k-slot store.
+func BenchmarkIndexClone(b *testing.B) {
+	list, _ := wideList(100_000)
+	base := NewIndex(list, nil)
+	b.Run("n=100k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			benchIndex = base.Clone(nil)
+		}
+	})
+}
+
+// BenchmarkTrimBefore is one clock advance of the wide grid (Step 150 of a
+// 6000-tick horizon) on a store that was just published.
+func BenchmarkTrimBefore(b *testing.B) {
+	list, _ := wideList(100_000)
+	base := NewIndex(list, nil)
+	b.Run("n=100k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ix := base.Clone(nil)
+			b.StartTimer()
+			ix.TrimBefore(150)
+		}
+	})
+}
+
+// BenchmarkDropNode is one node failure on a store that was just published:
+// the node's ~100 slots are spread over the whole horizon.
+func BenchmarkDropNode(b *testing.B) {
+	list, nodes := wideList(100_000)
+	base := NewIndex(list, nil)
+	b.Run("n=100k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ix := base.Clone(nil)
+			b.StartTimer()
+			ix.DropNode(nodes[i%len(nodes)])
+		}
+	})
 }
 
 func BenchmarkCoalesce(b *testing.B) {

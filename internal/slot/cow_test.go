@@ -1,0 +1,215 @@
+package slot
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+
+	"ecosched/internal/metrics"
+	"ecosched/internal/resource"
+	"ecosched/internal/sim"
+)
+
+// wideList builds an n-slot canonical list shaped like the benchmark's wide
+// grid: 1000 nodes with distinct IDs, each vacant 50 ticks out of every 60.
+func wideList(n int) (*List, []*resource.Node) {
+	nodes := make([]*resource.Node, 1000)
+	for i := range nodes {
+		nodes[i] = &resource.Node{ID: resource.NodeID(i + 1), Performance: 1 + float64(i%3), Price: sim.Money(1 + i%4)}
+	}
+	slots := make([]Slot, n)
+	for k := range slots {
+		i := k % len(nodes)
+		start := sim.Time(k/len(nodes)*60 + i%50)
+		slots[k] = New(nodes[i], start, start+50)
+	}
+	return NewList(slots), nodes
+}
+
+// cutMiddle subtracts one tick from the middle of the slot at rank r; K1
+// keeps the slot's start, so it lands where K was.
+func cutMiddle(tb testing.TB, ix *Index, r int) {
+	tb.Helper()
+	s := ix.At(r)
+	mid := s.Start().Add(s.Length() / 2)
+	if err := ix.SubtractInterval(s, sim.Interval{Start: mid, End: mid + 1}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestIndexMutationCostIsBucketBound is the complexity claim as a
+// deterministic count: at 5 000 and at 100 000 slots alike, one window
+// subtraction moves at most 6×DefaultBucketSize slots, a Clone moves none,
+// and the first write after a Clone copies exactly one bucket on each side.
+func TestIndexMutationCostIsBucketBound(t *testing.T) {
+	const bound = 6 * DefaultBucketSize
+	for _, n := range []int{5_000, 100_000} {
+		list, _ := wideList(n)
+		m := NewIndexMetrics(metrics.New(), "origin/")
+		ix := NewIndex(list, m)
+		delta := func(m *IndexMetrics, op func()) (moved, copies int64) {
+			moved, copies = m.SlotsMoved.Value(), m.BucketCopies.Value()
+			op()
+			return m.SlotsMoved.Value() - moved, m.BucketCopies.Value() - copies
+		}
+
+		// Owned buckets: the cut shifts slots inside the buckets it lands in.
+		moved, copies := delta(m, func() { cutMiddle(t, ix, n/2) })
+		if moved == 0 || moved > bound || copies != 0 {
+			t.Errorf("n=%d: a subtraction moved %d slots and copied %d buckets, want (0, %d] and 0", n, moved, copies, bound)
+		}
+
+		cm := NewIndexMetrics(metrics.New(), "clone/")
+		var c *Index
+		moved, copies = delta(m, func() { c = ix.Clone(cm) })
+		if moved != 0 || copies != 0 || cm.SlotsMoved.Value() != 0 || cm.BucketCopies.Value() != 0 {
+			t.Errorf("n=%d: Clone moved slots (origin %d, clone %d) or copied buckets (origin %d, clone %d)",
+				n, moved, cm.SlotsMoved.Value(), copies, cm.BucketCopies.Value())
+		}
+
+		// The first write on either side copies the bucket it lands in, and
+		// only that one; the second write to the same bucket copies nothing.
+		// The cut leaves K2 empty and K1 in K's place, mid-bucket.
+		r := n/3/DefaultBucketSize*DefaultBucketSize + DefaultBucketSize/2
+		for _, side := range []struct {
+			name string
+			ix   *Index
+			m    *IndexMetrics
+		}{{"origin", ix, m}, {"clone", c, cm}} {
+			first := func() {
+				s := side.ix.At(r)
+				if err := side.ix.SubtractInterval(s, sim.Interval{Start: s.Start() + 1, End: s.End()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			moved, copies = delta(side.m, first)
+			if copies != 1 || moved > bound {
+				t.Errorf("n=%d %s: first write after Clone copied %d buckets and moved %d slots, want 1 and <= %d", n, side.name, copies, moved, bound)
+			}
+			moved, copies = delta(side.m, func() { side.ix.RemoveAt(r) })
+			if copies != 0 || moved > DefaultBucketSize*2 {
+				t.Errorf("n=%d %s: second write to an owned bucket copied %d buckets and moved %d slots", n, side.name, copies, moved)
+			}
+			if err := side.ix.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d %s: %v", n, side.name, err)
+			}
+		}
+		// One cut added a slot before the clone was taken, one removal took
+		// one back on each side.
+		if ix.Len() != n || c.Len() != n {
+			t.Errorf("n=%d: origin holds %d slots and clone %d, want %d each", n, ix.Len(), c.Len(), n)
+		}
+	}
+}
+
+// TestIndexClonesScanWhileOriginMutates runs the publication pattern on real
+// goroutines: each round clones the origin for several readers, which scan
+// their clones in resumed chunks (half of them also cutting windows out of
+// their own clone, as a search does) while the origin keeps being mutated
+// through its whole surface. Under -race this proves no write ever reaches a
+// shared bucket; the model comparison proves every clone still reads exactly
+// the state it was cloned in.
+func TestIndexClonesScanWhileOriginMutates(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const readers = 4
+	rng := sim.NewRNG(21)
+	nodes := propNodes(6)
+	origin := &cowMember{ix: NewIndexSize(NewList(nil), 8, nil)}
+	for origin.ix.Len() < 600 {
+		s := randomSlot(rng, nodes)
+		origin.ix.Insert(s)
+		origin.model = origin.model.insert(s)
+	}
+	filters := []Filter{{}, {MinPerf: 3}, {MinPerf: 2, PriceCap: true, MaxPrice: 3}}
+
+	for round := 0; round < 12; round++ {
+		var wg sync.WaitGroup
+		clones := make([]*cowMember, readers)
+		for g := range clones {
+			clones[g] = &cowMember{ix: origin.ix.Clone(nil), model: origin.model.clone(), born: round}
+			wg.Add(1)
+			go func(g int, c *cowMember) {
+				defer wg.Done()
+				for pass := 0; pass < 4; pass++ {
+					for _, f := range filters {
+						var got []int
+						for from := 0; from < c.ix.Len(); from += 37 {
+							c.ix.ScanFrom(f, from, from+37, nil, func(rank int, s Slot) bool {
+								if rank >= len(c.model) || c.model[rank] != s {
+									t.Errorf("round %d reader %d: rank %d yields %v, not its model's slot", round, g, rank, s)
+									return false
+								}
+								got = append(got, rank)
+								return true
+							})
+						}
+						if want := modelScan(c.model, f, len(c.model)); !ranksEqual(got, want) {
+							t.Errorf("round %d reader %d: chunked scan %+v yields %d ranks, model %d", round, g, f, len(got), len(want))
+						}
+					}
+					if g%2 == 1 && c.ix.Len() > 0 {
+						s := c.ix.At((pass*131 + g) % c.ix.Len())
+						used := sim.Interval{Start: s.Start(), End: s.Start() + 1}
+						if err := c.ix.SubtractInterval(s, used); err != nil {
+							t.Errorf("round %d reader %d: %v", round, g, err)
+							return
+						}
+						c.model = c.model.subtract(s, used)
+					}
+				}
+			}(g, clones[g])
+		}
+		for i := 0; i < 60; i++ {
+			mutateMember(t, "origin", rng, nodes, origin)
+		}
+		wg.Wait()
+		for g, c := range append(clones, origin) {
+			if err := c.ix.CheckInvariants(); err != nil {
+				t.Fatalf("round %d member %d: %v", round, g, err)
+			}
+			if !c.model.matches(c.ix) {
+				t.Fatalf("round %d member %d no longer equals its model", round, g)
+			}
+		}
+	}
+}
+
+// TestOrderInvariantIsTheFullOrder is the regression for an invariant that
+// was checked more weakly than it was relied on: a list whose start times are
+// non-decreasing but whose ties are ordered wrongly used to pass Validate,
+// while every lookup bisects on the full (start, node, end) order and misses.
+func TestOrderInvariantIsTheFullOrder(t *testing.T) {
+	ns := buildNodes(3)
+	a, b, c := New(ns[0], 10, 50), New(ns[1], 10, 50), New(ns[2], 10, 50)
+
+	l := NewList([]Slot{a, b, c})
+	l.slots[0], l.slots[2] = c, a
+	for i := 1; i < l.Len(); i++ {
+		if l.At(i-1).Start() > l.At(i).Start() {
+			t.Fatal("fixture breaks the start order too; it must only misorder ties")
+		}
+	}
+	if l.indexOf(c) >= 0 {
+		t.Fatal("fixture too weak: the lookup still finds the misplaced slot")
+	}
+	if err := l.Validate(); err == nil {
+		t.Error("Validate accepts a list whose ties are ordered wrongly")
+	}
+
+	// In an index the same defect may sit on a bucket boundary: [a c | b].
+	ix := NewIndexSize(NewList([]Slot{a, b, c}), 2, nil)
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	ix.buckets[0].slots[1], ix.buckets[1].slots[0] = c, b
+	if err := ix.CheckInvariants(); err == nil {
+		t.Error("CheckInvariants accepts a misordered tie across a bucket boundary")
+	}
+	ix.buckets[0].slots[1], ix.buckets[1].slots[0] = b, c
+	ix.n++
+	if err := ix.CheckInvariants(); err == nil {
+		t.Error("CheckInvariants accepts bucket lengths that do not sum to Len()")
+	}
+}

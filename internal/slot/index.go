@@ -3,6 +3,7 @@ package slot
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ecosched/internal/resource"
@@ -11,16 +12,28 @@ import (
 
 // DefaultBucketSize is the target bucket width of an Index. Buckets split at
 // twice the target and disappear when emptied, so the live sizes stay within
-// (0, 2×target) and a mutation touches one bucket's bookkeeping only.
+// (0, 2×target) and a mutation moves one bucket's slots only.
 const DefaultBucketSize = 256
 
-// bucket summarizes one run of consecutive list ranks. Buckets tile the list:
-// bucket b covers the count ranks following the ranks of buckets 0..b-1, so a
-// scan derives absolute ranks by accumulating counts front to back.
+// cowHeadroom is the spare capacity of a copied bucket: a subtraction grows a
+// bucket by at most one slot, so the copy takes a few before append regrows it.
+const cowHeadroom = 8
+
+// owner is an index's write token. It has a size so that distinct tokens have
+// distinct addresses.
+type owner struct{ _ byte }
+
+// bucket is the unit of storage: one run of consecutive slots in canonical
+// order, with the bounds and the performance permutation that let a scan
+// skip or thin it. Bucket b holds the ranks following those of buckets
+// 0..b-1, so ranks derive from the bucket lengths, front to back, and nothing
+// is re-based when a bucket grows or shrinks.
 type bucket struct {
-	// count is the number of consecutive ranks this bucket covers.
-	count int
-	// maxPerf, minPrice, and maxEnd bound the covered slots, letting a scan
+	// owner is the token of the one index allowed to write this bucket in
+	// place; any other index reaching it copies it first (writable).
+	owner *owner
+	slots []Slot
+	// maxPerf, minPrice, and maxEnd bound the held slots, letting a scan
 	// prune the whole bucket against a performance floor, a price cap, or an
 	// alive-at-time probe without touching the slots.
 	maxPerf  float64
@@ -33,32 +46,34 @@ type bucket struct {
 	byPerf []int32
 }
 
-// Index is a bucketed skip structure over a List that answers the scan
-// queries of the co-allocation algorithms — "slots in start order with
-// performance at least P (and price at most C), before rank r" — without
-// visiting every slot, while preserving the list's exact left-to-right
-// earliest-start order. An Index owns its list's mutations: callers that
-// subtract windows through the index keep the buckets consistent
-// incrementally instead of rebuilding per pass.
+// Index is the vacant-slot store: the canonical slot order (Less: start,
+// node, end) held as a sequence of buckets. It answers the scan queries of
+// the co-allocation algorithms — "slots in start order with performance at
+// least P (and price at most C), before rank r" — without visiting every
+// slot, and takes the paper's cut (Fig. 1b: remove K, add K1/K2) by moving
+// the slots of one bucket, whatever the size of the store.
 //
 // The scan-order contract is the load-bearing property: Scan yields exactly
-// the slots a front-to-back filter of the raw list would yield, in the same
-// rank order, so the indexed ALP/AMP searches in internal/alloc reproduce
+// the slots a front-to-back filter of the canonical list would yield, with
+// the same ranks, so the indexed ALP/AMP searches in internal/alloc reproduce
 // the linear oracle bit for bit (see the scan-equivalence suite there).
 //
-// An Index is safe for concurrent readers as long as no goroutine mutates
-// it; the sharded search gives each producer goroutine an index of its own.
+// An Index serves one goroutine at a time: scans reuse a scratch buffer held
+// on the index. Clones (copy-on-write per bucket, see Clone) are independent:
+// any number of goroutines may scan and mutate their own clones while the
+// origin is mutated, as long as Clone is called from the origin's goroutine.
 type Index struct {
-	list    *List
 	target  int
-	buckets []bucket
+	buckets []*bucket
+	n       int
+	own     *owner
 	m       *IndexMetrics
+	// scratch serves the selective scan path.
+	scratch []int32
 }
 
-// NewIndex builds an index over l with the default bucket size. The index
-// assumes sole ownership of l's future mutations: mutate through the index's
-// Insert/RemoveAt/Subtract mirrors, never through l directly, or the buckets
-// go stale. m may be nil to disable instrumentation.
+// NewIndex builds an index holding a copy of l's slots, with the default
+// bucket size; l is not retained. m may be nil to disable instrumentation.
 func NewIndex(l *List, m *IndexMetrics) *Index {
 	return NewIndexSize(l, DefaultBucketSize, m)
 }
@@ -69,222 +84,291 @@ func NewIndexSize(l *List, target int, m *IndexMetrics) *Index {
 	if target < 1 {
 		target = 1
 	}
-	ix := &Index{list: l, target: target, m: m}
-	ix.Rebuild()
+	ix := &Index{target: target, own: new(owner), m: m, n: l.Len()}
+	ix.buckets = ix.tile(nil, l.slots)
+	ix.m.rebuilt(ix.buckets)
 	return ix
 }
 
-// List returns the indexed list. Callers must treat it as read-only; mutate
-// through the index instead.
-func (ix *Index) List() *List { return ix.list }
-
-// Len returns the number of indexed slots.
-func (ix *Index) Len() int { return ix.list.Len() }
-
-// At returns the slot at rank i.
-func (ix *Index) At(i int) Slot { return ix.list.At(i) }
-
-// Rebuild discards every bucket and re-tiles the list into target-size
-// buckets — O(n log target). NewIndex uses it for the initial build; callers
-// only need it after mutating the underlying list behind the index's back.
-func (ix *Index) Rebuild() {
-	n := ix.list.Len()
-	ix.buckets = ix.buckets[:0]
-	for base := 0; base < n; base += ix.target {
-		count := ix.target
-		if base+count > n {
-			count = n - base
+// tile appends to dst fresh target-size buckets holding copies of slots.
+func (ix *Index) tile(dst []*bucket, slots []Slot) []*bucket {
+	for len(slots) > 0 {
+		n := ix.target
+		if n > len(slots) {
+			n = len(slots)
 		}
-		ix.buckets = append(ix.buckets, bucket{count: count})
-		ix.refresh(&ix.buckets[len(ix.buckets)-1], base)
+		dst = append(dst, ix.newBucket(slots[:n]))
+		slots = slots[n:]
 	}
-	ix.m.rebuilt(ix.buckets)
+	return dst
 }
 
-// refresh recomputes a bucket's aggregates and performance permutation from
-// the list ranks [base, base+count) — O(count log count). Only Rebuild and
-// bucket splits pay for it; single-slot mutations go through the O(count)
-// incremental bucketInsert/bucketRemove instead.
-func (ix *Index) refresh(bk *bucket, base int) {
-	slots := ix.list.slots[base : base+bk.count]
-	ix.aggregates(bk, base)
-	bk.byPerf = bk.byPerf[:0]
-	for off := range slots {
-		bk.byPerf = append(bk.byPerf, int32(off))
+// newBucket returns an owned bucket holding a copy of slots, bounds and
+// permutation computed from scratch — O(n log n).
+func (ix *Index) newBucket(slots []Slot) *bucket {
+	b := &bucket{owner: ix.own, slots: append(make([]Slot, 0, len(slots)+cowHeadroom), slots...)}
+	b.aggregates()
+	b.byPerf = make([]int32, len(slots), len(slots)+cowHeadroom)
+	for off := range b.byPerf {
+		b.byPerf[off] = int32(off)
 	}
-	sort.Slice(bk.byPerf, func(i, j int) bool {
-		pi := slots[bk.byPerf[i]].Performance()
-		pj := slots[bk.byPerf[j]].Performance()
+	sort.Slice(b.byPerf, func(i, j int) bool {
+		pi, pj := b.slots[b.byPerf[i]].Performance(), b.slots[b.byPerf[j]].Performance()
 		if pi != pj {
 			return pi > pj
 		}
-		return bk.byPerf[i] < bk.byPerf[j]
+		return b.byPerf[i] < b.byPerf[j]
 	})
+	ix.m.moved(len(slots))
+	return b
 }
 
-// aggregates recomputes bk's bounds from the list ranks [base, base+count).
-func (ix *Index) aggregates(bk *bucket, base int) {
-	bk.maxPerf = math.Inf(-1)
-	bk.minPrice = sim.Money(math.Inf(1))
-	bk.maxEnd = math.MinInt64
-	for _, s := range ix.list.slots[base : base+bk.count] {
-		if p := s.Performance(); p > bk.maxPerf {
-			bk.maxPerf = p
-		}
-		if s.Price < bk.minPrice {
-			bk.minPrice = s.Price
-		}
-		if s.End() > bk.maxEnd {
-			bk.maxEnd = s.End()
-		}
+// writable returns the bucket at pos, first replacing it with a copy the
+// index owns when it is shared.
+func (ix *Index) writable(pos int) *bucket {
+	b := ix.buckets[pos]
+	if b.owner == ix.own {
+		return b
+	}
+	c := *b
+	c.owner = ix.own
+	c.slots = append(make([]Slot, 0, len(b.slots)+cowHeadroom), b.slots...)
+	c.byPerf = append(make([]int32, 0, len(b.byPerf)+cowHeadroom), b.byPerf...)
+	ix.buckets[pos] = &c
+	ix.m.bucketCopied(len(c.slots))
+	return &c
+}
+
+// aggregates recomputes the bucket's bounds from its slots.
+func (b *bucket) aggregates() {
+	b.maxPerf = math.Inf(-1)
+	b.minPrice = sim.Money(math.Inf(1))
+	b.maxEnd = math.MinInt64
+	for _, s := range b.slots {
+		b.widen(s)
 	}
 }
 
-// bucketInsert folds the slot at local offset off into bk's permutation and
-// aggregates after the backing list grew by one at that rank. Existing
-// offsets at or past off shift up; the new entry lands at its
-// (performance desc, offset asc) position — the same place a full re-sort
-// would put it — so the permutation stays byte-identical to refresh's
-// without paying the sort.
-func (ix *Index) bucketInsert(bk *bucket, base int, off int32) {
-	s := ix.list.slots[base+int(off)]
+// widen extends the bucket's bounds to cover s.
+func (b *bucket) widen(s Slot) {
+	if p := s.Performance(); p > b.maxPerf {
+		b.maxPerf = p
+	}
+	if s.Price < b.minPrice {
+		b.minPrice = s.Price
+	}
+	if s.End() > b.maxEnd {
+		b.maxEnd = s.End()
+	}
+}
+
+// insert places s at offset off. Existing permutation entries at or past off
+// shift up and the new entry lands at its (performance desc, offset asc)
+// position — the same place a full re-sort would put it.
+func (b *bucket) insert(off int, s Slot) {
+	b.slots = append(b.slots, Slot{})
+	copy(b.slots[off+1:], b.slots[off:])
+	b.slots[off] = s
 	p := s.Performance()
-	for i, o := range bk.byPerf {
-		if o >= off {
-			bk.byPerf[i] = o + 1
+	o32 := int32(off)
+	ins := -1
+	for i, o := range b.byPerf {
+		if o >= o32 {
+			o++
+			b.byPerf[i] = o
+		}
+		if ins < 0 {
+			if po := b.slots[o].Performance(); po < p || (po == p && o > o32) {
+				ins = i
+			}
 		}
 	}
-	ins := len(bk.byPerf)
-	for i, o := range bk.byPerf {
-		po := ix.list.slots[base+int(o)].Performance()
-		if po < p || (po == p && o > off) {
-			ins = i
-			break
-		}
+	if ins < 0 {
+		ins = len(b.byPerf)
 	}
-	bk.byPerf = append(bk.byPerf, 0)
-	copy(bk.byPerf[ins+1:], bk.byPerf[ins:])
-	bk.byPerf[ins] = off
-	if p > bk.maxPerf {
-		bk.maxPerf = p
-	}
-	if s.Price < bk.minPrice {
-		bk.minPrice = s.Price
-	}
-	if s.End() > bk.maxEnd {
-		bk.maxEnd = s.End()
-	}
+	b.byPerf = append(b.byPerf, 0)
+	copy(b.byPerf[ins+1:], b.byPerf[ins:])
+	b.byPerf[ins] = o32
+	b.widen(s)
 }
 
-// bucketRemove drops local offset off from bk's permutation after the slot
-// `removed` left the backing list: later offsets shift down and relative
-// order is untouched, which is exactly the order a re-sort would produce.
-// Aggregates are recomputed only when the removed slot attained one of them.
-func (ix *Index) bucketRemove(bk *bucket, base int, removed Slot, off int32) {
-	dst := bk.byPerf[:0]
-	for _, o := range bk.byPerf {
-		if o == off {
+// remove deletes the slot at offset off: later permutation entries shift
+// down, their relative order — the one a re-sort would produce — untouched.
+// Bounds are recomputed only when the removed slot attained one of them.
+func (b *bucket) remove(off int) {
+	removed := b.slots[off]
+	b.slots = append(b.slots[:off], b.slots[off+1:]...)
+	o32 := int32(off)
+	dst := b.byPerf[:0]
+	for _, o := range b.byPerf {
+		if o == o32 {
 			continue
 		}
-		if o > off {
+		if o > o32 {
 			o--
 		}
 		dst = append(dst, o)
 	}
-	bk.byPerf = dst
-	if removed.Performance() == bk.maxPerf || removed.Price == bk.minPrice ||
-		removed.End() == bk.maxEnd {
-		ix.aggregates(bk, base)
+	b.byPerf = dst
+	if removed.Performance() == b.maxPerf || removed.Price == b.minPrice || removed.End() == b.maxEnd {
+		b.aggregates()
 	}
 }
 
-// locate returns the position and base rank of the bucket covering rank r.
-// Callers guarantee 0 <= r < Len().
-func (ix *Index) locate(r int) (pos, base int) {
-	for i := range ix.buckets {
-		if r < base+ix.buckets[i].count {
-			return i, base
+// last returns the bucket's last slot; buckets are never empty.
+func (b *bucket) last() Slot { return b.slots[len(b.slots)-1] }
+
+// seek returns the position of the first slot satisfying after, a predicate
+// that is false on a prefix of the canonical order and true on the rest:
+// bucket pos, offset off. When no slot satisfies it, pos is len(ix.buckets).
+func (ix *Index) seek(after func(Slot) bool) (pos, off int) {
+	pos = sort.Search(len(ix.buckets), func(i int) bool { return after(ix.buckets[i].last()) })
+	if pos == len(ix.buckets) {
+		return pos, 0
+	}
+	slots := ix.buckets[pos].slots
+	return pos, sort.Search(len(slots), func(i int) bool { return after(slots[i]) })
+}
+
+// rank converts a bucket position and offset into a rank: the slots held by
+// the buckets before pos, plus off.
+func (ix *Index) rank(pos, off int) int {
+	for _, b := range ix.buckets[:pos] {
+		off += len(b.slots)
+	}
+	return off
+}
+
+// locate returns the bucket position and offset of rank r. Callers guarantee
+// 0 <= r < Len().
+func (ix *Index) locate(r int) (pos, off int) {
+	off = r
+	for pos, b := range ix.buckets {
+		if off < len(b.slots) {
+			return pos, off
 		}
-		base += ix.buckets[i].count
+		off -= len(b.slots)
 	}
-	panic(fmt.Sprintf("slot: index rank %d out of range (%d slots)", r, base))
+	panic(fmt.Sprintf("slot: index rank %d out of range (%d slots)", r, ix.n))
 }
 
-// Insert adds a slot through the index, keeping list order and bucket
-// bookkeeping consistent. Empty slots are ignored, as with List.Insert.
+// find locates a slot equal to s (same node, same span).
+func (ix *Index) find(s Slot) (pos, off int, ok bool) {
+	pos, off = ix.seek(func(c Slot) bool { return !less(c, s) })
+	for ; pos < len(ix.buckets); pos, off = pos+1, 0 {
+		for slots := ix.buckets[pos].slots; off < len(slots); off++ {
+			c := slots[off]
+			if c.Start() != s.Start() {
+				return 0, 0, false
+			}
+			if c.Node == s.Node && c.Span == s.Span {
+				return pos, off, true
+			}
+		}
+	}
+	return 0, 0, false
+}
+
+// Len returns the number of slots held.
+func (ix *Index) Len() int { return ix.n }
+
+// At returns the slot at rank i — a walk over the bucket lengths; iterate
+// with Each or Scan instead of calling it in a loop.
+func (ix *Index) At(i int) Slot {
+	pos, off := ix.locate(i)
+	return ix.buckets[pos].slots[off]
+}
+
+// Each visits every slot in rank order until fn returns false.
+func (ix *Index) Each(fn func(rank int, s Slot) bool) {
+	rank := 0
+	for _, b := range ix.buckets {
+		for _, s := range b.slots {
+			if !fn(rank, s) {
+				return
+			}
+			rank++
+		}
+	}
+}
+
+// List copies the held slots out into a fresh canonical List — O(n); no
+// search or store path calls it per operation.
+func (ix *Index) List() *List {
+	l := &List{slots: make([]Slot, 0, ix.n)}
+	for _, b := range ix.buckets {
+		l.slots = append(l.slots, b.slots...)
+	}
+	return l
+}
+
+// Insert adds a slot after every slot that orders before or ties with it.
+// Empty slots are ignored, as with List.Insert.
 func (ix *Index) Insert(s Slot) {
 	if s.Empty() {
 		return
 	}
-	r := ix.list.insertionRank(s)
-	ix.list.insertAt(r, s)
 	ix.m.insert()
+	ix.n++
 	if len(ix.buckets) == 0 {
-		ix.buckets = append(ix.buckets, bucket{count: 1})
-		ix.refresh(&ix.buckets[0], 0)
-		ix.m.resized(ix.buckets)
+		ix.buckets = append(ix.buckets, ix.newBucket([]Slot{s}))
+		ix.m.shape(ix.buckets)
 		return
 	}
-	// A rank equal to the pre-insert length appends past every bucket; fold
-	// it into the last one.
-	total := 0
-	for i := range ix.buckets {
-		total += ix.buckets[i].count
+	pos, off := ix.seek(func(c Slot) bool { return less(s, c) })
+	if pos == len(ix.buckets) {
+		// Past every slot: s extends the last bucket.
+		pos--
+		off = len(ix.buckets[pos].slots)
 	}
-	var pos, base int
-	if r >= total {
-		pos = len(ix.buckets) - 1
-		base = total - ix.buckets[pos].count
-	} else {
-		pos, base = ix.locate(r)
-	}
-	bk := &ix.buckets[pos]
-	bk.count++
-	if bk.count >= 2*ix.target {
-		// Split into two halves; both are refreshed from scratch.
-		left := bk.count / 2
-		right := bk.count - left
-		ix.buckets = append(ix.buckets, bucket{})
+	b := ix.writable(pos)
+	b.insert(off, s)
+	ix.m.moved(len(b.slots) - off)
+	if len(b.slots) >= 2*ix.target {
+		half := len(b.slots) / 2
+		ix.buckets = append(ix.buckets, nil)
 		copy(ix.buckets[pos+2:], ix.buckets[pos+1:])
-		ix.buckets[pos] = bucket{count: left}
-		ix.buckets[pos+1] = bucket{count: right}
-		ix.refresh(&ix.buckets[pos], base)
-		ix.refresh(&ix.buckets[pos+1], base+left)
+		ix.buckets[pos] = ix.newBucket(b.slots[:half])
+		ix.buckets[pos+1] = ix.newBucket(b.slots[half:])
 		ix.m.split()
-		ix.m.resized(ix.buckets)
-		return
+		ix.m.shape(ix.buckets)
 	}
-	ix.bucketInsert(bk, base, int32(r-base))
 }
 
-// RemoveAt deletes the slot at rank i through the index.
+// RemoveAt deletes the slot at rank i.
 func (ix *Index) RemoveAt(i int) {
-	pos, base := ix.locate(i)
-	removed := ix.list.slots[i]
-	ix.list.RemoveAt(i)
-	ix.m.remove()
-	bk := &ix.buckets[pos]
-	bk.count--
-	if bk.count == 0 {
+	ix.removeFrom(ix.locate(i))
+}
+
+// removeFrom deletes the slot at offset off of bucket pos, dropping the
+// bucket when that empties it.
+func (ix *Index) removeFrom(pos, off int) {
+	ix.m.removed(1)
+	ix.n--
+	if len(ix.buckets[pos].slots) == 1 {
 		ix.buckets = append(ix.buckets[:pos], ix.buckets[pos+1:]...)
 		ix.m.drop()
-		ix.m.resized(ix.buckets)
+		ix.m.shape(ix.buckets)
 		return
 	}
-	ix.bucketRemove(bk, base, removed, int32(i-base))
+	b := ix.writable(pos)
+	b.remove(off)
+	ix.m.moved(len(b.slots) - off)
 }
 
-// SubtractInterval mirrors List.SubtractInterval through the index: remove
-// the slot equal to target and insert the up-to-two remainders K1/K2.
+// SubtractInterval removes the usage interval used from the slot equal to
+// target, inserting the up-to-two remainder slots K1 = [K.start, used.start)
+// and K2 = [used.end, K.end) per Fig. 1b. It returns an error when target is
+// not present or used is not contained in target's span.
 func (ix *Index) SubtractInterval(target Slot, used sim.Interval) error {
-	i := ix.list.indexOf(target)
-	if i < 0 {
+	pos, off, ok := ix.find(target)
+	if !ok {
 		return fmt.Errorf("slot: subtract: slot %v not found in list", target)
 	}
 	if !target.Span.ContainsInterval(used) {
 		return fmt.Errorf("slot: subtract: interval %v not contained in slot %v", used, target)
 	}
-	ix.RemoveAt(i)
+	ix.removeFrom(pos, off)
 	left := target
 	left.Span = sim.Interval{Start: target.Start(), End: used.Start}
 	right := target
@@ -294,21 +378,19 @@ func (ix *Index) SubtractInterval(target Slot, used sim.Interval) error {
 	return nil
 }
 
-// SubtractWindow mirrors List.SubtractWindow through the index.
-func (ix *Index) SubtractWindow(w *Window) error {
-	for _, p := range w.Placements {
-		if err := ix.SubtractInterval(p.Source, p.Used); err != nil {
-			return fmt.Errorf("slot: subtract window %q: %w", w.JobName, err)
-		}
-	}
-	return nil
-}
-
 // RankAtOrAfter returns the first rank whose slot starts at or after t —
 // Len() when every slot starts earlier. With starts non-decreasing this is
 // the exact point a deadline-bounded linear scan stops at.
 func (ix *Index) RankAtOrAfter(t sim.Time) int {
-	return sort.Search(ix.list.Len(), func(i int) bool { return ix.list.slots[i].Start() >= t })
+	return ix.rank(ix.seek(func(c Slot) bool { return c.Start() >= t }))
+}
+
+// CountLess returns how many held slots order strictly before s. For a slot
+// present in the index this is its rank; summed over a node-disjoint
+// partition of one list it is the slot's rank in the original (slots on
+// distinct nodes never compare equal, so the parts are mutually tie-free).
+func (ix *Index) CountLess(s Slot) int {
+	return ix.rank(ix.seek(func(c Slot) bool { return !less(c, s) }))
 }
 
 // Filter is the per-slot prefilter a Scan applies: a performance floor and,
@@ -339,14 +421,6 @@ type ScanStats struct {
 	SlotsYielded int
 }
 
-// add accumulates other into s.
-func (s *ScanStats) add(other ScanStats) {
-	s.BucketsVisited += other.BucketsVisited
-	s.BucketsPruned += other.BucketsPruned
-	s.SlotsSkipped += other.SlotsSkipped
-	s.SlotsYielded += other.SlotsYielded
-}
-
 // selectiveFactor gates the per-bucket permutation path: when the slots
 // passing the performance floor are at most 1/selectiveFactor of the bucket,
 // Scan sorts that small prefix of byPerf back into rank order instead of
@@ -356,7 +430,7 @@ const selectiveFactor = 4
 // Scan visits, in ascending rank order, every slot of rank < limit that
 // passes f, calling fn(rank, slot) until fn returns false or the ranks run
 // out. The yielded sequence is exactly what filtering a front-to-back walk
-// of the raw list would yield — buckets only change how many slots are
+// of the canonical list would yield — buckets only change how many slots are
 // touched along the way, never the order or the membership. probe, when
 // non-nil, accumulates the traversal work.
 func (ix *Index) Scan(f Filter, limit int, probe *ScanStats, fn func(rank int, s Slot) bool) {
@@ -372,8 +446,8 @@ func (ix *Index) Scan(f Filter, limit int, probe *ScanStats, fn func(rank int, s
 // slots at most once overall. The sharded search's per-shard candidate
 // cursors are that caller.
 func (ix *Index) ScanFrom(f Filter, from, limit int, probe *ScanStats, fn func(rank int, s Slot) bool) {
-	if limit > ix.list.Len() {
-		limit = ix.list.Len()
+	if limit > ix.n {
+		limit = ix.n
 	}
 	if from < 0 {
 		from = 0
@@ -381,23 +455,22 @@ func (ix *Index) ScanFrom(f Filter, from, limit int, probe *ScanStats, fn func(r
 	if from >= limit {
 		return
 	}
-	var st ScanStats
-	if probe != nil {
-		defer func() { probe.add(st) }()
+	st := probe
+	if st == nil {
+		st = new(ScanStats)
 	}
-	var scratch []int32
 	base := 0
-	for bi := range ix.buckets {
+	for _, bk := range ix.buckets {
 		if base >= limit {
 			break
 		}
-		bk := &ix.buckets[bi]
-		if base+bk.count <= from {
+		count := len(bk.slots)
+		if base+count <= from {
 			// Wholly before the resume rank: a prior chunk already covered it.
-			base += bk.count
+			base += count
 			continue
 		}
-		span := bk.count
+		span := count
 		if base+span > limit {
 			span = limit - base
 		}
@@ -409,58 +482,52 @@ func (ix *Index) ScanFrom(f Filter, from, limit int, probe *ScanStats, fn func(r
 		if bk.maxPerf < f.MinPerf || (f.PriceCap && bk.minPrice > f.MaxPrice) {
 			st.BucketsPruned++
 			st.SlotsSkipped += span - lo
-			base += bk.count
+			base += count
 			continue
 		}
-		// k = how many bucket members clear the performance floor; byPerf
-		// is performance-descending, so they form its prefix.
-		k := sort.Search(len(bk.byPerf), func(i int) bool {
-			return ix.list.slots[base+int(bk.byPerf[i])].Performance() < f.MinPerf
+		// k = how many bucket members clear the performance floor (at least
+		// one: maxPerf is exact); byPerf is performance-descending, so they
+		// form its prefix.
+		k := sort.Search(count, func(i int) bool {
+			return bk.slots[bk.byPerf[i]].Performance() < f.MinPerf
 		})
-		if k == 0 {
-			st.BucketsPruned++
-			st.SlotsSkipped += span - lo
-			base += bk.count
-			continue
-		}
 		st.BucketsVisited++
-		if k*selectiveFactor <= bk.count {
+		if k*selectiveFactor <= count {
 			// Selective: re-sort the small passing prefix into rank order.
-			scratch = scratch[:0]
+			passing := ix.scratch[:0]
 			for _, off := range bk.byPerf[:k] {
 				if int(off) >= lo && int(off) < span {
-					scratch = append(scratch, off)
+					passing = append(passing, off)
 				}
 			}
-			sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-			st.SlotsSkipped += span - lo - len(scratch)
-			for _, off := range scratch {
-				rank := base + int(off)
-				s := ix.list.slots[rank]
+			ix.scratch = passing
+			slices.Sort(passing)
+			st.SlotsSkipped += span - lo - len(passing)
+			for _, off := range passing {
+				s := bk.slots[off]
 				if f.PriceCap && s.Price > f.MaxPrice {
 					st.SlotsSkipped++
 					continue
 				}
 				st.SlotsYielded++
-				if !fn(rank, s) {
+				if !fn(base+int(off), s) {
 					return
 				}
 			}
 		} else {
 			for off := lo; off < span; off++ {
-				rank := base + off
-				s := ix.list.slots[rank]
+				s := bk.slots[off]
 				if s.Performance() < f.MinPerf || (f.PriceCap && s.Price > f.MaxPrice) {
 					st.SlotsSkipped++
 					continue
 				}
 				st.SlotsYielded++
-				if !fn(rank, s) {
+				if !fn(base+off, s) {
 					return
 				}
 			}
 		}
-		base += bk.count
+		base += count
 	}
 }
 
@@ -471,90 +538,67 @@ func (ix *Index) ScanFrom(f Filter, from, limit int, probe *ScanStats, fn func(r
 func (ix *Index) AliveAt(t sim.Time, minPerf float64, fn func(rank int, s Slot) bool) {
 	limit := ix.RankAtOrAfter(t + 1) // ranks at or beyond start strictly after t
 	base := 0
-	for bi := range ix.buckets {
+	for _, bk := range ix.buckets {
 		if base >= limit {
 			return
 		}
-		bk := &ix.buckets[bi]
-		span := bk.count
+		span := len(bk.slots)
 		if base+span > limit {
 			span = limit - base
 		}
-		if bk.maxEnd <= t || bk.maxPerf < minPerf {
-			base += bk.count
-			continue
-		}
-		for off := 0; off < span; off++ {
-			s := ix.list.slots[base+off]
-			if s.End() <= t || s.Performance() < minPerf {
-				continue
-			}
-			if !fn(base+off, s) {
-				return
-			}
-		}
-		base += bk.count
-	}
-}
-
-// CheckInvariants verifies the full bucket contract: buckets tile the list,
-// every bucket is non-empty and below the split threshold, aggregates bound
-// their slots exactly, and each performance permutation is a correctly
-// ordered permutation of the bucket. The fuzz and model suites call it after
-// every mutation.
-func (ix *Index) CheckInvariants() error {
-	base := 0
-	for bi := range ix.buckets {
-		bk := &ix.buckets[bi]
-		if bk.count <= 0 {
-			return fmt.Errorf("slot: index bucket %d has count %d", bi, bk.count)
-		}
-		if bk.count >= 2*ix.target {
-			return fmt.Errorf("slot: index bucket %d holds %d slots, split threshold is %d", bi, bk.count, 2*ix.target)
-		}
-		if base+bk.count > ix.list.Len() {
-			return fmt.Errorf("slot: index bucket %d overruns the list (%d+%d > %d)", bi, base, bk.count, ix.list.Len())
-		}
-		if len(bk.byPerf) != bk.count {
-			return fmt.Errorf("slot: index bucket %d permutation has %d entries for %d slots", bi, len(bk.byPerf), bk.count)
-		}
-		maxPerf := math.Inf(-1)
-		minPrice := sim.Money(math.Inf(1))
-		maxEnd := sim.Time(math.MinInt64)
-		seen := make([]bool, bk.count)
-		for i, off := range bk.byPerf {
-			if off < 0 || int(off) >= bk.count || seen[off] {
-				return fmt.Errorf("slot: index bucket %d permutation entry %d invalid or duplicated (%d)", bi, i, off)
-			}
-			seen[off] = true
-			if i > 0 {
-				prev, cur := ix.list.slots[base+int(bk.byPerf[i-1])], ix.list.slots[base+int(off)]
-				if prev.Performance() < cur.Performance() ||
-					(prev.Performance() == cur.Performance() && bk.byPerf[i-1] > off) {
-					return fmt.Errorf("slot: index bucket %d permutation out of order at %d", bi, i)
+		if bk.maxEnd > t && bk.maxPerf >= minPerf {
+			for off, s := range bk.slots[:span] {
+				if s.End() <= t || s.Performance() < minPerf {
+					continue
+				}
+				if !fn(base+off, s) {
+					return
 				}
 			}
 		}
-		for off := 0; off < bk.count; off++ {
-			s := ix.list.slots[base+off]
-			if p := s.Performance(); p > maxPerf {
-				maxPerf = p
-			}
-			if s.Price < minPrice {
-				minPrice = s.Price
-			}
-			if s.End() > maxEnd {
-				maxEnd = s.End()
-			}
-		}
-		if maxPerf != bk.maxPerf || minPrice != bk.minPrice || maxEnd != bk.maxEnd {
-			return fmt.Errorf("slot: index bucket %d aggregates stale: have (perf %v, price %v, end %v), want (%v, %v, %v)",
-				bi, bk.maxPerf, bk.minPrice, bk.maxEnd, maxPerf, minPrice, maxEnd)
-		}
-		base += bk.count
+		base += len(bk.slots)
 	}
-	if base != ix.list.Len() {
-		return fmt.Errorf("slot: index buckets cover %d ranks, list has %d", base, ix.list.Len())
+}
+
+// CheckInvariants verifies the full contract: every bucket is non-empty and
+// below the split threshold, the bucket lengths sum to Len(), no slot orders
+// before its predecessor under the full canonical order — within a bucket
+// and across bucket boundaries, which is what every binary search here relies
+// on — bounds cover their slots exactly, and each performance permutation is
+// a correctly ordered permutation of its bucket. The fuzz and model suites
+// call it after every mutation.
+func (ix *Index) CheckInvariants() error {
+	total := 0
+	var prev Slot
+	var fresh Index // uninstrumented, owns nothing
+	for bi, bk := range ix.buckets {
+		count := len(bk.slots)
+		if count == 0 {
+			return fmt.Errorf("slot: index bucket %d is empty", bi)
+		}
+		if count >= 2*ix.target {
+			return fmt.Errorf("slot: index bucket %d holds %d slots, split threshold is %d", bi, count, 2*ix.target)
+		}
+		// (performance desc, offset asc) is a total order, so a bucket has
+		// exactly one valid permutation: the one a fresh build computes.
+		want := fresh.newBucket(bk.slots)
+		if !slices.Equal(want.byPerf, bk.byPerf) {
+			return fmt.Errorf("slot: index bucket %d permutation stale: have %v, want %v", bi, bk.byPerf, want.byPerf)
+		}
+		if want.maxPerf != bk.maxPerf || want.minPrice != bk.minPrice || want.maxEnd != bk.maxEnd {
+			return fmt.Errorf("slot: index bucket %d aggregates stale: have (perf %v, price %v, end %v), want (%v, %v, %v)",
+				bi, bk.maxPerf, bk.minPrice, bk.maxEnd, want.maxPerf, want.minPrice, want.maxEnd)
+		}
+		for off, s := range bk.slots {
+			if total+off > 0 && less(s, prev) {
+				return fmt.Errorf("slot: index bucket %d offset %d: canonical order violated (%v after %v)", bi, off, s, prev)
+			}
+			prev = s
+		}
+		total += count
+	}
+	if total != ix.n {
+		return fmt.Errorf("slot: index buckets hold %d slots, Len() says %d", total, ix.n)
 	}
 	return nil
 }
@@ -568,23 +612,22 @@ func (ix *Index) Buckets() int { return len(ix.buckets) }
 // at its own prefix without rebuilding anything.
 func (ix *Index) SetMetrics(m *IndexMetrics) { ix.m = m }
 
-// Clone returns an independent copy of the index without re-sorting or
-// re-tiling: the backing list is shared copy-on-write (Snapshot), and the
-// bucket bookkeeping — counts, aggregates, performance permutations — is
-// copied as-is, so the clone answers the exact same scans as the original.
-// Either side may mutate afterwards without affecting the other. m is the
-// clone's metrics sink (nil disables instrumentation); cloning itself records
-// nothing, in particular no rebuild.
+// Clone returns an independent index over the same slots without moving one:
+// it copies the bucket pointers, and both sides take a fresh write token, so
+// every bucket held at this moment is shared and read-only to both from now
+// on. Whichever side first writes to one copies it (that bucket, never the
+// store), so either may mutate afterwards without affecting the other. m is
+// the clone's metrics sink (nil disables instrumentation); cloning itself
+// records nothing, in particular no rebuild.
 func (ix *Index) Clone(m *IndexMetrics) *Index {
-	c := &Index{list: ix.list.Snapshot(), target: ix.target, m: m}
-	c.buckets = make([]bucket, len(ix.buckets))
-	copy(c.buckets, ix.buckets)
-	for i := range c.buckets {
-		bp := make([]int32, len(ix.buckets[i].byPerf))
-		copy(bp, ix.buckets[i].byPerf)
-		c.buckets[i].byPerf = bp
+	ix.own = new(owner)
+	return &Index{
+		target:  ix.target,
+		buckets: append(make([]*bucket, 0, len(ix.buckets)+1), ix.buckets...),
+		n:       ix.n,
+		own:     new(owner),
+		m:       m,
 	}
-	return c
 }
 
 // RemoveExact deletes the slot equal to s (same node, same span), reporting
@@ -592,24 +635,28 @@ func (ix *Index) Clone(m *IndexMetrics) *Index {
 // callers that know a slot's exact identity (the grid's live store derives it
 // from the booking neighbors) remove it in O(log n) instead of scanning.
 func (ix *Index) RemoveExact(s Slot) bool {
-	i := ix.list.indexOf(s)
-	if i < 0 {
-		return false
+	pos, off, ok := ix.find(s)
+	if ok {
+		ix.removeFrom(pos, off)
 	}
-	ix.RemoveAt(i)
-	return true
+	return ok
 }
 
 // DropNode removes every slot on the node, returning how many were dropped.
 // Node failure is the one event that invalidates slots by identity rather
-// than by span, so this walks the whole list once — failures are rare enough
-// that the O(n) sweep beats carrying a per-node structure everywhere else.
+// than by span, so this reads every bucket once — failures are rare enough
+// that the sweep beats carrying a per-node structure everywhere else — and
+// writes only the buckets that hold one of the node's slots.
 func (ix *Index) DropNode(node *resource.Node) int {
 	removed := 0
-	for i := ix.list.Len() - 1; i >= 0; i-- {
-		if ix.list.slots[i].Node == node {
-			ix.RemoveAt(i)
-			removed++
+	for pos := len(ix.buckets) - 1; pos >= 0; pos-- {
+		// A removal may replace the bucket by its copy, or drop it with its
+		// last slot — which ends this walk of it, off being 0.
+		for off := len(ix.buckets[pos].slots) - 1; off >= 0; off-- {
+			if ix.buckets[pos].slots[off].Node == node {
+				ix.removeFrom(pos, off)
+				removed++
+			}
 		}
 	}
 	return removed
@@ -620,74 +667,53 @@ func (ix *Index) DropNode(node *resource.Node) int {
 // starting at or after t are untouched. It returns the dropped and trimmed
 // counts.
 //
-// This is the clock-advance operation of the grid's live store, so it is
-// deliberately a bulk rewrite rather than per-slot RemoveAt/Insert calls: the
-// affected prefix (everything starting before t, plus the existing start==t
-// run the re-anchored slots merge into) is rebuilt once and re-tiled into
-// target-size buckets, one O(n) array move total instead of one per slot.
-// The resulting order is canonical by construction — every surviving prefix
-// slot starts exactly at t, so (node, end) ordering within the merged front
-// block reproduces what a full NewList sort would produce.
+// This is the clock-advance operation of the grid's live store, so it is a
+// bulk rewrite rather than per-slot removals and inserts: the buckets holding
+// the affected prefix (everything starting before t, plus the existing
+// start==t run the re-anchored slots merge into) are replaced by a fresh
+// target-size tiling of the survivors, and every bucket past them is kept as
+// it is. The resulting order is canonical by construction — every surviving
+// prefix slot starts exactly at t, so (node, end) ordering within the merged
+// front block reproduces what a full NewList sort would produce.
 func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
-	p := ix.RankAtOrAfter(t)
-	if p == 0 {
+	if ix.n == 0 || ix.buckets[0].slots[0].Start() >= t {
 		return 0, 0
 	}
-	r2 := ix.RankAtOrAfter(t + 1) // end of the existing start==t run
-	front := make([]Slot, 0, r2-p+8)
-	for _, s := range ix.list.slots[:p] {
-		if s.End() > t {
-			s.Span.Start = t
+	// [0, endPos:endOff) is the affected prefix: starts at or before t.
+	endPos, endOff := ix.seek(func(c Slot) bool { return c.Start() > t })
+	var front []Slot
+	for pos, b := range ix.buckets[:min(endPos+1, len(ix.buckets))] {
+		slots := b.slots
+		if pos == endPos {
+			slots = slots[:endOff]
+		}
+		for _, s := range slots {
+			switch {
+			case s.Start() >= t:
+			case s.End() > t:
+				s.Span.Start = t
+				trimmed++
+			default:
+				dropped++
+				continue
+			}
 			front = append(front, s)
-			trimmed++
-		} else {
-			dropped++
 		}
 	}
-	front = append(front, ix.list.slots[p:r2]...)
-	// All front slots start at t; a strict (node, end) order is total because
-	// a well-formed vacant list never holds two same-node slots alive at t.
-	sort.Slice(front, func(i, j int) bool { return less(front[i], front[j]) })
-	merged := make([]Slot, 0, len(front)+ix.list.Len()-r2)
-	merged = append(merged, front...)
-	merged = append(merged, ix.list.slots[r2:]...)
-	// The fresh backing array is sole-owned by construction; outstanding
-	// snapshots keep reading the old one.
-	ix.list.slots = merged
-	ix.list.shared = false
-	ix.retilePrefix(r2, len(front))
+	// All front slots start at t; their (node, end) order is total because a
+	// well-formed vacant list never holds two same-node slots alive at t.
+	sort.SliceStable(front, func(i, j int) bool { return less(front[i], front[j]) })
+	// A bucket straddling the end of the prefix is consumed whole, its
+	// surviving tail re-tiled with the front.
+	if endPos < len(ix.buckets) && endOff > 0 {
+		front = append(front, ix.buckets[endPos].slots[endOff:]...)
+		endPos++
+	}
+	rest := ix.buckets[endPos:]
+	fresh := make([]*bucket, 0, len(front)/ix.target+1+len(rest))
+	ix.buckets = append(ix.tile(fresh, front), rest...)
+	ix.n -= dropped
 	ix.m.removed(dropped)
+	ix.m.shape(ix.buckets)
 	return dropped, trimmed
-}
-
-// retilePrefix replaces the leading buckets that covered the first oldCovered
-// ranks with a fresh target-size tiling of the first newCovered ranks, after
-// the caller rewrote that region of the backing list. A bucket straddling the
-// oldCovered boundary is consumed whole and its surviving tail re-tiled with
-// the new front. Buckets past the region keep their bookkeeping untouched.
-func (ix *Index) retilePrefix(oldCovered, newCovered int) {
-	nb, covered := 0, 0
-	for nb < len(ix.buckets) && covered < oldCovered {
-		covered += ix.buckets[nb].count
-		nb++
-	}
-	newCovered += covered - oldCovered
-	tail := ix.buckets[nb:]
-	fresh := make([]bucket, 0, newCovered/ix.target+1+len(tail))
-	for base := 0; base < newCovered; base += ix.target {
-		count := ix.target
-		if base+count > newCovered {
-			count = newCovered - base
-		}
-		fresh = append(fresh, bucket{count: count})
-	}
-	nfresh := len(fresh)
-	fresh = append(fresh, tail...)
-	ix.buckets = fresh
-	base := 0
-	for i := 0; i < nfresh; i++ {
-		ix.refresh(&ix.buckets[i], base)
-		base += ix.buckets[i].count
-	}
-	ix.m.resized(ix.buckets)
 }

@@ -9,23 +9,35 @@ import (
 // FuzzSlotIndex drives raw fuzz bytes as an operation stream — insert,
 // remove, subtract, trim, node drop, exact removal, clone, query — against an
 // Index and the naive slice model, asserting after every mutation that the
-// indexed list matches the model element for element, the bucket invariants
-// hold (tiling, sortedness, aggregate freshness, permutation membership — so
-// no stale entries survive a subtraction), and Scan agrees with a filtered
-// walk of the model. The trim/drop/exact/clone ops are the live vacant-store
-// maintenance surface (gridsim/store.go); fuzzing them against the model is
-// what licenses the store to mutate the index in place between iterations.
+// index matches the model element for element, the bucket invariants hold
+// (canonical order across bucket boundaries, aggregate freshness, permutation
+// membership — so no stale entries survive a subtraction), and Scan agrees
+// with a filtered walk of the model. The trim/drop/exact/clone ops are the
+// live vacant-store maintenance surface (gridsim/store.go); fuzzing them
+// against the model is what licenses the store to mutate the index in place
+// between iterations.
+//
+// Clones come in two kinds: a throwaway that is mutated once, and retained
+// ones. A retained clone is kept with the model frozen at its birth and must
+// equal it after every later operation; the stream can also swap the working
+// index with a retained one, so clones are mutated after their origin,
+// origins after their clones, and clones are cloned again.
 func FuzzSlotIndex(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 10, 0, 200, 1, 30, 7, 0, 8, 2, 5, 1})
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 6, 0, 7, 1, 9, 9})
 	f.Add(uint8(63), []byte{0, 255, 0, 254, 0, 3, 5, 0, 8, 128})
 	f.Add(uint8(7), []byte{0, 9, 0, 77, 0, 130, 13, 40, 0, 5, 15, 2, 17, 1, 19, 0})
+	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 0, 41, 20, 0, 11, 1, 22, 0, 13, 30, 20, 0, 15, 3, 22, 1, 0, 12, 22, 0, 8, 0})
+	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 21, 0, 22, 0, 21, 0, 16, 1, 22, 1, 14, 9, 23, 0, 0, 7})
 
 	f.Fuzz(func(t *testing.T, targetRaw uint8, ops []byte) {
 		target := 1 + int(targetRaw)%64
 		nodes := propNodes(6)
 		ix := NewIndexSize(NewList(nil), target, nil)
 		model := listModel{}
+		// retained holds the clones kept alive (and the indexes swapped out
+		// for them), each with the model it must keep equalling.
+		var retained []*cowMember
 
 		// slotFromByte derives a deterministic, possibly-empty slot; roughly
 		// one in sixteen is empty, exercising Insert's ignore rule.
@@ -54,47 +66,19 @@ func FuzzSlotIndex(f *testing.F) {
 				if err := ix.SubtractInterval(s, used); err != nil {
 					t.Fatalf("op %d: subtract %v from %v: %v", i, used, s, err)
 				}
-				at := 0
-				for at < len(model) && model[at] != s {
-					at++
-				}
-				model = model.removeAt(at)
-				left := s
-				left.Span = sim.Interval{Start: s.Start(), End: used.Start}
-				model = model.insert(left)
+				model = model.subtract(s, used)
 			case op < 15: // trim everything before a cut point
 				cut := sim.Time(int64(arg) * 5 % 400)
-				wantDropped, wantTrimmed := 0, 0
-				var nm listModel
-				for _, s := range model {
-					switch {
-					case s.End() <= cut:
-						wantDropped++
-					case s.Start() < cut:
-						wantTrimmed++
-						s.Span.Start = cut
-						nm = nm.insert(s)
-					default:
-						nm = nm.insert(s)
-					}
-				}
-				model = nm
+				var wantDropped, wantTrimmed int
+				model, wantDropped, wantTrimmed = model.trimBefore(cut)
 				if dropped, trimmed := ix.TrimBefore(cut); dropped != wantDropped || trimmed != wantTrimmed {
 					t.Fatalf("op %d: TrimBefore(%v) = (%d, %d), model says (%d, %d)",
 						i, cut, dropped, trimmed, wantDropped, wantTrimmed)
 				}
 			case op < 17: // drop one node's slots wholesale
 				n := nodes[int(arg)%len(nodes)]
-				want := 0
-				var nm listModel
-				for _, s := range model {
-					if s.Node == n {
-						want++
-						continue
-					}
-					nm = nm.insert(s)
-				}
-				model = nm
+				var want int
+				model, want = model.dropNode(n)
 				if got := ix.DropNode(n); got != want {
 					t.Fatalf("op %d: DropNode(%s) = %d, model says %d", i, n.Name, got, want)
 				}
@@ -108,12 +92,12 @@ func FuzzSlotIndex(f *testing.F) {
 				// and removing rank r leave the same multiset in the same
 				// order.
 				model = model.removeAt(r)
-			case op < 20: // clone: copy-on-write isolation under divergence
+			case op < 20: // throwaway clone: copy-on-write isolation under divergence
 				c := ix.Clone(nil)
 				if err := c.CheckInvariants(); err != nil {
 					t.Fatalf("op %d: clone: %v", i, err)
 				}
-				if !model.equalTo(c.List()) {
+				if !model.matches(c) {
 					t.Fatalf("op %d: clone diverged from model before any mutation", i)
 				}
 				if c.Len() > 0 {
@@ -121,10 +105,15 @@ func FuzzSlotIndex(f *testing.F) {
 					if err := c.CheckInvariants(); err != nil {
 						t.Fatalf("op %d: mutated clone: %v", i, err)
 					}
-					if !model.equalTo(ix.List()) {
-						t.Fatalf("op %d: mutating a clone changed the original", i)
-					}
 				}
+			case op < 22: // retained clone
+				if len(retained) < 4 {
+					retained = append(retained, &cowMember{ix: ix.Clone(nil), model: model.clone(), born: i})
+				}
+			case op < 24 && len(retained) > 0: // carry on with a retained clone
+				mb := retained[int(arg)%len(retained)]
+				ix, mb.ix = mb.ix, ix
+				model, mb.model = mb.model, model
 			default: // query
 				f := Filter{MinPerf: float64(int(arg) % 5)}
 				if arg%2 == 1 {
@@ -145,9 +134,18 @@ func FuzzSlotIndex(f *testing.F) {
 			if err := ix.CheckInvariants(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
-			if !model.equalTo(ix.List()) {
-				t.Fatalf("op %d: indexed list diverged from model\nlist:  %v\nmodel: %v",
+			if !model.matches(ix) {
+				t.Fatalf("op %d: index diverged from model\nindex: %v\nmodel: %v",
 					i, ix.List().Slots(), []Slot(model))
+			}
+			for _, mb := range retained {
+				if err := mb.ix.CheckInvariants(); err != nil {
+					t.Fatalf("op %d: index retained at op %d: %v", i, mb.born, err)
+				}
+				if !mb.model.matches(mb.ix) {
+					t.Fatalf("op %d: index retained at op %d changed under a later mutation\nindex: %v\nmodel: %v",
+						i, mb.born, mb.ix.List().Slots(), []Slot(mb.model))
+				}
 			}
 		}
 
@@ -193,47 +191,19 @@ func TestIndexMutationSurfaceModel(t *testing.T) {
 				if err := ix.SubtractInterval(s, sim.Interval{Start: mid, End: s.End()}); err != nil {
 					t.Fatalf("seed %d step %d: subtract: %v", seed, step, err)
 				}
-				at := 0
-				for at < len(model) && model[at] != s {
-					at++
-				}
-				model = model.removeAt(at)
-				left := s
-				left.Span = sim.Interval{Start: s.Start(), End: mid}
-				model = model.insert(left)
+				model = model.subtract(s, sim.Interval{Start: mid, End: s.End()})
 			case op < 14:
 				cut := sim.Time(rng.IntN(600))
-				wantDropped, wantTrimmed := 0, 0
-				var nm listModel
-				for _, s := range model {
-					switch {
-					case s.End() <= cut:
-						wantDropped++
-					case s.Start() < cut:
-						wantTrimmed++
-						s.Span.Start = cut
-						nm = nm.insert(s)
-					default:
-						nm = nm.insert(s)
-					}
-				}
-				model = nm
+				var wantDropped, wantTrimmed int
+				model, wantDropped, wantTrimmed = model.trimBefore(cut)
 				if dropped, trimmed := ix.TrimBefore(cut); dropped != wantDropped || trimmed != wantTrimmed {
 					t.Fatalf("seed %d step %d: TrimBefore(%v) = (%d, %d), model says (%d, %d)",
 						seed, step, cut, dropped, trimmed, wantDropped, wantTrimmed)
 				}
 			case op < 16:
 				n := nodes[rng.IntN(len(nodes))]
-				want := 0
-				var nm listModel
-				for _, s := range model {
-					if s.Node == n {
-						want++
-						continue
-					}
-					nm = nm.insert(s)
-				}
-				model = nm
+				var want int
+				model, want = model.dropNode(n)
 				if got := ix.DropNode(n); got != want {
 					t.Fatalf("seed %d step %d: DropNode(%s) = %d, model says %d", seed, step, n.Name, got, want)
 				}

@@ -26,6 +26,13 @@ type IndexMetrics struct {
 	// bucket's size whenever the tiling changes shape.
 	Buckets    *metrics.Gauge
 	BucketSize *metrics.Histogram
+	// SlotsMoved counts slots a mutation wrote: in-bucket shifts, bucket
+	// copies, splits and bulk re-tilings. The scan counters count slots read;
+	// this is the cost side of the store. BucketCopies counts the
+	// copy-on-write copies among them — the first write to a bucket shared
+	// with a clone.
+	SlotsMoved   *metrics.Counter
+	BucketCopies *metrics.Counter
 }
 
 // NewIndexMetrics resolves the index instruments under the given prefix
@@ -43,11 +50,14 @@ func NewIndexMetrics(r *metrics.Registry, prefix string) *IndexMetrics {
 		Drops:      r.Counter(prefix + "bucket_drops_total"),
 		Buckets:    r.Gauge(prefix + "buckets"),
 		BucketSize: r.Histogram(prefix+"bucket_size_slots", metrics.ExpBuckets(8, 2, 8)),
+
+		SlotsMoved:   r.Counter(prefix + "slots_moved_total"),
+		BucketCopies: r.Counter(prefix + "bucket_copies_total"),
 	}
 }
 
 // rebuilt records a full re-tiling and its resulting shape.
-func (m *IndexMetrics) rebuilt(buckets []bucket) {
+func (m *IndexMetrics) rebuilt(buckets []*bucket) {
 	if m == nil {
 		return
 	}
@@ -55,18 +65,15 @@ func (m *IndexMetrics) rebuilt(buckets []bucket) {
 	m.shape(buckets)
 }
 
-// resized records a tiling shape change from a split, drop, or first insert.
-func (m *IndexMetrics) resized(buckets []bucket) {
+// shape records the tiling after a split, a drop, a first insert or a bulk
+// rewrite changed it.
+func (m *IndexMetrics) shape(buckets []*bucket) {
 	if m == nil {
 		return
 	}
-	m.shape(buckets)
-}
-
-func (m *IndexMetrics) shape(buckets []bucket) {
 	m.Buckets.Set(int64(len(buckets)))
 	for i := range buckets {
-		m.BucketSize.Observe(int64(buckets[i].count))
+		m.BucketSize.Observe(int64(len(buckets[i].slots)))
 	}
 }
 
@@ -77,14 +84,7 @@ func (m *IndexMetrics) insert() {
 	m.Inserts.Inc()
 }
 
-func (m *IndexMetrics) remove() {
-	if m == nil {
-		return
-	}
-	m.Removes.Inc()
-}
-
-// removed records a bulk removal of n slots (TrimBefore's dropped prefix).
+// removed records the removal of n slots.
 func (m *IndexMetrics) removed(n int) {
 	if m == nil || n == 0 {
 		return
@@ -104,4 +104,21 @@ func (m *IndexMetrics) drop() {
 		return
 	}
 	m.Drops.Inc()
+}
+
+// moved records n slots written by a mutation.
+func (m *IndexMetrics) moved(n int) {
+	if m == nil {
+		return
+	}
+	m.SlotsMoved.Add(int64(n))
+}
+
+// bucketCopied records the copy-on-write copy of one n-slot bucket.
+func (m *IndexMetrics) bucketCopied(n int) {
+	if m == nil {
+		return
+	}
+	m.BucketCopies.Inc()
+	m.SlotsMoved.Add(int64(n))
 }

@@ -257,14 +257,16 @@ func TestIndexMetricsAccounting(t *testing.T) {
 // contract to the index: every observation on a nil *IndexMetrics is free.
 func TestNilIndexMetricsZeroAllocs(t *testing.T) {
 	var m *IndexMetrics
-	bks := []bucket{{count: 3}}
+	bks := []*bucket{{slots: make([]Slot, 3)}}
 	if avg := testing.AllocsPerRun(1000, func() {
 		m.rebuilt(bks)
-		m.resized(bks)
+		m.shape(bks)
 		m.insert()
-		m.remove()
+		m.removed(2)
 		m.split()
 		m.drop()
+		m.moved(7)
+		m.bucketCopied(3)
 	}); avg != 0 {
 		t.Errorf("nil IndexMetrics observations allocate %.1f per run, want 0", avg)
 	}

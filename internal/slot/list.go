@@ -14,19 +14,14 @@ import (
 // Ties on start time keep a deterministic secondary order (node ID, then end
 // time) so experiment runs are reproducible.
 //
-// The zero value is an empty, ready-to-use list.
+// List is the plain value form of that order: one sorted slice, O(n) to
+// mutate. Generators, codecs, the rebuild oracle and the linear reference
+// scan work on it; the searches and the grid's live store hold the same
+// order in a slot.Index, whose mutations cost one bucket.
 //
-// A list supports cheap immutable snapshots (Snapshot) with copy-on-write
-// semantics: taking a snapshot is O(1), and the first mutation of either the
-// original or a descendant after a snapshot copies the backing storage, so a
-// snapshot is never affected by later mutations. That is what lets the grid
-// publish its live vacant store (gridsim.VacantSlots, Index.Clone) without
-// copying it until one side writes.
+// The zero value is an empty, ready-to-use list.
 type List struct {
 	slots []Slot
-	// shared marks the backing array as potentially aliased by a snapshot;
-	// mutators copy before writing when it is set.
-	shared bool
 }
 
 // NewList builds a list from the given slots, dropping empty ones and
@@ -69,15 +64,6 @@ func (l *List) sort() {
 // search's K-way candidate merge — can compare heads from different lists
 // against the same order the lists themselves use.
 func Less(a, b Slot) bool { return less(a, b) }
-
-// CountLess returns how many slots in the list order strictly before s under
-// the canonical order. For a slot present in the list this is its rank; for a
-// partition of one list into several, summing CountLess over the parts
-// recovers a slot's rank in the original (slots on distinct nodes never
-// compare equal, so the parts are mutually tie-free).
-func (l *List) CountLess(s Slot) int {
-	return sort.Search(len(l.slots), func(i int) bool { return !less(l.slots[i], s) })
-}
 
 // MergeLists merges already-ordered lists into one canonical list in O(n·K).
 // It is the inverse of partitioning a list by node: merging the per-shard
@@ -127,49 +113,14 @@ func (l *List) Clone() *List {
 	return c
 }
 
-// Snapshot returns an O(1) immutable view of the list's current state. The
-// snapshot and the original share backing storage until either side mutates;
-// the first mutation copies (copy-on-write), so the snapshot keeps observing
-// exactly the slots present when it was taken. Snapshots are safe to read
-// concurrently as long as Snapshot itself is called from the mutating
-// goroutine before readers start.
-func (l *List) Snapshot() *List {
-	l.shared = true
-	return &List{slots: l.slots, shared: true}
-}
-
-// ensureOwned gives the list sole ownership of its backing storage before a
-// mutation, preserving every outstanding snapshot.
-func (l *List) ensureOwned() {
-	if !l.shared {
-		return
-	}
-	owned := make([]Slot, len(l.slots))
-	copy(owned, l.slots)
-	l.slots = owned
-	l.shared = false
-}
-
-// Insert adds a slot, keeping the canonical order. Empty slots are ignored,
-// matching the paper's rule that zero-span remainders K1/K2 are not added.
+// Insert adds a slot after every slot that orders before or ties with it,
+// keeping the canonical order. Empty slots are ignored, matching the paper's
+// rule that zero-span remainders K1/K2 are not added.
 func (l *List) Insert(s Slot) {
 	if s.Empty() {
 		return
 	}
-	l.insertAt(l.insertionRank(s), s)
-}
-
-// insertionRank returns the rank Insert places s at: after every slot that
-// orders before or ties with s. Index shares this so its bucket bookkeeping
-// agrees with the list placement bit for bit.
-func (l *List) insertionRank(s Slot) int {
-	return sort.Search(len(l.slots), func(i int) bool { return less(s, l.slots[i]) })
-}
-
-// insertAt places s at rank i, shifting later slots right. i must be the
-// rank insertionRank(s) returns or the order invariant breaks.
-func (l *List) insertAt(i int, s Slot) {
-	l.ensureOwned()
+	i := sort.Search(len(l.slots), func(i int) bool { return less(s, l.slots[i]) })
 	l.slots = append(l.slots, Slot{})
 	copy(l.slots[i+1:], l.slots[i:])
 	l.slots[i] = s
@@ -177,7 +128,6 @@ func (l *List) insertAt(i int, s Slot) {
 
 // RemoveAt deletes the i-th slot.
 func (l *List) RemoveAt(i int) {
-	l.ensureOwned()
 	l.slots = append(l.slots[:i], l.slots[i+1:]...)
 }
 
@@ -196,7 +146,10 @@ func (l *List) indexOf(s Slot) int {
 	return -1
 }
 
-// Validate checks every slot and the ordering invariant.
+// Validate checks every slot and the ordering invariant: no slot orders
+// before its predecessor under the full canonical order (start, node, end) —
+// the order indexOf and every index search bisect on, not just the start
+// times. Slots that tie on all three are accepted in either order.
 func (l *List) Validate() error {
 	for i, s := range l.slots {
 		if err := s.Validate(); err != nil {
@@ -205,8 +158,8 @@ func (l *List) Validate() error {
 		if s.Empty() {
 			return fmt.Errorf("slot %d: empty slot %v retained in list", i, s)
 		}
-		if i > 0 && l.slots[i-1].Start() > s.Start() {
-			return fmt.Errorf("slot %d: start order violated (%v after %v)", i, s, l.slots[i-1])
+		if i > 0 && less(s, l.slots[i-1]) {
+			return fmt.Errorf("slot %d: canonical order violated (%v after %v)", i, s, l.slots[i-1])
 		}
 	}
 	return nil

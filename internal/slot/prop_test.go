@@ -115,14 +115,14 @@ func TestListOperationProperties(t *testing.T) {
 				if got := list.TotalTime(); got != before {
 					t.Fatalf("%s: coalesce changed total time %v -> %v", label, before, got)
 				}
-			case op < 9: // take a snapshot to audit later
-				snaps = append(snaps, snap{view: list.Snapshot(), state: snapshotState(list), step: step})
+			case op < 9: // take a copy to audit later
+				snaps = append(snaps, snap{view: list.Clone(), state: snapshotState(list), step: step})
 			default: // reprice must not disturb structure
 				list = list.Reprice(func(s Slot) sim.Money { return s.Price * 2 })
 				list = list.Reprice(func(s Slot) sim.Money { return s.Price / 2 })
 			}
 			checkInvariants(t, label, list)
-			// Every snapshot taken so far must be unaffected by any of the
+			// Every copy taken so far must be unaffected by any of the
 			// mutations above.
 			for _, sn := range snaps {
 				if got := snapshotState(sn.view); got != sn.state {
@@ -135,42 +135,53 @@ func TestListOperationProperties(t *testing.T) {
 	}
 }
 
-// TestSnapshotWriteIsolation pins the copy-on-write contract in both
-// directions: mutating the original never shows in the snapshot, and
-// mutating the snapshot never shows in the original.
-func TestSnapshotWriteIsolation(t *testing.T) {
-	rng := sim.NewRNG(7)
-	nodes := propNodes(6)
-	original := seedList(rng, nodes)
-	origState := snapshotState(original)
+// TestIndexCloneWriteIsolation pins the copy-on-write contract in both
+// directions: mutating the origin never shows in the clone, and mutating the
+// clone never shows in the origin — with everything in one shared bucket and
+// with one slot per bucket.
+func TestIndexCloneWriteIsolation(t *testing.T) {
+	for _, target := range []int{1, DefaultBucketSize} {
+		rng := sim.NewRNG(7)
+		nodes := propNodes(6)
+		origin := NewIndexSize(seedList(rng, nodes), target, nil)
+		state := func(ix *Index) string { return snapshotState(ix.List()) }
+		origState := state(origin)
 
-	view := original.Snapshot()
-	if got := snapshotState(view); got != origState {
-		t.Fatalf("fresh snapshot differs from original:\n%s\nvs\n%s", got, origState)
-	}
+		view := origin.Clone(nil)
+		if got := state(view); got != origState {
+			t.Fatalf("fresh clone differs from origin:\n%s\nvs\n%s", got, origState)
+		}
 
-	// Mutate the original: the snapshot must hold.
-	target := original.At(0)
-	mid := target.Start().Add(target.Length() / 2)
-	if err := original.SubtractInterval(target, sim.Interval{Start: target.Start(), End: mid}); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotState(view); got != origState {
-		t.Fatal("mutating the original leaked into the snapshot")
-	}
+		// Mutate the origin: the clone must hold.
+		first := origin.At(0)
+		mid := first.Start().Add(first.Length() / 2)
+		if err := origin.SubtractInterval(first, sim.Interval{Start: first.Start(), End: mid}); err != nil {
+			t.Fatal(err)
+		}
+		if got := state(view); got != origState {
+			t.Fatal("mutating the origin leaked into the clone")
+		}
 
-	// Mutate the snapshot: the original must hold.
-	afterMutation := snapshotState(original)
-	view.RemoveAt(0)
-	if got := snapshotState(original); got != afterMutation {
-		t.Fatal("mutating the snapshot leaked into the original")
-	}
+		// Mutate the clone: the origin must hold.
+		afterMutation := state(origin)
+		view.RemoveAt(0)
+		if got := state(origin); got != afterMutation {
+			t.Fatal("mutating the clone leaked into the origin")
+		}
 
-	// Snapshot-of-snapshot keeps isolating.
-	second := original.Snapshot()
-	secondState := snapshotState(second)
-	original.Insert(New(nodes[0], 10_000, 10_050))
-	if got := snapshotState(second); got != secondState {
-		t.Fatal("second-generation snapshot observed a later mutation")
+		// A second generation keeps isolating, and so does a clone of a clone.
+		second := origin.Clone(nil)
+		third := second.Clone(nil)
+		secondState := state(second)
+		origin.Insert(New(nodes[0], 10_000, 10_050))
+		second.DropNode(nodes[1])
+		if got := state(third); got != secondState {
+			t.Fatal("clone of a clone observed a later mutation")
+		}
+		for _, ix := range []*Index{origin, view, second, third} {
+			if err := ix.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

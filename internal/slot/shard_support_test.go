@@ -114,8 +114,9 @@ func TestScanFromEarlyStop(t *testing.T) {
 	}
 }
 
-// TestCountLess checks CountLess against the naive count, both for members of
-// the list (where it is the rank) and for arbitrary probe slots.
+// TestCountLess checks Index.CountLess against the naive count at several
+// bucket sizes, both for members of the index (where it is the rank) and for
+// arbitrary probe slots.
 func TestCountLess(t *testing.T) {
 	for seed := uint64(1); seed <= 10; seed++ {
 		rng := sim.NewRNG(seed)
@@ -126,20 +127,23 @@ func TestCountLess(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			probes = append(probes, randomSlot(rng, nodes))
 		}
-		for _, p := range probes {
-			naive := 0
-			for _, s := range l.Slots() {
-				if less(s, p) {
-					naive++
+		for _, target := range []int{1, 3, 16, 64} {
+			ix := NewIndexSize(l, target, nil)
+			for _, p := range probes {
+				naive := 0
+				for _, s := range l.Slots() {
+					if less(s, p) {
+						naive++
+					}
+				}
+				if got := ix.CountLess(p); got != naive {
+					t.Fatalf("seed %d target %d: CountLess(%v) = %d, naive count %d", seed, target, p, got, naive)
 				}
 			}
-			if got := l.CountLess(p); got != naive {
-				t.Fatalf("seed %d: CountLess(%v) = %d, naive count %d", seed, p, got, naive)
-			}
-		}
-		for r := 0; r < l.Len(); r++ {
-			if got := l.CountLess(l.At(r)); got != r {
-				t.Fatalf("seed %d: CountLess of member at rank %d = %d", seed, r, got)
+			for r := 0; r < l.Len(); r++ {
+				if got := ix.CountLess(l.At(r)); got != r {
+					t.Fatalf("seed %d target %d: CountLess of member at rank %d = %d", seed, target, r, got)
+				}
 			}
 		}
 	}
@@ -173,7 +177,7 @@ func TestMergeListsPartitionRoundTrip(t *testing.T) {
 				}
 				sum := 0
 				for _, p := range parts {
-					sum += p.CountLess(global.At(r))
+					sum += NewIndexSize(p, 4, nil).CountLess(global.At(r))
 				}
 				if sum != r {
 					t.Fatalf("seed %d k=%d: summed CountLess of rank-%d slot = %d", seed, k, r, sum)

@@ -24,12 +24,12 @@ const (
 
 // chaosScenario builds the chaos experiment's environment deterministically
 // from the seed: a 12-node grid in three domains with owner-local load, an
-// AMP scheduler with the retry/backoff policy, and (when service is set) the
-// continuous-service wrapper — but no submitted jobs, so the same call serves
+// AMP scheduler with the retry/backoff policy, and the service that runs its
+// rounds — but no submitted jobs, so the same call serves
 // both as the live session's starting point and as the pristine factory that
 // journal recovery replays history into. The returned RNG has consumed
 // exactly the environment draws, so callers generate identical job batches.
-func chaosScenario(seed uint64, parallelism, shards int, service bool, reg *metrics.Registry) (*metasched.Scheduler, *metasched.Service, *resource.Pool, *sim.RNG, error) {
+func chaosScenario(seed uint64, shards int, reg *metrics.Registry) (*metasched.Service, *resource.Pool, *sim.RNG, error) {
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
 	var nodes []*resource.Node
@@ -44,15 +44,15 @@ func chaosScenario(seed uint64, parallelism, shards int, service bool, reg *metr
 	}
 	pool, err := resource.NewPool(nodes)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	grid, err := gridsim.New(pool)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	grid.SetMetrics(gridsim.NewMetrics(reg))
 	if err := grid.Populate(gridsim.LocalLoad{MeanGap: 120, DurMin: 40, DurMax: 160}, 0, 2400, rng.Split()); err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	cfg := metasched.Config{
 		Algorithm:        alloc.AMP{},
@@ -61,7 +61,6 @@ func chaosScenario(seed uint64, parallelism, shards int, service bool, reg *metr
 		Step:             chaosStep,
 		MaxBatch:         4,
 		MaxPostponements: 5,
-		Parallelism:      parallelism,
 		Shards:           shards,
 		Metrics:          reg,
 		Retry: &metasched.RetryPolicy{
@@ -78,16 +77,13 @@ func chaosScenario(seed uint64, parallelism, shards int, service bool, reg *metr
 	}
 	sched, err := metasched.New(cfg, grid)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
-	var svc *metasched.Service
-	if service {
-		svc, err = metasched.NewService(sched, metasched.ServiceConfig{Workers: parallelism})
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return sched, svc, pool, rng, nil
+	return svc, pool, rng, nil
 }
 
 // chaosJob draws the i-th job of the chaos batch from the scenario RNG.
@@ -122,21 +118,22 @@ func durableOptions(journalPath string, checkpointEvery int, reg *metrics.Regist
 // price-relaxation degradation ladder, and a fault plan injecting node
 // crashes, recoveries and slot revocations between iterations. faultsSpec
 // is the plan DSL from -faults ("fail@300:cpu3;recover@600:cpu3;
-// revoke@450:cpu5:500-700"); empty generates a seeded random plan. service
-// drives the session through the continuous-service event loop (events and
-// ticks enqueue evaluations; the transcript is byte-identical), and
-// journalPath additionally write-ahead journals every transition — with a
+// revoke@450:cpu5:500-700"); empty generates a seeded random plan.
+// journalPath, when set, write-ahead journals every transition — with a
 // checkpoint every checkpointEvery rounds — so a crashed session replays via
-// the recover subcommand. The invariant auditor runs after every event and
+// the recover subcommand; the transcript is byte-identical either way. The invariant auditor runs after every event and
 // iteration; the command fails on the first violation.
-func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, parallelism, shards int, service bool, reg *metrics.Registry) error {
-	if journalPath != "" && !service {
-		return fmt.Errorf("chaos: -journal wraps the continuous service; add -service")
-	}
-	sched, svc, pool, rng, err := chaosScenario(seed, parallelism, shards, service, reg)
+func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, shards int, reg *metrics.Registry) error {
+	svc, pool, rng, err := chaosScenario(seed, shards, reg)
 	if err != nil {
 		return err
 	}
+	// d is the session's service: the plain one, or its durable journaling
+	// wrapper.
+	var d interface {
+		fault.ServiceDriver
+		Submit(*job.Job) error
+	} = svc
 	var ds *durable.Service
 	if journalPath != "" {
 		ds, err = durable.New(svc, durableOptions(journalPath, checkpointEvery, reg))
@@ -144,19 +141,11 @@ func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, para
 			return err
 		}
 		defer ds.Close()
+		d = ds
 	}
 	pricing := resource.PaperPricing()
 	for i := 0; i < 10; i++ {
-		j := chaosJob(rng, pricing, i)
-		switch {
-		case ds != nil:
-			err = ds.Submit(j)
-		case svc != nil:
-			err = svc.Submit(j)
-		default:
-			err = sched.Submit(j)
-		}
-		if err != nil {
+		if err := d.Submit(chaosJob(rng, pricing, i)); err != nil {
 			return err
 		}
 	}
@@ -182,15 +171,7 @@ func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, para
 	}
 	fmt.Printf("chaos: %d nodes in %d domains, %d fault events: %s\n",
 		pool.Size(), len(pool.Domains()), plan.Len(), plan)
-	var sess *fault.Session
-	switch {
-	case ds != nil:
-		sess, err = fault.NewDriverSession(ds, plan, os.Stdout)
-	case svc != nil:
-		sess, err = fault.NewServiceSession(svc, plan, os.Stdout)
-	default:
-		sess, err = fault.NewSession(sched, plan, os.Stdout)
-	}
+	sess, err := fault.NewSession(d, plan, os.Stdout)
 	if err != nil {
 		return err
 	}
@@ -220,7 +201,7 @@ func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, para
 // the recovery-coherence check run against the recovered state, and the
 // report ends with the canonical state hash — two recoveries of the same
 // journal must print the same hash.
-func runRecover(seed uint64, journalPath string, checkpointEvery, parallelism, shards int, reg *metrics.Registry) error {
+func runRecover(seed uint64, journalPath string, checkpointEvery, shards int, reg *metrics.Registry) error {
 	if journalPath == "" {
 		return fmt.Errorf("recover: -journal PATH is required")
 	}
@@ -228,7 +209,7 @@ func runRecover(seed uint64, journalPath string, checkpointEvery, parallelism, s
 		return fmt.Errorf("recover: %w", err)
 	}
 	factory := func() (*metasched.Service, error) {
-		_, svc, _, _, err := chaosScenario(seed, parallelism, shards, true, reg)
+		svc, _, _, err := chaosScenario(seed, shards, reg)
 		return svc, err
 	}
 	ds, rep, err := durable.Recover(durableOptions(journalPath, checkpointEvery, reg), factory)

@@ -16,13 +16,10 @@ import (
 // loaded grid: jobs arrive over time, local owner tasks occupy nodes, and
 // the scheduler places what it can each iteration, postponing the rest.
 // shards federates the grid into that many sharded domains with cross-shard
-// combination, and parallelism bounds the producer goroutines of a sharded
-// search's refill round; the resulting schedule is byte-identical for every
-// combination. service swaps the batch iteration loop for the
-// continuous-service event loop (submits and ticks enqueue evaluations; the
-// reports are identical). reg, when non-nil, collects the session's metrics
-// for the caller's -metrics dump.
-func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics.Registry) error {
+// combination; the resulting schedule is byte-identical for every value.
+// reg, when non-nil, collects the session's metrics for the caller's
+// -metrics dump.
+func runGridsim(seed uint64, shards int, reg *metrics.Registry) error {
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
 	var nodes []*resource.Node
@@ -56,7 +53,6 @@ func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics
 		Step:             200,
 		MaxBatch:         4,
 		MaxPostponements: 5,
-		Parallelism:      parallelism,
 		Shards:           shards,
 		Metrics:          reg,
 	}
@@ -64,12 +60,9 @@ func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics
 	if err != nil {
 		return err
 	}
-	var svc *metasched.Service
-	if service {
-		svc, err = metasched.NewService(sched, metasched.ServiceConfig{Workers: parallelism})
-		if err != nil {
-			return err
-		}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		return err
 	}
 	for i := 0; i < 10; i++ {
 		j := &job.Job{
@@ -82,35 +75,17 @@ func runGridsim(seed uint64, parallelism, shards int, service bool, reg *metrics
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.5)),
 			},
 		}
-		if svc != nil {
-			err = svc.Submit(j)
-		} else {
-			err = sched.Submit(j)
-		}
-		if err != nil {
+		if err := svc.Submit(j); err != nil {
 			return err
 		}
 	}
 	fmt.Printf("grid: %d nodes in %d domains, initial utilization %.0f%%\n",
 		pool.Size(), len(pool.Domains()), 100*grid.Utilization(2400))
-	var reports []*metasched.IterationReport
-	if svc != nil {
-		// Service mode: tick rounds until the queue drains, the event-loop
-		// equivalent of RunUntilDrained — identical reports by construction.
-		for i := 0; i < 8 && sched.QueueLength() > 0; i++ {
-			rep, err := svc.Tick()
-			if err != nil {
-				return err
-			}
-			reports = append(reports, rep)
-		}
-	} else {
-		reports, err = sched.RunUntilDrained(8)
+	for i := 0; i < 8 && sched.QueueLength() > 0; i++ {
+		r, err := svc.Tick()
 		if err != nil {
 			return err
 		}
-	}
-	for _, r := range reports {
 		fmt.Printf("iteration %d (t=%v): batch=%d placed=%d postponed=%d dropped=%d alternatives=%d planT=%v planC=%v\n",
 			r.Iteration, r.Now, r.BatchSize, len(r.Placed), len(r.Postponed), len(r.Dropped),
 			r.Alternatives, r.PlanTime, r.PlanCost)

@@ -17,7 +17,7 @@
 //	ecosched scaling                      # operation-count scaling vs backfill
 //	ecosched gridsim                      # multi-iteration metascheduler demo
 //	ecosched chaos  [-faults PLAN]        # fault-injected session with audit
-//	ecosched recover -journal PATH        # rebuild a crashed chaos -service session
+//	ecosched recover -journal PATH        # rebuild a crashed chaos session
 //	ecosched mc     [-depth N -states N]  # exhaustive schedule/commit model checker
 //
 // The paper's full runs use -iterations 25000; the default of 2000 keeps a
@@ -53,11 +53,9 @@ func run(args []string) error {
 	iterations := fs.Int("iterations", 2000, "simulated scheduling iterations (paper: 25000)")
 	series := fs.Int("series", 300, "kept experiments in the Fig. 5 series")
 	file := fs.String("file", "", "scenario file for export/replay (\"-\" = stdout)")
-	parallelism := fs.Int("parallelism", 1, "producer goroutines per refill round of a sharded (-shards > 1) alternative search (schedules are identical for every value)")
 	shards := fs.Int("shards", 1, "federate the grid into K sharded domains with cross-shard combination (schedules are identical for every value)")
-	service := fs.Bool("service", false, "drive the session through the continuous-service event loop (eval queue + plan/apply rounds; transcripts are identical to batch mode)")
 	faults := fs.String("faults", "", "fault plan for the chaos scenario, e.g. \"fail@300:cpu3;recover@600:cpu3;revoke@450:cpu5:500-700\" (empty = seeded random plan)")
-	journal := fs.String("journal", "", "write-ahead journal path for the chaos -service session (checkpoints land at PATH.ckpt); recover replays it")
+	journal := fs.String("journal", "", "write-ahead journal path for the chaos session (checkpoints land at PATH.ckpt); recover replays it")
 	checkpointEvery := fs.Int("checkpoint-every", 0, "write a checkpoint every N journaled rounds (0 = journal only)")
 	universe := fs.String("universe", "default", "model-checker universe: tiny (2 nodes, 2 jobs), default (3 nodes, 3 jobs), or 2shard (default federated into two shards)")
 	depth := fs.Int("depth", 8, "model-checker interleaving depth bound")
@@ -84,9 +82,9 @@ func run(args []string) error {
 	cfg.Metrics = reg
 
 	if cmd == "mc" {
-		return runMC(*universe, *depth, *states, *mutation, *cexPath, *liveness, *service)
+		return runMC(*universe, *depth, *states, *mutation, *cexPath, *liveness)
 	}
-	if err := dispatch(cmd, cfg, *seed, *iterations, *file, *faults, *journal, *checkpointEvery, *parallelism, *shards, *service, reg); err != nil {
+	if err := dispatch(cmd, cfg, *seed, *iterations, *file, *faults, *journal, *checkpointEvery, *shards, reg); err != nil {
 		return err
 	}
 	if reg != nil {
@@ -97,7 +95,7 @@ func run(args []string) error {
 
 // dispatch runs one subcommand; the caller dumps the metrics snapshot (if
 // requested) after it returns, so every subcommand gets -metrics for free.
-func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations int, file, faults, journal string, checkpointEvery, parallelism, shards int, service bool, reg *metrics.Registry) error {
+func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations int, file, faults, journal string, checkpointEvery, shards int, reg *metrics.Registry) error {
 	switch cmd {
 	case "example":
 		return runExample()
@@ -218,11 +216,11 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 	case "pareto":
 		return runPareto(seed)
 	case "gridsim":
-		return runGridsim(seed, parallelism, shards, service, reg)
+		return runGridsim(seed, shards, reg)
 	case "chaos":
-		return runChaos(seed, faults, journal, checkpointEvery, parallelism, shards, service, reg)
+		return runChaos(seed, faults, journal, checkpointEvery, shards, reg)
 	case "recover":
-		return runRecover(seed, journal, checkpointEvery, parallelism, shards, reg)
+		return runRecover(seed, journal, checkpointEvery, shards, reg)
 	case "help", "-h", "--help":
 		usage()
 		return nil
@@ -280,17 +278,15 @@ subcommands:
   replay    rerun the two-phase scheme on an exported scenario (-file in.json)
   gridsim   multi-iteration metascheduler demo on the grid simulator
   chaos     fault-injected session with retry/backoff and invariant audit
-  recover   rebuild a crashed chaos -service session from its journal (-journal PATH)
+  recover   rebuild a crashed chaos session from its journal (-journal PATH)
   mc        bounded exhaustive model checker for the schedule/commit protocol
 
 flags (per subcommand): -seed N -iterations N -series N -file PATH
                         -shards K     (federate the grid into K sharded domains; identical results)
-                        -parallelism N (producer goroutines of a sharded search; identical results)
                         -metrics PATH (snapshot after the run; "-" = stdout, .json = JSON)
                         -pprof ADDR   (serve net/http/pprof while running)
-                        -service      (continuous-service event loop for gridsim/chaos/mc; identical transcripts)
                         -faults PLAN  (chaos fault plan, e.g. "fail@300:cpu3;recover@600:cpu3")
-                        -journal PATH (write-ahead journal for chaos -service; recover replays it)
+                        -journal PATH (write-ahead journal for chaos; recover replays it)
                         -checkpoint-every N (checkpoint cadence in rounds; 0 = journal only)
 mc flags:               -universe tiny|default|2shard -depth N -states N -liveness
                         -mutation none|double-refund|resurrect|blind-apply|lossy-crash -cex PATH

@@ -44,7 +44,6 @@ func TestSubcommandsRun(t *testing.T) {
 		{"chaos"},
 		{"chaos", "-faults", "fail@300:cpu3;recover@600:cpu3;revoke@450:cpu5:500-700"},
 		{"chaos", "-shards", "2"},
-		{"chaos", "-service"},
 		{"mc", "-universe", "2shard", "-depth", "4", "-states", "2000"},
 		{"help"},
 	}
@@ -120,7 +119,7 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 }
 
 // TestChaosJournalRecover drives the durability flags end to end: a journaled
-// chaos -service session, a recover that must reproduce it, and a second
+// chaos session, a recover that must reproduce it, and a second
 // recover that must print the identical canonical state hash — the CLI-level
 // version of the byte-identical recovery proof.
 func TestChaosJournalRecover(t *testing.T) {
@@ -149,7 +148,7 @@ func TestChaosJournalRecover(t *testing.T) {
 		return string(data)
 	}
 
-	out := capture([]string{"chaos", "-service", "-journal", journal, "-checkpoint-every", "2", "-seed", "7"})
+	out := capture([]string{"chaos", "-journal", journal, "-checkpoint-every", "2", "-seed", "7"})
 	if !containsStr(out, "journal: "+journal) {
 		t.Fatalf("chaos output missing journal summary:\n%s", out)
 	}
@@ -170,7 +169,7 @@ func TestChaosJournalRecover(t *testing.T) {
 
 	// The flags guard their prerequisites.
 	if err := run([]string{"chaos", "-journal", journal}); err == nil {
-		t.Error("chaos -journal without -service accepted")
+		t.Error("chaos -journal over a journal that already holds history accepted")
 	}
 	if err := run([]string{"recover"}); err == nil {
 		t.Error("recover without -journal accepted")

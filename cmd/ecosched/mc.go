@@ -13,7 +13,7 @@ import (
 // when given) and fails the command. With a seeded mutation the expectation
 // inverts: the sweep must find the planted bug, and a clean pass is the
 // failure.
-func runMC(universe string, depth, states int, mutation, cexPath string, liveness, service bool) error {
+func runMC(universe string, depth, states int, mutation, cexPath string, liveness bool) error {
 	var u *mc.Universe
 	switch universe {
 	case "tiny":
@@ -25,13 +25,12 @@ func runMC(universe string, depth, states int, mutation, cexPath string, livenes
 	default:
 		return fmt.Errorf("unknown universe %q (want tiny, default or 2shard)", universe)
 	}
-	u.Service = service
 	mut, err := mc.ParseMutation(mutation)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("model checker: universe=%s nodes=%d jobs=%d depth<=%d states<=%d liveness=%t service=%t mutation=%s\n",
-		universe, len(u.Nodes), len(u.Jobs), depth, states, liveness, service, mut)
+	fmt.Printf("model checker: universe=%s nodes=%d jobs=%d depth<=%d states<=%d liveness=%t mutation=%s\n",
+		universe, len(u.Nodes), len(u.Jobs), depth, states, liveness, mut)
 	res, err := mc.Explore(u, mc.Options{
 		MaxDepth:  depth,
 		MaxStates: states,

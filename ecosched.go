@@ -142,6 +142,9 @@ type (
 	Scheduler = metasched.Scheduler
 	// SchedulerConfig parameterizes the metascheduler.
 	SchedulerConfig = metasched.Config
+	// Service runs the scheduler's rounds: events enqueue evaluations and
+	// Tick runs one publish → search → optimize → commit round.
+	Service = metasched.Service
 	// IterationReport summarizes one scheduling iteration.
 	IterationReport = metasched.IterationReport
 	// DemandPricing scales published prices by grid utilization.
@@ -224,6 +227,11 @@ const (
 	// MinimizeCostPolicy optimizes min C(s̄) under the occupancy quota.
 	MinimizeCostPolicy = metasched.MinimizeCost
 )
+
+// NewService wraps a scheduler in the event loop that runs its rounds.
+func NewService(s *Scheduler) (*Service, error) {
+	return metasched.NewService(s, metasched.ServiceConfig{})
+}
 
 // ScheduleResult bundles the outcome of ScheduleBatch.
 type ScheduleResult struct {

@@ -104,17 +104,21 @@ func TestGridToSchedulerFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range buildBatch(t).Jobs() {
-		if err := sched.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reports, err := sched.RunUntilDrained(5)
+	svc, err := ecosched.NewService(sched)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, j := range buildBatch(t).Jobs() {
+		if err := svc.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var placed int
-	for _, r := range reports {
+	for i := 0; i < 5 && sched.QueueLength() > 0; i++ {
+		r, err := svc.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
 		placed += len(r.Placed)
 	}
 	if placed != 2 {
@@ -265,12 +269,16 @@ func TestTraceAndDemandPricingThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc, err := ecosched.NewService(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, j := range buildBatch(t).Jobs() {
-		if err := sched.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := sched.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}

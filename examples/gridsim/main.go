@@ -1,6 +1,6 @@
 // Gridsim: the full VO loop on a simulated non-dedicated grid. Three
 // clusters of heterogeneous nodes run their owners' local tasks; global jobs
-// arrive in waves; the metascheduler runs periodic scheduling iterations —
+// arrive in waves; the metascheduler runs periodic scheduling rounds —
 // publishing vacant slots, searching alternatives with AMP, optimizing the
 // combination under the VO budget, committing reservations, and postponing
 // what does not fit.
@@ -62,12 +62,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	svc, err := ecosched.NewService(sched)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Jobs arrive in two waves; the second wave lands mid-session.
 	submit := func(wave, count int) {
 		for i := 0; i < count; i++ {
 			name := fmt.Sprintf("w%d-job%d", wave, i+1)
-			err := sched.Submit(&ecosched.Job{
+			err := svc.Submit(&ecosched.Job{
 				Name:     name,
 				Priority: wave*10 + i,
 				Request: ecosched.ResourceRequest{
@@ -88,7 +92,7 @@ func main() {
 		if it == 2 {
 			submit(2, 5)
 		}
-		rep, err := sched.RunIteration()
+		rep, err := svc.Tick()
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -29,7 +29,7 @@ func FindAlternativesFair(algo Algorithm, list *slot.List, batch *job.Batch, opt
 	// Probes are read-only between commits, so the one view serves every
 	// probe of a round and is updated once per committed window.
 	view := oneView(list, opts)
-	scan, subtract, err := newScanner(algo, []*slot.Index{view}, nil, opts, 1, nil)
+	scan, subtract, err := newScanner(algo, []*slot.Index{view}, nil, opts, nil)
 	if err != nil {
 		return nil, err
 	}

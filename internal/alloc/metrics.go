@@ -10,9 +10,9 @@ import (
 // NewSearchMetrics and attach via SearchOptions.Metrics; a nil *SearchMetrics
 // disables instrumentation at zero cost on the scan hot path.
 //
-// Determinism note: every observation below happens in the multi-pass loop's
-// own goroutine, never inside a merge's producer goroutine, so two identical
-// seeded searches always produce identical counter values.
+// Determinism note: every observation below happens in the multi-pass loop,
+// on the caller's goroutine, so two identical seeded searches always produce
+// identical counter values.
 type SearchMetrics struct {
 	// WindowsFound / WindowsMissed split the per-job scan outcomes.
 	WindowsFound  *metrics.Counter

@@ -120,7 +120,7 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 	if list == nil {
 		return nil, fmt.Errorf("alloc: nil slot list")
 	}
-	return searchViews(algo, []*slot.Index{oneView(list, opts)}, nil, batch, opts, 1, nil)
+	return searchViews(algo, []*slot.Index{oneView(list, opts)}, nil, batch, opts, nil)
 }
 
 // FindAlternativesParallel forwards to FindAlternatives; parallelism is
@@ -148,8 +148,8 @@ type scanFunc func(*job.Job) (*slot.Window, Stats, bool)
 // searchViews is the search every entry point reduces to: the multi-pass
 // loop over K >= 1 node-disjoint views, which it mutates in place.
 func searchViews(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node) int,
-	batch *job.Batch, opts SearchOptions, parallelism int, work *ShardWork) (*SearchResult, error) {
-	scan, subtract, err := newScanner(algo, views, shardOf, opts, parallelism, work)
+	batch *job.Batch, opts SearchOptions, work *ShardWork) (*SearchResult, error) {
+	scan, subtract, err := newScanner(algo, views, shardOf, opts, work)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +244,7 @@ func (o SearchOptions) caps() (maxPasses, perJobCap int) {
 // than one by the cross-shard cursor merge. Both return byte-identical
 // windows and Stats for the same vacancy.
 func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node) int,
-	opts SearchOptions, parallelism int, work *ShardWork) (scanFunc, func(*slot.Window) error, error) {
+	opts SearchOptions, work *ShardWork) (scanFunc, func(*slot.Window) error, error) {
 	if algo == nil {
 		return nil, nil, fmt.Errorf("alloc: nil algorithm")
 	}
@@ -276,7 +276,7 @@ func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node
 	}
 	scan := func(j *job.Job) (*slot.Window, Stats, bool) {
 		if merge != nil {
-			return merge.findWindow(sa, j, parallelism, work)
+			return merge.findWindow(sa, j, work)
 		}
 		if probe == nil {
 			return findWindowIndexedStream(sa, views[0], j, nil)

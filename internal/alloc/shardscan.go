@@ -2,8 +2,6 @@ package alloc
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ecosched/internal/job"
 	"ecosched/internal/resource"
@@ -13,15 +11,14 @@ import (
 // The sharded search partitions the candidate *streams*, not the window
 // searches: co-allocation windows may straddle shards, so each shard's index
 // produces its own filter-passing candidates (in that shard's canonical
-// order, chunked so production parallelizes), and a K-way merge re-interleaves
-// them into the exact global canonical order before the per-algorithm fold
-// (scanState) assembles windows. The fold is memoryless over the candidate
+// order, in chunks), and a K-way merge re-interleaves them into the exact
+// global canonical order before the per-algorithm fold (scanState)
+// assembles windows. The fold is memoryless over the candidate
 // sequence, and the merged sequence equals the unsharded index scan's — with
 // seq reconstructed as the candidate's global rank + 1 via CountLess across
 // the shard indexes — so every window, eviction, budget check, and Stats
-// counter is byte-identical to FindWindowIndexed over the merged list. Only
-// candidate production fans out across goroutines; the fold stays sequential,
-// so determinism never depends on goroutine scheduling.
+// counter is byte-identical to FindWindowIndexed over the merged list.
+// Everything runs on the caller's goroutine.
 
 // Per-round production chunks start small (most scans accept a window within
 // the first few dozen ranks) and double per round up to a cap, bounding both
@@ -36,10 +33,10 @@ const (
 // ranks each shard's cursor walked, how many merged candidates the folds
 // consumed, how many refill rounds ran, and the scan-phase critical path —
 // the sum over refill rounds of the maximum ranks walked by any one shard
-// that round. On a machine with at least K free cores the critical path is
-// the wall-clock-proportional cost of candidate production; it is also the
-// deterministic, hardware-independent number the shard/* metrics report. A
-// one-view search runs no merge and leaves every counter zero.
+// that round, i.e. the production cost were each shard scanned by its own
+// owner. It is the deterministic, hardware-independent number the shard/*
+// metrics report. A one-view search runs no merge and leaves every counter
+// zero.
 type ShardWork struct {
 	ScanSlots    []int64
 	Merged       int64
@@ -73,17 +70,14 @@ type shardCursor struct {
 	// bounding every candidate the cursor may still produce (buffered ones
 	// all order strictly before it). Read once per refill.
 	front slot.Slot
-	// walkedRound is the ranks walked in the current refill round, written
-	// only by this cursor's producer goroutine.
+	// walkedRound is the ranks walked in the current refill round.
 	walkedRound int
 }
 
 func (cu *shardCursor) exhausted() bool { return cu.head >= len(cu.buf) && cu.pos >= cu.limit }
 
 // produce advances the cursor by up to chunk ranks, buffering candidates that
-// pass the filter and the suitability check. Each cursor is produced by at
-// most one goroutine per round and touches only its own state, so rounds can
-// fan out across shards freely.
+// pass the filter and the suitability check.
 func (cu *shardCursor) produce(f slot.Filter, req job.ResourceRequest, chunk int) {
 	target := cu.pos + chunk
 	if target > cu.limit {
@@ -117,11 +111,9 @@ func globalRank(cursors []*shardCursor, s slot.Slot) int {
 }
 
 // findWindow runs one job's window scan over the K shard indexes,
-// reproducing findWindowIndexedStream over the merged list exactly.
-// parallelism bounds the producer goroutines per refill round; any value
-// yields the same result. work, when non-nil, accumulates scan-phase
-// accounting.
-func (ms *mergeScan) findWindow(sa streamAlgorithm, j *job.Job, parallelism int, work *ShardWork) (*slot.Window, Stats, bool) {
+// reproducing findWindowIndexedStream over the merged list exactly. work,
+// when non-nil, accumulates scan-phase accounting.
+func (ms *mergeScan) findWindow(sa streamAlgorithm, j *job.Job, work *ShardWork) (*slot.Window, Stats, bool) {
 	var stats Stats
 	if j.Validate() != nil {
 		return nil, stats, false
@@ -145,10 +137,10 @@ func (ms *mergeScan) findWindow(sa streamAlgorithm, j *job.Job, parallelism int,
 		// Top up every cursor that still has ranks and whose unconsumed
 		// buffer dropped below one chunk. Refilling peers alongside the dry
 		// cursor that stalled the merge keeps production batched across all
-		// shards — one round walks ~chunk ranks on each shard concurrently —
-		// instead of degrading to one producer per round as cursors drain one
-		// at a time; the buffer threshold keeps a slow-draining shard from
-		// accumulating unboundedly.
+		// shards — one round walks ~chunk ranks on each shard — instead of
+		// degrading to one shard per round as cursors drain one at a time; the
+		// buffer threshold keeps a slow-draining shard from accumulating
+		// unboundedly.
 		refill := ms.refill[:0]
 		for _, cu := range cursors {
 			if cu.pos < cu.limit && len(cu.buf)-cu.head < chunk {
@@ -160,7 +152,9 @@ func (ms *mergeScan) findWindow(sa streamAlgorithm, j *job.Job, parallelism int,
 			}
 		}
 		if len(refill) > 0 {
-			produceRound(refill, f, req, chunk, parallelism)
+			for _, cu := range refill {
+				cu.produce(f, req, chunk)
+			}
 			if work != nil {
 				work.Rounds++
 				roundMax := 0
@@ -252,38 +246,6 @@ func (ms *mergeScan) findWindow(sa streamAlgorithm, j *job.Job, parallelism int,
 	return nil, stats, false
 }
 
-// produceRound advances the given cursors by one chunk each, fanning out
-// across up to `parallelism` goroutines. Cursors are disjoint state, so the
-// round is race-free and its outcome independent of scheduling.
-func produceRound(refill []*shardCursor, f slot.Filter, req job.ResourceRequest, chunk, parallelism int) {
-	workers := parallelism
-	if workers > len(refill) {
-		workers = len(refill)
-	}
-	if workers <= 1 || len(refill) == 1 {
-		for _, cu := range refill {
-			cu.produce(f, req, chunk)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(refill) {
-					return
-				}
-				refill[i].produce(f, req, chunk)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // FindAlternativesSharded is the multi-pass search over a vacant view
 // published as K >= 1 node-disjoint indexes: one view is scanned directly,
 // several through the cross-shard merge, and every found window is
@@ -292,13 +254,16 @@ func produceRound(refill []*shardCursor, f slot.Filter, req job.ResourceRequest,
 // several of them shardOf must route every node to the index that holds its
 // slots. Results are byte-identical to FindAlternatives over the merged list
 // for every input. opts.Prebuilt is rejected: the views are the prebuilt
-// state. parallelism bounds the producer goroutines of a merge's refill
-// round, and work, when non-nil, accumulates the merge's scan-phase
-// accounting; neither applies to a single view, where nothing fans out.
+// state. work, when non-nil, accumulates the merge's scan-phase accounting
+// (a single view runs no merge and leaves it untouched).
+//
+// The parallelism parameter is deprecated and ignored — the search runs on
+// the caller's goroutine; it stays only so the frozen benchmark harness
+// compiles unchanged (ROADMAP 2(c)). Pass 1.
 func FindAlternativesSharded(algo Algorithm, shards []*slot.Index, shardOf func(*resource.Node) int,
 	batch *job.Batch, opts SearchOptions, parallelism int, work *ShardWork) (*SearchResult, error) {
 	if opts.Prebuilt != nil {
 		return nil, fmt.Errorf("alloc: Prebuilt is not used by the sharded search; pass the shard indexes")
 	}
-	return searchViews(algo, shards, shardOf, batch, opts, parallelism, work)
+	return searchViews(algo, shards, shardOf, batch, opts, work)
 }

@@ -29,10 +29,9 @@ func shardSplit(list *slot.List, k int) ([]*slot.Index, func(*resource.Node) int
 // TestFindWindowShardedMatchesIndexed is the scan-level sharding oracle: for
 // seeded scenarios (odd seeds carry deadlines), every algorithm, K from 1 to
 // a shard count exceeding some scenarios' node count (empty shards must be
-// harmless), and both a serial and a fanned-out producer pool, the cross-
-// shard merge scan must reproduce FindWindowIndexed over the unsharded list
-// exactly: same ok, same Stats (including the seq-derived eviction and
-// budget-check history), same window.
+// harmless), the cross-shard merge scan must reproduce FindWindowIndexed
+// over the unsharded list exactly: same ok, same Stats (including the
+// seq-derived eviction and budget-check history), same window.
 func TestFindWindowShardedMatchesIndexed(t *testing.T) {
 	algos := []IndexedAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -47,27 +46,25 @@ func TestFindWindowShardedMatchesIndexed(t *testing.T) {
 				sa := algo.(streamAlgorithm)
 				for _, j := range batch.Jobs() {
 					ww, wst, wok := algo.FindWindowIndexed(full, j, nil)
-					for _, parallelism := range []int{1, 4} {
-						work := &ShardWork{ScanSlots: make([]int64, k)}
-						gw, gst, gok := merge.findWindow(sa, j, parallelism, work)
-						if gok != wok || gst != wst {
-							t.Fatalf("seed %d k=%d %s %s p=%d: sharded (ok=%v stats=%+v) != indexed (ok=%v stats=%+v)",
-								seed, k, algo.Name(), j.Name, parallelism, gok, gst, wok, wst)
-						}
-						if wok && gw.String() != ww.String() {
-							t.Fatalf("seed %d k=%d %s %s p=%d: sharded window %v != indexed %v",
-								seed, k, algo.Name(), j.Name, parallelism, gw, ww)
-						}
-						walked := int64(0)
-						for _, w := range work.ScanSlots {
-							walked += w
-						}
-						if walked > 0 && work.CriticalPath == 0 {
-							t.Fatalf("seed %d k=%d %s %s: walked %d ranks but critical path is 0", seed, k, algo.Name(), j.Name, walked)
-						}
-						if work.CriticalPath > walked {
-							t.Fatalf("seed %d k=%d %s %s: critical path %d exceeds total walked %d", seed, k, algo.Name(), j.Name, work.CriticalPath, walked)
-						}
+					work := &ShardWork{ScanSlots: make([]int64, k)}
+					gw, gst, gok := merge.findWindow(sa, j, work)
+					if gok != wok || gst != wst {
+						t.Fatalf("seed %d k=%d %s %s: sharded (ok=%v stats=%+v) != indexed (ok=%v stats=%+v)",
+							seed, k, algo.Name(), j.Name, gok, gst, wok, wst)
+					}
+					if wok && gw.String() != ww.String() {
+						t.Fatalf("seed %d k=%d %s %s: sharded window %v != indexed %v",
+							seed, k, algo.Name(), j.Name, gw, ww)
+					}
+					walked := int64(0)
+					for _, w := range work.ScanSlots {
+						walked += w
+					}
+					if walked > 0 && work.CriticalPath == 0 {
+						t.Fatalf("seed %d k=%d %s %s: walked %d ranks but critical path is 0", seed, k, algo.Name(), j.Name, walked)
+					}
+					if work.CriticalPath > walked {
+						t.Fatalf("seed %d k=%d %s %s: critical path %d exceeds total walked %d", seed, k, algo.Name(), j.Name, work.CriticalPath, walked)
 					}
 				}
 			}
@@ -79,7 +76,7 @@ func TestFindWindowShardedMatchesIndexed(t *testing.T) {
 // differential the satellite suite requires: the full multi-pass sharded
 // search — merged per-job alternative lists, pass counts, stats, and the
 // merged remaining list — must be byte-identical to the unsharded
-// FindAlternatives for every K, option set, and producer parallelism.
+// FindAlternatives for every K and option set.
 func TestFindAlternativesShardedMatchesUnsharded(t *testing.T) {
 	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	options := []SearchOptions{
@@ -98,20 +95,18 @@ func TestFindAlternativesShardedMatchesUnsharded(t *testing.T) {
 				}
 				want := renderResult(t, batch, oracle)
 				for _, k := range []int{1, 2, 4, 7} {
-					for _, parallelism := range []int{1, 4} {
-						shards, shardOf := shardSplit(list, k)
-						work := &ShardWork{}
-						res, err := FindAlternativesSharded(algo, shards, shardOf, batch, opts, parallelism, work)
-						if err != nil {
-							t.Fatalf("seed %d %s opts %d k=%d p=%d: sharded: %v", seed, algo.Name(), oi, k, parallelism, err)
-						}
-						if got := renderResult(t, batch, res); got != want {
-							t.Fatalf("seed %d %s opts %d k=%d p=%d: sharded search diverged\n--- unsharded ---\n%s\n--- sharded ---\n%s",
-								seed, algo.Name(), oi, k, parallelism, want, got)
-						}
-						if len(work.ScanSlots) != k {
-							t.Fatalf("seed %d k=%d: work tracks %d shards", seed, k, len(work.ScanSlots))
-						}
+					shards, shardOf := shardSplit(list, k)
+					work := &ShardWork{}
+					res, err := FindAlternativesSharded(algo, shards, shardOf, batch, opts, 1, work)
+					if err != nil {
+						t.Fatalf("seed %d %s opts %d k=%d: sharded: %v", seed, algo.Name(), oi, k, err)
+					}
+					if got := renderResult(t, batch, res); got != want {
+						t.Fatalf("seed %d %s opts %d k=%d: sharded search diverged\n--- unsharded ---\n%s\n--- sharded ---\n%s",
+							seed, algo.Name(), oi, k, want, got)
+					}
+					if len(work.ScanSlots) != k {
+						t.Fatalf("seed %d k=%d: work tracks %d shards", seed, k, len(work.ScanSlots))
 					}
 				}
 			}

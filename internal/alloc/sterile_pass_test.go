@@ -17,8 +17,9 @@ import (
 // counts its final empty pass: that one did scan and is how termination is
 // detected. The rule lives in the one loop; it is exercised under each scan
 // that loop can be bound to: the indexed scan of one view (linear=false,
-// par=1), the merge of two views fed by up to four producer goroutines
-// (linear=false, par=4), and the linear reference (linear=true).
+// par=1), the merge of two views (linear=false, par=4 — a name kept from
+// when the merge had a producer pool), and the linear reference
+// (linear=true).
 func TestNoSterileFinalPass(t *testing.T) {
 	searches := []struct {
 		linear bool
@@ -30,7 +31,7 @@ func TestNoSterileFinalPass(t *testing.T) {
 		}},
 		{false, 4, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
 			views, shardOf := shardSplit(smallList(), 2)
-			return FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 4, nil)
+			return FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 1, nil)
 		}},
 		{true, 1, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
 			return findAlternativesLinear(algo, smallList(), twoJobBatch(), opts)
@@ -72,7 +73,7 @@ func TestNoSterileFinalPass(t *testing.T) {
 	}
 }
 
-// TestCappedSearchSeqParIdentical pins the one-view stream and the fanned-out
+// TestCappedSearchSeqParIdentical pins the one-view stream and the two-view
 // merge to the same capped-search results: for a spread of caps the full
 // results — alternatives, pass counts, stats, remaining lists — must stay
 // identical.
@@ -85,7 +86,7 @@ func TestCappedSearchSeqParIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			views, shardOf := shardSplit(smallList(), 2)
-			par, err := FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 4, nil)
+			par, err := FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 1, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,8 +100,8 @@ func TestCappedSearchSeqParIdentical(t *testing.T) {
 // TestPrebuiltIndexEquivalence proves the one-view case of the unified
 // entry is the indexed stream scan and nothing more: handing
 // FindAlternativesSharded a single caller-built view returns byte-identical
-// results to FindAlternatives' clone-and-build, for any Parallelism (nothing
-// fans out over one view); the view is adopted, not rebuilt
+// results to FindAlternatives' clone-and-build, for either value of its
+// ignored parallelism argument; the view is adopted, not rebuilt
 // (alloc/<algo>/index/rebuilds_total stays 0) and searched in place
 // (Remaining reads the caller's view); and a scan allocates exactly what
 // findWindowIndexedStream does — no cursors, no candidate buffers.
@@ -137,7 +138,7 @@ func TestPrebuiltIndexEquivalence(t *testing.T) {
 				}
 
 				fresh := slot.NewIndex(smallList(), nil)
-				scan, _, err := newScanner(algo, []*slot.Index{fresh}, nil, SearchOptions{}, parallelism, nil)
+				scan, _, err := newScanner(algo, []*slot.Index{fresh}, nil, SearchOptions{}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -272,13 +272,13 @@ func (ds *Service) replayRound(rr *codec.RoundRecord) error {
 			plan.Choices = append(plan.Choices, dp.Choice{Job: jb, Window: cr.Window})
 		}
 	}
-	if err := r.Iteration().InstallPlan(plan); err != nil {
+	if err := r.InstallPlan(plan); err != nil {
 		return err
 	}
 	if err := r.Apply(); err != nil {
 		return err
 	}
-	if got := r.Iteration().StaleJobs(); !equalStrings(rr.Stale, got) {
+	if got := r.StaleJobs(); !equalStrings(rr.Stale, got) {
 		return fmt.Errorf("journaled stale windows %v, replay produced %v", rr.Stale, got)
 	}
 	rep, err := r.Finish()

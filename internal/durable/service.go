@@ -205,7 +205,7 @@ func (ds *Service) round(tick bool) (*metasched.IterationReport, error) {
 	if err := r.Apply(); err != nil {
 		return nil, err
 	}
-	stale := r.Iteration().StaleJobs()
+	stale := r.StaleJobs()
 	rep, err := r.Finish()
 	if err != nil {
 		return nil, err

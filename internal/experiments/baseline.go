@@ -114,8 +114,12 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		svc, err := metasched.NewService(ms, metasched.ServiceConfig{})
+		if err != nil {
+			return nil, nil, err
+		}
 		for i, q := range queue {
-			err := ms.Submit(&job.Job{
+			err := svc.Submit(&job.Job{
 				Name:     fmt.Sprintf("job%d", i+1),
 				Priority: i + 1,
 				Request: job.ResourceRequest{
@@ -126,12 +130,12 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 				return nil, nil, err
 			}
 		}
-		reports, err := ms.RunUntilDrained(cfg.Jobs)
-		if err != nil {
-			return nil, nil, err
-		}
 		var makespan sim.Time
-		for _, r := range reports {
+		for round := 0; round < cfg.Jobs && ms.QueueLength() > 0; round++ {
+			r, err := svc.Tick()
+			if err != nil {
+				return nil, nil, err
+			}
 			for _, p := range r.Placed {
 				eco.MeanWait.Add(float64(p.Window.Window.Start()))
 				if end := p.Window.Window.End(); end > makespan {

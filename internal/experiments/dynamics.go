@@ -136,6 +136,10 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 	if err != nil {
 		return err
 	}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		return err
+	}
 	for i := 0; i < cfg.JobsPerSession; i++ {
 		j := &job.Job{
 			Name:     fmt.Sprintf("job%d", i+1),
@@ -147,7 +151,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.4)),
 			},
 		}
-		if err := sched.Submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			return err
 		}
 	}
@@ -161,7 +165,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 		}
 	}
 
-	rep, err := sched.RunIteration()
+	rep, err := svc.Tick()
 	if err != nil {
 		return err
 	}
@@ -174,7 +178,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 	for k, v := range startOf {
 		preStart[k] = v
 	}
-	requeued, err := sched.HandleNodeFailure(victim)
+	requeued, err := svc.HandleNodeFailure(victim)
 	if err != nil {
 		return err
 	}
@@ -186,7 +190,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 	}
 
 	for it := 1; it < cfg.Iterations && sched.QueueLength() > 0; it++ {
-		rep, err := sched.RunIteration()
+		rep, err := svc.Tick()
 		if err != nil {
 			return err
 		}

@@ -21,12 +21,12 @@ const (
 	chaosStep       = sim.Duration(150)
 )
 
-// chaosScheduler builds the soak's seeded scenario: a 12-node grid with
+// chaosService builds the soak's seeded scenario: a 12-node grid with
 // owner-local load, a retry policy with backoff, degradation ladder and
-// deadline, and 8 submitted jobs — the same scenario family as the
-// metasched differential suite, plus the retry policy. shards federates the
-// grid, with one producer goroutine per shard.
-func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy, shards int) *metasched.Scheduler {
+// deadline, and 8 jobs submitted to the scheduler — the same scenario family
+// as the metasched differential suite, plus the retry policy — wrapped in
+// the service that runs its rounds. shards federates the grid.
+func chaosService(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy, shards int) *metasched.Service {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -58,7 +58,6 @@ func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy meta
 		Step:             chaosStep,
 		MaxBatch:         4,
 		MaxPostponements: 3,
-		Parallelism:      shards,
 		Shards:           shards,
 		Retry: &metasched.RetryPolicy{
 			MaxAttempts:      2,
@@ -91,7 +90,11 @@ func chaosScheduler(t testing.TB, seed uint64, algo alloc.Algorithm, policy meta
 			t.Fatal(err)
 		}
 	}
-	return sched
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
 }
 
 // chaosPlan compiles the seed's fault schedule: crashes with recovery,
@@ -116,10 +119,10 @@ func chaosPlan(t testing.TB, pool *resource.Pool, seed uint64, rate float64) *fa
 // transcript, failing the test on any scheduler error or audit violation.
 func chaosTranscript(t testing.TB, seed uint64, algo alloc.Algorithm, policy metasched.Policy, shards int) string {
 	t.Helper()
-	sched := chaosScheduler(t, seed, algo, policy, shards)
-	plan := chaosPlan(t, sched.Grid().Pool(), seed, 0.6)
+	svc := chaosService(t, seed, algo, policy, shards)
+	plan := chaosPlan(t, svc.Scheduler().Grid().Pool(), seed, 0.6)
 	var b strings.Builder
-	sess, err := fault.NewSession(sched, plan, &b)
+	sess, err := fault.NewSession(svc, plan, &b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +142,9 @@ func chaosTranscript(t testing.TB, seed uint64, algo alloc.Algorithm, policy met
 // compares every live vacant store against the rebuild oracle at each of
 // those points, so this is the 50-seed byte-identity proof for the store.
 // Per seed and algorithm the transcript must also be byte-identical between
-// the single-domain session and the grid federated into four shards with
-// four producers — the one configuration axis the search has — which puts
-// the faults on shard boundaries under the same audit, per shard.
+// the single-domain session and the grid federated into four shards — the
+// one configuration axis the search has — which puts the faults on shard
+// boundaries under the same audit, per shard.
 func TestChaosSoak(t *testing.T) {
 	seeds := uint64(50)
 	if testing.Short() {
@@ -174,8 +177,8 @@ func TestChaosSoak(t *testing.T) {
 
 // TestEmptyPlanNeutrality proves the fault layer is neutral when idle: a
 // session with a nil plan, a session with a parsed empty plan, and a bare
-// scheduler loop that never constructs a Session or Audit at all must
-// produce byte-identical transcripts.
+// tick loop that never constructs a Session or Audit at all must produce
+// byte-identical transcripts.
 func TestEmptyPlanNeutrality(t *testing.T) {
 	empty, err := fault.ParsePlan("")
 	if err != nil {
@@ -183,22 +186,22 @@ func TestEmptyPlanNeutrality(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 5; seed++ {
 		for _, algo := range []alloc.Algorithm{alloc.ALP{}, alloc.AMP{}} {
-			// Baseline: plain scheduler loop, no fault layer.
-			sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1)
+			// Baseline: plain tick loop, no fault layer.
+			svc := chaosService(t, seed, algo, metasched.MinimizeTime, 1)
 			var base strings.Builder
 			for i := 0; i < chaosIterations; i++ {
-				rep, err := sched.RunIteration()
+				rep, err := svc.Tick()
 				if err != nil {
 					t.Fatal(err)
 				}
 				fault.WriteIterationReport(&base, rep)
 			}
-			fault.WriteSummary(&base, sched, 0, 0)
+			fault.WriteSummary(&base, svc.Scheduler(), 0, 0)
 
 			for _, plan := range []*fault.Plan{nil, empty} {
-				sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1)
+				svc := chaosService(t, seed, algo, metasched.MinimizeTime, 1)
 				var b strings.Builder
-				sess, err := fault.NewSession(sched, plan, &b)
+				sess, err := fault.NewSession(svc, plan, &b)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,16 +217,19 @@ func TestEmptyPlanNeutrality(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsUnknownNodes checks plan/pool validation at session
-// construction.
+// TestSessionRejectsUnknownNodes checks plan/pool validation and the nil
+// driver guard at session construction.
 func TestSessionRejectsUnknownNodes(t *testing.T) {
-	sched := chaosScheduler(t, 1, alloc.ALP{}, metasched.MinimizeTime, 1)
+	svc := chaosService(t, 1, alloc.ALP{}, metasched.MinimizeTime, 1)
 	plan, err := fault.ParsePlan("fail@100:ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fault.NewSession(sched, plan, nil); err == nil {
+	if _, err := fault.NewSession(svc, plan, nil); err == nil {
 		t.Fatal("session accepted a plan targeting a node outside the pool")
+	}
+	if _, err := fault.NewSession(nil, nil, nil); err == nil {
+		t.Fatal("session accepted a nil service driver")
 	}
 }
 

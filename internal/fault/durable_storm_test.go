@@ -20,8 +20,7 @@ import (
 // durable.Recover's factory must honor.
 func durableChaosFactory(t testing.TB, seed uint64, algo alloc.Algorithm) durable.Factory {
 	return func() (*metasched.Service, error) {
-		sched := chaosScheduler(t, seed, algo, metasched.MinimizeTime, 1)
-		return metasched.NewService(sched, metasched.ServiceConfig{})
+		return chaosService(t, seed, algo, metasched.MinimizeTime, 1), nil
 	}
 }
 
@@ -49,7 +48,7 @@ func TestCrashStormSoak(t *testing.T) {
 		}{{"ALP", alloc.ALP{}}, {"AMP", alloc.AMP{}}} {
 			t.Run(fmt.Sprintf("seed%d-%s", seed, a.name), func(t *testing.T) {
 				factory := durableChaosFactory(t, seed, a.algo)
-				plan := chaosPlan(t, chaosScheduler(t, seed, a.algo, metasched.MinimizeTime, 1).Grid().Pool(), seed, 0.6)
+				plan := chaosPlan(t, chaosService(t, seed, a.algo, metasched.MinimizeTime, 1).Scheduler().Grid().Pool(), seed, 0.6)
 
 				// Uncrashed reference: plain service session, stepped so the
 				// canonical state hash is captured at every round boundary.
@@ -58,7 +57,7 @@ func TestCrashStormSoak(t *testing.T) {
 					t.Fatal(err)
 				}
 				var base strings.Builder
-				refSess, err := fault.NewServiceSession(refSvc, plan, &base)
+				refSess, err := fault.NewSession(refSvc, plan, &base)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,7 +94,7 @@ func TestCrashStormSoak(t *testing.T) {
 					t.Fatal(err)
 				}
 				var neutral strings.Builder
-				nSess, err := fault.NewDriverSession(nds, plan, &neutral)
+				nSess, err := fault.NewSession(nds, plan, &neutral)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -122,7 +121,7 @@ func TestCrashStormSoak(t *testing.T) {
 					t.Fatal(err)
 				}
 				var storm strings.Builder
-				sess, err := fault.NewDriverSession(ds, plan, &storm)
+				sess, err := fault.NewSession(ds, plan, &storm)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -151,7 +150,7 @@ func TestCrashStormSoak(t *testing.T) {
 						t.Fatalf("round %d: %v", i, err)
 					}
 					ds = rds
-					sess, err = fault.NewDriverSession(ds, plan, &storm)
+					sess, err = fault.NewSession(ds, plan, &storm)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -179,15 +178,11 @@ func TestSessionDrain(t *testing.T) {
 	half := chaosIterations / 2
 	sawPending := false
 	for _, seed := range []uint64{3, 7, 11} {
-		// Service mode: half-length run, then drain.
-		sched := chaosScheduler(t, seed, alloc.AMP{}, metasched.MinimizeTime, 1)
-		svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := chaosPlan(t, sched.Grid().Pool(), seed, 0.6)
+		// Half-length run, then drain.
+		svc := chaosService(t, seed, alloc.AMP{}, metasched.MinimizeTime, 1)
+		plan := chaosPlan(t, svc.Scheduler().Grid().Pool(), seed, 0.6)
 		var b strings.Builder
-		sess, err := fault.NewServiceSession(svc, plan, &b)
+		sess, err := fault.NewSession(svc, plan, &b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,32 +225,10 @@ func TestSessionDrain(t *testing.T) {
 		t.Fatal("no seed left work pending after a half-length run — the drain path was never exercised")
 	}
 
-	// Batch mode: Pending counts unapplied plan events and Drain applies them.
-	sched := chaosScheduler(t, 3, alloc.ALP{}, metasched.MinimizeTime, 1)
-	plan := chaosPlan(t, sched.Grid().Pool(), 3, 0.6)
-	sess, err := fault.NewSession(sched, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < half; i++ {
-		if err := sess.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sess.Pending() != plan.Len()-sess.Applied() {
-		t.Fatalf("batch Pending = %d, want the %d unapplied events", sess.Pending(), plan.Len()-sess.Applied())
-	}
-	if sess.Pending() > 0 {
-		if _, err := sess.Drain(60); err != nil {
-			t.Fatalf("batch drain: %v", err)
-		}
-		if sess.Applied() != plan.Len() || sess.Pending() != 0 {
-			t.Fatalf("batch drain left %d pending, %d/%d events applied", sess.Pending(), sess.Applied(), plan.Len())
-		}
-	}
-
 	// A resumed cursor is only valid on a fresh session and inside the plan.
-	fresh, err := fault.NewSession(chaosScheduler(t, 3, alloc.ALP{}, metasched.MinimizeTime, 1), plan, nil)
+	svc := chaosService(t, 3, alloc.ALP{}, metasched.MinimizeTime, 1)
+	plan := chaosPlan(t, svc.Scheduler().Grid().Pool(), 3, 0.6)
+	fresh, err := fault.NewSession(svc, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,13 +249,14 @@ func TestSessionDrain(t *testing.T) {
 // reservation no journal record covers — to prove the crash-storm's "clean
 // after every recovery" claim has teeth.
 func TestCheckRecoveryCoherence(t *testing.T) {
-	sched := chaosScheduler(t, 1, alloc.ALP{}, metasched.MinimizeTime, 1)
+	svc := chaosService(t, 1, alloc.ALP{}, metasched.MinimizeTime, 1)
+	sched := svc.Scheduler()
 	a := fault.NewAudit(sched)
 	if err := a.CheckRecoveryCoherence(nil); err != nil {
 		t.Fatalf("pristine scheduler with empty ledger flagged: %v", err)
 	}
 	for i := 0; i < 4 && sched.PlacedCount() == 0; i++ {
-		if _, err := sched.RunIteration(); err != nil {
+		if _, err := svc.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}

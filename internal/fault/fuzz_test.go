@@ -38,12 +38,12 @@ func FuzzFaultPlan(f *testing.F) {
 			t.Fatalf("round trip unstable:\n first: %s\nsecond: %s", canon, again)
 		}
 
-		sched := fuzzScheduler(t)
-		if plan.Validate(sched.Grid().Pool()) != nil {
+		svc := fuzzService(t)
+		if plan.Validate(svc.Scheduler().Grid().Pool()) != nil {
 			return // targets outside the pool; nothing to inject
 		}
 		var b strings.Builder
-		sess, err := fault.NewSession(sched, plan, &b)
+		sess, err := fault.NewSession(svc, plan, &b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,9 +56,9 @@ func FuzzFaultPlan(f *testing.F) {
 	})
 }
 
-// fuzzScheduler builds a small fixed scenario (4 nodes n1..n4, 3 jobs, retry
+// fuzzService builds a small fixed scenario (4 nodes n1..n4, 3 jobs, retry
 // policy with ladder and deadline) for the fuzzer to batter with plans.
-func fuzzScheduler(t *testing.T) *metasched.Scheduler {
+func fuzzService(t *testing.T) *metasched.Service {
 	t.Helper()
 	grid, err := gridsim.New(testPool(t, 4))
 	if err != nil {
@@ -95,5 +95,9 @@ func fuzzScheduler(t *testing.T) *metasched.Scheduler {
 			t.Fatal(err)
 		}
 	}
-	return sched
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
 }

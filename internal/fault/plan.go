@@ -11,9 +11,9 @@
 // Everything is deterministic: a Plan is an explicit sorted event list, the
 // generators draw only from an explicitly seeded sim.RNG, and the Session
 // driver emits a canonical transcript — so the chaos soak can require
-// byte-identical behaviour across every engine toggle (DP engine, slot
-// index, search parallelism) and the Audit invariant checker can pin the
-// global safety properties after every injected event.
+// byte-identical behaviour across every configuration that must not change
+// a schedule (shard count, journaling) and the Audit invariant checker can
+// pin the global safety properties after every injected event.
 package fault
 
 import (

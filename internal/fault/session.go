@@ -9,12 +9,11 @@ import (
 	"ecosched/internal/sim"
 )
 
-// ServiceDriver is the continuous-service surface a session drives in service
-// mode: the event handlers, the round runner, and the evaluation-queue depth
-// the drain loop watches. *metasched.Service satisfies it directly, and so
-// does the durable wrapper (internal/durable.Service), which journals every
-// one of these calls — the crash-storm soak runs a whole chaos session
-// through it unmodified.
+// ServiceDriver is the surface a session drives: the event handlers, the
+// round runner, and the evaluation-queue depth the drain loop watches.
+// *metasched.Service satisfies it directly, and so does the durable wrapper
+// (internal/durable.Service), which journals every one of these calls — the
+// crash-storm soak runs a whole chaos session through it unmodified.
 type ServiceDriver interface {
 	Scheduler() *metasched.Scheduler
 	HandleNodeFailure(nodeLabel string) ([]string, error)
@@ -24,43 +23,39 @@ type ServiceDriver interface {
 	QueueDepth() int
 }
 
-// Session drives a metascheduler through a fault plan: before every
-// scheduling iteration it applies the plan events whose time has come (in
-// plan order), re-queuing or dropping the affected jobs through the
-// scheduler's retry policy, and it runs the Audit invariant checker after
-// every injected event and every iteration, failing fast on the first
-// violation.
+// Session drives a metascheduler service through a fault plan: before every
+// round it applies the plan events whose time has come (in plan order)
+// through the service's event handlers, re-queuing or dropping the affected
+// jobs through the scheduler's retry policy, and it runs the Audit invariant
+// checker after every injected event and every round, failing fast on the
+// first violation.
 //
 // The whole run is written to the transcript writer in a canonical textual
 // form. Because every input is deterministic — the plan is a sorted event
 // list, the scheduler draws only from seeded RNGs — two sessions with the
 // same seed and plan must produce byte-identical transcripts whatever the
-// engine toggles (DP engine, slot index, search parallelism); the chaos
-// soak pins exactly that. With no plan the session writes precisely what
+// engine toggles (shard count, journaling); the chaos and crash-storm soaks
+// pin exactly that. With no plan the session writes precisely what
 // WriteIterationReport + WriteSummary produce for an undisturbed run, so
 // the fault layer is provably neutral when idle.
 type Session struct {
+	d     ServiceDriver
 	sched *metasched.Scheduler
 	plan  *Plan
 	audit *Audit
 	w     io.Writer
-	// svc, when non-nil, switches the session to service mode: events route
-	// through the driver's handlers (enqueueing evaluations) and each
-	// iteration is a service round (Tick) instead of RunIteration. Because
-	// a round is exactly the batch step sequence with evaluation-queue
-	// bookkeeping around it, service-mode transcripts are byte-identical to
-	// batch-mode ones — the service chaos differential pins this.
-	svc ServiceDriver
 	// next indexes the first plan event not yet applied.
 	next int
 }
 
-// NewSession binds a scheduler to a fault plan (nil means no faults) and a
+// NewSession binds a service driver — a plain service or the durable
+// journaling wrapper — to a fault plan (nil means no faults) and a
 // transcript writer. The plan is validated against the grid's node pool.
-func NewSession(s *metasched.Scheduler, plan *Plan, w io.Writer) (*Session, error) {
-	if s == nil {
-		return nil, fmt.Errorf("fault: nil scheduler")
+func NewSession(d ServiceDriver, plan *Plan, w io.Writer) (*Session, error) {
+	if d == nil {
+		return nil, fmt.Errorf("fault: nil service driver")
 	}
+	s := d.Scheduler()
 	if w == nil {
 		w = io.Discard
 	}
@@ -69,34 +64,7 @@ func NewSession(s *metasched.Scheduler, plan *Plan, w io.Writer) (*Session, erro
 			return nil, err
 		}
 	}
-	return &Session{sched: s, plan: plan, audit: NewAudit(s), w: w}, nil
-}
-
-// NewServiceSession binds a continuous-service metascheduler to a fault plan:
-// the session drives the service's event loop — plan events become service
-// events, iterations become evaluation rounds — under the same audit and
-// transcript contract as the batch session.
-func NewServiceSession(svc *metasched.Service, plan *Plan, w io.Writer) (*Session, error) {
-	if svc == nil {
-		return nil, fmt.Errorf("fault: nil service")
-	}
-	return NewDriverSession(svc, plan, w)
-}
-
-// NewDriverSession binds any ServiceDriver — a plain service or the durable
-// journaling wrapper — to a fault plan under the same audit and transcript
-// contract. Sessions over a plain service and over its durable wrapper
-// produce byte-identical transcripts; the crash-storm soak pins that.
-func NewDriverSession(d ServiceDriver, plan *Plan, w io.Writer) (*Session, error) {
-	if d == nil {
-		return nil, fmt.Errorf("fault: nil service driver")
-	}
-	s, err := NewSession(d.Scheduler(), plan, w)
-	if err != nil {
-		return nil, err
-	}
-	s.svc = d
-	return s, nil
+	return &Session{d: d, sched: s, plan: plan, audit: NewAudit(s), w: w}, nil
 }
 
 // Audit returns the session's invariant checker.
@@ -144,7 +112,7 @@ func (s *Session) Step() error {
 	if err := s.injectDue(); err != nil {
 		return err
 	}
-	rep, err := s.runIteration()
+	rep, err := s.d.Tick()
 	if err != nil {
 		return err
 	}
@@ -159,16 +127,12 @@ func (s *Session) Step() error {
 }
 
 // Pending reports the in-flight work a finished Run leaves behind: plan
-// events not yet applied plus, in service mode, evaluations still waiting in
-// the service queue — including backoff-gated requeues whose retry time lies
+// events not yet applied plus evaluations still waiting in the service
+// queue — including backoff-gated requeues whose retry time lies
 // beyond the last iteration. Run(n) stops after exactly n rounds whatever
 // remains; before this accessor existed that tail was dropped silently.
 func (s *Session) Pending() int {
-	n := s.plan.Len() - s.next
-	if s.svc != nil {
-		n += s.svc.QueueDepth()
-	}
-	return n
+	return s.plan.Len() - s.next + s.d.QueueDepth()
 }
 
 // Drain makes the end-of-plan tail explicit: it keeps running audited rounds
@@ -193,15 +157,6 @@ func (s *Session) Drain(maxRounds int) (int, error) {
 	return ran, nil
 }
 
-// runIteration runs one scheduling step: a service round in service mode, a
-// batch iteration otherwise.
-func (s *Session) runIteration() (*metasched.IterationReport, error) {
-	if s.svc != nil {
-		return s.svc.Tick()
-	}
-	return s.sched.RunIteration()
-}
-
 // injectDue applies every not-yet-applied plan event whose time has been
 // reached, in plan order.
 func (s *Session) injectDue() error {
@@ -219,36 +174,22 @@ func (s *Session) injectDue() error {
 	return nil
 }
 
-// apply injects one event through the matching scheduler hook, records the
+// apply injects one event through the matching service handler, records the
 // cancelled reservations with the audit, writes the transcript line, and
 // checks the invariants.
 func (s *Session) apply(e Event) error {
 	s.audit.BeginEvent()
 	var requeued []string
 	var err error
-	switch {
-	case s.svc != nil:
-		switch e.Kind {
-		case Fail:
-			requeued, err = s.svc.HandleNodeFailure(e.Node)
-		case Recover:
-			err = s.svc.HandleNodeRecovery(e.Node)
-		case Revoke:
-			requeued, err = s.svc.HandleRevocation(e.Node, e.Span)
-		default:
-			err = fmt.Errorf("unknown event kind %d", int(e.Kind))
-		}
+	switch e.Kind {
+	case Fail:
+		requeued, err = s.d.HandleNodeFailure(e.Node)
+	case Recover:
+		err = s.d.HandleNodeRecovery(e.Node)
+	case Revoke:
+		requeued, err = s.d.HandleRevocation(e.Node, e.Span)
 	default:
-		switch e.Kind {
-		case Fail:
-			requeued, err = s.sched.HandleNodeFailure(e.Node)
-		case Recover:
-			err = s.sched.HandleNodeRecovery(e.Node)
-		case Revoke:
-			requeued, err = s.sched.HandleRevocation(e.Node, e.Span)
-		default:
-			err = fmt.Errorf("unknown event kind %d", int(e.Kind))
-		}
+		err = fmt.Errorf("unknown event kind %d", int(e.Kind))
 	}
 	if err != nil {
 		return fmt.Errorf("fault: applying %v: %w", e, err)

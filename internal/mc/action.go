@@ -9,17 +9,10 @@ import (
 type ActionKind int
 
 const (
-	// ActSubmit submits job Arg to the scheduler queue.
+	// ActSubmit submits job Arg through the service (queue + evaluation).
 	ActSubmit ActionKind = iota
-	// ActPlan opens an iteration: BeginIteration (seed, freeze batch)
-	// followed by Plan (publish, search, optimize). Read-only on the grid,
-	// so the chosen combination is optimistic.
-	ActPlan
-	// ActCommit closes the open iteration: Apply (commit windows, requeue
-	// the rest) followed by Finish (advance the clock one step).
-	ActCommit
 	// ActTick advances the clock one step without scheduling — the retry
-	// backoff timer firing, or dead time between iterations.
+	// backoff timer firing, or dead time between rounds.
 	ActTick
 	// ActFail crashes node Arg.
 	ActFail
@@ -29,24 +22,22 @@ const (
 	ActRevoke
 	// ActEnqueue queues the service's periodic tick evaluation without
 	// opening a round — the timer firing while the loop is busy elsewhere.
-	// Service universes only.
 	ActEnqueue
-	// ActEvaluate opens an evaluation round: BeginRound (consume the due
-	// evaluations, freeze the batch) followed by Evaluate (plan against the
-	// epoch-stamped snapshot). Service universes only; the service-mode
-	// counterpart of ActPlan.
+	// ActEvaluate opens a round: BeginRound (consume the due evaluations,
+	// seed, freeze the batch) followed by Evaluate (publish, search and
+	// optimize against the epoch-stamped snapshot). Read-only on the grid,
+	// so the chosen combination is optimistic.
 	ActEvaluate
 	// ActApply closes the open round: the serial applier re-validates the
-	// pending plan window by window, requeues stale rejections with backoff,
-	// and Finish advances the clock. Service universes only; the counterpart
-	// of ActCommit.
+	// pending plan window by window, postpones the rest, requeues stale
+	// rejections with backoff, and Finish advances the clock one step.
 	ActApply
 	// ActCrash simulates a process crash at a committed boundary followed by
 	// durability recovery: the complete canonical state is exported through
 	// the codec's checkpoint wire format, decoded back, and restored in
 	// place. The post-recovery state must hash-equal the pre-crash committed
-	// state — a divergence is a safety violation. Service universes only,
-	// and only between rounds (an open round is by definition uncommitted).
+	// state — a divergence is a safety violation. Only between rounds (an
+	// open round is by definition uncommitted).
 	ActCrash
 )
 
@@ -58,15 +49,11 @@ type Action struct {
 }
 
 // Render writes the action in the replay-script syntax: the keyword alone
-// for plan/commit/tick, keyword plus the job or node name otherwise.
+// for the step actions, keyword plus the job or node name otherwise.
 func (a Action) Render(u *Universe) string {
 	switch a.Kind {
 	case ActSubmit:
 		return "submit " + u.Jobs[a.Arg].Name
-	case ActPlan:
-		return "plan"
-	case ActCommit:
-		return "commit"
 	case ActTick:
 		return "tick"
 	case ActFail:
@@ -111,15 +98,11 @@ func ParseScript(u *Universe, script string) ([]Action, error) {
 		fields := strings.Fields(line)
 		var a Action
 		switch fields[0] {
-		case "plan", "commit", "tick", "enqueue", "evaluate", "apply", "crash":
+		case "tick", "enqueue", "evaluate", "apply", "crash":
 			if len(fields) != 1 {
 				return nil, fmt.Errorf("mc: line %d: %q takes no argument", ln+1, fields[0])
 			}
 			switch fields[0] {
-			case "plan":
-				a.Kind = ActPlan
-			case "commit":
-				a.Kind = ActCommit
 			case "tick":
 				a.Kind = ActTick
 			case "enqueue":

@@ -19,7 +19,7 @@ func enumerateCompatible(u *Universe, maxDepth, limit int) [][]Action {
 			trace := make([]Action, len(n.trace)+1)
 			copy(trace, n.trace)
 			trace[len(n.trace)] = a
-			if a.Kind == ActTick {
+			if a.Kind == ActTick || a.Kind == ActEnqueue || a.Kind == ActCrash {
 				continue // never compatible, prune the whole subtree
 			}
 			if SessionCompatible(trace) {
@@ -36,7 +36,7 @@ func enumerateCompatible(u *Universe, maxDepth, limit int) [][]Action {
 }
 
 // TestDifferentialSession replays every session-compatible explorer trace
-// (submits up front, strict plan/commit pairs, faults between iterations)
+// (submits up front, strict evaluate/apply pairs, faults between rounds)
 // both through the model checker's instance and through a fault.Session
 // driven by the recorded fault plan, and requires byte-identical
 // transcripts. This pins the explorer to the production fault driver: the

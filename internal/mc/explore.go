@@ -76,7 +76,7 @@ type node struct {
 	trace []Action
 	depth int
 	open  bool
-	// enq marks a pending explicit tick evaluation (service universes).
+	// enq marks a pending explicit tick evaluation.
 	enq       bool
 	submitted uint16
 	failed    uint16
@@ -91,19 +91,13 @@ func (u *Universe) enabled(n node) []Action {
 			out = append(out, Action{Kind: ActSubmit, Arg: j})
 		}
 	}
-	if u.Service {
-		if n.open {
-			out = append(out, Action{Kind: ActApply})
-		} else {
-			out = append(out, Action{Kind: ActEvaluate}, Action{Kind: ActCrash})
-		}
-		if !n.enq {
-			out = append(out, Action{Kind: ActEnqueue})
-		}
-	} else if n.open {
-		out = append(out, Action{Kind: ActCommit})
+	if n.open {
+		out = append(out, Action{Kind: ActApply})
 	} else {
-		out = append(out, Action{Kind: ActPlan})
+		out = append(out, Action{Kind: ActEvaluate}, Action{Kind: ActCrash})
+	}
+	if !n.enq {
+		out = append(out, Action{Kind: ActEnqueue})
 	}
 	out = append(out, Action{Kind: ActTick})
 	for i := range u.Nodes {
@@ -124,10 +118,6 @@ func (n node) child(a Action, trace []Action) node {
 	switch a.Kind {
 	case ActSubmit:
 		c.submitted |= 1 << a.Arg
-	case ActPlan:
-		c.open = true
-	case ActCommit:
-		c.open = false
 	case ActEnqueue:
 		c.enq = true
 	case ActEvaluate:

@@ -6,10 +6,10 @@ import (
 )
 
 // TestExploreTinyClean sweeps the tiny universe with all properties on: the
-// schedule/commit protocol must survive every interleaving of submits,
-// plan/commit steps, ticks, failures, recoveries, and revocations reachable
-// within the depth bound, with zero safety, liveness, or determinism
-// violations.
+// schedule/commit protocol must survive every interleaving of submits, tick
+// enqueues, evaluate/apply rounds, crashes, ticks, failures, recoveries, and
+// revocations reachable within the depth bound, with zero safety, liveness,
+// or determinism violations.
 func TestExploreTinyClean(t *testing.T) {
 	depth, states := 6, 40000
 	if testing.Short() {
@@ -73,8 +73,8 @@ func TestScriptRoundTrip(t *testing.T) {
 	u := Default()
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 2},
-		{Kind: ActFail, Arg: 1}, {Kind: ActPlan}, {Kind: ActTick},
-		{Kind: ActCommit}, {Kind: ActRecover, Arg: 1}, {Kind: ActRevoke, Arg: 0},
+		{Kind: ActFail, Arg: 1}, {Kind: ActEnqueue}, {Kind: ActEvaluate}, {Kind: ActTick},
+		{Kind: ActApply}, {Kind: ActCrash}, {Kind: ActRecover, Arg: 1}, {Kind: ActRevoke, Arg: 0},
 	}
 	script := RenderTrace(u, trace)
 	back, err := ParseScript(u, script+"\n# trailing comment\n")
@@ -97,9 +97,9 @@ func TestReplayDeterministic(t *testing.T) {
 	u := Default()
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1},
-		{Kind: ActPlan}, {Kind: ActFail, Arg: 0}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActFail, Arg: 0}, {Kind: ActApply},
 		{Kind: ActTick}, {Kind: ActRecover, Arg: 0},
-		{Kind: ActPlan}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActApply},
 	}
 	a, err := Replay(u, MutNone, trace, nil)
 	if err != nil {

@@ -14,23 +14,18 @@ import (
 	"ecosched/internal/sim"
 )
 
-// Instance is one live replay of a trace: a fresh grid, scheduler, and
-// auditor driven action by action. The explorer builds one per candidate
-// successor; the differential tests reuse it as a transcript generator.
+// Instance is one live replay of a trace: a fresh grid, scheduler, service,
+// and auditor driven action by action. Submits and fault events route
+// through the service, so each enqueues its evaluation. The explorer builds
+// one instance per candidate successor; the differential tests reuse it as
+// a transcript generator.
 type Instance struct {
 	u     *Universe
 	grid  *gridsim.Grid
 	sched *metasched.Scheduler
+	svc   *metasched.Service
 	audit *fault.Audit
-	// it is the open plan/apply iteration, nil between iterations. Batch
-	// universes only.
-	it *metasched.Iteration
-	// svc is the continuous-service wrapper, nil in batch universes. When
-	// set, submits and fault events route through the service so each
-	// enqueues its evaluation, and the round below replaces it.
-	svc *metasched.Service
-	// round is the open evaluate/apply round, nil between rounds. Service
-	// universes only.
+	// round is the open evaluate/apply round, nil between rounds.
 	round *metasched.Round
 	// tickQueued marks a pending explicit tick evaluation (ActEnqueue);
 	// cleared when ActEvaluate consumes the queue. Mirrored by the
@@ -72,12 +67,9 @@ func NewInstance(u *Universe, mut Mutation, w io.Writer) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	var svc *metasched.Service
-	if u.Service {
-		svc, err = metasched.NewService(sched, metasched.ServiceConfig{})
-		if err != nil {
-			return nil, err
-		}
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		return nil, err
 	}
 	return &Instance{
 		svc:       svc,
@@ -99,7 +91,7 @@ func (in *Instance) Scheduler() *metasched.Scheduler { return in.sched }
 func (in *Instance) Events() []fault.Event { return in.events }
 
 // Feasible reports whether the action is structurally applicable in the
-// current state: no duplicate submits, plan/commit strictly alternating,
+// current state: no duplicate submits, evaluate/apply strictly alternating,
 // fail/revoke only on live nodes, recover only on failed ones. The
 // explorer enumerates only feasible actions; the minimizer skips infeasible
 // ones left behind by deletions.
@@ -107,20 +99,14 @@ func (in *Instance) Feasible(a Action) bool {
 	switch a.Kind {
 	case ActSubmit:
 		return !in.submitted[a.Arg]
-	case ActPlan:
-		return in.svc == nil && in.it == nil
-	case ActCommit:
-		return in.svc == nil && in.it != nil
 	case ActEnqueue:
 		// A second explicit tick eval would coalesce into the pending one —
 		// a self-loop the explorer has no reason to expand.
-		return in.svc != nil && !in.tickQueued
-	case ActEvaluate:
-		return in.svc != nil && in.round == nil
+		return !in.tickQueued
+	case ActEvaluate, ActCrash:
+		return in.round == nil
 	case ActApply:
-		return in.svc != nil && in.round != nil
-	case ActCrash:
-		return in.svc != nil && in.round == nil
+		return in.round != nil
 	case ActTick:
 		return true
 	case ActFail, ActRevoke:
@@ -138,14 +124,7 @@ func (in *Instance) Feasible(a Action) bool {
 func (in *Instance) Apply(a Action) error {
 	switch a.Kind {
 	case ActSubmit:
-		j := in.u.buildJob(a.Arg)
-		var err error
-		if in.svc != nil {
-			err = in.svc.Submit(j)
-		} else {
-			err = in.sched.Submit(j)
-		}
-		if err != nil {
+		if err := in.svc.Submit(in.u.buildJob(a.Arg)); err != nil {
 			return err
 		}
 		in.submitted[a.Arg] = true
@@ -176,28 +155,6 @@ func (in *Instance) Apply(a Action) error {
 			return err
 		}
 		in.round = nil
-		fault.WriteIterationReport(in.w, rep)
-		for _, p := range rep.Placed {
-			in.audit.JobRescheduled(p.Job.Name)
-		}
-	case ActPlan:
-		it, err := in.sched.BeginIteration()
-		if err != nil {
-			return err
-		}
-		if err := it.Plan(); err != nil {
-			return err
-		}
-		in.it = it
-	case ActCommit:
-		if err := in.it.Apply(); err != nil {
-			return err
-		}
-		rep, err := in.it.Finish()
-		if err != nil {
-			return err
-		}
-		in.it = nil
 		fault.WriteIterationReport(in.w, rep)
 		for _, p := range rep.Placed {
 			in.audit.JobRescheduled(p.Job.Name)
@@ -242,11 +199,10 @@ func (in *Instance) blindApply() {
 	}
 }
 
-// applyEvent injects one environment event through the scheduler's fault
-// hooks with the auditor's before/after protocol, mirroring fault.Session
-// line for line so session-compatible traces replay byte-identically. In
-// service mode the hooks route through the service so each event also
-// enqueues its evaluation.
+// applyEvent injects one environment event through the service's handlers
+// (so each event also enqueues its evaluation) with the auditor's
+// before/after protocol, mirroring fault.Session line for line so
+// session-compatible traces replay byte-identically.
 func (in *Instance) applyEvent(a Action) error {
 	node := in.u.Nodes[a.Arg]
 	id := resource.NodeID(a.Arg)
@@ -265,11 +221,7 @@ func (in *Instance) applyEvent(a Action) error {
 			byDomain, _ := in.grid.OwnerIncome()
 			refundBase = float64(byDomain[node.Domain])
 		}
-		if in.svc != nil {
-			requeued, err = in.svc.HandleNodeFailure(node.Name)
-		} else {
-			requeued, err = in.sched.HandleNodeFailure(node.Name)
-		}
+		requeued, err = in.svc.HandleNodeFailure(node.Name)
 		if err == nil && in.mut == MutDoubleRefund {
 			byDomain, _ := in.grid.OwnerIncome()
 			if refund := refundBase - float64(byDomain[node.Domain]); refund > 0 {
@@ -280,11 +232,7 @@ func (in *Instance) applyEvent(a Action) error {
 		}
 	case ActRecover:
 		ev.Kind = fault.Recover
-		if in.svc != nil {
-			err = in.svc.HandleNodeRecovery(node.Name)
-		} else {
-			err = in.sched.HandleNodeRecovery(node.Name)
-		}
+		err = in.svc.HandleNodeRecovery(node.Name)
 		if err == nil && in.mut == MutResurrect {
 			for _, t := range in.zombies[a.Arg] {
 				in.grid.ForceBook(t)
@@ -294,11 +242,7 @@ func (in *Instance) applyEvent(a Action) error {
 	case ActRevoke:
 		ev.Kind = fault.Revoke
 		ev.Span = in.u.RevokeSpan
-		if in.svc != nil {
-			requeued, err = in.svc.HandleRevocation(node.Name, in.u.RevokeSpan)
-		} else {
-			requeued, err = in.sched.HandleRevocation(node.Name, in.u.RevokeSpan)
-		}
+		requeued, err = in.svc.HandleRevocation(node.Name, in.u.RevokeSpan)
 	}
 	if err != nil {
 		return fmt.Errorf("mc: applying %v: %w", ev, err)
@@ -380,21 +324,16 @@ func (in *Instance) check() error {
 }
 
 // Hash returns the FNV-64a digest of the complete canonical state: grid,
-// scheduler, open iteration, and the auditor's cancelled-reservation watch
-// list. Two states with equal hashes are treated as the same node of the
+// scheduler, service, open round, and the auditor's cancelled-reservation
+// watch list. Two states with equal hashes are treated as the same node of the
 // transition system.
 func (in *Instance) Hash() uint64 {
 	var b strings.Builder
 	in.grid.CanonicalState(&b)
 	in.sched.CanonicalState(&b)
-	if in.it != nil {
-		in.it.CanonicalState(&b)
-	}
-	if in.svc != nil {
-		in.svc.CanonicalState(&b)
-	}
+	in.svc.CanonicalState(&b)
 	if in.round != nil {
-		in.round.Iteration().CanonicalState(&b)
+		in.round.CanonicalState(&b)
 	}
 	for _, k := range in.audit.CancelledKeys() {
 		b.WriteString("watch ")
@@ -406,23 +345,12 @@ func (in *Instance) Hash() uint64 {
 	return h.Sum64()
 }
 
-// Drain is the liveness check: close any open iteration, recover every
-// failed node, then run fault-free iterations until the queue empties. If
-// the queue is still non-empty after maxIter iterations some submitted job
+// Drain is the liveness check: close any open round, recover every failed
+// node, then run fault-free tick rounds — so backoff-gated requeue
+// evaluations come due as the clock advances — until the queue empties. If
+// the queue is still non-empty after maxIter rounds some submitted job
 // neither placed nor dropped — a liveness violation.
 func (in *Instance) Drain(maxIter int) error {
-	if in.it != nil {
-		if err := in.it.Apply(); err != nil {
-			return err
-		}
-		if _, err := in.it.Finish(); err != nil {
-			return err
-		}
-		in.it = nil
-		if err := in.check(); err != nil {
-			return err
-		}
-	}
 	if in.round != nil {
 		if err := in.round.Apply(); err != nil {
 			return err
@@ -446,16 +374,8 @@ func (in *Instance) Drain(maxIter int) error {
 		}
 	}
 	for i := 0; i < maxIter && in.sched.QueueLength() > 0; i++ {
-		var rep *metasched.IterationReport
-		var err error
-		if in.svc != nil {
-			// Service drain: full tick rounds, so backoff-gated requeue
-			// evaluations become due as the clock advances.
-			rep, err = in.svc.Tick()
-			in.tickQueued = false
-		} else {
-			rep, err = in.sched.RunIteration()
-		}
+		rep, err := in.svc.Tick()
+		in.tickQueued = false
 		if err != nil {
 			return err
 		}
@@ -489,7 +409,7 @@ func Replay(u *Universe, mut Mutation, trace []Action, w io.Writer) (*Instance, 
 }
 
 // replayLenient applies the trace skipping structurally infeasible actions
-// — the minimizer's deletions can orphan a commit or recover, and skipping
+// — the minimizer's deletions can orphan an apply or recover, and skipping
 // keeps the shorter candidate meaningful. It returns the first violation
 // error, or nil if the trace is clean.
 func replayLenient(u *Universe, mut Mutation, trace []Action) (*Instance, error) {

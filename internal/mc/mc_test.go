@@ -42,8 +42,8 @@ func TestParseScriptErrors(t *testing.T) {
 		"fail n9",         // unknown node
 		"recover n9",      // unknown node
 		"revoke",          // missing node
-		"plan now",        // stray argument
-		"commit j1",       // stray argument
+		"plan",            // retired keyword
+		"evaluate now",    // stray argument
 		"tick tock",       // stray argument
 		"submit j1 twice", // stray argument
 	} {
@@ -89,21 +89,23 @@ func TestUniverseValidate(t *testing.T) {
 // rejected shape.
 func TestSessionCompatibleShapes(t *testing.T) {
 	sub := Action{Kind: ActSubmit, Arg: 0}
-	plan := Action{Kind: ActPlan}
-	commit := Action{Kind: ActCommit}
+	eval := Action{Kind: ActEvaluate}
+	apply := Action{Kind: ActApply}
 	fail := Action{Kind: ActFail, Arg: 0}
 	for name, tc := range map[string]struct {
 		trace []Action
 		want  bool
 	}{
-		"canonical":         {[]Action{sub, fail, plan, commit}, true},
-		"two-iterations":    {[]Action{sub, plan, commit, fail, plan, commit}, true},
-		"submit-after-plan": {[]Action{plan, commit, sub, plan, commit}, false},
-		"tick":              {[]Action{sub, Action{Kind: ActTick}, plan, commit}, false},
-		"fault-mid-iter":    {[]Action{sub, plan, fail, commit}, false},
-		"open-at-end":       {[]Action{sub, plan}, false},
-		"trailing-fault":    {[]Action{sub, plan, commit, fail}, false},
-		"no-iteration":      {[]Action{sub, fail}, false},
+		"canonical":             {[]Action{sub, fail, eval, apply}, true},
+		"two-rounds":            {[]Action{sub, eval, apply, fail, eval, apply}, true},
+		"submit-after-evaluate": {[]Action{eval, apply, sub, eval, apply}, false},
+		"tick":                  {[]Action{sub, Action{Kind: ActTick}, eval, apply}, false},
+		"enqueue":               {[]Action{sub, Action{Kind: ActEnqueue}, eval, apply}, false},
+		"crash":                 {[]Action{sub, eval, apply, Action{Kind: ActCrash}, eval, apply}, false},
+		"fault-mid-round":       {[]Action{sub, eval, fail, apply}, false},
+		"open-at-end":           {[]Action{sub, eval}, false},
+		"trailing-fault":        {[]Action{sub, eval, apply, fail}, false},
+		"no-round":              {[]Action{sub, fail}, false},
 	} {
 		if got := SessionCompatible(tc.trace); got != tc.want {
 			t.Errorf("%s: SessionCompatible = %t, want %t", name, got, tc.want)
@@ -118,11 +120,11 @@ func TestSessionCompatibleShapes(t *testing.T) {
 // with a zero-iteration budget: the submitted job cannot leave the queue,
 // so the drain must report it stuck.
 func TestDrainReportsStuckJob(t *testing.T) {
-	// Plan first, then crash every node: the open iteration's windows are
+	// Evaluate first, then crash every node: the open round's windows are
 	// all stale, so closing it postpones the job back into the queue, and
-	// a zero-iteration budget cannot drain it.
+	// a zero-round budget cannot drain it.
 	stuck := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActPlan},
+		{Kind: ActSubmit, Arg: 0}, {Kind: ActEvaluate},
 		{Kind: ActFail, Arg: 0}, {Kind: ActFail, Arg: 1},
 	}
 	in, err := Replay(Tiny(), MutNone, stuck, nil)
@@ -134,7 +136,7 @@ func TestDrainReportsStuckJob(t *testing.T) {
 		t.Fatalf("Drain(0) = %v, want liveness violation", err)
 	}
 	// With a real budget the same state drains clean (and closes the open
-	// iteration plus recovers the failed nodes on the way).
+	// round plus recovers the failed nodes on the way).
 	in2, err := Replay(Tiny(), MutNone, stuck, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -150,9 +152,9 @@ func TestDrainReportsStuckJob(t *testing.T) {
 func TestFeasibleMatchesEnabled(t *testing.T) {
 	u := Default()
 	trace := []Action{
-		{Kind: ActSubmit, Arg: 1}, {Kind: ActPlan}, {Kind: ActFail, Arg: 2},
-		{Kind: ActCommit}, {Kind: ActSubmit, Arg: 0}, {Kind: ActTick},
-		{Kind: ActRevoke, Arg: 0}, {Kind: ActPlan},
+		{Kind: ActSubmit, Arg: 1}, {Kind: ActEvaluate}, {Kind: ActFail, Arg: 2},
+		{Kind: ActApply}, {Kind: ActSubmit, Arg: 0}, {Kind: ActTick},
+		{Kind: ActRevoke, Arg: 0}, {Kind: ActEvaluate},
 	}
 	in, err := NewInstance(u, MutNone, nil)
 	if err != nil {
@@ -164,7 +166,8 @@ func TestFeasibleMatchesEnabled(t *testing.T) {
 		for j := range u.Jobs {
 			out = append(out, Action{Kind: ActSubmit, Arg: j})
 		}
-		out = append(out, Action{Kind: ActPlan}, Action{Kind: ActCommit}, Action{Kind: ActTick})
+		out = append(out, Action{Kind: ActTick}, Action{Kind: ActEnqueue},
+			Action{Kind: ActEvaluate}, Action{Kind: ActApply}, Action{Kind: ActCrash})
 		for i := range u.Nodes {
 			out = append(out, Action{Kind: ActFail, Arg: i},
 				Action{Kind: ActRecover, Arg: i}, Action{Kind: ActRevoke, Arg: i})
@@ -177,11 +180,6 @@ func TestFeasibleMatchesEnabled(t *testing.T) {
 			enabled[e] = true
 		}
 		for _, cand := range all() {
-			if cand.Kind == ActPlan && enabled[Action{Kind: ActCommit}] {
-				// enabled() lists commit for an open iteration where
-				// Feasible would also reject plan; both agree plan is off.
-				continue
-			}
 			if got := in.Feasible(cand); got != enabled[cand] {
 				t.Fatalf("step %d: Feasible(%s) = %t, enabled = %t",
 					step, cand.Render(u), got, enabled[cand])

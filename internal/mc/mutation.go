@@ -27,12 +27,12 @@ const (
 	// to the grid as-is (bypassing every commit check) before the real apply
 	// runs — the optimistic-concurrency bug the Plan epoch exists to
 	// prevent. Caught by the double-booking, failed-node-reservation, and
-	// vacant-store-coherence invariants. Service universes only.
+	// vacant-store-coherence invariants.
 	MutBlindApply
 	// MutLossyCrash makes crash recovery silently drop the newest pending
 	// evaluation from the restored service queue — the lost-journal-record
 	// bug durability exists to prevent. Caught by the crash action's
-	// hash-equality check. Service universes only.
+	// hash-equality check.
 	MutLossyCrash
 )
 

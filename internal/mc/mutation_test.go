@@ -13,30 +13,26 @@ import (
 func TestMutationsCaught(t *testing.T) {
 	cases := []struct {
 		mutation Mutation
-		// service runs the mutation in the service universe (blind-apply
-		// only fires at ActApply).
-		service bool
 		// want is a substring of the violation the audit must attribute
 		// the bug to.
 		want string
 		// maxLen bounds the minimized counterexample; 0 means unchecked.
 		maxLen int
 	}{
-		{MutDoubleRefund, false, "negative", 0},
-		{MutResurrect, false, "must only remove capacity", 0},
+		{MutDoubleRefund, "negative", 0},
+		{MutResurrect, "must only remove capacity", 0},
 		// The applier that skips re-validation writes a stale plan's
 		// placements blind; the checker must pin it within six actions
 		// (submit, evaluate, a mutating event, apply — plus slack).
-		{MutBlindApply, true, "", 6},
+		{MutBlindApply, "", 6},
 		// Recovery that drops the newest pending evaluation diverges from
 		// the pre-crash hash as soon as the queue is non-empty: submit then
 		// crash is the whole counterexample.
-		{MutLossyCrash, true, "crash recovery changed", 2},
+		{MutLossyCrash, "crash recovery changed", 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.mutation.String(), func(t *testing.T) {
 			u := Tiny()
-			u.Service = tc.service
 			opts := Options{MaxDepth: 6, MaxStates: 40000, Mutation: tc.mutation}
 			res, err := Explore(u, opts)
 			if err != nil {

@@ -5,131 +5,57 @@ import (
 	"testing"
 )
 
-// serviceTiny is the Tiny universe driven through the continuous-service
-// event loop.
-func serviceTiny() *Universe {
-	u := Tiny()
-	u.Service = true
-	return u
-}
-
-// TestExploreServiceTinyClean sweeps the tiny service universe: every
-// interleaving of submits, enqueue/evaluate/apply rounds, ticks, failures,
-// recoveries, and revocations must satisfy the full audit safety set — the
-// eval queue, the epoch-stamped planner, and the re-validating serial
-// applier add service state but never an unsafe schedule.
-func TestExploreServiceTinyClean(t *testing.T) {
-	depth, states := 6, 40000
-	if testing.Short() {
-		depth, states = 4, 4000
-	}
-	u := serviceTiny()
-	res, err := Explore(u, Options{
-		MaxDepth:         depth,
-		MaxStates:        states,
-		Liveness:         true,
-		LivenessEvery:    8,
-		DeterminismEvery: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cex != nil {
-		t.Fatalf("violation in clean service universe:\n%s", res.Cex.Script(u))
-	}
-	if res.States < 100 || res.Transitions <= res.States {
-		t.Fatalf("implausibly small sweep: %+v", res)
-	}
-	if res.DeterminismChecks == 0 {
-		t.Fatal("determinism sampling never ran")
-	}
-	t.Logf("service tiny sweep: %d states, %d transitions, deepest %d, truncated %t, liveness %d, determinism %d",
-		res.States, res.Transitions, res.Deepest, res.Truncated, res.LivenessChecks, res.DeterminismChecks)
-}
-
-// TestExploreTwoShardServiceClean is the federated service sweep: the eval
-// actions interleave with fail/recover/revoke across the shard boundary, and
-// every reached state must pass the audit set including per-shard store
-// coherence. This is the CI 2-shard sweep's service variant.
-func TestExploreTwoShardServiceClean(t *testing.T) {
-	depth, states := 6, 40000
-	if testing.Short() {
-		depth, states = 4, 4000
-	}
-	u := TwoShard()
-	u.Service = true
-	res, err := Explore(u, Options{
-		MaxDepth:         depth,
-		MaxStates:        states,
-		Liveness:         true,
-		LivenessEvery:    8,
-		DeterminismEvery: 64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cex != nil {
-		t.Fatalf("violation in 2-shard service universe:\n%s", res.Cex.Script(u))
-	}
-	if res.States < 100 || res.Transitions <= res.States {
-		t.Fatalf("implausibly small sweep: %+v", res)
-	}
-	t.Logf("2-shard service sweep: %d states, %d transitions, deepest %d, truncated %t",
-		res.States, res.Transitions, res.Deepest, res.Truncated)
-}
-
-// TestServiceMatchesBatch pins the determinism contract inside the checker:
-// replaying a trace against the batch universe and its service twin — with
-// plan/commit mapped to evaluate/apply — must reach byte-identical grid and
-// scheduler canonical states. The eval queue is extra bookkeeping, never a
-// scheduling input.
+// TestServiceMatchesBatch pins the batch contract inside the checker: batch
+// scheduling is a service that only sees ticks, and the evaluation queue is
+// bookkeeping, never a scheduling input. A trace of bare evaluate/apply
+// rounds and the same trace with a tick evaluation enqueued before every
+// round and a checkpoint crash after it — exactly what Service.Tick and a
+// durable driver add — must reach byte-identical grid and scheduler
+// canonical states, single-domain and sharded.
 func TestServiceMatchesBatch(t *testing.T) {
-	batch := []Action{
+	bare := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1}, {Kind: ActSubmit, Arg: 2},
-		{Kind: ActPlan}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActApply},
 		{Kind: ActFail, Arg: 1}, {Kind: ActTick},
-		{Kind: ActPlan}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActApply},
 		{Kind: ActRevoke, Arg: 0}, {Kind: ActRecover, Arg: 1},
-		{Kind: ActPlan}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActApply},
 	}
-	service := make([]Action, len(batch))
-	for i, a := range batch {
-		switch a.Kind {
-		case ActPlan:
-			a.Kind = ActEvaluate
-		case ActCommit:
-			a.Kind = ActApply
+	var ticked []Action
+	for _, a := range bare {
+		if a.Kind == ActEvaluate {
+			ticked = append(ticked, Action{Kind: ActEnqueue})
 		}
-		service[i] = a
+		ticked = append(ticked, a)
+		if a.Kind == ActApply {
+			ticked = append(ticked, Action{Kind: ActCrash})
+		}
 	}
-	for _, shards := range []int{0, 2} {
-		ub, us := Default(), Default()
-		ub.Shards, us.Shards = shards, shards
-		us.Service = true
-		inB, err := Replay(ub, MutNone, batch, nil)
+	for _, u := range []*Universe{Default(), TwoShard()} {
+		inB, err := Replay(u, MutNone, bare, nil)
 		if err != nil {
-			t.Fatalf("shards=%d batch: %v", shards, err)
+			t.Fatalf("shards=%d bare: %v", u.Shards, err)
 		}
-		inS, err := Replay(us, MutNone, service, nil)
+		inT, err := Replay(u, MutNone, ticked, nil)
 		if err != nil {
-			t.Fatalf("shards=%d service: %v", shards, err)
+			t.Fatalf("shards=%d ticked: %v", u.Shards, err)
 		}
-		var sb, ss strings.Builder
+		var sb, st strings.Builder
 		inB.grid.CanonicalState(&sb)
 		inB.sched.CanonicalState(&sb)
-		inS.grid.CanonicalState(&ss)
-		inS.sched.CanonicalState(&ss)
-		if sb.String() != ss.String() {
-			t.Fatalf("shards=%d: service replay diverged from batch:\n--- batch ---\n%s\n--- service ---\n%s",
-				shards, sb.String(), ss.String())
+		inT.grid.CanonicalState(&st)
+		inT.sched.CanonicalState(&st)
+		if sb.String() != st.String() {
+			t.Fatalf("shards=%d: ticked replay diverged from bare rounds:\n--- bare ---\n%s\n--- ticked ---\n%s",
+				u.Shards, sb.String(), st.String())
 		}
 	}
 }
 
 // TestServiceScriptRoundTrip pins Render/ParseScript as inverses over the
-// service action kinds.
+// round and tick-enqueue action kinds, and their rejection of arguments.
 func TestServiceScriptRoundTrip(t *testing.T) {
-	u := serviceTiny()
+	u := Tiny()
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActEnqueue}, {Kind: ActEvaluate},
 		{Kind: ActFail, Arg: 1}, {Kind: ActApply}, {Kind: ActRecover, Arg: 1},
@@ -155,12 +81,12 @@ func TestServiceScriptRoundTrip(t *testing.T) {
 	}
 }
 
-// TestServiceFeasibleMatchesEnabled cross-checks the service frontier
-// metadata against the live instance on a walk covering every service
-// action: the explorer's metadata-derived action set must agree with
-// Instance.Feasible at every step, and batch plan/commit must stay off.
+// TestServiceFeasibleMatchesEnabled cross-checks the frontier metadata
+// against the live instance on a Tiny walk covering every round action,
+// including the pending-tick bit: the explorer's metadata-derived action set
+// must agree with Instance.Feasible at every step.
 func TestServiceFeasibleMatchesEnabled(t *testing.T) {
-	u := serviceTiny()
+	u := Tiny()
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActEnqueue}, {Kind: ActEvaluate},
 		{Kind: ActFail, Arg: 1}, {Kind: ActApply}, {Kind: ActEnqueue},
@@ -177,8 +103,7 @@ func TestServiceFeasibleMatchesEnabled(t *testing.T) {
 		for j := range u.Jobs {
 			out = append(out, Action{Kind: ActSubmit, Arg: j})
 		}
-		out = append(out,
-			Action{Kind: ActPlan}, Action{Kind: ActCommit}, Action{Kind: ActTick},
+		out = append(out, Action{Kind: ActTick},
 			Action{Kind: ActEnqueue}, Action{Kind: ActEvaluate}, Action{Kind: ActApply},
 			Action{Kind: ActCrash})
 		for i := range u.Nodes {
@@ -210,8 +135,8 @@ func TestServiceFeasibleMatchesEnabled(t *testing.T) {
 // TestCrashIsIdentity pins the crash action's contract directly: a trace with
 // crashes interleaved at every committed boundary reaches exactly the hash of
 // the same trace with the crashes removed — durability round-trips through the
-// checkpoint codec without observable effect — and crash stays infeasible in
-// batch universes and inside an open round.
+// checkpoint codec without observable effect — and crash stays infeasible
+// inside an open round.
 func TestCrashIsIdentity(t *testing.T) {
 	withCrashes := []Action{
 		{Kind: ActCrash},
@@ -228,11 +153,11 @@ func TestCrashIsIdentity(t *testing.T) {
 			without = append(without, a)
 		}
 	}
-	inC, err := Replay(serviceTiny(), MutNone, withCrashes, nil)
+	inC, err := Replay(Tiny(), MutNone, withCrashes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inP, err := Replay(serviceTiny(), MutNone, without, nil)
+	inP, err := Replay(Tiny(), MutNone, without, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,13 +166,6 @@ func TestCrashIsIdentity(t *testing.T) {
 			inC.Hash(), inP.Hash())
 	}
 
-	batch, err := NewInstance(Tiny(), MutNone, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Feasible(Action{Kind: ActCrash}) {
-		t.Fatal("crash feasible in a batch universe")
-	}
 	if err := inC.Apply(Action{Kind: ActEvaluate}); err != nil {
 		t.Fatal(err)
 	}
@@ -256,15 +174,15 @@ func TestCrashIsIdentity(t *testing.T) {
 	}
 }
 
-// TestServiceDrain pins the liveness machinery in service mode: a trace that
-// leaves an open round, a failed node, and backoff-gated requeues must still
-// drain to an empty queue through fault-free tick rounds.
+// TestServiceDrain pins the liveness machinery around the eval queue: a
+// trace that leaves an open round, a failed node, and backoff-gated requeues
+// must still drain to an empty queue through fault-free tick rounds.
 func TestServiceDrain(t *testing.T) {
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1},
 		{Kind: ActEvaluate}, {Kind: ActFail, Arg: 0}, {Kind: ActFail, Arg: 1},
 	}
-	in, err := Replay(serviceTiny(), MutNone, trace, nil)
+	in, err := Replay(Tiny(), MutNone, trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +190,7 @@ func TestServiceDrain(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "liveness violated") {
 		t.Fatalf("Drain(0) = %v, want liveness violation", err)
 	}
-	in2, err := Replay(serviceTiny(), MutNone, trace, nil)
+	in2, err := Replay(Tiny(), MutNone, trace, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,36 +8,34 @@ import (
 )
 
 // SessionCompatible reports whether the trace has the shape fault.Session
-// can reproduce: all submits before the first plan, every plan immediately
-// followed by its commit, fault events only between iterations, no bare
-// clock ticks, and a commit as the final action (so every event fires
-// within Session.Run's iteration loop). For such traces the explorer's
+// can reproduce: all submits before the first evaluate, every evaluate
+// immediately followed by its apply, fault events only between rounds, no
+// bare clock ticks, explicit enqueues or crashes, and an apply as the final
+// action (so every event fires within Session.Run's round loop). For such traces the explorer's
 // transcript and a Session driven by the trace's fault plan must be
 // byte-identical — the differential suite pins exactly that.
 func SessionCompatible(trace []Action) bool {
-	sawPlan := false
+	sawEvaluate := false
 	open := false
 	last := -1
 	for i, a := range trace {
 		switch a.Kind {
 		case ActSubmit:
-			if sawPlan {
+			if sawEvaluate {
 				return false
 			}
-		case ActPlan:
+		case ActEvaluate:
 			if open {
 				return false
 			}
-			sawPlan = true
+			sawEvaluate = true
 			open = true
-		case ActCommit:
+		case ActApply:
 			if !open {
 				return false
 			}
 			open = false
 			last = i
-		case ActTick:
-			return false
 		case ActFail, ActRecover, ActRevoke:
 			if open {
 				return false
@@ -68,12 +66,12 @@ func SessionTranscripts(u *Universe, trace []Action) (mcT, sessT string, err err
 	applied := len(in.Events())
 	fault.WriteSummary(&mcB, in.Scheduler(), applied, applied)
 
-	// Session side: fresh scheduler, all jobs submitted up front, the
-	// recorded events as the fault plan, one Run call per commit.
-	iterations := 0
+	// Session side: fresh service, all jobs submitted up front, the
+	// recorded events as the fault plan, one Run round per apply.
+	rounds := 0
 	for _, a := range trace {
-		if a.Kind == ActCommit {
-			iterations++
+		if a.Kind == ActApply {
+			rounds++
 		}
 	}
 	plan, err := fault.NewPlan(in.Events()...)
@@ -86,17 +84,17 @@ func SessionTranscripts(u *Universe, trace []Action) (mcT, sessT string, err err
 	}
 	for _, a := range trace {
 		if a.Kind == ActSubmit {
-			if err := fresh.sched.Submit(u.buildJob(a.Arg)); err != nil {
+			if err := fresh.svc.Submit(u.buildJob(a.Arg)); err != nil {
 				return "", "", err
 			}
 		}
 	}
 	var sessB strings.Builder
-	sess, err := fault.NewSession(fresh.sched, plan, &sessB)
+	sess, err := fault.NewSession(fresh.svc, plan, &sessB)
 	if err != nil {
 		return "", "", err
 	}
-	if err := sess.Run(iterations); err != nil {
+	if err := sess.Run(rounds); err != nil {
 		return "", "", err
 	}
 	return mcB.String(), sessB.String(), nil

@@ -41,7 +41,7 @@ func TestTwoShardSplitNonDegenerate(t *testing.T) {
 }
 
 // TestExploreTwoShardClean is the 2-shard model-checking sweep: every
-// interleaving of submits, plan/commit steps, ticks, failures, recoveries,
+// interleaving of submits, evaluate/apply rounds, ticks, failures, recoveries,
 // and revocations — including fail/recover/revoke sequences that land on
 // different shards back to back — must satisfy the full audit safety set,
 // now including per-shard live-store coherence (audit invariant 7 runs
@@ -78,17 +78,17 @@ func TestExploreTwoShardClean(t *testing.T) {
 // the 2-shard universe must reach byte-identical canonical grid states —
 // sharding changes how the search is organized, never what it schedules.
 // The trace crosses the shard boundary deliberately: it fails n2 (the lone
-// node of shard 1), plans and commits with one shard degraded, revokes on
+// node of shard 1), evaluates and applies with one shard degraded, revokes on
 // n1 (shard 0), and recovers — so one shard's store churns while the other's
 // must neither diverge nor rebuild.
 func TestTwoShardMatchesDefault(t *testing.T) {
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1}, {Kind: ActSubmit, Arg: 2},
-		{Kind: ActPlan}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActApply},
 		{Kind: ActFail, Arg: 1}, {Kind: ActTick},
-		{Kind: ActPlan}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActApply},
 		{Kind: ActRevoke, Arg: 0}, {Kind: ActRecover, Arg: 1},
-		{Kind: ActPlan}, {Kind: ActCommit},
+		{Kind: ActEvaluate}, {Kind: ActApply},
 	}
 	single, err := Replay(Default(), MutNone, trace, nil)
 	if err != nil {

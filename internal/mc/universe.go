@@ -52,14 +52,6 @@ type Universe struct {
 	// every shard store's coherence across fail/recover/revoke
 	// interleavings that cross shard boundaries.
 	Shards int
-	// Service drives the universe through the continuous-service event loop
-	// instead of batch iterations: the action alphabet swaps plan/commit
-	// for enqueue/evaluate/apply, so the sweep exhaustively interleaves
-	// environment events with the eval queue, the snapshot-bound planner,
-	// and the re-validating serial applier. A round is the same step
-	// sequence as a batch iteration, so a service universe reaches the same
-	// schedules while additionally exploring the eval-queue state.
-	Service bool
 }
 
 // Tiny is the smallest interesting universe: two nodes in two domains, two

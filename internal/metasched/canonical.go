@@ -39,20 +39,20 @@ func (s *Scheduler) CanonicalState(b *strings.Builder) {
 		st.Cancelled, st.Requeued, st.Relaxations, st.DroppedExhausted, st.DroppedDeadline)
 }
 
-// CanonicalState appends the in-flight iteration's state to b: the frozen
-// batch, whether Plan has run, and the chosen combination awaiting Apply.
-// An open iteration is real scheduler state — two sessions that agree on
+// CanonicalState appends the open round's state to b: the frozen batch,
+// whether Evaluate has run, and the chosen combination awaiting Apply. An
+// open round is real scheduler state — two sessions that agree on
 // everything else but hold different pending plans diverge at the next
 // Apply — so the model checker folds it into the state hash.
-func (it *Iteration) CanonicalState(b *strings.Builder) {
+func (r *Round) CanonicalState(b *strings.Builder) {
 	fmt.Fprintf(b, "iteration open=%d planned=%t applied=%t alts=%d planT=%v planC=%v pf=%g stale=%d\n",
-		it.rep.Iteration, it.planned, it.applied, it.rep.Alternatives, it.rep.PlanTime, it.rep.PlanCost,
-		it.rep.PriceFactor, it.stale)
-	for _, q := range it.selected {
+		r.rep.Iteration, r.planned, r.applied, r.rep.Alternatives, r.rep.PlanTime, r.rep.PlanCost,
+		r.rep.PriceFactor, len(r.staleNames))
+	for _, q := range r.selected {
 		fmt.Fprintf(b, "batched %s\n", q.job.Name)
 	}
-	if it.plan != nil {
-		for _, ch := range it.plan.Choices {
+	if r.plan != nil {
+		for _, ch := range r.plan.Choices {
 			fmt.Fprintf(b, "chosen %s -> %v\n", ch.Job.Name, ch.Window)
 		}
 	}

@@ -14,39 +14,28 @@ import (
 	"ecosched/internal/sim"
 )
 
-// diffSessionTranscript plays one complete seeded metascheduler session and
-// renders every externally observable decision — committed windows, plan
-// criteria, postponements, drops, requeues after a node failure, and the
-// final queue — as a canonical string. Two runs with the same seed must
-// produce the same transcript regardless of Parallelism and of Shards (the
-// one search loop scans one view or merges several, with any number of
-// producers, to the same result).
+// diffSessionTranscript plays one complete seeded metascheduler session
+// through a metasched.Service (Submit, Tick and HandleNodeFailure routed via
+// the event loop) and renders every externally observable decision —
+// committed windows, plan criteria, postponements, drops, requeues after a
+// node failure, and the final queue — as a canonical string. Two runs with
+// the same seed must produce the same transcript regardless of Shards (the
+// one search loop scans one view or merges several to the same result).
 //
 // The seed also selects configuration variety: demand pricing on seeds
 // divisible by 3, a live owner-local arrival stream on seeds divisible by 4,
 // and a mid-session node failure on seeds divisible by 5, so the differential
 // sweep covers repricing, non-dedicated resources, and the re-queue path.
 //
-// After every iteration the grid's live vacant stores are audited against
-// the rebuild oracle (Grid.VacantStoreCoherent), so every session any suite
+// After every round the grid's live vacant stores are audited against the
+// rebuild oracle (Grid.VacantStoreCoherent), so every session any suite
 // plays through here is also a live-store-versus-rebuild differential.
 //
 // reg, when non-nil, attaches the observability registry to the session —
 // the transcript must not change (the metrics-neutrality contract). opts,
 // when given, mutate the assembled config last — the sharding differential
 // uses this to set Shards.
-func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, reg *metrics.Registry, opts ...func(*metasched.Config)) string {
-	t.Helper()
-	return sessionTranscript(t, seed, algo, policy, parallelism, reg, false, opts...)
-}
-
-// sessionTranscript is the shared body of diffSessionTranscript and the
-// service differential: the same seeded scenario driven either through batch
-// RunIteration calls or — with service set — through a metasched.Service
-// (Submit, Tick and HandleNodeFailure routed via the event loop). The
-// determinism contract of the continuous service is exactly that the two
-// render byte-identical transcripts.
-func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, parallelism int, reg *metrics.Registry, service bool, opts ...func(*metasched.Config)) string {
+func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy metasched.Policy, reg *metrics.Registry, opts ...func(*metasched.Config)) string {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -77,7 +66,6 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 		Step:             150,
 		MaxBatch:         4,
 		MaxPostponements: 3,
-		Parallelism:      parallelism,
 		Metrics:          reg,
 	}
 	if seed%3 == 0 {
@@ -96,29 +84,9 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 	if err != nil {
 		t.Fatal(err)
 	}
-	var svc *metasched.Service
-	if service {
-		if svc, err = metasched.NewService(sched, metasched.ServiceConfig{Workers: parallelism}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submit := func(j *job.Job) error {
-		if svc != nil {
-			return svc.Submit(j)
-		}
-		return sched.Submit(j)
-	}
-	runIteration := func() (*metasched.IterationReport, error) {
-		if svc != nil {
-			return svc.Tick()
-		}
-		return sched.RunIteration()
-	}
-	failNode := func(label string) ([]string, error) {
-		if svc != nil {
-			return svc.HandleNodeFailure(label)
-		}
-		return sched.HandleNodeFailure(label)
+	svc, err := metasched.NewService(sched, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
 		j := &job.Job{
@@ -131,14 +99,14 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.4)),
 			},
 		}
-		if err := submit(j); err != nil {
+		if err := svc.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	var b strings.Builder
 	for it := 0; it < 10 && sched.QueueLength() > 0; it++ {
-		rep, err := runIteration()
+		rep, err := svc.Tick()
 		if err != nil {
 			t.Fatalf("seed %d iteration %d: %v", seed, it, err)
 		}
@@ -152,7 +120,7 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 			t.Fatalf("seed %d iteration %d: %v", seed, it, err)
 		}
 		if it == 1 && seed%5 == 0 {
-			requeued, err := failNode("n3")
+			requeued, err := svc.HandleNodeFailure("n3")
 			if err != nil {
 				t.Fatalf("seed %d: node failure: %v", seed, err)
 			}
@@ -171,21 +139,54 @@ func sessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, policy m
 // fires. Seed 7 avoids demand pricing (seeds divisible by 3), which builds an
 // index over each repriced view.
 func TestLiveStoreSteadyStateNoRebuilds(t *testing.T) {
-	for _, parallelism := range []int{1, 4} {
-		reg := metrics.New()
-		diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, parallelism, reg)
-		snap := reg.Snapshot()
-		if n := snap.Counter("gridsim/store/rebuilds_total"); n != 1 {
-			t.Errorf("parallelism %d: gridsim/store/rebuilds_total = %d, want exactly 1", parallelism, n)
-		}
-		if n := snap.Counter("gridsim/store/incoherent_drops_total"); n != 0 {
-			t.Errorf("parallelism %d: gridsim/store/incoherent_drops_total = %d, want 0", parallelism, n)
-		}
-		if n := snap.Counter("alloc/AMP/index/rebuilds_total"); n != 0 {
-			t.Errorf("parallelism %d: alloc/AMP/index/rebuilds_total = %d, want 0: the search must adopt the store's index", parallelism, n)
-		}
-		if n := snap.Counter("gridsim/store/snapshots_total"); n == 0 {
-			t.Errorf("parallelism %d: no store snapshots recorded — the live path did not serve the session", parallelism)
-		}
+	reg := metrics.New()
+	diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, reg)
+	snap := reg.Snapshot()
+	if n := snap.Counter("gridsim/store/rebuilds_total"); n != 1 {
+		t.Errorf("gridsim/store/rebuilds_total = %d, want exactly 1", n)
+	}
+	if n := snap.Counter("gridsim/store/incoherent_drops_total"); n != 0 {
+		t.Errorf("gridsim/store/incoherent_drops_total = %d, want 0", n)
+	}
+	if n := snap.Counter("alloc/AMP/index/rebuilds_total"); n != 0 {
+		t.Errorf("alloc/AMP/index/rebuilds_total = %d, want 0: the search must adopt the store's index", n)
+	}
+	if n := snap.Counter("gridsim/store/snapshots_total"); n == 0 {
+		t.Error("no store snapshots recorded — the live path did not serve the session")
+	}
+}
+
+// TestServiceMetricsNeutralityAndAccounting checks the service's
+// observability contract both ways: attaching a registry does not change the
+// transcript, and the service-level instruments account for the session —
+// every round consumed its tick evaluation (plus the submit burst), the
+// queue drained, and the plan applies all took the fast path on an
+// undisturbed single-writer run.
+func TestServiceMetricsNeutralityAndAccounting(t *testing.T) {
+	bare := diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, nil)
+	reg := metrics.New()
+	instrumented := diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, reg)
+	if bare != instrumented {
+		t.Fatalf("metrics changed the service transcript\n--- bare ---\n%s\n--- instrumented ---\n%s", bare, instrumented)
+	}
+	snap := reg.Snapshot()
+	rounds := snap.Counter("metasched/service/rounds_total")
+	if rounds == 0 {
+		t.Fatal("no service rounds recorded")
+	}
+	if n := snap.Counter("metasched/service/evals_enqueued_total"); n < rounds {
+		t.Errorf("evals_enqueued_total = %d, want >= rounds_total = %d (every round enqueues its tick)", n, rounds)
+	}
+	if n := snap.Gauge("metasched/service/eval_queue_depth"); n != 0 {
+		t.Errorf("eval_queue_depth = %d at session end, want 0 (queue must drain)", n)
+	}
+	if n := snap.Counter("metasched/plan/applied_revalidated_total"); n != 0 {
+		t.Errorf("applied_revalidated_total = %d, want 0: nothing mutated the grid between plan and apply", n)
+	}
+	if n := snap.Counter("metasched/plan/applied_fastpath_total"); n == 0 {
+		t.Error("applied_fastpath_total = 0, want > 0: the epoch fast path never engaged")
+	}
+	if n := snap.Counter("metasched/plan/windows_stale_total"); n != 0 {
+		t.Errorf("windows_stale_total = %d, want 0 on an undisturbed run", n)
 	}
 }

@@ -116,33 +116,3 @@ func TestBudgetGrid(t *testing.T) {
 		}
 	}
 }
-
-// TestRoundWorkersRideOnIteration pins where a service round's worker bound
-// lives: ServiceConfig.Workers overrides the search's Parallelism for that
-// round through the round's own Iteration, and the scheduler's shared config
-// is never written — Evaluate used to patch cfg.Parallelism and restore it,
-// which a panicking Plan would have left patched.
-func TestRoundWorkersRideOnIteration(t *testing.T) {
-	s := bareScheduler(t)
-	s.cfg.Parallelism = 1
-	sv, err := NewService(s, ServiceConfig{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := sv.BeginRound()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.it.workers != 1 {
-		t.Fatalf("a fresh iteration searches with %d workers, want the scheduler's Parallelism 1", r.it.workers)
-	}
-	if err := r.Evaluate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.it.workers != 4 {
-		t.Fatalf("the round searched with %d workers, want ServiceConfig.Workers 4", r.it.workers)
-	}
-	if s.cfg.Parallelism != 1 {
-		t.Fatalf("Evaluate left the scheduler's Parallelism at %d, want 1 untouched", s.cfg.Parallelism)
-	}
-}

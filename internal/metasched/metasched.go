@@ -58,12 +58,10 @@ type Config struct {
 	MaxPostponements int
 	// Search tunes the alternative search.
 	Search alloc.SearchOptions
-	// Parallelism bounds the producer goroutines of one refill round of a
-	// sharded search (Shards > 1): each advances one shard's candidate
-	// cursor, and the merge that consumes them stays on the caller's
-	// goroutine, so the schedule is identical for every value — only
-	// wall-clock time changes. 0 or 1 produces serially. With one shard
-	// nothing fans out and the value is unused.
+	// Parallelism is ignored: the search runs on the caller's goroutine.
+	//
+	// Deprecated: leave unset; kept only so the frozen benchmark harness
+	// compiles unchanged (ROADMAP 2(c)).
 	Parallelism int
 	// Shards partitions the grid's nodes into this many federated domains
 	// (internal/shard): each shard owns the live vacant store of its node
@@ -160,9 +158,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("metasched: negative shard count %d", c.Shards)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("metasched: negative parallelism %d", c.Parallelism)
 	}
 	if c.DemandPricing != nil {
 		if err := c.DemandPricing.Validate(); err != nil {
@@ -350,26 +345,6 @@ func (s *Scheduler) batchForIteration() []*queued {
 	return picked
 }
 
-// RunIteration performs one scheduling iteration: publish local schedules,
-// search alternatives, optimize the combination, commit reservations, and
-// advance the clock by Step. It returns the iteration report; an empty queue
-// still advances time. It is exactly the step sequence BeginIteration →
-// Plan → Apply → Finish with nothing interleaved; drivers that inject
-// environment dynamics mid-iteration use the steps directly (see Iteration).
-func (s *Scheduler) RunIteration() (*IterationReport, error) {
-	it, err := s.BeginIteration()
-	if err != nil {
-		return nil, err
-	}
-	if err := it.Plan(); err != nil {
-		return nil, err
-	}
-	if err := it.Apply(); err != nil {
-		return nil, err
-	}
-	return it.Finish()
-}
-
 // findQueued returns the queue entry for name, or nil when no such job is
 // queued. Callers placing a job must treat nil as an internal invariant
 // violation: a silently fabricated entry would measure WaitTime from tick 0.
@@ -416,20 +391,6 @@ func budgetGrid(budget sim.Money, states int) sim.Money {
 		grid = sim.Money(g)
 	}
 	return grid
-}
-
-// RunUntilDrained runs iterations until the queue empties or maxIterations
-// is hit, returning all reports.
-func (s *Scheduler) RunUntilDrained(maxIterations int) ([]*IterationReport, error) {
-	var reports []*IterationReport
-	for i := 0; i < maxIterations && len(s.queue) > 0; i++ {
-		rep, err := s.RunIteration()
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, rep)
-	}
-	return reports, nil
 }
 
 // HandleNodeFailure reacts to a node failure (the environment dynamics the

@@ -31,6 +31,31 @@ func section4Grid(t *testing.T) (*gridsim.Grid, *job.Batch) {
 	return grid, batch
 }
 
+// service wraps s in the event loop that runs its rounds.
+func service(t *testing.T, s *metasched.Scheduler) *metasched.Service {
+	t.Helper()
+	sv, err := metasched.NewService(s, metasched.ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sv
+}
+
+// drain ticks sv until the job queue empties or maxRounds rounds ran, and
+// returns the round reports.
+func drain(t *testing.T, sv *metasched.Service, maxRounds int) []*metasched.IterationReport {
+	t.Helper()
+	var reports []*metasched.IterationReport
+	for i := 0; i < maxRounds && sv.Scheduler().QueueLength() > 0; i++ {
+		rep, err := sv.Tick()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, rep)
+	}
+	return reports
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := validConfig().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -86,12 +111,13 @@ func TestSubmit(t *testing.T) {
 func TestRunIterationSchedulesSection4Batch(t *testing.T) {
 	grid, batch := section4Grid(t)
 	s, _ := metasched.New(validConfig(), grid)
+	sv := service(t, s)
 	for _, j := range batch.Jobs() {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,20 +154,21 @@ func TestIterationPostponesUnservableJob(t *testing.T) {
 	cfg := validConfig()
 	cfg.MaxPostponements = 2
 	s, _ := metasched.New(cfg, grid)
+	sv := service(t, s)
 	// 6 nodes exist but the job wants 7 → never servable.
 	impossible := &job.Job{Name: "huge", Priority: 1, Request: job.ResourceRequest{
 		Nodes: 7, Time: 50, MinPerformance: 1, MaxPrice: 100}}
 	if err := s.Submit(impossible); err != nil {
 		t.Fatal(err)
 	}
-	rep1, err := s.RunIteration()
+	rep1, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep1.Postponed) != 1 || len(rep1.Placed) != 0 {
 		t.Fatalf("first iteration: placed=%d postponed=%v", len(rep1.Placed), rep1.Postponed)
 	}
-	rep2, err := s.RunIteration()
+	rep2, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,20 +180,20 @@ func TestIterationPostponesUnservableJob(t *testing.T) {
 	}
 }
 
+// TestRunUntilDrained ticks a MaxBatch=1 service until its queue drains:
+// three rounds, one job attempted and placed in each.
 func TestRunUntilDrained(t *testing.T) {
 	grid, batch := section4Grid(t)
 	cfg := validConfig()
 	cfg.MaxBatch = 1 // one job per iteration
 	s, _ := metasched.New(cfg, grid)
+	sv := service(t, s)
 	for _, j := range batch.Jobs() {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	reports, err := s.RunUntilDrained(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := drain(t, sv, 10)
 	if s.QueueLength() != 0 {
 		t.Fatalf("queue not drained: %d left after %d iterations", s.QueueLength(), len(reports))
 	}
@@ -188,7 +215,8 @@ func TestRunUntilDrained(t *testing.T) {
 func TestEmptyQueueIterationAdvancesClock(t *testing.T) {
 	grid, _ := section4Grid(t)
 	s, _ := metasched.New(validConfig(), grid)
-	rep, err := s.RunIteration()
+	sv := service(t, s)
+	rep, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +234,13 @@ func TestCostPolicyAlsoSchedules(t *testing.T) {
 	cfg.Policy = metasched.MinimizeCost
 	cfg.Algorithm = alloc.ALP{}
 	s, _ := metasched.New(cfg, grid)
+	sv := service(t, s)
 	for _, j := range batch.Jobs() {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,12 +266,13 @@ func TestWaitTimeAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := metasched.New(validConfig(), grid)
+	sv := service(t, s)
 	j := &job.Job{Name: "waiter", Priority: 1, Request: job.ResourceRequest{
 		Nodes: 1, Time: 50, MinPerformance: 1, MaxPrice: 10}}
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.RunIteration()
+	rep, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +299,12 @@ func TestDemandPricingRaisesCostUnderLoad(t *testing.T) {
 		cfg := validConfig()
 		cfg.DemandPricing = pricing
 		s, _ := metasched.New(cfg, grid)
+		sv := service(t, s)
 		// Only the first job, to keep the comparison clean.
 		if err := s.Submit(batch.At(0)); err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.RunIteration()
+		rep, err := sv.Tick()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,12 +347,13 @@ func TestTraceRecordsSession(t *testing.T) {
 	cfg.Trace = rec
 	cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 0.9, MaxFactor: 1.2}
 	s, _ := metasched.New(cfg, grid)
+	sv := service(t, s)
 	for _, j := range batch.Jobs() {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.RunIteration(); err != nil {
+	if _, err := sv.Tick(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() == 0 {
@@ -351,12 +383,13 @@ func TestTraceRecordsSession(t *testing.T) {
 func TestHandleNodeFailureRequeuesAffectedJobs(t *testing.T) {
 	grid, batch := section4Grid(t)
 	s, _ := metasched.New(validConfig(), grid)
+	sv := service(t, s)
 	for _, j := range batch.Jobs() {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,10 +428,7 @@ func TestHandleNodeFailureRequeuesAffectedJobs(t *testing.T) {
 		}
 	}
 	// The next iterations re-place the jobs on surviving nodes.
-	reports, err := s.RunUntilDrained(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reports := drain(t, sv, 6)
 	replaced := 0
 	for _, r := range reports {
 		for _, p := range r.Placed {
@@ -434,10 +464,11 @@ func TestLocalArrivalsKeepResourcesNonDedicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sv := service(t, s)
 	// Several empty iterations: local tasks must keep appearing in the
 	// sliding horizon.
 	for i := 0; i < 4; i++ {
-		if _, err := s.RunIteration(); err != nil {
+		if _, err := sv.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -481,12 +512,13 @@ func TestLocalArrivalsValidation(t *testing.T) {
 func TestSubmitRejectsPlacedJob(t *testing.T) {
 	grid, batch := section4Grid(t)
 	s, _ := metasched.New(validConfig(), grid)
+	sv := service(t, s)
 	for _, j := range batch.Jobs() {
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rep, err := s.RunIteration()
+	rep, err := sv.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,6 +543,7 @@ func TestSubmitRejectsPlacedJob(t *testing.T) {
 func TestMaxBudgetStatesLimitsDPStates(t *testing.T) {
 	exactGrid, batch := section4Grid(t)
 	exact, _ := metasched.New(validConfig(), exactGrid)
+	exactSvc := service(t, exact)
 	coarseGrid, _ := section4Grid(t)
 	cfg := validConfig()
 	cfg.MaxBudgetStates = 1
@@ -518,6 +551,7 @@ func TestMaxBudgetStatesLimitsDPStates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	coarseSvc := service(t, coarse)
 	for _, j := range batch.Jobs() {
 		if err := exact.Submit(j); err != nil {
 			t.Fatal(err)
@@ -526,14 +560,14 @@ func TestMaxBudgetStatesLimitsDPStates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	exactRep, err := exact.RunIteration()
+	exactRep, err := exactSvc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(exactRep.Placed) != 3 {
 		t.Fatalf("exact DP placed %d jobs, want 3", len(exactRep.Placed))
 	}
-	coarseRep, err := coarse.RunIteration()
+	coarseRep, err := coarseSvc.Tick()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ func TestMetricsDoNotPerturbScheduling(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		for _, a := range algos {
 			for _, policy := range policies {
-				off := diffSessionTranscript(t, seed, a.algo, policy, 1, nil)
-				on := diffSessionTranscript(t, seed, a.algo, policy, 1, metrics.New())
+				off := diffSessionTranscript(t, seed, a.algo, policy, nil)
+				on := diffSessionTranscript(t, seed, a.algo, policy, metrics.New())
 				if on != off {
 					t.Fatalf("seed %d %s %v: transcript changed with metrics attached\n--- metrics off ---\n%s\n--- metrics on ---\n%s",
 						seed, a.name, policy, off, on)
@@ -40,20 +40,19 @@ func TestMetricsDoNotPerturbScheduling(t *testing.T) {
 
 // TestMetricsSnapshotDeterministic runs two identical seeded sessions with
 // fresh registries and asserts the snapshots encode byte-identically — for
-// the one-view search and for a four-shard merge fed by four producer
-// goroutines, which record nothing themselves. The seeds cover demand
+// the one-view search and for a four-shard merge. The seeds cover demand
 // pricing (12, 15), live local arrivals (12, 20) and node failures (15, 20).
 func TestMetricsSnapshotDeterministic(t *testing.T) {
 	for _, seed := range []uint64{7, 12, 15, 20} {
-		for _, parallelism := range []int{1, 4} {
+		for _, shards := range []int{1, 4} {
 			r1 := metrics.New()
-			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, parallelism, r1, withShards(parallelism))
+			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, r1, withShards(shards))
 			r2 := metrics.New()
-			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, parallelism, r2, withShards(parallelism))
+			diffSessionTranscript(t, seed, alloc.AMP{}, metasched.MinimizeTime, r2, withShards(shards))
 			s1, s2 := r1.Snapshot().Text(), r2.Snapshot().Text()
 			if s1 != s2 {
-				t.Fatalf("seed %d parallelism %d: identical sessions produced different snapshots\n--- first ---\n%s\n--- second ---\n%s",
-					seed, parallelism, s1, s2)
+				t.Fatalf("seed %d shards %d: identical sessions produced different snapshots\n--- first ---\n%s\n--- second ---\n%s",
+					seed, shards, s1, s2)
 			}
 			if s1 == "" {
 				t.Fatalf("seed %d: session produced an empty snapshot", seed)
@@ -78,7 +77,7 @@ func TestMetricsSnapshotDeterministic(t *testing.T) {
 // registry must equal what the IterationReports record.
 func TestMetricsCrossCheckSession(t *testing.T) {
 	reg := metrics.New()
-	transcript := diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, 1, reg)
+	transcript := diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, reg)
 	snap := reg.Snapshot()
 	iters := snap.Counter("metasched/iterations_total")
 	if iters <= 0 {

@@ -108,9 +108,9 @@ func (s *Scheduler) ExportState() *SchedulerState {
 // before resuming; configuration is whatever the scheduler was built with.
 // Every job is re-validated and duplicate names across the queue and placed
 // set are rejected, so a corrupted snapshot fails cleanly instead of loading
-// a state the conservation invariants forbid. Restoring with an open
-// iteration is an error: an iteration holds frozen references into the state
-// being replaced.
+// a state the conservation invariants forbid. Restore between rounds only:
+// an open round holds frozen references into the state being replaced
+// (Service.RestoreState refuses while one is open).
 func (s *Scheduler) RestoreState(st *SchedulerState) error {
 	if st == nil {
 		return fmt.Errorf("metasched: nil scheduler state")
@@ -235,7 +235,7 @@ type ServiceState struct {
 // not part of the committed state a checkpoint may claim.
 func (sv *Service) ExportState() (*ServiceState, error) {
 	if sv.round != nil {
-		return nil, fmt.Errorf("metasched: export with open round on iteration %d", sv.round.it.rep.Iteration)
+		return nil, fmt.Errorf("metasched: export with open round on iteration %d", sv.round.rep.Iteration)
 	}
 	st := &ServiceState{NextID: sv.q.nextID}
 	for _, e := range sv.q.pending {
@@ -263,7 +263,7 @@ func (sv *Service) RestoreState(st *ServiceState) error {
 		return fmt.Errorf("metasched: nil service state")
 	}
 	if sv.round != nil {
-		return fmt.Errorf("metasched: restore with open round on iteration %d", sv.round.it.rep.Iteration)
+		return fmt.Errorf("metasched: restore with open round on iteration %d", sv.round.rep.Iteration)
 	}
 	pending := make([]*Eval, 0, len(st.Pending))
 	for i, e := range st.Pending {

@@ -432,9 +432,13 @@ func TestRetrySessionEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	sv, err := NewService(s, ServiceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	placedEver := map[string]bool{}
 	for it := 0; it < 12; it++ {
-		rep, err := s.RunIteration()
+		rep, err := sv.Tick()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,25 +56,18 @@ func newStaleHarnessWithMetrics(t *testing.T, reg *metrics.Registry) *staleHarne
 	return h
 }
 
-// TestServiceConfigValidate pins the constructor's error paths: a nil
-// scheduler and negative workers are rejected, zero workers inherits.
+// TestServiceConfigValidate pins the constructor's error path: a nil
+// scheduler is rejected.
 func TestServiceConfigValidate(t *testing.T) {
 	if _, err := metasched.NewService(nil, metasched.ServiceConfig{}); err == nil {
 		t.Fatal("NewService(nil) accepted a nil scheduler")
-	}
-	h := newStaleHarness(t, 1)
-	if _, err := metasched.NewService(h.sched, metasched.ServiceConfig{Workers: -1}); err == nil {
-		t.Fatal("NewService accepted negative Workers")
-	}
-	if err := (metasched.ServiceConfig{Workers: 2}).Validate(); err != nil {
-		t.Fatalf("Validate(Workers: 2) = %v, want nil", err)
 	}
 }
 
 // TestServiceAccessors covers the read-side API on a live round: the wrapped
 // scheduler, the consumed evaluations (submit eval + tick eval in priority
 // order), and the Plan views — Jobs and Windows in choice order, and the
-// canonical serialization matching the open iteration's "chosen" lines.
+// canonical serialization matching the open round's "chosen" lines.
 func TestServiceAccessors(t *testing.T) {
 	h := newStaleHarness(t, 1)
 	if h.svc.Scheduler() != h.sched {
@@ -113,10 +106,10 @@ func TestServiceAccessors(t *testing.T) {
 		t.Fatalf("Plan.CanonicalState = %q, want %q", b.String(), want)
 	}
 	b.Reset()
-	r.Iteration().CanonicalState(&b)
+	r.CanonicalState(&b)
 	for _, line := range []string{"iteration open=", "batched j1", "chosen j1 -> "} {
 		if !strings.Contains(b.String(), line) {
-			t.Fatalf("Iteration.CanonicalState missing %q:\n%s", line, b.String())
+			t.Fatalf("Round.CanonicalState missing %q:\n%s", line, b.String())
 		}
 	}
 	if err := r.Apply(); err != nil {

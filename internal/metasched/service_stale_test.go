@@ -112,11 +112,10 @@ func (h *staleHarness) applyExpectStale(t *testing.T, r *metasched.Round) {
 	if err := r.Apply(); err != nil {
 		t.Fatal(err)
 	}
-	it := r.Iteration()
-	if it.StaleWindows() != 1 {
-		t.Fatalf("StaleWindows = %d, want 1", it.StaleWindows())
+	if r.StaleWindows() != 1 {
+		t.Fatalf("StaleWindows = %d, want 1", r.StaleWindows())
 	}
-	if got := fmt.Sprint(it.StaleJobs()); got != "[j1]" {
+	if got := fmt.Sprint(r.StaleJobs()); got != "[j1]" {
 		t.Fatalf("StaleJobs = %v, want [j1]", got)
 	}
 	for _, task := range h.grid.AllTasks() {

@@ -57,12 +57,13 @@ func TestSoakSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc := service(t, sched)
 
 	submitted := map[string]bool{}
 	submit := func(wave, count int) {
 		for i := 0; i < count; i++ {
 			name := fmt.Sprintf("w%d-j%d", wave, i)
-			err := sched.Submit(&job.Job{
+			err := svc.Submit(&job.Job{
 				Name:     name,
 				Priority: wave*100 + i,
 				Request: job.ResourceRequest{
@@ -124,7 +125,7 @@ func TestSoakSession(t *testing.T) {
 		case 5:
 			// Fail a node and account for the re-queued jobs.
 			victim := "n3"
-			requeued, err := sched.HandleNodeFailure(victim)
+			requeued, err := svc.HandleNodeFailure(victim)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +144,7 @@ func TestSoakSession(t *testing.T) {
 		case 9:
 			submit(3, 3)
 		}
-		rep, err := sched.RunIteration()
+		rep, err := svc.Tick()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,12 +14,12 @@ import (
 // windows from the views in place. Results are byte-identical to the
 // unsharded search over the merged list.
 func Search(algo alloc.Algorithm, p Partition, views []*slot.Index, batch *job.Batch,
-	opts alloc.SearchOptions, parallelism int, m *Metrics) (*alloc.SearchResult, error) {
+	opts alloc.SearchOptions, m *Metrics) (*alloc.SearchResult, error) {
 	var work *alloc.ShardWork
 	if m != nil {
 		work = &alloc.ShardWork{ScanSlots: make([]int64, len(views))}
 	}
-	res, err := alloc.FindAlternativesSharded(algo, views, p.Of, batch, opts, parallelism, work)
+	res, err := alloc.FindAlternativesSharded(algo, views, p.Of, batch, opts, 1, work)
 	if err != nil {
 		return nil, err
 	}

@@ -94,7 +94,7 @@ func TestSearchMatchesUnsharded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s k=%d: oracle: %v", seed, algo.Name(), k, err)
 				}
-				res, err := shard.Search(algo, p, views, batch, alloc.SearchOptions{}, 2, nil)
+				res, err := shard.Search(algo, p, views, batch, alloc.SearchOptions{}, nil)
 				if err != nil {
 					t.Fatalf("seed %d %s k=%d: Search: %v", seed, algo.Name(), k, err)
 				}
@@ -116,7 +116,7 @@ func TestSearchMetrics(t *testing.T) {
 	p, views, _, batch := searchScenario(t, 3, k)
 	m := shard.NewMetrics(reg, k)
 	m.Published(views)
-	if _, err := shard.Search(alloc.AMP{}, p, views, batch, alloc.SearchOptions{}, 1, m); err != nil {
+	if _, err := shard.Search(alloc.AMP{}, p, views, batch, alloc.SearchOptions{}, m); err != nil {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()

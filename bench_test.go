@@ -382,7 +382,7 @@ func BenchmarkParetoFront(b *testing.B) {
 	batch, alts := benchAlternatives(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dp.ParetoFront(batch, alts, 0); err != nil {
+		if _, err := dp.ParetoFront(batch, alts); err != nil {
 			b.Fatal(err)
 		}
 	}

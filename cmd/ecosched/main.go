@@ -1,24 +1,8 @@
 // Command ecosched reproduces every table and figure of the paper's
-// evaluation from the command line. Each subcommand regenerates one
-// experiment; see EXPERIMENTS.md for the paper-vs-measured record.
-//
-// Usage:
-//
-//	ecosched example                      # Section 4 worked example (Figs. 2–3)
-//	ecosched fig4   [-iterations N]       # time-min study (Fig. 4a/4b + counts)
-//	ecosched fig5   [-iterations N]       # per-experiment series (Fig. 5)
-//	ecosched fig6   [-iterations N]       # cost-min study (Fig. 6a/6b + counts)
-//	ecosched rho    [-iterations N]       # Section 6 budget-factor sweep
-//	ecosched grid   [-iterations N]       # DP granularity ablation
-//	ecosched passes [-iterations N]       # multi-pass search ablation
-//	ecosched policy [-iterations N]       # AMP window-policy ablation
-//	ecosched fairness [-iterations N]     # batch-at-once search extension
-//	ecosched robustness [-iterations N]   # failure-injection strategy extension
-//	ecosched scaling                      # operation-count scaling vs backfill
-//	ecosched gridsim                      # multi-iteration metascheduler demo
-//	ecosched chaos  [-faults PLAN]        # fault-injected session with audit
-//	ecosched recover -journal PATH        # rebuild a crashed chaos session
-//	ecosched mc     [-depth N -states N]  # exhaustive schedule/commit model checker
+// evaluation from the command line and runs the metascheduler service an
+// operator drives. Each study subcommand regenerates one experiment; see
+// EXPERIMENTS.md for the paper-vs-measured record. `ecosched help` lists the
+// subcommands and flags.
 //
 // The paper's full runs use -iterations 25000; the default of 2000 keeps a
 // laptop run under a minute while preserving every reported shape.
@@ -183,8 +167,6 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 		fmt.Println("Section 3 — operation counts vs slot-list length m")
 		fmt.Print(experiments.RenderScaling(points))
 		return nil
-	case "report":
-		return runReport(seed, iterations, file)
 	case "clustered":
 		points, err := experiments.ClusteredAblation(cfg)
 		if err != nil {
@@ -270,7 +252,6 @@ subcommands:
   robustness failure-injected strategy execution (Section 7 extension)
   scaling   operation-count scaling: ALP/AMP vs backfill baseline
   pareto    criteria-vector frontier for one iteration (Section 2)
-  report    regenerate the full evaluation as one markdown document
   clustered statistical vs domain-structured slot lists
   baseline  EASY backfilling vs AMP+min-time on a homogeneous cluster
   dynamics  failure-injected metascheduler sessions (recovery study)

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -72,7 +73,7 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{"counter metasched/iterations_total", "histogram metasched/batch_jobs", "counter gridsim/commits_total"} {
-		if !containsStr(string(data), frag) {
+		if !strings.Contains(string(data), frag) {
 			t.Errorf("snapshot missing %q:\n%s", frag, data)
 		}
 	}
@@ -98,7 +99,7 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{"shard/count", "shard/scan_critical_path_total", "gridsim/store/shard0/rebuilds_total"} {
-		if !containsStr(string(sdata), frag) {
+		if !strings.Contains(string(sdata), frag) {
 			t.Errorf("sharded snapshot missing %q:\n%s", frag, sdata)
 		}
 	}
@@ -112,7 +113,7 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{`"experiments/kept_total"`, `"alloc/AMP/windows_found_total"`} {
-		if !containsStr(string(jdata), frag) {
+		if !strings.Contains(string(jdata), frag) {
 			t.Errorf("JSON snapshot missing %q", frag)
 		}
 	}
@@ -149,7 +150,7 @@ func TestChaosJournalRecover(t *testing.T) {
 	}
 
 	out := capture([]string{"chaos", "-journal", journal, "-checkpoint-every", "2", "-seed", "7"})
-	if !containsStr(out, "journal: "+journal) {
+	if !strings.Contains(out, "journal: "+journal) {
 		t.Fatalf("chaos output missing journal summary:\n%s", out)
 	}
 	if _, err := os.Stat(journal + ".ckpt"); err != nil {
@@ -158,7 +159,7 @@ func TestChaosJournalRecover(t *testing.T) {
 
 	rec1 := capture([]string{"recover", "-journal", journal, "-seed", "7"})
 	for _, frag := range []string{"checkpoint + journal suffix", "audit clean", "state hash: "} {
-		if !containsStr(rec1, frag) {
+		if !strings.Contains(rec1, frag) {
 			t.Fatalf("recover output missing %q:\n%s", frag, rec1)
 		}
 	}
@@ -197,27 +198,6 @@ func TestExportReplayRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReportWritesDocument(t *testing.T) {
-	old := os.Stdout
-	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	os.Stdout = devnull
-	defer func() { os.Stdout = old; devnull.Close() }()
-
-	path := filepath.Join(t.TempDir(), "report.md")
-	if err := run([]string{"report", "-iterations", "40", "-file", path}); err != nil {
-		t.Fatalf("report: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"# ecosched evaluation report", "Fig. 4", "Fig. 6", "robustness"} {
-		if !containsStr(string(data), frag) {
-			t.Errorf("report missing %q", frag)
-		}
-	}
-}
-
 func TestErrorPaths(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("missing subcommand accepted")
@@ -237,13 +217,4 @@ func TestErrorPaths(t *testing.T) {
 	if err := run([]string{"chaos", "-faults", "melt@300:cpu1"}); err == nil {
 		t.Error("malformed fault plan accepted")
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

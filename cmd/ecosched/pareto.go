@@ -37,7 +37,7 @@ func runPareto(seed uint64) error {
 		if err != nil {
 			continue
 		}
-		front, err := dp.ParetoFront(sc.Batch, alts, 0)
+		front, err := dp.ParetoFront(sc.Batch, alts)
 		if err != nil {
 			return err
 		}

@@ -16,8 +16,8 @@
 //	ScheduleBatch(AMP{}, list, batch, MinimizeTimePolicy) — search
 //	        alternatives and pick the optimal combination
 //
-// See examples/quickstart for a complete runnable program and DESIGN.md for
-// the system inventory.
+// The Example functions in example_test.go are complete, checked programs
+// for these flows; DESIGN.md holds the system inventory.
 package ecosched
 
 import (
@@ -206,12 +206,11 @@ var (
 	// batch; its methods answer every optimization problem and the limit
 	// derivation from one shared backward pass.
 	NewFrontier = dp.NewFrontier
-	// ParetoFront computes every Pareto-optimal (time, cost) combination.
+	// ParetoFront computes every Pareto-optimal (time, cost) combination,
+	// fastest first; its endpoints are the time-first and cost-first picks.
 	ParetoFront = dp.ParetoFront
 	// WeightedSum picks the frontier plan minimizing a weighted criterion.
 	WeightedSum = dp.WeightedSum
-	// Lexicographic picks a frontier endpoint (time-first or cost-first).
-	Lexicographic = dp.Lexicographic
 	// PaperSlotGenerator and PaperJobGenerator return the Section 5
 	// workload configurations.
 	PaperSlotGenerator = workload.PaperSlotGenerator
@@ -227,6 +226,10 @@ const (
 	// MinimizeCostPolicy optimizes min C(s̄) under the occupancy quota.
 	MinimizeCostPolicy = metasched.MinimizeCost
 )
+
+// EarliestFirst is BuildStrategy's fallback order that tries contingency
+// windows by earliest start, minimizing the delay after a failure.
+const EarliestFirst = strategy.EarliestFirst
 
 // NewService wraps a scheduler in the event loop that runs its rounds.
 func NewService(s *Scheduler) (*Service, error) {

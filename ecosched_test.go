@@ -178,7 +178,7 @@ func TestParetoThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	alts := ecosched.Alternatives(search.Alternatives)
-	front, err := ecosched.ParetoFront(batch, alts, 0)
+	front, err := ecosched.ParetoFront(batch, alts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,13 +191,6 @@ func TestParetoThroughFacade(t *testing.T) {
 	}
 	if w.TotalTime < front[0].TotalTime {
 		t.Error("weighted pick faster than the fastest frontier point")
-	}
-	lex, err := ecosched.Lexicographic(batch, alts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lex.TotalTime != front[0].TotalTime {
-		t.Error("time-first lexicographic should pick the fastest endpoint")
 	}
 }
 

@@ -60,16 +60,6 @@ func BenchmarkComputeLimits(b *testing.B) {
 	}
 }
 
-func BenchmarkParetoFrontDP(b *testing.B) {
-	batch, alts, _ := benchAlts(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ParetoFront(batch, alts, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // shapedAlts builds a jobs×altsPerJob instance with durations drawn from
 // [durMin, durMax]. Long durations blow up the dense table's time axis
 // (q = Σ max duration) while leaving the frontier size untouched, so the

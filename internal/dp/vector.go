@@ -3,128 +3,42 @@ package dp
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"ecosched/internal/job"
-	"ecosched/internal/sim"
 )
 
 // This file implements the multi-criteria side of the model (Section 2: "in
 // the general case … it is necessary to use a vector of criteria, for
 // example ⟨C(s̄), D(s̄), T(s̄), I(s̄)⟩"): the exact Pareto frontier of
-// (time, cost) plans, plus weighted-sum and lexicographic selectors on top
-// of it. D and I are affine in C and T given the limits, so the (T, C)
-// frontier carries the full four-component vector.
-
-// frontierState is a non-dominated partial combination for jobs i..n-1.
-type frontierState struct {
-	time sim.Duration
-	cost sim.Money
-	// choice is the alternative index of job i; next indexes the tail
-	// state in the (i+1)-th frontier.
-	choice int
-	next   int
-}
+// (time, cost) plans, read off the sparse engine's lower frontier, plus a
+// weighted-sum selector on top of it. D and I are affine in C and T given the
+// limits, so the (T, C) frontier carries the full four-component vector.
 
 // ParetoFront computes every Pareto-optimal (total time, total cost)
 // combination of alternatives, one plan per frontier point, ordered by
-// increasing time (hence decreasing cost). The computation is the backward
-// run of Eq. (1) generalized to sets: stage i merges each alternative of
-// job i with every non-dominated tail state and prunes dominated sums.
-//
-// Frontier sizes stay small in practice (total time is bounded by the
-// summed max durations), but MaxFrontier caps the per-stage set as a safety
-// valve; 0 means unlimited.
-func ParetoFront(batch *job.Batch, alts Alternatives, maxFrontier int) ([]*Plan, error) {
-	lists, err := collect(batch, alts)
+// increasing time (hence decreasing cost). It is the stage-0 minimize-cost
+// frontier of NewFrontier's backward run, each point expanded to its plan
+// with the same canonical representative MinimizeTime and MinimizeCost pick.
+func ParetoFront(batch *job.Batch, alts Alternatives) ([]*Plan, error) {
+	f, err := NewFrontier(batch, alts)
 	if err != nil {
 		return nil, err
 	}
-	n := len(lists)
-	// stages[i] holds job i's frontier; stages[n] is the empty tail.
-	stages := make([][]frontierState, n+1)
-	stages[n] = []frontierState{{}}
-	for i := n - 1; i >= 0; i-- {
-		var merged []frontierState
-		for a, w := range lists[i] {
-			for next, tail := range stages[i+1] {
-				merged = append(merged, frontierState{
-					time:   w.Length() + tail.time,
-					cost:   w.Cost() + tail.cost,
-					choice: a,
-					next:   next,
-				})
-			}
-		}
-		stages[i] = pruneDominated(merged, maxFrontier)
-	}
-
-	front := stages[0]
-	plans := make([]*Plan, 0, len(front))
-	for _, st := range front {
-		plan := &Plan{Choices: make([]Choice, 0, n)}
-		cur := st
-		for i := 0; i < n; i++ {
-			w := lists[i][cur.choice]
-			plan.Choices = append(plan.Choices, Choice{Job: batch.At(i), Window: w})
-			plan.TotalTime += w.Length()
-			plan.TotalCost += w.Cost()
-			if i+1 < n {
-				cur = stages[i+1][cur.next]
-			}
-		}
-		plans = append(plans, plan)
+	plans := make([]*Plan, 0, len(f.lo[0]))
+	for _, st := range f.lo[0] {
+		plans = append(plans, f.plan(f.lo, st))
 	}
 	return plans, nil
 }
 
-// pruneDominated keeps the non-dominated states: sort by (time, cost) and
-// keep states whose cost strictly improves on every earlier (faster) state.
-func pruneDominated(states []frontierState, maxFrontier int) []frontierState {
-	if len(states) == 0 {
-		return states
-	}
-	sort.Slice(states, func(i, k int) bool {
-		if states[i].time != states[k].time {
-			return states[i].time < states[k].time
-		}
-		return states[i].cost < states[k].cost
-	})
-	out := states[:0]
-	bestCost := sim.Money(math.Inf(1))
-	for _, s := range states {
-		if s.cost < bestCost-sim.MoneyEpsilon {
-			out = append(out, s)
-			bestCost = s.cost
-		}
-	}
-	if maxFrontier > 0 && len(out) > maxFrontier {
-		if maxFrontier == 1 {
-			// Degenerate cap: keep the fastest point.
-			out = out[:1]
-		} else {
-			// Thin uniformly, always keeping both endpoints.
-			thinned := make([]frontierState, 0, maxFrontier)
-			for i := 0; i < maxFrontier; i++ {
-				idx := i * (len(out) - 1) / (maxFrontier - 1)
-				thinned = append(thinned, out[idx])
-			}
-			out = thinned
-		}
-	}
-	// Clone into a fresh slice: out aliases states' backing array.
-	res := make([]frontierState, len(out))
-	copy(res, out)
-	return res
-}
-
 // WeightedSum picks the frontier plan minimizing
-// wTime·T(s̄) + wCost·C(s̄). Weights must be non-negative and not both zero.
+// wTime·T(s̄) + wCost·C(s̄). Weights must be finite, non-negative and not both
+// zero.
 func WeightedSum(batch *job.Batch, alts Alternatives, wTime, wCost float64) (*Plan, error) {
-	if wTime < 0 || wCost < 0 || (wTime == 0 && wCost == 0) {
+	if !validWeight(wTime) || !validWeight(wCost) || (wTime == 0 && wCost == 0) {
 		return nil, fmt.Errorf("dp: invalid weights (%v, %v)", wTime, wCost)
 	}
-	front, err := ParetoFront(batch, alts, 0)
+	front, err := ParetoFront(batch, alts)
 	if err != nil {
 		return nil, err
 	}
@@ -143,39 +57,10 @@ func WeightedSum(batch *job.Batch, alts Alternatives, wTime, wCost float64) (*Pl
 	return best, nil
 }
 
-// Criterion selects the primary objective of a lexicographic selection.
-type Criterion int
-
-const (
-	// ByTime minimizes T(s̄) first, breaking ties by C(s̄).
-	ByTime Criterion = iota
-	// ByCost minimizes C(s̄) first, breaking ties by T(s̄).
-	ByCost
-)
-
-// String names the criterion.
-func (c Criterion) String() string {
-	if c == ByCost {
-		return "cost-first"
-	}
-	return "time-first"
-}
-
-// Lexicographic picks the frontier plan optimal under the primary criterion
-// with the other as tie-break. On a strict frontier these are its endpoints.
-func Lexicographic(batch *job.Batch, alts Alternatives, primary Criterion) (*Plan, error) {
-	front, err := ParetoFront(batch, alts, 0)
-	if err != nil {
-		return nil, err
-	}
-	if len(front) == 0 {
-		return nil, &ErrInfeasible{Problem: "lexicographic selection", Limit: "empty frontier"}
-	}
-	// The frontier is ordered by increasing time / decreasing cost.
-	if primary == ByCost {
-		return front[len(front)-1], nil
-	}
-	return front[0], nil
+// validWeight reports whether w is a usable criterion weight: finite and
+// non-negative (NaN fails both comparisons).
+func validWeight(w float64) bool {
+	return w >= 0 && !math.IsInf(w, 1)
 }
 
 // FrontierVectors evaluates the full ⟨C, D, T, I⟩ vector for every frontier

@@ -1,6 +1,9 @@
 package dp
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -16,7 +19,7 @@ func TestParetoFrontSimple(t *testing.T) {
 	}
 	// Combinations: (90,140) (70,220) (70,190) (50,270).
 	// Frontier: (50,270), (70,190), (90,140).
-	front, err := ParetoFront(batch, alts, 0)
+	front, err := ParetoFront(batch, alts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,34 +39,60 @@ func TestParetoFrontSimple(t *testing.T) {
 	}
 }
 
+// TestParetoEndpointsMatchScalarOptima pins the front's representatives: its
+// fastest endpoint is the plan MinimizeTime picks under that endpoint's own
+// cost, and its cheapest endpoint the plan MinimizeCost picks under that
+// endpoint's own time — window for window, so instances with (T, C) ties
+// must agree on the canonical lexicographically smallest choice too.
 func TestParetoEndpointsMatchScalarOptima(t *testing.T) {
-	batch := synthBatch(3)
-	alts := Alternatives{
-		"job1": {synthWindow("a", 0, 50, 2), synthWindow("b", 0, 30, 5)},
-		"job2": {synthWindow("c", 0, 40, 1), synthWindow("d", 0, 20, 6)},
-		"job3": {synthWindow("e", 0, 35, 3), synthWindow("f", 0, 60, 1)},
+	for seed := uint64(1); seed <= 120; seed++ {
+		fr, alts, _, _ := randomInstance(seed)
+		tfr, talts := tieInstance(seed)
+		for _, inst := range []struct {
+			label string
+			fr    *Frontier
+			alts  Alternatives
+		}{{"random", fr, alts}, {"ties", tfr, talts}} {
+			label := fmt.Sprintf("%s seed %d", inst.label, seed)
+			front, err := ParetoFront(inst.fr.batch, inst.alts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fastest, cheapest := front[0], front[len(front)-1]
+			minTime, err := inst.fr.MinimizeTime(fastest.TotalCost)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			samePlan(t, label+" fastest endpoint", fastest, minTime)
+			minCost, err := inst.fr.MinimizeCost(cheapest.TotalTime)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			samePlan(t, label+" cheapest endpoint", cheapest, minCost)
+		}
 	}
-	front, err := ParetoFront(batch, alts, 0)
+}
+
+// tieInstance draws up to four jobs with up to 16 alternatives each over
+// three lengths and two prices, so many plans tie on (T, C) and the choice
+// of representative is observable.
+func tieInstance(seed uint64) (*Frontier, Alternatives) {
+	rng := sim.NewRNG(seed)
+	n := rng.IntBetween(1, 4)
+	batch := synthBatch(n)
+	alts := Alternatives{}
+	for i := 0; i < n; i++ {
+		ws := make([]*slot.Window, rng.IntBetween(1, 16))
+		for a := range ws {
+			ws[a] = synthWindow(jobName(i), 0, sim.Duration(10*rng.IntBetween(1, 3)), sim.Money(rng.IntBetween(1, 2)))
+		}
+		alts[batch.At(i).Name] = ws
+	}
+	fr, err := NewFrontier(batch, alts)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	fastest := front[0]
-	cheapest := front[len(front)-1]
-	// The unconstrained scalar optima must coincide with the endpoints.
-	minTime, err := MinimizeTime(batch, alts, 1e9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fastest.TotalTime != minTime.TotalTime {
-		t.Errorf("fastest endpoint %v != MinimizeTime %v", fastest.TotalTime, minTime.TotalTime)
-	}
-	minCost, err := MinimizeCost(batch, alts, 1<<40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cheapest.TotalCost.ApproxEq(minCost.TotalCost) {
-		t.Errorf("cheapest endpoint %v != MinimizeCost %v", cheapest.TotalCost, minCost.TotalCost)
-	}
+	return fr, alts
 }
 
 // TestParetoFrontIsNonDominatedAndComplete property: on random instances,
@@ -86,7 +115,7 @@ func TestParetoFrontIsNonDominatedAndComplete(t *testing.T) {
 			alts[batch.At(i).Name] = ws
 			lists[i] = ws
 		}
-		front, err := ParetoFront(batch, alts, 0)
+		front, err := ParetoFront(batch, alts)
 		if err != nil || len(front) == 0 {
 			return false
 		}
@@ -169,72 +198,17 @@ func TestWeightedSum(t *testing.T) {
 	if p.TotalTime != 70 || !p.TotalCost.ApproxEq(190) {
 		t.Errorf("balanced: (%v, %v)", p.TotalTime, p.TotalCost)
 	}
-	if _, err := WeightedSum(batch, alts, -1, 1); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if _, err := WeightedSum(batch, alts, 0, 0); err == nil {
-		t.Error("zero weights accepted")
-	}
-}
-
-func TestLexicographic(t *testing.T) {
-	batch := synthBatch(2)
-	alts := Alternatives{
-		"job1": {synthWindow("a", 0, 50, 2), synthWindow("b", 0, 30, 5)},
-		"job2": {synthWindow("c", 0, 40, 1), synthWindow("d", 0, 20, 6)},
-	}
-	p, err := Lexicographic(batch, alts, ByTime)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.TotalTime != 50 {
-		t.Errorf("ByTime: %v", p.TotalTime)
-	}
-	p, err = Lexicographic(batch, alts, ByCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !p.TotalCost.ApproxEq(140) {
-		t.Errorf("ByCost: %v", p.TotalCost)
-	}
-	if ByTime.String() != "time-first" || ByCost.String() != "cost-first" {
-		t.Error("criterion names wrong")
-	}
-}
-
-func TestParetoFrontCapThinning(t *testing.T) {
-	// Many alternatives with distinct (t, c) trade-offs produce a large
-	// frontier; the cap must thin it while keeping both endpoints.
-	batch := synthBatch(2)
-	var ws1, ws2 []*slot.Window
-	for i := 0; i < 12; i++ {
-		ws1 = append(ws1, synthWindow("a", 0, sim.Duration(20+5*i), sim.Money(30-2*i)))
-		ws2 = append(ws2, synthWindow("b", 0, sim.Duration(25+5*i), sim.Money(28-2*i)))
-	}
-	alts := Alternatives{"job1": ws1, "job2": ws2}
-	full, err := ParetoFront(batch, alts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	capped, err := ParetoFront(batch, alts, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped) > 5*2 { // per-stage cap; final frontier stays small
-		t.Errorf("capped frontier too large: %d", len(capped))
-	}
-	if len(full) < len(capped) {
-		t.Errorf("full frontier (%d) smaller than capped (%d)", len(full), len(capped))
-	}
-	if capped[0].TotalTime != full[0].TotalTime {
-		t.Error("fast endpoint lost by thinning")
+	for _, w := range [][2]float64{{-1, 1}, {0, 0}, {math.NaN(), 1}, {1, math.NaN()}, {math.Inf(1), 1}, {1, math.Inf(1)}} {
+		if _, err := WeightedSum(batch, alts, w[0], w[1]); err == nil || !strings.Contains(err.Error(), "invalid weights") {
+			t.Errorf("weights %v: got %v, want an invalid-weights error", w, err)
+		}
 	}
 }
 
 func TestFrontierVectors(t *testing.T) {
 	batch := synthBatch(1)
 	alts := Alternatives{"job1": {synthWindow("a", 0, 50, 2)}}
-	front, err := ParetoFront(batch, alts, 0)
+	front, err := ParetoFront(batch, alts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,28 +225,7 @@ func TestFrontierVectors(t *testing.T) {
 func TestParetoFrontMissingJob(t *testing.T) {
 	batch := synthBatch(2)
 	alts := Alternatives{"job1": {synthWindow("a", 0, 50, 2)}}
-	if _, err := ParetoFront(batch, alts, 0); err == nil {
+	if _, err := ParetoFront(batch, alts); err == nil {
 		t.Error("missing alternatives accepted")
-	}
-}
-
-func TestParetoFrontCapOne(t *testing.T) {
-	// Regression: a cap of 1 must not divide by zero and keeps the
-	// fastest point per stage.
-	batch := synthBatch(2)
-	alts := Alternatives{
-		"job1": {synthWindow("a", 0, 20, 9), synthWindow("b", 0, 50, 2)},
-		"job2": {synthWindow("c", 0, 25, 8), synthWindow("d", 0, 60, 1)},
-	}
-	front, err := ParetoFront(batch, alts, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(front) == 0 {
-		t.Fatal("empty frontier")
-	}
-	// With a per-stage cap of 1 the greedy fastest composition survives.
-	if front[0].TotalTime != 45 {
-		t.Errorf("capped frontier fastest: %v", front[0].TotalTime)
 	}
 }

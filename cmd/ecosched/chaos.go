@@ -235,8 +235,8 @@ func runRecover(seed uint64, journalPath string, checkpointEvery, shards int, re
 	if rep.TornBytesDropped > 0 {
 		fmt.Printf("torn tail: %d bytes truncated\n", rep.TornBytesDropped)
 	}
-	fmt.Printf("applied plans live: %d, queue depth: %d, placed jobs: %d\n",
-		len(rep.AppliedLive), ds.QueueDepth(), len(ds.Scheduler().PlacedJobs()))
+	fmt.Printf("applied plans live: %d, queued jobs: %d, placed jobs: %d\n",
+		len(rep.AppliedLive), ds.Scheduler().QueueLength(), len(ds.Scheduler().PlacedJobs()))
 	fmt.Printf("state hash: %016x\n", durable.StateHash(ds.Unwrap()))
 	return nil
 }

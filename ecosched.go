@@ -142,8 +142,8 @@ type (
 	Scheduler = metasched.Scheduler
 	// SchedulerConfig parameterizes the metascheduler.
 	SchedulerConfig = metasched.Config
-	// Service runs the scheduler's rounds: events enqueue evaluations and
-	// Tick runs one publish → search → optimize → commit round.
+	// Service runs the scheduler's rounds: events go through its handlers
+	// and Tick runs one publish → search → optimize → commit round.
 	Service = metasched.Service
 	// IterationReport summarizes one scheduling iteration.
 	IterationReport = metasched.IterationReport

@@ -1,5 +1,5 @@
 // Checkpoint documents: a complete snapshot of the continuous service —
-// grid, scheduler, and service-layer state — written periodically so
+// grid and scheduler state — written periodically so
 // recovery replays only the journal suffix past the snapshot instead of the
 // whole history. A checkpoint is one CRC frame behind its own magic header
 // (temp-file + rename on write keeps the previous checkpoint intact until
@@ -18,12 +18,13 @@ import (
 
 // CheckpointVersion identifies the checkpoint wire format; bump on
 // incompatible changes. Recovery rejects any other version outright.
-const CheckpointVersion = 1
+// Version 2 dropped the service layer's evaluation queue.
+const CheckpointVersion = 2
 
 // CheckpointMagic is the 8-byte header a checkpoint file starts with.
 const CheckpointMagic = "ECOCKPT1"
 
-// Checkpoint bundles the three state layers with the journal position they
+// Checkpoint bundles the state layers with the journal position they
 // correspond to. JournalOffset is the journal's byte length at snapshot
 // time: recovery restores the checkpoint and replays records whose frames
 // end after that offset. Seq mirrors the last journaled record's sequence
@@ -35,7 +36,12 @@ type Checkpoint struct {
 	Rounds        int
 	Grid          *gridsim.GridState
 	Sched         *metasched.SchedulerState
-	Service       *metasched.ServiceState
+	// Service is never encoded (the service layer holds no state of its
+	// own); decoding sets it to the empty state.
+	//
+	// Deprecated: kept only so the frozen benchmark harness compiles
+	// unchanged (ROADMAP item 1).
+	Service *metasched.ServiceState
 }
 
 type checkpointJSON struct {
@@ -45,7 +51,6 @@ type checkpointJSON struct {
 	Rounds        int            `json:"rounds"`
 	Grid          gridStateJSON  `json:"grid"`
 	Sched         schedStateJSON `json:"sched"`
-	Service       svcStateJSON   `json:"service"`
 }
 
 type gridStateJSON struct {
@@ -118,30 +123,9 @@ type retryStatsJSON struct {
 	DroppedDeadline  int `json:"dropped_deadline,omitempty"`
 }
 
-type svcStateJSON struct {
-	Pending  []evalJSON      `json:"pending,omitempty"`
-	NextID   uint64          `json:"next_id"`
-	Requeues []requeueCtJSON `json:"requeues,omitempty"`
-}
-
-type evalJSON struct {
-	ID        uint64 `json:"id"`
-	Trigger   int    `json:"trigger"`
-	Subject   string `json:"subject,omitempty"`
-	Priority  int    `json:"priority"`
-	Created   int64  `json:"created"`
-	NotBefore int64  `json:"not_before,omitempty"`
-	Attempt   int    `json:"attempt,omitempty"`
-}
-
-type requeueCtJSON struct {
-	Name  string `json:"name"`
-	Count int    `json:"count"`
-}
-
 // EncodeCheckpoint serializes the checkpoint as magic + one CRC frame.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	if cp == nil || cp.Grid == nil || cp.Sched == nil || cp.Service == nil {
+	if cp == nil || cp.Grid == nil || cp.Sched == nil {
 		return nil, fmt.Errorf("codec: incomplete checkpoint")
 	}
 	doc := checkpointJSON{
@@ -198,21 +182,6 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 		DroppedDeadline:  cp.Sched.Stats.DroppedDeadline,
 	}
 	doc.Sched.ArrivalsRNG = cp.Sched.ArrivalsRNG
-	doc.Service.NextID = cp.Service.NextID
-	for _, e := range cp.Service.Pending {
-		doc.Service.Pending = append(doc.Service.Pending, evalJSON{
-			ID:        e.ID,
-			Trigger:   int(e.Trigger),
-			Subject:   e.Subject,
-			Priority:  e.Priority,
-			Created:   int64(e.Created),
-			NotBefore: int64(e.NotBefore),
-			Attempt:   e.Attempt,
-		})
-	}
-	for _, r := range cp.Service.Requeues {
-		doc.Service.Requeues = append(doc.Service.Requeues, requeueCtJSON{Name: r.Name, Count: r.Count})
-	}
 	payload, err := json.Marshal(doc)
 	if err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
@@ -238,11 +207,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: checkpoint is not exactly one intact frame", ErrTorn)
 	}
 	var doc checkpointJSON
-	if err := strictUnmarshal(payloads[0], &doc); err != nil {
-		return nil, fmt.Errorf("codec: checkpoint: %w", err)
-	}
-	if doc.Version != CheckpointVersion {
-		return nil, &VersionSkewError{What: "checkpoint", Got: doc.Version, Want: CheckpointVersion}
+	if err := strictUnmarshalVersion(payloads[0], "checkpoint", CheckpointVersion, &doc); err != nil {
+		return nil, err
 	}
 	cp := &Checkpoint{
 		Seq:           doc.Seq,
@@ -261,7 +227,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 			},
 			ArrivalsRNG: doc.Sched.ArrivalsRNG,
 		},
-		Service: &metasched.ServiceState{NextID: doc.Service.NextID},
+		Service: &metasched.ServiceState{},
 	}
 	for _, f := range doc.Grid.Failed {
 		cp.Grid.Failed = append(cp.Grid.Failed, gridsim.NodeFailureState{Node: f.Node, At: sim.Time(f.At)})
@@ -298,20 +264,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	for _, d := range doc.Sched.Dropped {
 		cp.Sched.Dropped = append(cp.Sched.Dropped, metasched.JobDropState{Name: d.Name, Reason: d.Reason})
-	}
-	for _, e := range doc.Service.Pending {
-		cp.Service.Pending = append(cp.Service.Pending, metasched.EvalState{
-			ID:        e.ID,
-			Trigger:   metasched.Trigger(e.Trigger),
-			Subject:   e.Subject,
-			Priority:  e.Priority,
-			Created:   sim.Time(e.Created),
-			NotBefore: sim.Time(e.NotBefore),
-			Attempt:   e.Attempt,
-		})
-	}
-	for _, r := range doc.Service.Requeues {
-		cp.Service.Requeues = append(cp.Service.Requeues, metasched.RequeueCountState{Name: r.Name, Count: r.Count})
 	}
 	return cp, nil
 }

@@ -26,7 +26,8 @@ import (
 
 // JournalVersion identifies the journal record wire format; bump on
 // incompatible changes. Recovery rejects records from any other version.
-const JournalVersion = 1
+// Version 2 dropped the round record's tick flag.
+const JournalVersion = 2
 
 // JournalMagic is the 8-byte header a journal file starts with.
 const JournalMagic = "ECOJRNL1"
@@ -107,7 +108,7 @@ const (
 	RecordRecover RecordKind = "recover"
 	// RecordRevoke is an owner reclaiming a booked interval.
 	RecordRevoke RecordKind = "revoke"
-	// RecordRound is one complete evaluation round: the plan that was
+	// RecordRound is one complete scheduling round: the plan that was
 	// applied (with its snapshot epoch), the windows rejected as stale, and
 	// the jobs placed.
 	RecordRound RecordKind = "round"
@@ -139,14 +140,12 @@ type Record struct {
 	Round *RoundRecord
 }
 
-// RoundRecord captures one evaluation round for replay-driven apply: the
+// RoundRecord captures one scheduling round for replay-driven apply: the
 // recovered round skips the search, installs exactly these choices, and runs
 // the normal serial applier against them.
 type RoundRecord struct {
 	// Iteration is the 1-based scheduler iteration the round drove.
 	Iteration int
-	// Tick marks a round opened by the periodic tick (Service.Tick).
-	Tick bool
 	// Planned records whether the round's search produced a combination;
 	// Epoch, TotalTime, TotalCost, and Choices are meaningful only then.
 	Planned   bool
@@ -184,7 +183,6 @@ type recordJSON struct {
 
 type roundJSON struct {
 	Iteration int          `json:"iteration"`
-	Tick      bool         `json:"tick,omitempty"`
 	Planned   bool         `json:"planned,omitempty"`
 	Epoch     uint64       `json:"epoch,omitempty"`
 	TotalTime int64        `json:"total_time,omitempty"`
@@ -241,7 +239,6 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 		}
 		r := roundJSON{
 			Iteration: rec.Round.Iteration,
-			Tick:      rec.Round.Tick,
 			Planned:   rec.Round.Planned,
 			Epoch:     rec.Round.Epoch,
 			TotalTime: int64(rec.Round.TotalTime),
@@ -283,11 +280,8 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 // to exactly what was written or fails with a diagnosable error.
 func DecodeRecord(payload []byte, pool *resource.Pool) (*Record, error) {
 	var doc recordJSON
-	if err := strictUnmarshal(payload, &doc); err != nil {
-		return nil, fmt.Errorf("codec: journal record: %w", err)
-	}
-	if doc.Version != JournalVersion {
-		return nil, &VersionSkewError{What: "journal record", Got: doc.Version, Want: JournalVersion}
+	if err := strictUnmarshalVersion(payload, "journal record", JournalVersion, &doc); err != nil {
+		return nil, err
 	}
 	rec := &Record{
 		Seq:      doc.Seq,
@@ -321,7 +315,6 @@ func DecodeRecord(payload []byte, pool *resource.Pool) (*Record, error) {
 		}
 		r := &RoundRecord{
 			Iteration: doc.Round.Iteration,
-			Tick:      doc.Round.Tick,
 			Planned:   doc.Round.Planned,
 			Epoch:     doc.Round.Epoch,
 			TotalTime: sim.Duration(doc.Round.TotalTime),
@@ -360,10 +353,25 @@ func DecodeRecord(payload []byte, pool *resource.Pool) (*Record, error) {
 	return rec, nil
 }
 
-// strictUnmarshal decodes JSON rejecting unknown fields, so a record written
-// by a richer (future) format cannot half-load.
-func strictUnmarshal(payload []byte, v any) error {
+// strictUnmarshalVersion decodes a versioned payload of the named kind,
+// rejecting unknown fields so a payload written by a richer format cannot
+// half-load. The "v" field is checked first, so a payload another format
+// version wrote is a VersionSkewError even when its fields no longer fit this
+// version's schema; any other decode failure is a plain codec error.
+func strictUnmarshalVersion(payload []byte, what string, want int, v any) error {
+	var head struct {
+		Version int `json:"v"`
+	}
+	if err := json.Unmarshal(payload, &head); err != nil {
+		return fmt.Errorf("codec: %s: %w", what, err)
+	}
+	if head.Version != want {
+		return &VersionSkewError{What: what, Got: head.Version, Want: want}
+	}
 	dec := json.NewDecoder(bytes.NewReader(payload))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("codec: %s: %w", what, err)
+	}
+	return nil
 }

@@ -51,7 +51,7 @@ func sampleRecords(t *testing.T, pool *resource.Pool) []*Record {
 	return []*Record{
 		{Seq: 1, Kind: RecordSubmit, Now: 5, Job: journalJob("j1")},
 		{Seq: 2, Kind: RecordRound, Now: 5, Round: &RoundRecord{
-			Iteration: 1, Tick: false, Planned: true, Epoch: 7,
+			Iteration: 1, Planned: true, Epoch: 7,
 			TotalTime: 40, TotalCost: 220.5,
 			Choices: []ChoiceRecord{{Job: "j1", Window: w}},
 			Placed:  []string{"j1"},
@@ -62,7 +62,7 @@ func sampleRecords(t *testing.T, pool *resource.Pool) []*Record {
 		{Seq: 5, Kind: RecordRevoke, Now: 60, Node: "n2",
 			Span: sim.Interval{Start: 60, End: 80}, Requeued: []string{"j1"}},
 		{Seq: 6, Kind: RecordRound, Now: 60, Round: &RoundRecord{
-			Iteration: 2, Tick: true, Planned: false,
+			Iteration: 2, Planned: false,
 			Stale: []string{"j1"},
 		}},
 	}
@@ -111,7 +111,7 @@ func TestRecordRoundTripEveryKind(t *testing.T) {
 				t.Fatalf("seq %d lost its round payload", want.Seq)
 			}
 			gr, wr := got.Round, want.Round
-			if gr.Iteration != wr.Iteration || gr.Tick != wr.Tick || gr.Planned != wr.Planned ||
+			if gr.Iteration != wr.Iteration || gr.Planned != wr.Planned ||
 				gr.Epoch != wr.Epoch || gr.TotalTime != wr.TotalTime || gr.TotalCost != wr.TotalCost ||
 				!reflect.DeepEqual(gr.Stale, wr.Stale) || !reflect.DeepEqual(gr.Placed, wr.Placed) {
 				t.Errorf("seq %d round changed:\n got %+v\nwant %+v", want.Seq, gr, wr)
@@ -205,18 +205,19 @@ func TestDecodeRecordRejectsBadPayloads(t *testing.T) {
 	}{
 		{"garbage", `not json`, false},
 		{"version skew", `{"v": 99, "seq": 1, "kind": "fail", "now": 0, "node": "n1"}`, true},
-		{"unknown field", `{"v": 1, "seq": 1, "kind": "fail", "now": 0, "node": "n1", "bogus": 1}`, false},
-		{"unknown kind", `{"v": 1, "seq": 1, "kind": "explode", "now": 0}`, false},
-		{"fail without node", `{"v": 1, "seq": 1, "kind": "fail", "now": 0}`, false},
-		{"unknown node", `{"v": 1, "seq": 1, "kind": "fail", "now": 0, "node": "ghost"}`, false},
-		{"submit without job", `{"v": 1, "seq": 1, "kind": "submit", "now": 0}`, false},
-		{"invalid job", `{"v": 1, "seq": 1, "kind": "submit", "now": 0,
+		{"version 1 round", `{"v": 1, "seq": 1, "kind": "round", "now": 0, "round": {"iteration": 1, "tick": true}}`, true},
+		{"unknown field", `{"v": 2, "seq": 1, "kind": "fail", "now": 0, "node": "n1", "bogus": 1}`, false},
+		{"unknown kind", `{"v": 2, "seq": 1, "kind": "explode", "now": 0}`, false},
+		{"fail without node", `{"v": 2, "seq": 1, "kind": "fail", "now": 0}`, false},
+		{"unknown node", `{"v": 2, "seq": 1, "kind": "fail", "now": 0, "node": "ghost"}`, false},
+		{"submit without job", `{"v": 2, "seq": 1, "kind": "submit", "now": 0}`, false},
+		{"invalid job", `{"v": 2, "seq": 1, "kind": "submit", "now": 0,
 			"job": {"name": "j", "priority": 1, "nodes": 0, "time": 10, "min_performance": 1, "max_price": 1}}`, false},
-		{"round without payload", `{"v": 1, "seq": 1, "kind": "round", "now": 0}`, false},
-		{"round unknown node", `{"v": 1, "seq": 1, "kind": "round", "now": 0,
+		{"round without payload", `{"v": 2, "seq": 1, "kind": "round", "now": 0}`, false},
+		{"round unknown node", `{"v": 2, "seq": 1, "kind": "round", "now": 0,
 			"round": {"iteration": 1, "planned": true, "choices": [{"job": "j",
 			"placements": [{"node": "ghost", "price": 1, "src_start": 0, "src_end": 10, "used_start": 0, "used_end": 10}]}]}}`, false},
-		{"round bad window", `{"v": 1, "seq": 1, "kind": "round", "now": 0,
+		{"round bad window", `{"v": 2, "seq": 1, "kind": "round", "now": 0,
 			"round": {"iteration": 1, "planned": true, "choices": [{"job": "j",
 			"placements": [{"node": "n1", "price": 1, "src_start": 0, "src_end": 10, "used_start": 5, "used_end": 20}]}]}}`, false},
 	}
@@ -280,14 +281,7 @@ func sampleCheckpoint() *Checkpoint {
 			Stats:       metasched.RetryStats{Cancelled: 3, Requeued: 2, Relaxations: 1, DroppedExhausted: 1},
 			ArrivalsRNG: &rng,
 		},
-		Service: &metasched.ServiceState{
-			Pending: []metasched.EvalState{
-				{ID: 5, Trigger: metasched.TriggerFail, Subject: "n1", Priority: 0, Created: 100},
-				{ID: 9, Trigger: metasched.TriggerRequeue, Subject: "j2", Priority: 4, Created: 150, NotBefore: 175, Attempt: 2},
-			},
-			NextID:   10,
-			Requeues: []metasched.RequeueCountState{{Name: "j2", Count: 2}},
-		},
+		Service: &metasched.ServiceState{},
 	}
 }
 
@@ -309,21 +303,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointRejectsVersionSkew: a checkpoint from an incompatible format
-// version is a hard VersionSkewError, not a torn-file fallback.
+// version is a hard VersionSkewError, not a torn-file fallback — including a
+// version-1 checkpoint, whose service section this version no longer has.
 func TestCheckpointRejectsVersionSkew(t *testing.T) {
-	payload := []byte(`{"v": 99, "seq": 1, "journal_offset": 0, "rounds": 0,
-		"grid": {"now": 0}, "sched": {"iter": 0, "seeded_to": 0, "stats": {}}, "service": {"next_id": 0}}`)
-	data := append([]byte(CheckpointMagic), Frame(payload)...)
-	_, err := DecodeCheckpoint(data)
-	var skew *VersionSkewError
-	if !errors.As(err, &skew) {
-		t.Fatalf("want VersionSkewError, got %v", err)
-	}
-	if skew.Got != 99 || skew.Want != CheckpointVersion {
-		t.Errorf("skew error carries %d/%d, want 99/%d", skew.Got, skew.Want, CheckpointVersion)
-	}
-	if errors.Is(err, ErrTorn) {
-		t.Error("version skew must not classify as torn")
+	for _, c := range []struct {
+		version int
+		payload string
+	}{
+		{99, `{"v": 99, "seq": 1, "journal_offset": 0, "rounds": 0,
+			"grid": {"now": 0}, "sched": {"iter": 0, "seeded_to": 0, "stats": {}}}`},
+		{1, `{"v": 1, "seq": 1, "journal_offset": 0, "rounds": 0,
+			"grid": {"now": 0}, "sched": {"iter": 0, "seeded_to": 0, "stats": {}}, "service": {"next_id": 0}}`},
+	} {
+		data := append([]byte(CheckpointMagic), Frame([]byte(c.payload))...)
+		_, err := DecodeCheckpoint(data)
+		var skew *VersionSkewError
+		if !errors.As(err, &skew) {
+			t.Fatalf("v%d: want VersionSkewError, got %v", c.version, err)
+		}
+		if skew.Got != c.version || skew.Want != CheckpointVersion {
+			t.Errorf("skew error carries %d/%d, want %d/%d", skew.Got, skew.Want, c.version, CheckpointVersion)
+		}
+		if errors.Is(err, ErrTorn) {
+			t.Error("version skew must not classify as torn")
+		}
 	}
 }
 

@@ -188,9 +188,9 @@ func issue(ds *durable.Service, c cmd) string {
 		for _, p := range rep.Placed {
 			placed = append(placed, p.Job.Name)
 		}
-		return fmt.Sprintf("tick it=%d batch=%d placed=%v postponed=%v dropped=%v T=%v C=%v queue=%d depth=%d",
+		return fmt.Sprintf("tick it=%d batch=%d placed=%v postponed=%v dropped=%v T=%v C=%v queue=%d",
 			rep.Iteration, rep.BatchSize, placed, rep.Postponed, rep.Dropped,
-			rep.PlanTime, rep.PlanCost, ds.Scheduler().QueueLength(), ds.QueueDepth())
+			rep.PlanTime, rep.PlanCost, ds.Scheduler().QueueLength())
 	}
 }
 

@@ -176,7 +176,7 @@ func loadCheckpoint(path string) (*codec.Checkpoint, error) {
 	return cp, nil
 }
 
-// restoreCheckpoint loads a checkpoint's three state layers into the
+// restoreCheckpoint loads a checkpoint's state layers into the
 // service, seeding the applied-live ledger and round counter from it.
 func restoreCheckpoint(ds *Service, cp *codec.Checkpoint) error {
 	sched := ds.svc.Scheduler()
@@ -244,14 +244,11 @@ func (ds *Service) checkOutcome(rec *codec.Record, requeued, dropped []string) e
 	return nil
 }
 
-// replayRound re-runs one evaluation round, installing the journaled plan in
+// replayRound re-runs one scheduling round, installing the journaled plan in
 // place of the search (Plan's grid reads are pure, so skipping it cannot
 // change state) and driving the normal serial applier, which re-validates
 // every window via the grid's commit.
 func (ds *Service) replayRound(rr *codec.RoundRecord) error {
-	if rr.Tick {
-		ds.svc.EnqueueTick()
-	}
 	r, err := ds.svc.BeginRound()
 	if err != nil {
 		return err

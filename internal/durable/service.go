@@ -95,9 +95,6 @@ func (ds *Service) Scheduler() *metasched.Scheduler { return ds.svc.Scheduler() 
 // Unwrap returns the wrapped service.
 func (ds *Service) Unwrap() *metasched.Service { return ds.svc }
 
-// QueueDepth returns the number of pending evaluations.
-func (ds *Service) QueueDepth() int { return ds.svc.QueueDepth() }
-
 // AppliedLive returns the journal-derived ledger of jobs holding applied
 // plans, sorted — the reference side of the recovery-coherence invariant.
 func (ds *Service) AppliedLive() []string {
@@ -186,13 +183,6 @@ func (ds *Service) HandleRevocation(nodeLabel string, span sim.Interval) ([]stri
 // tick; the round is deterministic, so the re-run lands on the same state
 // the record would have described.
 func (ds *Service) Tick() (*metasched.IterationReport, error) {
-	ds.svc.EnqueueTick()
-	return ds.round(true)
-}
-
-// round drives one BeginRound → Evaluate → Apply → Finish sequence and
-// journals the outcome.
-func (ds *Service) round(tick bool) (*metasched.IterationReport, error) {
 	now := ds.svc.Scheduler().Grid().Now()
 	r, err := ds.svc.BeginRound()
 	if err != nil {
@@ -212,7 +202,6 @@ func (ds *Service) round(tick bool) (*metasched.IterationReport, error) {
 	}
 	rr := &codec.RoundRecord{
 		Iteration: rep.Iteration,
-		Tick:      tick,
 		Stale:     stale,
 	}
 	if plan != nil {
@@ -240,14 +229,16 @@ func (ds *Service) round(tick bool) (*metasched.IterationReport, error) {
 	return rep, nil
 }
 
-// Checkpoint snapshots the complete canonical state — grid, scheduler, and
-// service layer — stamped with the journal position it corresponds to, and
+// Checkpoint snapshots the complete canonical state — grid and scheduler —
+// stamped with the journal position it corresponds to, and
 // writes it atomically (temp file + rename), so a crash mid-checkpoint
 // leaves the previous checkpoint intact.
 func (ds *Service) Checkpoint() error {
 	if ds.opts.CheckpointPath == "" {
 		return fmt.Errorf("durable: no checkpoint path configured")
 	}
+	// The service export carries no state; it refuses an open round, whose
+	// frozen batch and pending plan are not committed state.
 	svcState, err := ds.svc.ExportState()
 	if err != nil {
 		return err
@@ -298,15 +289,14 @@ func newlyDropped(before, after map[string]string) []string {
 	return out
 }
 
-// StateHash digests the service's complete canonical state — grid,
-// scheduler, and service layer — as FNV-64a. The crash-injection
+// StateHash digests the service's complete canonical state — grid and
+// scheduler — as FNV-64a. The crash-injection
 // differential compares it between recovered and uncrashed runs; the CLI's
 // recover subcommand prints it.
 func StateHash(svc *metasched.Service) uint64 {
 	var b strings.Builder
 	svc.Scheduler().Grid().CanonicalState(&b)
 	svc.Scheduler().CanonicalState(&b)
-	svc.CanonicalState(&b)
 	h := fnv.New64a()
 	h.Write([]byte(b.String()))
 	return h.Sum64()

@@ -9,9 +9,8 @@ import (
 	"ecosched/internal/sim"
 )
 
-// ServiceDriver is the surface a session drives: the event handlers, the
-// round runner, and the evaluation-queue depth the drain loop watches.
-// *metasched.Service satisfies it directly, and so does the durable wrapper
+// ServiceDriver is the surface a session drives: the event handlers and the
+// round runner. *metasched.Service satisfies it directly, and so does the durable wrapper
 // (internal/durable.Service), which journals every one of these calls — the
 // crash-storm soak runs a whole chaos session through it unmodified.
 type ServiceDriver interface {
@@ -20,7 +19,6 @@ type ServiceDriver interface {
 	HandleNodeRecovery(nodeLabel string) error
 	HandleRevocation(nodeLabel string, span sim.Interval) ([]string, error)
 	Tick() (*metasched.IterationReport, error)
-	QueueDepth() int
 }
 
 // Session drives a metascheduler service through a fault plan: before every
@@ -126,22 +124,19 @@ func (s *Session) Step() error {
 	return nil
 }
 
-// Pending reports the in-flight work a finished Run leaves behind: plan
-// events not yet applied plus evaluations still waiting in the service
-// queue — including backoff-gated requeues whose retry time lies
-// beyond the last iteration. Run(n) stops after exactly n rounds whatever
-// remains; before this accessor existed that tail was dropped silently.
+// Pending reports the plan events a finished Run leaves unapplied: Run(n)
+// stops after exactly n rounds whatever remains; before this accessor existed
+// that tail was dropped silently.
 func (s *Session) Pending() int {
-	return s.plan.Len() - s.next + s.d.QueueDepth()
+	return s.plan.Len() - s.next
 }
 
 // Drain makes the end-of-plan tail explicit: it keeps running audited rounds
-// until Pending reaches zero — every plan event applied, every queued
-// evaluation (backoff requeues included) consumed by a round — or the round
-// budget is exhausted, which is an error naming the work still in flight.
-// Each drain round advances the clock exactly like a Run round, so gated
-// requeues come due; the transcript gets the same iteration lines followed by
-// a drain footer. It returns the number of rounds run.
+// until Pending reaches zero — every plan event applied — or the round budget
+// is exhausted, which is an error naming the events still pending. Each drain
+// round advances the clock exactly like a Run round; the transcript gets the
+// same iteration lines followed by a drain footer. It returns the number of
+// rounds run.
 func (s *Session) Drain(maxRounds int) (int, error) {
 	ran := 0
 	for s.Pending() > 0 {

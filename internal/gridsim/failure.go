@@ -76,13 +76,16 @@ func (g *Grid) FailedNodes() []resource.NodeID {
 // Reservations are removed one at a time, with the store restore applied
 // after each removal, so the restore's neighbor derivation always runs
 // against a booking list the store is coherent with — required when a job
-// holds adjacent reservations on one node. The map iteration order is as
-// immaterial as it always was: the final booked state, and therefore the
-// final store state, depends only on the set removed.
+// holds adjacent reservations on one node. Nodes are visited in pool order:
+// the final booked set depends only on the set removed, but the store's
+// bucket writes (and their slots_moved metric), the order of the refunds
+// within a domain's float income, and the returned order all follow the
+// visiting order, which must not be Go's randomized map order.
 func (g *Grid) CancelJob(name string) []Task {
 	var out []Task
-	for id, list := range g.booked {
-		node := g.pool.Node(id)
+	for _, node := range g.pool.Nodes() {
+		id := node.ID
+		list := g.booked[id]
 		for i := 0; i < len(list); {
 			t := list[i]
 			if !t.Local && t.Name == name {

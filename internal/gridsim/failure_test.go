@@ -1,6 +1,7 @@
 package gridsim
 
 import (
+	"fmt"
 	"testing"
 
 	"ecosched/internal/resource"
@@ -125,6 +126,41 @@ func TestCancelJobReleasesAllPlacements(t *testing.T) {
 	}
 	if got := g.CancelJob("par"); len(got) != 0 {
 		t.Error("second cancel should find nothing")
+	}
+}
+
+// TestCancelJobVisitsNodesInPoolOrder pins CancelJob's visiting order: the
+// cancelled tasks come back in node order, every run, so the store writes,
+// the per-domain refund order and the store's slots_moved metric they drive
+// are deterministic (Go randomizes map iteration order).
+func TestCancelJobVisitsNodesInPoolOrder(t *testing.T) {
+	nodes := make([]*resource.Node, 16)
+	for i := range nodes {
+		nodes[i] = &resource.Node{Name: fmt.Sprintf("n%02d", i), Performance: 1, Price: 1}
+	}
+	pool := resource.MustNewPool(nodes)
+	for run := 0; run < 8; run++ {
+		g, err := New(pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &slot.Window{JobName: "par"}
+		for _, n := range pool.Nodes() {
+			w.Placements = append(w.Placements, slot.Placement{
+				Source: slot.New(n, 0, 200), Used: sim.Interval{Start: 10, End: 60}})
+		}
+		if err := g.Commit(w); err != nil {
+			t.Fatal(err)
+		}
+		out := g.CancelJob("par")
+		if len(out) != len(nodes) {
+			t.Fatalf("cancelled %d placements, want %d", len(out), len(nodes))
+		}
+		for i, task := range out {
+			if task.Node != resource.NodeID(i) {
+				t.Fatalf("run %d: cancelled task %d is on node %d, want pool order", run, i, task.Node)
+			}
+		}
 	}
 }
 

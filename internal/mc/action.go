@@ -9,7 +9,7 @@ import (
 type ActionKind int
 
 const (
-	// ActSubmit submits job Arg through the service (queue + evaluation).
+	// ActSubmit submits job Arg through the service into the job queue.
 	ActSubmit ActionKind = iota
 	// ActTick advances the clock one step without scheduling — the retry
 	// backoff timer firing, or dead time between rounds.
@@ -20,17 +20,14 @@ const (
 	ActRecover
 	// ActRevoke reclaims the universe's RevokeSpan on node Arg.
 	ActRevoke
-	// ActEnqueue queues the service's periodic tick evaluation without
-	// opening a round — the timer firing while the loop is busy elsewhere.
-	ActEnqueue
-	// ActEvaluate opens a round: BeginRound (consume the due evaluations,
-	// seed, freeze the batch) followed by Evaluate (publish, search and
+	// ActEvaluate opens a round: BeginRound (seed, freeze the batch)
+	// followed by Evaluate (publish, search and
 	// optimize against the epoch-stamped snapshot). Read-only on the grid,
 	// so the chosen combination is optimistic.
 	ActEvaluate
 	// ActApply closes the open round: the serial applier re-validates the
-	// pending plan window by window, postpones the rest, requeues stale
-	// rejections with backoff, and Finish advances the clock one step.
+	// pending plan window by window, postpones the rest (stale rejections
+	// included), and Finish advances the clock one step.
 	ActApply
 	// ActCrash simulates a process crash at a committed boundary followed by
 	// durability recovery: the complete canonical state is exported through
@@ -62,8 +59,6 @@ func (a Action) Render(u *Universe) string {
 		return "recover " + u.Nodes[a.Arg].Name
 	case ActRevoke:
 		return "revoke " + u.Nodes[a.Arg].Name
-	case ActEnqueue:
-		return "enqueue"
 	case ActEvaluate:
 		return "evaluate"
 	case ActApply:
@@ -98,15 +93,13 @@ func ParseScript(u *Universe, script string) ([]Action, error) {
 		fields := strings.Fields(line)
 		var a Action
 		switch fields[0] {
-		case "tick", "enqueue", "evaluate", "apply", "crash":
+		case "tick", "evaluate", "apply", "crash":
 			if len(fields) != 1 {
 				return nil, fmt.Errorf("mc: line %d: %q takes no argument", ln+1, fields[0])
 			}
 			switch fields[0] {
 			case "tick":
 				a.Kind = ActTick
-			case "enqueue":
-				a.Kind = ActEnqueue
 			case "evaluate":
 				a.Kind = ActEvaluate
 			case "apply":

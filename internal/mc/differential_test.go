@@ -19,7 +19,7 @@ func enumerateCompatible(u *Universe, maxDepth, limit int) [][]Action {
 			trace := make([]Action, len(n.trace)+1)
 			copy(trace, n.trace)
 			trace[len(n.trace)] = a
-			if a.Kind == ActTick || a.Kind == ActEnqueue || a.Kind == ActCrash {
+			if a.Kind == ActTick || a.Kind == ActCrash {
 				continue // never compatible, prune the whole subtree
 			}
 			if SessionCompatible(trace) {

@@ -9,30 +9,28 @@
 // # States and transitions
 //
 // A state is a complete session: grid clock, bookings, income ledgers,
-// failure marks, scheduler queue/placed/dropped/retry ledgers, the service's
-// evaluation queue, any open evaluate/apply round, and the auditor's
-// cancelled-reservation watch list. States are identified by hashing the
-// canonical serializations (gridsim.Grid.CanonicalState,
-// metasched.Scheduler.CanonicalState, metasched.Service.CanonicalState,
+// failure marks, scheduler queue/placed/dropped/retry ledgers, any open
+// evaluate/apply round, and the auditor's cancelled-reservation watch list.
+// States are identified by hashing the canonical serializations
+// (gridsim.Grid.CanonicalState, metasched.Scheduler.CanonicalState,
 // metasched.Round.CanonicalState, fault.Audit.CancelledKeys) — equal
 // hashes mean indistinguishable futures, so interleavings that commute
 // collapse to one node.
 //
-// The action alphabet is {submit job, enqueue tick evaluation, evaluate
-// (BeginRound+Evaluate), apply (Apply+Finish), crash (checkpoint round
-// trip), retry-tick (clock advance), fail node, recover node, revoke
-// interval}. Because evaluate and apply are separate actions, every
-// schedule/commit race is reachable: a node failure, revocation, or clock
-// advance can land between the optimizer choosing a window and the grid
-// committing it, which is exactly the optimistic-concurrency path Apply
-// must handle by postponing the stale job and requeueing its evaluation.
+// The action alphabet is {submit job, evaluate (BeginRound+Evaluate), apply
+// (Apply+Finish), crash (checkpoint round trip), retry-tick (clock advance),
+// fail node, recover node, revoke interval}. Because evaluate and apply are
+// separate actions, every schedule/commit race is reachable: a node
+// failure, revocation, or clock advance can land between the optimizer
+// choosing a window and the grid committing it, which is exactly the
+// optimistic-concurrency path Apply must handle by postponing the stale job.
 //
 // # Exploration
 //
 // The scheduler has no snapshot/restore, so the explorer replays each
 // candidate trace from the root: breadth-first over the frontier, one fresh
 // replay per successor, bounded by depth and distinct-state count. Per-node
-// metadata (submitted set, failed set, open-round and pending-tick flags)
+// metadata (submitted set, failed set, open-round flag)
 // makes enabled actions computable without replaying the parent.
 //
 // # Properties

@@ -73,11 +73,9 @@ type Result struct {
 // that determine which actions are enabled, so successor enumeration needs
 // no replay of the parent.
 type node struct {
-	trace []Action
-	depth int
-	open  bool
-	// enq marks a pending explicit tick evaluation.
-	enq       bool
+	trace     []Action
+	depth     int
+	open      bool
 	submitted uint16
 	failed    uint16
 }
@@ -96,9 +94,6 @@ func (u *Universe) enabled(n node) []Action {
 	} else {
 		out = append(out, Action{Kind: ActEvaluate}, Action{Kind: ActCrash})
 	}
-	if !n.enq {
-		out = append(out, Action{Kind: ActEnqueue})
-	}
 	out = append(out, Action{Kind: ActTick})
 	for i := range u.Nodes {
 		if n.failed&(1<<i) != 0 {
@@ -113,16 +108,13 @@ func (u *Universe) enabled(n node) []Action {
 
 // child derives the successor's metadata after action a.
 func (n node) child(a Action, trace []Action) node {
-	c := node{trace: trace, depth: n.depth + 1, open: n.open, enq: n.enq,
+	c := node{trace: trace, depth: n.depth + 1, open: n.open,
 		submitted: n.submitted, failed: n.failed}
 	switch a.Kind {
 	case ActSubmit:
 		c.submitted |= 1 << a.Arg
-	case ActEnqueue:
-		c.enq = true
 	case ActEvaluate:
 		c.open = true
-		c.enq = false
 	case ActApply:
 		c.open = false
 	case ActFail:

@@ -6,8 +6,8 @@ import (
 )
 
 // TestExploreTinyClean sweeps the tiny universe with all properties on: the
-// schedule/commit protocol must survive every interleaving of submits, tick
-// enqueues, evaluate/apply rounds, crashes, ticks, failures, recoveries, and
+// schedule/commit protocol must survive every interleaving of submits,
+// evaluate/apply rounds, crashes, ticks, failures, recoveries, and
 // revocations reachable within the depth bound, with zero safety, liveness,
 // or determinism violations.
 func TestExploreTinyClean(t *testing.T) {
@@ -73,7 +73,7 @@ func TestScriptRoundTrip(t *testing.T) {
 	u := Default()
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 2},
-		{Kind: ActFail, Arg: 1}, {Kind: ActEnqueue}, {Kind: ActEvaluate}, {Kind: ActTick},
+		{Kind: ActFail, Arg: 1}, {Kind: ActEvaluate}, {Kind: ActTick},
 		{Kind: ActApply}, {Kind: ActCrash}, {Kind: ActRecover, Arg: 1}, {Kind: ActRevoke, Arg: 0},
 	}
 	script := RenderTrace(u, trace)

@@ -16,7 +16,7 @@ import (
 
 // Instance is one live replay of a trace: a fresh grid, scheduler, service,
 // and auditor driven action by action. Submits and fault events route
-// through the service, so each enqueues its evaluation. The explorer builds
+// through the service's handlers. The explorer builds
 // one instance per candidate successor; the differential tests reuse it as
 // a transcript generator.
 type Instance struct {
@@ -27,10 +27,6 @@ type Instance struct {
 	audit *fault.Audit
 	// round is the open evaluate/apply round, nil between rounds.
 	round *metasched.Round
-	// tickQueued marks a pending explicit tick evaluation (ActEnqueue);
-	// cleared when ActEvaluate consumes the queue. Mirrored by the
-	// explorer's frontier metadata.
-	tickQueued bool
 	// submitted marks jobs already handed to the scheduler.
 	submitted []bool
 	// events are the fault events applied so far, stamped with the clock
@@ -99,10 +95,6 @@ func (in *Instance) Feasible(a Action) bool {
 	switch a.Kind {
 	case ActSubmit:
 		return !in.submitted[a.Arg]
-	case ActEnqueue:
-		// A second explicit tick eval would coalesce into the pending one —
-		// a self-loop the explorer has no reason to expand.
-		return !in.tickQueued
 	case ActEvaluate, ActCrash:
 		return in.round == nil
 	case ActApply:
@@ -128,9 +120,6 @@ func (in *Instance) Apply(a Action) error {
 			return err
 		}
 		in.submitted[a.Arg] = true
-	case ActEnqueue:
-		in.svc.EnqueueTick()
-		in.tickQueued = true
 	case ActEvaluate:
 		r, err := in.svc.BeginRound()
 		if err != nil {
@@ -140,9 +129,6 @@ func (in *Instance) Apply(a Action) error {
 			return err
 		}
 		in.round = r
-		// BeginRound consumed every due evaluation; tick evals are due
-		// immediately, so a pending explicit tick never survives a round.
-		in.tickQueued = false
 	case ActApply:
 		if in.mut == MutBlindApply {
 			in.blindApply()
@@ -200,7 +186,7 @@ func (in *Instance) blindApply() {
 }
 
 // applyEvent injects one environment event through the service's handlers
-// (so each event also enqueues its evaluation) with the auditor's
+// with the auditor's
 // before/after protocol, mirroring fault.Session line for line so
 // session-compatible traces replay byte-identically.
 func (in *Instance) applyEvent(a Action) error {
@@ -256,13 +242,13 @@ func (in *Instance) applyEvent(a Action) error {
 
 // crash simulates a process crash at a committed boundary followed by
 // recovery from a durability checkpoint: the complete canonical state —
-// grid, scheduler, service — is exported, encoded through the codec's
+// grid and scheduler — is exported, encoded through the codec's
 // checkpoint wire format, decoded back, and restored in place into the same
 // objects (the auditor and the transcript writer keep their pointers). The
 // protocol property is that durability is invisible: the post-recovery hash
 // must equal the pre-crash hash, and a divergence is a safety violation.
 // MutLossyCrash seeds the classic bug — recovery that silently drops the
-// tail of the evaluation queue — which this check must catch.
+// tail of the job queue — which this check must catch.
 func (in *Instance) crash() error {
 	before := in.Hash()
 	svcState, err := in.svc.ExportState()
@@ -282,8 +268,8 @@ func (in *Instance) crash() error {
 	if err != nil {
 		return err
 	}
-	if in.mut == MutLossyCrash && len(restored.Service.Pending) > 0 {
-		restored.Service.Pending = restored.Service.Pending[:len(restored.Service.Pending)-1]
+	if q := restored.Sched.Queue; in.mut == MutLossyCrash && len(q) > 0 {
+		restored.Sched.Queue = q[:len(q)-1]
 	}
 	if err := in.grid.RestoreState(restored.Grid); err != nil {
 		return err
@@ -324,14 +310,13 @@ func (in *Instance) check() error {
 }
 
 // Hash returns the FNV-64a digest of the complete canonical state: grid,
-// scheduler, service, open round, and the auditor's cancelled-reservation
+// scheduler, open round, and the auditor's cancelled-reservation
 // watch list. Two states with equal hashes are treated as the same node of the
 // transition system.
 func (in *Instance) Hash() uint64 {
 	var b strings.Builder
 	in.grid.CanonicalState(&b)
 	in.sched.CanonicalState(&b)
-	in.svc.CanonicalState(&b)
 	if in.round != nil {
 		in.round.CanonicalState(&b)
 	}
@@ -346,8 +331,8 @@ func (in *Instance) Hash() uint64 {
 }
 
 // Drain is the liveness check: close any open round, recover every failed
-// node, then run fault-free tick rounds — so backoff-gated requeue
-// evaluations come due as the clock advances — until the queue empties. If
+// node, then run fault-free tick rounds — so backoff-gated jobs come due as
+// the clock advances — until the queue empties. If
 // the queue is still non-empty after maxIter rounds some submitted job
 // neither placed nor dropped — a liveness violation.
 func (in *Instance) Drain(maxIter int) error {
@@ -375,7 +360,6 @@ func (in *Instance) Drain(maxIter int) error {
 	}
 	for i := 0; i < maxIter && in.sched.QueueLength() > 0; i++ {
 		rep, err := in.svc.Tick()
-		in.tickQueued = false
 		if err != nil {
 			return err
 		}

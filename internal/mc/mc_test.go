@@ -100,7 +100,6 @@ func TestSessionCompatibleShapes(t *testing.T) {
 		"two-rounds":            {[]Action{sub, eval, apply, fail, eval, apply}, true},
 		"submit-after-evaluate": {[]Action{eval, apply, sub, eval, apply}, false},
 		"tick":                  {[]Action{sub, Action{Kind: ActTick}, eval, apply}, false},
-		"enqueue":               {[]Action{sub, Action{Kind: ActEnqueue}, eval, apply}, false},
 		"crash":                 {[]Action{sub, eval, apply, Action{Kind: ActCrash}, eval, apply}, false},
 		"fault-mid-round":       {[]Action{sub, eval, fail, apply}, false},
 		"open-at-end":           {[]Action{sub, eval}, false},
@@ -166,7 +165,7 @@ func TestFeasibleMatchesEnabled(t *testing.T) {
 		for j := range u.Jobs {
 			out = append(out, Action{Kind: ActSubmit, Arg: j})
 		}
-		out = append(out, Action{Kind: ActTick}, Action{Kind: ActEnqueue},
+		out = append(out, Action{Kind: ActTick},
 			Action{Kind: ActEvaluate}, Action{Kind: ActApply}, Action{Kind: ActCrash})
 		for i := range u.Nodes {
 			out = append(out, Action{Kind: ActFail, Arg: i},

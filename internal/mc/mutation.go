@@ -29,10 +29,9 @@ const (
 	// prevent. Caught by the double-booking, failed-node-reservation, and
 	// vacant-store-coherence invariants.
 	MutBlindApply
-	// MutLossyCrash makes crash recovery silently drop the newest pending
-	// evaluation from the restored service queue — the lost-journal-record
-	// bug durability exists to prevent. Caught by the crash action's
-	// hash-equality check.
+	// MutLossyCrash makes crash recovery silently drop the last entry of
+	// the restored job queue — the lost-journal-record bug durability
+	// exists to prevent. Caught by the crash action's hash-equality check.
 	MutLossyCrash
 )
 

@@ -25,8 +25,8 @@ func TestMutationsCaught(t *testing.T) {
 		// placements blind; the checker must pin it within six actions
 		// (submit, evaluate, a mutating event, apply — plus slack).
 		{MutBlindApply, "", 6},
-		// Recovery that drops the newest pending evaluation diverges from
-		// the pre-crash hash as soon as the queue is non-empty: submit then
+		// Recovery that drops the job queue's last entry diverges from the
+		// pre-crash hash as soon as the queue is non-empty: submit then
 		// crash is the whole counterexample.
 		{MutLossyCrash, "crash recovery changed", 2},
 	}

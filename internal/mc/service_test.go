@@ -6,12 +6,11 @@ import (
 )
 
 // TestServiceMatchesBatch pins the batch contract inside the checker: batch
-// scheduling is a service that only sees ticks, and the evaluation queue is
-// bookkeeping, never a scheduling input. A trace of bare evaluate/apply
-// rounds and the same trace with a tick evaluation enqueued before every
-// round and a checkpoint crash after it — exactly what Service.Tick and a
-// durable driver add — must reach byte-identical grid and scheduler
-// canonical states, single-domain and sharded.
+// scheduling is a service that only sees ticks, and durability is never a
+// scheduling input. A trace of bare evaluate/apply rounds and the same trace
+// with a checkpoint crash after every round — what a durable driver adds —
+// must reach byte-identical grid and scheduler canonical states,
+// single-domain and sharded.
 func TestServiceMatchesBatch(t *testing.T) {
 	bare := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1}, {Kind: ActSubmit, Arg: 2},
@@ -23,9 +22,6 @@ func TestServiceMatchesBatch(t *testing.T) {
 	}
 	var ticked []Action
 	for _, a := range bare {
-		if a.Kind == ActEvaluate {
-			ticked = append(ticked, Action{Kind: ActEnqueue})
-		}
 		ticked = append(ticked, a)
 		if a.Kind == ActApply {
 			ticked = append(ticked, Action{Kind: ActCrash})
@@ -53,11 +49,12 @@ func TestServiceMatchesBatch(t *testing.T) {
 }
 
 // TestServiceScriptRoundTrip pins Render/ParseScript as inverses over the
-// round and tick-enqueue action kinds, and their rejection of arguments.
+// round action kinds, their rejection of arguments, and the retired enqueue
+// action.
 func TestServiceScriptRoundTrip(t *testing.T) {
 	u := Tiny()
 	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActEnqueue}, {Kind: ActEvaluate},
+		{Kind: ActSubmit, Arg: 0}, {Kind: ActEvaluate},
 		{Kind: ActFail, Arg: 1}, {Kind: ActApply}, {Kind: ActRecover, Arg: 1},
 		{Kind: ActTick}, {Kind: ActEvaluate}, {Kind: ActApply},
 	}
@@ -74,7 +71,7 @@ func TestServiceScriptRoundTrip(t *testing.T) {
 			t.Fatalf("action %d: %v -> %v", i, trace[i], back[i])
 		}
 	}
-	for _, bad := range []string{"enqueue now", "evaluate j1", "apply n1"} {
+	for _, bad := range []string{"enqueue", "evaluate j1", "apply n1"} {
 		if _, err := ParseScript(u, bad); err == nil {
 			t.Errorf("ParseScript(%q) accepted", bad)
 		}
@@ -82,14 +79,14 @@ func TestServiceScriptRoundTrip(t *testing.T) {
 }
 
 // TestServiceFeasibleMatchesEnabled cross-checks the frontier metadata
-// against the live instance on a Tiny walk covering every round action,
-// including the pending-tick bit: the explorer's metadata-derived action set
+// against the live instance on a Tiny walk covering every round action: the
+// explorer's metadata-derived action set
 // must agree with Instance.Feasible at every step.
 func TestServiceFeasibleMatchesEnabled(t *testing.T) {
 	u := Tiny()
 	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActEnqueue}, {Kind: ActEvaluate},
-		{Kind: ActFail, Arg: 1}, {Kind: ActApply}, {Kind: ActEnqueue},
+		{Kind: ActSubmit, Arg: 0}, {Kind: ActEvaluate},
+		{Kind: ActFail, Arg: 1}, {Kind: ActApply},
 		{Kind: ActRecover, Arg: 1}, {Kind: ActEvaluate}, {Kind: ActApply},
 		{Kind: ActTick}, {Kind: ActSubmit, Arg: 1},
 	}
@@ -104,8 +101,7 @@ func TestServiceFeasibleMatchesEnabled(t *testing.T) {
 			out = append(out, Action{Kind: ActSubmit, Arg: j})
 		}
 		out = append(out, Action{Kind: ActTick},
-			Action{Kind: ActEnqueue}, Action{Kind: ActEvaluate}, Action{Kind: ActApply},
-			Action{Kind: ActCrash})
+			Action{Kind: ActEvaluate}, Action{Kind: ActApply}, Action{Kind: ActCrash})
 		for i := range u.Nodes {
 			out = append(out, Action{Kind: ActFail, Arg: i},
 				Action{Kind: ActRecover, Arg: i}, Action{Kind: ActRevoke, Arg: i})
@@ -141,7 +137,7 @@ func TestCrashIsIdentity(t *testing.T) {
 	withCrashes := []Action{
 		{Kind: ActCrash},
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActCrash},
-		{Kind: ActSubmit, Arg: 1}, {Kind: ActEnqueue}, {Kind: ActCrash},
+		{Kind: ActSubmit, Arg: 1}, {Kind: ActCrash},
 		{Kind: ActEvaluate}, {Kind: ActApply}, {Kind: ActCrash},
 		{Kind: ActFail, Arg: 1}, {Kind: ActCrash},
 		{Kind: ActTick}, {Kind: ActRecover, Arg: 1}, {Kind: ActCrash},
@@ -174,9 +170,9 @@ func TestCrashIsIdentity(t *testing.T) {
 	}
 }
 
-// TestServiceDrain pins the liveness machinery around the eval queue: a
-// trace that leaves an open round, a failed node, and backoff-gated requeues
-// must still drain to an empty queue through fault-free tick rounds.
+// TestServiceDrain pins the liveness machinery around the job queue: a trace
+// that leaves an open round and failed nodes must still drain to an empty
+// queue through fault-free tick rounds.
 func TestServiceDrain(t *testing.T) {
 	trace := []Action{
 		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1},

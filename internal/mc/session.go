@@ -10,8 +10,8 @@ import (
 // SessionCompatible reports whether the trace has the shape fault.Session
 // can reproduce: all submits before the first evaluate, every evaluate
 // immediately followed by its apply, fault events only between rounds, no
-// bare clock ticks, explicit enqueues or crashes, and an apply as the final
-// action (so every event fires within Session.Run's round loop). For such traces the explorer's
+// bare clock ticks or crashes, and an apply as the final action (so every
+// event fires within Session.Run's round loop). For such traces the explorer's
 // transcript and a Session driven by the trace's fault plan must be
 // byte-identical — the differential suite pins exactly that.
 func SessionCompatible(trace []Action) bool {

@@ -158,9 +158,8 @@ func TestLiveStoreSteadyStateNoRebuilds(t *testing.T) {
 
 // TestServiceMetricsNeutralityAndAccounting checks the service's
 // observability contract both ways: attaching a registry does not change the
-// transcript, and the service-level instruments account for the session —
-// every round consumed its tick evaluation (plus the submit burst), the
-// queue drained, and the plan applies all took the fast path on an
+// transcript, and the round instruments account for the session — every
+// round was counted and the plan applies all took the fast path on an
 // undisturbed single-writer run.
 func TestServiceMetricsNeutralityAndAccounting(t *testing.T) {
 	bare := diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, nil)
@@ -170,15 +169,8 @@ func TestServiceMetricsNeutralityAndAccounting(t *testing.T) {
 		t.Fatalf("metrics changed the service transcript\n--- bare ---\n%s\n--- instrumented ---\n%s", bare, instrumented)
 	}
 	snap := reg.Snapshot()
-	rounds := snap.Counter("metasched/service/rounds_total")
-	if rounds == 0 {
-		t.Fatal("no service rounds recorded")
-	}
-	if n := snap.Counter("metasched/service/evals_enqueued_total"); n < rounds {
-		t.Errorf("evals_enqueued_total = %d, want >= rounds_total = %d (every round enqueues its tick)", n, rounds)
-	}
-	if n := snap.Gauge("metasched/service/eval_queue_depth"); n != 0 {
-		t.Errorf("eval_queue_depth = %d at session end, want 0 (queue must drain)", n)
+	if snap.Counter("metasched/iterations_total") == 0 {
+		t.Fatal("no rounds recorded")
 	}
 	if n := snap.Counter("metasched/plan/applied_revalidated_total"); n != 0 {
 		t.Errorf("applied_revalidated_total = %d, want 0: nothing mutated the grid between plan and apply", n)

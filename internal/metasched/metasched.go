@@ -136,7 +136,7 @@ func (d *DemandPricing) factor(utilization float64) sim.Money {
 
 // Validate checks the pricing parameters.
 func (d *DemandPricing) Validate() error {
-	if d.MinFactor <= 0 || d.MaxFactor < d.MinFactor {
+	if !finite(d.MinFactor) || !finite(d.MaxFactor) || d.MinFactor <= 0 || d.MaxFactor < d.MinFactor {
 		return fmt.Errorf("metasched: demand pricing factors [%v, %v] invalid", d.MinFactor, d.MaxFactor)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package metasched_test
 
 import (
+	"math"
 	"testing"
 
 	"ecosched/internal/alloc"
@@ -337,6 +338,17 @@ func TestDemandPricingValidation(t *testing.T) {
 	cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 2, MaxFactor: 1}
 	if _, err := metasched.New(cfg, grid); err == nil {
 		t.Error("inverted factors accepted")
+	}
+	for _, d := range []metasched.DemandPricing{
+		{MinFactor: math.NaN(), MaxFactor: 1},
+		{MinFactor: 1, MaxFactor: math.NaN()},
+		{MinFactor: 1, MaxFactor: math.Inf(1)},
+		{MinFactor: math.Inf(1), MaxFactor: math.Inf(1)},
+	} {
+		cfg.DemandPricing = &d
+		if _, err := metasched.New(cfg, grid); err == nil {
+			t.Errorf("non-finite factors [%v, %v] accepted", d.MinFactor, d.MaxFactor)
+		}
 	}
 }
 

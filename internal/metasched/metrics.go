@@ -210,90 +210,6 @@ func (m *schedMetrics) planInfeasible() {
 	m.infeasible.Inc()
 }
 
-// serviceMetrics holds the continuous-service instruments under the
-// "metasched/service/" prefix, following the same nil-safe contract as
-// schedMetrics: nil when observability is off, and never influencing a
-// scheduling decision (the service differential pins transcripts with
-// metrics on and off byte-identical).
-type serviceMetrics struct {
-	evalsEnqueued  *metrics.Counter
-	evalsCoalesced *metrics.Counter
-	evalRequeues   *metrics.Counter
-	rounds         *metrics.Counter
-	roundEvals     *metrics.Histogram
-	queueGauge     *metrics.Gauge
-	queueMax       *metrics.Gauge
-	lagTicks       *metrics.Histogram
-	requeueBackoff *metrics.Histogram
-}
-
-// newServiceMetrics resolves the service instruments; nil registry → nil.
-func newServiceMetrics(r *metrics.Registry) *serviceMetrics {
-	if r == nil {
-		return nil
-	}
-	return &serviceMetrics{
-		evalsEnqueued:  r.Counter("metasched/service/evals_enqueued_total"),
-		evalsCoalesced: r.Counter("metasched/service/evals_coalesced_total"),
-		evalRequeues:   r.Counter("metasched/service/eval_requeues_total"),
-		rounds:         r.Counter("metasched/service/rounds_total"),
-		roundEvals:     r.Histogram("metasched/service/round_evals", metrics.LinearBuckets(1, 1, 8)),
-		queueGauge:     r.Gauge("metasched/service/eval_queue_depth"),
-		queueMax:       r.Gauge("metasched/service/eval_queue_depth_max"),
-		lagTicks:       r.Histogram("metasched/service/eval_lag_ticks", metrics.ExpBuckets(25, 2, 9)),
-		requeueBackoff: r.Histogram("metasched/service/requeue_backoff_ticks", metrics.ExpBuckets(25, 2, 9)),
-	}
-}
-
-func (m *serviceMetrics) enqueued() {
-	if m == nil {
-		return
-	}
-	m.evalsEnqueued.Inc()
-}
-
-func (m *serviceMetrics) coalesced() {
-	if m == nil {
-		return
-	}
-	m.evalsCoalesced.Inc()
-}
-
-// depth tracks the current and high-water queue depth after any change.
-func (m *serviceMetrics) depth(n int) {
-	if m == nil {
-		return
-	}
-	m.queueGauge.Set(int64(n))
-	m.queueMax.SetMax(int64(n))
-}
-
-// consumed records one evaluation leaving the queue after lag sim-ticks.
-func (m *serviceMetrics) consumed(lag sim.Duration) {
-	if m == nil {
-		return
-	}
-	m.lagTicks.Observe(int64(lag))
-}
-
-// roundStarted records a round consuming n evaluations.
-func (m *serviceMetrics) roundStarted(n int) {
-	if m == nil {
-		return
-	}
-	m.rounds.Inc()
-	m.roundEvals.Observe(int64(n))
-}
-
-// requeued records a stale-rejection requeue with its backoff delay.
-func (m *serviceMetrics) requeued(backoff sim.Duration) {
-	if m == nil {
-		return
-	}
-	m.evalRequeues.Inc()
-	m.requeueBackoff.Observe(int64(backoff))
-}
-
 // engineUsed records which optimizer engine answered this iteration and, for
 // the sparse engine, its per-build accounting.
 func (m *schedMetrics) engineUsed(fr *dp.Frontier, grid bool) {

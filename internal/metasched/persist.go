@@ -203,93 +203,29 @@ func (s *Scheduler) PlacedJobs() []string {
 	return sortedKeys(s.placed)
 }
 
-// EvalState is the exported form of one pending evaluation.
-type EvalState struct {
-	ID        uint64
-	Trigger   Trigger
-	Subject   string
-	Priority  int
-	Created   sim.Time
-	NotBefore sim.Time
-	Attempt   int
-}
+// ServiceState is the service layer's own state on top of the scheduler.
+// It is empty: the service keeps no state beside the open round, which a
+// snapshot never holds.
+//
+// Deprecated: kept only so the frozen benchmark harness and the
+// checkpoint's Service field compile unchanged (ROADMAP item 1).
+type ServiceState struct{}
 
-// RequeueCountState records one job's stale-rejection requeue count.
-type RequeueCountState struct {
-	Name  string
-	Count int
-}
-
-// ServiceState is a complete snapshot of the service layer's own state on
-// top of the scheduler: the pending evaluation queue in order (with IDs and
-// the ID counter, so coalescing and tie-breaking resume exactly), and the
-// per-job requeue attempt counts that feed the backoff.
-type ServiceState struct {
-	Pending  []EvalState
-	NextID   uint64
-	Requeues []RequeueCountState
-}
-
-// ExportState captures the service's own state. It fails when a round is
-// open: an in-flight round holds a frozen batch and a pending plan that are
-// not part of the committed state a checkpoint may claim.
+// ExportState fails when a round is open: an in-flight round holds a frozen
+// batch and a pending plan that are not part of the committed state a
+// checkpoint may claim. Otherwise it returns the empty service state.
 func (sv *Service) ExportState() (*ServiceState, error) {
 	if sv.round != nil {
 		return nil, fmt.Errorf("metasched: export with open round on iteration %d", sv.round.rep.Iteration)
 	}
-	st := &ServiceState{NextID: sv.q.nextID}
-	for _, e := range sv.q.pending {
-		st.Pending = append(st.Pending, EvalState{
-			ID:        e.ID,
-			Trigger:   e.Trigger,
-			Subject:   e.Subject,
-			Priority:  e.Priority,
-			Created:   e.Created,
-			NotBefore: e.NotBefore,
-			Attempt:   e.Attempt,
-		})
-	}
-	for _, name := range sortedKeys(sv.requeues) {
-		st.Requeues = append(st.Requeues, RequeueCountState{Name: name, Count: sv.requeues[name]})
-	}
-	return st, nil
+	return &ServiceState{}, nil
 }
 
-// RestoreState replaces the service's own state with the snapshot, in place.
-// The pending queue is re-checked against the dequeue order (it must arrive
-// sorted, as ExportState wrote it) so a corrupted snapshot fails cleanly.
-func (sv *Service) RestoreState(st *ServiceState) error {
-	if st == nil {
-		return fmt.Errorf("metasched: nil service state")
-	}
+// RestoreState fails when a round is open, for the same reason ExportState
+// does; otherwise there is nothing to restore.
+func (sv *Service) RestoreState(*ServiceState) error {
 	if sv.round != nil {
 		return fmt.Errorf("metasched: restore with open round on iteration %d", sv.round.rep.Iteration)
 	}
-	pending := make([]*Eval, 0, len(st.Pending))
-	for i, e := range st.Pending {
-		if e.ID > st.NextID {
-			return fmt.Errorf("metasched: restore: eval ID %d beyond counter %d", e.ID, st.NextID)
-		}
-		ev := &Eval{
-			ID:        e.ID,
-			Trigger:   e.Trigger,
-			Subject:   e.Subject,
-			Priority:  e.Priority,
-			Created:   e.Created,
-			NotBefore: e.NotBefore,
-			Attempt:   e.Attempt,
-		}
-		if i > 0 && !evalLess(pending[i-1], ev) {
-			return fmt.Errorf("metasched: restore: pending evaluations out of dequeue order at %d", i)
-		}
-		pending = append(pending, ev)
-	}
-	requeues := make(map[string]int, len(st.Requeues))
-	for _, r := range st.Requeues {
-		requeues[r.Name] = r.Count
-	}
-	sv.q.pending = pending
-	sv.q.nextID = st.NextID
-	sv.requeues = requeues
 	return nil
 }

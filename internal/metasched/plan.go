@@ -22,7 +22,7 @@ import (
 // been invalidated in the first place. The epoch exists so the service layer
 // and the metrics can distinguish the fast path (snapshot provably exact)
 // from the re-validated path, and so rejections carry enough context to
-// requeue precisely the jobs whose windows died.
+// postpone precisely the jobs whose windows died.
 type Plan struct {
 	// Iteration is the scheduler iteration that produced the plan.
 	Iteration int

@@ -3,6 +3,7 @@ package metasched
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"ecosched/internal/gridsim"
@@ -63,7 +64,10 @@ func (p *RetryPolicy) Validate() error {
 	if p.BackoffBase < 0 || p.BackoffMax < 0 {
 		return fmt.Errorf("metasched: negative retry backoff")
 	}
-	if p.JitterFrac < 0 || p.JitterFrac >= 1 {
+	if !finite(p.BackoffFactor) || !finite(p.PriceRelaxFactor) {
+		return fmt.Errorf("metasched: non-finite retry factor (backoff %v, price relax %v)", p.BackoffFactor, p.PriceRelaxFactor)
+	}
+	if !(p.JitterFrac >= 0 && p.JitterFrac < 1) {
 		return fmt.Errorf("metasched: jitter fraction %v outside [0, 1)", p.JitterFrac)
 	}
 	if p.JobDeadline < 0 {
@@ -74,7 +78,8 @@ func (p *RetryPolicy) Validate() error {
 
 // backoff returns the re-queue delay for the given attempt (1-based) of the
 // named job: BackoffBase·BackoffFactor^(attempt-1), capped at BackoffMax,
-// spread by the deterministic jitter.
+// spread by the deterministic jitter. The delay saturates at sim.Infinity,
+// so neither the conversion to ticks nor now.Add(delay) can overflow.
 func (p *RetryPolicy) backoff(name string, attempt int) sim.Duration {
 	d := float64(p.BackoffBase)
 	factor := p.BackoffFactor
@@ -100,8 +105,14 @@ func (p *RetryPolicy) backoff(name string, attempt int) sim.Duration {
 	if d < 0 {
 		d = 0
 	}
+	if d >= float64(sim.Infinity) {
+		return sim.Duration(sim.Infinity)
+	}
 	return sim.Duration(d)
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // retryState is the persistent per-job record behind the retry policy; it
 // survives the job's placement/cancellation cycles.

@@ -2,6 +2,7 @@ package metasched
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"ecosched/internal/alloc"
@@ -27,6 +28,14 @@ func TestRetryPolicyValidate(t *testing.T) {
 		{"jitter too large", RetryPolicy{JitterFrac: 1}, false},
 		{"negative jitter", RetryPolicy{JitterFrac: -0.1}, false},
 		{"negative deadline", RetryPolicy{JobDeadline: -5}, false},
+		{"NaN jitter", RetryPolicy{JitterFrac: math.NaN()}, false},
+		{"+Inf jitter", RetryPolicy{JitterFrac: math.Inf(1)}, false},
+		{"NaN backoff factor", RetryPolicy{BackoffBase: 10, BackoffFactor: math.NaN()}, false},
+		{"+Inf backoff factor", RetryPolicy{BackoffBase: 10, BackoffFactor: math.Inf(1)}, false},
+		{"-Inf backoff factor", RetryPolicy{BackoffBase: 10, BackoffFactor: math.Inf(-1)}, false},
+		{"NaN price relax", RetryPolicy{PriceRelaxFactor: math.NaN(), MaxRelaxations: 1}, false},
+		{"+Inf price relax", RetryPolicy{PriceRelaxFactor: math.Inf(1), MaxRelaxations: 1}, false},
+		{"-Inf price relax", RetryPolicy{PriceRelaxFactor: math.Inf(-1)}, false},
 	}
 	for _, c := range cases {
 		if err := c.p.Validate(); (err == nil) != c.ok {
@@ -71,6 +80,25 @@ func TestRetryBackoffDeterministicExponential(t *testing.T) {
 	}
 	if p.backoff("a", 2) == p.backoff("b", 2) && p.backoff("a", 3) == p.backoff("b", 3) {
 		t.Error("jitter identical across job names at every attempt")
+	}
+
+	// Far attempts saturate instead of wrapping: with the documented
+	// defaults (no BackoffMax) the float delay passes int64 range at attempt
+	// 57, and the delay must stay non-negative, non-decreasing and small
+	// enough that now.Add(delay) cannot overflow.
+	for _, jitter := range []float64{0, 0.25} {
+		far := &RetryPolicy{BackoffBase: 150, BackoffFactor: 2, JitterFrac: jitter}
+		prev := far.backoff("j", 55)
+		for _, attempt := range []int{56, 57, 64, 2000} {
+			d := far.backoff("j", attempt)
+			if d < 0 || d < prev {
+				t.Errorf("jitter %v attempt %d: backoff = %v after %v, want non-negative and non-decreasing", jitter, attempt, d, prev)
+			}
+			if at := sim.Infinity.Add(d); at < sim.Infinity {
+				t.Errorf("jitter %v attempt %d: Infinity.Add(%v) overflowed to %v", jitter, attempt, d, at)
+			}
+			prev = d
+		}
 	}
 
 	// Zero base stays zero regardless of jitter.

@@ -14,9 +14,9 @@ import (
 
 // Round is one in-flight scheduling round, driven phase by phase:
 //
-//	r, _ := sv.BeginRound() // consume due evals, seed arrivals, freeze the batch
+//	r, _ := sv.BeginRound() // seed arrivals, freeze the batch
 //	_ = r.Evaluate()        // publish vacancy, search, optimize
-//	_ = r.Apply()           // commit the plan, postpone the rest, requeue stale jobs
+//	_ = r.Apply()           // commit the plan, postpone the rest
 //	rep, _ := r.Finish()    // advance the clock, report
 //
 // Service.Tick is exactly this sequence with nothing in between. The split
@@ -26,15 +26,13 @@ import (
 // the environment may invalidate a chosen window after Evaluate, Apply treats
 // the plan as optimistic: each window is re-validated by the grid's commit,
 // and a window that no longer fits (node failed, interval reclaimed, start
-// overtaken by the clock) postpones its job and requeues its evaluation
-// under the retry policy's backoff instead of failing the round — commit
-// rejection is a scheduling outcome, not an error. On an undisturbed run no
-// window can go stale.
+// overtaken by the clock) postpones its job, which stays queued and is in
+// the next round's batch, instead of failing the round — commit rejection is
+// a scheduling outcome, not an error. On an undisturbed run no window can go
+// stale.
 type Round struct {
 	sv  *Service
 	rep *IterationReport
-	// evals are the evaluations this round consumed, in dequeue order.
-	evals []*Eval
 	// selected is the batch frozen by BeginRound.
 	selected []*queued
 	// plan is the optimizer's combination bound to its snapshot epoch; nil
@@ -49,30 +47,16 @@ type Round struct {
 	staleNames []string
 }
 
-// BeginRound opens a round: it dequeues every evaluation eligible at the
-// current time — stable priority order, capacity-destroying events first —
-// advances the iteration counter, seeds owner-local arrivals over the newly
-// visible horizon, and freezes the batch of eligible queued jobs. The job
-// queue itself is not modified — jobs leave it only in Apply. A round may
-// begin with an empty evaluation queue (a bare periodic round); only one
-// round may be open at a time.
+// BeginRound opens a round: it advances the iteration counter, seeds
+// owner-local arrivals over the newly visible horizon, and freezes the batch
+// of eligible queued jobs. The job queue itself is not modified — jobs leave
+// it only in Apply. Only one round may be open at a time.
 func (sv *Service) BeginRound() (*Round, error) {
 	if sv.round != nil {
 		return nil, fmt.Errorf("metasched: round already open on iteration %d", sv.round.rep.Iteration)
 	}
 	s := sv.s
 	now := s.grid.Now()
-	var evals []*Eval
-	for {
-		e := sv.q.popDue(now)
-		if e == nil {
-			break
-		}
-		sv.m.consumed(now.Sub(e.Created))
-		evals = append(evals, e)
-	}
-	sv.m.depth(sv.q.len())
-
 	s.iter++
 	rep := &IterationReport{Iteration: s.iter, Now: now}
 	s.cfg.Trace.BeginIteration(s.iter, now)
@@ -91,13 +75,9 @@ func (sv *Service) BeginRound() (*Round, error) {
 	rep.BatchSize = len(selected)
 	s.metrics.iterationStarted(len(selected))
 
-	sv.round = &Round{sv: sv, rep: rep, evals: evals, selected: selected}
-	sv.m.roundStarted(len(evals))
+	sv.round = &Round{sv: sv, rep: rep, selected: selected}
 	return sv.round, nil
 }
-
-// Evals returns the evaluations the round consumed, in dequeue order.
-func (r *Round) Evals() []*Eval { return r.evals }
 
 // Iteration returns the round itself.
 //
@@ -253,15 +233,15 @@ func (r *Round) Plan() *Plan {
 // uncovered job, with no booking, queue entry or placed record leaking from
 // the rejection. Jobs the batch attempted but did not place take a
 // postponement (dropping at the cap); everything else stays queued
-// untouched. Finally each stale job's evaluation re-enters the queue under
-// the retry policy's deterministic backoff.
+// untouched. A stale job keeps its place in the queue with no backoff, so
+// the next round's batch holds it again.
 func (r *Round) Apply() error {
 	if !r.planned || r.applied || r.finished {
 		return fmt.Errorf("metasched: Apply on iteration %d out of order (planned=%t applied=%t finished=%t)",
 			r.rep.Iteration, r.planned, r.applied, r.finished)
 	}
 	r.applied = true
-	sv, s := r.sv, r.sv.s
+	s := r.sv.s
 	placed := map[string]bool{}
 	if r.plan != nil {
 		// The epoch comparison is pure accounting: a fresh plan's snapshot is
@@ -301,7 +281,7 @@ func (r *Round) Apply() error {
 		}
 	}
 
-	// Requeue or drop the rest.
+	// Postpone or drop the rest.
 	var remaining []*queued
 	for _, q := range s.queue {
 		if placed[q.job.Name] {
@@ -330,18 +310,6 @@ func (r *Round) Apply() error {
 		remaining = append(remaining, q)
 	}
 	s.queue = remaining
-
-	now := s.grid.Now()
-	for _, name := range r.staleNames {
-		sv.requeues[name]++
-		attempt := sv.requeues[name]
-		var delay sim.Duration
-		if p := s.cfg.Retry; p != nil {
-			delay = p.backoff(name, attempt)
-		}
-		sv.enqueue(TriggerRequeue, name, now.Add(delay), attempt)
-		sv.m.requeued(delay)
-	}
 	return nil
 }
 
@@ -351,7 +319,7 @@ func (r *Round) Apply() error {
 func (r *Round) StaleWindows() int { return len(r.staleNames) }
 
 // StaleJobs returns the names of the jobs whose chosen windows Apply
-// rejected, in choice order; each got a requeue evaluation.
+// rejected, in choice order; each was postponed.
 func (r *Round) StaleJobs() []string { return r.staleNames }
 
 // Finish closes the round: the clock advances by the configured step and the

@@ -78,7 +78,6 @@ func TestStepSequenceMatchesRunIteration(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			var err error
 			if steps {
-				sv.EnqueueTick()
 				r, e := sv.BeginRound()
 				if e != nil {
 					t.Fatal(e)
@@ -100,7 +99,6 @@ func TestStepSequenceMatchesRunIteration(t *testing.T) {
 		var b strings.Builder
 		grid.CanonicalState(&b)
 		sv.Scheduler().CanonicalState(&b)
-		sv.CanonicalState(&b)
 		return b.String(), rep
 	}
 	mono, monoRep := run(false)

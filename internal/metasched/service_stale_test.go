@@ -16,8 +16,8 @@ import (
 
 // staleHarness is a small deterministic service session the stale-plan
 // regressions poke at: four equal-performance nodes at distinct prices, one
-// single-node job, and a retry policy so stale rejections requeue with a
-// visible backoff.
+// single-node job, and a retry policy with a visible backoff — which a stale
+// rejection must not engage: it postpones the job, it does not cancel it.
 type staleHarness struct {
 	grid  *gridsim.Grid
 	sched *metasched.Scheduler
@@ -101,9 +101,10 @@ type slot_Placement struct {
 }
 
 // applyExpectStale applies the round and asserts the shared rejection
-// contract: the window was rejected (not double-booked), the job was
-// postponed back into the scheduler queue, a backoff-gated requeue
-// evaluation was enqueued, and the full fault audit passes.
+// contract: the window was rejected (not double-booked), the job holds no
+// booking, it was postponed exactly once back into the scheduler queue, the
+// full fault audit passes, and — with no backoff on a stale rejection — the
+// job is in the very next round's batch.
 func (h *staleHarness) applyExpectStale(t *testing.T, r *metasched.Round) {
 	t.Helper()
 	if p := r.Plan(); !p.Stale(h.grid.Epoch()) {
@@ -129,24 +130,44 @@ func (h *staleHarness) applyExpectStale(t *testing.T, r *metasched.Round) {
 	if h.sched.QueueLength() != 1 {
 		t.Fatalf("QueueLength = %d after rejection, want 1 (job postponed, not lost)", h.sched.QueueLength())
 	}
-	// The queue holds the requeue evaluation plus, for event-driven
-	// scenarios, the fail/revoke evaluation the handler enqueued.
-	if h.svc.QueueDepth() < 1 {
-		t.Fatalf("eval QueueDepth = %d after rejection, want >= 1 (the requeue evaluation)", h.svc.QueueDepth())
-	}
-	var b strings.Builder
-	h.svc.CanonicalState(&b)
-	if !strings.Contains(b.String(), `eval requeue subject="j1"`) || !strings.Contains(b.String(), "attempt=1") {
-		t.Fatalf("requeue evaluation missing from service state:\n%s", b.String())
-	}
 	if err := h.audit.Check(); err != nil {
 		t.Fatalf("audit after stale apply: %v", err)
 	}
-	if _, err := r.Finish(); err != nil {
+	rep, err := r.Finish()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := fmt.Sprint(rep.Postponed, rep.Dropped); got != "[j1] []" {
+		t.Fatalf("postponed, dropped = %s, want [j1] []", got)
+	}
+	var b strings.Builder
+	h.sched.CanonicalState(&b)
+	if !strings.Contains(b.String(), "queued j1 prio=1 postponed=1 ") || !strings.Contains(b.String(), "notBefore=0 ") {
+		t.Fatalf("j1 not queued once-postponed and ungated:\n%s", b.String())
 	}
 	if err := h.audit.Check(); err != nil {
 		t.Fatalf("audit after finish: %v", err)
+	}
+	next, err := h.svc.BeginRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	next.CanonicalState(&b)
+	if !strings.Contains(b.String(), "batched j1\n") {
+		t.Fatalf("j1 missing from the next round's batch:\n%s", b.String())
+	}
+	if err := next.Evaluate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := next.Apply(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := next.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.audit.Check(); err != nil {
+		t.Fatalf("audit after the retry round: %v", err)
 	}
 }
 
@@ -211,7 +232,7 @@ func TestStalePlanRevokedInterval(t *testing.T) {
 // lands in exactly one shard — the intruder books over the chosen span on
 // its node — and the apply must reject shard-locally: the other shard's
 // store stays coherent (the audit's per-shard vacancy invariant checks
-// both), the job requeues and re-places.
+// both), the job is postponed and re-places.
 func TestStalePlanShardLocalDrop(t *testing.T) {
 	h := newStaleHarness(t, 2)
 	r, pl := h.planRound(t)

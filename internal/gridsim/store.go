@@ -37,15 +37,19 @@ import (
 //
 // Lifecycle. Stores build lazily on the first publication (one NewIndex per
 // shard on the steady-state path, counted in gridsim/store/rebuilds_total and,
-// when sharded, gridsim/store/shard<i>/rebuilds_total), extend per-node when
-// the horizon slides forward, trim when the clock advances, and self-heal by
-// dropping the affected shard if an exact-identity operation ever misses
-// (counted in incoherent_drops_total; the equivalence suites assert it stays
-// zero).
+// when sharded, gridsim/store/shard<i>/rebuilds_total), extend when the
+// horizon slides forward — one slot.Index.Extend per shard, fed by a single
+// walk over the pool (extendStores) — trim when the clock advances, and
+// self-heal by dropping the affected shard if an exact-identity operation
+// ever misses (counted in incoherent_drops_total; the equivalence suites
+// assert it stays zero).
 type vacantStore struct {
 	ix *slot.Index
 	// horizon is the exclusive right edge the store currently covers.
 	horizon sim.Time
+	// grows and run are extendStores' buffers, reused across extensions.
+	grows []slot.Grow
+	run   []slot.Slot
 }
 
 // SetSharding partitions the live store by node into k shards using the
@@ -113,14 +117,14 @@ func (g *Grid) storeSlotsTotal() int {
 	return total
 }
 
-// vacantFragments returns the node's maximal vacant intervals over [from, to)
-// — the complement of its bookings — in start order. Both the rebuild oracle
-// and the store's node-restore/horizon-extend paths derive fragments through
-// this one walk, so they cannot disagree on boundary conventions.
-func (g *Grid) vacantFragments(n *resource.Node, from, to sim.Time) []slot.Slot {
-	var out []slot.Slot
+// appendFragments appends to dst the node's maximal vacant intervals over
+// [from, to) — the complement of bookings, which must hold every one of the
+// node's bookings that ends after from — in start order. The rebuild oracle
+// and the store's node-restore and horizon-extend paths all derive fragments
+// through this one walk, so they cannot disagree on boundary conventions.
+func appendFragments(dst []slot.Slot, n *resource.Node, bookings []Task, from, to sim.Time) []slot.Slot {
 	cursor := from
-	for _, t := range g.booked[n.ID] {
+	for _, t := range bookings {
 		if t.Span.End <= cursor {
 			continue
 		}
@@ -128,38 +132,41 @@ func (g *Grid) vacantFragments(n *resource.Node, from, to sim.Time) []slot.Slot 
 			break
 		}
 		if t.Span.Start > cursor {
-			out = append(out, slot.New(n, cursor, t.Span.Start.Min(to)))
+			dst = append(dst, slot.New(n, cursor, t.Span.Start.Min(to)))
 		}
 		if t.Span.End > cursor {
 			cursor = t.Span.End
 		}
 	}
 	if cursor < to {
-		out = append(out, slot.New(n, cursor, to))
+		dst = append(dst, slot.New(n, cursor, to))
 	}
-	return out
+	return dst
 }
 
 // ensureStore makes every shard's live store cover exactly [now, horizon):
-// building missing ones (first use, or a shard that self-healed), extending
-// when the horizon slid forward, and rebuilding when the caller asked for a
-// shorter horizon (not a steady-state shape — the metascheduler's horizon
-// only ever slides forward).
+// extending the ones the horizon slid forward past, building missing ones
+// (first use, or a shard that self-healed), and rebuilding when the caller
+// asked for a shorter horizon (not a steady-state shape — the metascheduler's
+// horizon only ever slides forward).
 func (g *Grid) ensureStore(horizon sim.Time) {
 	if g.stores == nil {
 		g.stores = make([]*vacantStore, g.Shards())
 	}
-	for i := range g.stores {
-		if st := g.stores[i]; st != nil {
-			switch {
-			case st.horizon == horizon:
-				continue
-			case horizon > st.horizon:
-				g.extendShardStore(i, horizon)
-			default:
-				g.stores[i] = nil
-			}
+	extend := false
+	for i, st := range g.stores {
+		switch {
+		case st == nil || st.horizon == horizon:
+		case horizon > st.horizon:
+			extend = true
+		default:
+			g.stores[i] = nil
 		}
+	}
+	if extend {
+		g.extendStores(horizon)
+	}
+	for i := range g.stores {
 		if g.stores[i] == nil {
 			g.buildShardStore(i, horizon)
 		}
@@ -281,7 +288,7 @@ func (g *Grid) storeRecover(node *resource.Node) {
 	if st == nil {
 		return
 	}
-	for _, f := range g.vacantFragments(node, g.now, st.horizon) {
+	for _, f := range appendFragments(nil, node, g.booked[node.ID], g.now, st.horizon) {
 		st.ix.Insert(f)
 	}
 	g.metrics.storeNodeRestored(g.storeSlotsTotal())
@@ -305,68 +312,58 @@ func (g *Grid) storeAdvance(to sim.Time) {
 	}
 }
 
-// extendShardStore grows one shard store's coverage from its current horizon
-// to the new one: per live node of the shard, the fragments over the newly
-// visible window are derived from the bookings (an O(log n) search finds the
-// walk's start) and inserted. A fragment opening exactly at the old horizon
-// continues a vacancy run that was clipped there, so the trailing store slot
-// is removed and the merged maximal interval inserted instead — exactly what
-// the oracle emits over the wider window.
-func (g *Grid) extendShardStore(si int, horizon sim.Time) {
-	st := g.stores[si]
-	old := st.horizon
-	st.horizon = horizon
-	for _, n := range g.pool.Nodes() {
-		if g.shardIdx(n) != si || g.NodeFailed(n.ID) {
-			continue
-		}
-		list := g.booked[n.ID]
-		i := sort.Search(len(list), func(k int) bool { return list[k].Span.Start >= old })
-		cursor := old
-		var frags []slot.Slot
-		for k := i - 1; k < len(list); k++ {
-			if k < 0 {
-				continue
-			}
-			t := list[k]
-			if t.Span.End <= cursor {
-				continue
-			}
-			if t.Span.Start >= horizon {
-				break
-			}
-			if t.Span.Start > cursor {
-				frags = append(frags, slot.New(n, cursor, t.Span.Start.Min(horizon)))
-			}
-			if t.Span.End > cursor {
-				cursor = t.Span.End
-			}
-		}
-		if cursor < horizon {
-			frags = append(frags, slot.New(n, cursor, horizon))
-		}
-		if len(frags) > 0 && frags[0].Span.Start == old {
-			// The node was either vacant right up to the old horizon (a
-			// trailing slot ends there — merge with it) or a booking ended
-			// exactly at it (no trailing slot; the fragment stands alone).
-			if !(i > 0 && list[i-1].Span.End >= old) {
-				trailStart := g.now
-				if i > 0 && list[i-1].Span.End > trailStart {
-					trailStart = list[i-1].Span.End
-				}
-				trail := slot.Slot{Node: n, Price: n.Price, Span: sim.Interval{Start: trailStart, End: old}}
-				if !st.ix.RemoveExact(trail) {
-					g.dropShardStore(si)
-					return
-				}
-				frags[0].Span.Start = trailStart
-			}
-		}
-		for _, f := range frags {
-			st.ix.Insert(f)
+// extendStores grows every shard store whose horizon lies before the new one
+// to cover it, with one slot.Index.Extend per shard. One walk over the pool
+// derives each live node's share from its bookings: the fragments over
+// [old horizon, horizon), whose walk an O(log n) search starts. A fragment
+// opening exactly at the old horizon continues a vacancy run clipped there.
+// If the node was vacant right up to the old horizon, its trailing store slot
+// grows to the fragment's end — the merged maximal interval the oracle emits
+// over the wider window. If a booking ended exactly at the old horizon, there
+// is no trailing slot and the fragment stands alone. Every other fragment starts at or after the old
+// horizon, past every held slot, so each shard's fragments append as one run.
+// The grow and run buffers live on the store and are reused from round to
+// round.
+func (g *Grid) extendStores(horizon sim.Time) {
+	for _, st := range g.stores {
+		if st != nil {
+			st.grows, st.run = st.grows[:0], st.run[:0]
 		}
 	}
-	g.metrics.storeExtended(g.storeSlotsTotal())
+	for _, n := range g.pool.Nodes() {
+		st := g.stores[g.shardIdx(n)]
+		if st == nil || st.horizon >= horizon || g.NodeFailed(n.ID) {
+			continue
+		}
+		old := st.horizon
+		list := g.booked[n.ID]
+		i := sort.Search(len(list), func(k int) bool { return list[k].Span.Start >= old })
+		from := len(st.run)
+		st.run = appendFragments(st.run, n, list[max(i-1, 0):], old, horizon)
+		if len(st.run) == from || st.run[from].Start() != old {
+			continue
+		}
+		if i > 0 && list[i-1].Span.End >= old {
+			continue // a booking ends exactly at the old horizon
+		}
+		trailStart := g.now
+		if i > 0 && list[i-1].Span.End > trailStart {
+			trailStart = list[i-1].Span.End
+		}
+		st.grows = append(st.grows, slot.Grow{Slot: slot.New(n, trailStart, old), End: st.run[from].End()})
+		st.run = append(st.run[:from], st.run[from+1:]...)
+	}
+	for i, st := range g.stores {
+		if st == nil || st.horizon >= horizon {
+			continue
+		}
+		st.horizon = horizon
+		if err := st.ix.Extend(st.grows, st.run); err != nil {
+			g.dropShardStore(i)
+			continue
+		}
+		g.metrics.storeExtended(g.storeSlotsTotal())
+	}
 }
 
 // RebuildVacantSlots is the pinned oracle: it derives the full vacant list
@@ -390,7 +387,7 @@ func (g *Grid) shardOracle(si int, horizon sim.Time) *slot.List {
 		if (si >= 0 && g.shardIdx(n) != si) || g.NodeFailed(n.ID) {
 			continue
 		}
-		slots = append(slots, g.vacantFragments(n, g.now, horizon)...)
+		slots = appendFragments(slots, n, g.booked[n.ID], g.now, horizon)
 	}
 	return slot.NewList(slots)
 }

@@ -252,6 +252,156 @@ func TestVacantSlotsHorizonEdgeCases(t *testing.T) {
 	}
 }
 
+// TestHorizonExtensionBoundaries pins the boundary conventions of horizon
+// extension, the one store path TestVacantSlotsHorizonEdgeCases cannot reach
+// because it publishes at one fixed horizon. Each case publishes at the old
+// horizon 100, mutates, and then publishes at a later horizon, so the store
+// extends rather than rebuilds. After every publication the store must match
+// the per-shard rebuild oracle, at K=1 and K=4, and cpu1 must hold exactly
+// the slots listed. A view published just before each extension must be
+// unchanged after it.
+func TestHorizonExtensionBoundaries(t *testing.T) {
+	type step struct {
+		do      func(t *testing.T, g *Grid)
+		horizon sim.Time
+	}
+	bookLocal := func(node string, start, end sim.Time) func(t *testing.T, g *Grid) {
+		return func(t *testing.T, g *Grid) {
+			t.Helper()
+			if err := g.BookLocal("p", node, start, end); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nothing := func(*testing.T, *Grid) {}
+	cases := []struct {
+		name  string
+		steps []step
+		// want is cpu1's vacancy after the last step, as "[start,end)".
+		want []string
+	}{
+		{
+			name:  "vacant up to the old horizon: the trailing slot grows",
+			steps: []step{{nothing, 150}},
+			want:  []string{"[0,150)"},
+		},
+		{
+			name:  "booking ends exactly at the old horizon: the new fragment stands alone",
+			steps: []step{{bookLocal("cpu1", 60, 100), 150}},
+			want:  []string{"[0,60)", "[100,150)"},
+		},
+		{
+			name:  "booking straddles the old horizon",
+			steps: []step{{bookLocal("cpu1", 80, 120), 150}},
+			want:  []string{"[0,80)", "[120,150)"},
+		},
+		{
+			name:  "booking starts exactly at the new horizon",
+			steps: []step{{bookLocal("cpu1", 150, 200), 150}},
+			want:  []string{"[0,150)"},
+		},
+		{
+			name: "local arrivals booked into the new step before publication",
+			steps: []step{{func(t *testing.T, g *Grid) {
+				bookLocal("cpu1", 110, 130)(t, g)
+				bookLocal("cpu1", 140, 145)(t, g)
+			}, 150}},
+			want: []string{"[0,110)", "[130,140)", "[145,150)"},
+		},
+		{
+			name: "failed node skipped, then recovered",
+			steps: []step{
+				{func(t *testing.T, g *Grid) {
+					if _, err := g.FailNode(g.Pool().ByName("cpu1").ID, 0); err != nil {
+						t.Fatal(err)
+					}
+				}, 150},
+				{func(t *testing.T, g *Grid) {
+					if err := g.RecoverNode(g.Pool().ByName("cpu1").ID); err != nil {
+						t.Fatal(err)
+					}
+				}, 200},
+			},
+			want: []string{"[0,200)"},
+		},
+		{
+			name: "a jump of three steps",
+			steps: []step{{func(t *testing.T, g *Grid) {
+				bookLocal("cpu1", 120, 140)(t, g)
+				bookLocal("cpu1", 200, 210)(t, g)
+			}, 250}},
+			want: []string{"[0,120)", "[140,200)", "[210,250)"},
+		},
+		{
+			name: "clock advanced before the extension",
+			steps: []step{{func(t *testing.T, g *Grid) {
+				bookLocal("cpu1", 10, 20)(t, g)
+				if err := g.Advance(30); err != nil {
+					t.Fatal(err)
+				}
+			}, 150}},
+			want: []string{"[30,150)"},
+		},
+	}
+	for _, tc := range cases {
+		for _, k := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/K=%d", tc.name, k), func(t *testing.T) {
+				g, err := New(storePool(t, 6))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := g.SetSharding(k, byIDMod(k)); err != nil {
+					t.Fatal(err)
+				}
+				reg := metrics.New()
+				g.SetMetrics(NewMetrics(reg))
+				checkShardedStore(t, g, 100, "first publication")
+				for i, st := range tc.steps {
+					label := fmt.Sprintf("step %d", i)
+					st.do(t, g)
+					before, err := g.ShardViews(g.stores[0].horizon)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var frozen []string
+					for _, v := range before {
+						frozen = append(frozen, v.List().String())
+					}
+					checkShardedStore(t, g, st.horizon, label)
+					for i, v := range before {
+						if v.List().String() != frozen[i] {
+							t.Fatalf("%s: shard %d view published before the extension changed\n--- before ---\n%s\n--- after ---\n%s",
+								label, i, frozen[i], v.List())
+						}
+					}
+				}
+				list, err := g.VacantSlots(tc.steps[len(tc.steps)-1].horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for _, s := range list.Slots() {
+					if s.Node.Name == "cpu1" {
+						got = append(got, fmt.Sprintf("[%d,%d)", s.Start(), s.End()))
+					}
+				}
+				if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+					t.Fatalf("cpu1 vacancy: got %v, want %v", got, tc.want)
+				}
+				if n := reg.Counter("gridsim/store/rebuilds_total").Value(); n != int64(k) {
+					t.Errorf("rebuilds_total = %d, want %d (one build per shard, every later publication extends)", n, k)
+				}
+				if n := reg.Counter("gridsim/store/extends_total").Value(); n != int64(k*len(tc.steps)) {
+					t.Errorf("extends_total = %d, want %d", n, k*len(tc.steps))
+				}
+				if n := reg.Counter("gridsim/store/incoherent_drops_total").Value(); n != 0 {
+					t.Errorf("incoherent_drops_total = %d, want 0", n)
+				}
+			})
+		}
+	}
+}
+
 // TestVacantViewCloneIsolation proves the index VacantView hands out is the
 // caller's to destroy: subtracting from it (as the alternative search does)
 // must leave the store's own copy, and later publications, untouched.

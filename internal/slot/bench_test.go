@@ -3,6 +3,7 @@ package slot
 import (
 	"testing"
 
+	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 )
 
@@ -82,6 +83,46 @@ func BenchmarkTrimBefore(b *testing.B) {
 			ix := base.Clone(nil)
 			b.StartTimer()
 			ix.TrimBefore(150)
+		}
+	})
+}
+
+// wideExtension returns one horizon extension of wideList's grid by a
+// 150-tick step: every other node's last slot grows, and every node gains two
+// fragments in the newly visible window.
+func wideExtension(list *List, nodes []*resource.Node) ([]Grow, []Slot) {
+	last := make(map[*resource.Node]Slot, len(nodes))
+	for _, s := range list.Slots() {
+		last[s.Node] = s
+	}
+	var grows []Grow
+	var run []Slot
+	for i, n := range nodes {
+		if i%2 == 0 {
+			grows = append(grows, Grow{Slot: last[n], End: last[n].End() + 40})
+		}
+		start := sim.Time(6100 + i%50)
+		run = append(run, New(n, start, start+40), New(n, start+60, start+100))
+	}
+	return grows, run
+}
+
+// BenchmarkExtend is one horizon extension of the wide grid on a store that
+// was just published: 500 grows and a 2 000-slot run.
+func BenchmarkExtend(b *testing.B) {
+	list, nodes := wideList(100_000)
+	base := NewIndex(list, nil)
+	grows, fragments := wideExtension(list, nodes)
+	run := make([]Slot, len(fragments))
+	b.Run("n=100k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			ix := base.Clone(nil)
+			copy(run, fragments) // Extend sorts its run in place
+			b.StartTimer()
+			if err := ix.Extend(grows, run); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package slot
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -98,6 +99,64 @@ func TestIndexMutationCostIsBucketBound(t *testing.T) {
 		// one back on each side.
 		if ix.Len() != n || c.Len() != n {
 			t.Errorf("n=%d: origin holds %d slots and clone %d, want %d each", n, ix.Len(), c.Len(), n)
+		}
+	}
+}
+
+// TestExtendCostIsBounded pins horizon extension as one bulk operation: on a
+// 100 000-slot index with a published clone alive, an extension of m grows
+// and an r-slot run moves at most r + 2×target slots per bucket it touches —
+// the buckets holding a grown slot, copied once each, and the last bucket
+// re-tiled with the run — and goes through no Insert and no split, whether the
+// grows sit at the tail (as a grid's trailing slots do) or are scattered over
+// every bucket. The clone sees none of it.
+func TestExtendCostIsBounded(t *testing.T) {
+	list, nodes := wideList(100_000)
+	tail, run := wideExtension(list, nodes)
+	var scattered []Grow
+	for r := 0; r < list.Len(); r += 199 {
+		s := list.At(r)
+		scattered = append(scattered, Grow{Slot: s, End: s.End() + 1})
+	}
+	for _, tc := range []struct {
+		name  string
+		grows []Grow
+	}{{"tail", tail}, {"scattered", scattered}} {
+		m := NewIndexMetrics(metrics.New(), "origin/")
+		ix := NewIndex(list, m)
+		view := ix.Clone(nil)
+		touched := map[int]bool{len(ix.buckets) - 1: true}
+		for _, g := range tc.grows {
+			pos, _, ok := ix.find(g.Slot)
+			if !ok {
+				t.Fatalf("%s: grow of %v: slot not held", tc.name, g.Slot)
+			}
+			touched[pos] = true
+		}
+
+		moved, inserts, splits := m.SlotsMoved.Value(), m.Inserts.Value(), m.Splits.Value()
+		if err := ix.Extend(tc.grows, slices.Clone(run)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		moved = m.SlotsMoved.Value() - moved
+		if bound := int64(len(run) + 2*DefaultBucketSize*len(touched)); moved == 0 || moved > bound {
+			t.Errorf("%s: %d grows and a %d-slot run over %d buckets moved %d slots, want (0, %d]",
+				tc.name, len(tc.grows), len(run), len(touched), moved, bound)
+		}
+		if d := m.Inserts.Value() - inserts; d != 0 {
+			t.Errorf("%s: extension went through Insert %d times", tc.name, d)
+		}
+		if d := m.Splits.Value() - splits; d != 0 {
+			t.Errorf("%s: extension split %d buckets", tc.name, d)
+		}
+		if err := ix.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := list.Len() + len(run); ix.Len() != want {
+			t.Errorf("%s: extended index holds %d slots, want %d", tc.name, ix.Len(), want)
+		}
+		if !listModel(list.Slots()).matches(view) {
+			t.Errorf("%s: the clone published before the extension changed", tc.name)
 		}
 	}
 }

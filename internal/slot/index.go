@@ -68,8 +68,12 @@ type Index struct {
 	n       int
 	own     *owner
 	m       *IndexMetrics
-	// scratch serves the selective scan path.
+	// scratch serves the selective scan path; grown, counts and spare serve
+	// Extend.
 	scratch []int32
+	grown   []growAt
+	counts  []int
+	spare   []Slot
 }
 
 // NewIndex builds an index holding a copy of l's slots, with the default
@@ -112,12 +116,14 @@ func (ix *Index) newBucket(slots []Slot) *bucket {
 	for off := range b.byPerf {
 		b.byPerf[off] = int32(off)
 	}
-	sort.Slice(b.byPerf, func(i, j int) bool {
-		pi, pj := b.slots[b.byPerf[i]].Performance(), b.slots[b.byPerf[j]].Performance()
-		if pi != pj {
-			return pi > pj
+	slices.SortFunc(b.byPerf, func(i, j int32) int {
+		switch pi, pj := b.slots[i].Performance(), b.slots[j].Performance(); {
+		case pi > pj:
+			return -1
+		case pi < pj:
+			return 1
 		}
-		return b.byPerf[i] < b.byPerf[j]
+		return int(i - j)
 	})
 	ix.m.moved(len(slots))
 	return b
@@ -702,7 +708,7 @@ func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
 	}
 	// All front slots start at t; their (node, end) order is total because a
 	// well-formed vacant list never holds two same-node slots alive at t.
-	sort.SliceStable(front, func(i, j int) bool { return less(front[i], front[j]) })
+	slices.SortStableFunc(front, compare)
 	// A bucket straddling the end of the prefix is consumed whole, its
 	// surviving tail re-tiled with the front.
 	if endPos < len(ix.buckets) && endOff > 0 {
@@ -716,4 +722,156 @@ func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
 	ix.m.removed(dropped)
 	ix.m.shape(ix.buckets)
 	return dropped, trimmed
+}
+
+// Grow names a held slot and the later end an Extend moves it to.
+type Grow struct {
+	Slot Slot
+	End  sim.Time
+}
+
+// growAt is a located Grow: the slot's bucket position and offset.
+type growAt struct {
+	pos, off int
+	end      sim.Time
+}
+
+// Extend is the horizon-extension operation of the grid's live store: it
+// moves each grown slot's end to its new end and appends run after every held
+// slot. It sorts run in place and keeps no reference to it.
+//
+// Neither half re-sorts what the index holds. End is the last key of the
+// canonical order (start, node, end), so a grown slot keeps its rank as long
+// as it still orders no later than its successor — in a vacant list, where
+// no node holds two slots with the same start, it always does. Its bucket is
+// made writable and its maxEnd widened; the performance permutation and every
+// other slot stay as they are. The run orders after every held slot, so it is
+// tiled as fresh target-size buckets behind the held ones, together with the
+// last bucket when that is under target — TrimBefore's retiling, at the other
+// end.
+//
+// Misuse returns an error and leaves the index unchanged: a grow whose slot
+// is missing, that does not move its end later, that repeats another grow's
+// slot or that would reorder the slot past its successor; an empty run slot,
+// or two that tie in the canonical order; or a run that does not start
+// strictly after the last held slot.
+func (ix *Index) Extend(grows []Grow, run []Slot) error {
+	locs := ix.grown[:0]
+	for _, g := range grows {
+		pos, off, ok := ix.find(g.Slot)
+		if !ok {
+			return fmt.Errorf("slot: extend: slot %v not found", g.Slot)
+		}
+		if g.End <= g.Slot.End() {
+			return fmt.Errorf("slot: extend: grow of %v to %v does not move its end later", g.Slot, g.End)
+		}
+		locs = append(locs, growAt{pos: pos, off: off, end: g.End})
+	}
+	ix.grown = locs
+	slices.SortFunc(locs, func(a, b growAt) int {
+		if a.pos != b.pos {
+			return a.pos - b.pos
+		}
+		return a.off - b.off
+	})
+	// last is the last held slot as it will read after the grows.
+	var last Slot
+	if ix.n > 0 {
+		last = ix.buckets[len(ix.buckets)-1].last()
+	}
+	for k, at := range locs {
+		grown := ix.buckets[at.pos].slots[at.off]
+		if k > 0 && locs[k-1].pos == at.pos && locs[k-1].off == at.off {
+			return fmt.Errorf("slot: extend: slot %v grown twice", grown)
+		}
+		grown.Span.End = at.end
+		pos, off := at.pos, at.off+1
+		if off == len(ix.buckets[pos].slots) {
+			pos, off = pos+1, 0
+		}
+		if pos == len(ix.buckets) {
+			last = grown
+			continue
+		}
+		// The successor as it will read: grown too when the next grow is it.
+		next := ix.buckets[pos].slots[off]
+		if k+1 < len(locs) && locs[k+1].pos == pos && locs[k+1].off == off {
+			next.Span.End = locs[k+1].end
+		}
+		if less(next, grown) {
+			return fmt.Errorf("slot: extend: grown slot %v would order after its successor %v", grown, next)
+		}
+	}
+	ix.sortRun(run)
+	for k, s := range run {
+		switch {
+		case s.Empty():
+			return fmt.Errorf("slot: extend: empty slot %v in run", s)
+		case k > 0 && !less(run[k-1], s):
+			return fmt.Errorf("slot: extend: run slots %v and %v tie", run[k-1], s)
+		case k == 0 && ix.n > 0 && !less(last, s):
+			return fmt.Errorf("slot: extend: run starts with %v, not after the last held slot %v", s, last)
+		}
+	}
+
+	for _, at := range locs {
+		b := ix.writable(at.pos)
+		b.slots[at.off].Span.End = at.end
+		b.maxEnd = max(b.maxEnd, at.end)
+	}
+	if len(run) == 0 {
+		return nil
+	}
+	ix.n += len(run)
+	// A last bucket under target is consumed whole, re-tiled with the run.
+	if k := len(ix.buckets) - 1; k >= 0 && len(ix.buckets[k].slots) < ix.target {
+		run = append(slices.Clone(ix.buckets[k].slots), run...)
+		ix.buckets = ix.buckets[:k]
+	}
+	ix.buckets = ix.tile(ix.buckets, run)
+	ix.m.shape(ix.buckets)
+	return nil
+}
+
+// sortRun sorts an extension's run into canonical order. Its starts fall in
+// the newly visible window, usually far fewer distinct ticks than slots, so
+// it is counting-sorted on the start and each equal-start group is finished
+// by a comparison sort — linear when a group already arrives in node order,
+// as the grid emits it. A run whose starts spread wider is comparison-sorted
+// whole.
+func (ix *Index) sortRun(run []Slot) {
+	if len(run) < 2 {
+		return
+	}
+	lo, hi := run[0].Start(), run[0].Start()
+	for _, s := range run {
+		lo, hi = min(lo, s.Start()), max(hi, s.Start())
+	}
+	if w := hi.Sub(lo); w < 0 || w >= sim.Duration(4*len(run)) {
+		slices.SortFunc(run, compare)
+		return
+	}
+	// first[t-lo] is where the next slot starting at t goes.
+	first := slices.Grow(ix.counts[:0], int(hi.Sub(lo))+2)[:hi.Sub(lo)+2]
+	clear(first)
+	for _, s := range run {
+		first[s.Start().Sub(lo)+1]++
+	}
+	for i := 1; i < len(first); i++ {
+		first[i] += first[i-1]
+	}
+	in := append(ix.spare[:0], run...)
+	for _, s := range in {
+		run[first[s.Start().Sub(lo)]] = s
+		first[s.Start().Sub(lo)]++
+	}
+	ix.counts, ix.spare = first, in
+	for from := 0; from < len(run); {
+		to := from + 1
+		for to < len(run) && run[to].Start() == run[from].Start() {
+			to++
+		}
+		slices.SortFunc(run[from:to], compare)
+		from = to
+	}
 }

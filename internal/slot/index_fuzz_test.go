@@ -1,21 +1,24 @@
 package slot
 
 import (
+	"fmt"
 	"testing"
 
 	"ecosched/internal/sim"
 )
 
 // FuzzSlotIndex drives raw fuzz bytes as an operation stream — insert,
-// remove, subtract, trim, node drop, exact removal, clone, query — against an
-// Index and the naive slice model, asserting after every mutation that the
-// index matches the model element for element, the bucket invariants hold
-// (canonical order across bucket boundaries, aggregate freshness, permutation
-// membership — so no stale entries survive a subtraction), and Scan agrees
-// with a filtered walk of the model. The trim/drop/exact/clone ops are the
-// live vacant-store maintenance surface (gridsim/store.go); fuzzing them
-// against the model is what licenses the store to mutate the index in place
-// between iterations.
+// remove, subtract, trim, node drop, exact removal, clone, horizon extension,
+// query — against an Index and the naive slice model, asserting after every
+// mutation that the index matches the model element for element, the bucket
+// invariants hold (canonical order across bucket boundaries, aggregate
+// freshness, permutation membership — so no stale entries survive a
+// subtraction), and Scan agrees with a filtered walk of the model. The
+// trim/drop/exact/clone/extend ops are the live vacant-store maintenance
+// surface (gridsim/store.go); fuzzing them against the model is what licenses
+// the store to mutate the index in place between iterations. An extension
+// (ops 24–25, 25 always a misuse the index must refuse unchanged) runs with a
+// clone taken just before it, which must not see it.
 //
 // Clones come in two kinds: a throwaway that is mutated once, and retained
 // ones. A retained clone is kept with the model frozen at its birth and must
@@ -29,6 +32,7 @@ func FuzzSlotIndex(f *testing.F) {
 	f.Add(uint8(7), []byte{0, 9, 0, 77, 0, 130, 13, 40, 0, 5, 15, 2, 17, 1, 19, 0})
 	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 0, 41, 20, 0, 11, 1, 22, 0, 13, 30, 20, 0, 15, 3, 22, 1, 0, 12, 22, 0, 8, 0})
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 21, 0, 22, 0, 21, 0, 16, 1, 22, 1, 14, 9, 23, 0, 0, 7})
+	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 24, 3, 21, 0, 24, 8, 25, 1, 25, 2, 14, 40, 24, 5, 22, 0, 24, 9})
 
 	f.Fuzz(func(t *testing.T, targetRaw uint8, ops []byte) {
 		target := 1 + int(targetRaw)%64
@@ -114,6 +118,15 @@ func FuzzSlotIndex(f *testing.F) {
 				mb := retained[int(arg)%len(retained)]
 				ix, mb.ix = mb.ix, ix
 				model, mb.model = mb.model, model
+			case op == 24 || op == 25: // horizon extension; 25 always misuses it
+				seq := uint32(arg)*2654435761 + uint32(i)
+				draw := func(n int) int {
+					seq = seq*1664525 + 1013904223
+					return int(seq>>8) % n
+				}
+				misuse := op == 25
+				grows, run := extendArgs(model, nodes, draw, misuse)
+				model = checkExtend(t, fmt.Sprintf("op %d", i), ix, model, grows, run, misuse)
 			default: // query
 				f := Filter{MinPerf: float64(int(arg) % 5)}
 				if arg%2 == 1 {
@@ -165,9 +178,9 @@ func FuzzSlotIndex(f *testing.F) {
 // TestIndexMutationSurfaceModel is the deterministic twin of FuzzSlotIndex:
 // the fuzz target only replays its seed corpus under plain `go test`, so this
 // property test drives the full Index mutation surface — including the live
-// vacant-store maintenance ops TrimBefore, DropNode, RemoveExact and Clone —
-// through long seeded random interleavings against the naive slice model on
-// every run.
+// vacant-store maintenance ops TrimBefore, DropNode, RemoveExact, Clone and
+// Extend — through long seeded random interleavings against the naive slice
+// model on every run.
 func TestIndexMutationSurfaceModel(t *testing.T) {
 	nodes := propNodes(6)
 	for seed := uint64(1); seed <= 30; seed++ {
@@ -176,7 +189,7 @@ func TestIndexMutationSurfaceModel(t *testing.T) {
 		ix := NewIndexSize(NewList(nil), target, nil)
 		model := listModel{}
 		for step := 0; step < 200; step++ {
-			switch op := rng.IntN(20); {
+			switch op := rng.IntN(22); {
 			case op < 8:
 				s := randomSlot(rng, nodes)
 				ix.Insert(s)
@@ -228,6 +241,10 @@ func TestIndexMutationSurfaceModel(t *testing.T) {
 						t.Fatalf("seed %d step %d: mutating a clone changed the original", seed, step)
 					}
 				}
+			case op >= 20:
+				misuse := op == 21
+				grows, run := extendArgs(model, nodes, rng.IntN, misuse)
+				model = checkExtend(t, fmt.Sprintf("seed %d step %d", seed, step), ix, model, grows, run, misuse)
 			default:
 				f := Filter{MinPerf: float64(rng.IntN(5))}
 				if rng.Bool(0.5) {

@@ -1,7 +1,9 @@
 package slot
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,26 +39,30 @@ func NewList(slots []Slot) *List {
 	return l
 }
 
-func less(a, b Slot) bool {
+func less(a, b Slot) bool { return compare(a, b) < 0 }
+
+// compare is the canonical order as a three-way comparison — start time,
+// then node ID (nil node first), then end time — the form the slices sorts
+// take and the one less is built on.
+func compare(a, b Slot) int {
 	if a.Start() != b.Start() {
-		return a.Start() < b.Start()
+		return cmp.Compare(a.Start(), b.Start())
 	}
-	var an, bn resource.NodeID = -1, -1
-	if a.Node != nil {
-		an = a.Node.ID
+	if an, bn := nodeID(a), nodeID(b); an != bn {
+		return cmp.Compare(an, bn)
 	}
-	if b.Node != nil {
-		bn = b.Node.ID
-	}
-	if an != bn {
-		return an < bn
-	}
-	return a.End() < b.End()
+	return cmp.Compare(a.End(), b.End())
 }
 
-func (l *List) sort() {
-	sort.SliceStable(l.slots, func(i, j int) bool { return less(l.slots[i], l.slots[j]) })
+// nodeID is the slot's node ID for ordering, -1 for a nil node.
+func nodeID(s Slot) resource.NodeID {
+	if s.Node == nil {
+		return -1
+	}
+	return s.Node.ID
 }
+
+func (l *List) sort() { slices.SortStableFunc(l.slots, compare) }
 
 // Less reports whether a orders strictly before b in the canonical list order:
 // start time, then node ID (nil node first), then end time. It is the total

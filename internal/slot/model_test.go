@@ -2,6 +2,7 @@ package slot
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -75,6 +76,93 @@ func (m listModel) trimBefore(cut sim.Time) (out listModel, dropped, trimmed int
 		out = out.insert(s)
 	}
 	return out, dropped, trimmed
+}
+
+// extend applies Index.Extend's contract eagerly: each grow moves the end of
+// the first slot with its node and span, and the run is sorted and appended.
+// ok is false, and the model unchanged, exactly when Extend must refuse.
+func (m listModel) extend(grows []Grow, run []Slot) (out listModel, ok bool) {
+	out = m.clone()
+	seen := make(map[int]bool)
+	for _, g := range grows {
+		at := slices.IndexFunc(m, func(s Slot) bool { return s.Node == g.Slot.Node && s.Span == g.Slot.Span })
+		if at < 0 || g.End <= g.Slot.End() || seen[at] {
+			return m, false
+		}
+		seen[at] = true
+		out[at].Span.End = g.End
+	}
+	for i := 1; i < len(out); i++ {
+		if less(out[i], out[i-1]) {
+			return m, false
+		}
+	}
+	sorted := slices.Clone(run)
+	sort.SliceStable(sorted, func(i, j int) bool { return less(sorted[i], sorted[j]) })
+	for k, s := range sorted {
+		switch {
+		case s.Empty(),
+			k > 0 && !less(sorted[k-1], s),
+			k == 0 && len(out) > 0 && !less(out[len(out)-1], s):
+			return m, false
+		}
+	}
+	return append(out, sorted...), true
+}
+
+// extendArgs draws the arguments of one Extend against the model's contents:
+// up to three grows of held slots and a run of up to four slots starting
+// after the last held one. Random draws can still be refused (a slot grown
+// twice, a grow that reorders, two run slots that tie). With misuse set, the
+// call also carries one thing Extend must always refuse: a grow of a slot the
+// index does not hold, or a run slot that does not order after the last held
+// one.
+func extendArgs(m listModel, nodes []*resource.Node, draw func(n int) int, misuse bool) ([]Grow, []Slot) {
+	var grows []Grow
+	for k := draw(4); k > 0 && len(m) > 0; k-- {
+		s := m[draw(len(m))]
+		grows = append(grows, Grow{Slot: s, End: s.End() + sim.Time(1+draw(20))})
+	}
+	var base sim.Time
+	if len(m) > 0 {
+		base = m[len(m)-1].Start() + 1
+	}
+	var run []Slot
+	for k := draw(5); k > 0; k-- {
+		start := base + sim.Time(draw(30))
+		run = append(run, New(nodes[draw(len(nodes))], start, start+sim.Time(1+draw(40))))
+	}
+	switch {
+	case !misuse:
+	case len(m) == 0 || draw(2) == 0:
+		grows = append(grows, Grow{Slot: New(nodes[draw(len(nodes))], -50, -10), End: 0})
+	default:
+		run = append(run, m[len(m)-1])
+	}
+	return grows, run
+}
+
+// checkExtend runs one Extend on ix and its model with a clone of ix alive
+// across the call: the result must match the model's verdict, a refusal must
+// leave ix as it was, and the clone must not see the call either way.
+func checkExtend(t *testing.T, label string, ix *Index, m listModel, grows []Grow, run []Slot, misuse bool) listModel {
+	t.Helper()
+	pre := ix.Clone(nil)
+	want, ok := m.extend(grows, run)
+	err := ix.Extend(grows, slices.Clone(run))
+	switch {
+	case misuse && err == nil:
+		t.Fatalf("%s: Extend(%v, %v) accepted a misuse", label, grows, run)
+	case ok != (err == nil):
+		t.Fatalf("%s: Extend(%v, %v) = %v, model accepts: %v", label, grows, run, err, ok)
+	}
+	if err := pre.CheckInvariants(); err != nil {
+		t.Fatalf("%s: clone taken before Extend: %v", label, err)
+	}
+	if !m.matches(pre) {
+		t.Fatalf("%s: clone taken before Extend changed\nclone: %v\nmodel: %v", label, pre.List().Slots(), []Slot(m))
+	}
+	return want
 }
 
 // equalTo compares the model against a List slot by slot.
@@ -175,7 +263,7 @@ type cowMember struct {
 func mutateMember(t *testing.T, label string, rng *sim.RNG, nodes []*resource.Node, mb *cowMember) {
 	t.Helper()
 	ix := mb.ix
-	switch op := rng.IntN(12); {
+	switch op := rng.IntN(14); {
 	case op < 4 || ix.Len() == 0:
 		s := randomSlot(rng, nodes)
 		ix.Insert(s)
@@ -205,6 +293,10 @@ func mutateMember(t *testing.T, label string, rng *sim.RNG, nodes []*resource.No
 		if got := ix.DropNode(n); got != want {
 			t.Fatalf("%s: DropNode(%s) = %d, model says %d", label, n.Name, got, want)
 		}
+	case op >= 12:
+		misuse := op == 13
+		grows, run := extendArgs(mb.model, nodes, rng.IntN, misuse)
+		mb.model = checkExtend(t, label, ix, mb.model, grows, run, misuse)
 	default:
 		cut := sim.Time(rng.IntN(300))
 		var wantDropped, wantTrimmed int
@@ -219,10 +311,10 @@ func mutateMember(t *testing.T, label string, rng *sim.RNG, nodes []*resource.No
 // value semantics: a family of indexes grows by Clone — of the origin, of
 // clones, of clones of clones — and every step mutates a random member
 // through the full surface (Insert, RemoveExact, SubtractInterval, DropNode,
-// TrimBefore). After every step every member, written or not, must equal its
-// own eagerly-copied model and hold the bucket invariants. Small targets make
-// every write cross a bucket boundary sooner or later; 256 keeps everything
-// in one shared bucket.
+// TrimBefore, and Extend both accepted and refused). After every step every
+// member, written or not, must equal its own eagerly-copied model and hold
+// the bucket invariants. Small targets make every write cross a bucket
+// boundary sooner or later; 256 keeps everything in one shared bucket.
 func TestIndexModelCOW(t *testing.T) {
 	for _, target := range []int{1, 2, 4, 256} {
 		for seed := uint64(1); seed <= 12; seed++ {

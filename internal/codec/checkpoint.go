@@ -8,8 +8,15 @@
 package codec
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
+	"math"
+	"math/bits"
+	"reflect"
+	"strconv"
+	"unicode/utf8"
 
 	"ecosched/internal/gridsim"
 	"ecosched/internal/metasched"
@@ -123,73 +130,268 @@ type retryStatsJSON struct {
 	DroppedDeadline  int `json:"dropped_deadline,omitempty"`
 }
 
-// EncodeCheckpoint serializes the checkpoint as magic + one CRC frame.
+// EncodeCheckpoint serializes the checkpoint as magic + one CRC frame. The
+// payload is byte for byte the encoding/json document of checkpointJSON.
+// The grid section — nearly all of a checkpoint — is appended straight into
+// the output: one pass bounds the encoded length (and rejects the floats
+// JSON cannot represent), the buffer is allocated once behind the magic and
+// frame header, and the length and CRC are filled in last. The small
+// scheduler section is json.Marshal of schedStateJSON. DecodeCheckpoint
+// uses the strict encoding/json decoder, an independent check on this
+// encoder.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if cp == nil || cp.Grid == nil || cp.Sched == nil {
 		return nil, fmt.Errorf("codec: incomplete checkpoint")
 	}
-	doc := checkpointJSON{
-		Version:       CheckpointVersion,
-		Seq:           cp.Seq,
-		JournalOffset: cp.JournalOffset,
-		Rounds:        cp.Rounds,
+	sched, err := json.Marshal(schedToWire(cp.Sched))
+	if err != nil {
+		return nil, fmt.Errorf("codec: %w", err)
 	}
-	doc.Grid.Now = int64(cp.Grid.Now)
-	for _, f := range cp.Grid.Failed {
-		doc.Grid.Failed = append(doc.Grid.Failed, failureJSON{Node: f.Node, At: int64(f.At)})
+	gridLen, err := gridBound(cp.Grid)
+	if err != nil {
+		return nil, err
 	}
-	for _, t := range cp.Grid.Tasks {
-		doc.Grid.Tasks = append(doc.Grid.Tasks, taskJSON{
-			Name:    t.Name,
-			Node:    t.Node,
-			Start:   int64(t.Span.Start),
-			End:     int64(t.Span.End),
-			Local:   t.Local,
-			Cost:    float64(t.Cost),
-			Charged: float64(t.Charged),
-		})
+	const head = len(CheckpointMagic) + frameHeaderLen
+	size := head + len(`{"v":,"seq":,"journal_offset":,"rounds":,"grid":,"sched":}`) + 4*maxIntLen + gridLen + len(sched)
+	b := make([]byte, head, size) // the frame header is filled in last
+	copy(b, CheckpointMagic)
+	b = append(b, `{"v":`...)
+	b = strconv.AppendInt(b, CheckpointVersion, 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendUint(b, cp.Seq, 10)
+	b = append(b, `,"journal_offset":`...)
+	b = strconv.AppendInt(b, cp.JournalOffset, 10)
+	b = append(b, `,"rounds":`...)
+	b = strconv.AppendInt(b, int64(cp.Rounds), 10)
+	b = append(b, `,"grid":`...)
+	b = appendGrid(b, cp.Grid)
+	b = append(b, `,"sched":`...)
+	b = append(b, sched...)
+	b = append(b, '}')
+	payload := b[head:]
+	binary.BigEndian.PutUint32(b[len(CheckpointMagic):], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[len(CheckpointMagic)+4:], crc32.ChecksumIEEE(payload))
+	return b, nil
+}
+
+// maxIntLen bounds one encoded int64 or uint64. maxFloatLen bounds one
+// encoded float64: a sign, then either "0.00000" and 17 significant digits
+// (the widest 'f' form json uses) or 17 digits, a point and "e-308".
+const (
+	maxIntLen   = len("-9223372036854775808")
+	maxFloatLen = len("-0.00000") + 17
+)
+
+// gridBound returns an upper bound on the encoded length of the grid
+// section: keys, punctuation and plain strings at their exact lengths,
+// integers at intBound, strings needing escapes at six bytes per input byte
+// (json's widest escape), and floats at maxFloatLen. It rejects NaN and
+// ±Inf, as encoding/json does, so appendGrid cannot fail.
+func gridBound(g *gridsim.GridState) (int, error) {
+	n := len(`{"now":,"failed":[],"tasks":[],"income":[]}`) + intBound(int64(g.Now))
+	for _, f := range g.Failed {
+		n += len(`{"node":,"at":},`) + stringBound(f.Node) + intBound(int64(f.At))
 	}
-	for _, in := range cp.Grid.Income {
-		doc.Grid.Income = append(doc.Grid.Income, domainSumJSON{Domain: in.Domain, Amount: float64(in.Amount)})
+	for i := range g.Tasks {
+		t := &g.Tasks[i]
+		n += len(`{"name":,"node":,"start":,"end":},`) + stringBound(t.Name) + stringBound(t.Node) +
+			intBound(int64(t.Span.Start)) + intBound(int64(t.Span.End))
+		if t.Local {
+			n += len(`,"local":true`)
+		}
+		for _, f := range [...]sim.Money{t.Cost, t.Charged} {
+			if f != 0 {
+				if err := checkFloat(float64(f)); err != nil {
+					return 0, err
+				}
+				n += len(`,"charged":`) + maxFloatLen // the longer of the two keys
+			}
+		}
 	}
-	doc.Sched.Iter = cp.Sched.Iter
-	doc.Sched.SeededTo = int64(cp.Sched.SeededTo)
-	for _, q := range cp.Sched.Queue {
-		doc.Sched.Queue = append(doc.Sched.Queue, queuedJSON{
+	for _, in := range g.Income {
+		if err := checkFloat(float64(in.Amount)); err != nil {
+			return 0, err
+		}
+		n += len(`{"domain":,"amount":},`) + stringBound(in.Domain) + maxFloatLen
+	}
+	return n, nil
+}
+
+// appendGrid appends the grid section as encoding/json writes gridStateJSON:
+// fields in declaration order, empty lists and zero omitempty values left
+// out. The floats were checked by gridBound.
+func appendGrid(b []byte, g *gridsim.GridState) []byte {
+	b = append(b, `{"now":`...)
+	b = strconv.AppendInt(b, int64(g.Now), 10)
+	if len(g.Failed) > 0 {
+		b = append(b, `,"failed":[`...)
+		for i, f := range g.Failed {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"node":`...)
+			b = appendString(b, f.Node)
+			b = append(b, `,"at":`...)
+			b = strconv.AppendInt(b, int64(f.At), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if len(g.Tasks) > 0 {
+		b = append(b, `,"tasks":[`...)
+		for i := range g.Tasks {
+			t := &g.Tasks[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"name":`...)
+			b = appendString(b, t.Name)
+			b = append(b, `,"node":`...)
+			b = appendString(b, t.Node)
+			b = append(b, `,"start":`...)
+			b = strconv.AppendInt(b, int64(t.Span.Start), 10)
+			b = append(b, `,"end":`...)
+			b = strconv.AppendInt(b, int64(t.Span.End), 10)
+			if t.Local {
+				b = append(b, `,"local":true`...)
+			}
+			if t.Cost != 0 {
+				b = append(b, `,"cost":`...)
+				b = appendFloat(b, float64(t.Cost))
+			}
+			if t.Charged != 0 {
+				b = append(b, `,"charged":`...)
+				b = appendFloat(b, float64(t.Charged))
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if len(g.Income) > 0 {
+		b = append(b, `,"income":[`...)
+		for i, in := range g.Income {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"domain":`...)
+			b = appendString(b, in.Domain)
+			b = append(b, `,"amount":`...)
+			b = appendFloat(b, float64(in.Amount))
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	return append(b, '}')
+}
+
+// plainByte marks the bytes encoding/json writes verbatim inside a string:
+// printable ASCII other than the quote, the backslash, and the HTML-escaped
+// <, > and &.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// plainString reports whether encoding/json writes s verbatim between quotes.
+func plainString(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !plainByte[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// stringBound bounds the encoded length of s, quotes included.
+func stringBound(s string) int {
+	if plainString(s) {
+		return len(s) + 2
+	}
+	return 6*len(s) + 2
+}
+
+// appendString appends s as encoding/json encodes it. Plain strings are
+// copied; anything else — escapes, non-ASCII, invalid UTF-8 — goes through
+// json.Marshal itself, so the rare case shares its rules exactly.
+func appendString(b []byte, s string) []byte {
+	if plainString(s) {
+		b = append(b, '"')
+		b = append(b, s...)
+		return append(b, '"')
+	}
+	q, _ := json.Marshal(s) // a string always marshals
+	return append(b, q...)
+}
+
+// checkFloat rejects the values encoding/json cannot represent, with its error.
+func checkFloat(f float64) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("codec: %w", &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)})
+	}
+	return nil
+}
+
+// appendFloat appends a finite f as encoding/json encodes a float64: the
+// shortest 'f' form, or the 'e' form outside [1e-6, 1e21) with a one-digit
+// negative exponent unpadded (e-07 becomes e-7).
+func appendFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// intBound bounds the bytes strconv.AppendInt writes for v: a sign and the
+// digits of the largest number with v's bit length b, 1 + ⌊b·log10 2⌋, which
+// ⌊b·1233/4096⌋ computes exactly for every b ≤ 64.
+func intBound(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	return n + bits.Len64(u)*1233>>12
+}
+
+// schedToWire converts the scheduler state to its wire form.
+func schedToWire(s *metasched.SchedulerState) schedStateJSON {
+	w := schedStateJSON{Iter: s.Iter, SeededTo: int64(s.SeededTo)}
+	for _, q := range s.Queue {
+		w.Queue = append(w.Queue, queuedJSON{
 			Job:        jobToWire(q.Job),
 			Postponed:  q.Postponed,
 			SubmitTick: int64(q.SubmitTick),
 			NotBefore:  int64(q.NotBefore),
 		})
 	}
-	for _, j := range cp.Sched.Placed {
-		doc.Sched.Placed = append(doc.Sched.Placed, jobToWire(j))
+	for _, j := range s.Placed {
+		w.Placed = append(w.Placed, jobToWire(j))
 	}
-	for _, f := range cp.Sched.FirstSubmit {
-		doc.Sched.FirstSubmit = append(doc.Sched.FirstSubmit, submitJSON{Name: f.Name, At: int64(f.At)})
+	for _, f := range s.FirstSubmit {
+		w.FirstSubmit = append(w.FirstSubmit, submitJSON{Name: f.Name, At: int64(f.At)})
 	}
-	for _, r := range cp.Sched.Retry {
-		doc.Sched.Retry = append(doc.Sched.Retry, retryJSON{Name: r.Name, Attempts: r.Attempts, Relaxations: r.Relaxations})
+	for _, r := range s.Retry {
+		w.Retry = append(w.Retry, retryJSON{Name: r.Name, Attempts: r.Attempts, Relaxations: r.Relaxations})
 	}
-	for _, d := range cp.Sched.Dropped {
-		doc.Sched.Dropped = append(doc.Sched.Dropped, dropJSON{Name: d.Name, Reason: d.Reason})
+	for _, d := range s.Dropped {
+		w.Dropped = append(w.Dropped, dropJSON{Name: d.Name, Reason: d.Reason})
 	}
-	doc.Sched.Stats = retryStatsJSON{
-		Cancelled:        cp.Sched.Stats.Cancelled,
-		Requeued:         cp.Sched.Stats.Requeued,
-		Relaxations:      cp.Sched.Stats.Relaxations,
-		DroppedExhausted: cp.Sched.Stats.DroppedExhausted,
-		DroppedDeadline:  cp.Sched.Stats.DroppedDeadline,
+	w.Stats = retryStatsJSON{
+		Cancelled:        s.Stats.Cancelled,
+		Requeued:         s.Stats.Requeued,
+		Relaxations:      s.Stats.Relaxations,
+		DroppedExhausted: s.Stats.DroppedExhausted,
+		DroppedDeadline:  s.Stats.DroppedDeadline,
 	}
-	doc.Sched.ArrivalsRNG = cp.Sched.ArrivalsRNG
-	payload, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("codec: %w", err)
-	}
-	out := make([]byte, 0, len(CheckpointMagic)+frameHeaderLen+len(payload))
-	out = append(out, CheckpointMagic...)
-	out = append(out, Frame(payload)...)
-	return out, nil
+	w.ArrivalsRNG = s.ArrivalsRNG
+	return w
 }
 
 // DecodeCheckpoint parses a checkpoint file's bytes. Structural damage — a

@@ -1,0 +1,266 @@
+package codec
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"reflect"
+	"runtime/debug"
+	"testing"
+
+	"ecosched/internal/gridsim"
+	"ecosched/internal/sim"
+)
+
+// oracleEncodeCheckpoint is the reference EncodeCheckpoint must match byte
+// for byte: the checkpoint converted to checkpointJSON and run through
+// json.Marshal, then framed behind the magic.
+func oracleEncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
+	doc := checkpointJSON{
+		Version:       CheckpointVersion,
+		Seq:           cp.Seq,
+		JournalOffset: cp.JournalOffset,
+		Rounds:        cp.Rounds,
+		Sched:         schedToWire(cp.Sched),
+	}
+	doc.Grid.Now = int64(cp.Grid.Now)
+	for _, f := range cp.Grid.Failed {
+		doc.Grid.Failed = append(doc.Grid.Failed, failureJSON{Node: f.Node, At: int64(f.At)})
+	}
+	for _, t := range cp.Grid.Tasks {
+		doc.Grid.Tasks = append(doc.Grid.Tasks, taskJSON{
+			Name:    t.Name,
+			Node:    t.Node,
+			Start:   int64(t.Span.Start),
+			End:     int64(t.Span.End),
+			Local:   t.Local,
+			Cost:    float64(t.Cost),
+			Charged: float64(t.Charged),
+		})
+	}
+	for _, in := range cp.Grid.Income {
+		doc.Grid.Income = append(doc.Grid.Income, domainSumJSON{Domain: in.Domain, Amount: float64(in.Amount)})
+	}
+	payload, err := json.Marshal(doc)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(CheckpointMagic), Frame(payload)...), nil
+}
+
+// checkAgainstOracle requires EncodeCheckpoint to give the oracle's bytes, or
+// both to fail, and the grid section to fit gridBound. It reports whether
+// the encoding succeeded.
+func checkAgainstOracle(t *testing.T, cp *Checkpoint) ([]byte, bool) {
+	t.Helper()
+	got, err := EncodeCheckpoint(cp)
+	want, werr := oracleEncodeCheckpoint(cp)
+	if (err != nil) != (werr != nil) {
+		t.Fatalf("encoder error %v, oracle error %v", err, werr)
+	}
+	if err != nil {
+		return nil, false
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("encoding differs from the oracle\n got %q\nwant %q", got, want)
+	}
+	bound, _ := gridBound(cp.Grid)
+	if n := len(appendGrid(nil, cp.Grid)); n > bound {
+		t.Fatalf("grid section is %d bytes, over its bound %d", n, bound)
+	}
+	return got, true
+}
+
+// TestEncodeCheckpointMatchesOracle covers the encoder's branches: present,
+// nil and empty lists; strings needing every kind of escape; and floats on
+// each side of json's format cut-offs, at ±0 and subnormal. Non-finite
+// floats must fail on both sides.
+func TestEncodeCheckpointMatchesOracle(t *testing.T) {
+	names := []string{
+		"", "plain-1", `<>&"\`, "a\x00b\x01\b\f\n\r\t\x1f\x7f", "zürich", "日本",
+		"\u2028\u2029", "\xff\xfe", "ok\xc3", "\xed\xa0\x80", "mix<é>\x02",
+	}
+	// Each special byte or rune alone in an otherwise plain name.
+	for _, c := range []string{"<", ">", "&", `"`, `\`, "\x00", "\b", "\x1f", "\x7f", "é", "\u2028", "\u2029", "\x80", "\xff"} {
+		names = append(names, "a"+c+"b")
+	}
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1.5, 33.25, 0.1, 123456789.125,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, math.Float64frombits(0x000f_ffff_ffff_ffff),
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), -math.Nextafter(1e-6, 0),
+		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)), -1e21,
+		1e-7, 1e22, -1e-7, 1.5e-300, 1e-10, math.MaxFloat64, -math.MaxFloat64,
+	}
+	cases := map[string]*Checkpoint{"sample": sampleCheckpoint()}
+	for _, lists := range []string{"nil", "empty"} {
+		cp := sampleCheckpoint()
+		cp.Grid.Failed, cp.Grid.Tasks, cp.Grid.Income = nil, nil, nil
+		if lists == "empty" {
+			cp.Grid.Failed, cp.Grid.Tasks, cp.Grid.Income = []gridsim.NodeFailureState{}, []gridsim.TaskState{}, []gridsim.DomainIncomeState{}
+		}
+		cases[lists+" lists"] = cp
+	}
+	for i, s := range names {
+		cp := sampleCheckpoint()
+		cp.Grid.Failed[0].Node = s
+		cp.Grid.Tasks[0].Name = s
+		cp.Grid.Tasks[1].Node = s
+		cp.Grid.Income[0].Domain = s
+		cases[fmt.Sprintf("name %d %q", i, s)] = cp
+	}
+	for i, f := range floats {
+		for _, sign := range []float64{1, -1} {
+			cp := sampleCheckpoint()
+			v := sim.Money(sign * f)
+			cp.Grid.Tasks[0].Cost, cp.Grid.Tasks[1].Charged, cp.Grid.Income[1].Amount = v, v, v
+			cases[fmt.Sprintf("float %d %v", i, v)] = cp
+		}
+	}
+	cp := sampleCheckpoint()
+	cp.Seq, cp.JournalOffset, cp.Rounds, cp.Grid.Now = math.MaxUint64, math.MinInt64, math.MaxInt64, math.MinInt64
+	cp.Grid.Tasks[0].Span = sim.Interval{Start: math.MinInt64, End: math.MaxInt64}
+	cases["extreme integers"] = cp
+	for name, cp := range cases {
+		t.Run(name, func(t *testing.T) {
+			if _, ok := checkAgainstOracle(t, cp); !ok {
+				t.Fatal("valid checkpoint rejected")
+			}
+		})
+	}
+
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*Checkpoint){
+			"cost":    func(cp *Checkpoint) { cp.Grid.Tasks[1].Cost = sim.Money(bad) },
+			"charged": func(cp *Checkpoint) { cp.Grid.Tasks[0].Charged = sim.Money(bad) },
+			"amount":  func(cp *Checkpoint) { cp.Grid.Income[0].Amount = sim.Money(bad) },
+		} {
+			cp := sampleCheckpoint()
+			set(cp)
+			if _, ok := checkAgainstOracle(t, cp); ok {
+				t.Errorf("%s = %v encoded", field, bad)
+			}
+		}
+	}
+}
+
+// FuzzCheckpointEncode builds a checkpoint from raw bytes and bits — strings
+// need not be valid UTF-8, floats may be any bit pattern — and requires the
+// encoder to match the oracle (or both to fail), and every encoding to
+// decode and re-encode to the same bytes.
+func FuzzCheckpointEncode(f *testing.F) {
+	f.Add([]byte("j1"), []byte("n2"), []byte("east"), math.Float64bits(120), math.Float64bits(0), math.Float64bits(33.25), int64(0), int64(30), true, uint8(0xff))
+	f.Add([]byte("< >"), []byte("\xff"), []byte(""), math.Float64bits(1e21), math.Float64bits(math.Copysign(0, -1)), math.Float64bits(1e-7), int64(-5), int64(7), false, uint8(0x0a))
+	f.Add([]byte("a"), []byte("b"), []byte("c"), math.Float64bits(math.NaN()), uint64(1), math.Float64bits(math.Inf(-1)), int64(1), int64(2), false, uint8(0x13))
+	f.Fuzz(func(t *testing.T, name, node, domain []byte, cost, charged, amount uint64, start, end int64, local bool, shape uint8) {
+		cp := sampleCheckpoint()
+		g := &gridsim.GridState{Now: sim.Time(start)}
+		// shape bits: failure count, task count (two bits), income count,
+		// and whether absent lists are nil or empty.
+		if shape&0x10 != 0 {
+			g.Failed, g.Tasks, g.Income = []gridsim.NodeFailureState{}, []gridsim.TaskState{}, []gridsim.DomainIncomeState{}
+		}
+		for i := 0; i < int(shape&1); i++ {
+			g.Failed = append(g.Failed, gridsim.NodeFailureState{Node: string(node), At: sim.Time(end)})
+		}
+		for i := 0; i < int(shape>>1&3); i++ {
+			g.Tasks = append(g.Tasks, gridsim.TaskState{
+				Name:    string(name),
+				Node:    string(node),
+				Span:    sim.Interval{Start: sim.Time(start), End: sim.Time(end)},
+				Local:   local != (i%2 == 1),
+				Cost:    sim.Money(math.Float64frombits(cost)),
+				Charged: sim.Money(math.Float64frombits(charged)),
+			})
+		}
+		for i := 0; i < int(shape>>3&1); i++ {
+			g.Income = append(g.Income, gridsim.DomainIncomeState{Domain: string(domain), Amount: sim.Money(math.Float64frombits(amount))})
+		}
+		cp.Grid = g
+		data, ok := checkAgainstOracle(t, cp)
+		if !ok {
+			return
+		}
+		// Decoding normalizes what JSON cannot carry (invalid UTF-8 becomes
+		// U+FFFD, an omitted -0 comes back as 0); from there the round trip
+		// is exact.
+		back, err := DecodeCheckpoint(data)
+		if err != nil {
+			t.Fatalf("own encoding failed to decode: %v", err)
+		}
+		again, ok := checkAgainstOracle(t, back)
+		if !ok {
+			t.Fatal("decoded checkpoint failed to encode")
+		}
+		back2, err := DecodeCheckpoint(again)
+		if err != nil {
+			t.Fatalf("re-encoding failed to decode: %v", err)
+		}
+		if !reflect.DeepEqual(back2, back) {
+			t.Fatalf("decode → encode → decode changed the checkpoint\n got %+v\nwant %+v", back2, back)
+		}
+	})
+}
+
+// bigCheckpoint is a checkpoint shaped like the 1000-node service's: n
+// owner-local tasks spread over 1000 nodes, one in ten a charged VO booking.
+func bigCheckpoint(n int) *Checkpoint {
+	cp := sampleCheckpoint()
+	cp.Grid.Tasks = make([]gridsim.TaskState, 0, n)
+	for i := 0; i < n; i++ {
+		k := sim.Time(i / 1000)
+		t := gridsim.TaskState{
+			Name:  fmt.Sprintf("p%d-%d", i%1000, k),
+			Node:  fmt.Sprintf("cpu%d", i%1000),
+			Span:  sim.Interval{Start: 1800 + 100*k, End: 1850 + 100*k},
+			Local: true,
+		}
+		if i%10 == 0 {
+			t.Local, t.Cost, t.Charged = false, sim.Money(i%97)+0.25, sim.Money(i%97)+0.25
+		}
+		cp.Grid.Tasks = append(cp.Grid.Tasks, t)
+	}
+	return cp
+}
+
+// TestEncodeCheckpointAllocsIndependentOfTasks: the output buffer is sized
+// once, so the encoder's allocation count does not grow with the tasks.
+func TestEncodeCheckpointAllocsIndependentOfTasks(t *testing.T) {
+	// Refilling encoding/json's encoder pool counts allocations the task
+	// count has no part in. A collection empties the pool, so GC is off; the
+	// race detector's sync.Pool drops items at random, so each count is the
+	// least of several single runs.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := func(n int) float64 {
+		cp := bigCheckpoint(n)
+		least := math.Inf(1)
+		for i := 0; i < 8; i++ {
+			least = math.Min(least, testing.AllocsPerRun(1, func() {
+				if _, err := EncodeCheckpoint(cp); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
+	}
+	if small, large := allocs(1_000), allocs(100_000); small != large {
+		t.Fatalf("EncodeCheckpoint allocates %v times at 1k tasks but %v at 100k", small, large)
+	}
+}
+
+var sinkCheckpoint []byte
+
+// BenchmarkEncodeCheckpoint encodes a 100k-task checkpoint, the size of the
+// 1000-node service's.
+func BenchmarkEncodeCheckpoint(b *testing.B) {
+	cp := bigCheckpoint(100_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		data, err := EncodeCheckpoint(cp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkCheckpoint = data
+	}
+}

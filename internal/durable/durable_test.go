@@ -1,6 +1,7 @@
 package durable_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -127,6 +128,51 @@ func TestJournalMetrics(t *testing.T) {
 	}
 	if rep.TornBytesDropped != 4 {
 		t.Fatalf("TornBytesDropped = %d, want 4", rep.TornBytesDropped)
+	}
+}
+
+// TestSyncCheckpointRecovers: with Options.Sync the checkpoint goes through
+// the fsync path (temp file, rename, directory), writes the same bytes as
+// without it, and recovers to the live session's state hash.
+func TestSyncCheckpointRecovers(t *testing.T) {
+	var ckpts [2][]byte
+	for i, sync := range []bool{false, true} {
+		dir := t.TempDir()
+		opts := durable.Options{
+			JournalPath:     filepath.Join(dir, "s.journal"),
+			CheckpointPath:  filepath.Join(dir, "s.ckpt"),
+			CheckpointEvery: 2,
+			Sync:            sync,
+		}
+		ds := miniSession(t, opts)
+		want := durable.StateHash(ds.Unwrap())
+		if err := ds.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(opts.CheckpointPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts[i] = data
+		if _, err := os.Stat(opts.CheckpointPath + ".tmp"); !os.IsNotExist(err) {
+			t.Fatalf("sync=%v: temp file left behind (%v)", sync, err)
+		}
+		rds, rep, err := durable.Recover(opts, fuzzFactory)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.CheckpointUsed {
+			t.Fatalf("sync=%v: recovery ignored the checkpoint", sync)
+		}
+		if got := durable.StateHash(rds.Unwrap()); got != want {
+			t.Fatalf("sync=%v: recovered state hash %016x, want %016x", sync, got, want)
+		}
+		if err := rds.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(ckpts[0], ckpts[1]) {
+		t.Fatal("Sync changed the checkpoint bytes")
 	}
 }
 

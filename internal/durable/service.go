@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -24,10 +25,11 @@ type Options struct {
 	// CheckpointEvery writes a checkpoint after every N completed rounds;
 	// 0 disables automatic checkpoints (Checkpoint can still be called).
 	CheckpointEvery int
-	// Sync fsyncs the journal after every append. Off by default: the
-	// crash-injection harness models crashes by truncating bytes, which is
-	// exactly the guarantee the frame CRCs defend, and real deployments can
-	// opt in for power-loss safety.
+	// Sync fsyncs the journal after every append, and each checkpoint's
+	// temp file before the rename that publishes it and the checkpoint's
+	// directory after. Off by default: the crash-injection harness models
+	// crashes by truncating bytes, which is exactly the guarantee the frame
+	// CRCs defend, and real deployments can opt in for power-loss safety.
 	Sync bool
 	// Metrics receives the metasched/durable/* instruments; nil disables
 	// observability with zero allocation on the hot path.
@@ -232,7 +234,9 @@ func (ds *Service) Tick() (*metasched.IterationReport, error) {
 // Checkpoint snapshots the complete canonical state — grid and scheduler —
 // stamped with the journal position it corresponds to, and
 // writes it atomically (temp file + rename), so a crash mid-checkpoint
-// leaves the previous checkpoint intact.
+// leaves the previous checkpoint intact. With Options.Sync the temp file is
+// fsynced before the rename and the directory after it, so the published
+// checkpoint also survives power loss.
 func (ds *Service) Checkpoint() error {
 	if ds.opts.CheckpointPath == "" {
 		return fmt.Errorf("durable: no checkpoint path configured")
@@ -255,14 +259,50 @@ func (ds *Service) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	tmp := ds.opts.CheckpointPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("durable: write checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, ds.opts.CheckpointPath); err != nil {
-		return fmt.Errorf("durable: publish checkpoint: %w", err)
+	if err := writeCheckpoint(ds.opts.CheckpointPath, data, ds.opts.Sync); err != nil {
+		return err
 	}
 	ds.m.checkpointWritten()
+	return nil
+}
+
+// writeCheckpoint writes data to path+".tmp" and renames it over path. With
+// sync set it fsyncs the temp file before the rename and path's directory
+// after it, so the rename cannot reach the disk ahead of the bytes it
+// publishes, nor be lost itself.
+func writeCheckpoint(path string, data []byte, sync bool) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("durable: write checkpoint: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("durable: write checkpoint: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("durable: publish checkpoint: %w", err)
+	}
+	if !sync {
+		return nil
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("durable: sync checkpoint directory: %w", err)
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("durable: sync checkpoint directory: %w", err)
+	}
 	return nil
 }
 

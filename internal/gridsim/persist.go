@@ -51,19 +51,26 @@ type GridState struct {
 
 // ExportState captures the grid's observable state as a GridState. The
 // snapshot shares nothing with the grid — mutating either afterwards leaves
-// the other untouched.
+// the other untouched. The task list is allocated once, at its final length,
+// so the export allocates nothing per booking.
 func (g *Grid) ExportState() *GridState {
 	st := &GridState{Now: g.now}
+	booked := 0
 	for _, n := range g.pool.Nodes() {
 		if at, down := g.failed[n.ID]; down {
 			st.Failed = append(st.Failed, NodeFailureState{Node: n.Label(), At: at})
 		}
+		booked += len(g.booked[n.ID])
+	}
+	if booked > 0 {
+		st.Tasks = make([]TaskState, 0, booked)
 	}
 	for _, n := range g.pool.Nodes() {
+		label := n.Label()
 		for _, t := range g.booked[n.ID] {
 			st.Tasks = append(st.Tasks, TaskState{
 				Name:    t.Name,
-				Node:    n.Label(),
+				Node:    label,
 				Span:    t.Span,
 				Local:   t.Local,
 				Cost:    t.Cost,
@@ -98,9 +105,17 @@ func (g *Grid) RestoreState(st *GridState) error {
 	if st == nil {
 		return fmt.Errorf("gridsim: nil grid state")
 	}
+	// One label lookup per task: the first node with a label wins, as in
+	// Pool.ByName.
+	byLabel := make(map[string]*resource.Node, g.pool.Size())
+	for _, n := range g.pool.Nodes() {
+		if l := n.Label(); byLabel[l] == nil {
+			byLabel[l] = n
+		}
+	}
 	booked := make(map[resource.NodeID][]Task)
 	for _, ts := range st.Tasks {
-		n := g.pool.ByName(ts.Node)
+		n := byLabel[ts.Node]
 		if n == nil {
 			return fmt.Errorf("gridsim: restore: task %s references unknown node %q", ts.Name, ts.Node)
 		}
@@ -128,7 +143,7 @@ func (g *Grid) RestoreState(st *GridState) error {
 	}
 	failed := make(map[resource.NodeID]sim.Time)
 	for _, f := range st.Failed {
-		n := g.pool.ByName(f.Node)
+		n := byLabel[f.Node]
 		if n == nil {
 			return fmt.Errorf("gridsim: restore: failure mark references unknown node %q", f.Node)
 		}

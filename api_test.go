@@ -1,0 +1,416 @@
+package ecosched_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// modulePath is the import path of the repository root (go.mod).
+const modulePath = "ecosched"
+
+// apiAllowlist names the exported functions and methods that may stay
+// without a caller in a non-test file, each with its reason. Keys are the
+// package path relative to the module root, then the function or
+// Type.Method. TestExportedAPIHasProductionCaller fails on an entry that is
+// gone or has gained a caller, so the list can only shrink.
+var apiAllowlist = map[string]string{
+	// The root package is the library's public face; its callers are the
+	// users of the library (example_test.go shows them).
+	".": "root facade",
+
+	// Reference implementations the production paths are pinned against.
+	"internal/dp.ComputeLimitsDense":           "DESIGN.md §8 oracle",
+	"internal/dp.MinimizeCostDense":            "DESIGN.md §8 oracle",
+	"internal/dp.MinimizeTimeDense":            "DESIGN.md §8 oracle",
+	"internal/gridsim.Grid.RebuildVacantSlots": "DESIGN.md §8 oracle",
+	"internal/slot.List.SubtractWindow":        "DESIGN.md §8 oracle",
+
+	// Fixture constructors the tests of several packages share.
+	"internal/job.MustNewBatch":     "cross-package test helper",
+	"internal/resource.MustNewPool": "cross-package test helper",
+
+	// Test-only exports that ROADMAP item 4 deletes, moves into tests, or
+	// gives a production caller.
+	"internal/alloc.SearchResult.AlternativesPerJob": "pending ROADMAP item 4",
+	"internal/alloc.SearchResult.Remaining":          "pending ROADMAP item 4",
+	"internal/backfill.Cluster.Reserve":              "pending ROADMAP item 4",
+	"internal/backfill.Cluster.Size":                 "pending ROADMAP item 4",
+	"internal/backfill.Schedule.MeanWait":            "pending ROADMAP item 4",
+	"internal/backfill.Schedule.Utilization":         "pending ROADMAP item 4",
+	"internal/dp.MaxIncome":                          "pending ROADMAP item 4",
+	"internal/fault.Session.Drain":                   "pending ROADMAP item 4",
+	"internal/fault.Session.Resume":                  "pending ROADMAP item 4",
+	"internal/fault.Storm":                           "pending ROADMAP item 4",
+	"internal/gantt.Chart.SortRows":                  "pending ROADMAP item 4",
+	"internal/job.Batch.ByName":                      "pending ROADMAP item 4",
+	"internal/job.Batch.TotalEtalonTime":             "pending ROADMAP item 4",
+	"internal/job.Batch.TotalSlotDemand":             "pending ROADMAP item 4",
+	"internal/mc.ParseScript":                        "pending ROADMAP item 4",
+	"internal/mc.SessionTranscripts":                 "pending ROADMAP item 4",
+	"internal/metasched.Plan.CanonicalState":         "pending ROADMAP item 4",
+	"internal/metasched.Plan.Jobs":                   "pending ROADMAP item 4",
+	"internal/metasched.Plan.Windows":                "pending ROADMAP item 4",
+	"internal/metrics.Gauge.Add":                     "pending ROADMAP item 4",
+	"internal/metrics.Gauge.SetMax":                  "pending ROADMAP item 4",
+	"internal/metrics.Snapshot.Counter":              "pending ROADMAP item 4",
+	"internal/metrics.Snapshot.Gauge":                "pending ROADMAP item 4",
+	"internal/metrics.Snapshot.HistogramCount":       "pending ROADMAP item 4",
+	"internal/resource.ExponentialPricing.Validate":  "pending ROADMAP item 4",
+	"internal/resource.Node.PriceQuality":            "pending ROADMAP item 4",
+	"internal/resource.Node.UsageCost":               "pending ROADMAP item 4",
+	"internal/resource.Pool.Matching":                "pending ROADMAP item 4",
+	"internal/resource.Pool.TotalPerformance":        "pending ROADMAP item 4",
+	"internal/shard.Partition.Split":                 "pending ROADMAP item 4",
+	"internal/sim.Duration.Max":                      "pending ROADMAP item 4",
+	"internal/sim.Duration.Min":                      "pending ROADMAP item 4",
+	"internal/sim.Interval.Contains":                 "pending ROADMAP item 4",
+	"internal/sim.Money.Round":                       "pending ROADMAP item 4",
+	"internal/sim.NewInterval":                       "pending ROADMAP item 4",
+	"internal/sim.Time.After":                        "pending ROADMAP item 4",
+	"internal/sim.Time.Before":                       "pending ROADMAP item 4",
+	"internal/slot.Index.AliveAt":                    "pending ROADMAP item 4",
+	"internal/slot.Index.Buckets":                    "pending ROADMAP item 4",
+	"internal/slot.Index.RemoveAt":                   "pending ROADMAP item 4",
+	"internal/slot.List.Clone":                       "pending ROADMAP item 4",
+	"internal/slot.List.Coalesce":                    "pending ROADMAP item 4",
+	"internal/slot.List.Nodes":                       "pending ROADMAP item 4",
+	"internal/slot.List.OverlapOnSameNode":           "pending ROADMAP item 4",
+	"internal/slot.List.TotalTime":                   "pending ROADMAP item 4",
+	"internal/slot.List.Validate":                    "pending ROADMAP item 4",
+	"internal/slot.Slot.CanHostFrom":                 "pending ROADMAP item 4",
+	"internal/slot.Slot.SameNode":                    "pending ROADMAP item 4",
+	"internal/slot.Slot.UsageCost":                   "pending ROADMAP item 4",
+	"internal/slot.Window.MaxSlotPrice":              "pending ROADMAP item 4",
+	"internal/slot.Window.Size":                      "pending ROADMAP item 4",
+	"internal/stats.Histogram.Add":                   "pending ROADMAP item 4",
+	"internal/stats.Histogram.Render":                "pending ROADMAP item 4",
+	"internal/stats.Histogram.Total":                 "pending ROADMAP item 4",
+	"internal/stats.NewHistogram":                    "pending ROADMAP item 4",
+	"internal/stats.Online.N":                        "pending ROADMAP item 4",
+	"internal/stats.Online.Sum":                      "pending ROADMAP item 4",
+	"internal/stats.Series.Head":                     "pending ROADMAP item 4",
+	"internal/stats.Series.Mean":                     "pending ROADMAP item 4",
+	"internal/strategy.Strategy.Validate":            "pending ROADMAP item 4",
+	"internal/trace.Recorder.ByJob":                  "pending ROADMAP item 4",
+	"internal/trace.Recorder.ByKind":                 "pending ROADMAP item 4",
+	"internal/trace.Recorder.Dropped":                "pending ROADMAP item 4",
+	"internal/trace.Recorder.Len":                    "pending ROADMAP item 4",
+	"internal/trace.Recorder.Render":                 "pending ROADMAP item 4",
+}
+
+// TestExportedAPIHasProductionCaller keeps test-only API from regrowing:
+// every exported function, and every exported method of an exported type,
+// declared in a non-test file of the module must be referenced from a
+// non-test file outside its own declaration. The benchmark harness (bench/,
+// a nested module) counts as a caller. A method also counts as referenced
+// when it implements a method of an interface declared in the module, or is
+// a String or Error method. Exceptions are listed, with reasons, in
+// apiAllowlist.
+func TestExportedAPIHasProductionCaller(t *testing.T) {
+	l := newModuleLoader(t)
+	var paths []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !d.IsDir() {
+			return nil
+		}
+		name := d.Name()
+		if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		if hasSourceFiles(path) {
+			paths = append(paths, importPath(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := make([]*sourcePackage, 0, len(paths))
+	for _, path := range paths {
+		p, err := l.load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkgs = append(pkgs, p)
+	}
+
+	exports := collectExports(l.fset, pkgs)
+	ifaces := moduleInterfaces(pkgs)
+	referenced := make(map[string]bool)
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok {
+				continue
+			}
+			key := funcKey(fn.Origin())
+			if e, ok := exports[key]; ok && (id.Pos() < e.start || id.Pos() >= e.end) {
+				referenced[key] = true
+			}
+		}
+	}
+	for key, e := range exports {
+		if e.fn.Name() == "String" || e.fn.Name() == "Error" || implementsModuleInterface(e.fn, ifaces) {
+			referenced[key] = true
+		}
+	}
+
+	var missing []string
+	for key, e := range exports {
+		if referenced[key] {
+			continue
+		}
+		if _, ok := apiAllowlist[key]; ok {
+			continue
+		}
+		if _, ok := apiAllowlist[e.pkgKey]; ok {
+			continue
+		}
+		missing = append(missing, fmt.Sprintf("%s (%s)", key, e.pos))
+	}
+	sort.Strings(missing)
+	for _, m := range missing {
+		t.Errorf("exported %s has no caller in a non-test file: delete it, move it into the test that uses it, or give it a production caller", m)
+	}
+
+	for key, reason := range apiAllowlist {
+		if e, ok := exports[key]; ok {
+			if referenced[key] {
+				t.Errorf("allowlist entry %s (%s, declared at %s) now has a caller in a non-test file: remove it", key, reason, e.pos)
+			}
+			continue
+		}
+		// Otherwise the entry names a package; it stays valid while the
+		// package exports something only the allowlist keeps.
+		covers := false
+		for k, e := range exports {
+			covers = covers || (e.pkgKey == key && !referenced[k])
+		}
+		if !covers {
+			t.Errorf("allowlist entry %q (%s) names neither an unreferenced export nor a package holding one: remove it", key, reason)
+		}
+	}
+}
+
+// sourcePackage is one package of the module, type-checked from its non-test
+// files.
+type sourcePackage struct {
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// moduleLoader type-checks the module's packages, and the benchmark
+// harness's, from source. Other imports (the standard library) go through
+// the source importer.
+type moduleLoader struct {
+	fset *token.FileSet
+	std  types.Importer
+	pkgs map[string]*sourcePackage
+}
+
+func newModuleLoader(t *testing.T) *moduleLoader {
+	t.Helper()
+	// The module uses no cgo: type-check the standard library's pure-Go
+	// files so that no C toolchain is needed.
+	build.Default.CgoEnabled = false
+	fset := token.NewFileSet()
+	return &moduleLoader{fset: fset, std: importer.ForCompiler(fset, "source", nil), pkgs: make(map[string]*sourcePackage)}
+}
+
+// Import implements types.Importer.
+func (l *moduleLoader) Import(path string) (*types.Package, error) {
+	if path != modulePath && !strings.HasPrefix(path, modulePath+"/") {
+		return l.std.Import(path)
+	}
+	p, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.pkg, nil
+}
+
+func (l *moduleLoader) load(path string) (*sourcePackage, error) {
+	if p, ok := l.pkgs[path]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return p, nil
+	}
+	l.pkgs[path] = nil
+	dir := filepath.Join(".", filepath.FromSlash(strings.TrimPrefix(path, modulePath)))
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	p := &sourcePackage{info: &types.Info{
+		Defs: make(map[*ast.Ident]types.Object),
+		Uses: make(map[*ast.Ident]types.Object),
+	}}
+	for _, e := range entries {
+		if !isSourceFile(e) {
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: l}
+	if p.pkg, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	return p, nil
+}
+
+func isSourceFile(e fs.DirEntry) bool {
+	name := e.Name()
+	return !e.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
+}
+
+func hasSourceFiles(dir string) bool {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return false
+	}
+	for _, e := range entries {
+		if isSourceFile(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// importPath maps a directory relative to the module root to its import
+// path; bench/ is the nested module ecosched/bench.
+func importPath(dir string) string {
+	if dir == "." {
+		return modulePath
+	}
+	return modulePath + "/" + filepath.ToSlash(dir)
+}
+
+// export is one exported function or method under test. A use between start
+// and end lies in its own declaration (a recursive call) and is no caller.
+type export struct {
+	fn         *types.Func
+	pkgKey     string
+	pos        token.Position
+	start, end token.Pos
+}
+
+// collectExports returns the exported functions, and the exported methods of
+// exported types, declared in the module's packages (bench/ only calls).
+func collectExports(fset *token.FileSet, pkgs []*sourcePackage) map[string]export {
+	out := make(map[string]export)
+	for _, p := range pkgs {
+		if p.pkg.Path() == modulePath+"/bench" {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				if recv := receiverType(fn); recv != nil && !recv.Obj().Exported() {
+					continue
+				}
+				out[funcKey(fn)] = export{fn: fn, pkgKey: relPath(p.pkg.Path()), pos: fset.Position(fd.Pos()),
+					start: fd.Pos(), end: fd.End()}
+			}
+		}
+	}
+	return out
+}
+
+// receiverType returns the named receiver type of a method, or nil for a
+// function.
+func receiverType(fn *types.Func) *types.Named {
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return nil
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, _ := t.(*types.Named)
+	return named
+}
+
+// funcKey names a function "pkg.Func" and a method "pkg.Type.Method", pkg
+// relative to the module root.
+func funcKey(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return fn.Name()
+	}
+	prefix := relPath(fn.Pkg().Path())
+	if recv := receiverType(fn); recv != nil {
+		return prefix + "." + recv.Obj().Name() + "." + fn.Name()
+	}
+	return prefix + "." + fn.Name()
+}
+
+func relPath(path string) string {
+	if path == modulePath {
+		return "."
+	}
+	return strings.TrimPrefix(path, modulePath+"/")
+}
+
+// moduleInterfaces returns the package-level interface types the module
+// declares.
+func moduleInterfaces(pkgs []*sourcePackage) []*types.Interface {
+	var out []*types.Interface
+	for _, p := range pkgs {
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if iface, ok := tn.Type().Underlying().(*types.Interface); ok && iface.NumMethods() > 0 {
+				out = append(out, iface)
+			}
+		}
+	}
+	return out
+}
+
+// implementsModuleInterface reports whether the method fn is how its
+// receiver type satisfies a method of one of ifaces.
+func implementsModuleInterface(fn *types.Func, ifaces []*types.Interface) bool {
+	recv := receiverType(fn)
+	if recv == nil || recv.TypeParams().Len() > 0 {
+		return false
+	}
+	for _, iface := range ifaces {
+		if !types.Implements(recv, iface) && !types.Implements(types.NewPointer(recv), iface) {
+			continue
+		}
+		for i := 0; i < iface.NumMethods(); i++ {
+			if iface.Method(i).Name() == fn.Name() {
+				return true
+			}
+		}
+	}
+	return false
+}

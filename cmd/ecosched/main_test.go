@@ -1,7 +1,8 @@
 package main
 
 import (
-	"io"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strings"
@@ -119,37 +120,61 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 	}
 }
 
+// capture runs the CLI with args and returns what it wrote to stdout; a run
+// error fails the test.
+func capture(t *testing.T, args []string) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	runErr := run(args)
+	os.Stdout = old
+	data, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("%v: %v\n%s", args, runErr, data)
+	}
+	return string(data)
+}
+
+// TestCLIOutputDigests pins the stdout of deterministic runs by sha256, so a
+// change that claims byte-identical CLI output is checked by go test rather
+// than by hand. A change that alters one of these outputs on purpose updates
+// its digest and says why.
+func TestCLIOutputDigests(t *testing.T) {
+	cases := []struct {
+		args   []string
+		sha256 string
+	}{
+		{[]string{"example"}, "5b0c2dcc7f1a4407b9bee3026caaff4f3ae22f14391328e620d853afb19a0613"},
+		{[]string{"gridsim"}, "268392a3dd4a0266fd8bd357c06d6442707391374ffb5a38596141d09b6e60e2"},
+		{[]string{"scaling"}, "d96c7a55369adf85371042a3d84c40fb69069f0b14c6e1424df947b19a7bf613"},
+		{[]string{"chaos"}, "7608a0904eb66b1fb15048c769b6023bd2746dccc0bcba2c6602c39ddef0d0d4"},
+		{[]string{"chaos", "-seed", "7", "-shards", "4"}, "a42e5e208c2428d0389d8b0d9c7498468acda26041ff8e26d870d3d6dcbef88b"},
+	}
+	for _, tc := range cases {
+		out := capture(t, tc.args)
+		sum := sha256.Sum256([]byte(out))
+		if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
+			t.Errorf("%v: stdout sha256 %s, want %s; output:\n%s", tc.args, got, tc.sha256, out)
+		}
+	}
+}
+
 // TestChaosJournalRecover drives the durability flags end to end: a journaled
 // chaos session, a recover that must reproduce it, and a second
 // recover that must print the identical canonical state hash — the CLI-level
 // version of the byte-identical recovery proof.
 func TestChaosJournalRecover(t *testing.T) {
-	old := os.Stdout
-	defer func() { os.Stdout = old }()
-
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "chaos.journal")
-	capture := func(args []string) string {
-		t.Helper()
-		r, w, err := os.Pipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		os.Stdout = w
-		runErr := run(args)
-		w.Close()
-		os.Stdout = old
-		data, err := io.ReadAll(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if runErr != nil {
-			t.Fatalf("%v: %v\n%s", args, runErr, data)
-		}
-		return string(data)
-	}
-
-	out := capture([]string{"chaos", "-journal", journal, "-checkpoint-every", "2", "-seed", "7"})
+	out := capture(t, []string{"chaos", "-journal", journal, "-checkpoint-every", "2", "-seed", "7"})
 	if !strings.Contains(out, "journal: "+journal) {
 		t.Fatalf("chaos output missing journal summary:\n%s", out)
 	}
@@ -157,13 +182,13 @@ func TestChaosJournalRecover(t *testing.T) {
 		t.Fatalf("checkpoint cadence wrote no checkpoint: %v", err)
 	}
 
-	rec1 := capture([]string{"recover", "-journal", journal, "-seed", "7"})
+	rec1 := capture(t, []string{"recover", "-journal", journal, "-seed", "7"})
 	for _, frag := range []string{"checkpoint + journal suffix", "audit clean", "state hash: "} {
 		if !strings.Contains(rec1, frag) {
 			t.Fatalf("recover output missing %q:\n%s", frag, rec1)
 		}
 	}
-	rec2 := capture([]string{"recover", "-journal", journal, "-seed", "7"})
+	rec2 := capture(t, []string{"recover", "-journal", journal, "-seed", "7"})
 	if rec1 != rec2 {
 		t.Fatalf("two recoveries of the same journal diverged\n--- first ---\n%s\n--- second ---\n%s", rec1, rec2)
 	}

@@ -147,8 +147,6 @@ type (
 	Service = metasched.Service
 	// IterationReport summarizes one scheduling iteration.
 	IterationReport = metasched.IterationReport
-	// DemandPricing scales published prices by grid utilization.
-	DemandPricing = metasched.DemandPricing
 	// TraceRecorder records scheduling decisions for inspection.
 	TraceRecorder = trace.Recorder
 	// TraceEvent is one recorded scheduling decision.

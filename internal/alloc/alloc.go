@@ -56,34 +56,24 @@ func (s *Stats) Add(other Stats) {
 // algorithm's policy admits) or report that none exists.
 //
 // Implementations must not modify the list; window subtraction is the
-// caller's responsibility (see FindAlternatives, which additionally requires
-// the indexed stream scan ALP and AMP provide).
+// caller's responsibility (see FindAlternatives). The unexported methods seal
+// the interface: ALP and AMP are its only implementations, and every search
+// runs them through the same decomposition — an index prefilter plus a
+// scanState fold — which is what lets one view be scanned directly and
+// several be merged in canonical order (stream.go, shardscan.go).
 type Algorithm interface {
 	// Name returns the algorithm's short name ("ALP" or "AMP").
 	Name() string
-	// FindWindow searches list for a window satisfying j's request.
-	// It returns ok=false when no window exists on the current list.
+	// FindWindow searches list front to back — the paper's linear scan and
+	// the reference oracle the indexed scan is pinned against
+	// (indexed_test.go). It returns ok=false when no window exists on the
+	// current list.
 	FindWindow(list *slot.List, j *job.Job) (w *slot.Window, stats Stats, ok bool)
-}
-
-// IndexedAlgorithm is an Algorithm that can additionally run its scan
-// against a slot.Index, visiting only the slots the index's buckets cannot
-// dismiss. Both entry points are total functions of the same slot sequence,
-// so for any list they return byte-identical windows and Stats — the
-// scan-equivalence contract the oracle suite (indexed_test.go) pins down:
-//
-//   - FindWindowLinear is the paper's front-to-back scan of the raw list,
-//     kept verbatim as the reference oracle; no search driver calls it;
-//   - FindWindowIndexed is the production scan of a one-view search; a
-//     search over several views merges their candidate streams into the same
-//     sequence (shardscan.go).
-type IndexedAlgorithm interface {
-	Algorithm
-	// FindWindowLinear searches the raw list front to back — the oracle.
-	FindWindowLinear(list *slot.List, j *job.Job) (w *slot.Window, stats Stats, ok bool)
-	// FindWindowIndexed searches through the index. probe, when non-nil,
-	// accumulates the index traversal work; it never influences the result.
-	FindWindowIndexed(ix *slot.Index, j *job.Job, probe *slot.ScanStats) (w *slot.Window, stats Stats, ok bool)
+	// scanFilter returns the bucket prefilter equivalent to the algorithm's
+	// per-slot performance/price rejections.
+	scanFilter(req job.ResourceRequest) slot.Filter
+	// newScan starts a fresh fold for one job's scan.
+	newScan(req job.ResourceRequest) scanState
 }
 
 // candidate is a slot currently inside the sliding window under

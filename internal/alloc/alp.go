@@ -16,13 +16,7 @@ type ALP struct{}
 // Name implements Algorithm.
 func (ALP) Name() string { return "ALP" }
 
-// FindWindow implements Algorithm by delegating to the linear oracle scan;
-// the multi-pass drivers prefer FindWindowIndexed (see IndexedAlgorithm).
-func (a ALP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
-	return a.FindWindowLinear(list, j)
-}
-
-// FindWindowLinear implements the paper's steps 1°–5° by a raw front-to-back
+// FindWindow implements the paper's steps 1°–5° by a raw front-to-back
 // scan of the list: slots arrive sorted by start time; each suitable slot is
 // added to the window under construction; the tentative window start is
 // always the start of the last added slot (T_last); candidates whose
@@ -32,8 +26,10 @@ func (a ALP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool)
 // Every slot is visited at most once and every candidate evicted at most
 // once, so the scan is linear in the list length (the window never holds
 // more than N candidates for ALP). This is the reference oracle the indexed
-// scan is differentially tested against.
-func (ALP) FindWindowLinear(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
+// scan is differentially tested against; the searches run the indexed scan
+// (findWindowIndexedStream), whose index prefilter applies the performance
+// floor and the per-slot price cap.
+func (ALP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
 	var stats Stats
 	if list == nil || j.Validate() != nil {
 		return nil, stats, false
@@ -77,16 +73,4 @@ func (ALP) FindWindowLinear(list *slot.List, j *job.Job) (*slot.Window, Stats, b
 	// Ran out of slots before accumulating N: the job is postponed to the
 	// next scheduling iteration (step 5° failure branch).
 	return nil, stats, false
-}
-
-// FindWindowIndexed implements IndexedAlgorithm: the same steps 1°–5°, but
-// the performance floor and the per-slot price cap are delegated to the
-// index's bucket prefilter, so slots failing either are never visited. The
-// accepted-slot sequence is exactly the linear scan's, and the Stats
-// counters are reconstructed from the stopping rank (see finishScanStats),
-// so the result is byte-identical to FindWindowLinear for every input. The
-// scan body — filter, suitability, and the alpScan fold — lives in stream.go,
-// shared with the sharded cross-shard merge driver.
-func (a ALP) FindWindowIndexed(ix *slot.Index, j *job.Job, probe *slot.ScanStats) (*slot.Window, Stats, bool) {
-	return findWindowIndexedStream(a, ix, j, probe)
 }

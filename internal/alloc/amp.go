@@ -66,13 +66,7 @@ func (h *deadlineHeap) Push(x any)     { *h = append(*h, x.(candidate)) }
 func (h *deadlineHeap) Pop() any       { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
 func (h deadlineHeap) Peek() candidate { return h[0] }
 
-// FindWindow implements Algorithm by delegating to the linear oracle scan;
-// the multi-pass drivers prefer FindWindowIndexed (see IndexedAlgorithm).
-func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
-	return a.FindWindowLinear(list, j)
-}
-
-// FindWindowLinear follows the paper's AMP steps 1°–4° by a raw front-to-
+// FindWindow follows the paper's AMP steps 1°–4° by a raw front-to-
 // back scan: accumulate suitable slots exactly as ALP does but without the
 // per-slot price condition; whenever the window holds at least N candidates,
 // check whether the N cheapest fit the job budget; if so, the window is
@@ -80,8 +74,10 @@ func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool)
 // (they were never removed — the list is immutable during a search).
 // Otherwise the scan keeps advancing the window start, evicting expired
 // candidates, until the list is exhausted. This is the reference oracle the
-// indexed scan is differentially tested against.
-func (a AMP) FindWindowLinear(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
+// indexed scan is differentially tested against; the searches run the
+// indexed scan (findWindowIndexedStream), whose index prefilter applies the
+// performance floor.
+func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
 	var stats Stats
 	if list == nil || j.Validate() != nil {
 		return nil, stats, false
@@ -109,19 +105,6 @@ func (a AMP) FindWindowLinear(list *slot.List, j *job.Job) (*slot.Window, Stats,
 		}
 	}
 	return nil, stats, false
-}
-
-// FindWindowIndexed implements IndexedAlgorithm: the same steps 1°–4°, with
-// the performance floor delegated to the index's bucket prefilter (AMP has
-// no per-slot price cap, so the filter carries no price condition). The
-// accepted-candidate sequence — and therefore every eviction, budget check,
-// and the returned window — matches FindWindowLinear's, and the Stats
-// counters are reconstructed from the stopping rank (finishScanStats), so
-// the result is byte-identical for every input. The scan body — filter,
-// suitability, and the ampScan fold — lives in stream.go, shared with the
-// sharded cross-shard merge driver.
-func (a AMP) FindWindowIndexed(ix *slot.Index, j *job.Job, probe *slot.ScanStats) (*slot.Window, Stats, bool) {
-	return findWindowIndexedStream(a, ix, j, probe)
 }
 
 // accept folds one suitable candidate into the scan state shared by the
@@ -203,7 +186,3 @@ func (a AMP) pick(alive map[int]candidate, cheapest *topK, n int) ([]candidate, 
 	}
 	return chosen, total
 }
-
-// EffectiveBudget exposes the budget AMP enforces for a request — useful for
-// reporting and the ρ-sweep ablation.
-func EffectiveBudget(req job.ResourceRequest) sim.Money { return req.Budget() }

@@ -268,13 +268,6 @@ func TestAMPInvalidInputs(t *testing.T) {
 	}
 }
 
-func TestEffectiveBudget(t *testing.T) {
-	req := job.ResourceRequest{Nodes: 2, Time: 80, MinPerformance: 1, MaxPrice: 5}
-	if got := EffectiveBudget(req); got != 800 {
-		t.Errorf("EffectiveBudget: got %v", got)
-	}
-}
-
 func TestDeadlineConstrainsWindows(t *testing.T) {
 	a := mkNode("a", 1, 1)
 	b := mkNode("b", 1, 1)

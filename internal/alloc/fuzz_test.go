@@ -123,7 +123,7 @@ func FuzzFindWindow(f *testing.F) {
 		if err != nil {
 			t.Fatalf("batch: %v", err)
 		}
-		for _, algo := range []IndexedAlgorithm{ALP{}, AMP{}} {
+		for _, algo := range []Algorithm{ALP{}, AMP{}} {
 			res, err := FindAlternatives(algo, list, batch, SearchOptions{MaxPasses: 4})
 			if err != nil {
 				t.Fatalf("%s FindAlternatives: %v", algo.Name(), err)

@@ -11,12 +11,12 @@ import (
 
 // TestIndexedFindWindowMatchesLinear is the per-scan oracle check: for many
 // seeded lists and requests — with and without deadlines, across bucket
-// sizes from degenerate (1) to default — FindWindowIndexed must reproduce
-// FindWindowLinear exactly: same ok, same Stats, same window. The probe
-// variant re-runs every indexed scan with a ScanStats attached to pin that
-// observation never perturbs the result.
+// sizes from degenerate (1) to default — the indexed scan
+// (findWindowIndexedStream) must reproduce FindWindow exactly: same ok, same
+// Stats, same window. The probe variant re-runs every indexed scan with a
+// ScanStats attached to pin that observation never perturbs the result.
 func TestIndexedFindWindowMatchesLinear(t *testing.T) {
-	algos := []IndexedAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
+	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	bucketSizes := []int{1, 3, 16, slot.DefaultBucketSize}
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := sim.NewRNG(seed)
@@ -41,14 +41,14 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 				continue
 			}
 			for _, algo := range algos {
-				lw, lst, lok := algo.FindWindowLinear(list, j)
+				lw, lst, lok := algo.FindWindow(list, j)
 				for i, ix := range indexes {
 					for _, withProbe := range []bool{false, true} {
 						var probe *slot.ScanStats
 						if withProbe {
 							probe = &slot.ScanStats{}
 						}
-						iw, ist, iok := algo.FindWindowIndexed(ix, j, probe)
+						iw, ist, iok := findWindowIndexedStream(algo, ix, j, probe)
 						if iok != lok || ist != lst {
 							t.Fatalf("seed %d trial %d %s bucket size %d: indexed (ok=%v stats=%+v) != linear (ok=%v stats=%+v)",
 								seed, trial, algo.Name(), bucketSizes[i], iok, ist, lok, lst)
@@ -69,13 +69,13 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 // every production entry — FindAlternatives building its own index,
 // FindAlternatives adopting a prebuilt one whose tiling differs from a fresh
 // build's, FindAlternativesSharded over three views, and the fair search —
-// must be byte-identical to the same loop over FindWindowLinear on full
+// must be byte-identical to the same loop over FindWindow on full
 // SearchResults: windows, discovery order, pass count, stats, and the
 // remaining list. Each scenario is searched at its generated prices and again
-// repriced the way the metascheduler's demand pricing publishes it, which
-// moves slots across ALP's per-slot cap and AMP's budget.
+// with every price scaled by a seeded factor, which moves slots across ALP's
+// per-slot cap and AMP's budget.
 func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
-	algos := []IndexedAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
+	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	options := []SearchOptions{
 		{},
 		{FirstOnly: true},
@@ -85,8 +85,7 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		generated, batch := diffScenario(t, seed)
 		factor := sim.Money(0.7 + 0.05*float64(seed%12))
-		repriced := generated.Reprice(func(s slot.Slot) sim.Money { return s.Price * factor })
-		for li, list := range []*slot.List{generated, repriced} {
+		for li, list := range []*slot.List{generated, priceScaled(generated, factor)} {
 			for _, algo := range algos {
 				for oi, opts := range options {
 					if li == 1 && oi != 0 {
@@ -138,6 +137,16 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 	}
 }
 
+// priceScaled returns a copy of list with every slot's price multiplied by
+// factor; node pointers are shared.
+func priceScaled(list *slot.List, factor sim.Money) *slot.List {
+	slots := append([]slot.Slot(nil), list.Slots()...)
+	for i := range slots {
+		slots[i].Price *= factor
+	}
+	return slot.NewList(slots)
+}
+
 // TestIndexedSearchDisjointBands repeats the oracle differential on the
 // low-conflict fixture, whose long rejecting scans are the index's favorable
 // case (whole buckets pruned by the tag-blind performance filter stay
@@ -145,7 +154,7 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 func TestIndexedSearchDisjointBands(t *testing.T) {
 	list, batch := disjointBandsFixture(6, 12, 6)
 	opts := SearchOptions{MaxAlternativesPerJob: 3}
-	for _, algo := range []IndexedAlgorithm{ALP{}, AMP{}} {
+	for _, algo := range []Algorithm{ALP{}, AMP{}} {
 		oracle, err := findAlternativesLinear(algo, list, batch, opts)
 		if err != nil {
 			t.Fatal(err)

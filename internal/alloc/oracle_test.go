@@ -15,9 +15,9 @@ import (
 // linearScanner is the reference binding of a search to its vacancy: the
 // paper's raw front-to-back scan and plain list subtraction over a clone of
 // the list — no index, no views.
-func linearScanner(algo IndexedAlgorithm, list *slot.List) (*slot.List, scanFunc, func(*slot.Window) error) {
+func linearScanner(algo Algorithm, list *slot.List) (*slot.List, scanFunc, func(*slot.Window) error) {
 	working := list.Clone()
-	return working, func(j *job.Job) (*slot.Window, Stats, bool) { return algo.FindWindowLinear(working, j) },
+	return working, func(j *job.Job) (*slot.Window, Stats, bool) { return algo.FindWindow(working, j) },
 		working.SubtractWindow
 }
 
@@ -26,7 +26,7 @@ func linearScanner(algo IndexedAlgorithm, list *slot.List) (*slot.List, scanFunc
 // in this package is compared against it; opts.Prebuilt is ignored. The
 // working list is handed to Remaining() as a one-view result: NewIndex and
 // List() only copy it out and back (the slot model suites pin that).
-func findAlternativesLinear(algo IndexedAlgorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
+func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
 	working, scan, subtract := linearScanner(algo, list)
 	res, err := multiPass(algo.Name(), batch, opts, scan, subtract)
 	if err != nil {
@@ -37,7 +37,7 @@ func findAlternativesLinear(algo IndexedAlgorithm, list *slot.List, batch *job.B
 }
 
 // findAlternativesFairLinear is the fair search's loop over linearScanner.
-func findAlternativesFairLinear(algo IndexedAlgorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
+func findAlternativesFairLinear(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
 	working, scan, subtract := linearScanner(algo, list)
 	res, err := fairPasses(algo.Name(), batch, opts, scan, subtract)
 	if err != nil {

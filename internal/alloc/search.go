@@ -248,10 +248,6 @@ func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node
 	if algo == nil {
 		return nil, nil, fmt.Errorf("alloc: nil algorithm")
 	}
-	sa, ok := algo.(streamAlgorithm)
-	if !ok {
-		return nil, nil, fmt.Errorf("alloc: %s has no indexed stream scan", algo.Name())
-	}
 	if len(views) == 0 {
 		return nil, nil, fmt.Errorf("alloc: no views to search")
 	}
@@ -276,13 +272,13 @@ func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node
 	}
 	scan := func(j *job.Job) (*slot.Window, Stats, bool) {
 		if merge != nil {
-			return merge.findWindow(sa, j, work)
+			return merge.findWindow(algo, j, work)
 		}
 		if probe == nil {
-			return findWindowIndexedStream(sa, views[0], j, nil)
+			return findWindowIndexedStream(algo, views[0], j, nil)
 		}
 		*probe = slot.ScanStats{}
-		w, stats, ok := findWindowIndexedStream(sa, views[0], j, probe)
+		w, stats, ok := findWindowIndexedStream(algo, views[0], j, probe)
 		opts.Metrics.probeDone(*probe)
 		return w, stats, ok
 	}

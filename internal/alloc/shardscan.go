@@ -17,7 +17,7 @@ import (
 // sequence, and the merged sequence equals the unsharded index scan's — with
 // seq reconstructed as the candidate's global rank + 1 via CountLess across
 // the shard indexes — so every window, eviction, budget check, and Stats
-// counter is byte-identical to FindWindowIndexed over the merged list.
+// counter is byte-identical to findWindowIndexedStream over the merged list.
 // Everything runs on the caller's goroutine.
 
 // Per-round production chunks start small (most scans accept a window within
@@ -113,14 +113,14 @@ func globalRank(cursors []*shardCursor, s slot.Slot) int {
 // findWindow runs one job's window scan over the K shard indexes,
 // reproducing findWindowIndexedStream over the merged list exactly. work,
 // when non-nil, accumulates scan-phase accounting.
-func (ms *mergeScan) findWindow(sa streamAlgorithm, j *job.Job, work *ShardWork) (*slot.Window, Stats, bool) {
+func (ms *mergeScan) findWindow(algo Algorithm, j *job.Job, work *ShardWork) (*slot.Window, Stats, bool) {
 	var stats Stats
 	if j.Validate() != nil {
 		return nil, stats, false
 	}
 	req := j.Request
-	f := sa.scanFilter(req)
-	st := sa.newScan(req)
+	f := algo.scanFilter(req)
+	st := algo.newScan(req)
 
 	cursors := ms.cursors
 	totalLimit, totalN := 0, 0

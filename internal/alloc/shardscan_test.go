@@ -3,7 +3,6 @@ package alloc
 import (
 	"testing"
 
-	"ecosched/internal/job"
 	"ecosched/internal/resource"
 	"ecosched/internal/slot"
 )
@@ -29,11 +28,12 @@ func shardSplit(list *slot.List, k int) ([]*slot.Index, func(*resource.Node) int
 // TestFindWindowShardedMatchesIndexed is the scan-level sharding oracle: for
 // seeded scenarios (odd seeds carry deadlines), every algorithm, K from 1 to
 // a shard count exceeding some scenarios' node count (empty shards must be
-// harmless), the cross-shard merge scan must reproduce FindWindowIndexed
-// over the unsharded list exactly: same ok, same Stats (including the
-// seq-derived eviction and budget-check history), same window.
+// harmless), the cross-shard merge scan must reproduce the one-view indexed
+// scan (findWindowIndexedStream) over the unsharded list exactly: same ok,
+// same Stats (including the seq-derived eviction and budget-check history),
+// same window.
 func TestFindWindowShardedMatchesIndexed(t *testing.T) {
-	algos := []IndexedAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
+	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	for seed := uint64(1); seed <= 12; seed++ {
 		list, batch := diffScenario(t, seed)
 		full := slot.NewIndex(list.Clone(), nil)
@@ -43,11 +43,10 @@ func TestFindWindowShardedMatchesIndexed(t *testing.T) {
 			// must start from cursors the previous job left dirty.
 			merge := newMergeScan(shards)
 			for _, algo := range algos {
-				sa := algo.(streamAlgorithm)
 				for _, j := range batch.Jobs() {
-					ww, wst, wok := algo.FindWindowIndexed(full, j, nil)
+					ww, wst, wok := findWindowIndexedStream(algo, full, j, nil)
 					work := &ShardWork{ScanSlots: make([]int64, k)}
-					gw, gst, gok := merge.findWindow(sa, j, work)
+					gw, gst, gok := merge.findWindow(algo, j, work)
 					if gok != wok || gst != wst {
 						t.Fatalf("seed %d k=%d %s %s: sharded (ok=%v stats=%+v) != indexed (ok=%v stats=%+v)",
 							seed, k, algo.Name(), j.Name, gok, gst, wok, wst)
@@ -114,17 +113,8 @@ func TestFindAlternativesShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// linearOnlyAlgo lacks the stream decomposition; the search must reject it
-// rather than silently diverge.
-type linearOnlyAlgo struct{}
-
-func (linearOnlyAlgo) Name() string { return "linear-only" }
-func (linearOnlyAlgo) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
-	return nil, Stats{}, false
-}
-
 // TestFindAlternativesShardedRejects pins the sharded driver's argument
-// contract: no algorithm without a stream scan, no empty shard set, no nil
+// contract: no nil algorithm, no empty shard set, no nil
 // assignment with several shards, no Prebuilt option.
 func TestFindAlternativesShardedRejects(t *testing.T) {
 	list, batch := diffScenario(t, 2)
@@ -137,10 +127,6 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 			_, err := FindAlternativesSharded(nil, shards, shardOf, batch, SearchOptions{}, 1, nil)
 			return err
 		}},
-		{"non-stream algorithm", func() error {
-			_, err := FindAlternativesSharded(linearOnlyAlgo{}, shards, shardOf, batch, SearchOptions{}, 1, nil)
-			return err
-		}},
 		{"no shards", func() error {
 			_, err := FindAlternativesSharded(ALP{}, nil, shardOf, batch, SearchOptions{}, 1, nil)
 			return err
@@ -151,10 +137,6 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 		}},
 		{"empty batch", func() error {
 			_, err := FindAlternativesSharded(ALP{}, shards, shardOf, nil, SearchOptions{}, 1, nil)
-			return err
-		}},
-		{"non-stream algorithm, list entry", func() error {
-			_, err := FindAlternatives(linearOnlyAlgo{}, list, batch, SearchOptions{})
 			return err
 		}},
 		{"prebuilt", func() error {

@@ -24,20 +24,20 @@ func TestNoSterileFinalPass(t *testing.T) {
 	searches := []struct {
 		linear bool
 		par    int
-		run    func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error)
+		run    func(algo Algorithm, opts SearchOptions) (*SearchResult, error)
 	}{
-		{false, 1, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
+		{false, 1, func(algo Algorithm, opts SearchOptions) (*SearchResult, error) {
 			return FindAlternatives(algo, smallList(), twoJobBatch(), opts)
 		}},
-		{false, 4, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
+		{false, 4, func(algo Algorithm, opts SearchOptions) (*SearchResult, error) {
 			views, shardOf := shardSplit(smallList(), 2)
 			return FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 1, nil)
 		}},
-		{true, 1, func(algo IndexedAlgorithm, opts SearchOptions) (*SearchResult, error) {
+		{true, 1, func(algo Algorithm, opts SearchOptions) (*SearchResult, error) {
 			return findAlternativesLinear(algo, smallList(), twoJobBatch(), opts)
 		}},
 	}
-	for _, algo := range []IndexedAlgorithm{ALP{}, AMP{}} {
+	for _, algo := range []Algorithm{ALP{}, AMP{}} {
 		for _, search := range searches {
 			t.Run(fmt.Sprintf("%s/linear=%t/par=%d", algo.Name(), search.linear, search.par), func(t *testing.T) {
 				reg := metrics.New()
@@ -143,7 +143,7 @@ func TestPrebuiltIndexEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				j := twoJobBatch().Jobs()[0]
-				direct := testing.AllocsPerRun(50, func() { findWindowIndexedStream(algo.(streamAlgorithm), fresh, j, nil) })
+				direct := testing.AllocsPerRun(50, func() { findWindowIndexedStream(algo, fresh, j, nil) })
 				unified := testing.AllocsPerRun(50, func() { scan(j) })
 				if unified != direct {
 					t.Fatalf("one-view scan allocates %.0f objects per job, findWindowIndexedStream %.0f", unified, direct)

@@ -19,19 +19,6 @@ type scanState interface {
 	accept(c candidate, stats *Stats) ([]candidate, bool)
 }
 
-// streamAlgorithm is implemented by algorithms whose scan decomposes into an
-// index prefilter plus a scanState fold — the shape both the indexed scan and
-// the sharded candidate merge consume, and the only one the multi-pass search
-// accepts. ALP and AMP both qualify.
-type streamAlgorithm interface {
-	IndexedAlgorithm
-	// scanFilter returns the bucket prefilter equivalent to the algorithm's
-	// per-slot performance/price rejections.
-	scanFilter(req job.ResourceRequest) slot.Filter
-	// newScan starts a fresh fold for one job's scan.
-	newScan(req job.ResourceRequest) scanState
-}
-
 // alpScan is ALP's fold: the window under construction holds at most N
 // candidates; each acceptance advances T_last to the candidate's slot start
 // and evicts members whose remaining length expired (steps 2°–4°).
@@ -94,18 +81,23 @@ func (a AMP) newScan(req job.ResourceRequest) scanState {
 	}
 }
 
-// findWindowIndexedStream is the shared indexed scan driver: prefiltered
-// index walk, suitability check, fold, and Stats reconstruction from the
-// stopping rank. ALP's and AMP's FindWindowIndexed delegate here.
-func findWindowIndexedStream(sa streamAlgorithm, ix *slot.Index, j *job.Job, probe *slot.ScanStats) (*slot.Window, Stats, bool) {
+// findWindowIndexedStream is the indexed scan of one view: prefiltered index
+// walk, suitability check, fold, and Stats reconstruction from the stopping
+// rank. The performance floor (and, for ALP, the per-slot price cap) is
+// delegated to the index's bucket prefilter, so slots failing it are never
+// visited; the accepted-candidate sequence is exactly FindWindow's, so the
+// window and Stats are byte-identical to the linear scan for every input.
+// probe, when non-nil, accumulates the index traversal work; it never
+// influences the result.
+func findWindowIndexedStream(algo Algorithm, ix *slot.Index, j *job.Job, probe *slot.ScanStats) (*slot.Window, Stats, bool) {
 	var stats Stats
 	if j.Validate() != nil {
 		return nil, stats, false
 	}
 	req := j.Request
 	limit, n := scanLimit(ix, req)
-	f := sa.scanFilter(req)
-	st := sa.newScan(req)
+	f := algo.scanFilter(req)
+	st := algo.newScan(req)
 
 	accepted := 0
 	var win *slot.Window

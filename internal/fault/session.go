@@ -203,8 +203,8 @@ func (s *Session) apply(e Event) error {
 // share this function, so "empty plan" and "no fault layer at all" can be
 // compared byte for byte.
 func WriteIterationReport(w io.Writer, rep *metasched.IterationReport) {
-	fmt.Fprintf(w, "it=%d now=%v batch=%d alts=%d planT=%v planC=%v pf=%.3f\n",
-		rep.Iteration, rep.Now, rep.BatchSize, rep.Alternatives, rep.PlanTime, rep.PlanCost, rep.PriceFactor)
+	fmt.Fprintf(w, "it=%d now=%v batch=%d alts=%d planT=%v planC=%v\n",
+		rep.Iteration, rep.Now, rep.BatchSize, rep.Alternatives, rep.PlanTime, rep.PlanCost)
 	for _, p := range rep.Placed {
 		fmt.Fprintf(w, "  placed %s -> %v wait=%v\n", p.Job.Name, p.Window.Window, p.WaitTime)
 	}

@@ -123,10 +123,6 @@ func (g *Grid) RecoverNode(id resource.NodeID) error {
 	return nil
 }
 
-// RepairNode is the historical name for RecoverNode, kept for callers of the
-// original failure API.
-func (g *Grid) RepairNode(id resource.NodeID) error { return g.RecoverNode(id) }
-
 // RevokeInterval models an owner reclaiming part of a node's schedule (the
 // transient counterpart of a full node failure): every VO reservation
 // overlapping the span is cancelled and refunded, and the reclaimed span is

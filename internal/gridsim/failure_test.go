@@ -89,7 +89,7 @@ func TestFailedNodePublishesNoVacancy(t *testing.T) {
 	if list.Len() != 1 {
 		t.Errorf("expected only node b's vacancy, got %d slots", list.Len())
 	}
-	if err := g.RepairNode(0); err != nil {
+	if err := g.RecoverNode(0); err != nil {
 		t.Fatal(err)
 	}
 	list, err = g.VacantSlots(500)
@@ -99,7 +99,7 @@ func TestFailedNodePublishesNoVacancy(t *testing.T) {
 	if list.Len() != 2 {
 		t.Errorf("repaired node should publish again, got %d slots", list.Len())
 	}
-	if err := g.RepairNode(9); err == nil {
+	if err := g.RecoverNode(9); err == nil {
 		t.Error("repairing unknown node accepted")
 	}
 }

@@ -45,9 +45,9 @@ func (s *Scheduler) CanonicalState(b *strings.Builder) {
 // everything else but hold different pending plans diverge at the next
 // Apply — so the model checker folds it into the state hash.
 func (r *Round) CanonicalState(b *strings.Builder) {
-	fmt.Fprintf(b, "iteration open=%d planned=%t applied=%t alts=%d planT=%v planC=%v pf=%g stale=%d\n",
+	fmt.Fprintf(b, "iteration open=%d planned=%t applied=%t alts=%d planT=%v planC=%v stale=%d\n",
 		r.rep.Iteration, r.planned, r.applied, r.rep.Alternatives, r.rep.PlanTime, r.rep.PlanCost,
-		r.rep.PriceFactor, len(r.staleNames))
+		len(r.staleNames))
 	for _, q := range r.selected {
 		fmt.Fprintf(b, "batched %s\n", q.job.Name)
 	}

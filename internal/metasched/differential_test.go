@@ -22,10 +22,10 @@ import (
 // the same seed must produce the same transcript regardless of Shards (the
 // one search loop scans one view or merges several to the same result).
 //
-// The seed also selects configuration variety: demand pricing on seeds
-// divisible by 3, a live owner-local arrival stream on seeds divisible by 4,
-// and a mid-session node failure on seeds divisible by 5, so the differential
-// sweep covers repricing, non-dedicated resources, and the re-queue path.
+// The seed also selects configuration variety: a live owner-local arrival
+// stream on seeds divisible by 4 and a mid-session node failure on seeds
+// divisible by 5, so the differential sweep covers non-dedicated resources
+// and the re-queue path.
 //
 // After every round the grid's live vacant stores are audited against the
 // rebuild oracle (Grid.VacantStoreCoherent), so every session any suite
@@ -68,9 +68,6 @@ func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 		MaxPostponements: 3,
 		Metrics:          reg,
 	}
-	if seed%3 == 0 {
-		cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 0.8, MaxFactor: 1.3}
-	}
 	if seed%4 == 0 {
 		cfg.LocalArrivals = &metasched.LocalArrivals{
 			Load: gridsim.LocalLoad{MeanGap: 200, DurMin: 20, DurMax: 90},
@@ -110,8 +107,8 @@ func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 		if err != nil {
 			t.Fatalf("seed %d iteration %d: %v", seed, it, err)
 		}
-		fmt.Fprintf(&b, "it=%d now=%v batch=%d alts=%d planT=%v planC=%v pf=%.3f\n",
-			rep.Iteration, rep.Now, rep.BatchSize, rep.Alternatives, rep.PlanTime, rep.PlanCost, rep.PriceFactor)
+		fmt.Fprintf(&b, "it=%d now=%v batch=%d alts=%d planT=%v planC=%v\n",
+			rep.Iteration, rep.Now, rep.BatchSize, rep.Alternatives, rep.PlanTime, rep.PlanCost)
 		for _, p := range rep.Placed {
 			fmt.Fprintf(&b, "  placed %s -> %v wait=%v\n", p.Job.Name, p.Window.Window, p.WaitTime)
 		}
@@ -136,8 +133,7 @@ func diffSessionTranscript(t *testing.T, seed uint64, algo alloc.Algorithm, poli
 // first publication), every later iteration applies the committed windows
 // and the sliding horizon as deltas, the search adopts the published view
 // instead of building an index of its own, and the self-healing reset never
-// fires. Seed 7 avoids demand pricing (seeds divisible by 3), which builds an
-// index over each repriced view.
+// fires.
 func TestLiveStoreSteadyStateNoRebuilds(t *testing.T) {
 	reg := metrics.New()
 	diffSessionTranscript(t, 7, alloc.AMP{}, metasched.MinimizeTime, reg)

@@ -96,23 +96,3 @@ func TestBatchForIterationOrdering(t *testing.T) {
 		}
 	}
 }
-
-// TestBudgetGrid pins the MaxBudgetStates → money-grid mapping used by both
-// DP engines: step max(1, B*/states), never finer than one credit.
-func TestBudgetGrid(t *testing.T) {
-	cases := []struct {
-		budget sim.Money
-		states int
-		want   sim.Money
-	}{
-		{budget: 1000, states: 10, want: 100},
-		{budget: 1000, states: 2000, want: 1}, // finer than a credit → clamp
-		{budget: 0.5, states: 4, want: 1},     // tiny budget → clamp
-		{budget: 300, states: 299, want: sim.Money(300.0 / 299.0)},
-	}
-	for _, c := range cases {
-		if got := budgetGrid(c.budget, c.states); got != c.want {
-			t.Errorf("budgetGrid(%v, %d) = %v, want %v", c.budget, c.states, got, c.want)
-		}
-	}
-}

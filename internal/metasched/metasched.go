@@ -33,10 +33,14 @@ const (
 
 // String names the policy.
 func (p Policy) String() string {
-	if p == MinimizeCost {
+	switch p {
+	case MinimizeTime:
+		return "minimize-time"
+	case MinimizeCost:
 		return "minimize-cost"
+	default:
+		return fmt.Sprintf("policy(%d)", int(p))
 	}
-	return "minimize-time"
 }
 
 // Config parameterizes the metascheduler.
@@ -71,19 +75,8 @@ type Config struct {
 	// identical for every value (the sharding differential pins this).
 	// 0 or 1 is the single-domain, one-view case.
 	Shards int
-	// MaxBudgetStates, when positive, switches the minimize-time optimizer
-	// to the approximate money-grid DP (dp.MinimizeTimeGrid) with grid
-	// step max(1, B*/MaxBudgetStates) — the same DP-granularity knob as
-	// experiments.StudyConfig.MaxBudgetStates. 0 keeps the exact engine.
-	// Ignored under the minimize-cost policy, whose constraint axis is
-	// integral time and needs no discretization.
-	MaxBudgetStates int
-	// DemandPricing, when non-nil, scales the published slot prices by
-	// the grid's current utilization before each iteration's search —
-	// the supply-and-demand mechanism from the paper's future work.
-	DemandPricing *DemandPricing
 	// Trace, when non-nil, records the session's scheduling decisions
-	// (searches, plan choices, commits, postponements, repricing).
+	// (searches, plan choices, commits, postponements).
 	Trace *trace.Recorder
 	// Metrics, when non-nil, receives the session's observability counters:
 	// per-iteration phase work, job outcomes, optimizer engine selection,
@@ -114,38 +107,13 @@ type LocalArrivals struct {
 	RNG *sim.RNG
 }
 
-// DemandPricing maps utilization to a price factor: factor = MinFactor at
-// idle, MaxFactor at full load, linear in between.
-type DemandPricing struct {
-	MinFactor float64
-	MaxFactor float64
-}
-
-// factor returns the multiplier for the given utilization, clamped to
-// [0, 1].
-func (d *DemandPricing) factor(utilization float64) sim.Money {
-	u := utilization
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return sim.Money(d.MinFactor + (d.MaxFactor-d.MinFactor)*u)
-}
-
-// Validate checks the pricing parameters.
-func (d *DemandPricing) Validate() error {
-	if !finite(d.MinFactor) || !finite(d.MaxFactor) || d.MinFactor <= 0 || d.MaxFactor < d.MinFactor {
-		return fmt.Errorf("metasched: demand pricing factors [%v, %v] invalid", d.MinFactor, d.MaxFactor)
-	}
-	return nil
-}
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Algorithm == nil {
 		return fmt.Errorf("metasched: nil algorithm")
+	}
+	if c.Policy != MinimizeTime && c.Policy != MinimizeCost {
+		return fmt.Errorf("metasched: unknown policy %d", int(c.Policy))
 	}
 	if c.Horizon <= 0 {
 		return fmt.Errorf("metasched: non-positive horizon %v", c.Horizon)
@@ -153,16 +121,11 @@ func (c Config) Validate() error {
 	if c.Step <= 0 {
 		return fmt.Errorf("metasched: non-positive step %v", c.Step)
 	}
-	if c.MaxBatch < 0 || c.MaxPostponements < 0 || c.MaxBudgetStates < 0 {
+	if c.MaxBatch < 0 || c.MaxPostponements < 0 {
 		return fmt.Errorf("metasched: negative limits in config")
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("metasched: negative shard count %d", c.Shards)
-	}
-	if c.DemandPricing != nil {
-		if err := c.DemandPricing.Validate(); err != nil {
-			return err
-		}
 	}
 	if c.LocalArrivals != nil {
 		if err := c.LocalArrivals.Load.Validate(); err != nil {
@@ -217,9 +180,6 @@ type IterationReport struct {
 	// PlanTime and PlanCost are the chosen combination's criteria.
 	PlanTime sim.Duration
 	PlanCost sim.Money
-	// PriceFactor is the demand-pricing multiplier applied this iteration
-	// (0 when demand pricing is disabled).
-	PriceFactor float64
 }
 
 // Scheduler is the metascheduler instance bound to a grid.
@@ -362,7 +322,6 @@ func (s *Scheduler) findQueued(name string) *queued {
 // the configured policy on it. (The dense tables the frontier replaced are
 // the dp package's reference, pinned there by TestFrontierMatchesDense*.)
 func (s *Scheduler) optimize(batch *job.Batch, alts dp.Alternatives) (*dp.Plan, error) {
-	gridEngine := s.cfg.Policy != MinimizeCost && s.cfg.MaxBudgetStates > 0
 	fr, err := dp.NewFrontier(batch, alts)
 	if err != nil {
 		return nil, err
@@ -371,26 +330,11 @@ func (s *Scheduler) optimize(batch *job.Batch, alts dp.Alternatives) (*dp.Plan, 
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.engineUsed(fr, gridEngine)
-	switch s.cfg.Policy {
-	case MinimizeCost:
+	s.metrics.engineUsed(fr)
+	if s.cfg.Policy == MinimizeCost {
 		return fr.MinimizeCost(limits.Quota)
-	default:
-		if gridEngine {
-			return dp.MinimizeTimeGrid(batch, alts, limits.Budget, budgetGrid(limits.Budget, s.cfg.MaxBudgetStates))
-		}
-		return fr.MinimizeTime(limits.Budget)
 	}
-}
-
-// budgetGrid maps the MaxBudgetStates cap to a money-grid step: at most
-// states budget-axis cells, never finer than one credit.
-func budgetGrid(budget sim.Money, states int) sim.Money {
-	grid := sim.Money(1)
-	if g := float64(budget) / float64(states); g > 1 {
-		grid = sim.Money(g)
-	}
-	return grid
+	return fr.MinimizeTime(limits.Budget)
 }
 
 // HandleNodeFailure reacts to a node failure (the environment dynamics the

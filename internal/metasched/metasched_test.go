@@ -1,7 +1,7 @@
 package metasched_test
 
 import (
-	"math"
+	"strings"
 	"testing"
 
 	"ecosched/internal/alloc"
@@ -66,6 +66,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *metasched.Config) { c.Horizon = 0 },
 		func(c *metasched.Config) { c.Step = 0 },
 		func(c *metasched.Config) { c.MaxBatch = -1 },
+		func(c *metasched.Config) { c.Policy = metasched.Policy(2) },
+		func(c *metasched.Config) { c.Policy = metasched.Policy(-1) },
 	}
 	for i, mod := range mods {
 		c := validConfig()
@@ -73,6 +75,16 @@ func TestConfigValidate(t *testing.T) {
 		if c.Validate() == nil {
 			t.Errorf("case %d accepted", i)
 		}
+	}
+	// An unknown policy must not pass as minimize-time, in the error or in
+	// its name.
+	c := validConfig()
+	c.Policy = metasched.Policy(2)
+	if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "policy 2") {
+		t.Errorf("policy 2: error %v does not name the value", err)
+	}
+	if got := metasched.Policy(2).String(); got != "policy(2)" {
+		t.Errorf("Policy(2).String() = %q, want policy(2)", got)
 	}
 }
 
@@ -285,79 +297,11 @@ func TestWaitTimeAccounting(t *testing.T) {
 	}
 }
 
-func TestDemandPricingRaisesCostUnderLoad(t *testing.T) {
-	run := func(pricing *metasched.DemandPricing, preload bool) sim.Money {
-		grid, batch := section4Grid(t)
-		if preload {
-			// Extra local load raises utilization and thus the factor.
-			if err := grid.BookLocal("px1", "cpu5", 450, 600); err != nil {
-				t.Fatal(err)
-			}
-			if err := grid.BookLocal("px2", "cpu3", 450, 600); err != nil {
-				t.Fatal(err)
-			}
-		}
-		cfg := validConfig()
-		cfg.DemandPricing = pricing
-		s, _ := metasched.New(cfg, grid)
-		sv := service(t, s)
-		// Only the first job, to keep the comparison clean.
-		if err := s.Submit(batch.At(0)); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := sv.Tick()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Placed) != 1 {
-			t.Fatalf("job not placed (postponed %v)", rep.Postponed)
-		}
-		if pricing != nil && rep.PriceFactor <= 0 {
-			t.Error("price factor not reported")
-		}
-		return rep.PlanCost
-	}
-	base := run(nil, false)
-	surged := run(&metasched.DemandPricing{MinFactor: 1.0, MaxFactor: 2.0}, false)
-	if surged < base {
-		t.Errorf("demand pricing lowered cost: base %v, surged %v", base, surged)
-	}
-	idleFavoring := run(&metasched.DemandPricing{MinFactor: 0.5, MaxFactor: 1.0}, false)
-	if idleFavoring >= base {
-		t.Errorf("idle discount did not lower cost: base %v, discounted %v", base, idleFavoring)
-	}
-}
-
-func TestDemandPricingValidation(t *testing.T) {
-	grid, _ := section4Grid(t)
-	cfg := validConfig()
-	cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 0, MaxFactor: 1}
-	if _, err := metasched.New(cfg, grid); err == nil {
-		t.Error("zero min factor accepted")
-	}
-	cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 2, MaxFactor: 1}
-	if _, err := metasched.New(cfg, grid); err == nil {
-		t.Error("inverted factors accepted")
-	}
-	for _, d := range []metasched.DemandPricing{
-		{MinFactor: math.NaN(), MaxFactor: 1},
-		{MinFactor: 1, MaxFactor: math.NaN()},
-		{MinFactor: 1, MaxFactor: math.Inf(1)},
-		{MinFactor: math.Inf(1), MaxFactor: math.Inf(1)},
-	} {
-		cfg.DemandPricing = &d
-		if _, err := metasched.New(cfg, grid); err == nil {
-			t.Errorf("non-finite factors [%v, %v] accepted", d.MinFactor, d.MaxFactor)
-		}
-	}
-}
-
 func TestTraceRecordsSession(t *testing.T) {
 	grid, batch := section4Grid(t)
 	rec := trace.NewRecorder(256)
 	cfg := validConfig()
 	cfg.Trace = rec
-	cfg.DemandPricing = &metasched.DemandPricing{MinFactor: 0.9, MaxFactor: 1.2}
 	s, _ := metasched.New(cfg, grid)
 	sv := service(t, s)
 	for _, j := range batch.Jobs() {
@@ -379,9 +323,6 @@ func TestTraceRecordsSession(t *testing.T) {
 	}
 	if len(rec.ByKind(trace.Committed)) != 3 {
 		t.Errorf("commits: %d, want 3", len(rec.ByKind(trace.Committed)))
-	}
-	if len(rec.ByKind(trace.Repriced)) != 1 {
-		t.Error("repricing not recorded")
 	}
 	if len(rec.ByKind(trace.PlanChosen)) != 1 {
 		t.Error("plan choice not recorded")
@@ -544,47 +485,5 @@ func TestSubmitRejectsPlacedJob(t *testing.T) {
 	fresh.Name = "fresh"
 	if err := s.Submit(&fresh); err != nil {
 		t.Fatalf("a genuinely new job was rejected: %v", err)
-	}
-}
-
-// TestMaxBudgetStatesLimitsDPStates proves Config.MaxBudgetStates reaches
-// the optimizer. With states=1 the money grid collapses to one cell of size
-// B*; every alternative's cost ceils to a full cell, so a 3-job batch needs
-// 3 cells against a quota of 1 — infeasible — and the whole batch is
-// postponed. The exact DP (states=0) schedules the same batch outright.
-func TestMaxBudgetStatesLimitsDPStates(t *testing.T) {
-	exactGrid, batch := section4Grid(t)
-	exact, _ := metasched.New(validConfig(), exactGrid)
-	exactSvc := service(t, exact)
-	coarseGrid, _ := section4Grid(t)
-	cfg := validConfig()
-	cfg.MaxBudgetStates = 1
-	coarse, err := metasched.New(cfg, coarseGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarseSvc := service(t, coarse)
-	for _, j := range batch.Jobs() {
-		if err := exact.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-		if err := coarse.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exactRep, err := exactSvc.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exactRep.Placed) != 3 {
-		t.Fatalf("exact DP placed %d jobs, want 3", len(exactRep.Placed))
-	}
-	coarseRep, err := coarseSvc.Tick()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(coarseRep.Placed) != 0 || len(coarseRep.Postponed) != 3 {
-		t.Fatalf("MaxBudgetStates=1 placed %d / postponed %d; a one-cell budget grid must make the 3-job batch infeasible (field not wired through?)",
-			len(coarseRep.Placed), len(coarseRep.Postponed))
 	}
 }

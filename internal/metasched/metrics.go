@@ -51,7 +51,6 @@ type schedMetrics struct {
 	retryDropDeadline *metrics.Counter
 	// Optimizer engine selection.
 	engineFrontier *metrics.Counter
-	engineGrid     *metrics.Counter
 	// frontier feeds the dp-level accounting of every built frontier.
 	frontier *dp.FrontierMetrics
 }
@@ -87,7 +86,6 @@ func newSchedMetrics(r *metrics.Registry) *schedMetrics {
 		retryDropExhaust:    r.Counter("metasched/retry/dropped_exhausted_total"),
 		retryDropDeadline:   r.Counter("metasched/retry/dropped_deadline_total"),
 		engineFrontier:      r.Counter("metasched/engine/frontier_total"),
-		engineGrid:          r.Counter("metasched/engine/grid_total"),
 		frontier:            dp.NewFrontierMetrics(r),
 	}
 }
@@ -210,16 +208,13 @@ func (m *schedMetrics) planInfeasible() {
 	m.infeasible.Inc()
 }
 
-// engineUsed records which optimizer engine answered this iteration and, for
-// the sparse engine, its per-build accounting.
-func (m *schedMetrics) engineUsed(fr *dp.Frontier, grid bool) {
+// engineUsed records the frontier build that answered this iteration and its
+// accounting.
+func (m *schedMetrics) engineUsed(fr *dp.Frontier) {
 	if m == nil {
 		return
 	}
 	m.engineFrontier.Inc()
 	fr.Observe(m.frontier)
 	m.phaseOptimizePoints.Observe(int64(fr.Size()))
-	if grid {
-		m.engineGrid.Inc()
-	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestMetricsDoNotPerturbScheduling replays the full differential sweep — 20
-// seeded sessions, both algorithms, both batch policies, demand pricing,
-// local arrivals and node failures mixed in by the seed schedule — once with
+// seeded sessions, both algorithms, both batch policies, local arrivals
+// and node failures mixed in by the seed schedule — once with
 // observability off and once with a live registry attached, and asserts the
 // session transcripts are byte-identical. Instrumentation must never change
 // a scheduling decision.

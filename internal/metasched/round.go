@@ -7,8 +7,6 @@ import (
 	"ecosched/internal/dp"
 	"ecosched/internal/job"
 	"ecosched/internal/shard"
-	"ecosched/internal/sim"
-	"ecosched/internal/slot"
 	"ecosched/internal/trace"
 )
 
@@ -126,21 +124,6 @@ func (r *Round) Evaluate() error {
 	vacantLen := 0
 	for _, v := range views {
 		vacantLen += v.Len()
-	}
-	if s.cfg.DemandPricing != nil {
-		factor := s.cfg.DemandPricing.factor(s.grid.Utilization(horizon))
-		r.rep.PriceFactor = float64(factor)
-		// Repricing derives fresh lists the store's indexes do not describe;
-		// this round pays an index build per view.
-		var im *slot.IndexMetrics
-		if s.cfg.Search.Metrics != nil {
-			im = s.cfg.Search.Metrics.Index
-		}
-		for i, v := range views {
-			repriced := v.List().Reprice(func(sl slot.Slot) sim.Money { return sl.Price * factor })
-			views[i] = slot.NewIndex(repriced, im)
-		}
-		s.cfg.Trace.Record(trace.Repriced, "", "utilization factor %.3f over %d slots", float64(factor), vacantLen)
 	}
 	s.shardMetrics.Published(views)
 	s.metrics.published(vacantLen)

@@ -14,8 +14,8 @@ func withShards(k int) func(*metasched.Config) {
 }
 
 // TestShardDifferential is the one-search-path equivalence suite: over 20
-// seeded random sessions (covering demand pricing, live local arrivals, and
-// a mid-session node failure by seed selection) and both algorithms, every
+// seeded random sessions (covering live local arrivals and a mid-session
+// node failure by seed selection) and both algorithms, every
 // session at K ∈ {2, 4, 7} must produce a transcript byte-identical to the
 // K=1 session: same committed windows, plan criteria, postponements, drops,
 // and failure re-queues. K=1 is the one-view case of the same loop, K>1 the

@@ -14,9 +14,9 @@ import (
 )
 
 // TestSoakSession runs a long metascheduler session with every dynamic
-// feature enabled at once — sliding local arrivals, demand pricing, decision
-// tracing, a mid-session node failure and a later repair, and job waves —
-// and checks the global invariants after every iteration:
+// feature enabled at once — sliding local arrivals, decision tracing, a
+// mid-session node failure and a later repair, and job waves — and checks
+// the global invariants after every iteration:
 //
 //   - no two reservations overlap on a node;
 //   - no reservation sits on a node that was failed when it was booked;
@@ -47,7 +47,6 @@ func TestSoakSession(t *testing.T) {
 		Step:             150,
 		MaxBatch:         4,
 		MaxPostponements: 6,
-		DemandPricing:    &metasched.DemandPricing{MinFactor: 0.9, MaxFactor: 1.4},
 		Trace:            rec,
 		LocalArrivals: &metasched.LocalArrivals{
 			Load: gridsim.LocalLoad{MeanGap: 200, DurMin: 30, DurMax: 100},
@@ -137,7 +136,7 @@ func TestSoakSession(t *testing.T) {
 			// Repair it: vacancy returns, the failure record no longer
 			// constrains future bookings.
 			n := pool.ByName("n3")
-			if err := grid.RepairNode(n.ID); err != nil {
+			if err := grid.RecoverNode(n.ID); err != nil {
 				t.Fatal(err)
 			}
 			delete(failedAt, "n3")

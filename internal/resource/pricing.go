@@ -84,35 +84,3 @@ func (l LinearPricing) BasePrice(performance float64) sim.Money {
 func (l LinearPricing) Sample(_ *sim.RNG, performance float64) sim.Money {
 	return l.BasePrice(performance)
 }
-
-// DemandAdjustedPricing wraps another model and scales its prices by a
-// load-dependent factor — the supply-and-demand mechanism sketched in the
-// paper's future-work section. Utilization 0 maps to MinFactor, utilization 1
-// to MaxFactor, linearly in between.
-type DemandAdjustedPricing struct {
-	Inner       PricingModel
-	Utilization float64 // current fraction of busy capacity in [0, 1]
-	MinFactor   float64 // price factor at zero utilization (e.g. 0.8)
-	MaxFactor   float64 // price factor at full utilization (e.g. 1.5)
-}
-
-func (d DemandAdjustedPricing) factor() sim.Money {
-	u := d.Utilization
-	if u < 0 {
-		u = 0
-	}
-	if u > 1 {
-		u = 1
-	}
-	return sim.Money(d.MinFactor + (d.MaxFactor-d.MinFactor)*u)
-}
-
-// BasePrice implements PricingModel.
-func (d DemandAdjustedPricing) BasePrice(performance float64) sim.Money {
-	return d.Inner.BasePrice(performance) * d.factor()
-}
-
-// Sample implements PricingModel.
-func (d DemandAdjustedPricing) Sample(rng *sim.RNG, performance float64) sim.Money {
-	return d.Inner.Sample(rng, performance) * d.factor()
-}

@@ -85,30 +85,3 @@ func TestLinearPricing(t *testing.T) {
 		t.Errorf("LinearPricing.Sample = %v, want 7", got)
 	}
 }
-
-func TestDemandAdjustedPricing(t *testing.T) {
-	inner := FlatPricing{Price: 10}
-	d := DemandAdjustedPricing{Inner: inner, MinFactor: 0.8, MaxFactor: 1.5}
-
-	d.Utilization = 0
-	if got := d.BasePrice(1); math.Abs(float64(got-8)) > 1e-9 {
-		t.Errorf("idle price: got %v, want 8", got)
-	}
-	d.Utilization = 1
-	if got := d.BasePrice(1); math.Abs(float64(got-15)) > 1e-9 {
-		t.Errorf("full price: got %v, want 15", got)
-	}
-	d.Utilization = 0.5
-	if got := d.BasePrice(1); math.Abs(float64(got-11.5)) > 1e-9 {
-		t.Errorf("half price: got %v, want 11.5", got)
-	}
-	// Clamping.
-	d.Utilization = -2
-	if got := d.BasePrice(1); math.Abs(float64(got-8)) > 1e-9 {
-		t.Errorf("clamped low: got %v", got)
-	}
-	d.Utilization = 3
-	if got := d.Sample(sim.NewRNG(1), 1); math.Abs(float64(got-15)) > 1e-9 {
-		t.Errorf("clamped high sample: got %v", got)
-	}
-}

@@ -281,18 +281,6 @@ func (l *List) Coalesce() *List {
 	return NewList(merged)
 }
 
-// Reprice returns a copy of the list with every slot's price replaced by
-// price(slot). Node pointers are shared; only the per-slot price changes.
-// Used by the demand-adjusted pricing extension, where published prices
-// follow current utilization rather than the node's static price.
-func (l *List) Reprice(price func(Slot) sim.Money) *List {
-	c := l.Clone()
-	for i := range c.slots {
-		c.slots[i].Price = price(c.slots[i])
-	}
-	return c
-}
-
 // String renders the list one slot per line.
 func (l *List) String() string {
 	var b strings.Builder

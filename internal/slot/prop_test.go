@@ -115,11 +115,8 @@ func TestListOperationProperties(t *testing.T) {
 				if got := list.TotalTime(); got != before {
 					t.Fatalf("%s: coalesce changed total time %v -> %v", label, before, got)
 				}
-			case op < 9: // take a copy to audit later
+			default: // take a copy to audit later
 				snaps = append(snaps, snap{view: list.Clone(), state: snapshotState(list), step: step})
-			default: // reprice must not disturb structure
-				list = list.Reprice(func(s Slot) sim.Money { return s.Price * 2 })
-				list = list.Reprice(func(s Slot) sim.Money { return s.Price / 2 })
 			}
 			checkInvariants(t, label, list)
 			// Every copy taken so far must be unaffected by any of the

@@ -21,8 +21,8 @@ type Slot struct {
 	// slot.
 	Node *resource.Node
 	// Price is the usage cost per time unit for this slot. It normally
-	// equals Node.Price; keeping it on the slot lets generators and the
-	// demand-pricing extension vary prices per span.
+	// equals Node.Price; keeping it on the slot lets generators vary prices
+	// per span.
 	Price sim.Money
 	// Span is the half-open vacant interval [Start, End).
 	Span sim.Interval

@@ -1,6 +1,6 @@
 // Package trace records the decision history of a scheduling session: which
 // windows were found and subtracted, which combination the optimizer chose,
-// what was committed, postponed, or repriced. A trace is the artifact a VO
+// what was committed or postponed. A trace is the artifact a VO
 // administrator inspects when a job was scheduled somewhere surprising —
 // the textual equivalent of stepping through Figs. 2b→3 of the paper.
 //
@@ -36,8 +36,6 @@ const (
 	Postponed
 	// Dropped marks a job abandoned after the postponement cap.
 	Dropped
-	// Repriced marks a demand-pricing adjustment.
-	Repriced
 	// Revoked marks reservations cancelled by an owner reclaiming a slot
 	// interval.
 	Revoked
@@ -71,8 +69,6 @@ func (k Kind) String() string {
 		return "postponed"
 	case Dropped:
 		return "dropped"
-	case Repriced:
-		return "repriced"
 	case Revoked:
 		return "revoked"
 	case Recovered:

@@ -78,7 +78,8 @@ func TestRecorderFilters(t *testing.T) {
 }
 
 func TestKindStrings(t *testing.T) {
-	kinds := []Kind{SearchStarted, WindowFound, SearchFailed, PlanChosen, Committed, Postponed, Dropped, Repriced}
+	kinds := []Kind{SearchStarted, WindowFound, SearchFailed, PlanChosen, Committed, Postponed, Dropped,
+		Revoked, Recovered, Relaxed, PlanStale}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -23,7 +23,8 @@ const modulePath = "ecosched"
 // without a caller in a non-test file, each with its reason. Keys are the
 // package path relative to the module root, then the function or
 // Type.Method. TestExportedAPIHasProductionCaller fails on an entry that is
-// gone or has gained a caller, so the list can only shrink.
+// gone or has gained a caller, so the list can only shrink, and on a reason
+// outside allowlistReasons.
 var apiAllowlist = map[string]string{
 	// The root package is the library's public face; its callers are the
 	// users of the library (example_test.go shows them).
@@ -36,77 +37,27 @@ var apiAllowlist = map[string]string{
 	"internal/gridsim.Grid.RebuildVacantSlots": "DESIGN.md §8 oracle",
 	"internal/slot.List.SubtractWindow":        "DESIGN.md §8 oracle",
 
-	// Fixture constructors the tests of several packages share.
-	"internal/job.MustNewBatch":     "cross-package test helper",
-	"internal/resource.MustNewPool": "cross-package test helper",
+	// Fixture constructors and lookups the tests of several packages share.
+	"internal/job.Batch.ByName":                "cross-package test helper",
+	"internal/job.MustNewBatch":                "cross-package test helper",
+	"internal/metrics.Snapshot.Counter":        "cross-package test helper",
+	"internal/metrics.Snapshot.Gauge":          "cross-package test helper",
+	"internal/metrics.Snapshot.HistogramCount": "cross-package test helper",
+	"internal/resource.MustNewPool":            "cross-package test helper",
+	"internal/slot.List.Clone":                 "cross-package test helper",
+	"internal/slot.List.TotalTime":             "cross-package test helper",
+	"internal/slot.List.Validate":              "cross-package test helper",
+	"internal/slot.Window.MaxSlotPrice":        "cross-package test helper",
+	"internal/trace.Recorder.Events":           "cross-package test helper",
+}
 
-	// Test-only exports that ROADMAP item 4 deletes, moves into tests, or
-	// gives a production caller.
-	"internal/alloc.SearchResult.AlternativesPerJob": "pending ROADMAP item 4",
-	"internal/alloc.SearchResult.Remaining":          "pending ROADMAP item 4",
-	"internal/backfill.Cluster.Reserve":              "pending ROADMAP item 4",
-	"internal/backfill.Cluster.Size":                 "pending ROADMAP item 4",
-	"internal/backfill.Schedule.MeanWait":            "pending ROADMAP item 4",
-	"internal/backfill.Schedule.Utilization":         "pending ROADMAP item 4",
-	"internal/dp.MaxIncome":                          "pending ROADMAP item 4",
-	"internal/fault.Session.Drain":                   "pending ROADMAP item 4",
-	"internal/fault.Session.Resume":                  "pending ROADMAP item 4",
-	"internal/fault.Storm":                           "pending ROADMAP item 4",
-	"internal/gantt.Chart.SortRows":                  "pending ROADMAP item 4",
-	"internal/job.Batch.ByName":                      "pending ROADMAP item 4",
-	"internal/job.Batch.TotalEtalonTime":             "pending ROADMAP item 4",
-	"internal/job.Batch.TotalSlotDemand":             "pending ROADMAP item 4",
-	"internal/mc.ParseScript":                        "pending ROADMAP item 4",
-	"internal/mc.SessionTranscripts":                 "pending ROADMAP item 4",
-	"internal/metasched.Plan.CanonicalState":         "pending ROADMAP item 4",
-	"internal/metasched.Plan.Jobs":                   "pending ROADMAP item 4",
-	"internal/metasched.Plan.Windows":                "pending ROADMAP item 4",
-	"internal/metrics.Gauge.Add":                     "pending ROADMAP item 4",
-	"internal/metrics.Gauge.SetMax":                  "pending ROADMAP item 4",
-	"internal/metrics.Snapshot.Counter":              "pending ROADMAP item 4",
-	"internal/metrics.Snapshot.Gauge":                "pending ROADMAP item 4",
-	"internal/metrics.Snapshot.HistogramCount":       "pending ROADMAP item 4",
-	"internal/resource.ExponentialPricing.Validate":  "pending ROADMAP item 4",
-	"internal/resource.Node.PriceQuality":            "pending ROADMAP item 4",
-	"internal/resource.Node.UsageCost":               "pending ROADMAP item 4",
-	"internal/resource.Pool.Matching":                "pending ROADMAP item 4",
-	"internal/resource.Pool.TotalPerformance":        "pending ROADMAP item 4",
-	"internal/shard.Partition.Split":                 "pending ROADMAP item 4",
-	"internal/sim.Duration.Max":                      "pending ROADMAP item 4",
-	"internal/sim.Duration.Min":                      "pending ROADMAP item 4",
-	"internal/sim.Interval.Contains":                 "pending ROADMAP item 4",
-	"internal/sim.Money.Round":                       "pending ROADMAP item 4",
-	"internal/sim.NewInterval":                       "pending ROADMAP item 4",
-	"internal/sim.Time.After":                        "pending ROADMAP item 4",
-	"internal/sim.Time.Before":                       "pending ROADMAP item 4",
-	"internal/slot.Index.AliveAt":                    "pending ROADMAP item 4",
-	"internal/slot.Index.Buckets":                    "pending ROADMAP item 4",
-	"internal/slot.Index.RemoveAt":                   "pending ROADMAP item 4",
-	"internal/slot.List.Clone":                       "pending ROADMAP item 4",
-	"internal/slot.List.Coalesce":                    "pending ROADMAP item 4",
-	"internal/slot.List.Nodes":                       "pending ROADMAP item 4",
-	"internal/slot.List.OverlapOnSameNode":           "pending ROADMAP item 4",
-	"internal/slot.List.TotalTime":                   "pending ROADMAP item 4",
-	"internal/slot.List.Validate":                    "pending ROADMAP item 4",
-	"internal/slot.Slot.CanHostFrom":                 "pending ROADMAP item 4",
-	"internal/slot.Slot.SameNode":                    "pending ROADMAP item 4",
-	"internal/slot.Slot.UsageCost":                   "pending ROADMAP item 4",
-	"internal/slot.Window.MaxSlotPrice":              "pending ROADMAP item 4",
-	"internal/slot.Window.Size":                      "pending ROADMAP item 4",
-	"internal/stats.Histogram.Add":                   "pending ROADMAP item 4",
-	"internal/stats.Histogram.Render":                "pending ROADMAP item 4",
-	"internal/stats.Histogram.Total":                 "pending ROADMAP item 4",
-	"internal/stats.NewHistogram":                    "pending ROADMAP item 4",
-	"internal/stats.Online.N":                        "pending ROADMAP item 4",
-	"internal/stats.Online.Sum":                      "pending ROADMAP item 4",
-	"internal/stats.Series.Head":                     "pending ROADMAP item 4",
-	"internal/stats.Series.Mean":                     "pending ROADMAP item 4",
-	"internal/strategy.Strategy.Validate":            "pending ROADMAP item 4",
-	"internal/trace.Recorder.ByJob":                  "pending ROADMAP item 4",
-	"internal/trace.Recorder.ByKind":                 "pending ROADMAP item 4",
-	"internal/trace.Recorder.Dropped":                "pending ROADMAP item 4",
-	"internal/trace.Recorder.Len":                    "pending ROADMAP item 4",
-	"internal/trace.Recorder.Render":                 "pending ROADMAP item 4",
+// allowlistReasons is the closed set of reasons an export may stand without a
+// production caller. A cross-package test helper is one the tests of at least
+// two other packages call.
+var allowlistReasons = map[string]bool{
+	"root facade":               true,
+	"DESIGN.md §8 oracle":       true,
+	"cross-package test helper": true,
 }
 
 // TestExportedAPIHasProductionCaller keeps test-only API from regrowing:
@@ -188,6 +139,9 @@ func TestExportedAPIHasProductionCaller(t *testing.T) {
 	}
 
 	for key, reason := range apiAllowlist {
+		if !allowlistReasons[reason] {
+			t.Errorf("allowlist entry %s has reason %q: the only reasons are root facade, DESIGN.md §8 oracle and cross-package test helper", key, reason)
+		}
 		if e, ok := exports[key]; ok {
 			if referenced[key] {
 				t.Errorf("allowlist entry %s (%s, declared at %s) now has a caller in a non-test file: remove it", key, reason, e.pos)

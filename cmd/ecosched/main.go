@@ -52,6 +52,12 @@ func run(args []string) error {
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
+	if *series < 0 {
+		return fmt.Errorf("-series %d: must not be negative", *series)
+	}
+	if *checkpointEvery < 0 {
+		return fmt.Errorf("-checkpoint-every %d: must not be negative", *checkpointEvery)
+	}
 	if *pprofAddr != "" {
 		if err := servePprof(*pprofAddr); err != nil {
 			return err

@@ -223,6 +223,40 @@ func TestExportReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMCVerdictIsBounded pins the model checker's verdict to what the sweep
+// reached: a sweep the state bound cut short claims no exhaustiveness, and
+// one that drained no leaf claims no liveness.
+func TestMCVerdictIsBounded(t *testing.T) {
+	out := capture(t, []string{"mc", "-universe", "tiny", "-states", "10"})
+	want := "bounded sweep clean: safety, determinism hold up to the state bound of 10 states, not over every interleaving; liveness unprobed: no leaf drained\n"
+	if !strings.HasSuffix(out, want) || strings.Contains(out, "all interleavings clean") {
+		t.Fatalf("verdict of a truncated sweep overclaims:\n%s", out)
+	}
+}
+
+// TestNegativeBoundsRejected checks that a negative bound fails where it
+// enters instead of silently falling back to a default or exploring nothing.
+func TestNegativeBoundsRejected(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"mc", "-universe", "tiny", "-depth", "-1"}, "negative bound"},
+		{[]string{"mc", "-universe", "tiny", "-states", "-5"}, "negative bound"},
+		{[]string{"chaos", "-checkpoint-every", "-2"}, "-checkpoint-every -2"},
+		{[]string{"fig5", "-series", "-1"}, "-series -1"},
+	}
+	old := os.Stdout
+	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	os.Stdout = devnull
+	defer func() { os.Stdout = old; devnull.Close() }()
+	for _, tc := range cases {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestErrorPaths(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("missing subcommand accepted")

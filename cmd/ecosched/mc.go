@@ -52,7 +52,7 @@ func runMC(universe string, depth, states int, mutation, cexPath string, livenes
 		if mut != mc.MutNone {
 			return fmt.Errorf("seeded mutation %s survived the sweep undetected", mut)
 		}
-		fmt.Println("all interleavings clean: safety, determinism, liveness hold")
+		fmt.Println(verdict(res, liveness))
 		return nil
 	}
 	script := res.Cex.Script(u)
@@ -64,4 +64,25 @@ func runMC(universe string, depth, states int, mutation, cexPath string, livenes
 		fmt.Printf("counterexample written to %s\n", cexPath)
 	}
 	return fmt.Errorf("%s violated: %s", res.Cex.Property, res.Cex.Detail)
+}
+
+// verdict states what a clean sweep established, and no more: a sweep cut
+// short by the state bound covered only the interleavings it reached, and
+// liveness holds only when at least one leaf was drained.
+func verdict(res *mc.Result, liveness bool) string {
+	props := "safety, determinism"
+	if res.LivenessChecks > 0 {
+		props += ", liveness"
+	}
+	v := "all interleavings clean: " + props + " hold"
+	if res.Truncated {
+		v = fmt.Sprintf("bounded sweep clean: %s hold up to the state bound of %d states, not over every interleaving", props, res.States)
+	}
+	switch {
+	case res.LivenessChecks == 0 && liveness:
+		v += "; liveness unprobed: no leaf drained"
+	case res.LivenessChecks == 0:
+		v += "; liveness not checked"
+	}
+	return v
 }

@@ -28,7 +28,7 @@ func ExampleScheduleBatch() {
 		return
 	}
 	w := res.Plan.Choices[0].Window
-	fmt.Printf("window [%v, %v) on %d nodes, cost %v\n", w.Start(), w.End(), w.Size(), w.Cost())
+	fmt.Printf("window [%v, %v) on %d nodes, cost %v\n", w.Start(), w.End(), len(w.Placements), w.Cost())
 	// Output:
 	// window [0, 100) on 2 nodes, cost 400.00
 }

@@ -37,7 +37,7 @@ func TestALPFindsEarliestPair(t *testing.T) {
 	if w.Start() != 50 {
 		t.Errorf("window start: got %v, want 50 (second slot's start)", w.Start())
 	}
-	if w.Size() != 2 || !w.UsesNode("a") || !w.UsesNode("b") {
+	if len(w.Placements) != 2 || !w.UsesNode("a") || !w.UsesNode("b") {
 		t.Errorf("window nodes wrong: %v", w)
 	}
 	if err := w.Validate(); err != nil {

@@ -240,8 +240,8 @@ func TestAMPWindowInvariants(t *testing.T) {
 		if !w.Cost().LessEq(j.Request.Budget()) {
 			t.Fatalf("trial %d: cost %v exceeds budget %v", trial, w.Cost(), j.Request.Budget())
 		}
-		if w.Size() != j.Request.Nodes {
-			t.Fatalf("trial %d: window size %d, want %d", trial, w.Size(), j.Request.Nodes)
+		if len(w.Placements) != j.Request.Nodes {
+			t.Fatalf("trial %d: window size %d, want %d", trial, len(w.Placements), j.Request.Nodes)
 		}
 	}
 }

@@ -119,12 +119,8 @@ func TestFairDisjointAndConserving(t *testing.T) {
 				all = append(all, w)
 			}
 		}
-		for i := 0; i < len(all); i++ {
-			for k := i + 1; k < len(all); k++ {
-				if all[i].Overlaps(all[k]) {
-					t.Fatalf("trial %d: overlapping windows", trial)
-				}
-			}
+		if overlapping(all) {
+			t.Fatalf("trial %d: overlapping windows", trial)
 		}
 		if res.Remaining().TotalTime()+used != sc.Slots.TotalTime() {
 			t.Fatalf("trial %d: time not conserved", trial)

@@ -78,8 +78,8 @@ func FuzzFindWindow(f *testing.F) {
 			if err := w.Validate(); err != nil {
 				t.Fatalf("%s window invalid: %v", algo.Name(), err)
 			}
-			if w.Size() != req.Nodes {
-				t.Fatalf("%s window has %d placements, want N=%d", algo.Name(), w.Size(), req.Nodes)
+			if len(w.Placements) != req.Nodes {
+				t.Fatalf("%s window has %d placements, want N=%d", algo.Name(), len(w.Placements), req.Nodes)
 			}
 			for i, p := range w.Placements {
 				if perf := p.Source.Performance(); perf < req.MinPerformance {
@@ -132,16 +132,14 @@ func FuzzFindWindow(f *testing.F) {
 			var occupied sim.Duration
 			for _, name := range []string{"fz0", "fz1", "fz2"} {
 				for _, w := range res.Alternatives[name] {
-					for _, prev := range all {
-						if w.Overlaps(prev) {
-							t.Fatalf("%s alternatives overlap:\n%v\n%v", algo.Name(), prev, w)
-						}
-					}
 					all = append(all, w)
 					for _, p := range w.Placements {
 						occupied += p.Runtime()
 					}
 				}
+			}
+			if overlapping(all) {
+				t.Fatalf("%s alternatives overlap: %v", algo.Name(), all)
 			}
 			if err := res.Remaining().Validate(); err != nil {
 				t.Fatalf("%s remaining list invalid: %v", algo.Name(), err)

@@ -63,17 +63,6 @@ type SearchResult struct {
 	views []*slot.Index
 }
 
-// Remaining returns the vacant list after all subtractions, copied out of
-// the searched views in canonical order — O(n·K), computed when asked. A list
-// passed to FindAlternatives without a Prebuilt index is never modified.
-func (r *SearchResult) Remaining() *slot.List {
-	lists := make([]*slot.List, len(r.views))
-	for i, ix := range r.views {
-		lists[i] = ix.List()
-	}
-	return slot.MergeLists(lists...)
-}
-
 // TotalAlternatives returns the number of windows found across all jobs.
 func (r *SearchResult) TotalAlternatives() int {
 	var n int
@@ -81,15 +70,6 @@ func (r *SearchResult) TotalAlternatives() int {
 		n += len(ws)
 	}
 	return n
-}
-
-// AlternativesPerJob returns the mean number of alternatives per job
-// (0 for an empty batch).
-func (r *SearchResult) AlternativesPerJob() float64 {
-	if len(r.Alternatives) == 0 {
-		return 0
-	}
-	return float64(r.TotalAlternatives()) / float64(len(r.Alternatives))
 }
 
 // AllJobsCovered reports whether every job of the batch has at least one

@@ -68,12 +68,8 @@ func TestAlternativesAreDisjoint(t *testing.T) {
 		for _, ws := range res.Alternatives {
 			all = append(all, ws...)
 		}
-		for i := 0; i < len(all); i++ {
-			for k := i + 1; k < len(all); k++ {
-				if all[i].Overlaps(all[k]) {
-					t.Errorf("%s: windows %v and %v overlap", algo.Name(), all[i], all[k])
-				}
-			}
+		if overlapping(all) {
+			t.Errorf("%s: windows overlap: %v", algo.Name(), all)
 		}
 	}
 }
@@ -180,18 +176,38 @@ func TestSearchInvalidInputs(t *testing.T) {
 	}
 }
 
+// overlapping reports whether two of the windows share processor time on one
+// node: their used intervals, taken as slots, overlap on a node.
+func overlapping(ws []*slot.Window) bool {
+	var used []slot.Slot
+	for _, w := range ws {
+		for _, p := range w.Placements {
+			used = append(used, slot.Slot{Node: p.Source.Node, Price: p.Source.Price, Span: p.Used})
+		}
+	}
+	return slot.NewList(used).OverlapOnSameNode()
+}
+
+// Remaining returns the vacant list after all subtractions, copied out of
+// the searched views in canonical order — O(n·K), computed when asked. A list
+// passed to FindAlternatives without a Prebuilt index is never modified.
+func (r *SearchResult) Remaining() *slot.List {
+	lists := make([]*slot.List, len(r.views))
+	for i, ix := range r.views {
+		lists[i] = ix.List()
+	}
+	return slot.MergeLists(lists...)
+}
+
 func TestSearchResultAccessors(t *testing.T) {
 	res := &SearchResult{Alternatives: map[string][]*slot.Window{}}
-	if res.AlternativesPerJob() != 0 {
-		t.Error("empty result should report 0 per job")
+	if res.TotalAlternatives() != 0 {
+		t.Error("empty result should report 0 alternatives")
 	}
 	res.Alternatives["a"] = []*slot.Window{{}, {}}
 	res.Alternatives["b"] = []*slot.Window{{}}
 	if res.TotalAlternatives() != 3 {
 		t.Errorf("TotalAlternatives: got %d", res.TotalAlternatives())
-	}
-	if res.AlternativesPerJob() != 1.5 {
-		t.Errorf("AlternativesPerJob: got %v", res.AlternativesPerJob())
 	}
 }
 
@@ -222,7 +238,7 @@ func TestSearchPropertyOnGeneratedScenarios(t *testing.T) {
 					if w.Validate() != nil {
 						return false
 					}
-					if w.Size() != j.Request.Nodes {
+					if len(w.Placements) != j.Request.Nodes {
 						return false
 					}
 					if algo.Name() == "ALP" && w.MaxSlotPrice() > j.Request.MaxPrice+sim.MoneyEpsilon {
@@ -240,12 +256,8 @@ func TestSearchPropertyOnGeneratedScenarios(t *testing.T) {
 					all = append(all, w)
 				}
 			}
-			for i := 0; i < len(all); i++ {
-				for k := i + 1; k < len(all); k++ {
-					if all[i].Overlaps(all[k]) {
-						return false
-					}
-				}
+			if overlapping(all) {
+				return false
 			}
 			if res.Remaining().TotalTime()+used != sc.Slots.TotalTime() {
 				return false

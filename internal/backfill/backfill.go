@@ -46,9 +46,6 @@ func NewCluster(n int) (*Cluster, error) {
 	return &Cluster{n: n, busy: make([][]sim.Interval, n)}, nil
 }
 
-// Size returns the node count.
-func (c *Cluster) Size() int { return c.n }
-
 // BusyIntervals returns the number of busy intervals across all nodes — the
 // m that the backfill scan is quadratic in.
 func (c *Cluster) BusyIntervals() int {
@@ -125,21 +122,6 @@ func (c *Cluster) EarliestWindow(count int, d sim.Duration) (sim.Time, []int, er
 	}
 	// Unreachable: after the last busy end every node is idle forever.
 	return 0, nil, fmt.Errorf("backfill: no window found (unbounded horizon exhausted)")
-}
-
-// Reserve books count nodes for duration d at the earliest feasible start
-// and returns the reservation.
-func (c *Cluster) Reserve(jobName string, count int, d sim.Duration) (Reservation, error) {
-	start, nodes, err := c.EarliestWindow(count, d)
-	if err != nil {
-		return Reservation{}, err
-	}
-	for _, node := range nodes {
-		if err := c.Occupy(node, start, d); err != nil {
-			return Reservation{}, fmt.Errorf("backfill: reserving %s: %w", jobName, err)
-		}
-	}
-	return Reservation{JobName: jobName, Nodes: nodes, Span: sim.Interval{Start: start, End: start.Add(d)}}, nil
 }
 
 // StartableAt reports whether count nodes are idle for d starting exactly

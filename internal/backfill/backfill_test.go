@@ -15,7 +15,7 @@ func TestNewCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Size() != 4 || c.BusyIntervals() != 0 {
+	if c.BusyIntervals() != 0 {
 		t.Error("fresh cluster state wrong")
 	}
 }
@@ -127,16 +127,19 @@ func TestEarliestWindowInvalidArgs(t *testing.T) {
 	}
 }
 
+// TestReserve checks the scheduler's reservation step: each job is booked
+// at its earliest feasible start, so a job needing a node the first one
+// holds queues behind it.
 func TestReserve(t *testing.T) {
 	c, _ := NewCluster(2)
-	r1, err := c.Reserve("a", 2, 100)
+	r1, err := reserveAfter(c, QueuedJob{Name: "a", Nodes: 2, Duration: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Span.Start != 0 {
 		t.Errorf("first reservation start: %v", r1.Span.Start)
 	}
-	r2, err := c.Reserve("b", 1, 50)
+	r2, err := reserveAfter(c, QueuedJob{Name: "b", Nodes: 1, Duration: 50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,27 +63,6 @@ type Schedule struct {
 	TotalWait sim.Duration
 }
 
-// MeanWait returns the mean job wait time.
-func (s *Schedule) MeanWait() float64 {
-	if len(s.Reservations) == 0 {
-		return 0
-	}
-	return float64(s.TotalWait) / float64(len(s.Reservations))
-}
-
-// Utilization returns busy node-ticks divided by cluster capacity up to the
-// makespan.
-func (s *Schedule) Utilization(clusterSize int) float64 {
-	if s.Makespan <= 0 || clusterSize <= 0 {
-		return 0
-	}
-	var busy sim.Duration
-	for _, r := range s.Reservations {
-		busy += r.Span.Length() * sim.Duration(len(r.Nodes))
-	}
-	return float64(busy) / (float64(s.Makespan) * float64(clusterSize))
-}
-
 // Run schedules the queue (in arrival order; FCFS base order) on a fresh
 // cluster of the given size with the selected backfilling variant and
 // returns the schedule.

@@ -150,15 +150,11 @@ func TestScheduleMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.MeanWait() != 50 { // b waits 100, a waits 0
-		t.Errorf("MeanWait: got %v", s.MeanWait())
+	if s.TotalWait != 100 { // b waits 100, a waits 0
+		t.Errorf("TotalWait: got %v, want 100", s.TotalWait)
 	}
-	if u := s.Utilization(2); u != 1.0 {
-		t.Errorf("Utilization: got %v, want 1.0", u)
-	}
-	empty := &Schedule{}
-	if empty.MeanWait() != 0 || empty.Utilization(2) != 0 {
-		t.Error("empty schedule metrics should be zero")
+	if s.Makespan != 200 {
+		t.Errorf("Makespan: got %v, want 200", s.Makespan)
 	}
 }
 

@@ -206,5 +206,9 @@ func DecodeScenario(r io.Reader) (*workload.Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
-	return &workload.Scenario{Pool: pool, Slots: slot.NewList(slots), Batch: batch}, nil
+	list := slot.NewList(slots)
+	if list.OverlapOnSameNode() {
+		return nil, fmt.Errorf("codec: vacant slots overlap on one node; a node's vacant slots must be disjoint")
+	}
+	return &workload.Scenario{Pool: pool, Slots: list, Batch: batch}, nil
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -133,6 +134,7 @@ func TestDecodeRejectsBadDocuments(t *testing.T) {
 		{"bad node", `{"version": 1, "nodes": [{"name": "x", "performance": -1, "price": 1}], "slots": [], "jobs": []}`},
 		{"slot unknown node", `{"version": 1, "nodes": [], "slots": [{"node": 3, "price": 1, "start": 0, "end": 10}], "jobs": []}`},
 		{"bad slot span", `{"version": 1, "nodes": [{"name": "x", "performance": 1, "price": 1}], "slots": [{"node": 0, "price": 1, "start": 10, "end": 0}], "jobs": []}`},
+		{"slots overlapping on one node", `{"version": 1, "nodes": [{"name": "x", "performance": 1, "price": 1}], "slots": [{"node": 0, "price": 1, "start": 0, "end": 10}, {"node": 0, "price": 1, "start": 9, "end": 20}], "jobs": []}`},
 		{"bad job", `{"version": 1, "nodes": [], "slots": [], "jobs": [{"name": "j", "priority": 1, "nodes": 0, "time": 10, "min_performance": 1, "max_price": 1}]}`},
 		{"duplicate jobs", `{"version": 1, "nodes": [], "slots": [], "jobs": [
 			{"name": "j", "priority": 1, "nodes": 1, "time": 10, "min_performance": 1, "max_price": 1},
@@ -142,6 +144,42 @@ func TestDecodeRejectsBadDocuments(t *testing.T) {
 		if _, err := DecodeScenario(strings.NewReader(c.doc)); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+}
+
+// TestDecodeRejectsOverlappingSlots pins the decoder's disjointness check:
+// every layer above assumes a node's vacant slots never overlap, so an
+// exported scenario with every slot listed twice must fail at decode, with a
+// codec error, and not later inside the window search. Slots that only touch
+// stay legal.
+func TestDecodeRejectsOverlappingSlots(t *testing.T) {
+	sc, err := workload.GenerateScenario(workload.PaperSlotGenerator(), workload.PaperJobGenerator(), sim.NewRNG(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := EncodeScenario(&buf, sc); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	slots := doc["slots"].([]any)
+	doc["slots"] = append(slots, slots...)
+	doubled, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = DecodeScenario(bytes.NewReader(doubled))
+	if err == nil || !strings.HasPrefix(err.Error(), "codec: ") || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("duplicated slots: got %v, want a codec overlap error", err)
+	}
+
+	touching := `{"version": 1, "nodes": [{"name": "x", "performance": 1, "price": 1}], "jobs": [],
+		"slots": [{"node": 0, "price": 1, "start": 0, "end": 10}, {"node": 0, "price": 1, "start": 10, "end": 20}]}`
+	if _, err := DecodeScenario(strings.NewReader(touching)); err != nil {
+		t.Errorf("touching slots rejected: %v", err)
 	}
 }
 

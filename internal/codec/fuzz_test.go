@@ -59,8 +59,8 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := sc2.Slots.Validate(); err != nil {
 			t.Fatalf("decoded slot list invalid: %v", err)
 		}
-		if sc2.Slots.OverlapOnSameNode() != sc.Slots.OverlapOnSameNode() {
-			t.Fatal("overlap structure changed across the round trip")
+		if sc.Slots.OverlapOnSameNode() {
+			t.Fatal("decoder accepted slots that overlap on one node")
 		}
 	})
 }

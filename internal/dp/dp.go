@@ -13,7 +13,7 @@
 //   - MinimizeCost: min C(s̄) subject to T(s̄) ≤ T* (total occupancy quota),
 //
 // plus the limit constructors of Eq. (2) (TimeQuota → T*) and Eq. (3)
-// (MaxIncome → B*).
+// (Frontier.MaxIncome → B*).
 //
 // Time is naturally integral (ticks). Money is continuous, so the cost-
 // constrained DP discretizes money onto a grid; the step is configurable and
@@ -155,7 +155,7 @@ func quotaOf(lists [][]*slot.Window) sim.Duration {
 // the maximal total cost (resource-owner income) achievable by any
 // combination whose total time fits the quota. It returns the optimal income
 // and the witnessing plan. It is the reference oracle for the sparse
-// frontier engine (see frontier.go and MaxIncome).
+// frontier engine (see frontier.go and Frontier.MaxIncome).
 func MaxIncomeDense(batch *job.Batch, alts Alternatives, quota sim.Duration) (sim.Money, *Plan, error) {
 	plan, err := runTimeConstrained(batch, alts, quota, maximizeCost)
 	if err != nil {

@@ -212,6 +212,15 @@ func TestTimeQuotaAlwaysAttainable(t *testing.T) {
 	}
 }
 
+// maxIncome answers Eq. (3) from a fresh frontier, as ComputeLimits does.
+func maxIncome(batch *job.Batch, alts Alternatives, quota sim.Duration) (sim.Money, *Plan, error) {
+	f, err := NewFrontier(batch, alts)
+	if err != nil {
+		return 0, nil, err
+	}
+	return f.MaxIncome(quota)
+}
+
 func TestMaxIncomeEq3(t *testing.T) {
 	batch := synthBatch(2)
 	alts := Alternatives{
@@ -220,7 +229,7 @@ func TestMaxIncomeEq3(t *testing.T) {
 	}
 	// Quota 60: combos (30,20)=270 and (30,40) (70>60, out) ... only
 	// (30,20) fits time 50 ≤ 60 → income 270.
-	income, plan, err := MaxIncome(batch, alts, 60)
+	income, plan, err := maxIncome(batch, alts, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +237,7 @@ func TestMaxIncomeEq3(t *testing.T) {
 		t.Errorf("MaxIncome: got %v (time %v), want 270/50", income, plan.TotalTime)
 	}
 	// Quota 90 admits everything: max income combo is (30,20)=270 still.
-	income, _, err = MaxIncome(batch, alts, 90)
+	income, _, err = maxIncome(batch, alts, 90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +349,7 @@ func TestDPMatchesBruteForce(t *testing.T) {
 			}
 		}
 
-		income, _, err := MaxIncome(batch, alts, quota)
+		income, _, err := maxIncome(batch, alts, quota)
 		if wantIncome < 0 {
 			if err == nil {
 				return false
@@ -445,7 +454,7 @@ func TestMinimizeTimeQuotaClampPreventsBlowup(t *testing.T) {
 	if plan.TotalTime != 70 {
 		t.Errorf("plan time: %v", plan.TotalTime)
 	}
-	income, _, err := MaxIncome(batch, alts, 1<<50)
+	income, _, err := maxIncome(batch, alts, 1<<50)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -340,16 +340,6 @@ func MinimizeCost(batch *job.Batch, alts Alternatives, quota sim.Duration) (*Pla
 	return f.MinimizeCost(quota)
 }
 
-// MaxIncome computes B* per Eq. (3) with the sparse frontier engine. The
-// dense oracle is MaxIncomeDense.
-func MaxIncome(batch *job.Batch, alts Alternatives, quota sim.Duration) (sim.Money, *Plan, error) {
-	f, err := NewFrontier(batch, alts)
-	if err != nil {
-		return 0, nil, err
-	}
-	return f.MaxIncome(quota)
-}
-
 // ComputeLimits derives T* and B* for a batch from its alternatives with the
 // sparse frontier engine, following the paper's order: Eq. (2) first, then
 // Eq. (3) as the maximal owner income under T*. The dense oracle is

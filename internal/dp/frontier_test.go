@@ -245,7 +245,7 @@ func TestFrontierEdgeCases(t *testing.T) {
 		if _, err := MinimizeCost(batch, alts, 10); !errors.As(err, &inf) {
 			t.Errorf("tiny quota must be infeasible, got %v", err)
 		}
-		if _, _, err := MaxIncome(batch, alts, 10); !errors.As(err, &inf) {
+		if _, _, err := maxIncome(batch, alts, 10); !errors.As(err, &inf) {
 			t.Errorf("tiny quota must make MaxIncome infeasible, got %v", err)
 		}
 		if _, err := MinimizeTime(batch, alts, -1); !errors.As(err, &inf) {

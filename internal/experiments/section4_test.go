@@ -118,8 +118,8 @@ func TestSection4WindowBudgets(t *testing.T) {
 			if !w.Cost().LessEq(j.Request.Budget()) {
 				t.Errorf("AMP window %v violates budget %v", w, j.Request.Budget())
 			}
-			if w.Size() != j.Request.Nodes {
-				t.Errorf("window %v has %d slots, want %d", w, w.Size(), j.Request.Nodes)
+			if len(w.Placements) != j.Request.Nodes {
+				t.Errorf("window %v has %d slots, want %d", w, len(w.Placements), j.Request.Nodes)
 			}
 		}
 	}

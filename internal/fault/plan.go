@@ -224,37 +224,6 @@ func parseEvent(s string) (Event, error) {
 	return e, nil
 }
 
-// Storm returns the events of a batch-wide fault storm: ceil(fraction·N)
-// distinct seeded-random nodes (always leaving at least one node up) crash
-// at the given instant, and — when outage is positive — each recovers
-// outage ticks later. Appending the result to other events via NewPlan keeps
-// the whole schedule normalized.
-func Storm(pool *resource.Pool, at sim.Time, fraction float64, outage sim.Duration, rng *sim.RNG) []Event {
-	if fraction <= 0 || pool.Size() == 0 {
-		return nil
-	}
-	if fraction > 1 {
-		fraction = 1
-	}
-	n := (pool.Size()*int(fraction*1000) + 999) / 1000
-	if n >= pool.Size() {
-		n = pool.Size() - 1
-	}
-	if n <= 0 {
-		return nil
-	}
-	nodes := pool.Nodes()
-	var events []Event
-	for _, idx := range rng.Perm(len(nodes))[:n] {
-		label := nodes[idx].Label()
-		events = append(events, Event{At: at, Kind: Fail, Node: label})
-		if outage > 0 {
-			events = append(events, Event{At: at.Add(outage), Kind: Recover, Node: label})
-		}
-	}
-	return events
-}
-
 // RandomSpec parameterizes RandomPlan.
 type RandomSpec struct {
 	// Seed drives every random choice.

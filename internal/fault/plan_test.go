@@ -102,54 +102,6 @@ func TestPlanValidatePool(t *testing.T) {
 	}
 }
 
-// TestStorm checks the batch-wide generator: the requested node fraction
-// crashes at the storm instant, each crash pairs with a recovery when an
-// outage is given, at least one node survives, and the same seed reproduces
-// the same storm.
-func TestStorm(t *testing.T) {
-	pool := testPool(t, 10)
-	events := fault.Storm(pool, 500, 0.5, 200, sim.NewRNG(42))
-	fails, recovers := 0, 0
-	seen := map[string]bool{}
-	for _, e := range events {
-		switch e.Kind {
-		case fault.Fail:
-			fails++
-			if e.At != 500 {
-				t.Errorf("storm failure at %v, want 500", e.At)
-			}
-			if seen[e.Node] {
-				t.Errorf("storm failed node %s twice", e.Node)
-			}
-			seen[e.Node] = true
-		case fault.Recover:
-			recovers++
-			if e.At != 700 {
-				t.Errorf("storm recovery at %v, want 700", e.At)
-			}
-		default:
-			t.Errorf("storm produced unexpected event %v", e)
-		}
-	}
-	if fails != 5 || recovers != 5 {
-		t.Fatalf("storm produced %d failures and %d recoveries, want 5 and 5", fails, recovers)
-	}
-
-	again := fault.Storm(pool, 500, 0.5, 200, sim.NewRNG(42))
-	if fmt.Sprint(again) != fmt.Sprint(events) {
-		t.Fatal("same seed produced a different storm")
-	}
-
-	// A full-pool storm must still leave one node standing.
-	total := fault.Storm(pool, 100, 1.0, 0, sim.NewRNG(7))
-	if len(total) != pool.Size()-1 {
-		t.Fatalf("fraction 1.0 storm crashed %d of %d nodes, want all but one", len(total), pool.Size())
-	}
-	if fault.Storm(pool, 100, 0, 0, sim.NewRNG(7)) != nil {
-		t.Fatal("zero-fraction storm produced events")
-	}
-}
-
 // TestRandomPlan checks the seeded generator: deterministic per seed,
 // rate-monotone, every event valid against the pool and round-trippable
 // through the DSL.

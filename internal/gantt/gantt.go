@@ -5,7 +5,6 @@ package gantt
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"ecosched/internal/sim"
@@ -144,10 +143,4 @@ func (c *Chart) Render() string {
 	sb.WriteString(tickLine.String())
 	sb.WriteByte('\n')
 	return sb.String()
-}
-
-// SortRows orders the rows lexicographically (cpu1, cpu2, ...). Useful when
-// segments arrive in discovery order.
-func (c *Chart) SortRows() {
-	sort.Strings(c.order)
 }

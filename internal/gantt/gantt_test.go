@@ -25,19 +25,6 @@ func TestChartRendersRowsInOrder(t *testing.T) {
 	}
 }
 
-func TestChartSortRows(t *testing.T) {
-	c := NewChart(100)
-	c.AddRow("cpu3")
-	c.AddRow("cpu1")
-	c.AddRow("cpu2")
-	c.SortRows()
-	out := c.Render()
-	if strings.Index(out, "cpu1") > strings.Index(out, "cpu2") ||
-		strings.Index(out, "cpu2") > strings.Index(out, "cpu3") {
-		t.Errorf("SortRows did not order rows:\n%s", out)
-	}
-}
-
 func TestChartLabelStamped(t *testing.T) {
 	c := NewChart(100)
 	c.Add(Segment{Node: "cpu1", Span: sim.Interval{Start: 0, End: 100}, Label: "p1", Kind: '#'})

@@ -13,18 +13,17 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // goldenChart builds the fixed Figs. 2–3-style fixture the golden test pins:
 // vacancies underneath local load, two placed windows overlaying them, a
-// sub-column segment, an idle row, and lexicographic row order.
+// sub-column segment, and an idle row.
 func goldenChart() *Chart {
 	c := NewChart(600)
 	c.Width = 60
-	c.Add(Segment{Node: "cpu2", Span: sim.Interval{Start: 0, End: 600}, Kind: '.'})
 	c.Add(Segment{Node: "cpu1", Span: sim.Interval{Start: 0, End: 600}, Kind: '.'})
+	c.Add(Segment{Node: "cpu2", Span: sim.Interval{Start: 0, End: 600}, Kind: '.'})
 	c.Add(Segment{Node: "cpu1", Span: sim.Interval{Start: 100, End: 250}, Kind: '#', Label: "local"})
 	c.Add(Segment{Node: "cpu2", Span: sim.Interval{Start: 540, End: 541}, Kind: '#'})
 	c.Add(Segment{Node: "cpu1", Span: sim.Interval{Start: 300, End: 450}, Kind: 'A', Label: "j1"})
 	c.Add(Segment{Node: "cpu2", Span: sim.Interval{Start: 300, End: 450}, Kind: 'A', Label: "j1"})
 	c.AddRow("cpu3")
-	c.SortRows()
 	return c
 }
 

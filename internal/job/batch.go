@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"ecosched/internal/sim"
 )
 
 // Batch is the ordered set J = {j1, ..., jn} scheduled together in one
@@ -60,25 +58,6 @@ func (b *Batch) ByName(name string) *Job {
 		}
 	}
 	return nil
-}
-
-// TotalEtalonTime returns the sum of requested etalon wall times — a crude
-// demand measure used by workload reports.
-func (b *Batch) TotalEtalonTime() sim.Duration {
-	var sum sim.Duration
-	for _, j := range b.jobs {
-		sum += j.Request.Time
-	}
-	return sum
-}
-
-// TotalSlotDemand returns the sum of requested node counts.
-func (b *Batch) TotalSlotDemand() int {
-	var sum int
-	for _, j := range b.jobs {
-		sum += j.Request.Nodes
-	}
-	return sum
 }
 
 // String lists the batch's jobs.

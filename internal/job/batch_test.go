@@ -3,6 +3,8 @@ package job
 import (
 	"strings"
 	"testing"
+
+	"ecosched/internal/sim"
 )
 
 func mkJob(name string, prio int) *Job {
@@ -60,6 +62,24 @@ func TestBatchByName(t *testing.T) {
 	if b.ByName("b") == nil || b.ByName("zz") != nil {
 		t.Error("ByName lookup wrong")
 	}
+}
+
+// TotalEtalonTime returns the sum of requested etalon wall times.
+func (b *Batch) TotalEtalonTime() sim.Duration {
+	var sum sim.Duration
+	for _, j := range b.jobs {
+		sum += j.Request.Time
+	}
+	return sum
+}
+
+// TotalSlotDemand returns the sum of requested node counts.
+func (b *Batch) TotalSlotDemand() int {
+	var sum int
+	for _, j := range b.jobs {
+		sum += j.Request.Nodes
+	}
+	return sum
 }
 
 func TestBatchDemandAggregates(t *testing.T) {

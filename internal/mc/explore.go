@@ -6,11 +6,12 @@ import (
 
 // Options bounds and tunes an exploration sweep.
 type Options struct {
-	// MaxDepth bounds trace length; 0 means 8.
+	// MaxDepth bounds trace length; 0 means 8, and Explore rejects a
+	// negative bound.
 	MaxDepth int
 	// MaxStates bounds the number of distinct canonical states; when the
 	// bound is hit the sweep stops expanding and reports Truncated. 0
-	// means 200000.
+	// means 200000; negative is an error.
 	MaxStates int
 	// Liveness enables the bounded fault-free drain at depth-bound leaves.
 	Liveness bool
@@ -133,6 +134,9 @@ func (n node) child(a Action, trace []Action) node {
 func Explore(u *Universe, opts Options) (*Result, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.MaxDepth < 0 || opts.MaxStates < 0 {
+		return nil, fmt.Errorf("mc: negative bound (depth %d, states %d)", opts.MaxDepth, opts.MaxStates)
 	}
 	opts = opts.withDefaults()
 	res := &Result{}

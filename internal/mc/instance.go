@@ -80,9 +80,6 @@ func NewInstance(u *Universe, mut Mutation, w io.Writer) (*Instance, error) {
 	}, nil
 }
 
-// Scheduler exposes the driven scheduler (for drains and summaries).
-func (in *Instance) Scheduler() *metasched.Scheduler { return in.sched }
-
 // Events returns the fault events applied so far with their recorded times.
 func (in *Instance) Events() []fault.Event { return in.events }
 

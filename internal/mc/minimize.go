@@ -111,8 +111,9 @@ func (c *Counterexample) FaultPlan(u *Universe) string {
 }
 
 // Script renders the counterexample as a replayable artifact: commented
-// header with the property and violation, the action script ParseScript
-// accepts verbatim, and the fault-plan DSL for the environment events.
+// header with the property and violation, the action script (one action per
+// line, as RenderTrace writes it), and the fault-plan DSL for the
+// environment events.
 func (c *Counterexample) Script(u *Universe) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# property: %s\n", c.Property)

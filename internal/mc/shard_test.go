@@ -21,12 +21,15 @@ func TestTwoShardSplitNonDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := shard.New(u.Shards)
-	groups := p.Split(pool)
-	if len(groups) != 2 {
-		t.Fatalf("split into %d groups, want 2", len(groups))
+	sizes := make([]int, p.K())
+	for _, n := range pool.Nodes() {
+		sizes[p.Of(n)]++
 	}
-	for i, g := range groups {
-		if len(g) == 0 {
+	if len(sizes) != 2 {
+		t.Fatalf("split into %d groups, want 2", len(sizes))
+	}
+	for i, size := range sizes {
+		if size == 0 {
 			t.Fatalf("shard %d is empty — the 2-shard universe is degenerate", i)
 		}
 	}

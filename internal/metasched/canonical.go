@@ -51,11 +51,7 @@ func (r *Round) CanonicalState(b *strings.Builder) {
 	for _, q := range r.selected {
 		fmt.Fprintf(b, "batched %s\n", q.job.Name)
 	}
-	if r.plan != nil {
-		for _, ch := range r.plan.Choices {
-			fmt.Fprintf(b, "chosen %s -> %v\n", ch.Job.Name, ch.Window)
-		}
-	}
+	r.plan.CanonicalState(b)
 }
 
 // sortedKeys returns the map's keys in sorted order.

@@ -312,25 +312,36 @@ func TestTraceRecordsSession(t *testing.T) {
 	if _, err := sv.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
+	if len(rec.Events()) == 0 {
 		t.Fatal("trace recorded nothing")
 	}
-	if len(rec.ByKind(trace.SearchStarted)) != 1 {
+	kinds, jobs := eventCounts(rec)
+	if kinds[trace.SearchStarted] != 1 {
 		t.Error("search start not recorded")
 	}
-	if len(rec.ByKind(trace.WindowFound)) == 0 {
+	if kinds[trace.WindowFound] == 0 {
 		t.Error("windows not recorded")
 	}
-	if len(rec.ByKind(trace.Committed)) != 3 {
-		t.Errorf("commits: %d, want 3", len(rec.ByKind(trace.Committed)))
+	if kinds[trace.Committed] != 3 {
+		t.Errorf("commits: %d, want 3", kinds[trace.Committed])
 	}
-	if len(rec.ByKind(trace.PlanChosen)) != 1 {
+	if kinds[trace.PlanChosen] != 1 {
 		t.Error("plan choice not recorded")
 	}
 	// Every committed job's history is reconstructable by name.
-	if len(rec.ByJob("job2")) == 0 {
+	if jobs["job2"] == 0 {
 		t.Error("job2 history empty")
 	}
+}
+
+// eventCounts tallies the recorder's retained events by kind and by job.
+func eventCounts(rec *trace.Recorder) (kinds map[trace.Kind]int, jobs map[string]int) {
+	kinds, jobs = make(map[trace.Kind]int), make(map[string]int)
+	for _, e := range rec.Events() {
+		kinds[e.Kind]++
+		jobs[e.Job]++
+	}
+	return kinds, jobs
 }
 
 func TestHandleNodeFailureRequeuesAffectedJobs(t *testing.T) {

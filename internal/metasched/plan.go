@@ -6,7 +6,6 @@ import (
 
 	"ecosched/internal/dp"
 	"ecosched/internal/sim"
-	"ecosched/internal/slot"
 )
 
 // Plan is a priced combination of chosen windows bound to the grid snapshot
@@ -53,30 +52,6 @@ func newPlan(iteration int, epoch uint64, p *dp.Plan) *Plan {
 // may still commit — the mutation might not touch the chosen windows — which
 // is why the applier re-validates instead of rejecting on staleness alone.
 func (p *Plan) Stale(epoch uint64) bool { return p != nil && epoch != p.Epoch }
-
-// Jobs returns the planned job names in choice order.
-func (p *Plan) Jobs() []string {
-	if p == nil {
-		return nil
-	}
-	out := make([]string, len(p.Choices))
-	for i, ch := range p.Choices {
-		out[i] = ch.Job.Name
-	}
-	return out
-}
-
-// Windows returns the chosen windows in choice order.
-func (p *Plan) Windows() []*slot.Window {
-	if p == nil {
-		return nil
-	}
-	out := make([]*slot.Window, len(p.Choices))
-	for i, ch := range p.Choices {
-		out[i] = ch.Window
-	}
-	return out
-}
 
 // CanonicalState appends the plan's deterministic serialization to b. The
 // epoch is deliberately omitted: it is a change detector over histories, not

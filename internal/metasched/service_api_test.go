@@ -18,8 +18,8 @@ func TestServiceConfigValidate(t *testing.T) {
 
 // TestServiceAccessors covers the read-side API on a live round: the wrapped
 // scheduler, the deprecated QueueDepth shim (always 0: the job queue is the
-// only queue), and the Plan views — Jobs and Windows in choice order, and the
-// canonical serialization matching the open round's "chosen" lines.
+// only queue), and the plan's canonical serialization matching the open
+// round's "chosen" lines.
 func TestServiceAccessors(t *testing.T) {
 	h := newStaleHarness(t, 1)
 	if h.svc.Scheduler() != h.sched {
@@ -36,12 +36,8 @@ func TestServiceAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.Plan()
-	if got := fmt.Sprint(p.Jobs()); got != "[j1]" {
-		t.Fatalf("Plan.Jobs() = %v, want [j1]", got)
-	}
-	ws := p.Windows()
-	if len(ws) != 1 || ws[0] != p.Choices[0].Window {
-		t.Fatalf("Plan.Windows() = %v, want the single chosen window", ws)
+	if len(p.Choices) != 1 || p.Choices[0].Job.Name != "j1" {
+		t.Fatalf("plan chose %v, want j1 alone", p.Choices)
 	}
 	var b strings.Builder
 	p.CanonicalState(&b)
@@ -65,17 +61,11 @@ func TestServiceAccessors(t *testing.T) {
 }
 
 // TestPlanNilViews pins the nil-plan contract every accessor shares: a nil
-// *Plan is never stale, has no jobs or windows, and serializes to nothing.
+// *Plan is never stale and serializes to nothing.
 func TestPlanNilViews(t *testing.T) {
 	var p *metasched.Plan
 	if p.Stale(42) {
 		t.Fatal("nil plan reported stale")
-	}
-	if p.Jobs() != nil {
-		t.Fatal("nil plan reported jobs")
-	}
-	if w := p.Windows(); w != nil {
-		t.Fatalf("nil plan reported windows %v", w)
 	}
 	var b strings.Builder
 	p.CanonicalState(&b)

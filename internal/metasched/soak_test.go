@@ -159,13 +159,13 @@ func TestSoakSession(t *testing.T) {
 	if len(placed) == 0 {
 		t.Fatal("soak session placed nothing")
 	}
-	if rec.Len() == 0 {
+	if len(rec.Events()) == 0 {
 		t.Fatal("trace empty after a 12-iteration session")
 	}
 	// The trace must contain commits for placed jobs.
-	if got := len(rec.ByKind(trace.Committed)); got < len(placed) {
-		t.Errorf("trace commits %d < placed %d", got, len(placed))
+	if kinds, _ := eventCounts(rec); kinds[trace.Committed] < len(placed) {
+		t.Errorf("trace commits %d < placed %d", kinds[trace.Committed], len(placed))
 	}
-	t.Logf("soak: %d submitted, %d placed, %d dropped, %d queued, %d trace events (%d overwritten)",
-		len(submitted), len(placed), len(dropped), sched.QueueLength(), rec.Len(), rec.Dropped())
+	t.Logf("soak: %d submitted, %d placed, %d dropped, %d queued, %d trace events",
+		len(submitted), len(placed), len(dropped), sched.QueueLength(), len(rec.Events()))
 }

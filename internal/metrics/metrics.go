@@ -76,30 +76,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add shifts the gauge by delta, which may be negative — the natural
-// operation for level gauges (queue depths, in-flight counts) maintained by
-// paired enter/leave observations.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// SetMax raises the gauge to v when v exceeds the current value — a
-// high-water mark usable from concurrent observers.
-func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
 // Value returns the gauge's current value; 0 for a nil gauge.
 func (g *Gauge) Value() int64 {
 	if g == nil {

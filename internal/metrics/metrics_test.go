@@ -28,11 +28,6 @@ func TestGaugeBasics(t *testing.T) {
 	if got := g.Value(); got != 3 {
 		t.Fatalf("gauge value %d, want 3", got)
 	}
-	g.SetMax(10)
-	g.SetMax(4)
-	if got := g.Value(); got != 10 {
-		t.Fatalf("gauge high-water %d, want 10", got)
-	}
 }
 
 func TestHistogramBuckets(t *testing.T) {
@@ -181,7 +176,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.SetMax(9)
 	h.Observe(1)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments accumulated state")
@@ -207,7 +201,6 @@ func TestDisabledInstrumentsZeroAllocs(t *testing.T) {
 		c.Inc()
 		c.Add(3)
 		g.Set(5)
-		g.SetMax(7)
 		h.Observe(9)
 		_ = c.Value()
 		_ = h.Count()
@@ -245,7 +238,6 @@ func TestConcurrentCounters(t *testing.T) {
 	r := New()
 	c := r.Counter("conc")
 	h := r.Histogram("conch", []int64{50})
-	g := r.Gauge("concg")
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -255,7 +247,6 @@ func TestConcurrentCounters(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				h.Observe(int64(i % 100))
-				g.SetMax(int64(w*perWorker + i))
 			}
 		}(w)
 	}
@@ -265,8 +256,5 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 	if got := h.Count(); got != workers*perWorker {
 		t.Fatalf("histogram count %d, want %d", got, workers*perWorker)
-	}
-	if got := g.Value(); got != workers*perWorker-1 {
-		t.Fatalf("gauge high-water %d, want %d", got, workers*perWorker-1)
 	}
 }

@@ -1,7 +1,6 @@
 package resource
 
 import (
-	"fmt"
 	"math"
 
 	"ecosched/internal/sim"
@@ -43,17 +42,6 @@ func (e ExponentialPricing) BasePrice(performance float64) sim.Money {
 func (e ExponentialPricing) Sample(rng *sim.RNG, performance float64) sim.Money {
 	p := e.BasePrice(performance)
 	return rng.MoneyBetween(p*sim.Money(e.LowFactor), p*sim.Money(e.HighFactor))
-}
-
-// Validate reports an error for degenerate pricing parameters.
-func (e ExponentialPricing) Validate() error {
-	if e.Base <= 0 {
-		return fmt.Errorf("resource: pricing base must be positive, got %v", e.Base)
-	}
-	if e.LowFactor <= 0 || e.HighFactor < e.LowFactor {
-		return fmt.Errorf("resource: pricing spread [%v, %v] invalid", e.LowFactor, e.HighFactor)
-	}
-	return nil
 }
 
 // FlatPricing charges the same price regardless of performance. Useful for

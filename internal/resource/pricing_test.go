@@ -1,11 +1,23 @@
 package resource
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"ecosched/internal/sim"
 )
+
+// Validate reports an error for degenerate pricing parameters.
+func (e ExponentialPricing) Validate() error {
+	if e.Base <= 0 {
+		return fmt.Errorf("resource: pricing base must be positive, got %v", e.Base)
+	}
+	if e.LowFactor <= 0 || e.HighFactor < e.LowFactor {
+		return fmt.Errorf("resource: pricing spread [%v, %v] invalid", e.LowFactor, e.HighFactor)
+	}
+	return nil
+}
 
 func TestPaperPricingBasePrice(t *testing.T) {
 	p := PaperPricing()

@@ -86,25 +86,6 @@ func (n *Node) Runtime(etalonTime sim.Duration) sim.Duration {
 	return d
 }
 
-// UsageCost returns the cost of occupying this node for d ticks.
-func (n *Node) UsageCost(d sim.Duration) sim.Money {
-	if d <= 0 {
-		return 0
-	}
-	return n.Price * sim.Money(d)
-}
-
-// PriceQuality returns the node's price/quality ratio C/P discussed in
-// Section 6. Lower values are better deals for the user.
-func (n *Node) PriceQuality() float64 {
-	return float64(n.Price) / n.Performance
-}
-
-// Meets reports whether the node satisfies a minimum performance requirement.
-func (n *Node) Meets(minPerformance float64) bool {
-	return n.Performance >= minPerformance
-}
-
 // String renders the node with its key economic attributes.
 func (n *Node) String() string {
 	return fmt.Sprintf("%s(P=%.2f, C=%v)", n.Label(), n.Performance, n.Price)
@@ -169,18 +150,6 @@ func (p *Pool) ByName(name string) *Node {
 	return nil
 }
 
-// Matching returns the nodes meeting a minimum performance requirement,
-// in ID order.
-func (p *Pool) Matching(minPerformance float64) []*Node {
-	var out []*Node
-	for _, n := range p.nodes {
-		if n.Meets(minPerformance) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Domains returns the distinct domain names present in the pool, sorted.
 func (p *Pool) Domains() []string {
 	seen := map[string]bool{}
@@ -193,14 +162,4 @@ func (p *Pool) Domains() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// TotalPerformance returns the sum of node performance rates — a rough
-// capacity measure used by workload calibration.
-func (p *Pool) TotalPerformance() float64 {
-	var sum float64
-	for _, n := range p.nodes {
-		sum += n.Performance
-	}
-	return sum
 }

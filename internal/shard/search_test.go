@@ -62,8 +62,9 @@ func searchScenario(t *testing.T, seed uint64, k int) (shard.Partition, []*slot.
 	return p, views, merged, batch
 }
 
-// renderSearch canonicalizes a search result for byte comparison.
-func renderSearch(res *alloc.SearchResult) string {
+// renderSearch canonicalizes a search result, and the vacancy left in the
+// views it searched, for byte comparison.
+func renderSearch(res *alloc.SearchResult, views []*slot.Index) string {
 	var b strings.Builder
 	names := make([]string, 0, len(res.Alternatives))
 	for name := range res.Alternatives {
@@ -76,7 +77,11 @@ func renderSearch(res *alloc.SearchResult) string {
 		}
 	}
 	fmt.Fprintf(&b, "stats=%+v passes=%d\n", res.Stats, res.Passes)
-	fmt.Fprintf(&b, "remaining=%v\n", res.Remaining())
+	lists := make([]*slot.List, len(views))
+	for i, ix := range views {
+		lists[i] = ix.List()
+	}
+	fmt.Fprintf(&b, "remaining=%v\n", slot.MergeLists(lists...))
 	return b.String()
 }
 
@@ -90,7 +95,8 @@ func TestSearchMatchesUnsharded(t *testing.T) {
 		for _, algo := range []alloc.Algorithm{alloc.ALP{}, alloc.AMP{}} {
 			for _, k := range []int{1, 2, 4, 7} {
 				p, views, merged, batch := searchScenario(t, seed, k)
-				oracle, err := alloc.FindAlternatives(algo, merged, batch, alloc.SearchOptions{})
+				whole := slot.NewIndex(merged, nil)
+				oracle, err := alloc.FindAlternatives(algo, merged, batch, alloc.SearchOptions{Prebuilt: whole})
 				if err != nil {
 					t.Fatalf("seed %d %s k=%d: oracle: %v", seed, algo.Name(), k, err)
 				}
@@ -98,7 +104,7 @@ func TestSearchMatchesUnsharded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d %s k=%d: Search: %v", seed, algo.Name(), k, err)
 				}
-				if got, want := renderSearch(res), renderSearch(oracle); got != want {
+				if got, want := renderSearch(res, views), renderSearch(oracle, []*slot.Index{whole}); got != want {
 					t.Fatalf("seed %d %s k=%d: federated search diverged\n--- unsharded ---\n%s\n--- sharded ---\n%s",
 						seed, algo.Name(), k, want, got)
 				}

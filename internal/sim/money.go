@@ -29,15 +29,6 @@ func (m Money) ApproxEq(n Money) bool {
 	return d <= MoneyEpsilon
 }
 
-// Round returns m rounded to the nearest multiple of step. A non-positive
-// step returns m unchanged.
-func (m Money) Round(step Money) Money {
-	if step <= 0 {
-		return m
-	}
-	return Money(math.Round(float64(m)/float64(step))) * step
-}
-
 // String renders the amount with two decimals.
 func (m Money) String() string { return fmt.Sprintf("%.2f", float64(m)) }
 

@@ -33,12 +33,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Min returns the earlier of t and u.
 func (t Time) Min(u Time) Time {
 	if t < u {
@@ -66,36 +60,11 @@ func (t Time) String() string {
 // String renders the duration as a plain tick count.
 func (d Duration) String() string { return fmt.Sprintf("%d", int64(d)) }
 
-// Min returns the smaller of d and e.
-func (d Duration) Min(e Duration) Duration {
-	if d < e {
-		return d
-	}
-	return e
-}
-
-// Max returns the larger of d and e.
-func (d Duration) Max(e Duration) Duration {
-	if d > e {
-		return d
-	}
-	return e
-}
-
 // Interval is a half-open time interval [Start, End). A zero-length interval
 // (Start == End) is empty. Intervals with End < Start are invalid.
 type Interval struct {
 	Start Time
 	End   Time
-}
-
-// NewInterval builds the interval [start, end). It returns an error when
-// end precedes start.
-func NewInterval(start, end Time) (Interval, error) {
-	if end < start {
-		return Interval{}, fmt.Errorf("sim: interval end %v precedes start %v", end, start)
-	}
-	return Interval{Start: start, End: end}, nil
 }
 
 // Length returns End - Start.
@@ -106,9 +75,6 @@ func (iv Interval) Empty() bool { return iv.End <= iv.Start }
 
 // Valid reports whether Start <= End.
 func (iv Interval) Valid() bool { return iv.Start <= iv.End }
-
-// Contains reports whether t lies inside [Start, End).
-func (iv Interval) Contains(t Time) bool { return t >= iv.Start && t < iv.End }
 
 // ContainsInterval reports whether other lies fully inside iv.
 // Empty intervals are contained in anything that contains their start point,

@@ -142,14 +142,6 @@ func BenchmarkDropNode(b *testing.B) {
 	})
 }
 
-func BenchmarkCoalesce(b *testing.B) {
-	base := benchBase()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base.Coalesce()
-	}
-}
-
 func BenchmarkWindowValidate(b *testing.B) {
 	ns := buildNodes(6)
 	var placements []Placement

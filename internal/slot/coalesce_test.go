@@ -1,11 +1,47 @@
 package slot
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 )
+
+// Coalesce merges touching or overlapping slots that share a node and a
+// price, returning a new normalized list. Cancelled reservations re-open
+// vacancy fragments that often abut the surrounding slots; coalescing keeps
+// the list small and the windows the search can build maximal.
+func (l *List) Coalesce() *List {
+	// Group by (node, price), merge within groups, then rebuild.
+	type key struct {
+		node  *resource.Node
+		price sim.Money
+	}
+	groups := make(map[key][]sim.Interval)
+	for _, s := range l.slots {
+		k := key{s.Node, s.Price}
+		groups[k] = append(groups[k], s.Span)
+	}
+	var merged []Slot
+	for k, ivs := range groups {
+		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
+		cur := ivs[0]
+		for _, iv := range ivs[1:] {
+			if iv.Start <= cur.End { // touching or overlapping
+				if iv.End > cur.End {
+					cur.End = iv.End
+				}
+				continue
+			}
+			merged = append(merged, Slot{Node: k.node, Price: k.price, Span: cur})
+			cur = iv
+		}
+		merged = append(merged, Slot{Node: k.node, Price: k.price, Span: cur})
+	}
+	return NewList(merged)
+}
 
 func TestCoalesceMergesTouching(t *testing.T) {
 	n := node("a", 1, 2)

@@ -341,11 +341,6 @@ func (ix *Index) Insert(s Slot) {
 	}
 }
 
-// RemoveAt deletes the slot at rank i.
-func (ix *Index) RemoveAt(i int) {
-	ix.removeFrom(ix.locate(i))
-}
-
 // removeFrom deletes the slot at offset off of bucket pos, dropping the
 // bucket when that empties it.
 func (ix *Index) removeFrom(pos, off int) {
@@ -537,35 +532,6 @@ func (ix *Index) ScanFrom(f Filter, from, limit int, probe *ScanStats, fn func(r
 	}
 }
 
-// AliveAt visits, in rank order, every slot alive at time t (start <= t < end)
-// with performance at least minPerf — the point-in-time availability query.
-// Buckets whose slots all start after t or all end at or before t are
-// skipped whole.
-func (ix *Index) AliveAt(t sim.Time, minPerf float64, fn func(rank int, s Slot) bool) {
-	limit := ix.RankAtOrAfter(t + 1) // ranks at or beyond start strictly after t
-	base := 0
-	for _, bk := range ix.buckets {
-		if base >= limit {
-			return
-		}
-		span := len(bk.slots)
-		if base+span > limit {
-			span = limit - base
-		}
-		if bk.maxEnd > t && bk.maxPerf >= minPerf {
-			for off, s := range bk.slots[:span] {
-				if s.End() <= t || s.Performance() < minPerf {
-					continue
-				}
-				if !fn(base+off, s) {
-					return
-				}
-			}
-		}
-		base += len(bk.slots)
-	}
-}
-
 // CheckInvariants verifies the full contract: every bucket is non-empty and
 // below the split threshold, the bucket lengths sum to Len(), no slot orders
 // before its predecessor under the full canonical order — within a bucket
@@ -608,9 +574,6 @@ func (ix *Index) CheckInvariants() error {
 	}
 	return nil
 }
-
-// Buckets returns the current bucket count (for tests and gauges).
-func (ix *Index) Buckets() int { return len(ix.buckets) }
 
 // SetMetrics attaches (or, with nil, detaches) the index's maintenance
 // instruments. A long-lived index can be handed between owners — the grid's

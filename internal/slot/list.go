@@ -197,20 +197,6 @@ func (l *List) TotalTime() sim.Duration {
 	return sum
 }
 
-// Nodes returns the distinct nodes that own at least one slot, in first-seen
-// order.
-func (l *List) Nodes() []*resource.Node {
-	seen := map[*resource.Node]bool{}
-	var out []*resource.Node
-	for _, s := range l.slots {
-		if !seen[s.Node] {
-			seen[s.Node] = true
-			out = append(out, s.Node)
-		}
-	}
-	return out
-}
-
 // SubtractInterval removes the usage interval used from the slot equal to
 // target, inserting the up-to-two remainder slots K1 = [K.start, used.start)
 // and K2 = [used.end, K.end) per Fig. 1b. It returns an error when target is
@@ -245,40 +231,6 @@ func (l *List) SubtractWindow(w *Window) error {
 		}
 	}
 	return nil
-}
-
-// Coalesce merges touching or overlapping slots that share a node and a
-// price, returning a new normalized list. Cancelled reservations re-open
-// vacancy fragments that often abut the surrounding slots; coalescing keeps
-// the list small and the windows the search can build maximal.
-func (l *List) Coalesce() *List {
-	// Group by (node, price), merge within groups, then rebuild.
-	type key struct {
-		node  *resource.Node
-		price sim.Money
-	}
-	groups := make(map[key][]sim.Interval)
-	for _, s := range l.slots {
-		k := key{s.Node, s.Price}
-		groups[k] = append(groups[k], s.Span)
-	}
-	var merged []Slot
-	for k, ivs := range groups {
-		sort.Slice(ivs, func(i, j int) bool { return ivs[i].Start < ivs[j].Start })
-		cur := ivs[0]
-		for _, iv := range ivs[1:] {
-			if iv.Start <= cur.End { // touching or overlapping
-				if iv.End > cur.End {
-					cur.End = iv.End
-				}
-				continue
-			}
-			merged = append(merged, Slot{Node: k.node, Price: k.price, Span: cur})
-			cur = iv
-		}
-		merged = append(merged, Slot{Node: k.node, Price: k.price, Span: cur})
-	}
-	return NewList(merged)
 }
 
 // String renders the list one slot per line.

@@ -68,27 +68,6 @@ func (s Slot) Runtime(etalonTime sim.Duration) sim.Duration {
 	return s.Node.Runtime(etalonTime)
 }
 
-// CanHostFrom reports whether the slot can host a task of the given etalon
-// wall time when the task is forced to start at the given time: the start
-// must lie inside the slot and the remaining length End-start must cover the
-// node-local runtime. This is the paper's step 2°b/3° feasibility check with
-// the window-start offset d_k = T_last - T(s_k) already applied.
-func (s Slot) CanHostFrom(start sim.Time, etalonTime sim.Duration) bool {
-	if start < s.Start() || start >= s.End() {
-		return false
-	}
-	return s.End().Sub(start) >= s.Runtime(etalonTime)
-}
-
-// UsageCost returns the cost of running a task with the given etalon wall
-// time on this slot: price per tick × node-local runtime.
-func (s Slot) UsageCost(etalonTime sim.Duration) sim.Money {
-	return s.Price * sim.Money(s.Runtime(etalonTime))
-}
-
-// SameNode reports whether both slots live on the same node.
-func (s Slot) SameNode(t Slot) bool { return s.Node == t.Node }
-
 // String renders the slot as "cpu3[100, 250)@1.25".
 func (s Slot) String() string {
 	label := "?"

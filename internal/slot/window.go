@@ -66,9 +66,6 @@ func (w *Window) Length() sim.Duration {
 	return w.End().Sub(w.Start())
 }
 
-// Size returns the number of co-allocated slots N.
-func (w *Window) Size() int { return len(w.Placements) }
-
 // Cost returns the window's total usage cost c(s̄): the sum over placements
 // of price × runtime. This is what AMP bounds by the job budget S.
 func (w *Window) Cost() sim.Money {
@@ -132,20 +129,6 @@ func (w *Window) Validate() error {
 		seen[p.Source.Node] = true
 	}
 	return nil
-}
-
-// Overlaps reports whether any placement of w shares processor time on the
-// same node with any placement of other. Alternatives produced by the search
-// must be pairwise non-overlapping.
-func (w *Window) Overlaps(other *Window) bool {
-	for _, p := range w.Placements {
-		for _, q := range other.Placements {
-			if p.Source.Node == q.Source.Node && p.Used.Overlaps(q.Used) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // NodeLabels returns the sorted labels of the nodes used by the window.

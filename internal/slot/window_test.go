@@ -36,9 +36,6 @@ func TestWindowGeometry(t *testing.T) {
 	if w.Length() != 100 {
 		t.Errorf("Length: got %v, want 100", w.Length())
 	}
-	if w.Size() != 2 {
-		t.Errorf("Size: got %d", w.Size())
-	}
 }
 
 func TestWindowEconomics(t *testing.T) {
@@ -93,6 +90,20 @@ func TestWindowValidateRejections(t *testing.T) {
 	if emptyUse.Validate() == nil {
 		t.Error("empty usage accepted")
 	}
+}
+
+// Overlaps reports whether any placement of w shares processor time on the
+// same node with any placement of other. Alternatives produced by the search
+// must be pairwise non-overlapping.
+func (w *Window) Overlaps(other *Window) bool {
+	for _, p := range w.Placements {
+		for _, q := range other.Placements {
+			if p.Source.Node == q.Source.Node && p.Used.Overlaps(q.Used) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func TestWindowOverlaps(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness reports with: online mean/variance accumulators, paired series,
-// histograms, and plain-text tables. Everything is stdlib-only and
+// and plain-text tables. Everything is stdlib-only and
 // deterministic.
 package stats
 
@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Online accumulates count, mean, and variance in one pass (Welford's
@@ -36,9 +35,6 @@ func (o *Online) Add(x float64) {
 	o.mean += d / float64(o.n)
 	o.m2 += d * (x - o.mean)
 }
-
-// N returns the number of samples.
-func (o *Online) N() int { return o.n }
 
 // Mean returns the sample mean (0 when empty).
 func (o *Online) Mean() float64 { return o.mean }
@@ -70,9 +66,6 @@ func (o *Online) Max() float64 {
 	return o.max
 }
 
-// Sum returns mean × n.
-func (o *Online) Sum() float64 { return o.mean * float64(o.n) }
-
 // CI95 returns the half-width of the normal-approximation 95% confidence
 // interval of the mean.
 func (o *Online) CI95() float64 {
@@ -101,26 +94,6 @@ func (s *Series) Add(v float64) { s.Values = append(s.Values, v) }
 // Len returns the number of points.
 func (s *Series) Len() int { return len(s.Values) }
 
-// Mean returns the series mean (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range s.Values {
-		sum += v
-	}
-	return sum / float64(len(s.Values))
-}
-
-// Head returns the first n values (or all when shorter).
-func (s *Series) Head(n int) []float64 {
-	if n > len(s.Values) {
-		n = len(s.Values)
-	}
-	return s.Values[:n]
-}
-
 // FractionBelow returns the fraction of positions where s is strictly below
 // other (both truncated to the common length). Fig. 5's claim — AMP beats
 // ALP "in every single experiment" — is this fraction evaluated over the
@@ -140,63 +113,6 @@ func (s *Series) FractionBelow(other *Series) float64 {
 		}
 	}
 	return float64(below) / float64(n)
-}
-
-// Histogram counts samples into uniform bins over [lo, hi); out-of-range
-// samples clamp into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []int
-	total  int
-}
-
-// NewHistogram builds a histogram with n bins over [lo, hi).
-func NewHistogram(lo, hi float64, n int) (*Histogram, error) {
-	if n <= 0 || hi <= lo {
-		return nil, fmt.Errorf("stats: histogram over [%v, %v) with %d bins invalid", lo, hi, n)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]int, n)}, nil
-}
-
-// Add folds x into the histogram.
-func (h *Histogram) Add(x float64) {
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-	h.total++
-}
-
-// Total returns the number of samples added.
-func (h *Histogram) Total() int { return h.total }
-
-// Render draws the histogram as rows of '#' bars, width characters at the
-// tallest bin.
-func (h *Histogram) Render(width int) string {
-	if width <= 0 {
-		width = 40
-	}
-	max := 0
-	for _, b := range h.Bins {
-		if b > max {
-			max = b
-		}
-	}
-	var sb strings.Builder
-	step := (h.Hi - h.Lo) / float64(len(h.Bins))
-	for i, b := range h.Bins {
-		bar := 0
-		if max > 0 {
-			bar = b * width / max
-		}
-		fmt.Fprintf(&sb, "[%8.2f, %8.2f) %6d %s\n",
-			h.Lo+float64(i)*step, h.Lo+float64(i+1)*step, b, strings.Repeat("#", bar))
-	}
-	return sb.String()
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of the samples using the

@@ -9,14 +9,11 @@ import (
 
 func TestOnlineBasics(t *testing.T) {
 	var o Online
-	if o.N() != 0 || o.Mean() != 0 || o.Std() != 0 || o.Min() != 0 || o.Max() != 0 {
+	if o.Mean() != 0 || o.Std() != 0 || o.Min() != 0 || o.Max() != 0 {
 		t.Error("empty accumulator should be all zeros")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		o.Add(v)
-	}
-	if o.N() != 8 {
-		t.Errorf("N: got %d", o.N())
 	}
 	if math.Abs(o.Mean()-5) > 1e-12 {
 		t.Errorf("Mean: got %v", o.Mean())
@@ -27,9 +24,6 @@ func TestOnlineBasics(t *testing.T) {
 	}
 	if o.Min() != 2 || o.Max() != 9 {
 		t.Errorf("Min/Max: %v/%v", o.Min(), o.Max())
-	}
-	if math.Abs(o.Sum()-40) > 1e-12 {
-		t.Errorf("Sum: got %v", o.Sum())
 	}
 	if o.CI95() <= 0 {
 		t.Error("CI95 should be positive for n >= 2")
@@ -79,20 +73,14 @@ func TestOnlineMatchesNaive(t *testing.T) {
 
 func TestSeries(t *testing.T) {
 	s := Series{Name: "x"}
-	if s.Mean() != 0 || s.Len() != 0 {
+	if s.Len() != 0 {
 		t.Error("empty series should be zero")
 	}
 	for _, v := range []float64{1, 2, 3, 4} {
 		s.Add(v)
 	}
-	if s.Mean() != 2.5 || s.Len() != 4 {
-		t.Errorf("series aggregates wrong: mean=%v len=%d", s.Mean(), s.Len())
-	}
-	if got := s.Head(2); len(got) != 2 || got[1] != 2 {
-		t.Errorf("Head: %v", got)
-	}
-	if got := s.Head(10); len(got) != 4 {
-		t.Errorf("Head beyond length: %v", got)
+	if s.Len() != 4 || s.Values[3] != 4 {
+		t.Errorf("series aggregates wrong: len=%d values=%v", s.Len(), s.Values)
 	}
 }
 
@@ -109,39 +97,6 @@ func TestSeriesFractionBelow(t *testing.T) {
 	short := Series{Values: []float64{0}}
 	if got := short.FractionBelow(&a); got != 1 {
 		t.Errorf("truncated comparison: got %v", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	if _, err := NewHistogram(0, 0, 5); err == nil {
-		t.Error("degenerate range accepted")
-	}
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0, 1.9, 2, 5, 9.9, -3, 42} {
-		h.Add(v)
-	}
-	if h.Total() != 7 {
-		t.Errorf("Total: %d", h.Total())
-	}
-	// -3 clamps into bin 0, 42 into bin 4.
-	if h.Bins[0] != 3 { // 0, 1.9, -3
-		t.Errorf("bin 0: %d", h.Bins[0])
-	}
-	if h.Bins[4] != 2 { // 9.9, 42
-		t.Errorf("bin 4: %d", h.Bins[4])
-	}
-	r := h.Render(20)
-	if !strings.Contains(r, "#") {
-		t.Error("Render should draw bars")
-	}
-	if h.Render(0) == "" {
-		t.Error("Render with default width should work")
 	}
 }
 

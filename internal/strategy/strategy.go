@@ -130,34 +130,6 @@ func (s *Strategy) TotalRedundancy() int {
 	return n
 }
 
-// Validate checks that all versions across the whole strategy are pairwise
-// disjoint — the property that makes any fallback switch conflict-free.
-func (s *Strategy) Validate() error {
-	var all []*slot.Window
-	for _, js := range s.Jobs {
-		if len(js.Versions) == 0 {
-			return fmt.Errorf("strategy: job %s has no versions", js.Job.Name)
-		}
-		if !js.Versions[0].Primary {
-			return fmt.Errorf("strategy: job %s first version is not primary", js.Job.Name)
-		}
-		for _, v := range js.Versions {
-			if err := v.Window.Validate(); err != nil {
-				return fmt.Errorf("strategy: job %s: %w", js.Job.Name, err)
-			}
-			all = append(all, v.Window)
-		}
-	}
-	for i := 0; i < len(all); i++ {
-		for k := i + 1; k < len(all); k++ {
-			if all[i].Overlaps(all[k]) {
-				return fmt.Errorf("strategy: versions %v and %v overlap", all[i], all[k])
-			}
-		}
-	}
-	return nil
-}
-
 // Failure is one node failure event: the node stops serving at Time and
 // every window placement on it at or after Time is lost.
 type Failure struct {

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"fmt"
 	"testing"
 
 	"ecosched/internal/alloc"
@@ -11,6 +12,32 @@ import (
 	"ecosched/internal/slot"
 	"ecosched/internal/workload"
 )
+
+// Validate checks that all versions across the whole strategy are pairwise
+// disjoint — the property that makes any fallback switch conflict-free.
+func (s *Strategy) Validate() error {
+	var used []slot.Slot
+	for _, js := range s.Jobs {
+		if len(js.Versions) == 0 {
+			return fmt.Errorf("strategy: job %s has no versions", js.Job.Name)
+		}
+		if !js.Versions[0].Primary {
+			return fmt.Errorf("strategy: job %s first version is not primary", js.Job.Name)
+		}
+		for _, v := range js.Versions {
+			if err := v.Window.Validate(); err != nil {
+				return fmt.Errorf("strategy: job %s: %w", js.Job.Name, err)
+			}
+			for _, p := range v.Window.Placements {
+				used = append(used, slot.Slot{Node: p.Source.Node, Price: p.Source.Price, Span: p.Used})
+			}
+		}
+	}
+	if slot.NewList(used).OverlapOnSameNode() {
+		return fmt.Errorf("strategy: two versions overlap on one node")
+	}
+	return nil
+}
 
 // buildStrategy assembles a strategy on a three-node environment with
 // multiple alternatives per job.

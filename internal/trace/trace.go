@@ -12,7 +12,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"ecosched/internal/sim"
@@ -169,19 +168,6 @@ func (r *Recorder) Record(kind Kind, job, detailFormat string, args ...any) {
 	}
 }
 
-// Len returns the number of retained events.
-func (r *Recorder) Len() int {
-	if r == nil || r.capacity <= 0 {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.full {
-		return r.capacity
-	}
-	return r.next
-}
-
 // Events returns the retained events in recording order (oldest first).
 func (r *Recorder) Events() []Event {
 	if r == nil || r.capacity <= 0 {
@@ -195,49 +181,4 @@ func (r *Recorder) Events() []Event {
 	}
 	out = append(out, r.events[:r.next]...)
 	return out
-}
-
-// ByKind returns the retained events of one kind, oldest first.
-func (r *Recorder) ByKind(kind Kind) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// ByJob returns the retained events concerning the named job, oldest first.
-func (r *Recorder) ByJob(job string) []Event {
-	var out []Event
-	for _, e := range r.Events() {
-		if e.Job == job {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Render prints the retained events one per line.
-func (r *Recorder) Render() string {
-	var sb strings.Builder
-	for _, e := range r.Events() {
-		sb.WriteString(e.String())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Dropped reports how many events were overwritten by the ring.
-func (r *Recorder) Dropped() int {
-	if r == nil || r.capacity <= 0 {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return 0
-	}
-	return r.seq - r.capacity
 }

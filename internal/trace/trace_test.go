@@ -11,8 +11,8 @@ func TestRecorderBasics(t *testing.T) {
 	r.Record(SearchStarted, "", "AMP over %d slots", 42)
 	r.Record(WindowFound, "job1", "W[0,50)")
 	r.Record(Committed, "job1", "booked")
-	if r.Len() != 3 {
-		t.Fatalf("Len: %d", r.Len())
+	if len(r.Events()) != 3 {
+		t.Fatalf("retained %d events, want 3", len(r.Events()))
 	}
 	events := r.Events()
 	if events[0].Kind != SearchStarted || events[2].Kind != Committed {
@@ -21,11 +21,8 @@ func TestRecorderBasics(t *testing.T) {
 	if events[0].Iteration != 1 || events[0].Now != 100 {
 		t.Error("iteration context not stamped")
 	}
-	if events[1].Seq >= events[2].Seq {
-		t.Error("sequence numbers not monotone")
-	}
-	if r.Dropped() != 0 {
-		t.Error("nothing should be dropped yet")
+	if events[0].Seq != 1 || events[1].Seq >= events[2].Seq {
+		t.Error("sequence numbers not monotone from 1")
 	}
 }
 
@@ -34,15 +31,16 @@ func TestRecorderRingOverwrite(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Record(WindowFound, "j", "event %d", i)
 	}
-	if r.Len() != 3 {
-		t.Fatalf("Len: %d", r.Len())
+	if len(r.Events()) != 3 {
+		t.Fatalf("retained %d events, want 3", len(r.Events()))
 	}
 	events := r.Events()
 	if events[0].Detail != "event 2" || events[2].Detail != "event 4" {
 		t.Errorf("ring kept wrong events: %v", events)
 	}
-	if r.Dropped() != 2 {
-		t.Errorf("Dropped: %d", r.Dropped())
+	// Sequence numbers count the overwritten events too.
+	if events[2].Seq != 5 {
+		t.Errorf("newest seq %d, want 5", events[2].Seq)
 	}
 }
 
@@ -50,30 +48,14 @@ func TestRecorderDisabled(t *testing.T) {
 	r := NewRecorder(0)
 	r.BeginIteration(1, 0)
 	r.Record(Committed, "j", "x")
-	if r.Len() != 0 || r.Events() != nil || r.Dropped() != 0 {
+	if len(r.Events()) != 0 || r.Events() != nil {
 		t.Error("disabled recorder must retain nothing")
 	}
 	var nilRec *Recorder
 	nilRec.Record(Committed, "j", "x") // must not panic
 	nilRec.BeginIteration(1, 0)
-	if nilRec.Len() != 0 {
+	if len(nilRec.Events()) != 0 {
 		t.Error("nil recorder must report empty")
-	}
-}
-
-func TestRecorderFilters(t *testing.T) {
-	r := NewRecorder(10)
-	r.Record(WindowFound, "a", "w1")
-	r.Record(WindowFound, "b", "w2")
-	r.Record(Postponed, "a", "p1")
-	if got := len(r.ByKind(WindowFound)); got != 2 {
-		t.Errorf("ByKind: %d", got)
-	}
-	if got := len(r.ByJob("a")); got != 2 {
-		t.Errorf("ByJob: %d", got)
-	}
-	if got := len(r.ByJob("zz")); got != 0 {
-		t.Errorf("ByJob unknown: %d", got)
 	}
 }
 
@@ -97,14 +79,14 @@ func TestRenderAndEventString(t *testing.T) {
 	r := NewRecorder(5)
 	r.BeginIteration(2, 300)
 	r.Record(PlanChosen, "", "T=%d C=%d", 100, 500)
-	out := r.Render()
+	e := r.Events()[0]
+	out := e.String()
 	for _, frag := range []string{"it=2", "t=300", "plan-chosen", "T=100 C=500"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("render missing %q in %q", frag, out)
 		}
 	}
-	e := r.Events()[0]
-	if !strings.Contains(e.String(), "-") { // empty job renders as "-"
-		t.Errorf("event string: %q", e.String())
+	if !strings.Contains(out, "-") { // empty job renders as "-"
+		t.Errorf("event string: %q", out)
 	}
 }

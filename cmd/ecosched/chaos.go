@@ -231,7 +231,7 @@ func runRecover(seed uint64, journalPath string, checkpointEvery, shards int, re
 	fmt.Printf("recovered %s from %s (%s)\n", journalPath, src, "audit clean")
 	fmt.Printf("records: %d scanned, %d replayed (%d submits, %d fails, %d recovers, %d revokes, %d rounds)\n",
 		rep.RecordsScanned, rep.RecordsReplayed,
-		rep.Submits, rep.Fails, rep.Recovers, rep.Revokes, rep.Rounds)
+		rep.Submits, rep.Events[fault.Fail], rep.Events[fault.Recover], rep.Events[fault.Revoke], rep.Rounds)
 	if rep.TornBytesDropped > 0 {
 		fmt.Printf("torn tail: %d bytes truncated\n", rep.TornBytesDropped)
 	}

@@ -151,7 +151,7 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	const head = len(CheckpointMagic) + frameHeaderLen
+	const head = len(CheckpointMagic) + FrameOverhead
 	size := head + len(`{"v":,"seq":,"journal_offset":,"rounds":,"grid":,"sched":}`) + 4*maxIntLen + gridLen + len(sched)
 	b := make([]byte, head, size) // the frame header is filled in last
 	copy(b, CheckpointMagic)

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ecosched/internal/sim"
@@ -63,4 +64,63 @@ func FuzzRoundTrip(f *testing.F) {
 			t.Fatal("decoder accepted slots that overlap on one node")
 		}
 	})
+}
+
+// FuzzRecord feeds arbitrary payloads to the journal record decoder. Every
+// payload it accepts must hold only valid events (fault.Event.Validate), and
+// encode → decode must give back the same record, up to empty lists, which
+// the encoder omits and the decoder then returns as nil.
+func FuzzRecord(f *testing.F) {
+	pool := journalPool(f)
+	for _, rec := range sampleRecords(f, pool) {
+		frame, err := EncodeRecord(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame[FrameOverhead:])
+	}
+	f.Add([]byte(`{"v":2,"seq":1,"kind":"revoke","now":0,"node":"n1","span_start":9,"span_end":3}`))
+	f.Add([]byte(`{"v":2,"seq":1,"kind":"fail","now":-7,"node":"n1","requeued":[],"dropped":[]}`))
+
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		rec, err := DecodeRecord(payload, pool)
+		if err != nil {
+			return // rejected input: nothing to round-trip
+		}
+		if rec.Kind == RecordEvent {
+			if err := rec.Event.Validate(); err != nil {
+				t.Fatalf("decoder accepted an invalid event: %v", err)
+			}
+		}
+		frame, err := EncodeRecord(rec)
+		if err != nil {
+			t.Fatalf("decoded record failed to encode: %v", err)
+		}
+		back, err := DecodeRecord(frame[FrameOverhead:], pool)
+		if err != nil {
+			t.Fatalf("own encoding failed to decode: %v\n%s", err, frame[FrameOverhead:])
+		}
+		canonRecord(rec)
+		canonRecord(back)
+		if !reflect.DeepEqual(rec, back) {
+			t.Fatalf("encode → decode changed the record\n got %+v\nwant %+v", back, rec)
+		}
+	})
+}
+
+// canonRecord maps the record's empty lists to nil.
+func canonRecord(r *Record) {
+	nilEmpty := func(s []string) []string {
+		if len(s) == 0 {
+			return nil
+		}
+		return s
+	}
+	r.Requeued, r.Dropped = nilEmpty(r.Requeued), nilEmpty(r.Dropped)
+	if r.Job != nil {
+		r.Job.Request.Needs.Tags = nilEmpty(r.Job.Request.Needs.Tags)
+	}
+	if r.Round != nil {
+		r.Round.Stale, r.Round.Placed = nilEmpty(r.Round.Stale), nilEmpty(r.Round.Placed)
+	}
 }

@@ -1,7 +1,7 @@
 // Journal records: the wire layer of the crash-safe durability subsystem
 // (internal/durable). Every externally visible service transition — job
-// submission, node failure/recovery, interval revocation, and a full
-// plan/apply round — is one length-prefixed, CRC-framed JSON record appended
+// submission, an environment event (fault.Event: node failure, recovery or
+// interval revocation), and a full plan/apply round — is one length-prefixed, CRC-framed JSON record appended
 // to the write-ahead journal. Frames make torn tails detectable (a crash
 // mid-append leaves a frame whose length or checksum cannot verify, and
 // recovery drops it cleanly); versioned payloads make skew detectable (a
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/crc32"
 
+	"ecosched/internal/fault"
 	"ecosched/internal/job"
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
@@ -35,9 +36,6 @@ const JournalMagic = "ECOJRNL1"
 // FrameOverhead is the per-frame prefix length: a 4-byte big-endian payload
 // length followed by the 4-byte big-endian IEEE CRC32 of the payload.
 const FrameOverhead = 8
-
-// frameHeaderLen is FrameOverhead under its historical internal name.
-const frameHeaderLen = FrameOverhead
 
 // maxFramePayload bounds a single frame. Journal records are small (a round
 // record with a dozen choices is a few KB); the bound keeps a corrupted
@@ -65,10 +63,10 @@ func (e *VersionSkewError) Error() string {
 
 // Frame wraps a payload as one journal frame: length, CRC32, payload.
 func Frame(payload []byte) []byte {
-	out := make([]byte, frameHeaderLen+len(payload))
+	out := make([]byte, FrameOverhead+len(payload))
 	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(out[4:8], crc32.ChecksumIEEE(payload))
-	copy(out[frameHeaderLen:], payload)
+	copy(out[FrameOverhead:], payload)
 	return out
 }
 
@@ -80,16 +78,16 @@ func Frame(payload []byte) []byte {
 // resume after truncation.
 func ScanFrames(data []byte) (payloads [][]byte, ends []int, validLen int) {
 	off := 0
-	for off+frameHeaderLen <= len(data) {
+	for off+FrameOverhead <= len(data) {
 		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n > maxFramePayload || off+frameHeaderLen+n > len(data) {
+		if n > maxFramePayload || off+FrameOverhead+n > len(data) {
 			break
 		}
-		payload := data[off+frameHeaderLen : off+frameHeaderLen+n]
+		payload := data[off+FrameOverhead : off+FrameOverhead+n]
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[off+4:off+8]) {
 			break
 		}
-		off += frameHeaderLen + n
+		off += FrameOverhead + n
 		payloads = append(payloads, payload)
 		ends = append(ends, off)
 	}
@@ -102,12 +100,9 @@ type RecordKind string
 const (
 	// RecordSubmit is a job submission accepted by the service.
 	RecordSubmit RecordKind = "submit"
-	// RecordFail is a node failure routed through the service.
-	RecordFail RecordKind = "fail"
-	// RecordRecover is a failed node re-joining the pool.
-	RecordRecover RecordKind = "recover"
-	// RecordRevoke is an owner reclaiming a booked interval.
-	RecordRevoke RecordKind = "revoke"
+	// RecordEvent is an environment event routed through the service. On
+	// the wire its kind is the event's own (fail, recover or revoke).
+	RecordEvent RecordKind = "event"
 	// RecordRound is one complete scheduling round: the plan that was
 	// applied (with its snapshot epoch), the windows rejected as stale, and
 	// the jobs placed.
@@ -124,16 +119,17 @@ type Record struct {
 	Seq uint64
 	// Kind is the transition class.
 	Kind RecordKind
-	// Now is the grid clock when the transition was journaled.
+	// Now is the grid clock when the transition was journaled; for an event
+	// record the encoder writes Event.At instead, and the decoder sets both.
 	Now sim.Time
 	// Job is the submitted job (RecordSubmit only).
 	Job *job.Job
-	// Node is the node label (fail/recover/revoke).
-	Node string
-	// Span is the revoked interval (RecordRevoke only).
-	Span sim.Interval
-	// Requeued and Dropped are the outcome ledgers of fail/revoke records:
-	// the jobs re-queued, and the jobs terminally dropped, by the event.
+	// Event is the environment event (RecordEvent only), stamped with the
+	// clock it applied at, so a journal's event records read back as the
+	// fault plan the service lived through.
+	Event fault.Event
+	// Requeued and Dropped are an event record's outcome ledger: the jobs
+	// re-queued, and the jobs terminally dropped, by the event.
 	Requeued []string
 	Dropped  []string
 	// Round is the round payload (RecordRound only).
@@ -212,15 +208,12 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 		return nil, fmt.Errorf("codec: nil journal record")
 	}
 	doc := recordJSON{
-		Version:   JournalVersion,
-		Seq:       rec.Seq,
-		Kind:      string(rec.Kind),
-		Now:       int64(rec.Now),
-		Node:      rec.Node,
-		SpanStart: int64(rec.Span.Start),
-		SpanEnd:   int64(rec.Span.End),
-		Requeued:  rec.Requeued,
-		Dropped:   rec.Dropped,
+		Version:  JournalVersion,
+		Seq:      rec.Seq,
+		Kind:     string(rec.Kind),
+		Now:      int64(rec.Now),
+		Requeued: rec.Requeued,
+		Dropped:  rec.Dropped,
 	}
 	switch rec.Kind {
 	case RecordSubmit:
@@ -229,10 +222,13 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 		}
 		w := jobToWire(rec.Job)
 		doc.Job = &w
-	case RecordFail, RecordRecover, RecordRevoke:
-		if rec.Node == "" {
-			return nil, fmt.Errorf("codec: %s record %d without a node", rec.Kind, rec.Seq)
+	case RecordEvent:
+		e := rec.Event
+		if err := e.Validate(); err != nil {
+			return nil, fmt.Errorf("codec: event record %d: %w", rec.Seq, err)
 		}
+		doc.Kind, doc.Now, doc.Node = e.Kind.String(), int64(e.At), e.Node
+		doc.SpanStart, doc.SpanEnd = int64(e.Span.Start), int64(e.Span.End)
 	case RecordRound:
 		if rec.Round == nil {
 			return nil, fmt.Errorf("codec: round record %d without a round payload", rec.Seq)
@@ -276,19 +272,21 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 
 // DecodeRecord rebuilds a record from one verified frame payload, resolving
 // node labels against the pool. Unknown fields, version skew, unknown kinds,
-// and structurally invalid windows are all rejected — a record either decodes
-// to exactly what was written or fails with a diagnosable error.
+// a negative clock, events that fail fault.Event.Validate, and structurally
+// invalid windows are all rejected — a record either decodes to exactly what
+// was written or fails with a diagnosable error.
 func DecodeRecord(payload []byte, pool *resource.Pool) (*Record, error) {
 	var doc recordJSON
 	if err := strictUnmarshalVersion(payload, "journal record", JournalVersion, &doc); err != nil {
 		return nil, err
 	}
+	if doc.Now < 0 {
+		return nil, fmt.Errorf("codec: record %d at negative time %d", doc.Seq, doc.Now)
+	}
 	rec := &Record{
 		Seq:      doc.Seq,
 		Kind:     RecordKind(doc.Kind),
 		Now:      sim.Time(doc.Now),
-		Node:     doc.Node,
-		Span:     sim.Interval{Start: sim.Time(doc.SpanStart), End: sim.Time(doc.SpanEnd)},
 		Requeued: doc.Requeued,
 		Dropped:  doc.Dropped,
 	}
@@ -302,13 +300,6 @@ func DecodeRecord(payload []byte, pool *resource.Pool) (*Record, error) {
 			return nil, fmt.Errorf("codec: submit record %d: %w", doc.Seq, err)
 		}
 		rec.Job = j
-	case RecordFail, RecordRecover, RecordRevoke:
-		if doc.Node == "" {
-			return nil, fmt.Errorf("codec: %s record %d without a node", rec.Kind, doc.Seq)
-		}
-		if pool != nil && pool.ByName(doc.Node) == nil {
-			return nil, fmt.Errorf("codec: %s record %d references unknown node %q", rec.Kind, doc.Seq, doc.Node)
-		}
 	case RecordRound:
 		if doc.Round == nil {
 			return nil, fmt.Errorf("codec: round record %d without a round payload", doc.Seq)
@@ -348,7 +339,19 @@ func DecodeRecord(payload []byte, pool *resource.Pool) (*Record, error) {
 		}
 		rec.Round = r
 	default:
-		return nil, fmt.Errorf("codec: unknown record kind %q", doc.Kind)
+		kind, err := fault.ParseKind(doc.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("codec: record %d: %w", doc.Seq, err)
+		}
+		rec.Kind = RecordEvent
+		rec.Event = fault.Event{At: rec.Now, Kind: kind, Node: doc.Node,
+			Span: sim.Interval{Start: sim.Time(doc.SpanStart), End: sim.Time(doc.SpanEnd)}}
+		if err := rec.Event.Validate(); err != nil {
+			return nil, fmt.Errorf("codec: event record %d: %w", doc.Seq, err)
+		}
+		if pool != nil && pool.ByName(doc.Node) == nil {
+			return nil, fmt.Errorf("codec: event record %d references unknown node %q", doc.Seq, doc.Node)
+		}
 	}
 	return rec, nil
 }

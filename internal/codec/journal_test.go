@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ecosched/internal/fault"
 	"ecosched/internal/gridsim"
 	"ecosched/internal/job"
 	"ecosched/internal/metasched"
@@ -14,7 +15,7 @@ import (
 	"ecosched/internal/slot"
 )
 
-func journalPool(t *testing.T) *resource.Pool {
+func journalPool(t testing.TB) *resource.Pool {
 	t.Helper()
 	pool, err := resource.NewPool([]*resource.Node{
 		{Name: "n1", Performance: 1, Price: 2, Domain: "west"},
@@ -36,7 +37,7 @@ func journalJob(name string) *job.Job {
 }
 
 // sampleRecords returns one record of every kind, exercising every field.
-func sampleRecords(t *testing.T, pool *resource.Pool) []*Record {
+func sampleRecords(t testing.TB, pool *resource.Pool) []*Record {
 	t.Helper()
 	w := &slot.Window{JobName: "j1", Placements: []slot.Placement{
 		{
@@ -56,11 +57,11 @@ func sampleRecords(t *testing.T, pool *resource.Pool) []*Record {
 			Choices: []ChoiceRecord{{Job: "j1", Window: w}},
 			Placed:  []string{"j1"},
 		}},
-		{Seq: 3, Kind: RecordFail, Now: 20, Node: "n1",
+		{Seq: 3, Kind: RecordEvent, Now: 20, Event: fault.Event{At: 20, Kind: fault.Fail, Node: "n1"},
 			Requeued: []string{"j1"}, Dropped: []string{"j9"}},
-		{Seq: 4, Kind: RecordRecover, Now: 40, Node: "n1"},
-		{Seq: 5, Kind: RecordRevoke, Now: 60, Node: "n2",
-			Span: sim.Interval{Start: 60, End: 80}, Requeued: []string{"j1"}},
+		{Seq: 4, Kind: RecordEvent, Now: 40, Event: fault.Event{At: 40, Kind: fault.Recover, Node: "n1"}},
+		{Seq: 5, Kind: RecordEvent, Now: 60, Event: fault.Event{At: 60, Kind: fault.Revoke, Node: "n2",
+			Span: sim.Interval{Start: 60, End: 80}}, Requeued: []string{"j1"}},
 		{Seq: 6, Kind: RecordRound, Now: 60, Round: &RoundRecord{
 			Iteration: 2, Planned: false,
 			Stale: []string{"j1"},
@@ -96,7 +97,7 @@ func TestRecordRoundTripEveryKind(t *testing.T) {
 		}
 		want := records[i]
 		if got.Seq != want.Seq || got.Kind != want.Kind || got.Now != want.Now ||
-			got.Node != want.Node || got.Span != want.Span ||
+			got.Event != want.Event ||
 			!reflect.DeepEqual(got.Requeued, want.Requeued) ||
 			!reflect.DeepEqual(got.Dropped, want.Dropped) {
 			t.Errorf("seq %d header changed:\n got %+v\nwant %+v", want.Seq, got, want)
@@ -167,18 +168,18 @@ func TestScanFramesStopsAtTornTail(t *testing.T) {
 // TestScanFramesRejectsCorruption: a flipped payload bit or an oversized
 // length field ends the valid prefix at the damaged frame.
 func TestScanFramesRejectsCorruption(t *testing.T) {
-	frame1, err := EncodeRecord(&Record{Seq: 1, Kind: RecordFail, Now: 1, Node: "n1"})
+	frame1, err := EncodeRecord(&Record{Seq: 1, Kind: RecordEvent, Now: 1, Event: fault.Event{At: 1, Kind: fault.Fail, Node: "n1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame2, err := EncodeRecord(&Record{Seq: 2, Kind: RecordRecover, Now: 2, Node: "n1"})
+	frame2, err := EncodeRecord(&Record{Seq: 2, Kind: RecordEvent, Now: 2, Event: fault.Event{At: 2, Kind: fault.Recover, Node: "n1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	journal := append(append([]byte{}, frame1...), frame2...)
 
 	flipped := append([]byte{}, journal...)
-	flipped[len(frame1)+frameHeaderLen] ^= 0x40 // first payload byte of frame 2
+	flipped[len(frame1)+FrameOverhead] ^= 0x40 // first payload byte of frame 2
 	payloads, _, validLen := ScanFrames(flipped)
 	if len(payloads) != 1 || validLen != len(frame1) {
 		t.Errorf("bit flip: got %d frames valid to %d, want 1 valid to %d",
@@ -234,13 +235,37 @@ func TestDecodeRecordRejectsBadPayloads(t *testing.T) {
 	}
 }
 
+// TestDecodeRecordValidatesEvents: every event record passes through
+// fault.Event.Validate, and no record may carry a negative clock, so a bad
+// event fails at decode rather than deep in replay (an inverted span would
+// reach gridsim.RevokeInterval).
+func TestDecodeRecordValidatesEvents(t *testing.T) {
+	pool := journalPool(t)
+	cases := []struct{ name, payload string }{
+		{"revoke with inverted span", `{"v": 2, "seq": 1, "kind": "revoke", "now": 0, "node": "n1", "span_start": 9, "span_end": 3}`},
+		{"revoke without span", `{"v": 2, "seq": 1, "kind": "revoke", "now": 0, "node": "n1"}`},
+		{"fail with a span", `{"v": 2, "seq": 1, "kind": "fail", "now": 0, "node": "n1", "span_start": 3, "span_end": 9}`},
+		{"fail at negative time", `{"v": 2, "seq": 1, "kind": "fail", "now": -7, "node": "n1"}`},
+		{"submit at negative time", `{"v": 2, "seq": 1, "kind": "submit", "now": -1,
+			"job": {"name": "j", "priority": 1, "nodes": 1, "time": 10, "min_performance": 1, "max_price": 1}}`},
+		{"round at negative time", `{"v": 2, "seq": 1, "kind": "round", "now": -1, "round": {"iteration": 1}}`},
+		{"event class on the wire", `{"v": 2, "seq": 1, "kind": "event", "now": 0, "node": "n1"}`},
+	}
+	for _, c := range cases {
+		if _, err := DecodeRecord([]byte(c.payload), pool); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
 // TestEncodeRecordRejectsIncomplete: structurally incomplete records are
 // rejected at write time, before they can poison a journal.
 func TestEncodeRecordRejectsIncomplete(t *testing.T) {
 	cases := []*Record{
 		nil,
-		{Seq: 1, Kind: RecordSubmit},          // submit without job
-		{Seq: 1, Kind: RecordFail},            // fail without node
+		{Seq: 1, Kind: RecordSubmit}, // submit without job
+		{Seq: 1, Kind: RecordEvent},  // event without node
+		{Seq: 1, Kind: RecordEvent, Event: fault.Event{Kind: fault.Fail, Node: "n1", Span: sim.Interval{Start: 1, End: 2}}}, // invalid event
 		{Seq: 1, Kind: RecordRound},           // round without payload
 		{Seq: 1, Kind: RecordKind("explode")}, // unknown kind
 		{Seq: 1, Kind: RecordRound, Round: &RoundRecord{Planned: true, Choices: []ChoiceRecord{{Job: "j"}}}}, // choice without window

@@ -278,3 +278,24 @@ func TestRecoverRejectsVersionSkew(t *testing.T) {
 		t.Fatalf("full replay replayed %d of %d records", rep.RecordsReplayed, rep.RecordsScanned)
 	}
 }
+
+// TestRecoverChecksRecoverOutcome: replay cross-checks the outcome ledger of
+// every event record, recoveries included, so a recover record claiming a
+// requeue that the replay does not produce fails recovery.
+func TestRecoverChecksRecoverOutcome(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.journal")
+	journal := []byte(codec.JournalMagic)
+	for _, payload := range []string{
+		`{"v":2,"seq":1,"kind":"fail","now":0,"node":"n2"}`,
+		`{"v":2,"seq":2,"kind":"recover","now":0,"node":"n2","requeued":["x"]}`,
+	} {
+		journal = append(journal, codec.Frame([]byte(payload))...)
+	}
+	if err := os.WriteFile(path, journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := durable.Recover(durable.Options{JournalPath: path}, fuzzFactory)
+	if err == nil || !strings.Contains(err.Error(), "journaled requeues [x]") {
+		t.Fatalf("Recover over a recover record claiming a requeue: err = %v, want a journaled-requeues mismatch", err)
+	}
+}

@@ -62,7 +62,7 @@ func OpenJournal(path string, sync bool, m *durableMetrics) (*Journal, [][]byte,
 	case len(data) < len(codec.JournalMagic) || string(data[:len(codec.JournalMagic)]) != codec.JournalMagic:
 		return nil, nil, 0, fmt.Errorf("durable: %s is not a journal (bad magic)", path)
 	default:
-		payloads, _, valid = scanJournal(data)
+		payloads, _, valid = codec.ScanFrames(data[len(codec.JournalMagic):])
 		j.size = int64(len(codec.JournalMagic) + valid)
 		if torn = int64(len(data)) - j.size; torn > 0 {
 			if err := os.Truncate(path, j.size); err != nil {
@@ -77,12 +77,6 @@ func OpenJournal(path string, sync bool, m *durableMetrics) (*Journal, [][]byte,
 	}
 	j.f = f
 	return j, payloads, torn, nil
-}
-
-// scanJournal splits journal bytes past the magic into verified frame
-// payloads. validLen counts payload bytes past the magic.
-func scanJournal(data []byte) (payloads [][]byte, ends []int, validLen int) {
-	return codec.ScanFrames(data[len(codec.JournalMagic):])
 }
 
 // Append journals one record. The record's sequence number is assigned here

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
+	"slices"
 
 	"ecosched/internal/codec"
 	"ecosched/internal/dp"
+	"ecosched/internal/fault"
 	"ecosched/internal/metasched"
 )
 
@@ -29,8 +30,10 @@ type RecoveryReport struct {
 	RecordsReplayed int
 	// TornBytesDropped is the size of the torn tail a crash left behind.
 	TornBytesDropped int64
-	// Replayed counts per record kind.
-	Submits, Fails, Recovers, Revokes, Rounds int
+	// Replayed counts per record kind; Events counts event records by
+	// fault.Kind.
+	Submits, Rounds int
+	Events          [fault.Revoke + 1]int
 	// AppliedLive is the journal-derived applied-plan ledger after replay,
 	// sorted — already cross-checked against the scheduler's placed set.
 	AppliedLive []string
@@ -112,14 +115,7 @@ func recoverFrom(svc *metasched.Service, j *Journal, payloads [][]byte, torn int
 			return nil, nil, err
 		}
 		if cp != nil {
-			at := -1
-			for k, b := range boundaries {
-				if b == cp.JournalOffset {
-					at = k
-					break
-				}
-			}
-			if at >= 0 && cp.Seq == uint64(at) {
+			if at := slices.Index(boundaries, cp.JournalOffset); at >= 0 && cp.Seq == uint64(at) {
 				if err := restoreCheckpoint(ds, cp); err != nil {
 					return nil, nil, fmt.Errorf("durable: checkpoint restore: %w", err)
 				}
@@ -141,7 +137,7 @@ func recoverFrom(svc *metasched.Service, j *Journal, payloads [][]byte, torn int
 
 	rep.AppliedLive = ds.AppliedLive()
 	placed := svc.Scheduler().PlacedJobs()
-	if !equalStrings(rep.AppliedLive, placed) {
+	if !slices.Equal(rep.AppliedLive, placed) {
 		return nil, nil, fmt.Errorf("durable: recovery incoherent: journal applied-plan ledger %v, scheduler placed set %v",
 			rep.AppliedLive, placed)
 	}
@@ -165,12 +161,9 @@ func loadCheckpoint(path string) (*codec.Checkpoint, error) {
 		if errors.As(err, &skew) {
 			return nil, fmt.Errorf("durable: checkpoint %s: %w", path, err)
 		}
-		if errors.Is(err, codec.ErrTorn) {
-			return nil, nil
-		}
-		// Structurally intact but semantically invalid (e.g. malformed
-		// JSON inside a valid frame): treat as torn — the journal can
-		// always reproduce the state.
+		// Torn, or structurally intact but semantically invalid (e.g.
+		// malformed JSON inside a valid frame): the journal can always
+		// reproduce the state.
 		return nil, nil
 	}
 	return cp, nil
@@ -204,44 +197,24 @@ func (ds *Service) replayRecord(rec *codec.Record, rep *RecoveryReport) error {
 	case codec.RecordSubmit:
 		rep.Submits++
 		return ds.svc.Submit(rec.Job)
-	case codec.RecordFail:
-		rep.Fails++
-		before := ds.svc.Scheduler().DroppedJobs()
-		requeued, err := ds.svc.HandleNodeFailure(rec.Node)
-		if err != nil {
-			return err
+	case codec.RecordEvent:
+		rep.Events[rec.Event.Kind]++
+		requeued, dropped, err := ds.outcome(rec.Event)
+		switch {
+		case err != nil:
+			return fmt.Errorf("%v: %w", rec.Event, err)
+		case !slices.Equal(rec.Requeued, requeued):
+			return fmt.Errorf("%v: journaled requeues %v, replay produced %v", rec.Event, rec.Requeued, requeued)
+		case !slices.Equal(rec.Dropped, dropped):
+			return fmt.Errorf("%v: journaled drops %v, replay produced %v", rec.Event, rec.Dropped, dropped)
 		}
-		return ds.checkOutcome(rec, requeued, newlyDropped(before, ds.svc.Scheduler().DroppedJobs()))
-	case codec.RecordRecover:
-		rep.Recovers++
-		return ds.svc.HandleNodeRecovery(rec.Node)
-	case codec.RecordRevoke:
-		rep.Revokes++
-		before := ds.svc.Scheduler().DroppedJobs()
-		requeued, err := ds.svc.HandleRevocation(rec.Node, rec.Span)
-		if err != nil {
-			return err
-		}
-		return ds.checkOutcome(rec, requeued, newlyDropped(before, ds.svc.Scheduler().DroppedJobs()))
+		return nil
 	case codec.RecordRound:
 		rep.Rounds++
 		return ds.replayRound(rec.Round)
 	default:
 		return fmt.Errorf("unknown record kind %q", rec.Kind)
 	}
-}
-
-// checkOutcome verifies a fail/revoke record's journaled outcome against the
-// replayed one and updates the applied-live ledger.
-func (ds *Service) checkOutcome(rec *codec.Record, requeued, dropped []string) error {
-	if !equalStrings(rec.Requeued, requeued) {
-		return fmt.Errorf("journaled requeues %v, replay produced %v", rec.Requeued, requeued)
-	}
-	if !equalStrings(rec.Dropped, dropped) {
-		return fmt.Errorf("journaled drops %v, replay produced %v", rec.Dropped, dropped)
-	}
-	ds.forgetApplied(requeued, dropped)
-	return nil
 }
 
 // replayRound re-runs one scheduling round, installing the journaled plan in
@@ -275,7 +248,7 @@ func (ds *Service) replayRound(rr *codec.RoundRecord) error {
 	if err := r.Apply(); err != nil {
 		return err
 	}
-	if got := r.StaleJobs(); !equalStrings(rr.Stale, got) {
+	if got := r.StaleJobs(); !slices.Equal(rr.Stale, got) {
 		return fmt.Errorf("journaled stale windows %v, replay produced %v", rr.Stale, got)
 	}
 	rep, err := r.Finish()
@@ -289,7 +262,7 @@ func (ds *Service) replayRound(rr *codec.RoundRecord) error {
 	for _, p := range rep.Placed {
 		placed = append(placed, p.Job.Name)
 	}
-	if !equalStrings(rr.Placed, placed) {
+	if !slices.Equal(rr.Placed, placed) {
 		return fmt.Errorf("journaled placements %v, replay produced %v", rr.Placed, placed)
 	}
 	for _, name := range placed {
@@ -297,15 +270,4 @@ func (ds *Service) replayRound(rr *codec.RoundRecord) error {
 	}
 	ds.rounds++
 	return nil
-}
-
-// equalStrings compares two string slices, nil and empty alike.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if len(a) == 0 {
-		return true
-	}
-	return reflect.DeepEqual(a, b)
 }

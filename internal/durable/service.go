@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"ecosched/internal/codec"
+	"ecosched/internal/fault"
 	"ecosched/internal/job"
 	"ecosched/internal/metasched"
 	"ecosched/internal/metrics"
@@ -62,7 +63,7 @@ type Service struct {
 	// recovery via the checkpoint's Rounds field plus replayed rounds.
 	rounds int
 	// appliedLive is the journal-derived ledger of jobs holding applied
-	// plans: round records add their placed jobs, fail/revoke records remove
+	// plans: round records add their placed jobs, event records remove
 	// their requeued and dropped jobs. The recovery-coherence invariant pins
 	// it against the scheduler's own placed set.
 	appliedLive map[string]bool
@@ -124,57 +125,61 @@ func (ds *Service) Submit(j *job.Job) error {
 	})
 }
 
-// HandleNodeFailure routes a node failure through the service and journals
-// it with its outcome (the jobs requeued and terminally dropped), which
-// replay cross-checks.
+// HandleNodeFailure journals a node failure; see handle.
 func (ds *Service) HandleNodeFailure(nodeLabel string) ([]string, error) {
-	before := ds.svc.Scheduler().DroppedJobs()
-	requeued, err := ds.svc.HandleNodeFailure(nodeLabel)
-	if err != nil {
-		return nil, err
-	}
-	dropped := newlyDropped(before, ds.svc.Scheduler().DroppedJobs())
-	ds.forgetApplied(requeued, dropped)
-	return requeued, ds.j.Append(&codec.Record{
-		Kind:     codec.RecordFail,
-		Now:      ds.svc.Scheduler().Grid().Now(),
-		Node:     nodeLabel,
-		Requeued: requeued,
-		Dropped:  dropped,
-	})
+	return ds.handle(fault.Event{Kind: fault.Fail, Node: nodeLabel})
 }
 
-// HandleNodeRecovery routes a node recovery through the service and
-// journals it.
+// HandleNodeRecovery journals a node recovery; see handle.
 func (ds *Service) HandleNodeRecovery(nodeLabel string) error {
-	if err := ds.svc.HandleNodeRecovery(nodeLabel); err != nil {
-		return err
-	}
-	return ds.j.Append(&codec.Record{
-		Kind: codec.RecordRecover,
-		Now:  ds.svc.Scheduler().Grid().Now(),
-		Node: nodeLabel,
-	})
+	_, err := ds.handle(fault.Event{Kind: fault.Recover, Node: nodeLabel})
+	return err
 }
 
-// HandleRevocation routes an owner revocation through the service and
-// journals it with its outcome.
+// HandleRevocation journals an owner revocation; see handle.
 func (ds *Service) HandleRevocation(nodeLabel string, span sim.Interval) ([]string, error) {
-	before := ds.svc.Scheduler().DroppedJobs()
-	requeued, err := ds.svc.HandleRevocation(nodeLabel, span)
+	return ds.handle(fault.Event{Kind: fault.Revoke, Node: nodeLabel, Span: span})
+}
+
+// handle routes an environment event through the service at the current
+// clock and journals it, stamped with that clock, together with its outcome,
+// which replay cross-checks.
+func (ds *Service) handle(e fault.Event) ([]string, error) {
+	e.At = ds.svc.Scheduler().Grid().Now()
+	requeued, dropped, err := ds.outcome(e)
 	if err != nil {
 		return nil, err
 	}
-	dropped := newlyDropped(before, ds.svc.Scheduler().DroppedJobs())
-	ds.forgetApplied(requeued, dropped)
 	return requeued, ds.j.Append(&codec.Record{
-		Kind:     codec.RecordRevoke,
-		Now:      ds.svc.Scheduler().Grid().Now(),
-		Node:     nodeLabel,
-		Span:     span,
+		Kind:     codec.RecordEvent,
+		Event:    e,
 		Requeued: requeued,
 		Dropped:  dropped,
 	})
+}
+
+// outcome applies an environment event through the wrapped service, retires
+// the jobs it re-queued or newly dropped from the applied-live ledger, and
+// returns both: the live path journals them, replay compares.
+func (ds *Service) outcome(e fault.Event) (requeued, dropped []string, err error) {
+	if e.Kind == fault.Recover {
+		// A recovery only adds vacancy: it cancels nothing, so there is
+		// nothing to re-queue or drop and no drop ledger to copy.
+		_, err := fault.Dispatch(ds.svc, e)
+		return nil, nil, err
+	}
+	before := ds.svc.Scheduler().DroppedJobs()
+	if requeued, err = fault.Dispatch(ds.svc, e); err != nil {
+		return nil, nil, err
+	}
+	dropped = newlyDropped(before, ds.svc.Scheduler().DroppedJobs())
+	for _, name := range requeued {
+		delete(ds.appliedLive, name)
+	}
+	for _, name := range dropped {
+		delete(ds.appliedLive, name)
+	}
+	return requeued, dropped, nil
 }
 
 // Tick runs one full service round — the durable counterpart of
@@ -304,16 +309,6 @@ func writeCheckpoint(path string, data []byte, sync bool) error {
 		return fmt.Errorf("durable: sync checkpoint directory: %w", err)
 	}
 	return nil
-}
-
-// forgetApplied removes cancelled jobs from the applied-live ledger.
-func (ds *Service) forgetApplied(requeued, dropped []string) {
-	for _, name := range requeued {
-		delete(ds.appliedLive, name)
-	}
-	for _, name := range dropped {
-		delete(ds.appliedLive, name)
-	}
 }
 
 // newlyDropped returns the names terminally dropped between two snapshots of

@@ -1,12 +1,16 @@
 package fault_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"ecosched/internal/alloc"
+	"ecosched/internal/codec"
 	"ecosched/internal/durable"
 	"ecosched/internal/fault"
 	"ecosched/internal/gridsim"
@@ -278,5 +282,105 @@ func TestCheckRecoveryCoherence(t *testing.T) {
 	if err := a.CheckRecoveryCoherence(placed); err == nil ||
 		!strings.Contains(err.Error(), "live reservation") {
 		t.Fatalf("unlogged live reservation not flagged, got: %v", err)
+	}
+}
+
+// TestJournalEventsAreThePlan is the journal ↔ plan differential: the fault
+// engine, the journal codec and the durable wrapper share one event type. A
+// chaos session runs through the durable wrapper; read back, its journal's
+// event records are exactly the events the session applied, each stamped
+// with the clock it fired at (the first round boundary at or after its plan
+// time). Driven by those records as a plan, a fresh session writes the same
+// transcript — up to the plan times its fault lines print — and the same
+// journal, byte for byte. The seeded plan sits on the round grid; the
+// hand-written one does not, so its events are re-stamped.
+func TestJournalEventsAreThePlan(t *testing.T) {
+	const seed = 5
+	pool := chaosService(t, seed, alloc.AMP{}, metasched.MinimizeTime, 1).Scheduler().Grid().Pool()
+	offGrid, err := fault.ParsePlan("fail@100:n3;revoke@200:n5:500-700;recover@520:n3;fail@1000:n7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans := []struct {
+		name string
+		plan *fault.Plan
+	}{{"seeded", chaosPlan(t, pool, seed, 0.6)}, {"off-grid", offGrid}}
+	for _, c := range plans {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			// run plays the session round by round through the durable
+			// wrapper and returns its transcript, its journal's bytes and
+			// event records, and how many plan events it applied.
+			run := func(plan *fault.Plan, name string) (string, []byte, []fault.Event, int) {
+				path := filepath.Join(dir, name)
+				ds, err := durable.New(chaosService(t, seed, alloc.AMP{}, metasched.MinimizeTime, 1), durable.Options{JournalPath: path})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var w strings.Builder
+				sess, err := fault.NewSession(ds, plan, &w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < chaosIterations; i++ {
+					if err := sess.Step(); err != nil {
+						t.Fatalf("%s round %d: %v", name, i, err)
+					}
+				}
+				if err := ds.Close(); err != nil {
+					t.Fatal(err)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				payloads, _, _ := codec.ScanFrames(data[len(codec.JournalMagic):])
+				var events []fault.Event
+				for _, p := range payloads {
+					rec, err := codec.DecodeRecord(p, pool)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rec.Kind == codec.RecordEvent {
+						events = append(events, rec.Event)
+					}
+				}
+				return w.String(), data, events, sess.Applied()
+			}
+
+			transcript, journal, events, applied := run(c.plan, "planned.journal")
+			if applied == 0 {
+				t.Fatal("the session applied no events")
+			}
+			step := int64(chaosStep)
+			want := append([]fault.Event(nil), c.plan.Events[:applied]...)
+			wantTranscript := transcript
+			for i := range want {
+				want[i].At = sim.Time((int64(want[i].At) + step - 1) / step * step)
+				line := "fault " + c.plan.Events[i].String() + " "
+				if !strings.Contains(wantTranscript, line) {
+					t.Fatalf("transcript lacks a %q line", line)
+				}
+				wantTranscript = strings.Replace(wantTranscript, line, "fault "+want[i].String()+" ", 1)
+			}
+			if !reflect.DeepEqual(events, want) {
+				t.Fatalf("journal event records\n%v\nwant the applied plan events stamped at their firing clock\n%v", events, want)
+			}
+
+			replanned, err := fault.NewPlan(events...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			transcript2, journal2, _, applied2 := run(replanned, "replanned.journal")
+			if applied2 != len(events) {
+				t.Fatalf("replanned session applied %d of %d events", applied2, len(events))
+			}
+			if transcript2 != wantTranscript {
+				t.Fatalf("replanned transcript diverged\n--- want ---\n%s\n--- replanned ---\n%s", wantTranscript, transcript2)
+			}
+			if !bytes.Equal(journal2, journal) {
+				t.Fatal("replanned session wrote a different journal")
+			}
+		})
 	}
 }

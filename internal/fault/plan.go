@@ -1,8 +1,8 @@
 // Package fault is the deterministic fault-injection engine for the
 // metascheduler: it compiles a Plan of timed events — node crashes, node
-// recoveries (re-join with fresh vacancy), transient slot revocations (an
-// owner reclaiming a booked interval), and batch-wide fault storms — and
-// drives them through the gridsim/metasched hooks between scheduling
+// recoveries (re-join with fresh vacancy) and transient slot revocations (an
+// owner reclaiming a booked interval) — and injects each one through a single
+// step, Inject, into the service's event handlers between scheduling
 // iterations. The paper schedules over non-dedicated resources whose owners
 // can preempt or withdraw capacity at any moment; this package makes that
 // environment dynamics a first-class, seeded, replayable event stream
@@ -39,7 +39,8 @@ const (
 	Revoke
 )
 
-// String names the kind (also the plan-DSL keyword).
+// String names the kind: the plan-DSL keyword, the journal record kind and
+// the model checker's script keyword.
 func (k Kind) String() string {
 	switch k {
 	case Fail:
@@ -53,7 +54,19 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one timed fault.
+// ParseKind is String's inverse.
+func ParseKind(s string) (Kind, error) {
+	for k := Fail; k <= Revoke; k++ {
+		if k.String() == s {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("fault: unknown event kind %q", s)
+}
+
+// Event is one timed environment event, the one form fail, recover and
+// revoke take: plans list them, the model checker injects them, and the
+// journal records each one applied, stamped with the clock it applied at.
 type Event struct {
 	// At is the injection time: the event fires before the first
 	// iteration whose clock has reached it.
@@ -74,20 +87,27 @@ func (e Event) String() string {
 	return fmt.Sprintf("%s@%d:%s", e.Kind, e.At, e.Node)
 }
 
-// Validate checks one event in isolation.
+// Validate checks one event in isolation. It accepts exactly what the DSL
+// can carry, so ParsePlan(p.String()) reproduces every valid plan: the node
+// label holds no ':' or ';' (so a span on a non-revoke entry fails as part
+// of its label) and no surrounding space, only a revoke has a span, and that
+// span is non-empty and starts at or after zero.
 func (e Event) Validate() error {
 	if e.At < 0 {
 		return fmt.Errorf("fault: event %v at negative time", e)
 	}
-	if e.Node == "" {
-		return fmt.Errorf("fault: event at %v without a node", e.At)
+	if e.Node == "" || strings.ContainsAny(e.Node, ":;") || strings.TrimSpace(e.Node) != e.Node {
+		return fmt.Errorf("fault: event at %v has node label %q (want non-empty, no ':' or ';', no surrounding space)", e.At, e.Node)
 	}
 	switch e.Kind {
 	case Fail, Recover:
+		if e.Span != (sim.Interval{}) {
+			return fmt.Errorf("fault: %v event %v carries a span", e.Kind, e)
+		}
 		return nil
 	case Revoke:
-		if e.Span.Empty() || !e.Span.Valid() {
-			return fmt.Errorf("fault: revoke event %v with empty or invalid span", e)
+		if e.Span.Start < 0 || e.Span.Empty() || !e.Span.Valid() {
+			return fmt.Errorf("fault: revoke event %v with empty, invalid or negative span", e)
 		}
 		return nil
 	default:
@@ -173,16 +193,9 @@ func parseEvent(s string) (Event, error) {
 	if !ok {
 		return Event{}, fmt.Errorf("fault: entry %q missing '@'", s)
 	}
-	var kind Kind
-	switch kindStr {
-	case "fail":
-		kind = Fail
-	case "recover":
-		kind = Recover
-	case "revoke":
-		kind = Revoke
-	default:
-		return Event{}, fmt.Errorf("fault: entry %q has unknown kind %q", s, kindStr)
+	kind, err := ParseKind(kindStr)
+	if err != nil {
+		return Event{}, fmt.Errorf("fault: entry %q: %w", s, err)
 	}
 	atStr, rest, ok := strings.Cut(rest, ":")
 	if !ok {
@@ -192,7 +205,7 @@ func parseEvent(s string) (Event, error) {
 	if err != nil {
 		return Event{}, fmt.Errorf("fault: entry %q has bad time: %v", s, err)
 	}
-	e := Event{At: sim.Time(at), Kind: kind}
+	e := Event{At: sim.Time(at), Kind: kind, Node: rest}
 	if kind == Revoke {
 		node, spanStr, ok := strings.Cut(rest, ":")
 		if !ok {
@@ -212,16 +225,8 @@ func parseEvent(s string) (Event, error) {
 		}
 		e.Node = node
 		e.Span = sim.Interval{Start: sim.Time(start), End: sim.Time(end)}
-	} else {
-		if strings.Contains(rest, ":") {
-			return Event{}, fmt.Errorf("fault: entry %q has a span on a non-revoke event", s)
-		}
-		e.Node = rest
 	}
-	if err := e.Validate(); err != nil {
-		return Event{}, err
-	}
-	return e, nil
+	return e, nil // NewPlan validates
 }
 
 // RandomSpec parameterizes RandomPlan.

@@ -24,8 +24,36 @@ func testPool(t *testing.T, n int) *resource.Pool {
 }
 
 // TestPlanRoundTrip pins the DSL: ParsePlan(p.String()) reproduces the plan
-// exactly, including time-sorted normalization of out-of-order input.
+// exactly, including time-sorted normalization of out-of-order input, and
+// every constructed event NewPlan accepts renders to text ParsePlan reads
+// back — NewPlan rejects what the text form cannot carry.
 func TestPlanRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		e  fault.Event
+		ok bool
+	}{
+		{fault.Event{At: 3, Kind: fault.Revoke, Node: "n1", Span: sim.Interval{Start: 0, End: 7}}, true},
+		{fault.Event{At: 0, Kind: fault.Fail, Node: "rack-2/n1"}, true},
+		{fault.Event{At: 3, Kind: fault.Revoke, Node: "n1", Span: sim.Interval{Start: -5, End: 7}}, false},
+		{fault.Event{At: 3, Kind: fault.Fail, Node: "n1:7"}, false},
+		{fault.Event{At: 3, Kind: fault.Recover, Node: "n1;fail@4:n2"}, false},
+		{fault.Event{At: 3, Kind: fault.Fail, Node: "n1 "}, false},
+		{fault.Event{At: 3, Kind: fault.Fail, Node: "n1", Span: sim.Interval{Start: 5, End: 7}}, false},
+	} {
+		p, err := fault.NewPlan(c.e)
+		if (err == nil) != c.ok {
+			t.Errorf("NewPlan(%#v): err = %v, want accepted=%t", c.e, err, c.ok)
+			continue
+		}
+		if !c.ok {
+			continue
+		}
+		back, err := fault.ParsePlan(p.String())
+		if err != nil || back.Len() != 1 || back.Events[0] != c.e {
+			t.Errorf("constructed %#v renders %q, which parses back to %v (err %v)", c.e, p.String(), back, err)
+		}
+	}
+
 	const text = "recover@600:n3; fail@300:n3;revoke@450:n5:500-700;;fail@450:n1"
 	p, err := fault.ParsePlan(text)
 	if err != nil {

@@ -9,16 +9,51 @@ import (
 	"ecosched/internal/sim"
 )
 
-// ServiceDriver is the surface a session drives: the event handlers and the
-// round runner. *metasched.Service satisfies it directly, and so does the durable wrapper
-// (internal/durable.Service), which journals every one of these calls — the
-// crash-storm soak runs a whole chaos session through it unmodified.
-type ServiceDriver interface {
-	Scheduler() *metasched.Scheduler
+// Handler is the service surface an environment event reaches: a
+// *metasched.Service, or the durable wrapper that journals each event.
+type Handler interface {
 	HandleNodeFailure(nodeLabel string) ([]string, error)
 	HandleNodeRecovery(nodeLabel string) error
 	HandleRevocation(nodeLabel string, span sim.Interval) ([]string, error)
+}
+
+// ServiceDriver is the surface a session drives: the event handlers and the
+// round runner.
+type ServiceDriver interface {
+	Handler
+	Scheduler() *metasched.Scheduler
 	Tick() (*metasched.IterationReport, error)
+}
+
+// Dispatch delivers e to the handler its kind names and returns the jobs it
+// re-queued (none for a recovery). It is the one place an event kind selects
+// a handler: Inject and the durable wrapper's live and replay paths use it.
+func Dispatch(h Handler, e Event) ([]string, error) {
+	switch e.Kind {
+	case Fail:
+		return h.HandleNodeFailure(e.Node)
+	case Recover:
+		return nil, h.HandleNodeRecovery(e.Node)
+	case Revoke:
+		return h.HandleRevocation(e.Node, e.Span)
+	}
+	return nil, fmt.Errorf("unknown event kind %d", int(e.Kind))
+}
+
+// Inject is the injection step every event driver uses: it dispatches e
+// between the auditor's BeginEvent and EndEvent, so the auditor records the
+// reservations the event cancelled and flags any it added, and writes the
+// event's transcript line. The caller runs the invariant check.
+func Inject(h Handler, a *Audit, w io.Writer, e Event) error {
+	a.BeginEvent()
+	requeued, err := Dispatch(h, e)
+	if err != nil {
+		return fmt.Errorf("fault: applying %v: %w", e, err)
+	}
+	cancelled := a.EndEvent(e)
+	fmt.Fprintf(w, "fault %v cancelled=%d requeued=%v drops=%d\n",
+		e, len(cancelled), requeued, len(a.sched.DroppedJobs()))
+	return nil
 }
 
 // Session drives a metascheduler service through a fault plan: before every
@@ -108,48 +143,19 @@ func (s *Session) Step() error {
 	return nil
 }
 
-// injectDue applies every not-yet-applied plan event whose time has been
-// reached, in plan order.
+// injectDue injects every not-yet-applied plan event whose time has been
+// reached, in plan order, checking the invariants after each.
 func (s *Session) injectDue() error {
 	now := s.sched.Grid().Now()
-	for s.next < s.plan.Len() {
+	for s.next < s.plan.Len() && s.plan.Events[s.next].At <= now {
 		e := s.plan.Events[s.next]
-		if e.At > now {
-			return nil
-		}
 		s.next++
-		if err := s.apply(e); err != nil {
+		if err := Inject(s.d, s.audit, s.w, e); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// apply injects one event through the matching service handler, records the
-// cancelled reservations with the audit, writes the transcript line, and
-// checks the invariants.
-func (s *Session) apply(e Event) error {
-	s.audit.BeginEvent()
-	var requeued []string
-	var err error
-	switch e.Kind {
-	case Fail:
-		requeued, err = s.d.HandleNodeFailure(e.Node)
-	case Recover:
-		err = s.d.HandleNodeRecovery(e.Node)
-	case Revoke:
-		requeued, err = s.d.HandleRevocation(e.Node, e.Span)
-	default:
-		err = fmt.Errorf("unknown event kind %d", int(e.Kind))
-	}
-	if err != nil {
-		return fmt.Errorf("fault: applying %v: %w", e, err)
-	}
-	cancelled := s.audit.EndEvent(e)
-	fmt.Fprintf(s.w, "fault %v cancelled=%d requeued=%v drops=%d\n",
-		e, len(cancelled), requeued, len(s.sched.DroppedJobs()))
-	if err := s.audit.Check(); err != nil {
-		return fmt.Errorf("fault: after event %v: %w", e, err)
+		if err := s.audit.Check(); err != nil {
+			return fmt.Errorf("fault: after event %v: %w", e, err)
+		}
 	}
 	return nil
 }

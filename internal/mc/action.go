@@ -3,6 +3,8 @@ package mc
 import (
 	"fmt"
 	"strings"
+
+	"ecosched/internal/fault"
 )
 
 // ActionKind enumerates the explorer's transition alphabet.
@@ -14,11 +16,11 @@ const (
 	// ActTick advances the clock one step without scheduling — the retry
 	// backoff timer firing, or dead time between rounds.
 	ActTick
-	// ActFail crashes node Arg.
+	// ActFail, ActRecover and ActRevoke inject the fault.Event of the
+	// same kind on node Arg (a revoke reclaims the universe's RevokeSpan).
+	// They are consecutive and in fault.Kind order; see event.
 	ActFail
-	// ActRecover re-joins failed node Arg.
 	ActRecover
-	// ActRevoke reclaims the universe's RevokeSpan on node Arg.
 	ActRevoke
 	// ActEvaluate opens a round: BeginRound (seed, freeze the batch)
 	// followed by Evaluate (publish, search and
@@ -38,6 +40,9 @@ const (
 	ActCrash
 )
 
+// event maps ActFail, ActRecover and ActRevoke onto fault.Kind.
+func (k ActionKind) event() fault.Kind { return fault.Kind(k - ActFail) }
+
 // Action is one transition: a kind plus a job index (ActSubmit) or node
 // index (ActFail/ActRecover/ActRevoke); Arg is unused otherwise.
 type Action struct {
@@ -46,19 +51,16 @@ type Action struct {
 }
 
 // Render writes the action in the replay-script syntax: the keyword alone
-// for the step actions, keyword plus the job or node name otherwise.
+// for the step actions, keyword plus the job or node name otherwise. The
+// environment actions take their keywords from fault.Kind.
 func (a Action) Render(u *Universe) string {
 	switch a.Kind {
 	case ActSubmit:
 		return "submit " + u.Jobs[a.Arg].Name
 	case ActTick:
 		return "tick"
-	case ActFail:
-		return "fail " + u.Nodes[a.Arg].Name
-	case ActRecover:
-		return "recover " + u.Nodes[a.Arg].Name
-	case ActRevoke:
-		return "revoke " + u.Nodes[a.Arg].Name
+	case ActFail, ActRecover, ActRevoke:
+		return a.Kind.event().String() + " " + u.Nodes[a.Arg].Name
 	case ActEvaluate:
 		return "evaluate"
 	case ActApply:

@@ -11,7 +11,6 @@ import (
 	"ecosched/internal/gridsim"
 	"ecosched/internal/metasched"
 	"ecosched/internal/resource"
-	"ecosched/internal/sim"
 )
 
 // Instance is one live replay of a trace: a fresh grid, scheduler, service,
@@ -24,7 +23,10 @@ type Instance struct {
 	grid  *gridsim.Grid
 	sched *metasched.Scheduler
 	svc   *metasched.Service
-	audit *fault.Audit
+	// handlers receives the environment events: svc itself, or svc
+	// decorated with the mutation's bug.
+	handlers fault.Handler
+	audit    *fault.Audit
 	// round is the open evaluate/apply round, nil between rounds.
 	round *metasched.Round
 	// submitted marks jobs already handed to the scheduler.
@@ -36,9 +38,6 @@ type Instance struct {
 	// w receives the session-format transcript (io.Discard by default).
 	w   io.Writer
 	mut Mutation
-	// zombies holds, per node, the reservations its last failure
-	// cancelled; MutResurrect force-books them again on recovery.
-	zombies map[int][]gridsim.Task
 }
 
 // NewInstance builds a fresh instance of the universe. The transcript
@@ -69,6 +68,7 @@ func NewInstance(u *Universe, mut Mutation, w io.Writer) (*Instance, error) {
 	}
 	return &Instance{
 		svc:       svc,
+		handlers:  mut.handlers(svc),
 		u:         u,
 		grid:      grid,
 		sched:     sched,
@@ -76,7 +76,6 @@ func NewInstance(u *Universe, mut Mutation, w io.Writer) (*Instance, error) {
 		submitted: make([]bool, len(u.Jobs)),
 		w:         w,
 		mut:       mut,
-		zombies:   map[int][]gridsim.Task{},
 	}, nil
 }
 
@@ -151,7 +150,7 @@ func (in *Instance) Apply(a Action) error {
 			return err
 		}
 	case ActFail, ActRecover, ActRevoke:
-		if err := in.applyEvent(a); err != nil {
+		if err := in.inject(a); err != nil {
 			return err
 		}
 	default:
@@ -182,58 +181,18 @@ func (in *Instance) blindApply() {
 	}
 }
 
-// applyEvent injects one environment event through the service's handlers
-// with the auditor's
-// before/after protocol, mirroring fault.Session line for line so
+// inject applies an environment action as a fault.Event stamped with the
+// current clock, through the same injection step fault.Session uses, so
 // session-compatible traces replay byte-identically.
-func (in *Instance) applyEvent(a Action) error {
-	node := in.u.Nodes[a.Arg]
-	id := resource.NodeID(a.Arg)
-	ev := fault.Event{At: in.grid.Now(), Node: node.Name}
-	in.audit.BeginEvent()
-	var requeued []string
-	var err error
-	switch a.Kind {
-	case ActFail:
-		ev.Kind = fault.Fail
-		if in.mut == MutResurrect {
-			in.zombies[a.Arg] = in.liveVOTasks(id)
-		}
-		var refundBase float64
-		if in.mut == MutDoubleRefund {
-			byDomain, _ := in.grid.OwnerIncome()
-			refundBase = float64(byDomain[node.Domain])
-		}
-		requeued, err = in.svc.HandleNodeFailure(node.Name)
-		if err == nil && in.mut == MutDoubleRefund {
-			byDomain, _ := in.grid.OwnerIncome()
-			if refund := refundBase - float64(byDomain[node.Domain]); refund > 0 {
-				// The grid already refunded the cancellations once;
-				// subtract the same amount again.
-				in.grid.AdjustIncome(node.Domain, -sim.Money(refund))
-			}
-		}
-	case ActRecover:
-		ev.Kind = fault.Recover
-		err = in.svc.HandleNodeRecovery(node.Name)
-		if err == nil && in.mut == MutResurrect {
-			for _, t := range in.zombies[a.Arg] {
-				in.grid.ForceBook(t)
-			}
-			in.zombies[a.Arg] = nil
-		}
-	case ActRevoke:
-		ev.Kind = fault.Revoke
-		ev.Span = in.u.RevokeSpan
-		requeued, err = in.svc.HandleRevocation(node.Name, in.u.RevokeSpan)
+func (in *Instance) inject(a Action) error {
+	e := fault.Event{At: in.grid.Now(), Kind: a.Kind.event(), Node: in.u.Nodes[a.Arg].Name}
+	if e.Kind == fault.Revoke {
+		e.Span = in.u.RevokeSpan
 	}
-	if err != nil {
-		return fmt.Errorf("mc: applying %v: %w", ev, err)
+	if err := fault.Inject(in.handlers, in.audit, in.w, e); err != nil {
+		return err
 	}
-	cancelled := in.audit.EndEvent(ev)
-	in.events = append(in.events, ev)
-	fmt.Fprintf(in.w, "fault %v cancelled=%d requeued=%v drops=%d\n",
-		ev, len(cancelled), requeued, len(in.sched.DroppedJobs()))
+	in.events = append(in.events, e)
 	return nil
 }
 
@@ -281,18 +240,6 @@ func (in *Instance) crash() error {
 		return fmt.Errorf("mc: crash recovery changed committed state: hash %016x -> %016x", before, after)
 	}
 	return nil
-}
-
-// liveVOTasks snapshots the node's unfinished VO reservations — the set a
-// failure right now would cancel.
-func (in *Instance) liveVOTasks(id resource.NodeID) []gridsim.Task {
-	var out []gridsim.Task
-	for _, t := range in.grid.Tasks(id) {
-		if !t.Local && t.Span.End > in.grid.Now() {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 // check runs the audit and converts any violation — including ones the
@@ -346,11 +293,8 @@ func (in *Instance) Drain(maxIter int) error {
 		}
 	}
 	for i := range in.u.Nodes {
-		if in.grid.NodeFailed(resource.NodeID(i)) {
-			if err := in.applyEvent(Action{Kind: ActRecover, Arg: i}); err != nil {
-				return err
-			}
-			if err := in.check(); err != nil {
+		if a := (Action{Kind: ActRecover, Arg: i}); in.Feasible(a) {
+			if err := in.Apply(a); err != nil {
 				return err
 			}
 		}

@@ -96,18 +96,14 @@ func minimizeTrace(u *Universe, opts Options, prop Property, trace []Action) []A
 
 // FaultPlan rebuilds the fault-plan DSL equivalent of the counterexample's
 // environment events by replaying the trace and collecting the events with
-// their recorded injection times. Traces without fault actions yield the
-// empty string.
+// their recorded injection times — already in time order, and valid because
+// the universe is. Traces without fault actions yield the empty string.
 func (c *Counterexample) FaultPlan(u *Universe) string {
 	in, _ := replayLenient(u, MutNone, c.Trace)
-	if in == nil || len(in.Events()) == 0 {
+	if in == nil {
 		return ""
 	}
-	plan, err := fault.NewPlan(in.Events()...)
-	if err != nil {
-		return ""
-	}
-	return plan.String()
+	return (&fault.Plan{Events: in.Events()}).String()
 }
 
 // Script renders the counterexample as a replayable artifact: commented

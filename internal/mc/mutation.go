@@ -1,6 +1,12 @@
 package mc
 
-import "fmt"
+import (
+	"fmt"
+
+	"ecosched/internal/fault"
+	"ecosched/internal/gridsim"
+	"ecosched/internal/metasched"
+)
 
 // Mutation seeds a deliberate protocol bug into the replay harness — never
 // into the production packages — so the checker's ability to catch real
@@ -53,20 +59,63 @@ func (m Mutation) String() string {
 	}
 }
 
-// ParseMutation parses the CLI spelling of a mutation.
+// ParseMutation parses the CLI spelling of a mutation: String's inverse,
+// plus "" for MutNone.
 func ParseMutation(s string) (Mutation, error) {
-	switch s {
-	case "", "none":
-		return MutNone, nil
-	case "double-refund":
-		return MutDoubleRefund, nil
-	case "resurrect":
-		return MutResurrect, nil
-	case "blind-apply":
-		return MutBlindApply, nil
-	case "lossy-crash":
-		return MutLossyCrash, nil
-	default:
-		return MutNone, fmt.Errorf("mc: unknown mutation %q (want none, double-refund, resurrect, blind-apply, lossy-crash)", s)
+	for m := MutNone; m <= MutLossyCrash; m++ {
+		if s == m.String() || s == "" {
+			return m, nil
+		}
 	}
+	return MutNone, fmt.Errorf("mc: unknown mutation %q (want none, double-refund, resurrect, blind-apply, lossy-crash)", s)
+}
+
+// handlers returns what the instance injects environment events into: the
+// service, or the service behind a decorator seeding MutDoubleRefund or
+// MutResurrect. fault.Inject calls it between the auditor's BeginEvent and
+// EndEvent, so the auditor sees the bug as the event's own effect.
+func (m Mutation) handlers(svc *metasched.Service) fault.Handler {
+	if m == MutDoubleRefund || m == MutResurrect {
+		return &mutant{Service: svc, mut: m, zombies: map[string][]gridsim.Task{}}
+	}
+	return svc
+}
+
+// mutant decorates the service's failure and recovery handlers.
+type mutant struct {
+	*metasched.Service
+	mut Mutation
+	// zombies holds, per node label, the live VO reservations its last
+	// failure cancelled; MutResurrect force-books them again on recovery.
+	zombies map[string][]gridsim.Task
+}
+
+func (m *mutant) HandleNodeFailure(nodeLabel string) ([]string, error) {
+	grid := m.Scheduler().Grid()
+	node := grid.Pool().ByName(nodeLabel)
+	m.zombies[nodeLabel] = nil
+	for _, t := range grid.Tasks(node.ID) {
+		if !t.Local && t.Span.End > grid.Now() {
+			m.zombies[nodeLabel] = append(m.zombies[nodeLabel], t)
+		}
+	}
+	before, _ := grid.OwnerIncome()
+	requeued, err := m.Service.HandleNodeFailure(nodeLabel)
+	if after, _ := grid.OwnerIncome(); err == nil && m.mut == MutDoubleRefund && before[node.Domain] > after[node.Domain] {
+		// The grid already refunded the cancellations once; subtract the
+		// same amount again.
+		grid.AdjustIncome(node.Domain, after[node.Domain]-before[node.Domain])
+	}
+	return requeued, err
+}
+
+func (m *mutant) HandleNodeRecovery(nodeLabel string) error {
+	err := m.Service.HandleNodeRecovery(nodeLabel)
+	if err == nil && m.mut == MutResurrect {
+		for _, t := range m.zombies[nodeLabel] {
+			m.Scheduler().Grid().ForceBook(t)
+		}
+		m.zombies[nodeLabel] = nil
+	}
+	return err
 }

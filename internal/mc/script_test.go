@@ -3,6 +3,8 @@ package mc
 import (
 	"fmt"
 	"strings"
+
+	"ecosched/internal/fault"
 )
 
 // ParseScript parses a replay script back into a trace: one action per
@@ -41,7 +43,12 @@ func ParseScript(u *Universe, script string) ([]Action, error) {
 				return nil, fmt.Errorf("mc: line %d: unknown job %q", ln+1, fields[1])
 			}
 			a = Action{Kind: ActSubmit, Arg: j}
-		case "fail", "recover", "revoke":
+		default:
+			// The environment actions take their keywords from fault.Kind.
+			kind, err := fault.ParseKind(fields[0])
+			if err != nil {
+				return nil, fmt.Errorf("mc: line %d: unknown action %q", ln+1, fields[0])
+			}
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("mc: line %d: %s needs a node name", ln+1, fields[0])
 			}
@@ -49,16 +56,7 @@ func ParseScript(u *Universe, script string) ([]Action, error) {
 			if n < 0 {
 				return nil, fmt.Errorf("mc: line %d: unknown node %q", ln+1, fields[1])
 			}
-			switch fields[0] {
-			case "fail":
-				a = Action{Kind: ActFail, Arg: n}
-			case "recover":
-				a = Action{Kind: ActRecover, Arg: n}
-			case "revoke":
-				a = Action{Kind: ActRevoke, Arg: n}
-			}
-		default:
-			return nil, fmt.Errorf("mc: line %d: unknown action %q", ln+1, fields[0])
+			a = Action{Kind: ActFail + ActionKind(kind), Arg: n}
 		}
 		trace = append(trace, a)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ecosched/internal/alloc"
+	"ecosched/internal/fault"
 	"ecosched/internal/job"
 	"ecosched/internal/metasched"
 	"ecosched/internal/resource"
@@ -112,8 +113,11 @@ func (u *Universe) Validate() error {
 	if u.Step <= 0 || u.Horizon <= 0 {
 		return fmt.Errorf("mc: universe needs positive step and horizon")
 	}
-	if u.RevokeSpan.Empty() || !u.RevokeSpan.Valid() {
-		return fmt.Errorf("mc: invalid revoke span %v", u.RevokeSpan)
+	// Every event the explorer can inject must be a valid fault.Event.
+	for _, n := range u.Nodes {
+		if err := (fault.Event{Kind: fault.Revoke, Node: n.Name, Span: u.RevokeSpan}).Validate(); err != nil {
+			return fmt.Errorf("mc: universe: %w", err)
+		}
 	}
 	if u.Shards < 0 {
 		return fmt.Errorf("mc: negative shard count %d", u.Shards)

@@ -326,17 +326,6 @@ func BenchmarkSlotSubtraction(b *testing.B) {
 	}
 }
 
-// BenchmarkFairnessStudy regenerates the batch-at-once fair-search extension
-// comparison (Section 7 future work).
-func BenchmarkFairnessStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.PaperStudyConfig(uint64(i)+1, benchIterations)
-		if _, _, err := experiments.FairnessStudy(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRobustnessStudy regenerates the failure-injection strategy
 // extension (Section 7 future work, refs [13, 14]).
 func BenchmarkRobustnessStudy(b *testing.B) {
@@ -351,29 +340,6 @@ func BenchmarkRobustnessStudy(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkFairSearch compares the per-call cost of the sequential and
-// batch-at-once searches on one scenario.
-func BenchmarkFairSearch(b *testing.B) {
-	sc, err := workload.GenerateScenario(workload.PaperSlotGenerator(), workload.PaperJobGenerator(), sim.NewRNG(19))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := alloc.FindAlternatives(alloc.AMP{}, sc.Slots, sc.Batch, alloc.SearchOptions{FirstOnly: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("batch-at-once", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := alloc.FindAlternativesFair(alloc.AMP{}, sc.Slots, sc.Batch, alloc.SearchOptions{FirstOnly: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkParetoFront measures the criteria-vector frontier computation on

@@ -144,14 +144,6 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 				p.Policy, p.Kept, p.JobTime, p.JobCost, p.AltsPerJob)
 		}
 		return nil
-	case "fairness":
-		seq, fair, err := experiments.FairnessStudy(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println("Extension — batch-at-once fair search vs sequential priority order (Section 7 future work)")
-		fmt.Print(experiments.RenderFairness(seq, fair))
-		return nil
 	case "robustness":
 		alp, amp, err := strategy.RobustnessStudy(strategy.RobustnessConfig{
 			Seed:        seed,
@@ -182,6 +174,9 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 		fmt.Print(experiments.RenderClustered(points))
 		return nil
 	case "baseline":
+		if iterations < 50 {
+			return fmt.Errorf("-iterations %d: baseline needs at least 50 (one trial per 50)", iterations)
+		}
 		bf, eco, err := experiments.BaselineStudy(experiments.BaselineConfig{Seed: seed, Trials: iterations / 50})
 		if err != nil {
 			return err
@@ -190,6 +185,9 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 		fmt.Print(experiments.RenderBaseline(bf, eco))
 		return nil
 	case "dynamics":
+		if iterations < 40 {
+			return fmt.Errorf("-iterations %d: dynamics needs at least 40 (one session per 40)", iterations)
+		}
 		alp, amp, err := experiments.DynamicsStudy(experiments.DynamicsConfig{Seed: seed, Sessions: iterations / 40})
 		if err != nil {
 			return err
@@ -254,7 +252,6 @@ subcommands:
   grid      DP granularity ablation
   passes    multi-pass search ablation
   policy    AMP window-policy ablation
-  fairness  batch-at-once fair search vs sequential (Section 7 extension)
   robustness failure-injected strategy execution (Section 7 extension)
   scaling   operation-count scaling: ALP/AMP vs backfill baseline
   pareto    criteria-vector frontier for one iteration (Section 2)

@@ -36,7 +36,6 @@ func TestSubcommandsRun(t *testing.T) {
 		{"policy", "-iterations", "20"},
 		{"clustered", "-iterations", "20"},
 		{"baseline", "-iterations", "200"},
-		{"fairness", "-iterations", "20"},
 		{"robustness", "-iterations", "10"},
 		{"dynamics", "-iterations", "120"},
 		{"scaling"},
@@ -157,6 +156,18 @@ func TestCLIOutputDigests(t *testing.T) {
 		{[]string{"scaling"}, "d96c7a55369adf85371042a3d84c40fb69069f0b14c6e1424df947b19a7bf613"},
 		{[]string{"chaos"}, "7608a0904eb66b1fb15048c769b6023bd2746dccc0bcba2c6602c39ddef0d0d4"},
 		{[]string{"chaos", "-seed", "7", "-shards", "4"}, "a42e5e208c2428d0389d8b0d9c7498468acda26041ff8e26d870d3d6dcbef88b"},
+		{[]string{"fig4", "-iterations", "50"}, "2ef7ec2ae66758ca4dcea16013cb1ecc40b0b880447c26fe6b2023a554984bfb"},
+		{[]string{"fig5", "-iterations", "50"}, "00406b4f40bdea57bb3e2a4f0f8121580d575ad1060f41acb86cd265d0f574b1"},
+		{[]string{"fig6", "-iterations", "50"}, "bf7ab3abbc7150d057b0fb7f84f3c0d0356d419c1c276083b06994fe07edd9b0"},
+		{[]string{"rho", "-iterations", "50"}, "b57a913b3e85c848f098d6297070fabb25de9f9c85148ddeef849b3b0e5df518"},
+		{[]string{"grid", "-iterations", "50"}, "3937042936e6a328a8040ba966c2303f0b1183ca79854cb33939450d06b37735"},
+		{[]string{"passes", "-iterations", "50"}, "163b0dfbc7c141f6aab547ff27c015bc091e1655edaf7c02da42ed4da866473b"},
+		{[]string{"policy", "-iterations", "50"}, "47ab63e4f1b3fa58ee200477698b73ce077194d0a3376ea1b12ce73da4ab5443"},
+		{[]string{"robustness", "-iterations", "50"}, "84c7c6094e13c4e295b796baacdbb448cd0e69e4e8ea5011c09689bb006df988"},
+		{[]string{"clustered", "-iterations", "50"}, "517a25ba675328af1b429597519b4fb7f044110d5c245cb50e089e35d34a7982"},
+		{[]string{"baseline", "-iterations", "200"}, "76fc10f8d349c4a4089c806788f76541c4add976bb1f1e9bbf3018efff2cc6da"},
+		{[]string{"dynamics", "-iterations", "200"}, "405140d9dccaf1c5046f1240c4d956a21b9949aa8c136f986dd72d400e518bfe"},
+		{[]string{"pareto"}, "36a2fced50e3c4e1ae5b5615d4f95d3fea97b9ebef12c23941fe61f947fe9ebc"},
 	}
 	for _, tc := range cases {
 		out := capture(t, tc.args)
@@ -245,6 +256,8 @@ func TestNegativeBoundsRejected(t *testing.T) {
 		{[]string{"mc", "-universe", "tiny", "-states", "-5"}, "negative bound"},
 		{[]string{"chaos", "-checkpoint-every", "-2"}, "-checkpoint-every -2"},
 		{[]string{"fig5", "-series", "-1"}, "-series -1"},
+		{[]string{"dynamics", "-iterations", "-5"}, "-iterations -5: dynamics needs at least 40"},
+		{[]string{"baseline", "-iterations", "49"}, "-iterations 49: baseline needs at least 50"},
 	}
 	old := os.Stdout
 	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -261,8 +274,10 @@ func TestErrorPaths(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("missing subcommand accepted")
 	}
-	if err := run([]string{"unknown-cmd"}); err == nil {
-		t.Error("unknown subcommand accepted")
+	for _, cmd := range []string{"unknown-cmd", "fairness"} {
+		if err := run([]string{cmd}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+			t.Errorf("%s: got %v, want an unknown subcommand error", cmd, err)
+		}
 	}
 	if err := run([]string{"replay"}); err == nil {
 		t.Error("replay without a file accepted")

@@ -26,6 +26,7 @@ import (
 	"ecosched/internal/alloc"
 	"ecosched/internal/codec"
 	"ecosched/internal/dp"
+	"ecosched/internal/fault"
 	"ecosched/internal/gridsim"
 	"ecosched/internal/job"
 	"ecosched/internal/metasched"
@@ -159,8 +160,6 @@ type (
 	Strategy = strategy.Strategy
 	// StrategyReport summarizes a strategy execution under failures.
 	StrategyReport = strategy.Report
-	// NodeFailure is one injected node failure event.
-	NodeFailure = strategy.Failure
 )
 
 // Re-exported constructors.
@@ -181,14 +180,14 @@ var (
 	NewScheduler = metasched.New
 	// FindAlternatives runs the multi-pass alternative search.
 	FindAlternatives = alloc.FindAlternatives
-	// FindAlternativesFair is the batch-at-once search variant: each
-	// round commits the globally earliest window across the whole batch.
-	FindAlternativesFair = alloc.FindAlternativesFair
 	// FindFirst returns only the earliest window per job.
 	FindFirst = alloc.FindFirst
 	// BuildStrategy assembles a failure-aware strategy from a plan and
 	// its search result.
 	BuildStrategy = strategy.Build
+	// ParseFaultPlan parses a fault plan such as "fail@0:cpu1"; a
+	// strategy executes against its fail events.
+	ParseFaultPlan = fault.ParsePlan
 	// NewTraceRecorder builds a bounded decision recorder.
 	NewTraceRecorder = trace.NewRecorder
 	// EncodeScenario and DecodeScenario (de)serialize scenarios as JSON.

@@ -229,13 +229,22 @@ func TestStrategyThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := st.Execute(nil)
+	rep, err := st.Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.CompletionRate() != 1 {
 		t.Errorf("no-failure completion %v", rep.CompletionRate())
 	}
 	// Kill a primary node; the strategy must still complete via spares.
 	victim := res.Plan.Choices[0].Window.Placements[0].Source.Node
-	rep = st.Execute([]ecosched.NodeFailure{{Node: victim, Time: 0}})
+	plan, err := ecosched.ParseFaultPlan("fail@0:" + victim.Label())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep, err = st.Execute(plan); err != nil {
+		t.Fatal(err)
+	}
 	if rep.Completed == 0 {
 		t.Error("nothing survived a single node failure on an idle pool")
 	}
@@ -276,18 +285,6 @@ func TestTraceThroughFacade(t *testing.T) {
 	}
 	if len(rec.Events()) == 0 {
 		t.Error("trace recorded nothing")
-	}
-}
-
-func TestFairSearchThroughFacade(t *testing.T) {
-	_, list := buildEnvironment(t)
-	batch := buildBatch(t)
-	res, err := ecosched.FindAlternativesFair(ecosched.AMP{}, list, batch, ecosched.SearchOptions{FirstOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllJobsCovered(batch) {
-		t.Error("fair search failed to cover an idle pool")
 	}
 }
 

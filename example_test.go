@@ -161,11 +161,19 @@ func ExampleBuildStrategy() {
 	for i, v := range st.Jobs[0].Versions {
 		fmt.Printf("version %d primary=%v [%v, %v) on %v\n", i, v.Primary, v.Window.Start(), v.Window.End(), v.Window.NodeLabels())
 	}
-	primary := st.Jobs[0].Versions[0].Window.Placements[0].Source.Node
-	rep := st.Execute([]ecosched.NodeFailure{{Node: primary, Time: 0}})
+	plan, err := ecosched.ParseFaultPlan("fail@0:cpu1")
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	rep, err := st.Execute(plan)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
 	out := rep.Outcomes[0]
-	fmt.Printf("%s fails: completed=%v on version %d, delay %v, extra cost %v\n",
-		primary.Name, out.Completed, out.VersionUsed, out.Delay, out.ExtraCost)
+	fmt.Printf("cpu1 fails: completed=%v on version %d, delay %v, extra cost %v\n",
+		out.Completed, out.VersionUsed, out.Delay, out.ExtraCost)
 	// Output:
 	// version 0 primary=true [0, 100) on [cpu1]
 	// version 1 primary=false [0, 100) on [cpu2]

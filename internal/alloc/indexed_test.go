@@ -68,12 +68,12 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 // the one place the linear reference is multiplied through search options:
 // every production entry — FindAlternatives building its own index,
 // FindAlternatives adopting a prebuilt one whose tiling differs from a fresh
-// build's, FindAlternativesSharded over three views, and the fair search —
-// must be byte-identical to the same loop over FindWindow on full
-// SearchResults: windows, discovery order, pass count, stats, and the
-// remaining list. Each scenario is searched at its generated prices and again
-// with every price scaled by a seeded factor, which moves slots across ALP's
-// per-slot cap and AMP's budget.
+// build's, and FindAlternativesSharded over three views — must be
+// byte-identical to the same loop over FindWindow on full SearchResults:
+// windows, discovery order, pass count, stats, and the remaining list. Each
+// scenario is searched at its generated prices and again with every price
+// scaled by a seeded factor, which moves slots across ALP's per-slot cap and
+// AMP's budget.
 func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	options := []SearchOptions{
@@ -120,17 +120,6 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 					views, shardOf := shardSplit(list, 3)
 					sharded, err := FindAlternativesSharded(algo, views, shardOf, batch, opts, 4, nil)
 					check("sharded", sharded, err)
-
-					if oi != 0 {
-						continue
-					}
-					fairOracle, err := findAlternativesFairLinear(algo, list, batch, opts)
-					if err != nil {
-						t.Fatalf("seed %d %s: fair linear: %v", seed, algo.Name(), err)
-					}
-					want = renderResult(t, batch, fairOracle)
-					fairIndexed, err := FindAlternativesFair(algo, list, batch, opts)
-					check("fair", fairIndexed, err)
 				}
 			}
 		}

@@ -36,17 +36,6 @@ func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, o
 	return res, nil
 }
 
-// findAlternativesFairLinear is the fair search's loop over linearScanner.
-func findAlternativesFairLinear(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
-	working, scan, subtract := linearScanner(algo, list)
-	res, err := fairPasses(algo.Name(), batch, opts, scan, subtract)
-	if err != nil {
-		return nil, err
-	}
-	res.views = []*slot.Index{slot.NewIndex(working, nil)}
-	return res, nil
-}
-
 // renderResult canonicalizes a SearchResult for byte-level comparison:
 // algorithm, pass count, stats, every job's windows in discovery order, and
 // the remaining list.

@@ -100,7 +100,11 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 	if list == nil {
 		return nil, fmt.Errorf("alloc: nil slot list")
 	}
-	return searchViews(algo, []*slot.Index{oneView(list, opts)}, nil, batch, opts, nil)
+	view := opts.Prebuilt
+	if view == nil {
+		view = slot.NewIndex(list, opts.Metrics.indexMetrics())
+	}
+	return searchViews(algo, []*slot.Index{view}, nil, batch, opts, nil)
 }
 
 // FindAlternativesParallel forwards to FindAlternatives; parallelism is
@@ -110,16 +114,6 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 // FindAlternatives.
 func FindAlternativesParallel(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions, parallelism int) (*SearchResult, error) {
 	return FindAlternatives(algo, list, batch, opts)
-}
-
-// oneView returns the single view of a list-based search: the caller's
-// prebuilt index (ownership transfers), or a fresh index holding a copy of
-// the list, so the input list is never modified.
-func oneView(list *slot.List, opts SearchOptions) *slot.Index {
-	if opts.Prebuilt != nil {
-		return opts.Prebuilt
-	}
-	return slot.NewIndex(list, opts.Metrics.indexMetrics())
 }
 
 // scanFunc is one job's window scan over the search's current vacancy.
@@ -141,10 +135,10 @@ func searchViews(algo Algorithm, views []*slot.Index, shardOf func(*resource.Nod
 	return res, nil
 }
 
-// multiPass is the Section 2 loop, the only one in the package (the fair
-// search commits by a different rule): passes over the batch in priority
-// order, the per-job cap, the pass cap, window validation, subtraction and
-// the search metrics. The caller sets the result's views.
+// multiPass is the Section 2 loop, the only one in the package: passes over
+// the batch in priority order, the per-job cap, the pass cap, window
+// validation, subtraction and the search metrics. The caller sets the
+// result's views.
 func multiPass(name string, batch *job.Batch, opts SearchOptions, scan scanFunc, subtract func(*slot.Window) error) (*SearchResult, error) {
 	if batch == nil || batch.Len() == 0 {
 		return nil, fmt.Errorf("alloc: empty batch")

@@ -297,7 +297,7 @@ func TestSearchDeterminism(t *testing.T) {
 }
 
 // TestSearchHonorsDeadlinesAcrossPasses: with per-job deadlines set, every
-// alternative found by the multi-pass search (both schemes) ends in time.
+// alternative found by the multi-pass search (ALP and AMP) ends in time.
 func TestSearchHonorsDeadlinesAcrossPasses(t *testing.T) {
 	slotGen := workload.PaperSlotGenerator()
 	slotGen.CountMin, slotGen.CountMax = 60, 80
@@ -316,7 +316,7 @@ func TestSearchHonorsDeadlinesAcrossPasses(t *testing.T) {
 				return FindAlternatives(AMP{}, sc.Slots, sc.Batch, SearchOptions{})
 			},
 			func() (*SearchResult, error) {
-				return FindAlternativesFair(ALP{}, sc.Slots, sc.Batch, SearchOptions{})
+				return FindAlternatives(ALP{}, sc.Slots, sc.Batch, SearchOptions{})
 			},
 		} {
 			res, err := search()

@@ -133,6 +133,7 @@ func TestDecodeRejectsBadDocuments(t *testing.T) {
 		{"unknown field", `{"version": 1, "nodes": [], "slots": [], "jobs": [], "extra": 1}`},
 		{"bad node", `{"version": 1, "nodes": [{"name": "x", "performance": -1, "price": 1}], "slots": [], "jobs": []}`},
 		{"slot unknown node", `{"version": 1, "nodes": [], "slots": [{"node": 3, "price": 1, "start": 0, "end": 10}], "jobs": []}`},
+		{"duplicate node name", `{"version": 1, "nodes": [{"name": "x", "performance": 1, "price": 1}, {"name": "x", "performance": 2, "price": 1}], "slots": [], "jobs": []}`},
 		{"bad slot span", `{"version": 1, "nodes": [{"name": "x", "performance": 1, "price": 1}], "slots": [{"node": 0, "price": 1, "start": 10, "end": 0}], "jobs": []}`},
 		{"slots overlapping on one node", `{"version": 1, "nodes": [{"name": "x", "performance": 1, "price": 1}], "slots": [{"node": 0, "price": 1, "start": 0, "end": 10}, {"node": 0, "price": 1, "start": 9, "end": 20}], "jobs": []}`},
 		{"bad job", `{"version": 1, "nodes": [], "slots": [], "jobs": [{"name": "j", "priority": 1, "nodes": 0, "time": 10, "min_performance": 1, "max_price": 1}]}`},

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 
 	"ecosched/internal/alloc"
+	"ecosched/internal/fault"
 	"ecosched/internal/gridsim"
 	"ecosched/internal/job"
 	"ecosched/internal/metasched"
@@ -102,7 +104,8 @@ func DynamicsStudy(cfg DynamicsConfig) (alp, amp *DynamicsPoint, err error) {
 
 // dynamicsSession plays one session: schedule a burst of jobs, fail the
 // busiest node after the first iteration, keep iterating, and account for
-// the recovery.
+// the recovery. Rounds and the failure run through a fault.Session, so the
+// audit checks the invariants after each of them.
 func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, point *DynamicsPoint) error {
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
@@ -140,6 +143,10 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 	if err != nil {
 		return err
 	}
+	sess, err := fault.NewSession(svc, nil, io.Discard)
+	if err != nil {
+		return err
+	}
 	for i := 0; i < cfg.JobsPerSession; i++ {
 		j := &job.Job{
 			Name:     fmt.Sprintf("job%d", i+1),
@@ -165,7 +172,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 		}
 	}
 
-	rep, err := svc.Tick()
+	rep, err := sess.Step()
 	if err != nil {
 		return err
 	}
@@ -178,7 +185,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 	for k, v := range startOf {
 		preStart[k] = v
 	}
-	requeued, err := svc.HandleNodeFailure(victim)
+	requeued, err := sess.Inject(fault.Event{At: grid.Now(), Kind: fault.Fail, Node: victim})
 	if err != nil {
 		return err
 	}
@@ -190,7 +197,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 	}
 
 	for it := 1; it < cfg.Iterations && sched.QueueLength() > 0; it++ {
-		rep, err := svc.Tick()
+		rep, err := sess.Step()
 		if err != nil {
 			return err
 		}

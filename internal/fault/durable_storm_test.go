@@ -68,7 +68,7 @@ func TestCrashStormSoak(t *testing.T) {
 				hashes := make([]uint64, chaosIterations+1)
 				hashes[0] = durable.StateHash(refSvc)
 				for i := 0; i < chaosIterations; i++ {
-					if err := refSess.Step(); err != nil {
+					if _, err := refSess.Step(); err != nil {
 						t.Fatalf("reference step %d: %v", i, err)
 					}
 					hashes[i+1] = durable.StateHash(refSvc)
@@ -131,7 +131,7 @@ func TestCrashStormSoak(t *testing.T) {
 				}
 				applied := 0
 				for i := 0; i < chaosIterations; i++ {
-					if err := sess.Step(); err != nil {
+					if _, err := sess.Step(); err != nil {
 						t.Fatalf("storm round %d: %v", i, err)
 					}
 					applied = sess.Applied()
@@ -190,7 +190,7 @@ func TestSessionDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < half; i++ {
-			if err := sess.Step(); err != nil {
+			if _, err := sess.Step(); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, i, err)
 			}
 		}
@@ -323,7 +323,7 @@ func TestJournalEventsAreThePlan(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < chaosIterations; i++ {
-					if err := sess.Step(); err != nil {
+					if _, err := sess.Step(); err != nil {
 						t.Fatalf("%s round %d: %v", name, i, err)
 					}
 				}

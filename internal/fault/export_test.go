@@ -36,7 +36,7 @@ func (s *Session) Drain(maxRounds int) (int, error) {
 		if ran >= maxRounds {
 			return ran, fmt.Errorf("fault: drain: %d item(s) still pending after %d round(s)", s.Pending(), maxRounds)
 		}
-		if err := s.Step(); err != nil {
+		if _, err := s.Step(); err != nil {
 			return ran, err
 		}
 		ran++

@@ -43,17 +43,18 @@ func Dispatch(h Handler, e Event) ([]string, error) {
 // Inject is the injection step every event driver uses: it dispatches e
 // between the auditor's BeginEvent and EndEvent, so the auditor records the
 // reservations the event cancelled and flags any it added, and writes the
-// event's transcript line. The caller runs the invariant check.
-func Inject(h Handler, a *Audit, w io.Writer, e Event) error {
+// event's transcript line. It returns the jobs the event re-queued; the
+// caller runs the invariant check.
+func Inject(h Handler, a *Audit, w io.Writer, e Event) ([]string, error) {
 	a.BeginEvent()
 	requeued, err := Dispatch(h, e)
 	if err != nil {
-		return fmt.Errorf("fault: applying %v: %w", e, err)
+		return nil, fmt.Errorf("fault: applying %v: %w", e, err)
 	}
 	cancelled := a.EndEvent(e)
 	fmt.Fprintf(w, "fault %v cancelled=%d requeued=%v drops=%d\n",
 		e, len(cancelled), requeued, len(a.sched.DroppedJobs()))
-	return nil
+	return requeued, nil
 }
 
 // Session drives a metascheduler service through a fault plan: before every
@@ -112,7 +113,7 @@ func (s *Session) Applied() int { return s.next }
 // throughout.
 func (s *Session) Run(iterations int) error {
 	for i := 0; i < iterations; i++ {
-		if err := s.Step(); err != nil {
+		if _, err := s.Step(); err != nil {
 			return err
 		}
 	}
@@ -120,44 +121,57 @@ func (s *Session) Run(iterations int) error {
 	return nil
 }
 
-// Step runs one audited round: inject due events, run the iteration, write
-// its transcript, clear re-placed jobs from the resurrection watch, check the
-// invariants. Run(n) is exactly n Steps plus the summary footer; crash-storm
-// drivers call Step directly so they can crash and resume between rounds and
-// still assemble a byte-identical transcript.
-func (s *Session) Step() error {
+// Step runs one audited round and returns its report: inject due events,
+// run the iteration, write its transcript, clear re-placed jobs from the
+// resurrection watch, check the invariants. Run(n) is exactly n Steps plus
+// the summary footer; crash-storm drivers call Step directly so they can
+// crash and resume between rounds and still assemble a byte-identical
+// transcript.
+func (s *Session) Step() (*metasched.IterationReport, error) {
 	if err := s.injectDue(); err != nil {
-		return err
+		return nil, err
 	}
 	rep, err := s.d.Tick()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	WriteIterationReport(s.w, rep)
 	for _, p := range rep.Placed {
 		s.audit.JobRescheduled(p.Job.Name)
 	}
 	if err := s.audit.Check(); err != nil {
-		return fmt.Errorf("fault: after iteration %d: %w", rep.Iteration, err)
+		return nil, fmt.Errorf("fault: after iteration %d: %w", rep.Iteration, err)
 	}
-	return nil
+	return rep, nil
 }
 
 // injectDue injects every not-yet-applied plan event whose time has been
-// reached, in plan order, checking the invariants after each.
+// reached, in plan order.
 func (s *Session) injectDue() error {
 	now := s.sched.Grid().Now()
 	for s.next < s.plan.Len() && s.plan.Events[s.next].At <= now {
 		e := s.plan.Events[s.next]
 		s.next++
-		if err := Inject(s.d, s.audit, s.w, e); err != nil {
+		if _, err := s.Inject(e); err != nil {
 			return err
-		}
-		if err := s.audit.Check(); err != nil {
-			return fmt.Errorf("fault: after event %v: %w", e, err)
 		}
 	}
 	return nil
+}
+
+// Inject applies one event through the injection step and checks the
+// invariants after it, returning the jobs it re-queued. Plan events reach it
+// from Step; a driver that picks its event from the live state, such as
+// failing the busiest node, calls it between Steps.
+func (s *Session) Inject(e Event) ([]string, error) {
+	requeued, err := Inject(s.d, s.audit, s.w, e)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.audit.Check(); err != nil {
+		return nil, fmt.Errorf("fault: after event %v: %w", e, err)
+	}
+	return requeued, nil
 }
 
 // WriteIterationReport writes one iteration's canonical transcript lines.

@@ -65,25 +65,29 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreResolvesLabels: restore resolves a label to the first node
-// carrying it, as Pool.ByName does, and its errors name the unknown node or
-// the overlapping pair.
+// TestRestoreResolvesLabels: restore resolves a label to its node, as
+// Pool.ByName does, including the derived label of an unnamed node, and its
+// errors name the unknown node or the overlapping pair.
 func TestRestoreResolvesLabels(t *testing.T) {
-	// The unnamed node 1 is labelled "node1", like the named node 0.
+	// The unnamed node 0 is labelled "node0"; the named node 1 is "node1".
 	pool := resource.MustNewPool([]*resource.Node{
-		{Name: "node1", Performance: 1, Price: 1},
 		{Performance: 1, Price: 1},
+		{Name: "node1", Performance: 1, Price: 1},
 	})
 	g, err := New(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &GridState{Tasks: []TaskState{{Name: "a", Node: "node1", Span: sim.Interval{Start: 0, End: 5}}}}
+	st := &GridState{Tasks: []TaskState{
+		{Name: "a", Node: "node1", Span: sim.Interval{Start: 0, End: 5}},
+		{Name: "b", Node: "node0", Span: sim.Interval{Start: 0, End: 5}},
+		{Name: "c", Node: "node0", Span: sim.Interval{Start: 5, End: 9}},
+	}}
 	if err := g.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Tasks(0)) != 1 || len(g.Tasks(1)) != 0 {
-		t.Fatalf("task landed on %d/%d tasks of nodes 0/1, want 1/0", len(g.Tasks(0)), len(g.Tasks(1)))
+	if len(g.Tasks(0)) != 2 || len(g.Tasks(1)) != 1 {
+		t.Fatalf("tasks landed %d/%d on nodes 0/1, want 2/1", len(g.Tasks(0)), len(g.Tasks(1)))
 	}
 	for _, c := range []struct {
 		st   *GridState

@@ -189,7 +189,7 @@ func (in *Instance) inject(a Action) error {
 	if e.Kind == fault.Revoke {
 		e.Span = in.u.RevokeSpan
 	}
-	if err := fault.Inject(in.handlers, in.audit, in.w, e); err != nil {
+	if _, err := fault.Inject(in.handlers, in.audit, in.w, e); err != nil {
 		return err
 	}
 	in.events = append(in.events, e)

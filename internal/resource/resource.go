@@ -99,9 +99,12 @@ type Pool struct {
 }
 
 // NewPool builds a pool from the given nodes, assigning sequential IDs when
-// nodes carry the zero ID. It validates every node.
+// nodes carry the zero ID. It validates every node and rejects two nodes
+// with one label, since fault plans, journals and checkpoints address nodes
+// by label through ByName.
 func NewPool(nodes []*Node) (*Pool, error) {
 	p := &Pool{nodes: make([]*Node, 0, len(nodes))}
+	seen := make(map[string]int, len(nodes))
 	for i, n := range nodes {
 		if n == nil {
 			return nil, fmt.Errorf("resource: nil node at index %d", i)
@@ -110,6 +113,11 @@ func NewPool(nodes []*Node) (*Pool, error) {
 			return nil, err
 		}
 		n.ID = NodeID(i)
+		label := n.Label()
+		if first, dup := seen[label]; dup {
+			return nil, fmt.Errorf("resource: nodes %d and %d share the label %q", first, i, label)
+		}
+		seen[label] = i
 		p.nodes = append(p.nodes, n)
 	}
 	return p, nil

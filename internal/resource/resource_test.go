@@ -131,11 +131,26 @@ func TestNewPool(t *testing.T) {
 }
 
 func TestNewPoolRejectsBadNodes(t *testing.T) {
-	if _, err := NewPool([]*Node{nil}); err == nil {
-		t.Error("nil node must be rejected")
+	cases := []struct {
+		name  string
+		nodes []*Node
+	}{
+		{"nil node", []*Node{nil}},
+		{"invalid node", []*Node{{Name: "x", Performance: 0, Price: 1}}},
+		{"duplicate name", []*Node{
+			{Name: "cpu1", Performance: 1, Price: 1},
+			{Name: "cpu1", Performance: 2, Price: 2},
+		}},
+		// An unnamed node's label is node<ID>, which a named node can take.
+		{"unnamed label taken by a name", []*Node{
+			{Performance: 1, Price: 1},
+			{Name: "node0", Performance: 1, Price: 1},
+		}},
 	}
-	if _, err := NewPool([]*Node{{Name: "x", Performance: 0, Price: 1}}); err == nil {
-		t.Error("invalid node must be rejected")
+	for _, tc := range cases {
+		if _, err := NewPool(tc.nodes); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 
 	"ecosched/internal/alloc"
 	"ecosched/internal/dp"
+	"ecosched/internal/fault"
+	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 	"ecosched/internal/stats"
 	"ecosched/internal/workload"
@@ -76,7 +78,10 @@ func RobustnessStudy(cfg RobustnessConfig) (alp, amp *RobustnessPoint, err error
 				horizon = s.End()
 			}
 		}
-		failures := SampleFailures(sc.Pool, cfg.FailureProb, horizon, iterRNG.Split())
+		failures, err := sampleFailures(sc.Pool, cfg.FailureProb, horizon, iterRNG.Split())
+		if err != nil {
+			return nil, nil, err
+		}
 
 		for _, run := range []struct {
 			algo  alloc.Algorithm
@@ -93,7 +98,19 @@ func RobustnessStudy(cfg RobustnessConfig) (alp, amp *RobustnessPoint, err error
 	return alp, amp, nil
 }
 
-func runOnce(algo alloc.Algorithm, sc *workload.Scenario, failures []Failure, policy FallbackPolicy, point *RobustnessPoint) error {
+// sampleFailures draws a fail plan: each node of the pool fails
+// independently with probability p, at a uniform time within [0, horizon).
+func sampleFailures(pool *resource.Pool, p float64, horizon sim.Time, rng *sim.RNG) (*fault.Plan, error) {
+	var events []fault.Event
+	for _, n := range pool.Nodes() {
+		if rng.Bool(p) {
+			events = append(events, fault.Event{At: sim.Time(rng.IntN(int(horizon))), Kind: fault.Fail, Node: n.Label()})
+		}
+	}
+	return fault.NewPlan(events...)
+}
+
+func runOnce(algo alloc.Algorithm, sc *workload.Scenario, failures *fault.Plan, policy FallbackPolicy, point *RobustnessPoint) error {
 	search, err := alloc.FindAlternatives(algo, sc.Slots, sc.Batch, alloc.SearchOptions{})
 	if err != nil {
 		return err
@@ -122,7 +139,10 @@ func runOnce(algo alloc.Algorithm, sc *workload.Scenario, failures []Failure, po
 	if err != nil {
 		return err
 	}
-	rep := st.Execute(failures)
+	rep, err := st.Execute(failures)
+	if err != nil {
+		return err
+	}
 	point.Kept++
 	point.CompletionRate.Add(rep.CompletionRate())
 	if len(rep.Outcomes) > 0 {

@@ -9,7 +9,7 @@
 // subset of them — one active window plus spares per job — is simultaneously
 // reservable. A Strategy pairs every job's chosen (primary) window with its
 // remaining alternatives as contingencies ordered by a fallback policy, and
-// Execute plays the strategy against an injected failure trace.
+// Execute plays the strategy against a fault plan's fail events.
 package strategy
 
 import (
@@ -18,8 +18,8 @@ import (
 
 	"ecosched/internal/alloc"
 	"ecosched/internal/dp"
+	"ecosched/internal/fault"
 	"ecosched/internal/job"
-	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 	"ecosched/internal/slot"
 )
@@ -130,20 +130,13 @@ func (s *Strategy) TotalRedundancy() int {
 	return n
 }
 
-// Failure is one node failure event: the node stops serving at Time and
-// every window placement on it at or after Time is lost.
-type Failure struct {
-	Node *resource.Node
-	Time sim.Time
-}
-
-// windowSurvives reports whether the window completes despite the failures:
-// a failure kills a placement when it strikes the placement's node strictly
-// before the placement finishes.
-func windowSurvives(w *slot.Window, failures []Failure) bool {
+// windowSurvives reports whether the window completes despite the plan's
+// failures: a fail event kills a placement when it strikes the placement's
+// node strictly before the placement finishes.
+func windowSurvives(w *slot.Window, failures []fault.Event) bool {
 	for _, f := range failures {
 		for _, p := range w.Placements {
-			if p.Source.Node == f.Node && f.Time < p.Used.End {
+			if p.Source.Node.Label() == f.Node && f.At < p.Used.End {
 				return false
 			}
 		}
@@ -188,10 +181,21 @@ func (r *Report) CompletionRate() float64 {
 	return float64(r.Completed) / float64(len(r.Outcomes))
 }
 
-// Execute plays the strategy against a failure trace: each job runs its
-// first version not killed by any failure. Because all versions are
-// disjoint, switches never conflict with other jobs' versions.
-func (s *Strategy) Execute(failures []Failure) *Report {
+// Execute plays the strategy against a failure plan (nil means no
+// failures): each job runs its first version not killed by any fail event.
+// Because all versions are disjoint, switches never conflict with other
+// jobs' versions. A strategy reserves no vacancy, so an event other than a
+// fail has no meaning here and is an error.
+func (s *Strategy) Execute(plan *fault.Plan) (*Report, error) {
+	var failures []fault.Event
+	if plan != nil {
+		failures = plan.Events
+	}
+	for _, e := range failures {
+		if e.Kind != fault.Fail {
+			return nil, fmt.Errorf("strategy: cannot execute %v event %v", e.Kind, e)
+		}
+	}
 	rep := &Report{}
 	for _, js := range s.Jobs {
 		out := JobOutcome{Job: js.Job, VersionUsed: -1}
@@ -219,17 +223,5 @@ func (s *Strategy) Execute(failures []Failure) *Report {
 		}
 		rep.Outcomes = append(rep.Outcomes, out)
 	}
-	return rep
-}
-
-// SampleFailures draws a failure trace: each node of the pool fails
-// independently with probability p, at a uniform time within [0, horizon).
-func SampleFailures(pool *resource.Pool, p float64, horizon sim.Time, rng *sim.RNG) []Failure {
-	var out []Failure
-	for _, n := range pool.Nodes() {
-		if rng.Bool(p) {
-			out = append(out, Failure{Node: n, Time: sim.Time(rng.IntN(int(horizon)))})
-		}
-	}
-	return out
+	return rep, nil
 }

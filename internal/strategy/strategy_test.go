@@ -6,6 +6,7 @@ import (
 
 	"ecosched/internal/alloc"
 	"ecosched/internal/dp"
+	"ecosched/internal/fault"
 	"ecosched/internal/job"
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
@@ -130,9 +131,26 @@ func TestFallbackOrdering(t *testing.T) {
 	}
 }
 
+// execute runs the strategy against a plan parsed from text.
+func execute(t *testing.T, st *Strategy, plan string) *Report {
+	t.Helper()
+	p, err := fault.ParsePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := st.Execute(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestExecuteNoFailures(t *testing.T) {
 	st, _ := buildStrategy(t, EarliestFirst)
-	rep := st.Execute(nil)
+	rep, err := st.Execute(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Completed != 2 || rep.PrimaryCompleted != 2 {
 		t.Errorf("no failures: completed %d primary %d", rep.Completed, rep.PrimaryCompleted)
 	}
@@ -145,11 +163,11 @@ func TestExecuteNoFailures(t *testing.T) {
 }
 
 func TestExecuteFallbackOnFailure(t *testing.T) {
-	st, pool := buildStrategy(t, EarliestFirst)
+	st, _ := buildStrategy(t, EarliestFirst)
 	// Kill the primary of the first job: fail its node at time 0.
 	primary := st.Jobs[0].Versions[0].Window
 	failed := primary.Placements[0].Source.Node
-	rep := st.Execute([]Failure{{Node: failed, Time: 0}})
+	rep := execute(t, st, "fail@0:"+failed.Label())
 	out := rep.Outcomes[0]
 	if !out.Completed {
 		t.Fatal("job should fall back, not fail")
@@ -160,7 +178,6 @@ func TestExecuteFallbackOnFailure(t *testing.T) {
 	if out.Window.UsesNode(failed.Label()) {
 		t.Error("fallback uses the failed node")
 	}
-	_ = pool
 }
 
 func TestExecuteFailureAfterCompletionIsHarmless(t *testing.T) {
@@ -169,7 +186,7 @@ func TestExecuteFailureAfterCompletionIsHarmless(t *testing.T) {
 	node := primary.Placements[0].Source.Node
 	// Failure strikes exactly at the placement end: the task already
 	// finished.
-	rep := st.Execute([]Failure{{Node: node, Time: primary.Placements[0].Used.End}})
+	rep := execute(t, st, fmt.Sprintf("fail@%d:%s", primary.Placements[0].Used.End, node.Label()))
 	if rep.Outcomes[0].VersionUsed != 0 {
 		t.Error("failure after completion must not kill the primary")
 	}
@@ -178,11 +195,14 @@ func TestExecuteFailureAfterCompletionIsHarmless(t *testing.T) {
 func TestExecuteTotalLoss(t *testing.T) {
 	st, pool := buildStrategy(t, EarliestFirst)
 	// Fail every node at time 0: nothing survives.
-	var failures []Failure
+	var events []fault.Event
 	for _, n := range pool.Nodes() {
-		failures = append(failures, Failure{Node: n, Time: 0})
+		events = append(events, fault.Event{At: 0, Kind: fault.Fail, Node: n.Label()})
 	}
-	rep := st.Execute(failures)
+	rep, err := st.Execute(&fault.Plan{Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Completed != 0 {
 		t.Errorf("completed %d with every node dead", rep.Completed)
 	}
@@ -196,22 +216,45 @@ func TestExecuteTotalLoss(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsNonFailEvents pins that a strategy only understands
+// fail events: recover and revoke have no meaning for windows that reserve
+// nothing, so a plan carrying one is an error rather than silently ignored.
+func TestExecuteRejectsNonFailEvents(t *testing.T) {
+	st, _ := buildStrategy(t, EarliestFirst)
+	for _, plan := range []string{"recover@0:a", "fail@0:a;revoke@10:b:20-30"} {
+		p, err := fault.ParsePlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Execute(p); err == nil {
+			t.Errorf("%s: accepted", plan)
+		}
+	}
+}
+
 func TestSampleFailures(t *testing.T) {
 	pool := resource.MustNewPool([]*resource.Node{
 		{Name: "a", Performance: 1, Price: 1},
 		{Name: "b", Performance: 1, Price: 1},
 	})
 	rng := sim.NewRNG(5)
-	if got := SampleFailures(pool, 0, 100, rng); len(got) != 0 {
+	plan, err := sampleFailures(pool, 0, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Len() != 0 {
 		t.Error("p=0 should produce no failures")
 	}
-	got := SampleFailures(pool, 1, 100, rng)
-	if len(got) != 2 {
-		t.Errorf("p=1 should fail every node, got %d", len(got))
+	plan, err = sampleFailures(pool, 1, 100, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range got {
-		if f.Time < 0 || f.Time >= 100 {
-			t.Errorf("failure time %v outside horizon", f.Time)
+	if plan.Len() != 2 {
+		t.Errorf("p=1 should fail every node, got %d", plan.Len())
+	}
+	for _, e := range plan.Events {
+		if e.Kind != fault.Fail || e.At < 0 || e.At >= 100 {
+			t.Errorf("event %v: want a fail within the horizon", e)
 		}
 	}
 }

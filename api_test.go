@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,6 +45,7 @@ var apiAllowlist = map[string]string{
 	"internal/metrics.Snapshot.Gauge":          "cross-package test helper",
 	"internal/metrics.Snapshot.HistogramCount": "cross-package test helper",
 	"internal/resource.MustNewPool":            "cross-package test helper",
+	"internal/sim.Money.ApproxEq":              "cross-package test helper",
 	"internal/slot.List.Clone":                 "cross-package test helper",
 	"internal/slot.List.TotalTime":             "cross-package test helper",
 	"internal/slot.List.Validate":              "cross-package test helper",
@@ -69,37 +71,9 @@ var allowlistReasons = map[string]bool{
 // a String or Error method. Exceptions are listed, with reasons, in
 // apiAllowlist.
 func TestExportedAPIHasProductionCaller(t *testing.T) {
-	l := newModuleLoader(t)
-	var paths []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() {
-			return nil
-		}
-		name := d.Name()
-		if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-			return filepath.SkipDir
-		}
-		if hasSourceFiles(path) {
-			paths = append(paths, importPath(path))
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs := make([]*sourcePackage, 0, len(paths))
-	for _, path := range paths {
-		p, err := l.load(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, p)
-	}
+	fset, pkgs := loadModule(t)
 
-	exports := collectExports(l.fset, pkgs)
+	exports := collectExports(fset, pkgs)
 	ifaces := moduleInterfaces(pkgs)
 	referenced := make(map[string]bool)
 	for _, p := range pkgs {
@@ -160,6 +134,189 @@ func TestExportedAPIHasProductionCaller(t *testing.T) {
 	}
 }
 
+// configSuffixes are the name endings of the option structs whose fields
+// TestConfigFieldsHaveProductionSetter checks.
+var configSuffixes = []string{"Config", "Options", "Spec", "Policy"}
+
+// configAllowlist names the option fields that may stay without a setter in a
+// non-test file, each with its reason; the only reason is configReason.
+var configAllowlist = map[string]string{
+	// An operator's choice of durability against speed (ROADMAP item 8):
+	// no study or bench workload turns fsync on.
+	"internal/durable.Options.Sync": configReason,
+	// A library user's choice to record scheduling decisions, through the
+	// facade's NewTraceRecorder; no command or bench workload reads them.
+	"internal/metasched.Config.Trace": configReason,
+}
+
+// configReason is the one reason an option field may stand without a
+// production setter: whoever deploys the program chooses it, and it changes
+// no scheduling decision and no output the program prints.
+const configReason = "deployment setting"
+
+// TestConfigFieldsHaveProductionSetter keeps options that no entry point
+// varies from regrowing: every exported field of an exported struct type whose
+// name ends in Config, Options, Spec or Policy, declared in a non-test file of
+// the module, must be assigned in a non-test file, either as the key of a
+// composite literal or on the left of an assignment. The benchmark harness
+// (bench/) counts as a setter. A value only one caller sets is a constant;
+// exceptions are listed in configAllowlist.
+func TestConfigFieldsHaveProductionSetter(t *testing.T) {
+	fset, pkgs := loadModule(t)
+	set := make(map[*types.Var]bool)
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				var own *types.Struct
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					if recv := receiverType(p.info.Defs[fd.Name].(*types.Func)); recv != nil {
+						own, _ = recv.Underlying().(*types.Struct)
+					}
+				}
+				markFieldsSet(d, p.info, own, set)
+			}
+		}
+	}
+
+	seen := make(map[string]bool)
+	for _, p := range pkgs {
+		if p.pkg.Path() == modulePath+"/bench" {
+			continue
+		}
+		scope := p.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || !hasConfigSuffix(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				fld := st.Field(i)
+				if !fld.Exported() {
+					continue
+				}
+				key := relPath(p.pkg.Path()) + "." + name + "." + fld.Name()
+				if _, ok := configAllowlist[key]; ok {
+					seen[key] = true
+					if set[fld] {
+						t.Errorf("allowlist entry %s now has a setter in a non-test file: remove it", key)
+					}
+					continue
+				}
+				if !set[fld] {
+					t.Errorf("option %s (%s) is set by no non-test file: make it a constant at the value every caller uses, or give it a production setter", key, fset.Position(fld.Pos()))
+				}
+			}
+		}
+	}
+	for key, reason := range configAllowlist {
+		if reason != configReason {
+			t.Errorf("allowlist entry %s has reason %q: the only reason is %q", key, reason, configReason)
+		}
+		if !seen[key] {
+			t.Errorf("allowlist entry %s names no exported option field: remove it", key)
+		}
+	}
+}
+
+// markFieldsSet records in set every struct field that node assigns: a
+// composite-literal key, or a field selected on the left of an assignment or
+// increment (every field of a chain a.B.C counts). A method does not set the
+// fields of its own receiver type (own): filling in its defaults is not a
+// caller choosing a value.
+func markFieldsSet(node ast.Node, info *types.Info, own *types.Struct, set map[*types.Var]bool) {
+	mark := func(id *ast.Ident) {
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || !v.IsField() {
+			return
+		}
+		for i := 0; own != nil && i < own.NumFields(); i++ {
+			if own.Field(i) == v {
+				return
+			}
+		}
+		set[v.Origin()] = true
+	}
+	ast.Inspect(node, func(n ast.Node) bool {
+		var targets []ast.Expr
+		switch n := n.(type) {
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				mark(id)
+			}
+		case *ast.AssignStmt:
+			targets = n.Lhs
+		case *ast.IncDecStmt:
+			targets = []ast.Expr{n.X}
+		}
+		for _, e := range targets {
+			for {
+				sel, ok := e.(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				mark(sel.Sel)
+				e = sel.X
+			}
+		}
+		return true
+	})
+}
+
+func hasConfigSuffix(name string) bool {
+	for _, s := range configSuffixes {
+		if strings.HasSuffix(name, s) {
+			return true
+		}
+	}
+	return false
+}
+
+var (
+	moduleOnce sync.Once
+	moduleFset *token.FileSet
+	modulePkgs []*sourcePackage
+	moduleErr  error
+)
+
+// loadModule type-checks every package of the module and of the benchmark
+// harness once per test binary; the API guards share the result.
+func loadModule(t *testing.T) (*token.FileSet, []*sourcePackage) {
+	t.Helper()
+	moduleOnce.Do(func() {
+		l := newModuleLoader()
+		moduleFset = l.fset
+		moduleErr = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if !d.IsDir() {
+				return nil
+			}
+			name := d.Name()
+			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			if !hasSourceFiles(path) {
+				return nil
+			}
+			p, err := l.load(importPath(path))
+			if err != nil {
+				return err
+			}
+			modulePkgs = append(modulePkgs, p)
+			return nil
+		})
+	})
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleFset, modulePkgs
+}
+
 // sourcePackage is one package of the module, type-checked from its non-test
 // files.
 type sourcePackage struct {
@@ -177,8 +334,7 @@ type moduleLoader struct {
 	pkgs map[string]*sourcePackage
 }
 
-func newModuleLoader(t *testing.T) *moduleLoader {
-	t.Helper()
+func newModuleLoader() *moduleLoader {
 	// The module uses no cgo: type-check the standard library's pure-Go
 	// files so that no C toolchain is needed.
 	build.Default.CgoEnabled = false

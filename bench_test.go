@@ -189,36 +189,6 @@ func benchAlternatives(b *testing.B) (*job.Batch, dp.Alternatives) {
 	return sc.Batch, dp.Alternatives(res.Alternatives)
 }
 
-// BenchmarkDPGranularity compares the exact time-axis backward run against
-// money-grid variants (DESIGN.md §5 ablation).
-func BenchmarkDPGranularity(b *testing.B) {
-	batch, alts := benchAlternatives(b)
-	limits, err := dp.ComputeLimits(batch, alts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("exact", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dp.MinimizeTime(batch, alts, limits.Budget); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, states := range []int{100, 2000} {
-		grid := sim.Money(1)
-		if g := float64(limits.Budget) / float64(states); g > 1 {
-			grid = sim.Money(g)
-		}
-		b.Run(fmt.Sprintf("grid-states=%d", states), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Coarse grids may be infeasible; that is the
-				// measured trade-off, not an error.
-				_, _ = dp.MinimizeTimeGrid(batch, alts, limits.Budget, grid)
-			}
-		})
-	}
-}
-
 // BenchmarkDPOptimizers measures the two backward-run problems on realistic
 // alternative sets.
 func BenchmarkDPOptimizers(b *testing.B) {
@@ -330,12 +300,7 @@ func BenchmarkSlotSubtraction(b *testing.B) {
 // extension (Section 7 future work, refs [13, 14]).
 func BenchmarkRobustnessStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		_, _, err := strategy.RobustnessStudy(strategy.RobustnessConfig{
-			Seed:        uint64(i) + 1,
-			Iterations:  benchIterations,
-			FailureProb: 0.25,
-			Policy:      strategy.EarliestFirst,
-		})
+		_, _, err := strategy.RobustnessStudy(strategy.RobustnessConfig{Seed: uint64(i) + 1, Iterations: benchIterations})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -52,11 +52,19 @@ func run(args []string) error {
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}
+	// Flag parsing stops at the first non-flag argument; a leftover would
+	// otherwise hide every flag after it.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q (flags go after the subcommand, and no subcommand takes positional arguments)", cmd, fs.Arg(0))
+	}
 	if *series < 0 {
 		return fmt.Errorf("-series %d: must not be negative", *series)
 	}
 	if *checkpointEvery < 0 {
 		return fmt.Errorf("-checkpoint-every %d: must not be negative", *checkpointEvery)
+	}
+	if *checkpointEvery > 0 && *journal == "" {
+		return fmt.Errorf("-checkpoint-every %d: checkpoints need a journal (-journal PATH)", *checkpointEvery)
 	}
 	if *pprofAddr != "" {
 		if err := servePprof(*pprofAddr); err != nil {
@@ -111,17 +119,6 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 		fmt.Println("Section 6 — budget factor sweep (S = ρ·C·t·N)")
 		fmt.Print(experiments.RenderRhoSweep(points))
 		return nil
-	case "grid":
-		points, err := experiments.GridAblation(cfg, []int{20, 100, 500, 2000})
-		if err != nil {
-			return err
-		}
-		fmt.Println("Ablation — DP budget-axis resolution (0 = exact time-axis DP)")
-		for _, p := range points {
-			fmt.Printf("states=%5d kept=%5d AMP time=%7.2f AMP cost=%8.2f\n",
-				p.BudgetStates, p.Kept, p.JobTime, p.JobCost)
-		}
-		return nil
 	case "passes":
 		points, err := experiments.PassesAblation(cfg)
 		if err != nil {
@@ -145,17 +142,12 @@ func dispatch(cmd string, cfg experiments.StudyConfig, seed uint64, iterations i
 		}
 		return nil
 	case "robustness":
-		alp, amp, err := strategy.RobustnessStudy(strategy.RobustnessConfig{
-			Seed:        seed,
-			Iterations:  iterations,
-			FailureProb: 0.25,
-			Policy:      strategy.EarliestFirst,
-		})
+		alp, amp, err := strategy.RobustnessStudy(strategy.RobustnessConfig{Seed: seed, Iterations: iterations})
 		if err != nil {
 			return err
 		}
 		fmt.Println("Extension — failure-injected strategy execution (Section 7 future work, refs [13, 14])")
-		fmt.Print(strategy.RenderRobustness(alp, amp, 0.25))
+		fmt.Print(strategy.RenderRobustness(alp, amp))
 		return nil
 	case "scaling":
 		points, err := experiments.ScalingStudy(seed, []int{500, 1000, 2000, 4000, 8000, 16000})
@@ -249,7 +241,6 @@ subcommands:
   fig5      per-experiment series, time minimization (Fig. 5)
   fig6      cost-minimization study (Fig. 6a/6b + alternative counts)
   rho       Section 6 budget-factor sweep (S = rho*C*t*N)
-  grid      DP granularity ablation
   passes    multi-pass search ablation
   policy    AMP window-policy ablation
   robustness failure-injected strategy execution (Section 7 extension)
@@ -271,7 +262,7 @@ flags (per subcommand): -seed N -iterations N -series N -file PATH
                         -pprof ADDR   (serve net/http/pprof while running)
                         -faults PLAN  (chaos fault plan, e.g. "fail@300:cpu3;recover@600:cpu3")
                         -journal PATH (write-ahead journal for chaos; recover replays it)
-                        -checkpoint-every N (checkpoint cadence in rounds; 0 = journal only)
+                        -checkpoint-every N (checkpoint cadence in rounds, needs -journal; 0 = journal only)
 mc flags:               -universe tiny|default|2shard -depth N -states N -liveness
                         -mutation none|double-refund|resurrect|blind-apply|lossy-crash -cex PATH
 `)

@@ -31,7 +31,6 @@ func TestSubcommandsRun(t *testing.T) {
 		{"fig5", "-iterations", "40", "-series", "10"},
 		{"fig6", "-iterations", "40"},
 		{"rho", "-iterations", "20"},
-		{"grid", "-iterations", "20"},
 		{"passes", "-iterations", "20"},
 		{"policy", "-iterations", "20"},
 		{"clustered", "-iterations", "20"},
@@ -160,7 +159,6 @@ func TestCLIOutputDigests(t *testing.T) {
 		{[]string{"fig5", "-iterations", "50"}, "00406b4f40bdea57bb3e2a4f0f8121580d575ad1060f41acb86cd265d0f574b1"},
 		{[]string{"fig6", "-iterations", "50"}, "bf7ab3abbc7150d057b0fb7f84f3c0d0356d419c1c276083b06994fe07edd9b0"},
 		{[]string{"rho", "-iterations", "50"}, "b57a913b3e85c848f098d6297070fabb25de9f9c85148ddeef849b3b0e5df518"},
-		{[]string{"grid", "-iterations", "50"}, "3937042936e6a328a8040ba966c2303f0b1183ca79854cb33939450d06b37735"},
 		{[]string{"passes", "-iterations", "50"}, "163b0dfbc7c141f6aab547ff27c015bc091e1655edaf7c02da42ed4da866473b"},
 		{[]string{"policy", "-iterations", "50"}, "47ab63e4f1b3fa58ee200477698b73ce077194d0a3376ea1b12ce73da4ab5443"},
 		{[]string{"robustness", "-iterations", "50"}, "84c7c6094e13c4e295b796baacdbb448cd0e69e4e8ea5011c09689bb006df988"},
@@ -274,7 +272,7 @@ func TestErrorPaths(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Error("missing subcommand accepted")
 	}
-	for _, cmd := range []string{"unknown-cmd", "fairness"} {
+	for _, cmd := range []string{"unknown-cmd", "fairness", "grid"} {
 		if err := run([]string{cmd}); err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
 			t.Errorf("%s: got %v, want an unknown subcommand error", cmd, err)
 		}
@@ -290,5 +288,19 @@ func TestErrorPaths(t *testing.T) {
 	}
 	if err := run([]string{"chaos", "-faults", "melt@300:cpu1"}); err == nil {
 		t.Error("malformed fault plan accepted")
+	}
+	// Input the CLI would otherwise ignore: flags after a positional
+	// argument, and a checkpoint cadence with no journal to checkpoint.
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"fig4", "x", "-iterations", "0"}, `unexpected argument "x"`},
+		{[]string{"mc", "x", "-universe", "nosuch"}, `unexpected argument "x"`},
+		{[]string{"chaos", "-checkpoint-every", "3"}, "checkpoints need a journal"},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
+		}
 	}
 }

@@ -183,7 +183,8 @@ var (
 	// FindFirst returns only the earliest window per job.
 	FindFirst = alloc.FindFirst
 	// BuildStrategy assembles a failure-aware strategy from a plan and
-	// its search result.
+	// its search result; contingency windows go earliest start first,
+	// minimizing the delay after a failure.
 	BuildStrategy = strategy.Build
 	// ParseFaultPlan parses a fault plan such as "fail@0:cpu1"; a
 	// strategy executes against its fail events.
@@ -223,10 +224,6 @@ const (
 	// MinimizeCostPolicy optimizes min C(s̄) under the occupancy quota.
 	MinimizeCostPolicy = metasched.MinimizeCost
 )
-
-// EarliestFirst is BuildStrategy's fallback order that tries contingency
-// windows by earliest start, minimizing the delay after a failure.
-const EarliestFirst = strategy.EarliestFirst
 
 // NewService wraps a scheduler in the event loop that runs its rounds.
 func NewService(s *Scheduler) (*Service, error) {

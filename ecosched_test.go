@@ -225,7 +225,7 @@ func TestStrategyThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ecosched.BuildStrategy(res.Plan, res.Search, 0)
+	st, err := ecosched.BuildStrategy(res.Plan, res.Search)
 	if err != nil {
 		t.Fatal(err)
 	}

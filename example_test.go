@@ -153,7 +153,7 @@ func ExampleBuildStrategy() {
 		fmt.Println("error:", err)
 		return
 	}
-	st, err := ecosched.BuildStrategy(res.Plan, res.Search, ecosched.EarliestFirst)
+	st, err := ecosched.BuildStrategy(res.Plan, res.Search)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

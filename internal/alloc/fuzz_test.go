@@ -124,7 +124,7 @@ func FuzzFindWindow(f *testing.F) {
 			t.Fatalf("batch: %v", err)
 		}
 		for _, algo := range []Algorithm{ALP{}, AMP{}} {
-			res, err := FindAlternatives(algo, list, batch, SearchOptions{MaxPasses: 4})
+			res, remaining, err := findAlternativesHeld(algo, list, batch, SearchOptions{MaxAlternativesPerJob: 4})
 			if err != nil {
 				t.Fatalf("%s FindAlternatives: %v", algo.Name(), err)
 			}
@@ -141,18 +141,18 @@ func FuzzFindWindow(f *testing.F) {
 			if overlapping(all) {
 				t.Fatalf("%s alternatives overlap: %v", algo.Name(), all)
 			}
-			if err := res.Remaining().Validate(); err != nil {
+			if err := remaining.Validate(); err != nil {
 				t.Fatalf("%s remaining list invalid: %v", algo.Name(), err)
 			}
-			if got, want := res.Remaining().TotalTime(), list.TotalTime()-occupied; got != want {
+			if got, want := remaining.TotalTime(), list.TotalTime()-occupied; got != want {
 				t.Fatalf("%s vacant time %v after occupying %v of %v, want %v",
 					algo.Name(), got, occupied, list.TotalTime(), want)
 			}
-			oracle, err := findAlternativesLinear(algo, list, batch, SearchOptions{MaxPasses: 4})
+			oracle, oracleRemaining, err := findAlternativesLinear(algo, list, batch, SearchOptions{MaxAlternativesPerJob: 4})
 			if err != nil {
 				t.Fatalf("%s linear: %v", algo.Name(), err)
 			}
-			if got, want := renderResult(t, batch, res), renderResult(t, batch, oracle); got != want {
+			if got, want := renderResult(t, batch, res, remaining), renderResult(t, batch, oracle, oracleRemaining); got != want {
 				t.Fatalf("%s indexed result diverged\n--- linear ---\n%s\n--- indexed ---\n%s", algo.Name(), want, got)
 			}
 		}

@@ -80,7 +80,6 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 		{},
 		{FirstOnly: true},
 		{MaxAlternativesPerJob: 2},
-		{MaxPasses: 3},
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		generated, batch := diffScenario(t, seed)
@@ -91,35 +90,34 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 					if li == 1 && oi != 0 {
 						continue
 					}
-					oracle, err := findAlternativesLinear(algo, list, batch, opts)
+					oracle, remaining, err := findAlternativesLinear(algo, list, batch, opts)
 					if err != nil {
 						t.Fatalf("seed %d %s opts %d: linear: %v", seed, algo.Name(), oi, err)
 					}
-					want := renderResult(t, batch, oracle)
-					check := func(name string, got *SearchResult, err error) {
+					want := renderResult(t, batch, oracle, remaining)
+					check := func(name string, got *SearchResult, remaining *slot.List, err error) {
 						t.Helper()
 						if err != nil {
 							t.Fatalf("seed %d list %d %s opts %d: %s: %v", seed, li, algo.Name(), oi, name, err)
 						}
-						if got := renderResult(t, batch, got); got != want {
+						if got := renderResult(t, batch, got, remaining); got != want {
 							t.Fatalf("seed %d list %d %s opts %d: %s search diverged from linear oracle\n--- linear ---\n%s\n--- %s ---\n%s",
 								seed, li, algo.Name(), oi, name, want, name, got)
 						}
 					}
-					indexed, err := FindAlternatives(algo, list, batch, opts)
-					check("indexed", indexed, err)
+					indexed, indexedRemaining, err := findAlternativesHeld(algo, list, batch, opts)
+					check("indexed", indexed, indexedRemaining, err)
 
+					// The adopted index is searched in place: the vacancy
+					// read back from it is the oracle's remaining list.
 					prebuilt := opts
 					prebuilt.Prebuilt = slot.NewIndexSize(list.Clone(), 5, nil)
 					adopted, err := FindAlternatives(algo, prebuilt.Prebuilt.List(), batch, prebuilt)
-					check("prebuilt", adopted, err)
-					if adopted.Remaining().String() != prebuilt.Prebuilt.List().String() {
-						t.Fatalf("seed %d %s opts %d: the adopted index was not searched in place", seed, algo.Name(), oi)
-					}
+					check("prebuilt", adopted, prebuilt.Prebuilt.List(), err)
 
 					views, shardOf := shardSplit(list, 3)
 					sharded, err := FindAlternativesSharded(algo, views, shardOf, batch, opts, 4, nil)
-					check("sharded", sharded, err)
+					check("sharded", sharded, viewsList(views), err)
 				}
 			}
 		}
@@ -144,15 +142,15 @@ func TestIndexedSearchDisjointBands(t *testing.T) {
 	list, batch := disjointBandsFixture(6, 12, 6)
 	opts := SearchOptions{MaxAlternativesPerJob: 3}
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
-		oracle, err := findAlternativesLinear(algo, list, batch, opts)
+		oracle, oracleRemaining, err := findAlternativesLinear(algo, list, batch, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexed, err := FindAlternatives(algo, list, batch, opts)
+		indexed, remaining, err := findAlternativesHeld(algo, list, batch, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := renderResult(t, batch, indexed), renderResult(t, batch, oracle); got != want {
+		if got, want := renderResult(t, batch, indexed, remaining), renderResult(t, batch, oracle, oracleRemaining); got != want {
 			t.Fatalf("%s: indexed diverged on disjoint-band fixture\n--- linear ---\n%s\n--- indexed ---\n%s",
 				algo.Name(), want, got)
 		}
@@ -168,15 +166,15 @@ func TestIndexedSearchDisjointBands(t *testing.T) {
 func TestIndexedSearchBenchFixture(t *testing.T) {
 	list, batch := indexedBenchFixture(10000)
 	opts := SearchOptions{MaxAlternativesPerJob: 2}
-	oracle, err := findAlternativesLinear(AMP{}, list, batch, opts)
+	oracle, oracleRemaining, err := findAlternativesLinear(AMP{}, list, batch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexed, err := FindAlternatives(AMP{}, list, batch, opts)
+	indexed, remaining, err := findAlternativesHeld(AMP{}, list, batch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := renderResult(t, batch, indexed), renderResult(t, batch, oracle); got != want {
+	if got, want := renderResult(t, batch, indexed, remaining), renderResult(t, batch, oracle, oracleRemaining); got != want {
 		t.Fatalf("indexed diverged on the benchmark fixture\n--- linear ---\n%s\n--- indexed ---\n%s", want, got)
 	}
 	if oracle.TotalAlternatives() == 0 {
@@ -190,17 +188,17 @@ func TestIndexedSearchBenchFixture(t *testing.T) {
 // (one rebuild for the initial build; inserts/removes per subtraction).
 func TestIndexedSearchInstrumented(t *testing.T) {
 	list, batch := diffScenario(t, 5)
-	plain, err := FindAlternatives(AMP{}, list, batch, SearchOptions{})
+	plain, plainRemaining, err := findAlternativesHeld(AMP{}, list, batch, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
 	opts := SearchOptions{Metrics: NewSearchMetrics(reg, "AMP")}
-	inst, err := FindAlternatives(AMP{}, list, batch, opts)
+	inst, remaining, err := findAlternativesHeld(AMP{}, list, batch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := renderResult(t, batch, inst), renderResult(t, batch, plain); got != want {
+	if got, want := renderResult(t, batch, inst, remaining), renderResult(t, batch, plain, plainRemaining); got != want {
 		t.Fatalf("index metrics changed the search result\n--- plain ---\n%s\n--- instrumented ---\n%s", want, got)
 	}
 	snap := reg.Snapshot()

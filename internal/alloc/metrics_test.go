@@ -37,17 +37,18 @@ func TestSearchMetricsNeutralAndAccurate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := FindAlternatives(AMP{}, sc.Slots, sc.Batch, SearchOptions{})
+	plain, plainRemaining, err := findAlternativesHeld(AMP{}, sc.Slots, sc.Batch, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := metrics.New()
 	opts := SearchOptions{Metrics: NewSearchMetrics(reg, "AMP")}
-	inst, err := FindAlternatives(AMP{}, sc.Slots, sc.Batch, opts)
+	inst, remaining, err := findAlternativesHeld(AMP{}, sc.Slots, sc.Batch, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := renderResult(t, sc.Batch, inst), renderResult(t, sc.Batch, plain); got != want {
+	want := renderResult(t, sc.Batch, plain, plainRemaining)
+	if got := renderResult(t, sc.Batch, inst, remaining); got != want {
 		t.Fatalf("metrics changed the search result\n--- plain ---\n%s\n--- instrumented ---\n%s", want, got)
 	}
 	snap := reg.Snapshot()
@@ -75,7 +76,7 @@ func TestSearchMetricsNeutralAndAccurate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := renderResult(t, sc.Batch, merged), renderResult(t, sc.Batch, plain); got != want {
+	if got := renderResult(t, sc.Batch, merged, viewsList(views)); got != want {
 		t.Fatalf("instrumented merge diverged\n--- plain ---\n%s\n--- merge ---\n%s", want, got)
 	}
 	snap2 := reg2.Snapshot()

@@ -23,23 +23,44 @@ func linearScanner(algo Algorithm, list *slot.List) (*slot.List, scanFunc, func(
 
 // findAlternativesLinear is the multi-pass reference: the production loop
 // (multiPass) over linearScanner. Every indexed, prebuilt and sharded search
-// in this package is compared against it; opts.Prebuilt is ignored. The
-// working list is handed to Remaining() as a one-view result: NewIndex and
-// List() only copy it out and back (the slot model suites pin that).
-func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, error) {
+// in this package is compared against it; opts.Prebuilt is ignored. It also
+// returns the working list after all subtractions.
+func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, *slot.List, error) {
 	working, scan, subtract := linearScanner(algo, list)
 	res, err := multiPass(algo.Name(), batch, opts, scan, subtract)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	res.views = []*slot.Index{slot.NewIndex(working, nil)}
-	return res, nil
+	return res, working, nil
+}
+
+// findAlternativesHeld is FindAlternatives over an index the test holds: the
+// one FindAlternatives would build itself (NewIndex over list, with the
+// search's index instruments), handed in as opts.Prebuilt. It also returns
+// that index's vacancy after all subtractions.
+func findAlternativesHeld(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, *slot.List, error) {
+	opts.Prebuilt = slot.NewIndex(list, opts.Metrics.indexMetrics())
+	res, err := FindAlternatives(algo, list, batch, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, opts.Prebuilt.List(), nil
+}
+
+// viewsList merges the vacancy of the views a sharded search mutated in
+// place into one list.
+func viewsList(views []*slot.Index) *slot.List {
+	lists := make([]*slot.List, len(views))
+	for i, ix := range views {
+		lists[i] = ix.List()
+	}
+	return slot.MergeLists(lists...)
 }
 
 // renderResult canonicalizes a SearchResult for byte-level comparison:
 // algorithm, pass count, stats, every job's windows in discovery order, and
-// the remaining list.
-func renderResult(t *testing.T, batch *job.Batch, res *SearchResult) string {
+// the remaining list the search left behind.
+func renderResult(t *testing.T, batch *job.Batch, res *SearchResult, remaining *slot.List) string {
 	t.Helper()
 	var b strings.Builder
 	fmt.Fprintf(&b, "algo=%s passes=%d stats=%+v\n", res.Algorithm, res.Passes, res.Stats)
@@ -51,7 +72,7 @@ func renderResult(t *testing.T, batch *job.Batch, res *SearchResult) string {
 		b.WriteByte('\n')
 	}
 	b.WriteString("remaining:\n")
-	b.WriteString(res.Remaining().String())
+	b.WriteString(remaining.String())
 	return b.String()
 }
 

@@ -10,11 +10,6 @@ import (
 
 // SearchOptions tunes the multi-pass alternative search.
 type SearchOptions struct {
-	// MaxPasses caps the number of passes over the batch; 0 means no cap
-	// (the search ends when a full pass finds nothing, which always
-	// terminates because every found window strictly shrinks the vacant
-	// time in the list).
-	MaxPasses int
 	// MaxAlternativesPerJob stops searching for a job once it has this
 	// many alternatives; 0 means unlimited. Jobs at their cap are skipped
 	// but the pass continues for the others.
@@ -59,8 +54,6 @@ type SearchResult struct {
 	// Stats accumulates the per-search counters across all window
 	// searches.
 	Stats Stats
-	// views are the searched views after all subtractions.
-	views []*slot.Index
 }
 
 // TotalAlternatives returns the number of windows found across all jobs.
@@ -127,18 +120,12 @@ func searchViews(algo Algorithm, views []*slot.Index, shardOf func(*resource.Nod
 	if err != nil {
 		return nil, err
 	}
-	res, err := multiPass(algo.Name(), batch, opts, scan, subtract)
-	if err != nil {
-		return nil, err
-	}
-	res.views = views
-	return res, nil
+	return multiPass(algo.Name(), batch, opts, scan, subtract)
 }
 
 // multiPass is the Section 2 loop, the only one in the package: passes over
 // the batch in priority order, the per-job cap, the pass cap, window
-// validation, subtraction and the search metrics. The caller sets the
-// result's views.
+// validation, subtraction and the search metrics.
 func multiPass(name string, batch *job.Batch, opts SearchOptions, scan scanFunc, subtract func(*slot.Window) error) (*SearchResult, error) {
 	if batch == nil || batch.Len() == 0 {
 		return nil, fmt.Errorf("alloc: empty batch")
@@ -199,12 +186,14 @@ func multiPass(name string, batch *job.Batch, opts SearchOptions, scan scanFunc,
 }
 
 // caps resolves the pass cap and the per-job cap, FirstOnly being one pass
-// of one window each.
+// of one window each. Otherwise no pass cap applies: the search ends when a
+// full pass finds nothing, which always terminates because every found
+// window strictly shrinks the vacant time in the list.
 func (o SearchOptions) caps() (maxPasses, perJobCap int) {
 	if o.FirstOnly {
 		return 1, 1
 	}
-	return o.MaxPasses, o.MaxAlternativesPerJob
+	return 0, o.MaxAlternativesPerJob
 }
 
 // newScanner binds the per-job window scan and the window subtraction to the

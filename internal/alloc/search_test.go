@@ -77,7 +77,7 @@ func TestAlternativesAreDisjoint(t *testing.T) {
 func TestSearchTerminatesAndConservesTime(t *testing.T) {
 	list := smallList()
 	batch := twoJobBatch()
-	res, err := FindAlternatives(AMP{}, list, batch, SearchOptions{})
+	res, remaining, err := findAlternativesHeld(AMP{}, list, batch, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +90,14 @@ func TestSearchTerminatesAndConservesTime(t *testing.T) {
 			}
 		}
 	}
-	if res.Remaining().TotalTime()+used != list.TotalTime() {
+	if remaining.TotalTime()+used != list.TotalTime() {
 		t.Errorf("time not conserved: remaining %v + used %v != original %v",
-			res.Remaining().TotalTime(), used, list.TotalTime())
+			remaining.TotalTime(), used, list.TotalTime())
 	}
-	if err := res.Remaining().Validate(); err != nil {
+	if err := remaining.Validate(); err != nil {
 		t.Errorf("remaining list invalid: %v", err)
 	}
-	if res.Remaining().OverlapOnSameNode() {
+	if remaining.OverlapOnSameNode() {
 		t.Error("remaining list has same-node overlaps")
 	}
 }
@@ -116,25 +116,15 @@ func TestSearchOptionsCaps(t *testing.T) {
 		}
 	}
 
-	onePass, err := FindAlternatives(AMP{}, list, batch, SearchOptions{MaxPasses: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if onePass.Passes != 1 {
-		t.Errorf("MaxPasses: got %d passes", onePass.Passes)
-	}
-	for name, ws := range onePass.Alternatives {
-		if len(ws) > 1 {
-			t.Errorf("%s: more than one window in a single pass", name)
-		}
-	}
-
 	first, err := FindFirst(AMP{}, list, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.TotalAlternatives() != 2 {
 		t.Errorf("FindFirst: got %d alternatives, want 2", first.TotalAlternatives())
+	}
+	if first.Passes != 1 {
+		t.Errorf("FindFirst: got %d passes, want 1", first.Passes)
 	}
 }
 
@@ -188,17 +178,6 @@ func overlapping(ws []*slot.Window) bool {
 	return slot.NewList(used).OverlapOnSameNode()
 }
 
-// Remaining returns the vacant list after all subtractions, copied out of
-// the searched views in canonical order — O(n·K), computed when asked. A list
-// passed to FindAlternatives without a Prebuilt index is never modified.
-func (r *SearchResult) Remaining() *slot.List {
-	lists := make([]*slot.List, len(r.views))
-	for i, ix := range r.views {
-		lists[i] = ix.List()
-	}
-	return slot.MergeLists(lists...)
-}
-
 func TestSearchResultAccessors(t *testing.T) {
 	res := &SearchResult{Alternatives: map[string][]*slot.Window{}}
 	if res.TotalAlternatives() != 0 {
@@ -226,7 +205,7 @@ func TestSearchPropertyOnGeneratedScenarios(t *testing.T) {
 			return false
 		}
 		for _, algo := range []Algorithm{ALP{}, AMP{}} {
-			res, err := FindAlternatives(algo, sc.Slots, sc.Batch, SearchOptions{})
+			res, remaining, err := findAlternativesHeld(algo, sc.Slots, sc.Batch, SearchOptions{})
 			if err != nil {
 				return false
 			}
@@ -259,7 +238,7 @@ func TestSearchPropertyOnGeneratedScenarios(t *testing.T) {
 			if overlapping(all) {
 				return false
 			}
-			if res.Remaining().TotalTime()+used != sc.Slots.TotalTime() {
+			if remaining.TotalTime()+used != sc.Slots.TotalTime() {
 				return false
 			}
 		}
@@ -341,16 +320,17 @@ func TestSearchHonorsDeadlinesAcrossPasses(t *testing.T) {
 // validated the same way.
 func TestParallelDelegatesAndValidates(t *testing.T) {
 	list, batch := diffScenario(t, 4)
-	seq, err := FindAlternatives(AMP{}, list, batch, SearchOptions{})
+	seq, seqRemaining, err := findAlternativesHeld(AMP{}, list, batch, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, parallelism := range []int{0, 1, 4} {
-		got, err := FindAlternativesParallel(AMP{}, list, batch, SearchOptions{}, parallelism)
+		opts := SearchOptions{Prebuilt: slot.NewIndex(list, nil)}
+		got, err := FindAlternativesParallel(AMP{}, list, batch, opts, parallelism)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if renderResult(t, batch, got) != renderResult(t, batch, seq) {
+		if renderResult(t, batch, got, opts.Prebuilt.List()) != renderResult(t, batch, seq, seqRemaining) {
 			t.Fatalf("parallelism=%d did not forward to FindAlternatives", parallelism)
 		}
 	}

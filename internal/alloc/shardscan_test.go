@@ -82,17 +82,16 @@ func TestFindAlternativesShardedMatchesUnsharded(t *testing.T) {
 		{},
 		{FirstOnly: true},
 		{MaxAlternativesPerJob: 2},
-		{MaxPasses: 3},
 	}
 	for seed := uint64(1); seed <= 12; seed++ {
 		list, batch := diffScenario(t, seed)
 		for _, algo := range algos {
 			for oi, opts := range options {
-				oracle, err := FindAlternatives(algo, list, batch, opts)
+				oracle, remaining, err := findAlternativesHeld(algo, list, batch, opts)
 				if err != nil {
 					t.Fatalf("seed %d %s opts %d: unsharded: %v", seed, algo.Name(), oi, err)
 				}
-				want := renderResult(t, batch, oracle)
+				want := renderResult(t, batch, oracle, remaining)
 				for _, k := range []int{1, 2, 4, 7} {
 					shards, shardOf := shardSplit(list, k)
 					work := &ShardWork{}
@@ -100,7 +99,7 @@ func TestFindAlternativesShardedMatchesUnsharded(t *testing.T) {
 					if err != nil {
 						t.Fatalf("seed %d %s opts %d k=%d: sharded: %v", seed, algo.Name(), oi, k, err)
 					}
-					if got := renderResult(t, batch, res); got != want {
+					if got := renderResult(t, batch, res, viewsList(shards)); got != want {
 						t.Fatalf("seed %d %s opts %d k=%d: sharded search diverged\n--- unsharded ---\n%s\n--- sharded ---\n%s",
 							seed, algo.Name(), oi, k, want, got)
 					}

@@ -34,7 +34,8 @@ func TestNoSterileFinalPass(t *testing.T) {
 			return FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 1, nil)
 		}},
 		{true, 1, func(algo Algorithm, opts SearchOptions) (*SearchResult, error) {
-			return findAlternativesLinear(algo, smallList(), twoJobBatch(), opts)
+			res, _, err := findAlternativesLinear(algo, smallList(), twoJobBatch(), opts)
+			return res, err
 		}},
 	}
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
@@ -81,7 +82,7 @@ func TestCappedSearchSeqParIdentical(t *testing.T) {
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
 		for cap := 0; cap <= 3; cap++ {
 			opts := SearchOptions{MaxAlternativesPerJob: cap}
-			seq, err := FindAlternatives(algo, smallList(), twoJobBatch(), opts)
+			seq, remaining, err := findAlternativesHeld(algo, smallList(), twoJobBatch(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,7 +91,7 @@ func TestCappedSearchSeqParIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := renderResult(t, twoJobBatch(), par), renderResult(t, twoJobBatch(), seq); got != want {
+			if got, want := renderResult(t, twoJobBatch(), par, viewsList(views)), renderResult(t, twoJobBatch(), seq, remaining); got != want {
 				t.Fatalf("%s cap=%d: merge diverged from stream\n--- stream ---\n%s\n--- merge ---\n%s", algo.Name(), cap, want, got)
 			}
 		}
@@ -102,15 +103,15 @@ func TestCappedSearchSeqParIdentical(t *testing.T) {
 // FindAlternativesSharded a single caller-built view returns byte-identical
 // results to FindAlternatives' clone-and-build, for either value of its
 // ignored parallelism argument; the view is adopted, not rebuilt
-// (alloc/<algo>/index/rebuilds_total stays 0) and searched in place
-// (Remaining reads the caller's view); and a scan allocates exactly what
+// (alloc/<algo>/index/rebuilds_total stays 0) and searched in place (the
+// caller's view holds the build's remaining list); and a scan allocates exactly what
 // findWindowIndexedStream does — no cursors, no candidate buffers.
 func TestPrebuiltIndexEquivalence(t *testing.T) {
 	for _, algo := range []Algorithm{ALP{}, AMP{}} {
 		for _, parallelism := range []int{1, 4} {
 			name := fmt.Sprintf("%s/par=%d", algo.Name(), parallelism)
 			t.Run(name, func(t *testing.T) {
-				base, err := FindAlternatives(algo, smallList(), twoJobBatch(), SearchOptions{})
+				base, baseRemaining, err := findAlternativesHeld(algo, smallList(), twoJobBatch(), SearchOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,11 +122,8 @@ func TestPrebuiltIndexEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if g, w := renderResult(t, twoJobBatch(), got), renderResult(t, twoJobBatch(), base); g != w {
-					t.Fatalf("one-view search diverged from clone-and-build\n--- build ---\n%s\n--- view ---\n%s", w, g)
-				}
-				if got.Remaining().String() != view.List().String() {
-					t.Fatal("the view was not searched in place")
+				if g, w := renderResult(t, twoJobBatch(), got, view.List()), renderResult(t, twoJobBatch(), base, baseRemaining); g != w {
+					t.Fatalf("one-view search diverged from clone-and-build, or the view was not searched in place\n--- build ---\n%s\n--- view ---\n%s", w, g)
 				}
 				counter := func(name string) int64 {
 					return reg.Counter(fmt.Sprintf("alloc/%s/%s", algo.Name(), name)).Value()

@@ -8,12 +8,6 @@ import (
 	"ecosched/internal/sim"
 )
 
-// DefaultMoneyGrid is the default discretization step for the budget axis of
-// MinimizeTimeGrid, the money-grid variant kept for the DP-granularity
-// ablation. One credit is fine-grained relative to the paper's per-job costs
-// (hundreds of credits).
-const DefaultMoneyGrid sim.Money = 1.0
-
 // MinimizeTimeDense solves min T(s̄) subject to C(s̄) ≤ budget exactly with
 // the dense-table backward run. It is the reference oracle for the sparse
 // frontier engine (see frontier.go and MinimizeTime).
@@ -53,86 +47,6 @@ func MinimizeTimeDense(batch *job.Batch, alts Alternatives, budget sim.Money) (*
 		}
 	}
 	return nil, &ErrInfeasible{Problem: "cost-constrained selection", Limit: fmt.Sprintf("B* = %v", budget)}
-}
-
-// MinimizeTimeGrid solves the same problem by discretizing money onto a grid
-// (the construction described in the paper's backward-run scheme when the
-// constrained quantity is the budget). Each alternative's cost is rounded
-// *up* to the grid before indexing, so any plan the DP accepts is genuinely
-// within budget; the price is that boundary-exact plans can be missed when
-// the grid is coarse. grid <= 0 selects DefaultMoneyGrid. Kept for the
-// DP-granularity ablation; MinimizeTime is exact and preferred.
-func MinimizeTimeGrid(batch *job.Batch, alts Alternatives, budget sim.Money, grid sim.Money) (*Plan, error) {
-	lists, err := collect(batch, alts)
-	if err != nil {
-		return nil, err
-	}
-	if grid <= 0 {
-		grid = DefaultMoneyGrid
-	}
-	if budget < 0 || !budget.IsFinite() {
-		return nil, &ErrInfeasible{Problem: "cost-constrained selection", Limit: "invalid budget"}
-	}
-	n := len(lists)
-	q := int(math.Floor(float64(budget) / float64(grid)))
-
-	// Pre-scale alternative costs (ceil: conservative feasibility).
-	scaled := make([][]int, n)
-	for i, ws := range lists {
-		scaled[i] = make([]int, len(ws))
-		for a, w := range ws {
-			scaled[i][a] = int(math.Ceil(float64(w.Cost())/float64(grid) - float64(sim.MoneyEpsilon)))
-		}
-	}
-
-	const unset = -1
-	inf := math.Inf(1)
-	f := make([][]float64, n+1)
-	choice := make([][]int, n)
-	f[n] = make([]float64, q+1) // f_{n+1} ≡ 0
-	for i := n - 1; i >= 0; i-- {
-		f[i] = make([]float64, q+1)
-		choice[i] = make([]int, q+1)
-		for z := 0; z <= q; z++ {
-			best := inf
-			bestA := unset
-			for a, w := range lists[i] {
-				c := scaled[i][a]
-				if c > z {
-					continue
-				}
-				tail := f[i+1][z-c]
-				if math.IsInf(tail, 1) {
-					continue
-				}
-				val := float64(w.Length()) + tail
-				if val < best {
-					best = val
-					bestA = a
-				}
-			}
-			if bestA == unset {
-				best = inf
-			}
-			f[i][z] = best
-			choice[i][z] = bestA
-		}
-	}
-	if choice[0][q] == unset {
-		return nil, &ErrInfeasible{Problem: "cost-constrained selection", Limit: fmt.Sprintf("B* = %v", budget)}
-	}
-
-	plan := &Plan{Choices: make([]Choice, 0, n)}
-	z := q
-	for i := 0; i < n; i++ {
-		a := choice[i][z]
-		w := lists[i][a]
-		plan.Choices = append(plan.Choices, Choice{Job: batch.At(i), Window: w})
-		plan.TotalTime += w.Length()
-		plan.TotalCost += w.Cost()
-		z -= scaled[i][a]
-	}
-	return plan, nil
 }
 
 // Limits bundles the batch-level limits derived from the found alternatives:

@@ -117,51 +117,6 @@ func runAMPVariant(cfg StudyConfig, algo alloc.Algorithm) (*AlgoAggregate, int, 
 	return agg, kept, nil
 }
 
-// GridPoint measures the effect of the time-minimization DP implementation:
-// the exact time-axis backward run (BudgetStates == 0) versus the
-// approximate money-grid variant at a given budget-axis resolution. Coarser
-// grids run faster but drop boundary-feasible plans and pick slower
-// combinations.
-type GridPoint struct {
-	// BudgetStates is 0 for the exact DP, otherwise the money-grid
-	// resolution.
-	BudgetStates int
-	Kept         int
-	JobTime      float64
-	JobCost      float64
-}
-
-// GridAblation compares the exact DP against money-grid variants at the
-// given resolutions on the time-minimization pipeline.
-func GridAblation(cfg StudyConfig, states []int) ([]GridPoint, error) {
-	out := make([]GridPoint, 0, len(states)+1)
-	run := func(useGrid bool, s int) error {
-		c := cfg
-		c.UseBudgetGridDP = useGrid
-		c.MaxBudgetStates = s
-		res, err := RunStudy(TimeMin, c)
-		if err != nil {
-			return err
-		}
-		label := s
-		if !useGrid {
-			label = 0
-		}
-		out = append(out, GridPoint{BudgetStates: label, Kept: res.Kept,
-			JobTime: res.AMP.JobTime.Mean(), JobCost: res.AMP.JobCost.Mean()})
-		return nil
-	}
-	if err := run(false, 0); err != nil {
-		return nil, err
-	}
-	for _, s := range states {
-		if err := run(true, s); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // PassesPoint measures the value of the multi-pass alternative search versus
 // a single first-window pass: the optimizer can only be as good as the
 // choice set it is given.

@@ -62,33 +62,6 @@ func TestPolicyAblation(t *testing.T) {
 	}
 }
 
-func TestGridAblation(t *testing.T) {
-	cfg := PaperStudyConfig(42, 100)
-	points, err := GridAblation(cfg, []int{50, 2000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(points) != 3 {
-		t.Fatalf("points: %d, want exact + 2 grids", len(points))
-	}
-	exact, coarse, fine := points[0], points[1], points[2]
-	if exact.BudgetStates != 0 || coarse.BudgetStates != 50 || fine.BudgetStates != 2000 {
-		t.Fatal("state order wrong")
-	}
-	if exact.Kept == 0 || coarse.Kept == 0 || fine.Kept == 0 {
-		t.Fatal("no kept experiments")
-	}
-	// A finer grid approaches the exact optimizer; the coarse grid's
-	// plans are never faster than exact on average (allow slack for the
-	// kept-set difference).
-	if exact.JobTime > coarse.JobTime*1.05 {
-		t.Errorf("exact DP slower than coarse grid: %v vs %v", exact.JobTime, coarse.JobTime)
-	}
-	if fine.JobTime > coarse.JobTime*1.05 {
-		t.Errorf("finer grid slower: fine %v vs coarse %v", fine.JobTime, coarse.JobTime)
-	}
-}
-
 func TestPassesAblation(t *testing.T) {
 	cfg := PaperStudyConfig(42, 120)
 	points, err := PassesAblation(cfg)

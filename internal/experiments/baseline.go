@@ -21,20 +21,14 @@ import (
 type BaselineConfig struct {
 	Seed   uint64
 	Trials int
-	// Nodes is the cluster width (default 16).
-	Nodes int
-	// Jobs is the queue length per trial (default 12).
-	Jobs int
 }
 
-func (c *BaselineConfig) defaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 16
-	}
-	if c.Jobs <= 0 {
-		c.Jobs = 12
-	}
-}
+// Every baseline trial queues baselineJobs jobs on a cluster baselineNodes
+// wide.
+const (
+	baselineNodes = 16
+	baselineJobs  = 12
+)
 
 // BaselinePoint aggregates one scheduler's results.
 type BaselinePoint struct {
@@ -59,7 +53,6 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 	if cfg.Trials <= 0 {
 		return nil, nil, fmt.Errorf("experiments: non-positive trial count %d", cfg.Trials)
 	}
-	cfg.defaults()
 	bf = &BaselinePoint{Scheme: "EASY backfilling"}
 	eco = &BaselinePoint{Scheme: "AMP + min-time"}
 	root := sim.NewRNG(cfg.Seed)
@@ -70,9 +63,9 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 			nodes int
 			dur   sim.Duration
 		}
-		queue := make([]rigid, cfg.Jobs)
+		queue := make([]rigid, baselineJobs)
 		for i := range queue {
-			queue[i] = rigid{nodes: rng.IntBetween(1, cfg.Nodes/2), dur: sim.Duration(rng.IntBetween(50, 150))}
+			queue[i] = rigid{nodes: rng.IntBetween(1, baselineNodes/2), dur: sim.Duration(rng.IntBetween(50, 150))}
 		}
 
 		// (a) EASY backfilling.
@@ -82,7 +75,7 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 				Name: fmt.Sprintf("job%d", i+1), Nodes: q.nodes, Duration: q.dur,
 			})
 		}
-		sched, err := backfill.Run(backfill.EASY, cfg.Nodes, bq)
+		sched, err := backfill.Run(backfill.EASY, baselineNodes, bq)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -93,7 +86,7 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 		bf.Scheduled += len(sched.Reservations)
 
 		// (b) The economic scheme on an equivalent idle grid.
-		nodes := make([]*resource.Node, cfg.Nodes)
+		nodes := make([]*resource.Node, baselineNodes)
 		for i := range nodes {
 			nodes[i] = &resource.Node{Name: fmt.Sprintf("n%d", i), Performance: 1, Price: 1}
 		}
@@ -108,7 +101,7 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 		ms, err := metasched.New(metasched.Config{
 			Algorithm: alloc.AMP{},
 			Policy:    metasched.MinimizeTime,
-			Horizon:   sim.Duration(cfg.Jobs) * 200,
+			Horizon:   baselineJobs * 200,
 			Step:      100,
 		}, grid)
 		if err != nil {
@@ -131,7 +124,7 @@ func BaselineStudy(cfg BaselineConfig) (bf, eco *BaselinePoint, err error) {
 			}
 		}
 		var makespan sim.Time
-		for round := 0; round < cfg.Jobs && ms.QueueLength() > 0; round++ {
+		for round := 0; round < baselineJobs && ms.QueueLength() > 0; round++ {
 			r, err := svc.Tick()
 			if err != nil {
 				return nil, nil, err

@@ -22,25 +22,15 @@ import (
 type DynamicsConfig struct {
 	Seed     uint64
 	Sessions int
-	// Nodes is the grid size per session (default 12).
-	Nodes int
-	// JobsPerSession is the submitted job count (default 8).
-	JobsPerSession int
-	// Iterations bounds each session (default 10).
-	Iterations int
 }
 
-func (c *DynamicsConfig) defaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 12
-	}
-	if c.JobsPerSession <= 0 {
-		c.JobsPerSession = 8
-	}
-	if c.Iterations <= 0 {
-		c.Iterations = 10
-	}
-}
+// Every dynamics session runs on a grid of dynamicsNodes nodes, submits
+// dynamicsJobs jobs and runs at most dynamicsIterations rounds.
+const (
+	dynamicsNodes      = 12
+	dynamicsJobs       = 8
+	dynamicsIterations = 10
+)
 
 // DynamicsPoint aggregates one algorithm's session outcomes.
 type DynamicsPoint struct {
@@ -81,7 +71,6 @@ func DynamicsStudy(cfg DynamicsConfig) (alp, amp *DynamicsPoint, err error) {
 	if cfg.Sessions <= 0 {
 		return nil, nil, fmt.Errorf("experiments: non-positive session count %d", cfg.Sessions)
 	}
-	cfg.defaults()
 	alp = &DynamicsPoint{Algorithm: "ALP"}
 	amp = &DynamicsPoint{Algorithm: "AMP"}
 	root := sim.NewRNG(cfg.Seed)
@@ -94,7 +83,7 @@ func DynamicsStudy(cfg DynamicsConfig) (alp, amp *DynamicsPoint, err error) {
 			{alloc.ALP{}, alp},
 			{alloc.AMP{}, amp},
 		} {
-			if err := dynamicsSession(seed, cfg, run.algo, run.point); err != nil {
+			if err := dynamicsSession(seed, run.algo, run.point); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -106,11 +95,11 @@ func DynamicsStudy(cfg DynamicsConfig) (alp, amp *DynamicsPoint, err error) {
 // busiest node after the first iteration, keep iterating, and account for
 // the recovery. Rounds and the failure run through a fault.Session, so the
 // audit checks the invariants after each of them.
-func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, point *DynamicsPoint) error {
+func dynamicsSession(seed uint64, algo alloc.Algorithm, point *DynamicsPoint) error {
 	rng := sim.NewRNG(seed)
 	pricing := resource.PaperPricing()
-	nodes := make([]*resource.Node, 0, cfg.Nodes)
-	for i := 0; i < cfg.Nodes; i++ {
+	nodes := make([]*resource.Node, 0, dynamicsNodes)
+	for i := 0; i < dynamicsNodes; i++ {
 		perf := rng.FloatBetween(1, 3)
 		nodes = append(nodes, &resource.Node{
 			Name:        fmt.Sprintf("n%d", i+1),
@@ -147,7 +136,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 	if err != nil {
 		return err
 	}
-	for i := 0; i < cfg.JobsPerSession; i++ {
+	for i := 0; i < dynamicsJobs; i++ {
 		j := &job.Job{
 			Name:     fmt.Sprintf("job%d", i+1),
 			Priority: i + 1,
@@ -162,7 +151,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 			return err
 		}
 	}
-	point.Submitted += cfg.JobsPerSession
+	point.Submitted += dynamicsJobs
 
 	// startOf tracks the latest committed start per job.
 	startOf := map[string]sim.Time{}
@@ -196,7 +185,7 @@ func dynamicsSession(seed uint64, cfg DynamicsConfig, algo alloc.Algorithm, poin
 		delete(startOf, name)
 	}
 
-	for it := 1; it < cfg.Iterations && sched.QueueLength() > 0; it++ {
+	for it := 1; it < dynamicsIterations && sched.QueueLength() > 0; it++ {
 		rep, err := sess.Step()
 		if err != nil {
 			return err

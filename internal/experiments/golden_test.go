@@ -118,8 +118,8 @@ func TestGoldenFig5SeriesWithMetrics(t *testing.T) {
 func TestStudySnapshotWorkerInvariance(t *testing.T) {
 	run := func(workers int) string {
 		reg := metrics.New()
+		setWorkers(t, workers)
 		cfg := PaperStudyConfig(17, 80)
-		cfg.Workers = workers
 		cfg.Metrics = reg
 		if _, err := RunStudy(TimeMin, cfg); err != nil {
 			t.Fatal(err)

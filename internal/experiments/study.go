@@ -47,25 +47,12 @@ type StudyConfig struct {
 	// SlotSource, when non-nil, overrides SlotGen (e.g. the clustered
 	// domain-structured generator).
 	SlotSource workload.SlotSource
-	// UseBudgetGridDP switches the time-minimization optimizer from the
-	// exact time-axis backward run to the approximate money-grid variant
-	// (dp.MinimizeTimeGrid) — only for the DP-granularity ablation.
-	UseBudgetGridDP bool
-	// MaxBudgetStates caps the budget-axis resolution of the money-grid
-	// variant: the grid step is max(1, B*/MaxBudgetStates). Zero selects
-	// 2000. Ignored unless UseBudgetGridDP is set.
-	MaxBudgetStates int
 	// SeriesLength is how many kept experiments feed the per-experiment
 	// series of Fig. 5; zero selects 300.
 	SeriesLength int
 	// Search tunes the alternative search (zero value = the paper's
 	// unlimited multi-pass search).
 	Search alloc.SearchOptions
-	// Workers bounds the iteration-level parallelism; 0 selects
-	// runtime.GOMAXPROCS(0). Results are identical for any worker count:
-	// per-iteration seeds are drawn sequentially up front and the
-	// reduction folds iterations in index order.
-	Workers int
 	// Metrics, when non-nil, receives the study's observability counters
 	// (inclusion outcomes, per-algorithm search instruments, frontier
 	// accounting). Instrumentation never changes a result, the final
@@ -83,13 +70,6 @@ func PaperStudyConfig(seed uint64, iterations int) StudyConfig {
 		SlotGen:    workload.PaperSlotGenerator(),
 		JobGen:     workload.PaperJobGenerator(),
 	}
-}
-
-func (c *StudyConfig) maxBudgetStates() int {
-	if c.MaxBudgetStates <= 0 {
-		return 2000
-	}
-	return c.MaxBudgetStates
 }
 
 // slotSource returns the effective slot source.
@@ -176,7 +156,7 @@ func runAlgorithm(algo alloc.Algorithm, sc *workload.Scenario, obj Objective, cf
 	}
 	alts := dp.Alternatives(res.Alternatives)
 	// One sparse backward pass serves the limit derivation and the policy
-	// run; only the money-grid ablation still needs its dedicated table.
+	// run.
 	fr, err := dp.NewFrontier(sc.Batch, alts)
 	if err != nil {
 		return nil, false, err
@@ -193,15 +173,7 @@ func runAlgorithm(algo alloc.Algorithm, sc *workload.Scenario, obj Objective, cf
 	var plan *dp.Plan
 	switch obj {
 	case TimeMin:
-		if cfg.UseBudgetGridDP {
-			grid := sim.Money(1)
-			if states := float64(limits.Budget) / float64(cfg.maxBudgetStates()); states > 1 {
-				grid = sim.Money(states)
-			}
-			plan, err = dp.MinimizeTimeGrid(sc.Batch, alts, limits.Budget, grid)
-		} else {
-			plan, err = fr.MinimizeTime(limits.Budget)
-		}
+		plan, err = fr.MinimizeTime(limits.Budget)
 	case CostMin:
 		plan, err = fr.MinimizeCost(limits.Quota)
 	default:
@@ -274,10 +246,10 @@ func summarize(out *iterationOutcome) algoSummary {
 
 // RunStudy executes the simulation study: cfg.Iterations scheduling
 // iterations, each with a fresh scenario scheduled independently by ALP and
-// AMP, keeping the paper's inclusion criterion. Iterations run on a worker
-// pool; the per-iteration seeds are drawn sequentially up front and the
-// reduction folds results in index order, so the outcome is bit-identical
-// for any worker count.
+// AMP, keeping the paper's inclusion criterion. Iterations run on
+// runtime.GOMAXPROCS(0) workers; the per-iteration seeds are drawn
+// sequentially up front and the reduction folds results in index order, so
+// the outcome is bit-identical for any worker count.
 func RunStudy(obj Objective, cfg StudyConfig) (*StudyResult, error) {
 	if cfg.Iterations <= 0 {
 		return nil, fmt.Errorf("experiments: non-positive iteration count %d", cfg.Iterations)
@@ -297,10 +269,7 @@ func RunStudy(obj Objective, cfg StudyConfig) (*StudyResult, error) {
 		seeds[it] = root.Uint64() ^ uint64(it)
 	}
 
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.Iterations {
 		workers = cfg.Iterations
 	}

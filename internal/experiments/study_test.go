@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -161,12 +162,19 @@ func TestObjectiveString(t *testing.T) {
 	}
 }
 
+// setWorkers sizes RunStudy's worker pool, which is runtime.GOMAXPROCS(0),
+// and restores the previous value when the test ends. A test that calls it
+// must not run in parallel with others.
+func setWorkers(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestStudyWorkerCountInvariance(t *testing.T) {
-	base := PaperStudyConfig(17, 80)
 	run := func(workers int) *StudyResult {
-		cfg := base
-		cfg.Workers = workers
-		res, err := RunStudy(TimeMin, cfg)
+		setWorkers(t, workers)
+		res, err := RunStudy(TimeMin, PaperStudyConfig(17, 80))
 		if err != nil {
 			t.Fatal(err)
 		}

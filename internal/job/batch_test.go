@@ -3,8 +3,6 @@ package job
 import (
 	"strings"
 	"testing"
-
-	"ecosched/internal/sim"
 )
 
 func mkJob(name string, prio int) *Job {
@@ -64,37 +62,6 @@ func TestBatchByName(t *testing.T) {
 	}
 }
 
-// TotalEtalonTime returns the sum of requested etalon wall times.
-func (b *Batch) TotalEtalonTime() sim.Duration {
-	var sum sim.Duration
-	for _, j := range b.jobs {
-		sum += j.Request.Time
-	}
-	return sum
-}
-
-// TotalSlotDemand returns the sum of requested node counts.
-func (b *Batch) TotalSlotDemand() int {
-	var sum int
-	for _, j := range b.jobs {
-		sum += j.Request.Nodes
-	}
-	return sum
-}
-
-func TestBatchDemandAggregates(t *testing.T) {
-	j1, j2 := mkJob("a", 1), mkJob("b", 2)
-	j1.Request.Time, j1.Request.Nodes = 100, 3
-	j2.Request.Time, j2.Request.Nodes = 50, 2
-	b := MustNewBatch([]*Job{j1, j2})
-	if got := b.TotalEtalonTime(); got != 150 {
-		t.Errorf("TotalEtalonTime: got %v", got)
-	}
-	if got := b.TotalSlotDemand(); got != 5 {
-		t.Errorf("TotalSlotDemand: got %d", got)
-	}
-}
-
 func TestBatchJobsAndString(t *testing.T) {
 	b := MustNewBatch([]*Job{mkJob("a", 1)})
 	if len(b.Jobs()) != 1 {
@@ -110,7 +77,7 @@ func TestEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("empty batch should construct: %v", err)
 	}
-	if b.Len() != 0 || b.TotalEtalonTime() != 0 || b.TotalSlotDemand() != 0 {
-		t.Error("empty batch aggregates should be zero")
+	if b.Len() != 0 || len(b.Jobs()) != 0 {
+		t.Error("empty batch should hold no jobs")
 	}
 }

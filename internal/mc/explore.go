@@ -13,22 +13,29 @@ type Options struct {
 	// bound is hit the sweep stops expanding and reports Truncated. 0
 	// means 200000; negative is an error.
 	MaxStates int
-	// Liveness enables the bounded fault-free drain at depth-bound leaves.
+	// Liveness enables the bounded fault-free drain at depth-bound leaves,
+	// sampled every livenessEvery leaves.
 	Liveness bool
-	// LivenessEvery samples every Nth leaf for the drain; 0 means 16.
-	LivenessEvery int
-	// DrainIterations bounds the drain; 0 means 24.
-	DrainIterations int
-	// DeterminismEvery re-executes every Nth newly discovered state's
-	// trace and compares hashes; 0 means 512, negative disables.
-	DeterminismEvery int
 	// Mutation seeds a deliberate bug into the replay harness.
 	Mutation Mutation
-	// Progress, when non-nil, receives a callback every ProgressEvery
+	// Progress, when non-nil, receives a callback every progressEvery
 	// discovered states.
-	Progress      func(states, transitions int)
-	ProgressEvery int
+	Progress func(states, transitions int)
 }
+
+// The probe cadences of every sweep.
+const (
+	// livenessEvery samples every Nth depth-bound leaf for the drain.
+	livenessEvery = 16
+	// drainIterations bounds the fault-free drain of a liveness probe.
+	drainIterations = 24
+	// determinismEvery re-executes every Nth newly discovered state's trace
+	// and compares hashes.
+	determinismEvery = 512
+	// progressEvery is the number of discovered states between Progress
+	// callbacks.
+	progressEvery = 10000
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxDepth == 0 {
@@ -36,18 +43,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxStates == 0 {
 		o.MaxStates = 200000
-	}
-	if o.LivenessEvery == 0 {
-		o.LivenessEvery = 16
-	}
-	if o.DrainIterations == 0 {
-		o.DrainIterations = 24
-	}
-	if o.DeterminismEvery == 0 {
-		o.DeterminismEvery = 512
-	}
-	if o.ProgressEvery == 0 {
-		o.ProgressEvery = 10000
 	}
 	return o
 }
@@ -159,7 +154,7 @@ func Explore(u *Universe, opts Options) (*Result, error) {
 		if n.depth >= opts.MaxDepth {
 			if opts.Liveness {
 				leaves++
-				if leaves%opts.LivenessEvery == 0 {
+				if leaves%livenessEvery == 0 {
 					res.LivenessChecks++
 					if cex := checkLiveness(u, opts, n.trace); cex != nil {
 						res.Cex = cex
@@ -188,10 +183,10 @@ func Explore(u *Universe, opts Options) (*Result, error) {
 			}
 			seen[h] = struct{}{}
 			res.States++
-			if opts.Progress != nil && res.States%opts.ProgressEvery == 0 {
+			if opts.Progress != nil && res.States%progressEvery == 0 {
 				opts.Progress(res.States, res.Transitions)
 			}
-			if opts.DeterminismEvery > 0 && res.States%opts.DeterminismEvery == 0 {
+			if res.States%determinismEvery == 0 {
 				res.DeterminismChecks++
 				again, err := Replay(u, opts.Mutation, trace, nil)
 				if err != nil {
@@ -224,7 +219,7 @@ func checkLiveness(u *Universe, opts Options, trace []Action) *Counterexample {
 		// determinism problem, not liveness.
 		return newCounterexample(u, opts, PropDeterminism, err.Error(), trace)
 	}
-	if err := in.Drain(opts.DrainIterations); err != nil {
+	if err := in.Drain(drainIterations); err != nil {
 		return newCounterexample(u, opts, PropLiveness, err.Error(), trace)
 	}
 	return nil

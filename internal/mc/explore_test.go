@@ -16,11 +16,9 @@ func TestExploreTinyClean(t *testing.T) {
 		depth, states = 4, 4000
 	}
 	res, err := Explore(Tiny(), Options{
-		MaxDepth:         depth,
-		MaxStates:        states,
-		Liveness:         true,
-		LivenessEvery:    8,
-		DeterminismEvery: 64,
+		MaxDepth:  depth,
+		MaxStates: states,
+		Liveness:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +47,7 @@ func TestExploreDefaultUniverseScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acceptance sweep is long; run without -short")
 	}
-	res, err := Explore(Default(), Options{
-		MaxDepth:         8,
-		MaxStates:        120000,
-		DeterminismEvery: 4096,
-	})
+	res, err := Explore(Default(), Options{MaxDepth: 8, MaxStates: 120000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func reproduces(u *Universe, opts Options, prop Property, trace []Action) (strin
 		return err.Error(), prop == PropSafety
 	}
 	if prop == PropLiveness {
-		if err := in.Drain(opts.DrainIterations); err != nil {
+		if err := in.Drain(drainIterations); err != nil {
 			return err.Error(), true
 		}
 	}

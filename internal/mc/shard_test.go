@@ -57,11 +57,9 @@ func TestExploreTwoShardClean(t *testing.T) {
 	}
 	u := TwoShard()
 	res, err := Explore(u, Options{
-		MaxDepth:         depth,
-		MaxStates:        states,
-		Liveness:         true,
-		LivenessEvery:    8,
-		DeterminismEvery: 64,
+		MaxDepth:  depth,
+		MaxStates: states,
+		Liveness:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

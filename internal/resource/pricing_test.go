@@ -1,29 +1,14 @@
 package resource
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"ecosched/internal/sim"
 )
 
-// Validate reports an error for degenerate pricing parameters.
-func (e ExponentialPricing) Validate() error {
-	if e.Base <= 0 {
-		return fmt.Errorf("resource: pricing base must be positive, got %v", e.Base)
-	}
-	if e.LowFactor <= 0 || e.HighFactor < e.LowFactor {
-		return fmt.Errorf("resource: pricing spread [%v, %v] invalid", e.LowFactor, e.HighFactor)
-	}
-	return nil
-}
-
 func TestPaperPricingBasePrice(t *testing.T) {
 	p := PaperPricing()
-	if err := p.Validate(); err != nil {
-		t.Fatalf("paper pricing invalid: %v", err)
-	}
 	// p = 1.7^performance (Section 5).
 	cases := []struct {
 		perf float64
@@ -62,19 +47,6 @@ func TestPaperPricingSampleSpread(t *testing.T) {
 	// The spread should nearly fill the configured band.
 	if float64(min) > float64(lo)*1.02 || float64(max) < float64(hi)*0.98 {
 		t.Errorf("Sample band [%v, %v] does not fill [%v, %v)", min, max, lo, hi)
-	}
-}
-
-func TestExponentialPricingValidate(t *testing.T) {
-	bad := []ExponentialPricing{
-		{Base: 0, LowFactor: 0.75, HighFactor: 1.25},
-		{Base: 1.7, LowFactor: 0, HighFactor: 1.25},
-		{Base: 1.7, LowFactor: 1.25, HighFactor: 0.75},
-	}
-	for i, b := range bad {
-		if b.Validate() == nil {
-			t.Errorf("case %d: invalid pricing accepted", i)
-		}
 	}
 }
 

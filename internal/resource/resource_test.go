@@ -56,46 +56,8 @@ func TestNodeRuntime(t *testing.T) {
 	}
 }
 
-// UsageCost returns the cost of occupying this node for d ticks.
-func (n *Node) UsageCost(d sim.Duration) sim.Money {
-	if d <= 0 {
-		return 0
-	}
-	return n.Price * sim.Money(d)
-}
-
-// PriceQuality returns the node's price/quality ratio C/P discussed in
-// Section 6. Lower values are better deals for the user.
-func (n *Node) PriceQuality() float64 {
-	return float64(n.Price) / n.Performance
-}
-
-// Meets reports whether the node satisfies a minimum performance requirement.
-func (n *Node) Meets(minPerformance float64) bool {
-	return n.Performance >= minPerformance
-}
-
-func TestNodeUsageCostAndPriceQuality(t *testing.T) {
-	n := &Node{Performance: 2, Price: 3}
-	if got := n.UsageCost(10); got != 30 {
-		t.Errorf("UsageCost: got %v, want 30", got)
-	}
-	if got := n.UsageCost(0); got != 0 {
-		t.Errorf("UsageCost(0): got %v", got)
-	}
-	if got := n.UsageCost(-1); got != 0 {
-		t.Errorf("UsageCost(-1): got %v", got)
-	}
-	if got := n.PriceQuality(); got != 1.5 {
-		t.Errorf("PriceQuality: got %v, want 1.5", got)
-	}
-}
-
 func TestNodeMeetsAndLabel(t *testing.T) {
 	n := &Node{ID: 3, Performance: 2}
-	if !n.Meets(2) || !n.Meets(1.5) || n.Meets(2.1) {
-		t.Error("Meets threshold logic wrong")
-	}
 	if n.Label() != "node3" {
 		t.Errorf("Label fallback: got %q", n.Label())
 	}
@@ -161,33 +123,6 @@ func TestMustNewPoolPanics(t *testing.T) {
 		}
 	}()
 	MustNewPool([]*Node{{Name: "x", Performance: -1, Price: 1}})
-}
-
-// Matching returns the nodes meeting a minimum performance requirement,
-// in ID order.
-func (p *Pool) Matching(minPerformance float64) []*Node {
-	var out []*Node
-	for _, n := range p.nodes {
-		if n.Meets(minPerformance) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func TestPoolMatching(t *testing.T) {
-	p := MustNewPool([]*Node{
-		{Name: "slow", Performance: 1, Price: 1},
-		{Name: "mid", Performance: 2, Price: 2},
-		{Name: "fast", Performance: 3, Price: 3},
-	})
-	m := p.Matching(2)
-	if len(m) != 2 || m[0].Name != "mid" || m[1].Name != "fast" {
-		t.Errorf("Matching(2): got %v", m)
-	}
-	if got := p.Matching(10); got != nil {
-		t.Errorf("Matching(10): got %v, want nil", got)
-	}
 }
 
 func TestPoolDomainsAndTotalPerformance(t *testing.T) {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -57,32 +56,13 @@ func TestDurationMinMax(t *testing.T) {
 	}
 }
 
-// NewInterval builds the interval [start, end). It returns an error when
-// end precedes start.
-func NewInterval(start, end Time) (Interval, error) {
-	if end < start {
-		return Interval{}, fmt.Errorf("sim: interval end %v precedes start %v", end, start)
-	}
-	return Interval{Start: start, End: end}, nil
-}
-
-func TestNewInterval(t *testing.T) {
-	iv, err := NewInterval(10, 20)
-	if err != nil {
-		t.Fatalf("NewInterval(10, 20): %v", err)
-	}
-	if iv.Length() != 10 {
-		t.Errorf("Length: got %v, want 10", iv.Length())
-	}
-	if _, err := NewInterval(20, 10); err == nil {
-		t.Error("NewInterval(20, 10) should fail")
-	}
-}
-
 func TestIntervalPredicates(t *testing.T) {
 	iv := Interval{Start: 10, End: 20}
 	if iv.Empty() {
 		t.Error("non-empty interval reported empty")
+	}
+	if iv.Length() != 10 {
+		t.Errorf("Length: got %v, want 10", iv.Length())
 	}
 	if !(Interval{Start: 5, End: 5}).Empty() {
 		t.Error("zero-length interval should be empty")

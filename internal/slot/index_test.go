@@ -179,65 +179,6 @@ func TestIndexRankAtOrAfter(t *testing.T) {
 	}
 }
 
-// AliveAt visits, in rank order, every slot alive at time t (start <= t < end)
-// with performance at least minPerf — the point-in-time availability query.
-// Buckets whose slots all start after t or all end at or before t are
-// skipped whole.
-func (ix *Index) AliveAt(t sim.Time, minPerf float64, fn func(rank int, s Slot) bool) {
-	limit := ix.RankAtOrAfter(t + 1) // ranks at or beyond start strictly after t
-	base := 0
-	for _, bk := range ix.buckets {
-		if base >= limit {
-			return
-		}
-		span := len(bk.slots)
-		if base+span > limit {
-			span = limit - base
-		}
-		if bk.maxEnd > t && bk.maxPerf >= minPerf {
-			for off, s := range bk.slots[:span] {
-				if s.End() <= t || s.Performance() < minPerf {
-					continue
-				}
-				if !fn(base+off, s) {
-					return
-				}
-			}
-		}
-		base += len(bk.slots)
-	}
-}
-
-// TestIndexAliveAt compares the point-in-time query with a naive filter.
-func TestIndexAliveAt(t *testing.T) {
-	rng := sim.NewRNG(11)
-	nodes := propNodes(6)
-	l := NewList(nil)
-	for i := 0; i < 200; i++ {
-		l.Insert(randomSlot(rng, nodes))
-	}
-	ix := NewIndexSize(l, 16, nil)
-	for _, tm := range []sim.Time{0, 50, 123, 250, 480, 700} {
-		for _, minPerf := range []float64{0, 2, 3, 10} {
-			var want []int
-			for r := 0; r < l.Len(); r++ {
-				s := l.At(r)
-				if s.Start() <= tm && tm < s.End() && s.Performance() >= minPerf {
-					want = append(want, r)
-				}
-			}
-			var got []int
-			ix.AliveAt(tm, minPerf, func(rank int, s Slot) bool {
-				got = append(got, rank)
-				return true
-			})
-			if !ranksEqual(got, want) {
-				t.Errorf("AliveAt(%v, %v) = %v, want %v", tm, minPerf, got, want)
-			}
-		}
-	}
-}
-
 // TestIndexMetricsAccounting pins the maintenance instruments: the initial
 // build counts as a rebuild, inserts and removes are counted once each, tiny
 // targets force splits and bucket drops, and the bucket gauge tracks the

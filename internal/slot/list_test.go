@@ -184,29 +184,6 @@ func TestOverlapOnSameNode(t *testing.T) {
 	}
 }
 
-// Nodes returns the distinct nodes that own at least one slot, in first-seen
-// order.
-func (l *List) Nodes() []*resource.Node {
-	seen := map[*resource.Node]bool{}
-	var out []*resource.Node
-	for _, s := range l.slots {
-		if !seen[s.Node] {
-			seen[s.Node] = true
-			out = append(out, s.Node)
-		}
-	}
-	return out
-}
-
-func TestListNodes(t *testing.T) {
-	ns := buildNodes(3)
-	l := NewList([]Slot{New(ns[1], 0, 10), New(ns[0], 5, 15), New(ns[1], 20, 30)})
-	nodes := l.Nodes()
-	if len(nodes) != 2 {
-		t.Fatalf("Nodes: got %d distinct, want 2", len(nodes))
-	}
-}
-
 func TestListValidateCatchesDisorder(t *testing.T) {
 	ns := buildNodes(1)
 	l := NewList([]Slot{New(ns[0], 0, 10)})

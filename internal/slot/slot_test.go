@@ -60,67 +60,6 @@ func TestSlotRuntimeHeterogeneous(t *testing.T) {
 	}
 }
 
-// CanHostFrom reports whether the slot can host a task of the given etalon
-// wall time when the task is forced to start at the given time: the start
-// must lie inside the slot and the remaining length End-start must cover the
-// node-local runtime. This is the paper's step 2°b/3° feasibility check with
-// the window-start offset d_k = T_last - T(s_k) already applied.
-func (s Slot) CanHostFrom(start sim.Time, etalonTime sim.Duration) bool {
-	if start < s.Start() || start >= s.End() {
-		return false
-	}
-	return s.End().Sub(start) >= s.Runtime(etalonTime)
-}
-
-// UsageCost returns the cost of running a task with the given etalon wall
-// time on this slot: price per tick × node-local runtime.
-func (s Slot) UsageCost(etalonTime sim.Duration) sim.Money {
-	return s.Price * sim.Money(s.Runtime(etalonTime))
-}
-
-func TestSlotCanHostFrom(t *testing.T) {
-	s := New(node("cpu1", 1, 1), 100, 200)
-	cases := []struct {
-		start sim.Time
-		time  sim.Duration
-		want  bool
-	}{
-		{100, 100, true},  // exactly fills
-		{100, 101, false}, // one tick too long
-		{150, 50, true},
-		{150, 51, false},
-		{99, 10, false}, // before slot start
-		{200, 1, false}, // at slot end
-		{199, 1, true},  // last tick
-		{100, 50, true},
-	}
-	for _, c := range cases {
-		if got := s.CanHostFrom(c.start, c.time); got != c.want {
-			t.Errorf("CanHostFrom(%v, %v) = %v, want %v", c.start, c.time, got, c.want)
-		}
-	}
-}
-
-func TestSlotCanHostFromFastNode(t *testing.T) {
-	// A performance-2 node halves the runtime, so an 80-tick etalon task
-	// fits a 40-tick remainder.
-	s := New(node("fast", 2, 1), 0, 100)
-	if !s.CanHostFrom(60, 80) {
-		t.Error("fast node should host an 80-etalon task in 40 remaining ticks")
-	}
-	if s.CanHostFrom(61, 80) {
-		t.Error("39 remaining ticks must not host a 40-tick runtime")
-	}
-}
-
-func TestSlotUsageCost(t *testing.T) {
-	s := New(node("cpu1", 2, 3), 0, 100)
-	// Runtime of an 80-etalon task on P=2 is 40; cost 3 × 40 = 120.
-	if got := s.UsageCost(80); got != 120 {
-		t.Errorf("UsageCost: got %v, want 120", got)
-	}
-}
-
 func TestSlotSameNodeAndString(t *testing.T) {
 	s1 := New(node("a", 1, 1), 0, 10)
 	if !strings.Contains(s1.String(), "a[0, 10)") {

@@ -92,44 +92,6 @@ func TestWindowValidateRejections(t *testing.T) {
 	}
 }
 
-// Overlaps reports whether any placement of w shares processor time on the
-// same node with any placement of other. Alternatives produced by the search
-// must be pairwise non-overlapping.
-func (w *Window) Overlaps(other *Window) bool {
-	for _, p := range w.Placements {
-		for _, q := range other.Placements {
-			if p.Source.Node == q.Source.Node && p.Used.Overlaps(q.Used) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func TestWindowOverlaps(t *testing.T) {
-	n1, n2 := node("a", 1, 1), node("b", 1, 1)
-	s1, s2 := New(n1, 0, 100), New(n2, 0, 100)
-	w1 := &Window{JobName: "w1", Placements: []Placement{
-		{Source: s1, Used: sim.Interval{Start: 0, End: 50}},
-	}}
-	w2 := &Window{JobName: "w2", Placements: []Placement{
-		{Source: s1, Used: sim.Interval{Start: 40, End: 80}},
-	}}
-	w3 := &Window{JobName: "w3", Placements: []Placement{
-		{Source: s1, Used: sim.Interval{Start: 50, End: 90}},
-		{Source: s2, Used: sim.Interval{Start: 50, End: 90}},
-	}}
-	if !w1.Overlaps(w2) {
-		t.Error("overlap on same node not detected")
-	}
-	if w1.Overlaps(w3) {
-		t.Error("touching windows flagged as overlapping")
-	}
-	if w2.Overlaps(w3) != w3.Overlaps(w2) {
-		t.Error("Overlaps not symmetric")
-	}
-}
-
 func TestWindowNodeLabelsAndUsesNode(t *testing.T) {
 	w := makeWindow(t)
 	labels := w.NodeLabels()

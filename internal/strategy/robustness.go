@@ -13,20 +13,17 @@ import (
 	"ecosched/internal/workload"
 )
 
-// RobustnessConfig parameterizes the failure-injection study.
+// failureProb is the robustness study's per-node failure probability within
+// the horizon.
+const failureProb = 0.25
+
+// RobustnessConfig parameterizes the failure-injection study. Each iteration
+// draws its input from the paper's Section 5 generators.
 type RobustnessConfig struct {
 	// Seed drives scenario generation and failure sampling.
 	Seed uint64
 	// Iterations is the number of scheduling iterations simulated.
 	Iterations int
-	// FailureProb is the per-node failure probability within the horizon.
-	FailureProb float64
-	// Policy orders the contingencies.
-	Policy FallbackPolicy
-	// SlotGen and JobGen produce the per-iteration input; zero values
-	// select the paper's Section 5 generators.
-	SlotGen workload.SlotGenerator
-	JobGen  workload.JobGenerator
 }
 
 // RobustnessPoint aggregates one algorithm's behaviour under failures.
@@ -53,21 +50,13 @@ func RobustnessStudy(cfg RobustnessConfig) (alp, amp *RobustnessPoint, err error
 	if cfg.Iterations <= 0 {
 		return nil, nil, fmt.Errorf("strategy: non-positive iterations %d", cfg.Iterations)
 	}
-	if cfg.FailureProb < 0 || cfg.FailureProb > 1 {
-		return nil, nil, fmt.Errorf("strategy: failure probability %v outside [0, 1]", cfg.FailureProb)
-	}
-	if cfg.SlotGen.CountMax == 0 {
-		cfg.SlotGen = workload.PaperSlotGenerator()
-	}
-	if cfg.JobGen.JobsMax == 0 {
-		cfg.JobGen = workload.PaperJobGenerator()
-	}
+	slotGen, jobGen := workload.PaperSlotGenerator(), workload.PaperJobGenerator()
 	alp = &RobustnessPoint{Algorithm: "ALP"}
 	amp = &RobustnessPoint{Algorithm: "AMP"}
 	root := sim.NewRNG(cfg.Seed)
 	for it := 0; it < cfg.Iterations; it++ {
 		iterRNG := sim.NewRNG(root.Uint64() ^ uint64(it))
-		sc, err := workload.GenerateScenario(cfg.SlotGen, cfg.JobGen, iterRNG)
+		sc, err := workload.GenerateScenario(slotGen, jobGen, iterRNG)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -78,7 +67,7 @@ func RobustnessStudy(cfg RobustnessConfig) (alp, amp *RobustnessPoint, err error
 				horizon = s.End()
 			}
 		}
-		failures, err := sampleFailures(sc.Pool, cfg.FailureProb, horizon, iterRNG.Split())
+		failures, err := sampleFailures(sc.Pool, failureProb, horizon, iterRNG.Split())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -90,7 +79,7 @@ func RobustnessStudy(cfg RobustnessConfig) (alp, amp *RobustnessPoint, err error
 			{alloc.ALP{}, alp},
 			{alloc.AMP{}, amp},
 		} {
-			if err := runOnce(run.algo, sc, failures, cfg.Policy, run.point); err != nil {
+			if err := runOnce(run.algo, sc, failures, run.point); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -110,7 +99,7 @@ func sampleFailures(pool *resource.Pool, p float64, horizon sim.Time, rng *sim.R
 	return fault.NewPlan(events...)
 }
 
-func runOnce(algo alloc.Algorithm, sc *workload.Scenario, failures *fault.Plan, policy FallbackPolicy, point *RobustnessPoint) error {
+func runOnce(algo alloc.Algorithm, sc *workload.Scenario, failures *fault.Plan, point *RobustnessPoint) error {
 	search, err := alloc.FindAlternatives(algo, sc.Slots, sc.Batch, alloc.SearchOptions{})
 	if err != nil {
 		return err
@@ -135,7 +124,7 @@ func runOnce(algo alloc.Algorithm, sc *workload.Scenario, failures *fault.Plan, 
 		}
 		return err
 	}
-	st, err := Build(plan, search, policy)
+	st, err := Build(plan, search)
 	if err != nil {
 		return err
 	}
@@ -156,7 +145,7 @@ func runOnce(algo alloc.Algorithm, sc *workload.Scenario, failures *fault.Plan, 
 }
 
 // RenderRobustness prints the study as a table.
-func RenderRobustness(alp, amp *RobustnessPoint, failureProb float64) string {
+func RenderRobustness(alp, amp *RobustnessPoint) string {
 	t := stats.NewTable("metric", "ALP", "AMP")
 	t.AddRow("kept iterations", alp.Kept, amp.Kept)
 	t.AddRow("completion rate", alp.CompletionRate.Mean(), amp.CompletionRate.Mean())

@@ -5,17 +5,15 @@ import (
 	"testing"
 )
 
-// TestRobustnessStudyValidation pins the config validation: iteration and
-// probability bounds are rejected before any work happens.
+// TestRobustnessStudyValidation pins the config validation: iteration
+// bounds are rejected before any work happens.
 func TestRobustnessStudyValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		cfg  RobustnessConfig
 	}{
-		{"zero iterations", RobustnessConfig{Iterations: 0, FailureProb: 0.2}},
-		{"negative iterations", RobustnessConfig{Iterations: -5, FailureProb: 0.2}},
-		{"negative probability", RobustnessConfig{Iterations: 10, FailureProb: -0.1}},
-		{"probability above one", RobustnessConfig{Iterations: 10, FailureProb: 1.5}},
+		{"zero iterations", RobustnessConfig{Iterations: 0}},
+		{"negative iterations", RobustnessConfig{Iterations: -5}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -26,18 +24,13 @@ func TestRobustnessStudyValidation(t *testing.T) {
 	}
 }
 
-// TestRobustnessStudyRuns drives the study end to end on the paper's default
-// generators (selected by the zero-value SlotGen/JobGen) and checks the
+// TestRobustnessStudyRuns drives the study end to end on the paper's
+// generators and checks the
 // aggregates are sane: iterations are kept, completion rates live in [0, 1],
 // and AMP's redundancy is at least ALP's — the whole point of the
 // multi-variant search is its larger alternative sets.
 func TestRobustnessStudyRuns(t *testing.T) {
-	alp, amp, err := RobustnessStudy(RobustnessConfig{
-		Seed:        42,
-		Iterations:  30,
-		FailureProb: 0.25,
-		Policy:      EarliestFirst,
-	})
+	alp, amp, err := RobustnessStudy(RobustnessConfig{Seed: 42, Iterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +62,11 @@ func TestRobustnessStudyRuns(t *testing.T) {
 // different one.
 func TestRobustnessStudyDeterministic(t *testing.T) {
 	render := func(seed uint64) string {
-		alp, amp, err := RobustnessStudy(RobustnessConfig{
-			Seed: seed, Iterations: 15, FailureProb: 0.3, Policy: CheapestFirst,
-		})
+		alp, amp, err := RobustnessStudy(RobustnessConfig{Seed: seed, Iterations: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return RenderRobustness(alp, amp, 0.3)
+		return RenderRobustness(alp, amp)
 	}
 	first, second := render(7), render(7)
 	if first != second {
@@ -89,15 +80,13 @@ func TestRobustnessStudyDeterministic(t *testing.T) {
 // TestRenderRobustness checks the table carries every reported metric and
 // the failure probability header.
 func TestRenderRobustness(t *testing.T) {
-	alp, amp, err := RobustnessStudy(RobustnessConfig{
-		Seed: 3, Iterations: 5, FailureProb: 0.5,
-	})
+	alp, amp, err := RobustnessStudy(RobustnessConfig{Seed: 3, Iterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := RenderRobustness(alp, amp, 0.5)
+	out := RenderRobustness(alp, amp)
 	for _, frag := range []string{
-		"node failure probability 0.50",
+		"node failure probability 0.25",
 		"kept iterations",
 		"completion rate",
 		"primary survival",

@@ -8,8 +8,8 @@
 // alternative search already produces pairwise-disjoint windows, so any
 // subset of them — one active window plus spares per job — is simultaneously
 // reservable. A Strategy pairs every job's chosen (primary) window with its
-// remaining alternatives as contingencies ordered by a fallback policy, and
-// Execute plays the strategy against a fault plan's fail events.
+// remaining alternatives as contingencies, earliest start first, and Execute
+// plays the strategy against a fault plan's fail events.
 package strategy
 
 import (
@@ -23,26 +23,6 @@ import (
 	"ecosched/internal/sim"
 	"ecosched/internal/slot"
 )
-
-// FallbackPolicy orders a job's contingency windows.
-type FallbackPolicy int
-
-const (
-	// EarliestFirst prefers the contingency with the earliest start —
-	// minimizes completion delay after a failure.
-	EarliestFirst FallbackPolicy = iota
-	// CheapestFirst prefers the cheapest contingency — preserves budget
-	// at the price of delay.
-	CheapestFirst
-)
-
-// String names the policy.
-func (p FallbackPolicy) String() string {
-	if p == CheapestFirst {
-		return "cheapest-first"
-	}
-	return "earliest-first"
-}
 
 // Version is one execution version of a job within a strategy.
 type Version struct {
@@ -69,18 +49,19 @@ func (js *JobStrategy) Redundancy() int {
 // Strategy is a full batch strategy: one JobStrategy per job, all windows
 // across all jobs pairwise disjoint (inherited from the alternative search).
 type Strategy struct {
-	Jobs   []*JobStrategy
-	Policy FallbackPolicy
+	Jobs []*JobStrategy
 }
 
 // Build assembles a strategy from an optimizer plan and the full search
 // result it was chosen from: each job's primary is its plan window, and
-// every other alternative becomes a contingency ordered by the policy.
-func Build(plan *dp.Plan, search *alloc.SearchResult, policy FallbackPolicy) (*Strategy, error) {
+// every other alternative becomes a contingency, the earliest start first
+// (ties to the cheaper), which minimizes the completion delay after a
+// failure.
+func Build(plan *dp.Plan, search *alloc.SearchResult) (*Strategy, error) {
 	if plan == nil || search == nil {
 		return nil, fmt.Errorf("strategy: nil plan or search result")
 	}
-	st := &Strategy{Policy: policy}
+	st := &Strategy{}
 	for _, choice := range plan.Choices {
 		alts := search.Alternatives[choice.Job.Name]
 		if len(alts) == 0 {
@@ -94,7 +75,7 @@ func Build(plan *dp.Plan, search *alloc.SearchResult, policy FallbackPolicy) (*S
 				spares = append(spares, w)
 			}
 		}
-		sortSpares(spares, policy)
+		sortSpares(spares)
 		for _, w := range spares {
 			js.Versions = append(js.Versions, Version{Window: w})
 		}
@@ -103,21 +84,13 @@ func Build(plan *dp.Plan, search *alloc.SearchResult, policy FallbackPolicy) (*S
 	return st, nil
 }
 
-func sortSpares(spares []*slot.Window, policy FallbackPolicy) {
+func sortSpares(spares []*slot.Window) {
 	sort.SliceStable(spares, func(i, k int) bool {
 		a, b := spares[i], spares[k]
-		switch policy {
-		case CheapestFirst:
-			if !a.Cost().ApproxEq(b.Cost()) {
-				return a.Cost() < b.Cost()
-			}
+		if a.Start() != b.Start() {
 			return a.Start() < b.Start()
-		default:
-			if a.Start() != b.Start() {
-				return a.Start() < b.Start()
-			}
-			return a.Cost() < b.Cost()
 		}
+		return a.Cost() < b.Cost()
 	})
 }
 

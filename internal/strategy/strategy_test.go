@@ -11,7 +11,6 @@ import (
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 	"ecosched/internal/slot"
-	"ecosched/internal/workload"
 )
 
 // Validate checks that all versions across the whole strategy are pairwise
@@ -42,7 +41,7 @@ func (s *Strategy) Validate() error {
 
 // buildStrategy assembles a strategy on a three-node environment with
 // multiple alternatives per job.
-func buildStrategy(t *testing.T, policy FallbackPolicy) (*Strategy, *resource.Pool) {
+func buildStrategy(t *testing.T) (*Strategy, *resource.Pool) {
 	t.Helper()
 	pool := resource.MustNewPool([]*resource.Node{
 		{Name: "a", Performance: 1, Price: 1},
@@ -73,7 +72,7 @@ func buildStrategy(t *testing.T, policy FallbackPolicy) (*Strategy, *resource.Po
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Build(plan, search, policy)
+	st, err := Build(plan, search)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func buildStrategy(t *testing.T, policy FallbackPolicy) (*Strategy, *resource.Po
 }
 
 func TestBuildStrategy(t *testing.T) {
-	st, _ := buildStrategy(t, EarliestFirst)
+	st, _ := buildStrategy(t)
 	if err := st.Validate(); err != nil {
 		t.Fatalf("strategy invalid: %v", err)
 	}
@@ -102,13 +101,13 @@ func TestBuildStrategy(t *testing.T) {
 }
 
 func TestBuildRejectsNil(t *testing.T) {
-	if _, err := Build(nil, nil, EarliestFirst); err == nil {
+	if _, err := Build(nil, nil); err == nil {
 		t.Error("nil inputs accepted")
 	}
 }
 
 func TestFallbackOrdering(t *testing.T) {
-	early, _ := buildStrategy(t, EarliestFirst)
+	early, _ := buildStrategy(t)
 	for _, js := range early.Jobs {
 		spares := js.Versions[1:]
 		for i := 1; i < len(spares); i++ {
@@ -116,18 +115,6 @@ func TestFallbackOrdering(t *testing.T) {
 				t.Errorf("%s: earliest-first order violated", js.Job.Name)
 			}
 		}
-	}
-	cheap, _ := buildStrategy(t, CheapestFirst)
-	for _, js := range cheap.Jobs {
-		spares := js.Versions[1:]
-		for i := 1; i < len(spares); i++ {
-			if spares[i].Window.Cost() < spares[i-1].Window.Cost()-sim.MoneyEpsilon {
-				t.Errorf("%s: cheapest-first order violated", js.Job.Name)
-			}
-		}
-	}
-	if EarliestFirst.String() != "earliest-first" || CheapestFirst.String() != "cheapest-first" {
-		t.Error("policy names wrong")
 	}
 }
 
@@ -146,7 +133,7 @@ func execute(t *testing.T, st *Strategy, plan string) *Report {
 }
 
 func TestExecuteNoFailures(t *testing.T) {
-	st, _ := buildStrategy(t, EarliestFirst)
+	st, _ := buildStrategy(t)
 	rep, err := st.Execute(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +150,7 @@ func TestExecuteNoFailures(t *testing.T) {
 }
 
 func TestExecuteFallbackOnFailure(t *testing.T) {
-	st, _ := buildStrategy(t, EarliestFirst)
+	st, _ := buildStrategy(t)
 	// Kill the primary of the first job: fail its node at time 0.
 	primary := st.Jobs[0].Versions[0].Window
 	failed := primary.Placements[0].Source.Node
@@ -181,7 +168,7 @@ func TestExecuteFallbackOnFailure(t *testing.T) {
 }
 
 func TestExecuteFailureAfterCompletionIsHarmless(t *testing.T) {
-	st, _ := buildStrategy(t, EarliestFirst)
+	st, _ := buildStrategy(t)
 	primary := st.Jobs[0].Versions[0].Window
 	node := primary.Placements[0].Source.Node
 	// Failure strikes exactly at the placement end: the task already
@@ -193,7 +180,7 @@ func TestExecuteFailureAfterCompletionIsHarmless(t *testing.T) {
 }
 
 func TestExecuteTotalLoss(t *testing.T) {
-	st, pool := buildStrategy(t, EarliestFirst)
+	st, pool := buildStrategy(t)
 	// Fail every node at time 0: nothing survives.
 	var events []fault.Event
 	for _, n := range pool.Nodes() {
@@ -220,7 +207,7 @@ func TestExecuteTotalLoss(t *testing.T) {
 // fail events: recover and revoke have no meaning for windows that reserve
 // nothing, so a plan carrying one is an error rather than silently ignored.
 func TestExecuteRejectsNonFailEvents(t *testing.T) {
-	st, _ := buildStrategy(t, EarliestFirst)
+	st, _ := buildStrategy(t)
 	for _, plan := range []string{"recover@0:a", "fail@0:a;revoke@10:b:20-30"} {
 		p, err := fault.ParsePlan(plan)
 		if err != nil {
@@ -260,15 +247,7 @@ func TestSampleFailures(t *testing.T) {
 }
 
 func TestRobustnessStudyAMPMoreRobust(t *testing.T) {
-	cfg := RobustnessConfig{
-		Seed:        42,
-		Iterations:  120,
-		FailureProb: 0.25,
-		Policy:      EarliestFirst,
-		SlotGen:     workload.PaperSlotGenerator(),
-		JobGen:      workload.PaperJobGenerator(),
-	}
-	alp, amp, err := RobustnessStudy(cfg)
+	alp, amp, err := RobustnessStudy(RobustnessConfig{Seed: 42, Iterations: 120})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +264,7 @@ func TestRobustnessStudyAMPMoreRobust(t *testing.T) {
 		t.Errorf("AMP completion %v below ALP %v",
 			amp.CompletionRate.Mean(), alp.CompletionRate.Mean())
 	}
-	out := RenderRobustness(alp, amp, cfg.FailureProb)
+	out := RenderRobustness(alp, amp)
 	if out == "" {
 		t.Error("render empty")
 	}

@@ -156,21 +156,16 @@ func TestBuildRejectsUncoveredJob(t *testing.T) {
 	j := &job.Job{Name: "ghost"}
 	plan := &dp.Plan{Choices: []dp.Choice{{Job: j, Window: mkWindow("ghost", "a", 0, 100)}}}
 	search := &alloc.SearchResult{Alternatives: map[string][]*slot.Window{}}
-	if _, err := Build(plan, search, EarliestFirst); err == nil ||
+	if _, err := Build(plan, search); err == nil ||
 		!strings.Contains(err.Error(), "no alternatives") {
 		t.Fatalf("Build with uncovered job: err = %v, want 'no alternatives'", err)
 	}
 }
 
-// TestRobustnessStudyDefaultGenerators covers the zero-value SlotGen/JobGen
-// defaulting path with a tiny run.
+// TestRobustnessStudyDefaultGenerators covers a tiny run on the paper's
+// generators, the only input the study draws from.
 func TestRobustnessStudyDefaultGenerators(t *testing.T) {
-	alp, amp, err := RobustnessStudy(RobustnessConfig{
-		Seed:        7,
-		Iterations:  3,
-		FailureProb: 0.5,
-		Policy:      CheapestFirst,
-	})
+	alp, amp, err := RobustnessStudy(RobustnessConfig{Seed: 7, Iterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"ecosched/internal/experiments"
 	"ecosched/internal/metrics"
@@ -21,8 +23,60 @@ import (
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ecosched:", err)
+		var ue *usageError
+		if errors.As(err, &ue) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// usageError is a command line that names a flag its subcommand does not
+// read; the command exits 2 on it.
+type usageError struct{ msg string }
+
+func (e *usageError) Error() string { return e.msg }
+
+// subcommandFlags lists, per subcommand, the flags it reads. -metrics and
+// -pprof are read by every subcommand and are not listed.
+var subcommandFlags = map[string][]string{
+	"example":    nil,
+	"fig4":       {"seed", "iterations"},
+	"fig5":       {"seed", "iterations", "series"},
+	"fig6":       {"seed", "iterations"},
+	"rho":        {"seed", "iterations"},
+	"passes":     {"seed", "iterations"},
+	"policy":     {"seed", "iterations"},
+	"robustness": {"seed", "iterations"},
+	"scaling":    {"seed"},
+	"clustered":  {"seed", "iterations"},
+	"baseline":   {"seed", "iterations"},
+	"dynamics":   {"seed", "iterations"},
+	"export":     {"seed", "file"},
+	"replay":     {"file"},
+	"pareto":     {"seed"},
+	"gridsim":    {"seed", "shards"},
+	"chaos":      {"seed", "faults", "journal", "checkpoint-every", "shards"},
+	"recover":    {"seed", "journal", "checkpoint-every", "shards"},
+	"mc":         {"universe", "depth", "states", "mutation", "cex", "liveness"},
+	"help":       nil,
+}
+
+// checkFlags rejects a flag set on the command line that cmd does not read,
+// which would otherwise run the subcommand as if it had not been given. An
+// unknown subcommand is left to dispatch to report.
+func checkFlags(cmd string, fs *flag.FlagSet) error {
+	reads, known := subcommandFlags[cmd]
+	if !known {
+		return nil
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "metrics" && f.Name != "pprof" && !slices.Contains(reads, f.Name) {
+			err = &usageError{fmt.Sprintf("%s does not read -%s", cmd, f.Name)}
+		}
+	})
+	return err
 }
 
 func run(args []string) error {
@@ -56,6 +110,9 @@ func run(args []string) error {
 	// otherwise hide every flag after it.
 	if fs.NArg() > 0 {
 		return fmt.Errorf("%s: unexpected argument %q (flags go after the subcommand, and no subcommand takes positional arguments)", cmd, fs.Arg(0))
+	}
+	if err := checkFlags(cmd, fs); err != nil {
+		return err
 	}
 	if *series < 0 {
 		return fmt.Errorf("-series %d: must not be negative", *series)
@@ -256,7 +313,8 @@ subcommands:
   recover   rebuild a crashed chaos session from its journal (-journal PATH)
   mc        bounded exhaustive model checker for the schedule/commit protocol
 
-flags (per subcommand): -seed N -iterations N -series N -file PATH
+flags (a flag the subcommand does not read is an error, exit 2):
+                        -seed N -iterations N -series N (fig5) -file PATH (export, replay)
                         -shards K     (federate the grid into K sharded domains; identical results)
                         -metrics PATH (snapshot after the run; "-" = stdout, .json = JSON)
                         -pprof ADDR   (serve net/http/pprof while running)

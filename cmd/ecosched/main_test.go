@@ -3,8 +3,11 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -302,5 +305,50 @@ func TestErrorPaths(t *testing.T) {
 		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: got %v, want an error containing %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestUnreadFlagsRejected walks every subcommand: each flag it does not read
+// is rejected as a usage error (exit 2) naming the flag, before the
+// subcommand runs, and each flag it does read, -metrics and -pprof included,
+// passes the check.
+func TestUnreadFlagsRejected(t *testing.T) {
+	values := map[string]string{
+		"seed": "1", "iterations": "50", "series": "10", "file": "x.json", "shards": "2",
+		"faults": "fail@300:cpu3", "journal": "j", "checkpoint-every": "2", "universe": "tiny",
+		"depth": "4", "states": "100", "mutation": "none", "cex": "c.txt", "liveness": "false",
+		"metrics": "-", "pprof": "localhost:0",
+	}
+	for cmd, reads := range subcommandFlags {
+		for name, value := range values {
+			args := []string{cmd, "-" + name + "=" + value}
+			read := name == "metrics" || name == "pprof" || slices.Contains(reads, name)
+			fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+			for n := range values {
+				fs.String(n, "", "")
+			}
+			if err := fs.Parse(args[1:]); err != nil {
+				t.Fatal(err)
+			}
+			err := checkFlags(cmd, fs)
+			if read {
+				if err != nil {
+					t.Errorf("%v: %v, want the flag accepted", args, err)
+				}
+				continue
+			}
+			var ue *usageError
+			if !errors.As(err, &ue) || !strings.Contains(err.Error(), "-"+name) {
+				t.Errorf("%v: got %v, want a usage error naming -%s", args, err, name)
+			}
+			// The full command line fails the same way, before anything runs.
+			if err := run(args); !errors.As(err, &ue) {
+				t.Errorf("run %v: got %v, want a usage error", args, err)
+			}
+		}
+	}
+	// The 19 subcommands usage lists, plus help.
+	if len(subcommandFlags) != 20 {
+		t.Fatalf("subcommandFlags lists %d subcommands, want all 20", len(subcommandFlags))
 	}
 }

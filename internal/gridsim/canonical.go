@@ -46,6 +46,7 @@ func (g *Grid) CanonicalState(b *strings.Builder) {
 // flag them. Production code must only ever book through Book or Commit.
 func (g *Grid) ForceBook(t Task) {
 	g.booked[t.Node] = append(g.booked[t.Node], t)
+	g.jobBooked(t)
 	g.epoch++
 }
 

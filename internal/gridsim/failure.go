@@ -42,6 +42,7 @@ func (g *Grid) FailNode(id resource.NodeID, at sim.Time) ([]Task, error) {
 		if !t.Local && t.Span.End > at {
 			cancelled = append(cancelled, t)
 			g.income[node.Domain] -= t.charged
+			g.jobUnbooked(t)
 			continue
 		}
 		kept = append(kept, t)
@@ -73,18 +74,29 @@ func (g *Grid) FailedNodes() []resource.NodeID {
 // placement (e.g. to a node failure) must release its surviving placements
 // too — tasks start synchronously, so a partial window is worthless.
 //
+// Only the job's own nodes are visited, read from the job→nodes index.
 // Reservations are removed one at a time, with the store restore applied
 // after each removal, so the restore's neighbor derivation always runs
 // against a booking list the store is coherent with — required when a job
-// holds adjacent reservations on one node. Nodes are visited in pool order:
-// the final booked set depends only on the set removed, but the store's
-// bucket writes (and their slots_moved metric), the order of the refunds
-// within a domain's float income, and the returned order all follow the
-// visiting order, which must not be Go's randomized map order.
+// holds adjacent reservations on one node. Nodes are visited in pool (ID)
+// order: the final booked set depends only on the set removed, but the
+// store's bucket writes (and their slots_moved metric), the order of the
+// refunds within a domain's float income, and the returned order all follow
+// the visiting order, which must not be Go's randomized map order.
 func (g *Grid) CancelJob(name string) []Task {
 	var out []Task
-	for _, node := range g.pool.Nodes() {
-		id := node.ID
+	// The index shrinks as the loop cancels; walk a copy of its nodes.
+	var ids []resource.NodeID
+	for _, id := range g.jobNodes[name] {
+		if len(ids) == 0 || ids[len(ids)-1] != id {
+			ids = append(ids, id)
+		}
+	}
+	for _, id := range ids {
+		node := g.pool.Node(id)
+		if node == nil {
+			continue // ForceBook surgery on a node the pool does not have
+		}
 		list := g.booked[id]
 		for i := 0; i < len(list); {
 			t := list[i]
@@ -93,6 +105,7 @@ func (g *Grid) CancelJob(name string) []Task {
 				g.income[node.Domain] -= t.charged
 				list = append(list[:i], list[i+1:]...)
 				g.booked[id] = list
+				g.jobUnbooked(t)
 				g.storeUnbook(node, t.Span)
 				g.epoch++
 				continue
@@ -157,6 +170,7 @@ func (g *Grid) RevokeInterval(id resource.NodeID, span sim.Interval) ([]Task, er
 			g.income[node.Domain] -= t.charged
 			list = append(list[:i], list[i+1:]...)
 			g.booked[id] = list
+			g.jobUnbooked(t)
 			g.storeUnbook(node, t.Span)
 			g.epoch++
 			continue

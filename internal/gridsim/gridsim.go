@@ -13,6 +13,7 @@ package gridsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ecosched/internal/resource"
@@ -44,7 +45,11 @@ type Grid struct {
 	pool *resource.Pool
 	// booked holds, per node, the sorted non-overlapping busy intervals.
 	booked map[resource.NodeID][]Task
-	now    sim.Time
+	// jobNodes is derived from booked and never persisted: per job name, the
+	// node of each of its live VO bookings, in ascending ID order (a node
+	// appears once per booking), so CancelJob visits the job's nodes only.
+	jobNodes map[string][]resource.NodeID
+	now      sim.Time
 	// failed records nodes that stopped serving, with the failure time.
 	failed map[resource.NodeID]sim.Time
 	// income is the persistent per-domain ledger of reservation fees:
@@ -79,9 +84,10 @@ func New(pool *resource.Pool) (*Grid, error) {
 		return nil, fmt.Errorf("gridsim: empty node pool")
 	}
 	return &Grid{
-		pool:   pool,
-		booked: make(map[resource.NodeID][]Task),
-		income: make(map[string]sim.Money),
+		pool:     pool,
+		booked:   make(map[resource.NodeID][]Task),
+		jobNodes: make(map[string][]resource.NodeID),
+		income:   make(map[string]sim.Money),
 	}, nil
 }
 
@@ -131,6 +137,7 @@ func (g *Grid) Book(t Task) error {
 	copy(list[i+1:], list[i:])
 	list[i] = t
 	g.booked[t.Node] = list
+	g.jobBooked(t)
 	g.storeBook(node, list, i)
 	g.epoch++
 	return nil
@@ -211,6 +218,7 @@ func (g *Grid) remove(t Task) {
 	for i, b := range list {
 		if b.Name == t.Name && b.Span == t.Span && b.Local == t.Local {
 			g.booked[t.Node] = append(list[:i], list[i+1:]...)
+			g.jobUnbooked(t)
 			g.storeUnbook(g.pool.Node(t.Node), t.Span)
 			g.epoch++
 			return
@@ -220,24 +228,57 @@ func (g *Grid) remove(t Task) {
 
 // Advance moves the grid clock forward and drops bookings that ended at or
 // before the new time. Bookings straddling the new time are kept (their
-// remaining part still occupies the node).
+// remaining part still occupies the node). A node's bookings are sorted and
+// disjoint, so their ends increase along the list and the expired ones are
+// its prefix: each node with one drops it in one copy, and a node with none
+// is not written.
 func (g *Grid) Advance(to sim.Time) error {
 	if to < g.now {
 		return fmt.Errorf("gridsim: cannot advance backwards from %v to %v", g.now, to)
 	}
 	g.now = to
 	for id, list := range g.booked {
-		kept := list[:0]
-		for _, t := range list {
-			if t.Span.End > to {
-				kept = append(kept, t)
-			}
+		k := 0
+		for k < len(list) && list[k].Span.End <= to {
+			g.jobUnbooked(list[k])
+			k++
 		}
-		g.booked[id] = kept
+		if k > 0 {
+			g.booked[id] = append(list[:0], list[k:]...)
+		}
 	}
 	g.storeAdvance(to)
 	g.epoch++
 	return nil
+}
+
+// jobBooked records a new booking in the job→nodes index; local tasks are
+// not indexed.
+func (g *Grid) jobBooked(t Task) {
+	if t.Local {
+		return
+	}
+	ids := g.jobNodes[t.Name]
+	i := sort.Search(len(ids), func(k int) bool { return ids[k] > t.Node })
+	g.jobNodes[t.Name] = slices.Insert(ids, i, t.Node)
+}
+
+// jobUnbooked removes a booking that just left booked from the job→nodes
+// index: one entry of its node, and the job's key along with its last entry.
+func (g *Grid) jobUnbooked(t Task) {
+	if t.Local {
+		return
+	}
+	ids := g.jobNodes[t.Name]
+	i := slices.Index(ids, t.Node)
+	if i < 0 {
+		return
+	}
+	if len(ids) == 1 {
+		delete(g.jobNodes, t.Name)
+		return
+	}
+	g.jobNodes[t.Name] = slices.Delete(ids, i, i+1)
 }
 
 // OwnerIncome returns the per-domain ledger of committed reservation fees —

@@ -2,6 +2,7 @@ package gridsim
 
 import (
 	"fmt"
+	"strconv"
 
 	"ecosched/internal/sim"
 )
@@ -42,6 +43,7 @@ func (g *Grid) Populate(load LocalLoad, from, to sim.Time, rng *sim.RNG) error {
 	if to <= from {
 		return fmt.Errorf("gridsim: populate range [%v, %v) empty", from, to)
 	}
+	var name []byte
 	for _, n := range g.pool.Nodes() {
 		cursor := from
 		k := 0
@@ -57,8 +59,10 @@ func (g *Grid) Populate(load LocalLoad, from, to sim.Time, rng *sim.RNG) error {
 				end = to
 			}
 			k++
+			name = append(strconv.AppendInt(append(name[:0], 'p'), int64(n.ID), 10), '-')
+			name = strconv.AppendInt(name, int64(k), 10)
 			task := Task{
-				Name:  fmt.Sprintf("p%d-%d", n.ID, k),
+				Name:  string(name),
 				Node:  n.ID,
 				Span:  sim.Interval{Start: start, End: end},
 				Local: true,

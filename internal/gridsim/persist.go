@@ -94,7 +94,8 @@ func (g *Grid) ExportState() *GridState {
 // overwritten wholesale; the pool, sharding assignment, metrics binding, and
 // oracle knob survive (they are configuration, reproduced by the caller's
 // factory, not state). The live vacant stores are dropped — the next
-// publication lazily rebuilds them from the restored bookings. Restoring
+// publication lazily rebuilds them from the restored bookings — and the
+// job→nodes index is rebuilt from them. Restoring
 // counts as one mutation for the epoch.
 //
 // Every task is re-validated structurally (known node, non-empty valid
@@ -105,17 +106,9 @@ func (g *Grid) RestoreState(st *GridState) error {
 	if st == nil {
 		return fmt.Errorf("gridsim: nil grid state")
 	}
-	// One label lookup per task: the first node with a label wins, as in
-	// Pool.ByName.
-	byLabel := make(map[string]*resource.Node, g.pool.Size())
-	for _, n := range g.pool.Nodes() {
-		if l := n.Label(); byLabel[l] == nil {
-			byLabel[l] = n
-		}
-	}
 	booked := make(map[resource.NodeID][]Task)
 	for _, ts := range st.Tasks {
-		n := byLabel[ts.Node]
+		n := g.pool.ByName(ts.Node)
 		if n == nil {
 			return fmt.Errorf("gridsim: restore: task %s references unknown node %q", ts.Name, ts.Node)
 		}
@@ -143,7 +136,7 @@ func (g *Grid) RestoreState(st *GridState) error {
 	}
 	failed := make(map[resource.NodeID]sim.Time)
 	for _, f := range st.Failed {
-		n := byLabel[f.Node]
+		n := g.pool.ByName(f.Node)
 		if n == nil {
 			return fmt.Errorf("gridsim: restore: failure mark references unknown node %q", f.Node)
 		}
@@ -153,8 +146,17 @@ func (g *Grid) RestoreState(st *GridState) error {
 	for _, in := range st.Income {
 		income[in.Domain] = in.Amount
 	}
+	jobNodes := make(map[string][]resource.NodeID)
+	for _, n := range g.pool.Nodes() {
+		for _, t := range booked[n.ID] {
+			if !t.Local {
+				jobNodes[t.Name] = append(jobNodes[t.Name], n.ID)
+			}
+		}
+	}
 	g.now = st.Now
 	g.booked = booked
+	g.jobNodes = jobNodes
 	if len(failed) > 0 {
 		g.failed = failed
 	} else {

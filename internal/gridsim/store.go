@@ -414,8 +414,9 @@ func (g *Grid) VacantView(horizon sim.Time) (*slot.List, *slot.Index, error) {
 // clone of that shard's live store — no walk, no sort, no slot copied: view
 // and store share every bucket until one of them writes to it, and that write
 // copies the one bucket. The caller owns the views outright (the search
-// subtracts found windows from them without ever touching the store), and
-// merging them in canonical order reproduces VacantSlots byte for byte.
+// subtracts found windows from them without ever touching the store) and,
+// once done, hands them back through ReleaseViews; merging them in canonical
+// order reproduces VacantSlots byte for byte.
 func (g *Grid) ShardViews(horizon sim.Time) ([]*slot.Index, error) {
 	if horizon <= g.now {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
@@ -427,6 +428,21 @@ func (g *Grid) ShardViews(horizon sim.Time) ([]*slot.Index, error) {
 	}
 	g.metrics.storeSnapshot()
 	return views, nil
+}
+
+// ReleaseViews hands a publication's views back to the live stores once the
+// caller is done with them (slot.Index.Release): the buckets each store
+// shares with its own view alone become the store's again, so the next
+// round's writes to them copy nothing. views[i] goes back to stores[i]; a
+// view whose store has since been rebuilt or cloned again is only emptied,
+// and a view with no store left to return to is dropped as it is. The views
+// are unusable afterwards.
+func (g *Grid) ReleaseViews(views []*slot.Index) {
+	for i, v := range views {
+		if i < len(g.stores) && g.stores[i] != nil {
+			g.stores[i].ix.Release(v)
+		}
+	}
 }
 
 // mergedStoreList copies the shard stores out into the global canonical list

@@ -178,3 +178,110 @@ func TestServiceMetricsNeutralityAndAccounting(t *testing.T) {
 		t.Errorf("windows_stale_total = %d, want 0 on an undisturbed run", n)
 	}
 }
+
+// TestStoreSteadyStateCopiesNothing pins what handing the search's views
+// back buys: on a 200-node, 4-shard session shaped like the churn benchmark
+// (≈ 20 000 vacant slots), whose every round commits windows and is followed
+// by a node failure (on a node holding a fresh reservation), the previous
+// failure's recovery and revocations of other fresh reservations, the live
+// store copies no bucket after its first round. Every store write
+// between publications — the events' cancellations, drops and restores,
+// local arrivals, the clock trim and the horizon extension — lands in a
+// bucket the store owns again. The counter is exact, so this holds on any
+// machine.
+func TestStoreSteadyStateCopiesNothing(t *testing.T) {
+	rng := sim.NewRNG(33)
+	pricing := resource.PaperPricing()
+	nodes := make([]*resource.Node, 0, 200)
+	for i := 0; i < 200; i++ {
+		perf := rng.FloatBetween(1, 3)
+		nodes = append(nodes, &resource.Node{
+			Name:        fmt.Sprintf("n%d", i+1),
+			Performance: perf,
+			Price:       pricing.Sample(rng, perf),
+			Domain:      fmt.Sprintf("d%d", i%8),
+		})
+	}
+	pool := resource.MustNewPool(nodes)
+	grid, err := gridsim.New(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	sched, err := metasched.New(metasched.Config{
+		Algorithm:        alloc.AMP{},
+		Policy:           metasched.MinimizeTime,
+		Horizon:          6000,
+		Step:             25,
+		MaxBatch:         8,
+		MaxPostponements: 4,
+		Shards:           4,
+		Search:           alloc.SearchOptions{MaxAlternativesPerJob: 10},
+		Metrics:          reg,
+		LocalArrivals: &metasched.LocalArrivals{
+			Load: gridsim.LocalLoad{MeanGap: 30, DurMin: 20, DurMax: 40},
+			RNG:  rng.Split(),
+		},
+	}, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := service(t, sched)
+
+	var copies int64
+	failed := ""
+	for round := 1; round <= 12; round++ {
+		for i := 0; i < 4; i++ {
+			if err := svc.Submit(&job.Job{
+				Name:     fmt.Sprintf("r%d-j%d", round, i),
+				Priority: round*10 + i,
+				Request: job.ResourceRequest{
+					Nodes:          rng.IntBetween(1, 4),
+					Time:           sim.Duration(rng.IntBetween(30, 90)),
+					MinPerformance: rng.FloatBetween(1, 1.8),
+					MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.4)),
+				},
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rep, err := svc.Tick()
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if len(rep.Placed) < 2 {
+			t.Fatalf("round %d placed %d jobs; the session must commit every round", round, len(rep.Placed))
+		}
+		if failed != "" {
+			if err := svc.HandleNodeRecovery(failed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		failed = rep.Placed[0].Window.Window.Placements[0].Source.Node.Label()
+		if _, err := svc.HandleNodeFailure(failed); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range rep.Placed[1:] {
+			victim := p.Window.Window.Placements[0]
+			if _, err := svc.HandleRevocation(victim.Source.Node.Label(), victim.Used); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := grid.VacantStoreCoherent(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		snap := reg.Snapshot()
+		now := snap.Counter("gridsim/store/index/bucket_copies_total")
+		if round > 1 && now != copies {
+			t.Errorf("round %d: the live store copied %d buckets, want 0 after round 1", round, now-copies)
+		}
+		copies = now
+	}
+	snap := reg.Snapshot()
+	for _, c := range []string{"gridsim/failures_injected_total", "gridsim/fault/node_recoveries_total",
+		"gridsim/fault/revoked_reservations_total", "gridsim/reservations_cancelled_total"} {
+		if snap.Counter(c) == 0 {
+			t.Errorf("%s = 0: the session did not exercise the path it pins", c)
+		}
+	}
+}

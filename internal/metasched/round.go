@@ -129,6 +129,9 @@ func (r *Round) Evaluate() error {
 	s.metrics.published(vacantLen)
 	s.cfg.Trace.Record(trace.SearchStarted, "", "%s over %d slots for %d jobs", s.cfg.Algorithm.Name(), vacantLen, batch.Len())
 	search, err := shard.Search(s.cfg.Algorithm, s.part, views, batch, s.cfg.Search, s.shardMetrics)
+	// The windows hold their slots by value: the views go back to the stores
+	// now, so the stores' next writes land in buckets they own again.
+	s.grid.ReleaseViews(views)
 	if err != nil {
 		return err
 	}

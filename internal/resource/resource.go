@@ -96,6 +96,8 @@ func (n *Node) String() string {
 // pointer comparisons.
 type Pool struct {
 	nodes []*Node
+	// byLabel maps each label to its node's index in nodes.
+	byLabel map[string]int
 }
 
 // NewPool builds a pool from the given nodes, assigning sequential IDs when
@@ -103,8 +105,7 @@ type Pool struct {
 // with one label, since fault plans, journals and checkpoints address nodes
 // by label through ByName.
 func NewPool(nodes []*Node) (*Pool, error) {
-	p := &Pool{nodes: make([]*Node, 0, len(nodes))}
-	seen := make(map[string]int, len(nodes))
+	p := &Pool{nodes: make([]*Node, 0, len(nodes)), byLabel: make(map[string]int, len(nodes))}
 	for i, n := range nodes {
 		if n == nil {
 			return nil, fmt.Errorf("resource: nil node at index %d", i)
@@ -114,10 +115,10 @@ func NewPool(nodes []*Node) (*Pool, error) {
 		}
 		n.ID = NodeID(i)
 		label := n.Label()
-		if first, dup := seen[label]; dup {
+		if first, dup := p.byLabel[label]; dup {
 			return nil, fmt.Errorf("resource: nodes %d and %d share the label %q", first, i, label)
 		}
-		seen[label] = i
+		p.byLabel[label] = i
 		p.nodes = append(p.nodes, n)
 	}
 	return p, nil
@@ -150,12 +151,11 @@ func (p *Pool) Nodes() []*Node { return p.nodes }
 
 // ByName returns the node with the given display name, or nil.
 func (p *Pool) ByName(name string) *Node {
-	for _, n := range p.nodes {
-		if n.Label() == name {
-			return n
-		}
+	i, ok := p.byLabel[name]
+	if !ok {
+		return nil
 	}
-	return nil
+	return p.nodes[i]
 }
 
 // Domains returns the distinct domain names present in the pool, sorted.

@@ -272,3 +272,146 @@ func TestOrderInvariantIsTheFullOrder(t *testing.T) {
 		t.Error("CheckInvariants accepts bucket lengths that do not sum to Len()")
 	}
 }
+
+// TestReleaseHandsBucketsBack pins the release contract by its bucket-copy
+// count on a 100 000-slot index: after a view is released, the origin writes
+// every bucket in place, including those it had not written since the view
+// was published; while the view is held, its first write to each copies it.
+func TestReleaseHandsBucketsBack(t *testing.T) {
+	list, _ := wideList(100_000)
+	m := NewIndexMetrics(metrics.New(), "origin/")
+	ix := NewIndex(list, m)
+	model := listModel(slices.Clone(list.Slots()))
+	copies := func(op func()) int64 {
+		before := m.BucketCopies.Value()
+		op()
+		return m.BucketCopies.Value() - before
+	}
+	// writeAll cuts the tail off one slot in the middle of each of n spread
+	// buckets of the origin; the remainder keeps the slot's place.
+	writeAll := func(n int) {
+		for k := 0; k < n; k++ {
+			s := ix.At((2*k+1)*DefaultBucketSize + DefaultBucketSize/2)
+			used := sim.Interval{Start: s.Start().Add(s.Length() / 2), End: s.End()}
+			if err := ix.SubtractInterval(s, used); err != nil {
+				t.Fatal(err)
+			}
+			model = model.subtract(s, used)
+		}
+	}
+
+	view := ix.Clone(nil)
+	if n := copies(func() { writeAll(3) }); n != 3 {
+		t.Fatalf("held view: 3 first writes copied %d buckets, want 3", n)
+	}
+	ix.Release(view)
+	if n := copies(func() { writeAll(40) }); n != 0 {
+		t.Errorf("after release: 40 writes copied %d buckets, want 0", n)
+	}
+	// The next publication shares everything again, and a second release
+	// gives it all back again.
+	view = ix.Clone(nil)
+	if n := copies(func() { writeAll(2) }); n != 2 {
+		t.Errorf("second view held: 2 first writes copied %d buckets, want 2", n)
+	}
+	ix.Release(view)
+	if n := copies(func() { writeAll(40) }); n != 0 {
+		t.Errorf("after second release: 40 writes copied %d buckets, want 0", n)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !model.matches(ix) {
+		t.Fatal("origin diverged from its model across releases")
+	}
+}
+
+// TestReleaseIsANoOpAfterAClone covers the two cases in which Release must
+// stamp nothing, because a third index may hold the buckets the view shares:
+// the origin was cloned again after the view's publication, or the view
+// itself was cloned. In both the origin's next writes copy as if the view
+// were still held, and the third index keeps reading its own state.
+func TestReleaseIsANoOpAfterAClone(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		third func(origin, view *Index) *Index
+	}{
+		{"origin cloned since", func(origin, _ *Index) *Index { return origin.Clone(nil) }},
+		{"view cloned since", func(_, view *Index) *Index { return view.Clone(nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			list, _ := wideList(20_000)
+			m := NewIndexMetrics(metrics.New(), "origin/")
+			ix := NewIndex(list, m)
+			model := listModel(slices.Clone(list.Slots()))
+			view := ix.Clone(nil)
+			third := tc.third(ix, view)
+			thirdModel := model.clone()
+			ix.Release(view)
+
+			before := m.BucketCopies.Value()
+			for k := 0; k < 20; k++ {
+				s := ix.At(k*DefaultBucketSize*3 + DefaultBucketSize/2)
+				used := sim.Interval{Start: s.Start() + 1, End: s.End()}
+				if err := ix.SubtractInterval(s, used); err != nil {
+					t.Fatal(err)
+				}
+				model = model.subtract(s, used)
+			}
+			if n := m.BucketCopies.Value() - before; n != 20 {
+				t.Errorf("20 first writes after a refused release copied %d buckets, want 20", n)
+			}
+			for _, mb := range []struct {
+				name  string
+				ix    *Index
+				model listModel
+			}{{"origin", ix, model}, {"third", third, thirdModel}} {
+				if err := mb.ix.CheckInvariants(); err != nil {
+					t.Fatalf("%s: %v", mb.name, err)
+				}
+				if !mb.model.matches(mb.ix) {
+					t.Fatalf("%s diverged from its model", mb.name)
+				}
+			}
+		})
+	}
+}
+
+// TestReleasedIndexFailsLoudly checks that a released view is emptied so
+// that reading, writing, cloning or releasing it again panics, and that its
+// invariant check reports it, instead of answering from buckets that went
+// back to the store.
+func TestReleasedIndexFailsLoudly(t *testing.T) {
+	list, nodes := wideList(2_000)
+	ix := NewIndex(list, nil)
+	view := ix.Clone(nil)
+	ix.Release(view)
+	if err := view.CheckInvariants(); err == nil {
+		t.Error("CheckInvariants accepts a released index")
+	}
+	for name, use := range map[string]func(){
+		"Len":         func() { view.Len() },
+		"At":          func() { view.At(0) },
+		"Scan":        func() { view.Scan(Filter{}, 10, nil, func(int, Slot) bool { return true }) },
+		"Insert":      func() { view.Insert(New(nodes[0], 5, 9)) },
+		"Subtract":    func() { _ = view.SubtractInterval(list.At(0), list.At(0).Span) },
+		"RankAtOrAft": func() { view.RankAtOrAfter(0) },
+		"DropNode":    func() { view.DropNode(nodes[0]) },
+		"TrimBefore":  func() { view.TrimBefore(100) },
+		"Clone":       func() { view.Clone(nil) },
+		"Release":     func() { ix.Release(view) },
+		"into itself": func() { ix.Release(ix) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s on a released index did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+	if err := ix.CheckInvariants(); err != nil || ix.Len() != list.Len() {
+		t.Fatalf("origin after release: Len %d (want %d), %v", ix.Len(), list.Len(), err)
+	}
+}

@@ -66,8 +66,10 @@ type Index struct {
 	target  int
 	buckets []*bucket
 	n       int
-	own     *owner
-	m       *IndexMetrics
+	// own is the write token; nil once the index is released (Release).
+	own *owner
+	pub publication
+	m   *IndexMetrics
 	// scratch serves the selective scan path; grown, counts and spare serve
 	// Extend.
 	scratch []int32
@@ -276,17 +278,30 @@ func (ix *Index) find(s Slot) (pos, off int, ok bool) {
 }
 
 // Len returns the number of slots held.
-func (ix *Index) Len() int { return ix.n }
+func (ix *Index) Len() int {
+	ix.live()
+	return ix.n
+}
+
+// live panics on an index given back by Release: its slots went back to the
+// store it was cloned from, so any answer it gave now would be a wrong one.
+func (ix *Index) live() {
+	if ix.own == nil {
+		panic("slot: index used after Release")
+	}
+}
 
 // At returns the slot at rank i — a walk over the bucket lengths; iterate
 // with Each or Scan instead of calling it in a loop.
 func (ix *Index) At(i int) Slot {
+	ix.live()
 	pos, off := ix.locate(i)
 	return ix.buckets[pos].slots[off]
 }
 
 // Each visits every slot in rank order until fn returns false.
 func (ix *Index) Each(fn func(rank int, s Slot) bool) {
+	ix.live()
 	rank := 0
 	for _, b := range ix.buckets {
 		for _, s := range b.slots {
@@ -301,6 +316,7 @@ func (ix *Index) Each(fn func(rank int, s Slot) bool) {
 // List copies the held slots out into a fresh canonical List — O(n); no
 // search or store path calls it per operation.
 func (ix *Index) List() *List {
+	ix.live()
 	l := &List{slots: make([]Slot, 0, ix.n)}
 	for _, b := range ix.buckets {
 		l.slots = append(l.slots, b.slots...)
@@ -311,6 +327,7 @@ func (ix *Index) List() *List {
 // Insert adds a slot after every slot that orders before or ties with it.
 // Empty slots are ignored, as with List.Insert.
 func (ix *Index) Insert(s Slot) {
+	ix.live()
 	if s.Empty() {
 		return
 	}
@@ -362,6 +379,7 @@ func (ix *Index) removeFrom(pos, off int) {
 // and K2 = [used.end, K.end) per Fig. 1b. It returns an error when target is
 // not present or used is not contained in target's span.
 func (ix *Index) SubtractInterval(target Slot, used sim.Interval) error {
+	ix.live()
 	pos, off, ok := ix.find(target)
 	if !ok {
 		return fmt.Errorf("slot: subtract: slot %v not found in list", target)
@@ -383,6 +401,7 @@ func (ix *Index) SubtractInterval(target Slot, used sim.Interval) error {
 // Len() when every slot starts earlier. With starts non-decreasing this is
 // the exact point a deadline-bounded linear scan stops at.
 func (ix *Index) RankAtOrAfter(t sim.Time) int {
+	ix.live()
 	return ix.rank(ix.seek(func(c Slot) bool { return c.Start() >= t }))
 }
 
@@ -391,6 +410,7 @@ func (ix *Index) RankAtOrAfter(t sim.Time) int {
 // partition of one list it is the slot's rank in the original (slots on
 // distinct nodes never compare equal, so the parts are mutually tie-free).
 func (ix *Index) CountLess(s Slot) int {
+	ix.live()
 	return ix.rank(ix.seek(func(c Slot) bool { return !less(c, s) }))
 }
 
@@ -447,6 +467,7 @@ func (ix *Index) Scan(f Filter, limit int, probe *ScanStats, fn func(rank int, s
 // slots at most once overall. The sharded search's per-shard candidate
 // cursors are that caller.
 func (ix *Index) ScanFrom(f Filter, from, limit int, probe *ScanStats, fn func(rank int, s Slot) bool) {
+	ix.live()
 	if limit > ix.n {
 		limit = ix.n
 	}
@@ -540,6 +561,9 @@ func (ix *Index) ScanFrom(f Filter, from, limit int, probe *ScanStats, fn func(r
 // a correctly ordered permutation of its bucket. The fuzz and model suites
 // call it after every mutation.
 func (ix *Index) CheckInvariants() error {
+	if ix.own == nil {
+		return fmt.Errorf("slot: index used after Release")
+	}
 	total := 0
 	var prev Slot
 	var fresh Index // uninstrumented, owns nothing
@@ -587,16 +611,53 @@ func (ix *Index) SetMetrics(m *IndexMetrics) { ix.m = m }
 // on. Whichever side first writes to one copies it (that bucket, never the
 // store), so either may mutate afterwards without affecting the other. m is
 // the clone's metrics sink (nil disables instrumentation); cloning itself
-// records nothing, in particular no rebuild.
+// records nothing, in particular no rebuild. A clone the caller is done with
+// goes back through Release.
 func (ix *Index) Clone(m *IndexMetrics) *Index {
+	ix.live()
+	shared := ix.own
 	ix.own = new(owner)
-	return &Index{
+	c := &Index{
 		target:  ix.target,
 		buckets: append(make([]*bucket, 0, len(ix.buckets)+1), ix.buckets...),
 		n:       ix.n,
 		own:     new(owner),
 		m:       m,
 	}
+	c.pub = publication{origin: ix.own, view: c.own, shared: shared}
+	return c
+}
+
+// publication records the tokens of one Clone: the fresh tokens of the
+// origin and of the clone, and shared, the origin's token just before. A
+// bucket stamped shared is one the origin owned at that Clone. No index
+// cloned earlier holds it, so the origin and this clone are its only holders
+// for as long as neither is cloned again — which the two fresh tokens tell.
+type publication struct {
+	origin, view, shared *owner
+}
+
+// Release takes back a clone of ix once its holder is done with it: the
+// buckets ix shares with view alone are stamped ix's own again, so ix's next
+// writes to them copy nothing. The rule is conservative: if either side was
+// cloned since view's publication (that later clone may hold the same
+// buckets) or view is not a clone of ix, nothing is stamped and per-bucket
+// copy-on-write runs as without the release. Either way view is emptied:
+// any later use of it panics.
+func (ix *Index) Release(view *Index) {
+	ix.live()
+	view.live()
+	if view == ix {
+		panic("slot: index released into itself")
+	}
+	if p := view.pub; p.origin == ix.own && p.view == view.own {
+		for _, b := range ix.buckets {
+			if b.owner == p.shared {
+				b.owner = ix.own
+			}
+		}
+	}
+	*view = Index{}
 }
 
 // RemoveExact deletes the slot equal to s (same node, same span), reporting
@@ -604,6 +665,7 @@ func (ix *Index) Clone(m *IndexMetrics) *Index {
 // callers that know a slot's exact identity (the grid's live store derives it
 // from the booking neighbors) remove it in O(log n) instead of scanning.
 func (ix *Index) RemoveExact(s Slot) bool {
+	ix.live()
 	pos, off, ok := ix.find(s)
 	if ok {
 		ix.removeFrom(pos, off)
@@ -617,6 +679,7 @@ func (ix *Index) RemoveExact(s Slot) bool {
 // that the sweep beats carrying a per-node structure everywhere else — and
 // writes only the buckets that hold one of the node's slots.
 func (ix *Index) DropNode(node *resource.Node) int {
+	ix.live()
 	removed := 0
 	for pos := len(ix.buckets) - 1; pos >= 0; pos-- {
 		// A removal may replace the bucket by its copy, or drop it with its
@@ -645,6 +708,7 @@ func (ix *Index) DropNode(node *resource.Node) int {
 // prefix slot starts exactly at t, so (node, end) ordering within the merged
 // front block reproduces what a full NewList sort would produce.
 func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
+	ix.live()
 	if ix.n == 0 || ix.buckets[0].slots[0].Start() >= t {
 		return 0, 0
 	}
@@ -719,6 +783,7 @@ type growAt struct {
 // or two that tie in the canonical order; or a run that does not start
 // strictly after the last held slot.
 func (ix *Index) Extend(grows []Grow, run []Slot) error {
+	ix.live()
 	locs := ix.grown[:0]
 	for _, g := range grows {
 		pos, off, ok := ix.find(g.Slot)

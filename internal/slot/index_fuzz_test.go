@@ -8,8 +8,8 @@ import (
 )
 
 // FuzzSlotIndex drives raw fuzz bytes as an operation stream — insert,
-// remove, subtract, trim, node drop, exact removal, clone, horizon extension,
-// query — against an Index and the naive slice model, asserting after every
+// remove, subtract, trim, node drop, exact removal, clone, release, horizon
+// extension, query — against an Index and the naive slice model, asserting after every
 // mutation that the index matches the model element for element, the bucket
 // invariants hold (canonical order across bucket boundaries, aggregate
 // freshness, permutation membership — so no stale entries survive a
@@ -24,7 +24,10 @@ import (
 // ones. A retained clone is kept with the model frozen at its birth and must
 // equal it after every later operation; the stream can also swap the working
 // index with a retained one, so clones are mutated after their origin,
-// origins after their clones, and clones are cloned again.
+// origins after their clones, and clones are cloned again. The stream can
+// also hand a retained clone back to the working index (Release, op 26): the
+// working index goes on mutating buckets it may have taken back, and every
+// other retained clone must still equal its model.
 func FuzzSlotIndex(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 10, 0, 200, 1, 30, 7, 0, 8, 2, 5, 1})
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 6, 0, 7, 1, 9, 9})
@@ -33,6 +36,8 @@ func FuzzSlotIndex(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 0, 41, 20, 0, 11, 1, 22, 0, 13, 30, 20, 0, 15, 3, 22, 1, 0, 12, 22, 0, 8, 0})
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 21, 0, 22, 0, 21, 0, 16, 1, 22, 1, 14, 9, 23, 0, 0, 7})
 	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 24, 3, 21, 0, 24, 8, 25, 1, 25, 2, 14, 40, 24, 5, 22, 0, 24, 9})
+	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 21, 0, 0, 5, 21, 0, 0, 6, 26, 1, 0, 7, 12, 3, 16, 1, 26, 0, 0, 8, 14, 9})
+	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 21, 0, 0, 41, 26, 0, 12, 2, 16, 3, 21, 0, 22, 0, 26, 0, 0, 12, 24, 3})
 
 	f.Fuzz(func(t *testing.T, targetRaw uint8, ops []byte) {
 		target := 1 + int(targetRaw)%64
@@ -118,6 +123,10 @@ func FuzzSlotIndex(f *testing.F) {
 				mb := retained[int(arg)%len(retained)]
 				ix, mb.ix = mb.ix, ix
 				model, mb.model = mb.model, model
+			case op == 26 && len(retained) > 0: // hand a retained clone back
+				k := int(arg) % len(retained)
+				ix.Release(retained[k].ix)
+				retained = append(retained[:k], retained[k+1:]...)
 			case op == 24 || op == 25: // horizon extension; 25 always misuses it
 				seq := uint32(arg)*2654435761 + uint32(i)
 				draw := func(n int) int {

@@ -256,6 +256,8 @@ type cowMember struct {
 	ix    *Index
 	model listModel
 	born  int
+	// parent is the member this one was cloned from (nil for an origin).
+	parent *cowMember
 }
 
 // mutateMember applies one random mutation of the full Index surface to the
@@ -309,7 +311,8 @@ func mutateMember(t *testing.T, label string, rng *sim.RNG, nodes []*resource.No
 
 // TestIndexModelCOW is the copy-on-write contract stated as a refinement of
 // value semantics: a family of indexes grows by Clone — of the origin, of
-// clones, of clones of clones — and every step mutates a random member
+// clones, of clones of clones — and shrinks by Release of a member into the
+// index it was cloned from, and every other step mutates a random member
 // through the full surface (Insert, RemoveExact, SubtractInterval, DropNode,
 // TrimBefore, and Extend both accepted and refused). After every step every
 // member, written or not, must equal its own eagerly-copied model and hold
@@ -328,10 +331,17 @@ func TestIndexModelCOW(t *testing.T) {
 			}
 			for step := 0; step < 160; step++ {
 				label := fmt.Sprintf("target %d seed %d step %d", target, seed, step)
-				mb := family[rng.IntN(len(family))]
-				if rng.IntN(5) == 0 && len(family) < 8 {
-					family = append(family, &cowMember{ix: mb.ix.Clone(nil), model: mb.model.clone(), born: step})
-				} else {
+				k := rng.IntN(len(family))
+				mb := family[k]
+				switch op := rng.IntN(10); {
+				case op < 2 && len(family) < 8:
+					family = append(family, &cowMember{ix: mb.ix.Clone(nil), model: mb.model.clone(), born: step, parent: mb})
+				case op < 3 && mb.parent != nil && slices.Contains(family, mb.parent):
+					// Hand the member back to the index it was cloned from; its
+					// own clones, if any, keep reading what it held.
+					mb.parent.ix.Release(mb.ix)
+					family = slices.Delete(family, k, k+1)
+				default:
 					mutateMember(t, label, rng, nodes, mb)
 				}
 				for i, other := range family {

@@ -137,7 +137,13 @@ func run(args []string) error {
 	cfg.Metrics = reg
 
 	if cmd == "mc" {
-		return runMC(*universe, *depth, *states, *mutation, *cexPath, *liveness)
+		// A sweep that finds a counterexample fails the command — the outcome
+		// a seeded mutation expects — and still leaves its snapshot.
+		err := runMC(*universe, *depth, *states, *mutation, *cexPath, *liveness, reg)
+		if reg != nil {
+			err = errors.Join(err, writeMetrics(reg, *metricsPath))
+		}
+		return err
 	}
 	if err := dispatch(cmd, cfg, *seed, *iterations, *file, *faults, *journal, *checkpointEvery, *shards, reg); err != nil {
 		return err

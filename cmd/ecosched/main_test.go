@@ -121,6 +121,44 @@ func TestMetricsFlagWritesSnapshot(t *testing.T) {
 	}
 }
 
+// TestMCMetricsSnapshot pins -metrics on the model checker: a clean sweep
+// writes its counts, and a sweep that fails the command — here the
+// counterexample a seeded mutation must produce — still writes its snapshot.
+func TestMCMetricsSnapshot(t *testing.T) {
+	old := os.Stdout
+	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	os.Stdout = devnull
+	defer func() { os.Stdout = old; devnull.Close() }()
+
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args    []string
+		fails   bool
+		entries []string
+	}{
+		{[]string{"mc", "-universe", "tiny", "-states", "10"}, false,
+			[]string{"gauge mc/states 10\n", "gauge mc/truncated 1\n", "gauge mc/counterexamples 0\n"}},
+		{[]string{"mc", "-universe", "tiny", "-depth", "4", "-states", "2000", "-mutation", "double-refund"}, true,
+			[]string{"gauge mc/counterexamples 1\n", "gauge mc/truncated 0\n"}},
+	} {
+		path := filepath.Join(dir, "mc.txt")
+		os.Remove(path)
+		err := run(append(tc.args, "-metrics", path))
+		if (err != nil) != tc.fails {
+			t.Fatalf("%v: error %v, want failure %t", tc.args, err, tc.fails)
+		}
+		data, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatalf("%v: no snapshot written: %v", tc.args, rerr)
+		}
+		for _, e := range tc.entries {
+			if !strings.Contains(string(data), e) {
+				t.Errorf("%v: snapshot missing %q:\n%s", tc.args, e, data)
+			}
+		}
+	}
+}
+
 // capture runs the CLI with args and returns what it wrote to stdout; a run
 // error fails the test.
 func capture(t *testing.T, args []string) string {

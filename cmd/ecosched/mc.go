@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"ecosched/internal/mc"
+	"ecosched/internal/metrics"
 )
 
 // runMC runs the bounded exhaustive model checker over a small universe.
@@ -12,8 +13,8 @@ import (
 // prints the minimized replayable counterexample (and writes it to cexPath
 // when given) and fails the command. With a seeded mutation the expectation
 // inverts: the sweep must find the planted bug, and a clean pass is the
-// failure.
-func runMC(universe string, depth, states int, mutation, cexPath string, liveness bool) error {
+// failure. The sweep's counts go to reg (nil records nothing) as mc/* gauges.
+func runMC(universe string, depth, states int, mutation, cexPath string, liveness bool, reg *metrics.Registry) error {
 	var u *mc.Universe
 	switch universe {
 	case "tiny":
@@ -42,6 +43,20 @@ func runMC(universe string, depth, states int, mutation, cexPath string, livenes
 	})
 	if err != nil {
 		return err
+	}
+	truncated, cex := 0, 0
+	if res.Truncated {
+		truncated = 1
+	}
+	if res.Cex != nil {
+		cex = 1
+	}
+	for name, v := range map[string]int{
+		"mc/states": res.States, "mc/transitions": res.Transitions, "mc/deepest": res.Deepest,
+		"mc/liveness_drains": res.LivenessChecks, "mc/determinism_checks": res.DeterminismChecks,
+		"mc/truncated": truncated, "mc/counterexamples": cex,
+	} {
+		reg.Gauge(name).Set(int64(v))
 	}
 	fmt.Printf("explored %d distinct states over %d transitions (deepest %d, truncated %t)\n",
 		res.States, res.Transitions, res.Deepest, res.Truncated)

@@ -72,8 +72,8 @@ type Algorithm interface {
 	// scanFilter returns the bucket prefilter equivalent to the algorithm's
 	// per-slot performance/price rejections.
 	scanFilter(req job.ResourceRequest) slot.Filter
-	// newScan starts a fresh fold for one job's scan.
-	newScan(req job.ResourceRequest) scanState
+	// newScan returns an empty fold for one search to reset per job scan.
+	newScan() scanState
 }
 
 // candidate is a slot currently inside the sliding window under
@@ -91,13 +91,34 @@ type candidate struct {
 	seq int
 }
 
-func newCandidate(s slot.Slot, req job.ResourceRequest, seq int) candidate {
+// suitable is the per-slot test of a scan once a slot has passed the
+// performance floor (and, for ALP, the price cap): the rest of the paper's
+// step 2° — the request's node needs (RAM, disk, OS, tags; Section 2's
+// resource-request characteristics) when needs is set, the length from the
+// slot's own start, and, for a deadline-carrying request, some start inside
+// the slot whose completion meets the deadline. It returns the task's runtime
+// on the slot's node, which newCandidate takes rather than computing again.
+// The linear oracles and the indexed scans call it alike, so they share one
+// source of truth for suitability. Scans read req through a pointer and pass
+// needs = !req.Needs.Empty(), evaluated once per scan.
+func suitable(s slot.Slot, req *job.ResourceRequest, needs bool) (sim.Duration, bool) {
+	if needs && !s.Node.Satisfies(req.Needs) {
+		return 0, false
+	}
 	rt := s.Runtime(req.Time)
+	if s.Length() < rt || (req.Deadline > 0 && s.Start().Add(rt) > req.Deadline) {
+		return 0, false
+	}
+	return rt, true
+}
+
+// newCandidate is the candidate record of a suitable slot whose task runs rt.
+func newCandidate(s slot.Slot, req *job.ResourceRequest, rt sim.Duration, seq int) candidate {
 	// The latest feasible window start is bounded by the slot's end and,
 	// when the request carries a deadline, by the completion bound too.
 	latest := s.End()
-	if req.Deadline > 0 && req.Deadline < latest {
-		latest = req.Deadline
+	if req.Deadline > 0 {
+		latest = min(latest, req.Deadline)
 	}
 	return candidate{
 		s:        s,
@@ -108,39 +129,10 @@ func newCandidate(s slot.Slot, req job.ResourceRequest, seq int) candidate {
 	}
 }
 
-// suits checks the static conditions 2°a and 2°b — performance and length
-// from the slot's own start — plus the request's non-performance node
-// requirements (RAM, disk, OS, tags; Section 2's resource-request
-// characteristics).
-func suits(s slot.Slot, req job.ResourceRequest) bool {
-	return s.Performance() >= req.MinPerformance && suitsBeyondPerformance(s, req)
-}
-
-// suitsBeyondPerformance is suits without the performance floor — the part
-// an indexed scan still has to evaluate per slot after the slot.Index
-// prefiltered performance (and, for ALP, price). Keeping it a separate
-// function makes the linear scan and the indexed scan share one source of
-// truth for the suitability conditions.
-func suitsBeyondPerformance(s slot.Slot, req job.ResourceRequest) bool {
-	if !req.Needs.Empty() && !s.Node.Satisfies(req.Needs) {
-		return false
-	}
-	rt := s.Runtime(req.Time)
-	if s.Length() < rt {
-		return false
-	}
-	// A deadline-carrying request needs some start inside the slot whose
-	// completion meets the deadline.
-	if req.Deadline > 0 && s.Start().Add(rt) > req.Deadline {
-		return false
-	}
-	return true
-}
-
 // pastDeadline reports whether the scan can stop: with starts non-decreasing
 // and a positive deadline, no slot starting at or after the deadline can
 // host any task.
-func pastDeadline(s slot.Slot, req job.ResourceRequest) bool {
+func pastDeadline(s slot.Slot, req *job.ResourceRequest) bool {
 	return req.Deadline > 0 && s.Start() >= req.Deadline
 }
 

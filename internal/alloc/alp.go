@@ -34,7 +34,8 @@ func (ALP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
 	if list == nil || j.Validate() != nil {
 		return nil, stats, false
 	}
-	req := j.Request
+	req := &j.Request
+	needs := !req.Needs.Empty()
 
 	// active holds the window under construction, at most N entries.
 	active := make([]candidate, 0, req.Nodes)
@@ -46,11 +47,12 @@ func (ALP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
 		if pastDeadline(s, req) {
 			break
 		}
-		if !suits(s, req) || s.Price > req.MaxPrice {
+		rt, ok := suitable(s, req, needs)
+		if !ok || s.Performance() < req.MinPerformance || s.Price > req.MaxPrice {
 			stats.SlotsRejected++
 			continue
 		}
-		c := newCandidate(s, req, stats.SlotsExamined)
+		c := newCandidate(s, req, rt, stats.SlotsExamined)
 
 		// Adding s moves the window start to T_last = s.Start().
 		// Step 3°: evict candidates whose remaining length expired.

@@ -82,7 +82,8 @@ func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool)
 	if list == nil || j.Validate() != nil {
 		return nil, stats, false
 	}
-	req := j.Request
+	req := &j.Request
+	needs := !req.Needs.Empty()
 	budget := req.Budget()
 
 	alive := make(map[int]candidate) // seq -> candidate
@@ -95,12 +96,13 @@ func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool)
 		if pastDeadline(s, req) {
 			break
 		}
-		if !suits(s, req) {
+		rt, ok := suitable(s, req, needs)
+		if !ok || s.Performance() < req.MinPerformance {
 			stats.SlotsRejected++
 			continue
 		}
-		c := newCandidate(s, req, stats.SlotsExamined)
-		if w, ok := a.accept(c, req, budget, alive, &byDeadline, cheapest, &stats); ok {
+		c := newCandidate(s, req, rt, stats.SlotsExamined)
+		if w, ok := a.accept(c, req.Nodes, budget, alive, &byDeadline, cheapest, &stats); ok {
 			return buildWindow(j.Name, c.s.Start(), w), stats, true
 		}
 	}
@@ -112,7 +114,7 @@ func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool)
 // candidate's slot start, expire candidates that can no longer host from
 // there, admit the newcomer, and run the policy's budget check (step 2°).
 // It returns the window members when the check succeeds.
-func (a AMP) accept(c candidate, req job.ResourceRequest, budget sim.Money,
+func (a AMP) accept(c candidate, nodes int, budget sim.Money,
 	alive map[int]candidate, byDeadline *deadlineHeap, cheapest *topK, stats *Stats) ([]candidate, bool) {
 	// The window start advances to T_last = c.s.Start(); expire candidates
 	// that can no longer host from there.
@@ -139,11 +141,11 @@ func (a AMP) accept(c candidate, req job.ResourceRequest, budget sim.Money,
 		if a.Policy == CheapestN {
 			// O(1) acceptance test; members materialized only on success.
 			if cheapest.SumCheapest().LessEq(budget) {
-				chosen, _ := a.pick(alive, cheapest, req.Nodes)
+				chosen, _ := a.pick(alive, cheapest, nodes)
 				return chosen, true
 			}
 		} else {
-			chosen, cost := a.pick(alive, cheapest, req.Nodes)
+			chosen, cost := a.pick(alive, cheapest, nodes)
 			if cost.LessEq(budget) {
 				return chosen, true
 			}

@@ -69,7 +69,7 @@ func BenchmarkTopK(b *testing.B) {
 // the last eighth of the time axis, plus a batch mixing one job the grid can
 // serve late with probing jobs it cannot serve at all: the deep job keeps
 // the passes going while every probing job's scan walks to the end of the
-// list and fails. The linear oracle pays m suits calls per failing scan and
+// list and fails. The linear oracle tests all m slots per failing scan and
 // ~m per deep scan; the index answers the same scans from its bucket
 // aggregates — the probes' above-grid floor prunes every bucket via
 // maxPerf, and the deep job's floor of 2 prunes the slow prefix wholesale

@@ -14,9 +14,15 @@ import (
 // sizes from degenerate (1) to default — the indexed scan
 // (findWindowIndexedStream) must reproduce FindWindow exactly: same ok, same
 // Stats, same window. The probe variant re-runs every indexed scan with a
-// ScanStats attached to pin that observation never perturbs the result.
+// ScanStats attached to pin that observation never perturbs the result. One
+// fold per algorithm serves every scan, as in a search, so each scan starts
+// from the state the previous one left.
 func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
+	folds := make([]scanState, len(algos))
+	for a, algo := range algos {
+		folds[a] = algo.newScan()
+	}
 	bucketSizes := []int{1, 3, 16, slot.DefaultBucketSize}
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := sim.NewRNG(seed)
@@ -40,7 +46,7 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 			if err := j.Validate(); err != nil {
 				continue
 			}
-			for _, algo := range algos {
+			for a, algo := range algos {
 				lw, lst, lok := algo.FindWindow(list, j)
 				for i, ix := range indexes {
 					for _, withProbe := range []bool{false, true} {
@@ -48,7 +54,7 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 						if withProbe {
 							probe = &slot.ScanStats{}
 						}
-						iw, ist, iok := findWindowIndexedStream(algo, ix, j, probe)
+						iw, ist, iok := findWindowIndexedStream(algo, folds[a], ix, j, probe)
 						if iok != lok || ist != lst {
 							t.Fatalf("seed %d trial %d %s bucket size %d: indexed (ok=%v stats=%+v) != linear (ok=%v stats=%+v)",
 								seed, trial, algo.Name(), bucketSizes[i], iok, ist, lok, lst)

@@ -233,15 +233,16 @@ func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node
 	if len(views) > 1 {
 		merge = newMergeScan(views)
 	}
+	st := algo.newScan()
 	scan := func(j *job.Job) (*slot.Window, Stats, bool) {
 		if merge != nil {
-			return merge.findWindow(algo, j, work)
+			return merge.findWindow(algo, st, j, work)
 		}
 		if probe == nil {
-			return findWindowIndexedStream(algo, views[0], j, nil)
+			return findWindowIndexedStream(algo, st, views[0], j, nil)
 		}
 		*probe = slot.ScanStats{}
-		w, stats, ok := findWindowIndexedStream(algo, views[0], j, probe)
+		w, stats, ok := findWindowIndexedStream(algo, st, views[0], j, probe)
 		opts.Metrics.probeDone(*probe)
 		return w, stats, ok
 	}

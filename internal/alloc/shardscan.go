@@ -77,18 +77,17 @@ type shardCursor struct {
 func (cu *shardCursor) exhausted() bool { return cu.head >= len(cu.buf) && cu.pos >= cu.limit }
 
 // produce advances the cursor by up to chunk ranks, buffering candidates that
-// pass the filter and the suitability check.
-func (cu *shardCursor) produce(f slot.Filter, req job.ResourceRequest, chunk int) {
+// pass the filter and the suitability check (suitable, with needs as there).
+func (cu *shardCursor) produce(f slot.Filter, req *job.ResourceRequest, needs bool, chunk int) {
 	target := cu.pos + chunk
 	if target > cu.limit {
 		target = cu.limit
 	}
 	cu.ix.ScanFrom(f, cu.pos, target, nil, func(rank int, s slot.Slot) bool {
-		if !suitsBeyondPerformance(s, req) {
-			return true
-		}
 		// seq is assigned at consumption time, once the global rank is known.
-		cu.buf = append(cu.buf, newCandidate(s, req, 0))
+		if rt, ok := suitable(s, req, needs); ok {
+			cu.buf = append(cu.buf, newCandidate(s, req, rt, 0))
+		}
 		return true
 	})
 	cu.walkedRound = target - cu.pos
@@ -110,22 +109,22 @@ func globalRank(cursors []*shardCursor, s slot.Slot) int {
 	return r
 }
 
-// findWindow runs one job's window scan over the K shard indexes,
-// reproducing findWindowIndexedStream over the merged list exactly. work,
-// when non-nil, accumulates scan-phase accounting.
-func (ms *mergeScan) findWindow(algo Algorithm, j *job.Job, work *ShardWork) (*slot.Window, Stats, bool) {
-	var stats Stats
+// findWindow runs one job's window scan over the K shard indexes, folding
+// with st (reset here), reproducing findWindowIndexedStream over the merged
+// list exactly. work, when non-nil, accumulates scan-phase accounting.
+func (ms *mergeScan) findWindow(algo Algorithm, st scanState, j *job.Job, work *ShardWork) (*slot.Window, Stats, bool) {
 	if j.Validate() != nil {
-		return nil, stats, false
+		return nil, Stats{}, false
 	}
-	req := j.Request
-	f := algo.scanFilter(req)
-	st := algo.newScan(req)
+	req := &j.Request
+	needs := !req.Needs.Empty()
+	f := algo.scanFilter(*req)
+	stats := st.reset(req)
 
 	cursors := ms.cursors
 	totalLimit, totalN := 0, 0
 	for _, cu := range cursors {
-		limit, n := scanLimit(cu.ix, req)
+		limit, n := scanLimit(cu.ix, *req)
 		*cu = shardCursor{ix: cu.ix, limit: limit, buf: cu.buf[:0]}
 		totalLimit += limit
 		totalN += n
@@ -153,7 +152,7 @@ func (ms *mergeScan) findWindow(algo Algorithm, j *job.Job, work *ShardWork) (*s
 		}
 		if len(refill) > 0 {
 			for _, cu := range refill {
-				cu.produce(f, req, chunk)
+				cu.produce(f, req, needs, chunk)
 			}
 			if work != nil {
 				work.Rounds++
@@ -218,10 +217,10 @@ func (ms *mergeScan) findWindow(algo Algorithm, j *job.Job, work *ShardWork) (*s
 			// seq mirrors the linear scan's SlotsExamined at acceptance:
 			// global rank + 1, exactly as the unsharded indexed scan assigns.
 			c.seq = rank + 1
-			if w, ok := st.accept(c, &stats); ok {
+			if w, ok := st.accept(c); ok {
 				win := buildWindow(j.Name, c.s.Start(), w)
-				finishScanStats(&stats, req, totalLimit, totalN, rank, accepted, true)
-				return win, stats, true
+				finishScanStats(stats, *req, totalLimit, totalN, rank, accepted, true)
+				return win, *stats, true
 			}
 		}
 
@@ -242,8 +241,8 @@ func (ms *mergeScan) findWindow(algo Algorithm, j *job.Job, work *ShardWork) (*s
 			// consumable), so the next refill strictly advances it.
 		}
 	}
-	finishScanStats(&stats, req, totalLimit, totalN, 0, accepted, false)
-	return nil, stats, false
+	finishScanStats(stats, *req, totalLimit, totalN, 0, accepted, false)
+	return nil, *stats, false
 }
 
 // FindAlternativesSharded is the multi-pass search over a vacant view

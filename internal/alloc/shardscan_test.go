@@ -43,10 +43,12 @@ func TestFindWindowShardedMatchesIndexed(t *testing.T) {
 			// must start from cursors the previous job left dirty.
 			merge := newMergeScan(shards)
 			for _, algo := range algos {
+				// Folds too are reused across jobs, as in a search.
+				direct, merged := algo.newScan(), algo.newScan()
 				for _, j := range batch.Jobs() {
-					ww, wst, wok := findWindowIndexedStream(algo, full, j, nil)
+					ww, wst, wok := findWindowIndexedStream(algo, direct, full, j, nil)
 					work := &ShardWork{ScanSlots: make([]int64, k)}
-					gw, gst, gok := merge.findWindow(algo, j, work)
+					gw, gst, gok := merge.findWindow(algo, merged, j, work)
 					if gok != wok || gst != wst {
 						t.Fatalf("seed %d k=%d %s %s: sharded (ok=%v stats=%+v) != indexed (ok=%v stats=%+v)",
 							seed, k, algo.Name(), j.Name, gok, gst, wok, wst)

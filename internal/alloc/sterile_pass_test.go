@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ecosched/internal/job"
 	"ecosched/internal/metrics"
 	"ecosched/internal/slot"
 )
@@ -141,12 +142,37 @@ func TestPrebuiltIndexEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				j := twoJobBatch().Jobs()[0]
-				direct := testing.AllocsPerRun(50, func() { findWindowIndexedStream(algo, fresh, j, nil) })
+				fold := algo.newScan()
+				direct := testing.AllocsPerRun(50, func() { findWindowIndexedStream(algo, fold, fresh, j, nil) })
 				unified := testing.AllocsPerRun(50, func() { scan(j) })
 				if unified != direct {
 					t.Fatalf("one-view scan allocates %.0f objects per job, findWindowIndexedStream %.0f", unified, direct)
 				}
 			})
 		}
+	}
+}
+
+// TestWarmALPScanAllocatesOnlyTheWindow pins what an ALP job scan allocates
+// once its search's fold has served a job at least as wide: the window (the
+// Window and its placements) and nothing else — nothing for the fold, and
+// nothing at all when no window exists. (AMP's heaps box every candidate
+// through container/heap, so its count tracks the candidates, not the fold.)
+func TestWarmALPScanAllocatesOnlyTheWindow(t *testing.T) {
+	ix := slot.NewIndex(smallList(), nil)
+	j := twoJobBatch().Jobs()[0]
+	tooWide := &job.Job{Name: "wide", Priority: 1, Request: j.Request}
+	tooWide.Request.Nodes = 4
+	fold := ALP{}.newScan()
+	if _, _, ok := findWindowIndexedStream(ALP{}, fold, ix, tooWide, nil); ok {
+		t.Fatal("a 4-node window on 3 nodes")
+	}
+	if _, _, ok := findWindowIndexedStream(ALP{}, fold, ix, j, nil); !ok {
+		t.Fatal("no window on an idle list")
+	}
+	found := testing.AllocsPerRun(50, func() { findWindowIndexedStream(ALP{}, fold, ix, j, nil) })
+	none := testing.AllocsPerRun(50, func() { findWindowIndexedStream(ALP{}, fold, ix, tooWide, nil) })
+	if found != 2 || none != 0 {
+		t.Errorf("a warm scan allocates %.0f objects when it finds a window (want 2) and %.0f when it finds none (want 0)", found, none)
 	}
 }

@@ -83,6 +83,13 @@ func newTopK(k int) *topK {
 	}
 }
 
+// reset empties the tracker for a new K, keeping its storage: afterwards it
+// behaves exactly as newTopK(k).
+func (t *topK) reset(k int) {
+	clear(t.side)
+	*t = topK{k: k, in: costHeap{items: t.in.items[:0], max: true}, out: costHeap{items: t.out.items[:0]}, side: t.side}
+}
+
 // Len returns the number of alive members.
 func (t *topK) Len() int { return t.total }
 

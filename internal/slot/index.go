@@ -170,39 +170,47 @@ func (b *bucket) widen(s Slot) {
 	}
 }
 
+// latestEnd returns the latest end among the held slots — maxEnd from
+// scratch, without touching a node.
+func (b *bucket) latestEnd() sim.Time {
+	end := sim.Time(math.MinInt64)
+	for _, s := range b.slots {
+		end = max(end, s.End())
+	}
+	return end
+}
+
 // insert places s at offset off. Existing permutation entries at or past off
 // shift up and the new entry lands at its (performance desc, offset asc)
-// position — the same place a full re-sort would put it.
+// position — the same place a full re-sort would put it. That order is
+// monotone, so the splice point is a binary search: an entry orders after s
+// when its performance is lower, or equal at an offset that is at or past off
+// before the shift.
 func (b *bucket) insert(off int, s Slot) {
+	p := s.Performance()
+	o32 := int32(off)
+	ins := sort.Search(len(b.byPerf), func(i int) bool {
+		o := b.byPerf[i]
+		po := b.slots[o].Performance()
+		return po < p || (po == p && o >= o32)
+	})
 	b.slots = append(b.slots, Slot{})
 	copy(b.slots[off+1:], b.slots[off:])
 	b.slots[off] = s
-	p := s.Performance()
-	o32 := int32(off)
-	ins := -1
 	for i, o := range b.byPerf {
 		if o >= o32 {
-			o++
-			b.byPerf[i] = o
-		}
-		if ins < 0 {
-			if po := b.slots[o].Performance(); po < p || (po == p && o > o32) {
-				ins = i
-			}
+			b.byPerf[i] = o + 1
 		}
 	}
-	if ins < 0 {
-		ins = len(b.byPerf)
-	}
-	b.byPerf = append(b.byPerf, 0)
-	copy(b.byPerf[ins+1:], b.byPerf[ins:])
-	b.byPerf[ins] = o32
+	b.byPerf = slices.Insert(b.byPerf, ins, o32)
 	b.widen(s)
 }
 
 // remove deletes the slot at offset off: later permutation entries shift
 // down, their relative order — the one a re-sort would produce — untouched.
-// Bounds are recomputed only when the removed slot attained one of them.
+// A bound moves only when the removed slot attained it: maxPerf is then read
+// off the permutation's head, and minPrice and maxEnd come from one pass that
+// touches no node.
 func (b *bucket) remove(off int) {
 	removed := b.slots[off]
 	b.slots = append(b.slots[:off], b.slots[off+1:]...)
@@ -218,9 +226,48 @@ func (b *bucket) remove(off int) {
 		dst = append(dst, o)
 	}
 	b.byPerf = dst
-	if removed.Performance() == b.maxPerf || removed.Price == b.minPrice || removed.End() == b.maxEnd {
-		b.aggregates()
+	if removed.Performance() == b.maxPerf {
+		b.maxPerf = b.slots[b.byPerf[0]].Performance()
 	}
+	if removed.Price == b.minPrice || removed.End() == b.maxEnd {
+		b.minPrice = sim.Money(math.Inf(1))
+		b.maxEnd = math.MinInt64
+		for _, s := range b.slots {
+			b.minPrice = min(b.minPrice, s.Price)
+			b.maxEnd = max(b.maxEnd, s.End())
+		}
+	}
+}
+
+// rotate moves the slot at offset from to the later offset to, replacing it
+// by s — a slot on the same node at the same price, so the bounds hold as
+// they are. The slots in between shift down by one; in the permutation they
+// keep their entries' order, and the moved entry passes the entries of equal
+// performance it now follows, which sit right after it.
+func (b *bucket) rotate(from, to int, s Slot) {
+	p := s.Performance()
+	f32, t32 := int32(from), int32(to)
+	at := sort.Search(len(b.byPerf), func(i int) bool {
+		o := b.byPerf[i]
+		po := b.slots[o].Performance()
+		return po < p || (po == p && o >= f32)
+	})
+	copy(b.slots[from:to], b.slots[from+1:to+1])
+	b.slots[to] = s
+	// One unsigned compare tests from < o <= to.
+	for i, o := range b.byPerf {
+		if uint32(o-f32-1) < uint32(t32-f32) {
+			b.byPerf[i] = o - 1
+		}
+	}
+	for ; at+1 < len(b.byPerf); at++ {
+		next := b.byPerf[at+1]
+		if next >= t32 || b.slots[next].Performance() != p {
+			break
+		}
+		b.byPerf[at] = next
+	}
+	b.byPerf[at] = t32
 }
 
 // last returns the bucket's last slot; buckets are never empty.
@@ -331,14 +378,23 @@ func (ix *Index) Insert(s Slot) {
 	if s.Empty() {
 		return
 	}
-	ix.m.insert()
-	ix.n++
 	if len(ix.buckets) == 0 {
+		ix.m.insert()
+		ix.n++
 		ix.buckets = append(ix.buckets, ix.newBucket([]Slot{s}))
 		ix.m.shape(ix.buckets)
 		return
 	}
 	pos, off := ix.seek(func(c Slot) bool { return less(s, c) })
+	ix.insertAt(pos, off, s)
+}
+
+// insertAt places s at bucket pos, offset off, the first position seek finds
+// past every slot ordering before or tying with s; pos == len(ix.buckets)
+// means past every slot. The index holds at least one bucket.
+func (ix *Index) insertAt(pos, off int, s Slot) {
+	ix.m.insert()
+	ix.n++
 	if pos == len(ix.buckets) {
 		// Past every slot: s extends the last bucket.
 		pos--
@@ -375,9 +431,19 @@ func (ix *Index) removeFrom(pos, off int) {
 }
 
 // SubtractInterval removes the usage interval used from the slot equal to
-// target, inserting the up-to-two remainder slots K1 = [K.start, used.start)
+// target, leaving the up-to-two remainder slots K1 = [K.start, used.start)
 // and K2 = [used.end, K.end) per Fig. 1b. It returns an error when target is
 // not present or used is not contained in target's span.
+//
+// The cut edits K's bucket in place wherever the order allows. K1 keeps K's
+// start and node, so it keeps K's rank, performance and price: it overwrites
+// K, and of the bounds only maxEnd can move; K2 beside it is one insert. With
+// K1 empty, K2 is K moved to a later rank: inside K's bucket one rotation
+// that keeps every bound, past it a removal and an insert. Only K1 ordering
+// before K's predecessor (a slot with K's start and node ID and a later end)
+// takes a removal and two inserts. The metrics count the cut as the list sees
+// it — one removal, one insert per non-empty remainder — however the bucket
+// realizes it.
 func (ix *Index) SubtractInterval(target Slot, used sim.Interval) error {
 	ix.live()
 	pos, off, ok := ix.find(target)
@@ -387,14 +453,68 @@ func (ix *Index) SubtractInterval(target Slot, used sim.Interval) error {
 	if !target.Span.ContainsInterval(used) {
 		return fmt.Errorf("slot: subtract: interval %v not contained in slot %v", used, target)
 	}
-	ix.removeFrom(pos, off)
 	left := target
-	left.Span = sim.Interval{Start: target.Start(), End: used.Start}
+	left.Span.End = used.Start
 	right := target
-	right.Span = sim.Interval{Start: used.End, End: target.End()}
-	ix.Insert(left)
-	ix.Insert(right)
+	right.Span.Start = used.End
+	switch {
+	case !left.Empty() && ix.followsPredecessor(pos, off, left):
+		ix.m.removed(1)
+		ix.m.insert()
+		b := ix.writable(pos)
+		b.slots[off] = left
+		if target.End() == b.maxEnd {
+			b.maxEnd = b.latestEnd()
+		}
+		ix.m.moved(1)
+		ix.Insert(right)
+	case left.Empty() && !right.Empty():
+		ix.moveLater(pos, off, right)
+	default:
+		ix.removeFrom(pos, off)
+		ix.Insert(left)
+		ix.Insert(right)
+	}
 	return nil
+}
+
+// followsPredecessor reports whether s, written at bucket pos, offset off,
+// orders no earlier than the slot before that position.
+func (ix *Index) followsPredecessor(pos, off int, s Slot) bool {
+	switch {
+	case off > 0:
+		return !less(s, ix.buckets[pos].slots[off-1])
+	case pos > 0:
+		return !less(s, ix.buckets[pos-1].last())
+	}
+	return true
+}
+
+// moveLater replaces the slot at bucket pos, offset off by s, which orders
+// after it, at the rank Insert would give s once the slot is gone. When that
+// rank falls in the same bucket — up to its end — the move is one rotation;
+// otherwise it is a removal and an insert at the position already found.
+func (ix *Index) moveLater(pos, off int, s Slot) {
+	to, toOff := ix.seek(func(c Slot) bool { return less(s, c) })
+	switch {
+	case to == pos:
+		// Every slot up to off orders before s, so toOff > off.
+		toOff--
+	case to == pos+1 && toOff == 0:
+		toOff = len(ix.buckets[pos].slots) - 1
+	default:
+		// to > pos: a removal that drops bucket pos shifts it down by one.
+		if len(ix.buckets[pos].slots) == 1 {
+			to--
+		}
+		ix.removeFrom(pos, off)
+		ix.insertAt(to, toOff, s)
+		return
+	}
+	ix.m.removed(1)
+	ix.m.insert()
+	ix.writable(pos).rotate(off, toOff, s)
+	ix.m.moved(toOff - off + 1)
 }
 
 // RankAtOrAfter returns the first rank whose slot starts at or after t —

@@ -28,6 +28,33 @@ import (
 // also hand a retained clone back to the working index (Release, op 26): the
 // working index goes on mutating buckets it may have taken back, and every
 // other retained clone must still equal its model.
+// fuzzDraw turns the argument byte of the fuzz op at stream position i into a
+// deterministic sequence of draws, each in [0, n).
+func fuzzDraw(arg byte, i int) func(n int) int {
+	seq := uint32(arg)*2654435761 + uint32(i)
+	return func(n int) int {
+		seq = seq*1664525 + 1013904223
+		return int(seq>>8) % n
+	}
+}
+
+// subtractedInterval draws the usage interval a subtraction cuts out of s:
+// any interval inside the slot's span, empty ones included, with one draw in
+// four pinned to the slot's start (K1 empty: K2 is K moved later) and one in
+// four to its end (K2 empty). The rest are interior, so K1 and K2 both
+// remain and K2 may land one or more buckets past K.
+func subtractedInterval(s Slot, draw func(n int) int) sim.Interval {
+	lo := s.Start().Add(sim.Duration(draw(int(s.Length()) + 1)))
+	hi := lo.Add(sim.Duration(draw(int(s.End().Sub(lo)) + 1)))
+	switch draw(4) {
+	case 0:
+		lo = s.Start()
+	case 1:
+		hi = s.End()
+	}
+	return sim.Interval{Start: lo, End: hi}
+}
+
 func FuzzSlotIndex(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 10, 0, 200, 1, 30, 7, 0, 8, 2, 5, 1})
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 6, 0, 7, 1, 9, 9})
@@ -38,6 +65,18 @@ func FuzzSlotIndex(f *testing.F) {
 	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 24, 3, 21, 0, 24, 8, 25, 1, 25, 2, 14, 40, 24, 5, 22, 0, 24, 9})
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 21, 0, 0, 5, 21, 0, 0, 6, 26, 1, 0, 7, 12, 3, 16, 1, 26, 0, 0, 8, 14, 9})
 	f.Add(uint8(1), []byte{0, 9, 0, 77, 0, 130, 21, 0, 0, 41, 26, 0, 12, 2, 16, 3, 21, 0, 22, 0, 26, 0, 0, 12, 24, 3})
+	// Each of the cut's paths ends one of these streams (subtractedInterval
+	// draws the interval): K1 overwritten in place with K2 in the same bucket
+	// and in a later one, K1 alone, K1 empty with K2 rotated inside the bucket
+	// and moved to a later one, the whole slot used, and K1 ordering before
+	// its predecessor (same start and node ID, later end, after a trim).
+	f.Add(uint8(0), []byte{0, 0xc6, 0, 0xaf, 0, 0xa2, 12, 0x58})
+	f.Add(uint8(1), []byte{0, 0xc7, 0, 0xbb, 0, 0x81, 0, 0x86, 12, 0xac})
+	f.Add(uint8(2), []byte{0, 0x95, 0, 0x25, 11, 0x0f})
+	f.Add(uint8(2), []byte{0, 0x58, 0, 0x82, 0, 0xf3, 0, 0x24, 0, 0x07, 0, 0x58, 0, 0xa3, 0, 0x8d, 11, 0x41})
+	f.Add(uint8(1), []byte{0, 0x97, 0, 0xa8, 0, 0x11, 0, 0xc8, 0, 0xfa, 0, 0x67, 0, 0xab, 12, 0x1e})
+	f.Add(uint8(1), []byte{0, 0x6a, 0, 0x29, 0, 0xe5, 0, 0x36, 0, 0x62, 0, 0xd4, 11, 0x78})
+	f.Add(uint8(1), []byte{0, 0x80, 0, 0xcd, 0, 0xf8, 0, 0x06, 0, 0x6b, 0, 0x31, 0, 0xf6, 0, 0x23, 13, 0x84, 11, 0xb6, 12, 0xea, 12, 0x9b})
 
 	f.Fuzz(func(t *testing.T, targetRaw uint8, ops []byte) {
 		target := 1 + int(targetRaw)%64
@@ -69,9 +108,9 @@ func FuzzSlotIndex(f *testing.F) {
 				ix.RemoveAt(r)
 				model = model.removeAt(r)
 			case op < 13 && ix.Len() > 0: // subtract
-				s := ix.At(int(arg) % ix.Len())
-				mid := s.Start().Add(sim.Duration(int64(arg) % int64(s.Length())))
-				used := sim.Interval{Start: mid, End: s.End()}
+				draw := fuzzDraw(arg, i)
+				s := ix.At(draw(ix.Len()))
+				used := subtractedInterval(s, draw)
 				if err := ix.SubtractInterval(s, used); err != nil {
 					t.Fatalf("op %d: subtract %v from %v: %v", i, used, s, err)
 				}
@@ -128,13 +167,8 @@ func FuzzSlotIndex(f *testing.F) {
 				ix.Release(retained[k].ix)
 				retained = append(retained[:k], retained[k+1:]...)
 			case op == 24 || op == 25: // horizon extension; 25 always misuses it
-				seq := uint32(arg)*2654435761 + uint32(i)
-				draw := func(n int) int {
-					seq = seq*1664525 + 1013904223
-					return int(seq>>8) % n
-				}
 				misuse := op == 25
-				grows, run := extendArgs(model, nodes, draw, misuse)
+				grows, run := extendArgs(model, nodes, fuzzDraw(arg, i), misuse)
 				model = checkExtend(t, fmt.Sprintf("op %d", i), ix, model, grows, run, misuse)
 			default: // query
 				f := Filter{MinPerf: float64(int(arg) % 5)}
@@ -209,11 +243,11 @@ func TestIndexMutationSurfaceModel(t *testing.T) {
 				model = model.removeAt(r)
 			case op < 12 && ix.Len() > 0:
 				s := ix.At(rng.IntN(ix.Len()))
-				mid := s.Start().Add(sim.Duration(rng.IntN(int(s.Length()) + 1)))
-				if err := ix.SubtractInterval(s, sim.Interval{Start: mid, End: s.End()}); err != nil {
-					t.Fatalf("seed %d step %d: subtract: %v", seed, step, err)
+				used := subtractedInterval(s, rng.IntN)
+				if err := ix.SubtractInterval(s, used); err != nil {
+					t.Fatalf("seed %d step %d: subtract %v from %v: %v", seed, step, used, s, err)
 				}
-				model = model.subtract(s, sim.Interval{Start: mid, End: s.End()})
+				model = model.subtract(s, used)
 			case op < 14:
 				cut := sim.Time(rng.IntN(600))
 				var wantDropped, wantTrimmed int

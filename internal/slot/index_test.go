@@ -1,9 +1,12 @@
 package slot
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"ecosched/internal/metrics"
+	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 )
 
@@ -94,21 +97,11 @@ func TestIndexModelInterleavings(t *testing.T) {
 					model = model.removeAt(i)
 				case op < 8 && ix.Len() > 0: // subtract an interval of a random slot
 					s := ix.At(rng.IntN(ix.Len()))
-					lo := s.Start().Add(sim.Duration(rng.IntN(int(s.Length()))))
-					hi := lo.Add(sim.Duration(1 + rng.IntN(int(s.End().Sub(lo)))))
-					used := sim.Interval{Start: lo, End: hi}
+					used := subtractedInterval(s, rng.IntN)
 					if err := ix.SubtractInterval(s, used); err != nil {
 						t.Fatalf("target %d seed %d step %d: subtract %v from %v: %v", target, seed, step, used, s, err)
 					}
-					i := 0
-					for i < len(model) && model[i] != s {
-						i++
-					}
-					model = model.removeAt(i)
-					left, right := s, s
-					left.Span = sim.Interval{Start: s.Start(), End: used.Start}
-					right.Span = sim.Interval{Start: used.End, End: s.End()}
-					model = model.insert(left).insert(right)
+					model = model.subtract(s, used)
 				default: // query probes
 					for _, f := range indexFilters() {
 						for _, limit := range []int{0, ix.Len() / 2, ix.Len(), ix.Len() + 3} {
@@ -129,6 +122,86 @@ func TestIndexModelInterleavings(t *testing.T) {
 						target, seed, step, ix.List().Slots(), []Slot(model))
 				}
 			}
+		}
+	}
+}
+
+// subtractOnBoth applies one cut to an index and to the List oracle
+// (DESIGN.md §8) and fails unless both hold the same slots in the same order
+// and the index's invariants hold.
+func subtractOnBoth(t *testing.T, label string, ix *Index, l *List, target Slot, used sim.Interval) {
+	t.Helper()
+	if err := l.SubtractInterval(target, used); err != nil {
+		t.Fatalf("%s: list: %v", label, err)
+	}
+	if err := ix.SubtractInterval(target, used); err != nil {
+		t.Fatalf("%s: index: %v", label, err)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if got, want := ix.List().Slots(), l.Slots(); !slices.Equal(got, want) {
+		t.Fatalf("%s: index holds %v, list oracle %v", label, got, want)
+	}
+}
+
+// pathList is twelve slots on twelve nodes of mixed performance, slot k at
+// [2k, 2k+30): rank k, and at bucket target 4, bucket k/4.
+func pathList() *List {
+	slots := make([]Slot, 12)
+	for k := range slots {
+		n := &resource.Node{ID: resource.NodeID(k + 1), Performance: 1 + float64(k%3), Price: sim.Money(1 + k%4)}
+		slots[k] = New(n, sim.Time(2*k), sim.Time(2*k+30))
+	}
+	return NewList(slots)
+}
+
+// TestSubtractIntervalPathsMatchList drives every way the index realizes a
+// cut — K1 overwriting K in place, K1 empty with K2 rotated inside K's
+// bucket or moved to a later one, the whole slot used — and checks each
+// against the List oracle, at bucket targets that put K2 in K's bucket, at
+// its end, in the next bucket, or (target 1) in a bucket of its own that
+// splits, after K's one-slot bucket is dropped.
+func TestSubtractIntervalPathsMatchList(t *testing.T) {
+	cases := []struct {
+		name string
+		rank int
+		used sim.Interval
+	}{
+		{"K1 in place, K2 in K's bucket", 0, sim.Interval{Start: 1, End: 5}},
+		{"K1 in place, K2 in a later bucket", 0, sim.Interval{Start: 1, End: 9}},
+		{"K1 in place, K2 empty", 1, sim.Interval{Start: 20, End: 32}},
+		{"K1 in place after the previous bucket's last slot", 4, sim.Interval{Start: 9, End: 20}},
+		{"K1 empty, K2 rotated inside the bucket", 0, sim.Interval{Start: 0, End: 5}},
+		{"K1 empty, K2 rotated to the bucket's end", 0, sim.Interval{Start: 0, End: 7}},
+		{"K1 empty, K2 moved to a later bucket", 0, sim.Interval{Start: 0, End: 9}},
+		{"K1 empty, K2 past every slot", 2, sim.Interval{Start: 4, End: 23}},
+		{"K1 empty, K2 the last slot", 11, sim.Interval{Start: 22, End: 30}},
+		{"whole slot used", 5, sim.Interval{Start: 10, End: 40}},
+		{"empty interval at the start", 3, sim.Interval{Start: 6, End: 6}},
+	}
+	for _, target := range []int{1, 2, 4, 64} {
+		for _, tc := range cases {
+			l := pathList()
+			ix := NewIndexSize(l, target, nil)
+			subtractOnBoth(t, fmt.Sprintf("target %d: %s", target, tc.name), ix, l, l.At(tc.rank), tc.used)
+		}
+	}
+}
+
+// TestSubtractIntervalInPlaceYieldsToOrder pins the one order an in-place K1
+// would break: slots [5,10) and [5,20) on one node, [8,20) cut from the
+// second. K1 = [5,8) orders before [5,10), so it cannot take K's place; the
+// cut goes through removal and insert and must match the List oracle —
+// with both slots in one bucket and split over two.
+func TestSubtractIntervalInPlaceYieldsToOrder(t *testing.T) {
+	n := &resource.Node{ID: 1, Performance: 1, Price: 1}
+	for _, target := range []int{1, 4} {
+		l := NewList([]Slot{New(n, 5, 10), New(n, 5, 20)})
+		ix := NewIndexSize(l, target, nil)
+		subtractOnBoth(t, fmt.Sprintf("target %d", target), ix, l, New(n, 5, 20), sim.Interval{Start: 8, End: 20})
+		if got, want := ix.List().Slots(), []Slot{New(n, 5, 8), New(n, 5, 10)}; !slices.Equal(got, want) {
+			t.Fatalf("target %d: index holds %v, want %v", target, got, want)
 		}
 	}
 }
@@ -181,8 +254,8 @@ func TestIndexRankAtOrAfter(t *testing.T) {
 
 // TestIndexMetricsAccounting pins the maintenance instruments: the initial
 // build counts as a rebuild, inserts and removes are counted once each, tiny
-// targets force splits and bucket drops, and the bucket gauge tracks the
-// live tiling.
+// targets force splits and bucket drops, the bucket gauge tracks the live
+// tiling, and each way of realizing a cut counts as pinned below.
 func TestIndexMetricsAccounting(t *testing.T) {
 	reg := metrics.New()
 	m := NewIndexMetrics(reg, "slot/index/")
@@ -225,6 +298,46 @@ func TestIndexMetricsAccounting(t *testing.T) {
 	}
 	if before == 0 {
 		t.Fatal("fixture built an empty list")
+	}
+
+	// A cut counts as the list sees it — one removal of K, one insert per
+	// non-empty remainder — whichever way the bucket realizes it, so
+	// inserts_total and removes_total read the same for every path.
+	// slots_moved_total counts the slots actually written: one for K1
+	// overwriting K, the shifted slots plus K2 for a rotation, and the
+	// in-bucket shifts of a removal and an insert otherwise.
+	n := &resource.Node{ID: 1, Performance: 1, Price: 1}
+	for _, tc := range []struct {
+		name                    string
+		list                    *List
+		rank                    int
+		used                    sim.Interval
+		inserts, removes, moved int64
+	}{
+		{"K1 in place, K2 empty", pathList(), 1, sim.Interval{Start: 20, End: 32}, 1, 1, 1},
+		// K1 written (1), K2 inserted at offset 3 of a bucket grown to 5 (2).
+		{"K1 in place, K2 in K's bucket", pathList(), 0, sim.Interval{Start: 1, End: 5}, 2, 1, 3},
+		// Offsets 0..2 rewritten, K2 last.
+		{"K1 empty, K2 rotated", pathList(), 0, sim.Interval{Start: 0, End: 5}, 1, 1, 3},
+		// Removal at offset 0 of bucket 0 (3), insert at offset 1 of bucket 1 (4).
+		{"K1 empty, K2 in a later bucket", pathList(), 0, sim.Interval{Start: 0, End: 9}, 1, 1, 7},
+		{"whole slot used", pathList(), 5, sim.Interval{Start: 10, End: 40}, 0, 1, 2},
+		// K1 = [5,8) orders before [5,10): removal at offset 1 (0), insert at 0 (2).
+		{"K1 before its predecessor", NewList([]Slot{New(n, 5, 10), New(n, 5, 20)}), 1, sim.Interval{Start: 8, End: 20}, 1, 1, 2},
+	} {
+		reg := metrics.New()
+		ix := NewIndexSize(tc.list, 4, NewIndexMetrics(reg, "cut/"))
+		if err := ix.SubtractInterval(tc.list.At(tc.rank), tc.used); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		snap := reg.Snapshot()
+		got := [3]int64{snap.Counter("cut/inserts_total"), snap.Counter("cut/removes_total"), snap.Counter("cut/slots_moved_total") - int64(tc.list.Len())}
+		if want := [3]int64{tc.inserts, tc.removes, tc.moved}; got != want {
+			t.Errorf("%s: (inserts, removes, slots moved) = %v, want %v", tc.name, got, want)
+		}
+		if c := snap.Counter("cut/bucket_copies_total") + snap.Counter("cut/splits_total"); c != 0 {
+			t.Errorf("%s: a cut in an owned bucket under the split threshold copied or split %d buckets", tc.name, c)
+		}
 	}
 }
 

@@ -40,7 +40,6 @@ var apiAllowlist = map[string]string{
 
 	// Fixture constructors and lookups the tests of several packages share.
 	"internal/job.Batch.ByName":                "cross-package test helper",
-	"internal/job.MustNewBatch":                "cross-package test helper",
 	"internal/metrics.Snapshot.Counter":        "cross-package test helper",
 	"internal/metrics.Snapshot.Gauge":          "cross-package test helper",
 	"internal/metrics.Snapshot.HistogramCount": "cross-package test helper",

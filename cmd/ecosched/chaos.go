@@ -105,12 +105,8 @@ func chaosJob(rng *sim.RNG, pricing resource.ExponentialPricing, i int) *job.Job
 // to the journal under a fixed suffix, so "recover -journal PATH" finds the
 // checkpoint the write session left without another flag.
 func durableOptions(journalPath string, checkpointEvery int, reg *metrics.Registry) durable.Options {
-	opts := durable.Options{JournalPath: journalPath, Metrics: reg}
-	if checkpointEvery > 0 {
-		opts.CheckpointEvery = checkpointEvery
-	}
-	opts.CheckpointPath = journalPath + ".ckpt"
-	return opts
+	return durable.Options{JournalPath: journalPath, CheckpointPath: journalPath + ".ckpt",
+		CheckpointEvery: checkpointEvery, Metrics: reg}
 }
 
 // runChaos drives a fault-injected metascheduler session: a 12-node grid
@@ -130,10 +126,7 @@ func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, shar
 	}
 	// d is the session's service: the plain one, or its durable journaling
 	// wrapper.
-	var d interface {
-		fault.ServiceDriver
-		Submit(*job.Job) error
-	} = svc
+	var d fault.Driver = svc
 	var ds *durable.Service
 	if journalPath != "" {
 		ds, err = durable.New(svc, durableOptions(journalPath, checkpointEvery, reg))
@@ -142,12 +135,6 @@ func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, shar
 		}
 		defer ds.Close()
 		d = ds
-	}
-	pricing := resource.PaperPricing()
-	for i := 0; i < 10; i++ {
-		if err := d.Submit(chaosJob(rng, pricing, i)); err != nil {
-			return err
-		}
 	}
 
 	var plan *fault.Plan
@@ -174,6 +161,12 @@ func runChaos(seed uint64, faultsSpec, journalPath string, checkpointEvery, shar
 	sess, err := fault.NewSession(d, plan, os.Stdout)
 	if err != nil {
 		return err
+	}
+	pricing := resource.PaperPricing()
+	for i := 0; i < 10; i++ {
+		if _, _, err := sess.Apply(fault.Event{Kind: fault.Submit, Job: chaosJob(rng, pricing, i)}); err != nil {
+			return err
+		}
 	}
 	if err := sess.Run(chaosIterations); err != nil {
 		return err
@@ -230,8 +223,8 @@ func runRecover(seed uint64, journalPath string, checkpointEvery, shards int, re
 	}
 	fmt.Printf("recovered %s from %s (%s)\n", journalPath, src, "audit clean")
 	fmt.Printf("records: %d scanned, %d replayed (%d submits, %d fails, %d recovers, %d revokes, %d rounds)\n",
-		rep.RecordsScanned, rep.RecordsReplayed,
-		rep.Submits, rep.Events[fault.Fail], rep.Events[fault.Recover], rep.Events[fault.Revoke], rep.Rounds)
+		rep.RecordsScanned, rep.RecordsReplayed, rep.Replayed[fault.Submit], rep.Replayed[fault.Fail],
+		rep.Replayed[fault.Recover], rep.Replayed[fault.Revoke], rep.Replayed[fault.Round])
 	if rep.TornBytesDropped > 0 {
 		fmt.Printf("torn tail: %d bytes truncated\n", rep.TornBytesDropped)
 	}

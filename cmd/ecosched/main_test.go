@@ -207,6 +207,7 @@ func TestCLIOutputDigests(t *testing.T) {
 		{[]string{"baseline", "-iterations", "200"}, "76fc10f8d349c4a4089c806788f76541c4add976bb1f1e9bbf3018efff2cc6da"},
 		{[]string{"dynamics", "-iterations", "200"}, "405140d9dccaf1c5046f1240c4d956a21b9949aa8c136f986dd72d400e518bfe"},
 		{[]string{"pareto"}, "36a2fced50e3c4e1ae5b5615d4f95d3fea97b9ebef12c23941fe61f947fe9ebc"},
+		{[]string{"mc", "-universe", "tiny", "-depth", "4", "-states", "2000"}, "68aeb380f1b4735bdb9aa5cce7169253714222869ed4643131ce78b7bfe68aa1"},
 	}
 	for _, tc := range cases {
 		out := capture(t, tc.args)
@@ -241,6 +242,35 @@ func TestChaosJournalRecover(t *testing.T) {
 	rec2 := capture(t, []string{"recover", "-journal", journal, "-seed", "7"})
 	if rec1 != rec2 {
 		t.Fatalf("two recoveries of the same journal diverged\n--- first ---\n%s\n--- second ---\n%s", rec1, rec2)
+	}
+
+	// The bytes chaos wrote, and a full replay of them, are pinned: the
+	// journal and checkpoint wire formats must not move, and replay must
+	// rebuild the same state from every record.
+	for path, want := range map[string]string{
+		journal:           "2b6e339c835e38e06b9a602366e787e8b734159d50521a0c541b3f7c101d3d28",
+		journal + ".ckpt": "25dfe42e44b21679c0f853bf196eedb32c24f8d08b007f452e3bf528b90753fc",
+	} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != want {
+			t.Errorf("%s: sha256 %x, want %s", filepath.Base(path), sum, want)
+		}
+	}
+	if err := os.Remove(journal + ".ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	full := capture(t, []string{"recover", "-journal", journal, "-seed", "7"})
+	for _, line := range []string{
+		"full journal replay",
+		"records: 27 scanned, 27 replayed (10 submits, 2 fails, 1 recovers, 2 revokes, 12 rounds)\n",
+		"state hash: d69dd7af4fa38e3e\n",
+	} {
+		if !strings.Contains(full, line) {
+			t.Errorf("full-replay recover output missing %q:\n%s", line, full)
+		}
 	}
 
 	// The flags guard their prerequisites.

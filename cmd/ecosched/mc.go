@@ -70,7 +70,7 @@ func runMC(universe string, depth, states int, mutation, cexPath string, livenes
 		fmt.Println(verdict(res, liveness))
 		return nil
 	}
-	script := res.Cex.Script(u)
+	script := res.Cex.Script()
 	fmt.Printf("counterexample (%s):\n%s", res.Cex.Property, script)
 	if cexPath != "" {
 		if err := os.WriteFile(cexPath, []byte(script), 0o644); err != nil {

@@ -87,10 +87,8 @@ func FuzzRecord(f *testing.F) {
 		if err != nil {
 			return // rejected input: nothing to round-trip
 		}
-		if rec.Kind == RecordEvent {
-			if err := rec.Event.Validate(); err != nil {
-				t.Fatalf("decoder accepted an invalid event: %v", err)
-			}
+		if err := rec.Event.Validate(); err != nil {
+			t.Fatalf("decoder accepted an invalid event: %v", err)
 		}
 		frame, err := EncodeRecord(rec)
 		if err != nil {
@@ -117,8 +115,8 @@ func canonRecord(r *Record) {
 		return s
 	}
 	r.Requeued, r.Dropped = nilEmpty(r.Requeued), nilEmpty(r.Dropped)
-	if r.Job != nil {
-		r.Job.Request.Needs.Tags = nilEmpty(r.Job.Request.Needs.Tags)
+	if r.Event.Job != nil {
+		r.Event.Job.Request.Needs.Tags = nilEmpty(r.Event.Job.Request.Needs.Tags)
 	}
 	if r.Round != nil {
 		r.Round.Stale, r.Round.Placed = nilEmpty(r.Round.Stale), nilEmpty(r.Round.Placed)

@@ -1,7 +1,7 @@
 // Journal records: the wire layer of the crash-safe durability subsystem
-// (internal/durable). Every externally visible service transition — job
-// submission, an environment event (fault.Event: node failure, recovery or
-// interval revocation), and a full plan/apply round — is one length-prefixed, CRC-framed JSON record appended
+// (internal/durable). Every event the service applies — a fault.Event: job
+// submission, node failure, recovery or interval revocation, or a full
+// plan/apply round — is one length-prefixed, CRC-framed JSON record appended
 // to the write-ahead journal. Frames make torn tails detectable (a crash
 // mid-append leaves a frame whose length or checksum cannot verify, and
 // recovery drops it cleanly); versioned payloads make skew detectable (a
@@ -19,7 +19,6 @@ import (
 	"hash/crc32"
 
 	"ecosched/internal/fault"
-	"ecosched/internal/job"
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 	"ecosched/internal/slot"
@@ -94,45 +93,22 @@ func ScanFrames(data []byte) (payloads [][]byte, ends []int, validLen int) {
 	return payloads, ends, off
 }
 
-// RecordKind enumerates the journaled transition classes.
-type RecordKind string
-
-const (
-	// RecordSubmit is a job submission accepted by the service.
-	RecordSubmit RecordKind = "submit"
-	// RecordEvent is an environment event routed through the service. On
-	// the wire its kind is the event's own (fail, recover or revoke).
-	RecordEvent RecordKind = "event"
-	// RecordRound is one complete scheduling round: the plan that was
-	// applied (with its snapshot epoch), the windows rejected as stale, and
-	// the jobs placed.
-	RecordRound RecordKind = "round"
-)
-
-// Record is one journal entry in domain form: what transition happened, at
-// what simulated time, and what its deterministic outcome was. Replay
-// re-executes the transition through the real service handlers and
-// cross-checks the outcome fields — a mismatch means the journal and the
-// code disagree about history, and recovery fails instead of loading it.
+// Record is one journal entry in domain form: the event the service applied,
+// stamped with the clock it applied at, and its deterministic outcome. A
+// journal's events read back as the script the service lived through.
+// Replay re-applies each event through the real service and cross-checks
+// the outcome fields — a mismatch means the journal and the code disagree
+// about history, and recovery fails instead of loading it.
 type Record struct {
 	// Seq is the append sequence number (1-based, monotone).
 	Seq uint64
-	// Kind is the transition class.
-	Kind RecordKind
-	// Now is the grid clock when the transition was journaled; for an event
-	// record the encoder writes Event.At instead, and the decoder sets both.
-	Now sim.Time
-	// Job is the submitted job (RecordSubmit only).
-	Job *job.Job
-	// Event is the environment event (RecordEvent only), stamped with the
-	// clock it applied at, so a journal's event records read back as the
-	// fault plan the service lived through.
+	// Event is the applied event; a submit carries the full job.
 	Event fault.Event
-	// Requeued and Dropped are an event record's outcome ledger: the jobs
-	// re-queued, and the jobs terminally dropped, by the event.
+	// Requeued and Dropped are a failure's or revocation's outcome ledger:
+	// the jobs re-queued, and the jobs terminally dropped, by the event.
 	Requeued []string
 	Dropped  []string
-	// Round is the round payload (RecordRound only).
+	// Round is a round event's outcome: the plan it applied.
 	Round *RoundRecord
 }
 
@@ -207,42 +183,36 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("codec: nil journal record")
 	}
-	doc := recordJSON{
-		Version:  JournalVersion,
-		Seq:      rec.Seq,
-		Kind:     string(rec.Kind),
-		Now:      int64(rec.Now),
-		Requeued: rec.Requeued,
-		Dropped:  rec.Dropped,
+	e := rec.Event
+	if err := checkRecordEvent(rec.Seq, e, rec.Round != nil); err != nil {
+		return nil, err
 	}
-	switch rec.Kind {
-	case RecordSubmit:
-		if rec.Job == nil {
-			return nil, fmt.Errorf("codec: submit record %d without a job", rec.Seq)
-		}
-		w := jobToWire(rec.Job)
+	doc := recordJSON{
+		Version:   JournalVersion,
+		Seq:       rec.Seq,
+		Kind:      e.Kind.String(),
+		Now:       int64(e.At),
+		Node:      e.Node,
+		SpanStart: int64(e.Span.Start),
+		SpanEnd:   int64(e.Span.End),
+		Requeued:  rec.Requeued,
+		Dropped:   rec.Dropped,
+	}
+	if e.Job != nil {
+		w := jobToWire(e.Job)
 		doc.Job = &w
-	case RecordEvent:
-		e := rec.Event
-		if err := e.Validate(); err != nil {
-			return nil, fmt.Errorf("codec: event record %d: %w", rec.Seq, err)
-		}
-		doc.Kind, doc.Now, doc.Node = e.Kind.String(), int64(e.At), e.Node
-		doc.SpanStart, doc.SpanEnd = int64(e.Span.Start), int64(e.Span.End)
-	case RecordRound:
-		if rec.Round == nil {
-			return nil, fmt.Errorf("codec: round record %d without a round payload", rec.Seq)
-		}
+	}
+	if rr := rec.Round; rr != nil {
 		r := roundJSON{
-			Iteration: rec.Round.Iteration,
-			Planned:   rec.Round.Planned,
-			Epoch:     rec.Round.Epoch,
-			TotalTime: int64(rec.Round.TotalTime),
-			TotalCost: float64(rec.Round.TotalCost),
-			Stale:     rec.Round.Stale,
-			Placed:    rec.Round.Placed,
+			Iteration: rr.Iteration,
+			Planned:   rr.Planned,
+			Epoch:     rr.Epoch,
+			TotalTime: int64(rr.TotalTime),
+			TotalCost: float64(rr.TotalCost),
+			Stale:     rr.Stale,
+			Placed:    rr.Placed,
 		}
-		for _, ch := range rec.Round.Choices {
+		for _, ch := range rr.Choices {
 			if ch.Window == nil {
 				return nil, fmt.Errorf("codec: round record %d choice %q without a window", rec.Seq, ch.Job)
 			}
@@ -260,8 +230,6 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 			r.Choices = append(r.Choices, cj)
 		}
 		doc.Round = &r
-	default:
-		return nil, fmt.Errorf("codec: unknown record kind %q", rec.Kind)
 	}
 	payload, err := json.Marshal(doc)
 	if err != nil {
@@ -270,89 +238,93 @@ func EncodeRecord(rec *Record) ([]byte, error) {
 	return Frame(payload), nil
 }
 
+// checkRecordEvent rejects what a journal cannot hold: an event not stamped
+// with a time (fault.Untimed included) or that fails fault.Event.Validate,
+// and a round event without its round payload (or any other event with one).
+func checkRecordEvent(seq uint64, e fault.Event, hasRound bool) error {
+	if e.At < 0 {
+		return fmt.Errorf("codec: record %d at negative time %d", seq, e.At)
+	}
+	if err := e.Validate(); err != nil {
+		return fmt.Errorf("codec: record %d: %w", seq, err)
+	}
+	if (e.Kind == fault.Round) != hasRound {
+		return fmt.Errorf("codec: record %d: a round event carries a round payload, no other event does", seq)
+	}
+	return nil
+}
+
 // DecodeRecord rebuilds a record from one verified frame payload, resolving
 // node labels against the pool. Unknown fields, version skew, unknown kinds,
 // a negative clock, events that fail fault.Event.Validate, and structurally
-// invalid windows are all rejected — a record either decodes to exactly what
-// was written or fails with a diagnosable error.
+// invalid jobs or windows are all rejected — a record either decodes to
+// exactly what was written or fails with a diagnosable error.
 func DecodeRecord(payload []byte, pool *resource.Pool) (*Record, error) {
 	var doc recordJSON
 	if err := strictUnmarshalVersion(payload, "journal record", JournalVersion, &doc); err != nil {
 		return nil, err
 	}
-	if doc.Now < 0 {
-		return nil, fmt.Errorf("codec: record %d at negative time %d", doc.Seq, doc.Now)
+	kind, err := fault.ParseKind(doc.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("codec: record %d: %w", doc.Seq, err)
 	}
 	rec := &Record{
-		Seq:      doc.Seq,
-		Kind:     RecordKind(doc.Kind),
-		Now:      sim.Time(doc.Now),
+		Seq: doc.Seq,
+		Event: fault.Event{At: sim.Time(doc.Now), Kind: kind, Node: doc.Node,
+			Span: sim.Interval{Start: sim.Time(doc.SpanStart), End: sim.Time(doc.SpanEnd)}},
 		Requeued: doc.Requeued,
 		Dropped:  doc.Dropped,
 	}
-	switch rec.Kind {
-	case RecordSubmit:
-		if doc.Job == nil {
-			return nil, fmt.Errorf("codec: submit record %d without a job", doc.Seq)
-		}
+	if doc.Job != nil {
 		j := jobFromWire(*doc.Job)
 		if err := j.Validate(); err != nil {
-			return nil, fmt.Errorf("codec: submit record %d: %w", doc.Seq, err)
-		}
-		rec.Job = j
-	case RecordRound:
-		if doc.Round == nil {
-			return nil, fmt.Errorf("codec: round record %d without a round payload", doc.Seq)
-		}
-		r := &RoundRecord{
-			Iteration: doc.Round.Iteration,
-			Planned:   doc.Round.Planned,
-			Epoch:     doc.Round.Epoch,
-			TotalTime: sim.Duration(doc.Round.TotalTime),
-			TotalCost: sim.Money(doc.Round.TotalCost),
-			Stale:     doc.Round.Stale,
-			Placed:    doc.Round.Placed,
-		}
-		for _, cj := range doc.Round.Choices {
-			w := &slot.Window{JobName: cj.Job}
-			for _, pj := range cj.Placements {
-				if pool == nil {
-					return nil, fmt.Errorf("codec: round record %d needs a pool to resolve nodes", doc.Seq)
-				}
-				node := pool.ByName(pj.Node)
-				if node == nil {
-					return nil, fmt.Errorf("codec: round record %d references unknown node %q", doc.Seq, pj.Node)
-				}
-				w.Placements = append(w.Placements, slot.Placement{
-					Source: slot.Slot{
-						Node:  node,
-						Price: sim.Money(pj.Price),
-						Span:  sim.Interval{Start: sim.Time(pj.SrcStart), End: sim.Time(pj.SrcEnd)},
-					},
-					Used: sim.Interval{Start: sim.Time(pj.UsedStart), End: sim.Time(pj.UsedEnd)},
-				})
-			}
-			if err := w.Validate(); err != nil {
-				return nil, fmt.Errorf("codec: round record %d: %w", doc.Seq, err)
-			}
-			r.Choices = append(r.Choices, ChoiceRecord{Job: cj.Job, Window: w})
-		}
-		rec.Round = r
-	default:
-		kind, err := fault.ParseKind(doc.Kind)
-		if err != nil {
 			return nil, fmt.Errorf("codec: record %d: %w", doc.Seq, err)
 		}
-		rec.Kind = RecordEvent
-		rec.Event = fault.Event{At: rec.Now, Kind: kind, Node: doc.Node,
-			Span: sim.Interval{Start: sim.Time(doc.SpanStart), End: sim.Time(doc.SpanEnd)}}
-		if err := rec.Event.Validate(); err != nil {
-			return nil, fmt.Errorf("codec: event record %d: %w", doc.Seq, err)
-		}
-		if pool != nil && pool.ByName(doc.Node) == nil {
-			return nil, fmt.Errorf("codec: event record %d references unknown node %q", doc.Seq, doc.Node)
-		}
+		rec.Event.Job = j
 	}
+	if err := checkRecordEvent(doc.Seq, rec.Event, doc.Round != nil); err != nil {
+		return nil, err
+	}
+	if doc.Node != "" && pool != nil && pool.ByName(doc.Node) == nil {
+		return nil, fmt.Errorf("codec: record %d references unknown node %q", doc.Seq, doc.Node)
+	}
+	if doc.Round == nil {
+		return rec, nil
+	}
+	r := &RoundRecord{
+		Iteration: doc.Round.Iteration,
+		Planned:   doc.Round.Planned,
+		Epoch:     doc.Round.Epoch,
+		TotalTime: sim.Duration(doc.Round.TotalTime),
+		TotalCost: sim.Money(doc.Round.TotalCost),
+		Stale:     doc.Round.Stale,
+		Placed:    doc.Round.Placed,
+	}
+	for _, cj := range doc.Round.Choices {
+		w := &slot.Window{JobName: cj.Job}
+		for _, pj := range cj.Placements {
+			if pool == nil {
+				return nil, fmt.Errorf("codec: round record %d needs a pool to resolve nodes", doc.Seq)
+			}
+			node := pool.ByName(pj.Node)
+			if node == nil {
+				return nil, fmt.Errorf("codec: round record %d references unknown node %q", doc.Seq, pj.Node)
+			}
+			w.Placements = append(w.Placements, slot.Placement{
+				Source: slot.Slot{
+					Node:  node,
+					Price: sim.Money(pj.Price),
+					Span:  sim.Interval{Start: sim.Time(pj.SrcStart), End: sim.Time(pj.SrcEnd)},
+				},
+				Used: sim.Interval{Start: sim.Time(pj.UsedStart), End: sim.Time(pj.UsedEnd)},
+			})
+		}
+		if err := w.Validate(); err != nil {
+			return nil, fmt.Errorf("codec: round record %d: %w", doc.Seq, err)
+		}
+		r.Choices = append(r.Choices, ChoiceRecord{Job: cj.Job, Window: w})
+	}
+	rec.Round = r
 	return rec, nil
 }
 

@@ -50,19 +50,19 @@ func sampleRecords(t testing.TB, pool *resource.Pool) []*Record {
 		},
 	}}
 	return []*Record{
-		{Seq: 1, Kind: RecordSubmit, Now: 5, Job: journalJob("j1")},
-		{Seq: 2, Kind: RecordRound, Now: 5, Round: &RoundRecord{
+		{Seq: 1, Event: fault.Event{At: 5, Kind: fault.Submit, Job: journalJob("j1")}},
+		{Seq: 2, Event: fault.Event{At: 5, Kind: fault.Round}, Round: &RoundRecord{
 			Iteration: 1, Planned: true, Epoch: 7,
 			TotalTime: 40, TotalCost: 220.5,
 			Choices: []ChoiceRecord{{Job: "j1", Window: w}},
 			Placed:  []string{"j1"},
 		}},
-		{Seq: 3, Kind: RecordEvent, Now: 20, Event: fault.Event{At: 20, Kind: fault.Fail, Node: "n1"},
+		{Seq: 3, Event: fault.Event{At: 20, Kind: fault.Fail, Node: "n1"},
 			Requeued: []string{"j1"}, Dropped: []string{"j9"}},
-		{Seq: 4, Kind: RecordEvent, Now: 40, Event: fault.Event{At: 40, Kind: fault.Recover, Node: "n1"}},
-		{Seq: 5, Kind: RecordEvent, Now: 60, Event: fault.Event{At: 60, Kind: fault.Revoke, Node: "n2",
+		{Seq: 4, Event: fault.Event{At: 40, Kind: fault.Recover, Node: "n1"}},
+		{Seq: 5, Event: fault.Event{At: 60, Kind: fault.Revoke, Node: "n2",
 			Span: sim.Interval{Start: 60, End: 80}}, Requeued: []string{"j1"}},
-		{Seq: 6, Kind: RecordRound, Now: 60, Round: &RoundRecord{
+		{Seq: 6, Event: fault.Event{At: 60, Kind: fault.Round}, Round: &RoundRecord{
 			Iteration: 2, Planned: false,
 			Stale: []string{"j1"},
 		}},
@@ -96,15 +96,16 @@ func TestRecordRoundTripEveryKind(t *testing.T) {
 			t.Fatalf("decode seq %d: %v", records[i].Seq, err)
 		}
 		want := records[i]
-		if got.Seq != want.Seq || got.Kind != want.Kind || got.Now != want.Now ||
-			got.Event != want.Event ||
+		ge, we := got.Event, want.Event
+		ge.Job, we.Job = nil, nil
+		if got.Seq != want.Seq || ge != we ||
 			!reflect.DeepEqual(got.Requeued, want.Requeued) ||
 			!reflect.DeepEqual(got.Dropped, want.Dropped) {
 			t.Errorf("seq %d header changed:\n got %+v\nwant %+v", want.Seq, got, want)
 		}
-		if want.Job != nil {
-			if got.Job == nil || !reflect.DeepEqual(*got.Job, *want.Job) {
-				t.Errorf("seq %d job changed:\n got %+v\nwant %+v", want.Seq, got.Job, want.Job)
+		if want.Event.Job != nil {
+			if got.Event.Job == nil || !reflect.DeepEqual(*got.Event.Job, *want.Event.Job) {
+				t.Errorf("seq %d job changed:\n got %+v\nwant %+v", want.Seq, got.Event.Job, want.Event.Job)
 			}
 		}
 		if want.Round != nil {
@@ -168,11 +169,11 @@ func TestScanFramesStopsAtTornTail(t *testing.T) {
 // TestScanFramesRejectsCorruption: a flipped payload bit or an oversized
 // length field ends the valid prefix at the damaged frame.
 func TestScanFramesRejectsCorruption(t *testing.T) {
-	frame1, err := EncodeRecord(&Record{Seq: 1, Kind: RecordEvent, Now: 1, Event: fault.Event{At: 1, Kind: fault.Fail, Node: "n1"}})
+	frame1, err := EncodeRecord(&Record{Seq: 1, Event: fault.Event{At: 1, Kind: fault.Fail, Node: "n1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame2, err := EncodeRecord(&Record{Seq: 2, Kind: RecordEvent, Now: 2, Event: fault.Event{At: 2, Kind: fault.Recover, Node: "n1"}})
+	frame2, err := EncodeRecord(&Record{Seq: 2, Event: fault.Event{At: 2, Kind: fault.Recover, Node: "n1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +251,12 @@ func TestDecodeRecordValidatesEvents(t *testing.T) {
 			"job": {"name": "j", "priority": 1, "nodes": 1, "time": 10, "min_performance": 1, "max_price": 1}}`},
 		{"round at negative time", `{"v": 2, "seq": 1, "kind": "round", "now": -1, "round": {"iteration": 1}}`},
 		{"event class on the wire", `{"v": 2, "seq": 1, "kind": "event", "now": 0, "node": "n1"}`},
+		{"submit naming a node", `{"v": 2, "seq": 1, "kind": "submit", "now": 0, "node": "n1",
+			"job": {"name": "j", "priority": 1, "nodes": 1, "time": 10, "min_performance": 1, "max_price": 1}}`},
+		{"round naming a node", `{"v": 2, "seq": 1, "kind": "round", "now": 0, "node": "n1", "round": {"iteration": 1}}`},
+		{"fail with a job", `{"v": 2, "seq": 1, "kind": "fail", "now": 0, "node": "n1",
+			"job": {"name": "j", "priority": 1, "nodes": 1, "time": 10, "min_performance": 1, "max_price": 1}}`},
+		{"fail with a round payload", `{"v": 2, "seq": 1, "kind": "fail", "now": 0, "node": "n1", "round": {"iteration": 1}}`},
 	}
 	for _, c := range cases {
 		if _, err := DecodeRecord([]byte(c.payload), pool); err == nil {
@@ -263,12 +270,14 @@ func TestDecodeRecordValidatesEvents(t *testing.T) {
 func TestEncodeRecordRejectsIncomplete(t *testing.T) {
 	cases := []*Record{
 		nil,
-		{Seq: 1, Kind: RecordSubmit}, // submit without job
-		{Seq: 1, Kind: RecordEvent},  // event without node
-		{Seq: 1, Kind: RecordEvent, Event: fault.Event{Kind: fault.Fail, Node: "n1", Span: sim.Interval{Start: 1, End: 2}}}, // invalid event
-		{Seq: 1, Kind: RecordRound},           // round without payload
-		{Seq: 1, Kind: RecordKind("explode")}, // unknown kind
-		{Seq: 1, Kind: RecordRound, Round: &RoundRecord{Planned: true, Choices: []ChoiceRecord{{Job: "j"}}}}, // choice without window
+		{Seq: 1, Event: fault.Event{At: 1, Kind: fault.Submit}},                                                                         // submit without job
+		{Seq: 1, Event: fault.Event{At: 1, Kind: fault.Fail}},                                                                           // event without node
+		{Seq: 1, Event: fault.Event{Kind: fault.Fail, Node: "n1", Span: sim.Interval{Start: 1, End: 2}}},                                // invalid event
+		{Seq: 1, Event: fault.Event{At: fault.Untimed, Kind: fault.Fail, Node: "n1"}},                                                   // untimed event
+		{Seq: 1, Event: fault.Event{At: 1, Kind: fault.Round}},                                                                          // round without payload
+		{Seq: 1, Event: fault.Event{At: 1, Kind: fault.Fail, Node: "n1"}, Round: &RoundRecord{Iteration: 1}},                            // payload on a non-round
+		{Seq: 1, Event: fault.Event{At: 1, Kind: fault.Kind(99)}},                                                                       // unknown kind
+		{Seq: 1, Event: fault.Event{At: 1, Kind: fault.Round}, Round: &RoundRecord{Planned: true, Choices: []ChoiceRecord{{Job: "j"}}}}, // choice without window
 	}
 	for i, rec := range cases {
 		if _, err := EncodeRecord(rec); err == nil {

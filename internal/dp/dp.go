@@ -15,9 +15,11 @@
 // plus the limit constructors of Eq. (2) (TimeQuota → T*) and Eq. (3)
 // (Frontier.MaxIncome → B*).
 //
-// Time is naturally integral (ticks). Money is continuous, so the cost-
-// constrained DP discretizes money onto a grid; the step is configurable and
-// its effect is measured by the DP-granularity ablation bench.
+// Time is integral (ticks) and money continuous, and no axis is
+// discretized: the production engine (frontier.go) keeps exact (time, cost)
+// points, and the dense oracles index their tables by total time and carry
+// cost as a float — the cost-constrained MinimizeTimeDense computes the
+// minimum cost of every total time.
 package dp
 
 import (

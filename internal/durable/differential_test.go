@@ -9,6 +9,7 @@ import (
 	"ecosched/internal/alloc"
 	"ecosched/internal/codec"
 	"ecosched/internal/durable"
+	"ecosched/internal/fault"
 	"ecosched/internal/gridsim"
 	"ecosched/internal/job"
 	"ecosched/internal/metasched"
@@ -71,36 +72,13 @@ func durableFactory(seed uint64, algo alloc.Algorithm, shards int) durable.Facto
 	}
 }
 
-type cmdKind int
-
-const (
-	cmdSubmit cmdKind = iota
-	cmdFail
-	cmdRecover
-	cmdRevoke
-	cmdTick
-)
-
-// cmd is one externally driven transition. Jobs are stored as specs, not
-// *job.Job instances: the retry ladder mutates requests in place, so every
-// issue must construct a fresh job.
-type cmd struct {
-	kind     cmdKind
-	name     string
-	nodes    int
-	time     sim.Duration
-	priority int
-	maxPrice sim.Money
-	span     sim.Interval
-}
-
-// genCommands derives the deterministic command schedule for a seed: twelve
+// genEvents derives the deterministic event script for a seed: twelve
 // rounds, each submitting up to one job and rolling one environment event
-// (node failure, recovery, interval revocation) before the tick, plus three
-// trailing ticks so backoff-gated requeues get a chance to resolve.
-func genCommands(seed uint64) []cmd {
+// (node failure, recovery, interval revocation) before the round, plus three
+// trailing rounds so backoff-gated requeues get a chance to resolve.
+func genEvents(seed uint64) []fault.Event {
 	rng := sim.NewRNG(seed*0x9e3779b9 + 1)
-	var cmds []cmd
+	var events []fault.Event
 	failed := map[string]bool{}
 	healthy := func() string {
 		for tries := 0; tries < 12; tries++ {
@@ -122,93 +100,80 @@ func genCommands(seed uint64) []cmd {
 		now := sim.Time(60 * round)
 		if round < 2 || rng.Uint64()%10 < 7 {
 			jobs++
-			cmds = append(cmds, cmd{
-				kind:     cmdSubmit,
-				name:     fmt.Sprintf("j%02d", jobs),
-				nodes:    int(rng.Uint64()%2) + 1,
-				time:     sim.Duration(30 + rng.Uint64()%40),
-				priority: int(rng.Uint64()%3) + 1,
-				maxPrice: sim.Money(5 + float64(rng.Uint64()%4)),
-			})
+			j := &job.Job{Name: fmt.Sprintf("j%02d", jobs)}
+			j.Request.Nodes = int(rng.Uint64()%2) + 1
+			j.Request.Time = sim.Duration(30 + rng.Uint64()%40)
+			j.Priority = int(rng.Uint64()%3) + 1
+			j.Request.MinPerformance = 1
+			j.Request.MaxPrice = sim.Money(5 + float64(rng.Uint64()%4))
+			events = append(events, fault.Event{At: now, Kind: fault.Submit, Job: j})
 		}
 		switch rng.Uint64() % 10 {
 		case 0, 1:
 			if n := healthy(); n != "" && len(failed) < 3 {
 				failed[n] = true
-				cmds = append(cmds, cmd{kind: cmdFail, name: n})
+				events = append(events, fault.Event{At: now, Kind: fault.Fail, Node: n})
 			}
 		case 2, 3:
 			if n := anyFailed(); n != "" {
 				delete(failed, n)
-				cmds = append(cmds, cmd{kind: cmdRecover, name: n})
+				events = append(events, fault.Event{At: now, Kind: fault.Recover, Node: n})
 			}
 		case 4, 5:
 			if n := healthy(); n != "" {
 				start := now.Add(sim.Duration(30 + rng.Uint64()%240))
-				cmds = append(cmds, cmd{
-					kind: cmdRevoke,
-					name: n,
-					span: sim.Interval{Start: start, End: start.Add(sim.Duration(30 + rng.Uint64()%60))},
-				})
+				events = append(events, fault.Event{At: now, Kind: fault.Revoke, Node: n,
+					Span: sim.Interval{Start: start, End: start.Add(sim.Duration(30 + rng.Uint64()%60))}})
 			}
 		}
-		cmds = append(cmds, cmd{kind: cmdTick})
+		events = append(events, fault.Event{At: now, Kind: fault.Round})
 	}
 	for i := 0; i < 3; i++ {
-		cmds = append(cmds, cmd{kind: cmdTick})
+		events = append(events, fault.Event{At: sim.Time(60 * (12 + i)), Kind: fault.Round})
 	}
-	return cmds
+	return events
 }
 
-// issue runs one command against the durable service and renders its
-// complete outcome — return values, errors, and for ticks the full report —
-// as one transcript line. The continuation half of the crash differential
-// compares these lines byte for byte.
-func issue(ds *durable.Service, c cmd) string {
-	switch c.kind {
-	case cmdSubmit:
-		j := &job.Job{Name: c.name, Priority: c.priority, Request: job.ResourceRequest{
-			Nodes: c.nodes, Time: c.time, MinPerformance: 1, MaxPrice: c.maxPrice,
-		}}
-		return fmt.Sprintf("submit %s err=%v", c.name, ds.Submit(j))
-	case cmdFail:
-		requeued, err := ds.HandleNodeFailure(c.name)
-		return fmt.Sprintf("fail %s requeued=%v err=%v", c.name, requeued, err)
-	case cmdRecover:
-		return fmt.Sprintf("recover %s err=%v", c.name, ds.HandleNodeRecovery(c.name))
-	case cmdRevoke:
-		requeued, err := ds.HandleRevocation(c.name, c.span)
-		return fmt.Sprintf("revoke %s %v requeued=%v err=%v", c.name, c.span, requeued, err)
-	default:
-		rep, err := ds.Tick()
-		if err != nil {
-			return fmt.Sprintf("tick err=%v", err)
-		}
-		var placed []string
-		for _, p := range rep.Placed {
-			placed = append(placed, p.Job.Name)
-		}
-		return fmt.Sprintf("tick it=%d batch=%d placed=%v postponed=%v dropped=%v T=%v C=%v queue=%d",
-			rep.Iteration, rep.BatchSize, placed, rep.Postponed, rep.Dropped,
-			rep.PlanTime, rep.PlanCost, ds.Scheduler().QueueLength())
+// issue applies one event to the durable service and renders its complete
+// outcome — return values, errors, and for rounds the full report — as one
+// transcript line. The continuation half of the crash differential compares
+// these lines byte for byte. A submit hands over a copy of the job: the
+// retry ladder mutates requests in place, and every issue must start from
+// the script's job.
+func issue(ds *durable.Service, e fault.Event) string {
+	if e.Kind == fault.Submit {
+		j := *e.Job
+		e.Job = &j
 	}
+	requeued, rep, err := fault.Dispatch(ds, e)
+	line := fmt.Sprintf("%v requeued=%v err=%v", e, requeued, err)
+	if rep == nil {
+		return line
+	}
+	var placed []string
+	for _, p := range rep.Placed {
+		placed = append(placed, p.Job.Name)
+	}
+	return fmt.Sprintf("%s it=%d batch=%d placed=%v postponed=%v dropped=%v T=%v C=%v queue=%d",
+		line, rep.Iteration, rep.BatchSize, placed, rep.Postponed, rep.Dropped,
+		rep.PlanTime, rep.PlanCost, ds.Scheduler().QueueLength())
 }
 
-// reference runs the full command schedule once under the journal and
-// captures everything the crash sweep needs: the per-command outcome lines,
+// reference runs the full event script once under the journal and
+// captures everything the crash sweep needs: the per-event outcome lines,
 // the state hash at every record boundary, the record count after each
-// command, the final journal bytes, and a snapshot of the checkpoint file as
+// event, the final journal bytes, and a snapshot of the checkpoint file as
 // of each boundary (what a crash at that point would find on disk).
 type reference struct {
-	cmds      []cmd
+	events    []fault.Event
 	outcomes  []string
 	hashes    []uint64 // hashes[r] = state hash after r records
-	recordEnd []int    // recordEnd[i] = records on disk after command i
+	recordEnd []int    // recordEnd[i] = records on disk after event i
 	journal   []byte
 	cpAt      [][]byte // cpAt[r] = checkpoint bytes as of r records (nil = absent)
 }
 
-func runReference(t *testing.T, dir string, factory durable.Factory, cmds []cmd, checkpointEvery int) *reference {
+func runReference(t *testing.T, dir string, factory durable.Factory, events []fault.Event, checkpointEvery int) *reference {
 	t.Helper()
 	opts := durable.Options{
 		JournalPath:     filepath.Join(dir, "ref.journal"),
@@ -224,11 +189,11 @@ func runReference(t *testing.T, dir string, factory durable.Factory, cmds []cmd,
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	ref := &reference{cmds: cmds}
+	ref := &reference{events: events}
 	ref.hashes = append(ref.hashes, durable.StateHash(svc))
 	ref.cpAt = append(ref.cpAt, nil)
 	records := 0
-	for _, c := range cmds {
+	for _, c := range events {
 		ref.outcomes = append(ref.outcomes, issue(ds, c))
 		data, err := os.ReadFile(opts.JournalPath)
 		if err != nil {
@@ -237,7 +202,7 @@ func runReference(t *testing.T, dir string, factory durable.Factory, cmds []cmd,
 		payloads, _, _ := codec.ScanFrames(data[len(codec.JournalMagic):])
 		if len(payloads) > records {
 			if len(payloads) != records+1 {
-				t.Fatalf("command appended %d records, want exactly 1", len(payloads)-records)
+				t.Fatalf("event appended %d records, want exactly 1", len(payloads)-records)
 			}
 			records = len(payloads)
 			ref.hashes = append(ref.hashes, durable.StateHash(svc))
@@ -259,7 +224,7 @@ func runReference(t *testing.T, dir string, factory durable.Factory, cmds []cmd,
 // crashAtEveryRecord truncates the reference journal after every record
 // boundary, recovers, and checks byte-identity twice over: the recovered
 // canonical state hash matches the uncrashed run at that boundary, and
-// re-issuing the remaining commands reproduces the remaining transcript and
+// re-issuing the remaining events reproduces the remaining transcript and
 // the final state exactly.
 func crashAtEveryRecord(t *testing.T, dir string, factory durable.Factory, ref *reference, checkpointEvery int) {
 	t.Helper()
@@ -298,18 +263,18 @@ func crashAtEveryRecord(t *testing.T, dir string, factory durable.Factory, ref *
 			t.Fatalf("record %d: replayed %d of %d records", r, rep.RecordsReplayed, rep.RecordsScanned)
 		}
 
-		// Continue the session: first command not fully journaled onward.
-		resume := len(ref.cmds)
+		// Continue the session: first event not fully journaled onward.
+		resume := len(ref.events)
 		for i, end := range ref.recordEnd {
 			if end > r {
 				resume = i
 				break
 			}
 		}
-		for i := resume; i < len(ref.cmds); i++ {
-			got := issue(ds, ref.cmds[i])
+		for i := resume; i < len(ref.events); i++ {
+			got := issue(ds, ref.events[i])
 			if got != ref.outcomes[i] {
-				t.Fatalf("record %d, resumed command %d diverged:\n got %s\nwant %s", r, i, got, ref.outcomes[i])
+				t.Fatalf("record %d, resumed event %d diverged:\n got %s\nwant %s", r, i, got, ref.outcomes[i])
 			}
 		}
 		if got := durable.StateHash(ds.Unwrap()); got != ref.hashes[total] {
@@ -345,7 +310,7 @@ func TestCrashInjectionDifferential(t *testing.T) {
 					}
 					dir := t.TempDir()
 					factory := durableFactory(seed, a.algo, shards)
-					ref := runReference(t, dir, factory, genCommands(seed), checkpointEvery)
+					ref := runReference(t, dir, factory, genEvents(seed), checkpointEvery)
 					crashAtEveryRecord(t, dir, factory, ref, checkpointEvery)
 				}
 			})
@@ -361,8 +326,8 @@ func TestTornWriteByteSweep(t *testing.T) {
 	const seed = 7
 	dir := t.TempDir()
 	factory := durableFactory(seed, alloc.ALP{}, 1)
-	cmds := genCommands(seed)[:8]
-	ref := runReference(t, dir, factory, cmds, 0)
+	events := genEvents(seed)[:8]
+	ref := runReference(t, dir, factory, events, 0)
 	_, ends, _ := codec.ScanFrames(ref.journal[len(codec.JournalMagic):])
 	stride := 1
 	if testing.Short() {

@@ -30,10 +30,8 @@ type RecoveryReport struct {
 	RecordsReplayed int
 	// TornBytesDropped is the size of the torn tail a crash left behind.
 	TornBytesDropped int64
-	// Replayed counts per record kind; Events counts event records by
-	// fault.Kind.
-	Submits, Rounds int
-	Events          [fault.Revoke + 1]int
+	// Replayed counts the replayed records by event kind.
+	Replayed [fault.NumKinds]int
 	// AppliedLive is the journal-derived applied-plan ledger after replay,
 	// sorted — already cross-checked against the scheduler's placed set.
 	AppliedLive []string
@@ -127,9 +125,10 @@ func recoverFrom(svc *metasched.Service, j *Journal, payloads [][]byte, torn int
 	m.replayStarted(rep.CheckpointUsed)
 
 	for i := replayFrom; i < len(records); i++ {
-		if err := ds.replayRecord(records[i], rep); err != nil {
-			return nil, nil, fmt.Errorf("durable: replay record %d (%s): %w", i+1, records[i].Kind, err)
+		if _, _, err := ds.apply(records[i], true); err != nil {
+			return nil, nil, fmt.Errorf("durable: replay record %d (%v): %w", i+1, records[i].Event, err)
 		}
+		rep.Replayed[records[i].Event.Kind]++
 		rep.RecordsReplayed++
 		m.recordReplayed()
 	}
@@ -190,84 +189,18 @@ func restoreCheckpoint(ds *Service, cp *codec.Checkpoint) error {
 	return nil
 }
 
-// replayRecord re-executes one journaled transition through the real service
-// handlers and cross-checks its journaled outcome.
-func (ds *Service) replayRecord(rec *codec.Record, rep *RecoveryReport) error {
-	switch rec.Kind {
-	case codec.RecordSubmit:
-		rep.Submits++
-		return ds.svc.Submit(rec.Job)
-	case codec.RecordEvent:
-		rep.Events[rec.Event.Kind]++
-		requeued, dropped, err := ds.outcome(rec.Event)
-		switch {
-		case err != nil:
-			return fmt.Errorf("%v: %w", rec.Event, err)
-		case !slices.Equal(rec.Requeued, requeued):
-			return fmt.Errorf("%v: journaled requeues %v, replay produced %v", rec.Event, rec.Requeued, requeued)
-		case !slices.Equal(rec.Dropped, dropped):
-			return fmt.Errorf("%v: journaled drops %v, replay produced %v", rec.Event, rec.Dropped, dropped)
+// journaledPlan rebuilds a round record's plan against the recovered queue.
+func (ds *Service) journaledPlan(rr *codec.RoundRecord) (*metasched.Plan, error) {
+	if !rr.Planned {
+		return nil, nil
+	}
+	plan := &metasched.Plan{Iteration: rr.Iteration, Epoch: rr.Epoch, TotalTime: rr.TotalTime, TotalCost: rr.TotalCost}
+	for _, cr := range rr.Choices {
+		jb := ds.svc.Scheduler().QueuedJob(cr.Job)
+		if jb == nil {
+			return nil, fmt.Errorf("planned job %q is not in the recovered queue", cr.Job)
 		}
-		return nil
-	case codec.RecordRound:
-		rep.Rounds++
-		return ds.replayRound(rec.Round)
-	default:
-		return fmt.Errorf("unknown record kind %q", rec.Kind)
+		plan.Choices = append(plan.Choices, dp.Choice{Job: jb, Window: cr.Window})
 	}
-}
-
-// replayRound re-runs one scheduling round, installing the journaled plan in
-// place of the search (Plan's grid reads are pure, so skipping it cannot
-// change state) and driving the normal serial applier, which re-validates
-// every window via the grid's commit.
-func (ds *Service) replayRound(rr *codec.RoundRecord) error {
-	r, err := ds.svc.BeginRound()
-	if err != nil {
-		return err
-	}
-	var plan *metasched.Plan
-	if rr.Planned {
-		plan = &metasched.Plan{
-			Iteration: rr.Iteration,
-			Epoch:     rr.Epoch,
-			TotalTime: rr.TotalTime,
-			TotalCost: rr.TotalCost,
-		}
-		for _, cr := range rr.Choices {
-			jb := ds.svc.Scheduler().QueuedJob(cr.Job)
-			if jb == nil {
-				return fmt.Errorf("planned job %q is not in the recovered queue", cr.Job)
-			}
-			plan.Choices = append(plan.Choices, dp.Choice{Job: jb, Window: cr.Window})
-		}
-	}
-	if err := r.InstallPlan(plan); err != nil {
-		return err
-	}
-	if err := r.Apply(); err != nil {
-		return err
-	}
-	if got := r.StaleJobs(); !slices.Equal(rr.Stale, got) {
-		return fmt.Errorf("journaled stale windows %v, replay produced %v", rr.Stale, got)
-	}
-	rep, err := r.Finish()
-	if err != nil {
-		return err
-	}
-	if rep.Iteration != rr.Iteration {
-		return fmt.Errorf("journaled iteration %d, replay ran %d", rr.Iteration, rep.Iteration)
-	}
-	var placed []string
-	for _, p := range rep.Placed {
-		placed = append(placed, p.Job.Name)
-	}
-	if !slices.Equal(rr.Placed, placed) {
-		return fmt.Errorf("journaled placements %v, replay produced %v", rr.Placed, placed)
-	}
-	for _, name := range placed {
-		ds.appliedLive[name] = true
-	}
-	ds.rounds++
-	return nil
+	return plan, nil
 }

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -50,10 +51,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Service wraps a metasched.Service so every externally visible transition
-// is journaled after it succeeds. It exposes the same driving surface as the
-// wrapped service (fault.ServiceDriver), so chaos sessions and the CLI run
-// unmodified against it.
+// Service wraps a metasched.Service so every event it applies is journaled
+// after it succeeds. It exposes the same driving surface as the wrapped
+// service (fault.Driver), so chaos sessions and the CLI run unmodified
+// against it.
 type Service struct {
 	svc  *metasched.Service
 	j    *Journal
@@ -63,10 +64,14 @@ type Service struct {
 	// recovery via the checkpoint's Rounds field plus replayed rounds.
 	rounds int
 	// appliedLive is the journal-derived ledger of jobs holding applied
-	// plans: round records add their placed jobs, event records remove
-	// their requeued and dropped jobs. The recovery-coherence invariant pins
+	// plans: round records add their placed jobs, failure and revocation
+	// records remove their requeued and dropped jobs. The recovery-coherence invariant pins
 	// it against the scheduler's own placed set.
 	appliedLive map[string]bool
+	// roundRec carries a round event's record through fault.Dispatch to
+	// round and back: the journaled record in on replay, the record a
+	// live round wrote out.
+	roundRec *codec.RoundRecord
 }
 
 // New wraps a freshly built service with a new (or empty) journal. A journal
@@ -113,73 +118,28 @@ func (ds *Service) AppliedLive() []string {
 // transitions are no longer durable.
 func (ds *Service) Close() error { return ds.j.Close() }
 
-// Submit routes a submission through the service and journals it.
+// Submit journals a job submission; see step.
 func (ds *Service) Submit(j *job.Job) error {
-	if err := ds.svc.Submit(j); err != nil {
-		return err
-	}
-	return ds.j.Append(&codec.Record{
-		Kind: codec.RecordSubmit,
-		Now:  ds.svc.Scheduler().Grid().Now(),
-		Job:  j,
-	})
-}
-
-// HandleNodeFailure journals a node failure; see handle.
-func (ds *Service) HandleNodeFailure(nodeLabel string) ([]string, error) {
-	return ds.handle(fault.Event{Kind: fault.Fail, Node: nodeLabel})
-}
-
-// HandleNodeRecovery journals a node recovery; see handle.
-func (ds *Service) HandleNodeRecovery(nodeLabel string) error {
-	_, err := ds.handle(fault.Event{Kind: fault.Recover, Node: nodeLabel})
+	_, _, err := ds.step(fault.Event{Kind: fault.Submit, Job: j})
 	return err
 }
 
-// HandleRevocation journals an owner revocation; see handle.
+// HandleNodeFailure journals a node failure; see step.
+func (ds *Service) HandleNodeFailure(nodeLabel string) ([]string, error) {
+	requeued, _, err := ds.step(fault.Event{Kind: fault.Fail, Node: nodeLabel})
+	return requeued, err
+}
+
+// HandleNodeRecovery journals a node recovery; see step.
+func (ds *Service) HandleNodeRecovery(nodeLabel string) error {
+	_, _, err := ds.step(fault.Event{Kind: fault.Recover, Node: nodeLabel})
+	return err
+}
+
+// HandleRevocation journals an owner revocation; see step.
 func (ds *Service) HandleRevocation(nodeLabel string, span sim.Interval) ([]string, error) {
-	return ds.handle(fault.Event{Kind: fault.Revoke, Node: nodeLabel, Span: span})
-}
-
-// handle routes an environment event through the service at the current
-// clock and journals it, stamped with that clock, together with its outcome,
-// which replay cross-checks.
-func (ds *Service) handle(e fault.Event) ([]string, error) {
-	e.At = ds.svc.Scheduler().Grid().Now()
-	requeued, dropped, err := ds.outcome(e)
-	if err != nil {
-		return nil, err
-	}
-	return requeued, ds.j.Append(&codec.Record{
-		Kind:     codec.RecordEvent,
-		Event:    e,
-		Requeued: requeued,
-		Dropped:  dropped,
-	})
-}
-
-// outcome applies an environment event through the wrapped service, retires
-// the jobs it re-queued or newly dropped from the applied-live ledger, and
-// returns both: the live path journals them, replay compares.
-func (ds *Service) outcome(e fault.Event) (requeued, dropped []string, err error) {
-	if e.Kind == fault.Recover {
-		// A recovery only adds vacancy: it cancels nothing, so there is
-		// nothing to re-queue or drop and no drop ledger to copy.
-		_, err := fault.Dispatch(ds.svc, e)
-		return nil, nil, err
-	}
-	before := ds.svc.Scheduler().DroppedJobs()
-	if requeued, err = fault.Dispatch(ds.svc, e); err != nil {
-		return nil, nil, err
-	}
-	dropped = newlyDropped(before, ds.svc.Scheduler().DroppedJobs())
-	for _, name := range requeued {
-		delete(ds.appliedLive, name)
-	}
-	for _, name := range dropped {
-		delete(ds.appliedLive, name)
-	}
-	return requeued, dropped, nil
+	requeued, _, err := ds.step(fault.Event{Kind: fault.Revoke, Node: nodeLabel, Span: span})
+	return requeued, err
 }
 
 // Tick runs one full service round — the durable counterpart of
@@ -188,14 +148,115 @@ func (ds *Service) outcome(e fault.Event) (requeued, dropped []string, err error
 // record is written after the round completes, so a crash anywhere inside
 // the round recovers to the pre-round state and the driver re-issues the
 // tick; the round is deterministic, so the re-run lands on the same state
-// the record would have described.
+// the record would have described. Every CheckpointEvery rounds it then
+// writes a checkpoint.
 func (ds *Service) Tick() (*metasched.IterationReport, error) {
-	now := ds.svc.Scheduler().Grid().Now()
+	_, rep, err := ds.step(fault.Event{Kind: fault.Round})
+	if err != nil {
+		return nil, err
+	}
+	if ds.opts.CheckpointEvery > 0 && ds.rounds%ds.opts.CheckpointEvery == 0 {
+		if err := ds.Checkpoint(); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
+// step applies an event through the wrapped service at the current clock
+// and journals it, stamped with that clock, together with its outcome, which
+// replay cross-checks. A transition that fails is not journaled.
+func (ds *Service) step(e fault.Event) ([]string, *metasched.IterationReport, error) {
+	e.At = ds.svc.Scheduler().Grid().Now()
+	rec := &codec.Record{Event: e}
+	requeued, rep, err := ds.apply(rec, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := ds.j.Append(rec); err != nil {
+		return nil, nil, err
+	}
+	return requeued, rep, nil
+}
+
+// apply runs a record's event through the wrapped service — fault.Dispatch
+// picks the call — and settles the applied-live ledger: a round adds the
+// jobs it placed, a failure or revocation retires the jobs it re-queued or
+// newly dropped. Live, it fills in the record's outcome; on replay it checks
+// the run reproduced the journaled one.
+func (ds *Service) apply(rec *codec.Record, replay bool) ([]string, *metasched.IterationReport, error) {
+	e := rec.Event
+	// Only a failure or revocation cancels reservations, so only they can
+	// drop a job; the others skip copying the drop ledger.
+	cancels := e.Kind == fault.Fail || e.Kind == fault.Revoke
+	var before map[string]string
+	if cancels {
+		before = ds.svc.Scheduler().DroppedJobs()
+	}
+	ds.roundRec = rec.Round
+	requeued, rep, err := fault.Dispatch((*engine)(ds), e)
+	rec.Round, ds.roundRec = ds.roundRec, nil
+	if err != nil {
+		return nil, nil, err
+	}
+	var dropped []string
+	if cancels {
+		dropped = newlyDropped(before, ds.svc.Scheduler().DroppedJobs())
+		for _, name := range requeued {
+			delete(ds.appliedLive, name)
+		}
+		for _, name := range dropped {
+			delete(ds.appliedLive, name)
+		}
+	}
+	switch {
+	case !replay:
+		rec.Requeued, rec.Dropped = requeued, dropped
+	case !slices.Equal(rec.Requeued, requeued):
+		return nil, nil, fmt.Errorf("journaled requeues %v, replay produced %v", rec.Requeued, requeued)
+	case !slices.Equal(rec.Dropped, dropped):
+		return nil, nil, fmt.Errorf("journaled drops %v, replay produced %v", rec.Dropped, dropped)
+	}
+	return requeued, rep, nil
+}
+
+// engine is the service a journaled event reaches through fault.Dispatch:
+// the wrapped service, except that a round runs round. Viewing a *Service
+// as one allocates nothing.
+type engine Service
+
+func (g *engine) Scheduler() *metasched.Scheduler { return g.svc.Scheduler() }
+func (g *engine) Submit(j *job.Job) error         { return g.svc.Submit(j) }
+func (g *engine) HandleNodeFailure(node string) ([]string, error) {
+	return g.svc.HandleNodeFailure(node)
+}
+func (g *engine) HandleNodeRecovery(node string) error { return g.svc.HandleNodeRecovery(node) }
+func (g *engine) HandleRevocation(node string, span sim.Interval) ([]string, error) {
+	return g.svc.HandleRevocation(node, span)
+}
+func (g *engine) Tick() (*metasched.IterationReport, error) { return (*Service)(g).round() }
+
+// round runs one scheduling round. Live (no journaled record in roundRec),
+// it searches and leaves in roundRec the record of the plan it applied, the
+// windows rejected as stale and the jobs placed. On replay it installs the
+// journaled plan in place of the search (Plan's grid reads are pure, so
+// skipping it cannot change state), drives the same serial applier, which
+// re-validates every window via the grid's commit, and checks the round
+// reproduced the journaled outcome.
+func (ds *Service) round() (*metasched.IterationReport, error) {
+	want := ds.roundRec
 	r, err := ds.svc.BeginRound()
 	if err != nil {
 		return nil, err
 	}
-	if err := r.Evaluate(); err != nil {
+	if want == nil {
+		err = r.Evaluate()
+	} else if plan, perr := ds.journaledPlan(want); perr != nil {
+		err = perr
+	} else {
+		err = r.InstallPlan(plan)
+	}
+	if err != nil {
 		return nil, err
 	}
 	plan := r.Plan()
@@ -207,10 +268,7 @@ func (ds *Service) Tick() (*metasched.IterationReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	rr := &codec.RoundRecord{
-		Iteration: rep.Iteration,
-		Stale:     stale,
-	}
+	rr := &codec.RoundRecord{Iteration: rep.Iteration, Stale: stale}
 	if plan != nil {
 		rr.Planned = true
 		rr.Epoch = plan.Epoch
@@ -224,15 +282,17 @@ func (ds *Service) Tick() (*metasched.IterationReport, error) {
 		rr.Placed = append(rr.Placed, p.Job.Name)
 		ds.appliedLive[p.Job.Name] = true
 	}
-	if err := ds.j.Append(&codec.Record{Kind: codec.RecordRound, Now: now, Round: rr}); err != nil {
-		return nil, err
+	switch {
+	case want == nil:
+		ds.roundRec = rr
+	case !slices.Equal(want.Stale, rr.Stale):
+		return nil, fmt.Errorf("journaled stale windows %v, replay produced %v", want.Stale, rr.Stale)
+	case want.Iteration != rr.Iteration:
+		return nil, fmt.Errorf("journaled iteration %d, replay ran %d", want.Iteration, rr.Iteration)
+	case !slices.Equal(want.Placed, rr.Placed):
+		return nil, fmt.Errorf("journaled placements %v, replay produced %v", want.Placed, rr.Placed)
 	}
 	ds.rounds++
-	if ds.opts.CheckpointEvery > 0 && ds.rounds%ds.opts.CheckpointEvery == 0 {
-		if err := ds.Checkpoint(); err != nil {
-			return nil, err
-		}
-	}
 	return rep, nil
 }
 

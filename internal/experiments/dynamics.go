@@ -147,7 +147,7 @@ func dynamicsSession(seed uint64, algo alloc.Algorithm, point *DynamicsPoint) er
 				MaxPrice:       pricing.BasePrice(1.5) * sim.Money(rng.FloatBetween(1.0, 1.4)),
 			},
 		}
-		if err := svc.Submit(j); err != nil {
+		if _, _, err := sess.Apply(fault.Event{Kind: fault.Submit, Job: j}); err != nil {
 			return err
 		}
 	}
@@ -174,7 +174,7 @@ func dynamicsSession(seed uint64, algo alloc.Algorithm, point *DynamicsPoint) er
 	for k, v := range startOf {
 		preStart[k] = v
 	}
-	requeued, err := sess.Inject(fault.Event{At: grid.Now(), Kind: fault.Fail, Node: victim})
+	requeued, _, err := sess.Apply(fault.Event{At: grid.Now(), Kind: fault.Fail, Node: victim})
 	if err != nil {
 		return err
 	}

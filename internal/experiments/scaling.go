@@ -27,7 +27,8 @@ type ScalingPoint struct {
 
 // ScalingStudy measures operation counts as the slot-list length m grows.
 // The same relative workload (one job asking for nodes/duration drawn from
-// the paper's ranges) is placed on increasingly long lists.
+// the paper's ranges) is placed on increasingly long lists by the
+// production scan, a one-job FindFirst search.
 func ScalingStudy(seed uint64, sizes []int) ([]ScalingPoint, error) {
 	out := make([]ScalingPoint, 0, len(sizes))
 	for _, m := range sizes {
@@ -49,8 +50,15 @@ func ScalingStudy(seed uint64, sizes []int) ([]ScalingPoint, error) {
 			// the list instead of stopping at the first few slots.
 			MaxPrice: 2.0,
 		}}
-		_, alpStats, _ := alloc.ALP{}.FindWindow(list, j)
-		_, ampStats, _ := alloc.AMP{}.FindWindow(list, j)
+		batch := job.MustNewBatch([]*job.Job{j})
+		alp, err := alloc.FindFirst(alloc.ALP{}, list, batch)
+		if err != nil {
+			return nil, err
+		}
+		amp, err := alloc.FindFirst(alloc.AMP{}, list, batch)
+		if err != nil {
+			return nil, err
+		}
 
 		// Backfill baseline: the same m intervals become busy periods
 		// on a homogeneous cluster; count availability probes for an
@@ -62,9 +70,9 @@ func ScalingStudy(seed uint64, sizes []int) ([]ScalingPoint, error) {
 		_ = cluster
 		out = append(out, ScalingPoint{
 			Slots:            m,
-			ALPExamined:      alpStats.SlotsExamined,
-			AMPExamined:      ampStats.SlotsExamined,
-			AMPBudgetChecks:  ampStats.BudgetChecks,
+			ALPExamined:      alp.Stats.SlotsExamined,
+			AMPExamined:      amp.Stats.SlotsExamined,
+			AMPBudgetChecks:  amp.Stats.BudgetChecks,
 			BackfillProbes:   probes,
 			BackfillBusyIvls: busy,
 		})

@@ -70,8 +70,10 @@ type Audit struct {
 	cancelled map[resKey]string
 	// snapshot is the VO reservation set captured by BeginEvent.
 	snapshot map[resKey]bool
-	// violations is the append-only log of every invariant breach seen.
+	// violations is the append-only log of every invariant breach seen;
+	// the first reported of them have been returned by Check.
 	violations []string
+	reported   int
 }
 
 // NewAudit builds an auditor over the scheduler and its grid.
@@ -164,17 +166,19 @@ func (a *Audit) violate(format string, args ...any) {
 }
 
 // Check runs every invariant against the current scheduler and grid state.
-// It returns an error describing the violations found by this call; all
-// violations also accumulate in Violations.
+// It returns an error describing the violations recorded since the previous
+// Check — its own and those EndEvent flagged in between; all violations
+// also accumulate in Violations.
 func (a *Audit) Check() error {
-	before := len(a.violations)
 	a.checkBookings()
 	a.checkIncome()
 	a.checkConservation()
 	a.checkFailedNodes()
 	a.checkResurrection()
 	a.checkVacancy()
-	if fresh := a.violations[before:]; len(fresh) > 0 {
+	fresh := a.violations[a.reported:]
+	a.reported = len(a.violations)
+	if len(fresh) > 0 {
 		return fmt.Errorf("fault: %d invariant violation(s): %s", len(fresh), strings.Join(fresh, "; "))
 	}
 	return nil

@@ -341,7 +341,7 @@ func TestJournalEventsAreThePlan(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if rec.Kind == codec.RecordEvent {
+					if k := rec.Event.Kind; k != fault.Submit && k != fault.Round {
 						events = append(events, rec.Event)
 					}
 				}

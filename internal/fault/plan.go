@@ -1,12 +1,13 @@
-// Package fault is the deterministic fault-injection engine for the
-// metascheduler: it compiles a Plan of timed events — node crashes, node
-// recoveries (re-join with fresh vacancy) and transient slot revocations (an
-// owner reclaiming a booked interval) — and injects each one through a single
-// step, Inject, into the service's event handlers between scheduling
-// iterations. The paper schedules over non-dedicated resources whose owners
-// can preempt or withdraw capacity at any moment; this package makes that
-// environment dynamics a first-class, seeded, replayable event stream
-// instead of a manual one-shot FailNode call.
+// Package fault is the deterministic event engine for the metascheduler.
+// Everything a driver does to the service is one Event — a job submission, a
+// scheduling round, and the owner-side changes the paper's non-dedicated
+// resources undergo between iterations: node crashes, node recoveries
+// (re-join with fresh vacancy) and transient slot revocations (an owner
+// reclaiming a booked interval). Every event reaches the service through a
+// single switch, Dispatch; Inject wraps it with the invariant auditor, and a
+// Session replays a Plan of timed events between its rounds. The journal
+// records the same events and the model checker enumerates them, so one
+// text form reads back everything either writes.
 //
 // Everything is deterministic: a Plan is an explicit sorted event list, the
 // generators draw only from an explicitly seeded sim.RNG, and the Session
@@ -22,41 +23,44 @@ import (
 	"strconv"
 	"strings"
 
+	"ecosched/internal/job"
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 )
 
-// Kind classifies a fault event.
+// Kind classifies an event.
 type Kind int
 
 const (
+	// Submit hands a job to the service's queue.
+	Submit Kind = iota
 	// Fail crashes a node: vacancy disappears, live reservations cancel.
-	Fail Kind = iota
+	Fail
 	// Recover re-joins a failed node with fresh vacancy.
 	Recover
 	// Revoke reclaims a slot interval for the owner, cancelling only the
 	// VO reservations overlapping it.
 	Revoke
+	// Round runs one full scheduling round and advances the clock a step.
+	Round
+	// NumKinds is the number of kinds: a per-kind tally is a [NumKinds]int.
+	NumKinds
 )
 
-// String names the kind: the plan-DSL keyword, the journal record kind and
-// the model checker's script keyword.
+var kindNames = [NumKinds]string{"submit", "fail", "recover", "revoke", "round"}
+
+// String names the kind: the keyword of the event's text form and the
+// journal record's kind.
 func (k Kind) String() string {
-	switch k {
-	case Fail:
-		return "fail"
-	case Recover:
-		return "recover"
-	case Revoke:
-		return "revoke"
-	default:
+	if k < 0 || k >= NumKinds {
 		return fmt.Sprintf("kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // ParseKind is String's inverse.
 func ParseKind(s string) (Kind, error) {
-	for k := Fail; k <= Revoke; k++ {
+	for k := Submit; k < NumKinds; k++ {
 		if k.String() == s {
 			return k, nil
 		}
@@ -64,58 +68,127 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("fault: unknown event kind %q", s)
 }
 
-// Event is one timed environment event, the one form fail, recover and
-// revoke take: plans list them, the model checker injects them, and the
+// Untimed is the At of an event that applies whenever it is reached: a
+// model-checker trace line. Inject stamps it with the clock it applies at.
+const Untimed sim.Time = -1
+
+// Event is one step a driver applies to the service, the one form every
+// step takes: plans list them, the model checker enumerates them, the
 // journal records each one applied, stamped with the clock it applied at.
 type Event struct {
-	// At is the injection time: the event fires before the first
-	// iteration whose clock has reached it.
+	// At is the time the event applies: a plan fires it before the first
+	// round whose clock has reached it. Untimed fires when reached.
 	At sim.Time
 	// Kind classifies the event.
 	Kind Kind
-	// Node is the target node label.
+	// Node is the target node label (fail, recover, revoke).
 	Node string
 	// Span is the reclaimed interval; Revoke events only.
 	Span sim.Interval
+	// Job is the submitted job; Submit events only. An event read from
+	// text carries the job's name alone, which the driver resolves.
+	Job *job.Job
 }
 
-// String renders the event in the plan DSL: kind@time:node[:start-end].
+// String renders the event in its text form,
+// kind[@time][:node|:job][:start-end]: "fail@300:n3", "revoke:n5:500-700",
+// "submit@0:j1", "round". The time is left out of an untimed event.
 func (e Event) String() string {
+	var b strings.Builder
+	b.WriteString(e.Kind.String())
+	if e.At != Untimed {
+		fmt.Fprintf(&b, "@%d", e.At)
+	}
+	switch {
+	case e.Job != nil:
+		b.WriteString(":" + e.Job.Name)
+	case e.Node != "":
+		b.WriteString(":" + e.Node)
+	}
 	if e.Kind == Revoke {
-		return fmt.Sprintf("%s@%d:%s:%d-%d", e.Kind, e.At, e.Node, e.Span.Start, e.Span.End)
+		fmt.Fprintf(&b, ":%d-%d", e.Span.Start, e.Span.End)
 	}
-	return fmt.Sprintf("%s@%d:%s", e.Kind, e.At, e.Node)
+	return b.String()
 }
 
-// Validate checks one event in isolation. It accepts exactly what the DSL
-// can carry, so ParsePlan(p.String()) reproduces every valid plan: the node
-// label holds no ':' or ';' (so a span on a non-revoke entry fails as part
-// of its label) and no surrounding space, only a revoke has a span, and that
-// span is non-empty and starts at or after zero.
+// Validate checks one event in isolation. It accepts exactly what the text
+// form can carry, so ParseEvent(e.String()) reproduces every valid event: a
+// label (node or job name) holds no ':' or ';' and no surrounding space;
+// fail, recover and revoke name a node, submit a job and round neither; only
+// a revoke has a span, and that span is non-empty and starts at or after
+// zero.
 func (e Event) Validate() error {
-	if e.At < 0 {
+	label := e.Node
+	switch {
+	case e.At < 0 && e.At != Untimed:
 		return fmt.Errorf("fault: event %v at negative time", e)
-	}
-	if e.Node == "" || strings.ContainsAny(e.Node, ":;") || strings.TrimSpace(e.Node) != e.Node {
-		return fmt.Errorf("fault: event at %v has node label %q (want non-empty, no ':' or ';', no surrounding space)", e.At, e.Node)
-	}
-	switch e.Kind {
-	case Fail, Recover:
-		if e.Span != (sim.Interval{}) {
-			return fmt.Errorf("fault: %v event %v carries a span", e.Kind, e)
-		}
-		return nil
-	case Revoke:
-		if e.Span.Start < 0 || e.Span.Empty() || !e.Span.Valid() {
-			return fmt.Errorf("fault: revoke event %v with empty, invalid or negative span", e)
-		}
-		return nil
-	default:
+	case e.Kind < 0 || e.Kind >= NumKinds:
 		return fmt.Errorf("fault: unknown event kind %d", int(e.Kind))
+	case e.Kind != Revoke && e.Span != (sim.Interval{}):
+		return fmt.Errorf("fault: %v event %v carries a span", e.Kind, e)
+	case e.Kind == Revoke && (e.Span.Start < 0 || e.Span.Empty() || !e.Span.Valid()):
+		return fmt.Errorf("fault: revoke event %v with empty, invalid or negative span", e)
+	case (e.Kind == Submit) != (e.Job != nil):
+		return fmt.Errorf("fault: %v event %v: a submit carries a job, no other event does", e.Kind, e)
+	case (e.Kind == Submit || e.Kind == Round) && e.Node != "":
+		return fmt.Errorf("fault: %v event %v names a node", e.Kind, e)
+	case e.Kind == Round:
+		return nil
+	case e.Kind == Submit:
+		label = e.Job.Name
 	}
+	if label == "" || strings.ContainsAny(label, ":;") || strings.TrimSpace(label) != label {
+		return fmt.Errorf("fault: %v event at %v has label %q (want non-empty, no ':' or ';', no surrounding space)", e.Kind, e.At, label)
+	}
+	return nil
 }
 
-// Plan is a normalized (time-sorted) fault schedule.
+// ParseEvent parses one event in the text form String writes:
+//
+//	fail@300:n3   recover:n3   revoke@450:n5:500-700   submit:j1   round@150
+//
+// The @time is optional; without it the event is Untimed. A submit event
+// carries a job holding only its name.
+func ParseEvent(s string) (Event, error) {
+	head, rest, hasArg := strings.Cut(s, ":")
+	kindStr, atStr, timed := strings.Cut(head, "@")
+	kind, err := ParseKind(kindStr)
+	if err != nil {
+		return Event{}, fmt.Errorf("fault: entry %q: %w", s, err)
+	}
+	e := Event{At: Untimed, Kind: kind}
+	if timed {
+		at, err := strconv.ParseInt(atStr, 10, 64)
+		if err != nil || at < 0 {
+			return Event{}, fmt.Errorf("fault: entry %q has bad time %q", s, atStr)
+		}
+		e.At = sim.Time(at)
+	}
+	if kind == Revoke {
+		node, span, _ := strings.Cut(rest, ":")
+		from, to, _ := strings.Cut(span, "-")
+		start, errStart := strconv.ParseInt(from, 10, 64)
+		end, errEnd := strconv.ParseInt(to, 10, 64)
+		if errStart != nil || errEnd != nil {
+			return Event{}, fmt.Errorf("fault: revoke entry %q needs a span :start-end", s)
+		}
+		rest, e.Span = node, sim.Interval{Start: sim.Time(start), End: sim.Time(end)}
+	}
+	switch {
+	case kind == Round && hasArg:
+		return Event{}, fmt.Errorf("fault: round entry %q takes no argument", s)
+	case kind == Submit:
+		e.Job = &job.Job{Name: rest}
+	default:
+		e.Node = rest
+	}
+	if err := e.Validate(); err != nil {
+		return Event{}, err
+	}
+	return e, nil
+}
+
+// Plan is a normalized (time-sorted) event schedule.
 type Plan struct {
 	// Events in non-decreasing At order; ties keep construction order, so
 	// a storm's simultaneous failures apply in a defined sequence.
@@ -153,12 +226,19 @@ func (p *Plan) Len() int {
 	return len(p.Events)
 }
 
-// Validate checks every event against a node pool: all target labels must
-// exist. Parsing alone cannot know the pool; CLI and test drivers call this
-// before running a plan.
+// Validate checks every event against the grid's node pool: every node an
+// event names exists, and every submitted job is complete — a job read from
+// text carries only its name, which no plan can turn into a request. Parsing
+// alone cannot know the pool; CLI and test drivers call this before running
+// a plan.
 func (p *Plan) Validate(pool *resource.Pool) error {
 	for _, e := range p.Events {
-		if pool.ByName(e.Node) == nil {
+		switch {
+		case e.Kind == Submit:
+			if err := e.Job.Validate(); err != nil {
+				return fmt.Errorf("fault: event %v: %w", e, err)
+			}
+		case e.Kind != Round && pool.ByName(e.Node) == nil:
 			return fmt.Errorf("fault: event %v targets unknown node %q", e, e.Node)
 		}
 	}
@@ -170,8 +250,8 @@ func (p *Plan) Validate(pool *resource.Pool) error {
 //	fail@300:n3;recover@600:n3;revoke@450:n5:500-700
 //
 // Entries are separated by ';' (surrounding spaces ignored, empty entries
-// skipped); each is kind@time:node, with a :start-end span on revoke
-// entries. The result is normalized (time-sorted).
+// skipped); each is one event in ParseEvent's text form. The result is
+// normalized (time-sorted).
 func ParsePlan(s string) (*Plan, error) {
 	var events []Event
 	for _, entry := range strings.Split(s, ";") {
@@ -179,54 +259,13 @@ func ParsePlan(s string) (*Plan, error) {
 		if entry == "" {
 			continue
 		}
-		e, err := parseEvent(entry)
+		e, err := ParseEvent(entry)
 		if err != nil {
 			return nil, err
 		}
 		events = append(events, e)
 	}
 	return NewPlan(events...)
-}
-
-func parseEvent(s string) (Event, error) {
-	kindStr, rest, ok := strings.Cut(s, "@")
-	if !ok {
-		return Event{}, fmt.Errorf("fault: entry %q missing '@'", s)
-	}
-	kind, err := ParseKind(kindStr)
-	if err != nil {
-		return Event{}, fmt.Errorf("fault: entry %q: %w", s, err)
-	}
-	atStr, rest, ok := strings.Cut(rest, ":")
-	if !ok {
-		return Event{}, fmt.Errorf("fault: entry %q missing ':node'", s)
-	}
-	at, err := strconv.ParseInt(atStr, 10, 64)
-	if err != nil {
-		return Event{}, fmt.Errorf("fault: entry %q has bad time: %v", s, err)
-	}
-	e := Event{At: sim.Time(at), Kind: kind, Node: rest}
-	if kind == Revoke {
-		node, spanStr, ok := strings.Cut(rest, ":")
-		if !ok {
-			return Event{}, fmt.Errorf("fault: revoke entry %q missing ':start-end'", s)
-		}
-		startStr, endStr, ok := strings.Cut(spanStr, "-")
-		if !ok {
-			return Event{}, fmt.Errorf("fault: revoke entry %q span missing '-'", s)
-		}
-		start, err := strconv.ParseInt(startStr, 10, 64)
-		if err != nil {
-			return Event{}, fmt.Errorf("fault: revoke entry %q has bad span start: %v", s, err)
-		}
-		end, err := strconv.ParseInt(endStr, 10, 64)
-		if err != nil {
-			return Event{}, fmt.Errorf("fault: revoke entry %q has bad span end: %v", s, err)
-		}
-		e.Node = node
-		e.Span = sim.Interval{Start: sim.Time(start), End: sim.Time(end)}
-	}
-	return e, nil // NewPlan validates
 }
 
 // RandomSpec parameterizes RandomPlan.

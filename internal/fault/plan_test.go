@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ecosched/internal/fault"
+	"ecosched/internal/job"
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 )
@@ -39,6 +40,16 @@ func TestPlanRoundTrip(t *testing.T) {
 		{fault.Event{At: 3, Kind: fault.Recover, Node: "n1;fail@4:n2"}, false},
 		{fault.Event{At: 3, Kind: fault.Fail, Node: "n1 "}, false},
 		{fault.Event{At: 3, Kind: fault.Fail, Node: "n1", Span: sim.Interval{Start: 5, End: 7}}, false},
+		{fault.Event{At: fault.Untimed, Kind: fault.Recover, Node: "n1"}, true},
+		{fault.Event{At: -2, Kind: fault.Fail, Node: "n1"}, false},
+		{fault.Event{At: 150, Kind: fault.Round}, true},
+		{fault.Event{At: 150, Kind: fault.Round, Node: "n1"}, false},
+		{fault.Event{At: 0, Kind: fault.Submit, Job: &job.Job{Name: "j1"}}, true},
+		{fault.Event{At: 0, Kind: fault.Submit}, false},
+		{fault.Event{At: 0, Kind: fault.Submit, Job: &job.Job{Name: "j:1"}}, false},
+		{fault.Event{At: 0, Kind: fault.Submit, Node: "n1", Job: &job.Job{Name: "j1"}}, false},
+		{fault.Event{At: 0, Kind: fault.Fail, Node: "n1", Job: &job.Job{Name: "j1"}}, false},
+		{fault.Event{At: 0, Kind: fault.NumKinds, Node: "n1"}, false},
 	} {
 		p, err := fault.NewPlan(c.e)
 		if (err == nil) != c.ok {
@@ -49,6 +60,9 @@ func TestPlanRoundTrip(t *testing.T) {
 			continue
 		}
 		back, err := fault.ParsePlan(p.String())
+		if err == nil && back.Len() == 1 && back.Events[0].Job != nil && back.Events[0].Job.Name == c.e.Job.Name {
+			back.Events[0].Job = c.e.Job // text carries the job's name only
+		}
 		if err != nil || back.Len() != 1 || back.Events[0] != c.e {
 			t.Errorf("constructed %#v renders %q, which parses back to %v (err %v)", c.e, p.String(), back, err)
 		}
@@ -99,6 +113,11 @@ func TestParsePlanErrors(t *testing.T) {
 		"revoke@300:n1:10-yy",   // bad span end
 		"revoke@300:n1:200-100", // inverted span
 		"revoke@300:n1:50-50",   // empty span
+		"round:n1",              // round names no node
+		"round@xx",              // bad time
+		"submit@0",              // missing job
+		"submit@0:j1:2",         // job name with ':'
+		"fail@-1:n1",            // negative time, not the untimed mark
 	}
 	for _, c := range cases {
 		if _, err := fault.ParsePlan(c); err == nil {
@@ -108,6 +127,55 @@ func TestParsePlanErrors(t *testing.T) {
 	empty, err := fault.ParsePlan("")
 	if err != nil || empty.Len() != 0 {
 		t.Fatalf("ParsePlan(\"\") = %v events, err %v; want an empty plan", empty.Len(), err)
+	}
+}
+
+// TestEventTextForm pins the one text form of every kind, timed and
+// untimed, and that a submit read from text cannot run: it carries its job's
+// name only.
+func TestEventTextForm(t *testing.T) {
+	for text, want := range map[string]fault.Event{
+		"submit@0:j1":        {At: 0, Kind: fault.Submit, Job: &job.Job{Name: "j1"}},
+		"submit:j1":          {At: fault.Untimed, Kind: fault.Submit, Job: &job.Job{Name: "j1"}},
+		"round@150":          {At: 150, Kind: fault.Round},
+		"round":              {At: fault.Untimed, Kind: fault.Round},
+		"fail:n3":            {At: fault.Untimed, Kind: fault.Fail, Node: "n3"},
+		"recover@600:n3":     {At: 600, Kind: fault.Recover, Node: "n3"},
+		"revoke:n5:500-700":  {At: fault.Untimed, Kind: fault.Revoke, Node: "n5", Span: sim.Interval{Start: 500, End: 700}},
+		"revoke@9:n5:10-700": {At: 9, Kind: fault.Revoke, Node: "n5", Span: sim.Interval{Start: 10, End: 700}},
+	} {
+		e, err := fault.ParseEvent(text)
+		if err != nil {
+			t.Fatalf("ParseEvent(%q): %v", text, err)
+		}
+		if e.String() != text {
+			t.Errorf("ParseEvent(%q) renders back as %q", text, e)
+		}
+		if (e.Job == nil) != (want.Job == nil) || e.Job != nil && e.Job.Name != want.Job.Name {
+			t.Errorf("ParseEvent(%q) job = %v, want %v", text, e.Job, want.Job)
+		}
+		e.Job, want.Job = nil, nil
+		if e != want {
+			t.Errorf("ParseEvent(%q) = %#v, want %#v", text, e, want)
+		}
+	}
+
+	pool := testPool(t, 3)
+	named, err := fault.ParsePlan("submit@0:j1;round@0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := named.Validate(pool); err == nil {
+		t.Fatal("plan submitting a name-only job passed pool validation")
+	}
+	full, err := fault.NewPlan(fault.Event{Kind: fault.Submit, Job: &job.Job{Name: "j1",
+		Request: job.ResourceRequest{Nodes: 1, Time: 10, MinPerformance: 1, MaxPrice: 5}}},
+		fault.Event{Kind: fault.Round})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := full.Validate(pool); err != nil {
+		t.Fatalf("plan submitting a complete job rejected: %v", err)
 	}
 }
 

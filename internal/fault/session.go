@@ -5,64 +5,85 @@ import (
 	"io"
 	"sort"
 
+	"ecosched/internal/job"
 	"ecosched/internal/metasched"
 	"ecosched/internal/sim"
 )
 
-// Handler is the service surface an environment event reaches: a
-// *metasched.Service, or the durable wrapper that journals each event.
-type Handler interface {
+// Driver is the service surface an event reaches: a *metasched.Service, or
+// a decorator of one — the durable wrapper that journals each event, the
+// model checker's seeded mutants.
+type Driver interface {
+	Scheduler() *metasched.Scheduler
+	Submit(j *job.Job) error
+	Tick() (*metasched.IterationReport, error)
 	HandleNodeFailure(nodeLabel string) ([]string, error)
 	HandleNodeRecovery(nodeLabel string) error
 	HandleRevocation(nodeLabel string, span sim.Interval) ([]string, error)
 }
 
-// ServiceDriver is the surface a session drives: the event handlers and the
-// round runner.
-type ServiceDriver interface {
-	Handler
-	Scheduler() *metasched.Scheduler
-	Tick() (*metasched.IterationReport, error)
-}
-
-// Dispatch delivers e to the handler its kind names and returns the jobs it
-// re-queued (none for a recovery). It is the one place an event kind selects
-// a handler: Inject and the durable wrapper's live and replay paths use it.
-func Dispatch(h Handler, e Event) ([]string, error) {
+// Dispatch delivers e to the call its kind names. It returns the jobs a
+// failure or revocation re-queued, and the report of the round a round event
+// ran. It is the one place an event kind selects a service call: Inject, the
+// durable wrapper's live and replay paths and the model checker use it.
+func Dispatch(d Driver, e Event) ([]string, *metasched.IterationReport, error) {
 	switch e.Kind {
+	case Submit:
+		return nil, nil, d.Submit(e.Job)
 	case Fail:
-		return h.HandleNodeFailure(e.Node)
+		requeued, err := d.HandleNodeFailure(e.Node)
+		return requeued, nil, err
 	case Recover:
-		return nil, h.HandleNodeRecovery(e.Node)
+		return nil, nil, d.HandleNodeRecovery(e.Node)
 	case Revoke:
-		return h.HandleRevocation(e.Node, e.Span)
+		requeued, err := d.HandleRevocation(e.Node, e.Span)
+		return requeued, nil, err
+	case Round:
+		rep, err := d.Tick()
+		return nil, rep, err
 	}
-	return nil, fmt.Errorf("unknown event kind %d", int(e.Kind))
+	return nil, nil, fmt.Errorf("unknown event kind %d", int(e.Kind))
 }
 
-// Inject is the injection step every event driver uses: it dispatches e
+// Inject is the audited step every event driver uses. It stamps an untimed
+// event with the grid clock and dispatches it. An environmental event runs
 // between the auditor's BeginEvent and EndEvent, so the auditor records the
-// reservations the event cancelled and flags any it added, and writes the
-// event's transcript line. It returns the jobs the event re-queued; the
-// caller runs the invariant check.
-func Inject(h Handler, a *Audit, w io.Writer, e Event) ([]string, error) {
-	a.BeginEvent()
-	requeued, err := Dispatch(h, e)
-	if err != nil {
-		return nil, fmt.Errorf("fault: applying %v: %w", e, err)
+// reservations it cancelled and flags any it added; a round clears the jobs
+// it placed from the resurrection watch. Every event but a submit writes its
+// transcript lines. Inject returns Dispatch's results; the caller runs the
+// invariant check.
+func Inject(d Driver, a *Audit, w io.Writer, e Event) ([]string, *metasched.IterationReport, error) {
+	if e.At == Untimed {
+		e.At = d.Scheduler().Grid().Now()
 	}
-	cancelled := a.EndEvent(e)
-	fmt.Fprintf(w, "fault %v cancelled=%d requeued=%v drops=%d\n",
-		e, len(cancelled), requeued, len(a.sched.DroppedJobs()))
-	return requeued, nil
+	env := e.Kind != Submit && e.Kind != Round
+	if env {
+		a.BeginEvent()
+	}
+	requeued, rep, err := Dispatch(d, e)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fault: applying %v: %w", e, err)
+	}
+	switch {
+	case env:
+		cancelled := a.EndEvent(e)
+		fmt.Fprintf(w, "fault %v cancelled=%d requeued=%v drops=%d\n",
+			e, len(cancelled), requeued, len(a.sched.DroppedJobs()))
+	case rep != nil:
+		WriteIterationReport(w, rep)
+		for _, p := range rep.Placed {
+			a.JobRescheduled(p.Job.Name)
+		}
+	}
+	return requeued, rep, nil
 }
 
-// Session drives a metascheduler service through a fault plan: before every
-// round it applies the plan events whose time has come (in plan order)
-// through the service's event handlers, re-queuing or dropping the affected
-// jobs through the scheduler's retry policy, and it runs the Audit invariant
-// checker after every injected event and every round, failing fast on the
-// first violation.
+// Session drives a metascheduler service through an event plan: before every
+// round it applies the plan events whose time has come (in plan order), and
+// it runs the Audit invariant checker after every event, the rounds
+// included, failing fast on the first violation. Drivers apply their own
+// events — submissions, a failure picked from the live state — through the
+// same audited step, Apply.
 //
 // The whole run is written to the transcript writer in a canonical textual
 // form. Because every input is deterministic — the plan is a sorted event
@@ -73,7 +94,7 @@ func Inject(h Handler, a *Audit, w io.Writer, e Event) ([]string, error) {
 // WriteIterationReport + WriteSummary produce for an undisturbed run, so
 // the fault layer is provably neutral when idle.
 type Session struct {
-	d     ServiceDriver
+	d     Driver
 	sched *metasched.Scheduler
 	plan  *Plan
 	audit *Audit
@@ -83,9 +104,9 @@ type Session struct {
 }
 
 // NewSession binds a service driver — a plain service or the durable
-// journaling wrapper — to a fault plan (nil means no faults) and a
-// transcript writer. The plan is validated against the grid's node pool.
-func NewSession(d ServiceDriver, plan *Plan, w io.Writer) (*Session, error) {
+// journaling wrapper — to an event plan (nil means none) and a transcript
+// writer. The plan is validated against the grid's node pool.
+func NewSession(d Driver, plan *Plan, w io.Writer) (*Session, error) {
 	if d == nil {
 		return nil, fmt.Errorf("fault: nil service driver")
 	}
@@ -107,10 +128,9 @@ func (s *Session) Audit() *Audit { return s.audit }
 // Applied returns how many plan events have fired so far.
 func (s *Session) Applied() int { return s.next }
 
-// Run executes the given number of scheduling iterations under the fault
-// plan. It stops with an error on the first invariant violation or
-// scheduler failure; a normal return means the audit stayed clean
-// throughout.
+// Run executes the given number of scheduling rounds under the plan. It
+// stops with an error on the first invariant violation or scheduler
+// failure; a normal return means the audit stayed clean throughout.
 func (s *Session) Run(iterations int) error {
 	for i := 0; i < iterations; i++ {
 		if _, err := s.Step(); err != nil {
@@ -121,57 +141,36 @@ func (s *Session) Run(iterations int) error {
 	return nil
 }
 
-// Step runs one audited round and returns its report: inject due events,
-// run the iteration, write its transcript, clear re-placed jobs from the
-// resurrection watch, check the invariants. Run(n) is exactly n Steps plus
-// the summary footer; crash-storm drivers call Step directly so they can
-// crash and resume between rounds and still assemble a byte-identical
-// transcript.
+// Step applies the due plan events, then one round event, and returns the
+// round's report. Run(n) is exactly n Steps plus the summary footer;
+// crash-storm drivers call Step directly so they can crash and resume
+// between rounds and still assemble a byte-identical transcript.
 func (s *Session) Step() (*metasched.IterationReport, error) {
-	if err := s.injectDue(); err != nil {
-		return nil, err
-	}
-	rep, err := s.d.Tick()
-	if err != nil {
-		return nil, err
-	}
-	WriteIterationReport(s.w, rep)
-	for _, p := range rep.Placed {
-		s.audit.JobRescheduled(p.Job.Name)
-	}
-	if err := s.audit.Check(); err != nil {
-		return nil, fmt.Errorf("fault: after iteration %d: %w", rep.Iteration, err)
-	}
-	return rep, nil
-}
-
-// injectDue injects every not-yet-applied plan event whose time has been
-// reached, in plan order.
-func (s *Session) injectDue() error {
 	now := s.sched.Grid().Now()
 	for s.next < s.plan.Len() && s.plan.Events[s.next].At <= now {
 		e := s.plan.Events[s.next]
 		s.next++
-		if _, err := s.Inject(e); err != nil {
-			return err
+		if _, _, err := s.Apply(e); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	_, rep, err := s.Apply(Event{At: now, Kind: Round})
+	return rep, err
 }
 
-// Inject applies one event through the injection step and checks the
-// invariants after it, returning the jobs it re-queued. Plan events reach it
-// from Step; a driver that picks its event from the live state, such as
-// failing the busiest node, calls it between Steps.
-func (s *Session) Inject(e Event) ([]string, error) {
-	requeued, err := Inject(s.d, s.audit, s.w, e)
+// Apply applies one event through the injection step and checks the
+// invariants after it, returning Dispatch's results. Plan events reach it
+// from Step; a driver that submits its jobs, or picks its event from the
+// live state such as failing the busiest node, calls it between Steps.
+func (s *Session) Apply(e Event) ([]string, *metasched.IterationReport, error) {
+	requeued, rep, err := Inject(s.d, s.audit, s.w, e)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := s.audit.Check(); err != nil {
-		return nil, fmt.Errorf("fault: after event %v: %w", e, err)
+		return nil, nil, fmt.Errorf("fault: after %v: %w", e, err)
 	}
-	return requeued, nil
+	return requeued, rep, nil
 }
 
 // WriteIterationReport writes one iteration's canonical transcript lines.

@@ -4,41 +4,42 @@ import (
 	"testing"
 )
 
-// enumerateCompatible walks the explorer's own transition alphabet
-// (u.enabled / node.child, so the enumerated traces are exactly explorer
-// traces) and collects every session-compatible trace up to the depth
-// bound, capped at limit.
+// enumerateCompatible walks the explorer's own alphabet in the explorer's
+// order, enumerating from each replayed state the actions Instance.Feasible
+// allows — so the enumerated traces are exactly explorer traces — and
+// collects every session-compatible trace up to the depth bound, capped at
+// limit.
 func enumerateCompatible(u *Universe, maxDepth, limit int) [][]Action {
+	alpha := u.alphabet()
 	var out [][]Action
-	var walk func(n node)
-	walk = func(n node) {
-		if len(out) >= limit || n.depth >= maxDepth {
+	var walk func(trace []Action)
+	walk = func(trace []Action) {
+		in, err := Replay(u, MutNone, trace, nil)
+		if err != nil || len(out) >= limit || len(trace) >= maxDepth {
 			return
 		}
-		for _, a := range u.enabled(n) {
-			trace := make([]Action, len(n.trace)+1)
-			copy(trace, n.trace)
-			trace[len(n.trace)] = a
-			if a.Kind == ActTick || a.Kind == ActCrash {
-				continue // never compatible, prune the whole subtree
+		for _, a := range alpha {
+			if !in.Feasible(a) || a.Step == StepTick || a.Step == StepCrash {
+				continue // tick and crash are never compatible: prune the subtree
 			}
-			if SessionCompatible(trace) {
-				out = append(out, trace)
+			next := append(trace[:len(trace):len(trace)], a)
+			if SessionCompatible(next) {
+				out = append(out, next)
 				if len(out) >= limit {
 					return
 				}
 			}
-			walk(n.child(a, trace))
+			walk(next)
 		}
 	}
-	walk(node{})
+	walk(nil)
 	return out
 }
 
 // TestDifferentialSession replays every session-compatible explorer trace
-// (submits up front, strict evaluate/apply pairs, faults between rounds)
-// both through the model checker's instance and through a fault.Session
-// driven by the recorded fault plan, and requires byte-identical
+// (strict evaluate/apply pairs, events between rounds) both through the
+// model checker's instance and through a fault.Session applying the same
+// events, each pair as one round event, and requires byte-identical
 // transcripts. This pins the explorer to the production fault driver: the
 // checker is exploring the real protocol, not a private re-implementation.
 func TestDifferentialSession(t *testing.T) {
@@ -54,11 +55,11 @@ func TestDifferentialSession(t *testing.T) {
 	for _, trace := range traces {
 		mcT, sessT, err := SessionTranscripts(u, trace)
 		if err != nil {
-			t.Fatalf("trace %q: %v", RenderTrace(u, trace), err)
+			t.Fatalf("trace %q: %v", script(trace), err)
 		}
 		if mcT != sessT {
 			t.Fatalf("transcripts diverged for trace:\n%s--- explorer ---\n%s--- session ---\n%s",
-				RenderTrace(u, trace), mcT, sessT)
+				script(trace), mcT, sessT)
 		}
 	}
 	t.Logf("%d compatible traces, all transcripts byte-identical", len(traces))

@@ -17,21 +17,24 @@
 // hashes mean indistinguishable futures, so interleavings that commute
 // collapse to one node.
 //
-// The action alphabet is {submit job, evaluate (BeginRound+Evaluate), apply
-// (Apply+Finish), crash (checkpoint round trip), retry-tick (clock advance),
-// fail node, recover node, revoke interval}. Because evaluate and apply are
-// separate actions, every schedule/commit race is reachable: a node
-// failure, revocation, or clock advance can land between the optimizer
-// choosing a window and the grid committing it, which is exactly the
-// optimistic-concurrency path Apply must handle by postponing the stale job.
+// An action is a service event in the shared fault.Event form — submit job,
+// fail node, recover node, revoke interval — or one of four harness steps:
+// evaluate (BeginRound+Evaluate), apply (Apply+Finish), tick (idle clock
+// advance) and crash (checkpoint round trip). The explorer splits the round
+// event into evaluate and apply, so every schedule/commit race is
+// reachable: a node failure, revocation, or clock advance can land between
+// the optimizer choosing a window and the grid committing it, which is
+// exactly the optimistic-concurrency path Apply must handle by postponing
+// the stale job.
 //
 // # Exploration
 //
 // The scheduler has no snapshot/restore, so the explorer replays each
 // candidate trace from the root: breadth-first over the frontier, one fresh
 // replay per successor, bounded by depth and distinct-state count. Per-node
-// metadata (submitted set, failed set, open-round flag)
-// makes enabled actions computable without replaying the parent.
+// metadata (submitted set, failed set, open-round flag) makes enabled
+// actions computable without replaying the parent, and a frontier trace is
+// a list of indices into the universe's alphabet of actions.
 //
 // # Properties
 //
@@ -45,7 +48,8 @@
 //     placed or dropped — nothing queues forever.
 //
 // A violation is minimized by greedy action deletion and rendered as a
-// replayable script (submit lines + step actions) plus the equivalent
-// fault-plan DSL, so a model-checker finding becomes a deterministic
-// regression test input.
+// replayable script, one action per line: a step's keyword, or an event in
+// fault's text form without its time ("submit:j1", "fail:n2"). So a
+// model-checker finding becomes a deterministic regression test input, read
+// back by the parser plans use.
 package mc

@@ -2,6 +2,8 @@ package mc
 
 import (
 	"fmt"
+
+	"ecosched/internal/fault"
 )
 
 // Options bounds and tunes an exploration sweep.
@@ -65,60 +67,42 @@ type Result struct {
 	Cex *Counterexample
 }
 
-// node is one frontier entry. The metadata mirrors exactly the state bits
-// that determine which actions are enabled, so successor enumeration needs
-// no replay of the parent.
+// node is one frontier entry: where its trace lies in the sweep's trace
+// arena, and the set of alphabet actions feasible at its state (bit k for
+// action k), read off the live instance when the state was discovered, so
+// successor enumeration needs no replay of the parent. A node holds no
+// pointer, so a large frontier costs the collector nothing to mark.
 type node struct {
-	trace     []Action
-	depth     int
-	open      bool
-	submitted uint16
-	failed    uint16
+	at, depth int
+	enabled   uint64
 }
 
-// enabled enumerates the feasible actions from the node's metadata, in a
-// fixed order so exploration is deterministic.
-func (u *Universe) enabled(n node) []Action {
+// alphabet lists every action the explorer takes on u: the submits, the
+// harness steps, then each node's fail, revoke and recover. Successors are
+// enumerated in this order, so exploration is deterministic.
+func (u *Universe) alphabet() []Action {
 	var out []Action
 	for j := range u.Jobs {
-		if n.submitted&(1<<j) == 0 {
-			out = append(out, Action{Kind: ActSubmit, Arg: j})
-		}
+		out = append(out, u.submit(j))
 	}
-	if n.open {
-		out = append(out, Action{Kind: ActApply})
-	} else {
-		out = append(out, Action{Kind: ActEvaluate}, Action{Kind: ActCrash})
-	}
-	out = append(out, Action{Kind: ActTick})
-	for i := range u.Nodes {
-		if n.failed&(1<<i) != 0 {
-			out = append(out, Action{Kind: ActRecover, Arg: i})
-		} else {
-			out = append(out, Action{Kind: ActFail, Arg: i},
-				Action{Kind: ActRevoke, Arg: i})
-		}
+	out = append(out, Action{Step: StepEvaluate}, Action{Step: StepCrash},
+		Action{Step: StepApply}, Action{Step: StepTick})
+	for i, n := range u.Nodes {
+		out = append(out, event(fault.Fail, n.Name), u.revoke(i), event(fault.Recover, n.Name))
 	}
 	return out
 }
 
-// child derives the successor's metadata after action a.
-func (n node) child(a Action, trace []Action) node {
-	c := node{trace: trace, depth: n.depth + 1, open: n.open,
-		submitted: n.submitted, failed: n.failed}
-	switch a.Kind {
-	case ActSubmit:
-		c.submitted |= 1 << a.Arg
-	case ActEvaluate:
-		c.open = true
-	case ActApply:
-		c.open = false
-	case ActFail:
-		c.failed |= 1 << a.Arg
-	case ActRecover:
-		c.failed &^= 1 << a.Arg
+// feasible returns the set of alpha's actions feasible in the instance's
+// state, bit k for alpha[k].
+func (in *Instance) feasible(alpha []Action) uint64 {
+	var set uint64
+	for k, a := range alpha {
+		if in.Feasible(a) {
+			set |= 1 << k
+		}
 	}
-	return c
+	return set
 }
 
 // Explore runs the bounded breadth-first sweep over the universe, checking
@@ -142,7 +126,18 @@ func Explore(u *Universe, opts Options) (*Result, error) {
 	}
 	seen := map[uint64]struct{}{root.Hash(): {}}
 	res.States = 1
-	frontier := []node{{}}
+	alpha := u.alphabet()
+	frontier := []node{{enabled: root.feasible(alpha)}}
+	// arena holds every frontier trace back to back, as alphabet indices;
+	// path spells one into buf, which a counterexample copies.
+	var arena []uint8
+	buf := make([]Action, 0, opts.MaxDepth+1)
+	path := func(n node, dst []Action) []Action {
+		for _, k := range arena[n.at : n.at+n.depth] {
+			dst = append(dst, alpha[k])
+		}
+		return dst
+	}
 	leaves := 0
 
 	for len(frontier) > 0 {
@@ -156,7 +151,7 @@ func Explore(u *Universe, opts Options) (*Result, error) {
 				leaves++
 				if leaves%livenessEvery == 0 {
 					res.LivenessChecks++
-					if cex := checkLiveness(u, opts, n.trace); cex != nil {
+					if cex := checkLiveness(u, opts, path(n, nil)); cex != nil {
 						res.Cex = cex
 						return res, nil
 					}
@@ -167,10 +162,11 @@ func Explore(u *Universe, opts Options) (*Result, error) {
 		if res.Truncated {
 			continue
 		}
-		for _, a := range u.enabled(n) {
-			trace := make([]Action, len(n.trace)+1)
-			copy(trace, n.trace)
-			trace[len(n.trace)] = a
+		for k := range alpha {
+			if n.enabled&(1<<k) == 0 {
+				continue
+			}
+			trace := append(path(n, buf[:0]), alpha[k])
 			in, err := Replay(u, opts.Mutation, trace, nil)
 			res.Transitions++
 			if err != nil {
@@ -204,7 +200,8 @@ func Explore(u *Universe, opts Options) (*Result, error) {
 				res.Truncated = true
 				break
 			}
-			frontier = append(frontier, n.child(a, trace))
+			frontier = append(frontier, node{at: len(arena), depth: n.depth + 1, enabled: in.feasible(alpha)})
+			arena = append(append(arena, arena[n.at:n.at+n.depth]...), uint8(k))
 		}
 	}
 	return res, nil

@@ -3,6 +3,8 @@ package mc
 import (
 	"strings"
 	"testing"
+
+	"ecosched/internal/fault"
 )
 
 // TestExploreTinyClean sweeps the tiny universe with all properties on: the
@@ -24,7 +26,7 @@ func TestExploreTinyClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Cex != nil {
-		t.Fatalf("violation in clean universe:\n%s", res.Cex.Script(Tiny()))
+		t.Fatalf("violation in clean universe:\n%s", res.Cex.Script())
 	}
 	if res.States < 100 || res.Transitions <= res.States {
 		t.Fatalf("implausibly small sweep: %+v", res)
@@ -52,7 +54,7 @@ func TestExploreDefaultUniverseScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Cex != nil {
-		t.Fatalf("violation in clean universe:\n%s", res.Cex.Script(Default()))
+		t.Fatalf("violation in clean universe:\n%s", res.Cex.Script())
 	}
 	if res.States < 100000 {
 		t.Fatalf("acceptance floor missed: %d distinct states, want >= 100000", res.States)
@@ -61,26 +63,21 @@ func TestExploreDefaultUniverseScale(t *testing.T) {
 		res.States, res.Transitions, res.Deepest, res.Truncated)
 }
 
-// TestScriptRoundTrip pins Render/ParseScript as inverses over every action
-// kind, which is what makes printed counterexamples replayable.
+// TestScriptRoundTrip pins a trace's text and the script reader as inverses
+// over every action the explorer enumerates, which is what makes printed
+// counterexamples replayable.
 func TestScriptRoundTrip(t *testing.T) {
-	u := Default()
-	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 2},
-		{Kind: ActFail, Arg: 1}, {Kind: ActEvaluate}, {Kind: ActTick},
-		{Kind: ActApply}, {Kind: ActCrash}, {Kind: ActRecover, Arg: 1}, {Kind: ActRevoke, Arg: 0},
-	}
-	script := RenderTrace(u, trace)
-	back, err := ParseScript(u, script+"\n# trailing comment\n")
+	tr := Default().alphabet()
+	back, err := parseScript(script(tr) + "\n# trailing comment\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(trace) {
-		t.Fatalf("round trip changed length: %d -> %d", len(trace), len(back))
+	if len(back) != len(tr) {
+		t.Fatalf("round trip changed length: %d -> %d", len(tr), len(back))
 	}
-	for i := range trace {
-		if back[i] != trace[i] {
-			t.Fatalf("action %d: %v -> %v", i, trace[i], back[i])
+	for i := range tr {
+		if back[i].String() != tr[i].String() || back[i].Step == StepEvent && back[i].Event.At != fault.Untimed {
+			t.Fatalf("action %d: %v -> %v", i, tr[i], back[i])
 		}
 	}
 }
@@ -89,12 +86,7 @@ func TestScriptRoundTrip(t *testing.T) {
 // the same trace twice reaches the same canonical hash.
 func TestReplayDeterministic(t *testing.T) {
 	u := Default()
-	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1},
-		{Kind: ActEvaluate}, {Kind: ActFail, Arg: 0}, {Kind: ActApply},
-		{Kind: ActTick}, {Kind: ActRecover, Arg: 0},
-		{Kind: ActEvaluate}, {Kind: ActApply},
-	}
+	trace := mustTrace(t, "submit:j1; submit:j2; evaluate; fail:n1; apply; tick; recover:n1; evaluate; apply")
 	a, err := Replay(u, MutNone, trace, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 )
 
 // Instance is one live replay of a trace: a fresh grid, scheduler, service,
-// and auditor driven action by action. Submits and fault events route
-// through the service's handlers. The explorer builds
+// and auditor driven action by action. Events route through fault.Inject,
+// the injection step a fault.Session uses. The explorer builds
 // one instance per candidate successor; the differential tests reuse it as
 // a transcript generator.
 type Instance struct {
@@ -23,18 +23,14 @@ type Instance struct {
 	grid  *gridsim.Grid
 	sched *metasched.Scheduler
 	svc   *metasched.Service
-	// handlers receives the environment events: svc itself, or svc
-	// decorated with the mutation's bug.
-	handlers fault.Handler
+	// handlers receives the events: svc itself, or svc decorated with the
+	// mutation's bug.
+	handlers fault.Driver
 	audit    *fault.Audit
 	// round is the open evaluate/apply round, nil between rounds.
 	round *metasched.Round
 	// submitted marks jobs already handed to the scheduler.
 	submitted []bool
-	// events are the fault events applied so far, stamped with the clock
-	// at application time — exactly the plan a fault.Session would need
-	// to reproduce this trace.
-	events []fault.Event
 	// w receives the session-format transcript (io.Discard by default).
 	w   io.Writer
 	mut Mutation
@@ -79,28 +75,31 @@ func NewInstance(u *Universe, mut Mutation, w io.Writer) (*Instance, error) {
 	}, nil
 }
 
-// Events returns the fault events applied so far with their recorded times.
-func (in *Instance) Events() []fault.Event { return in.events }
-
 // Feasible reports whether the action is structurally applicable in the
-// current state: no duplicate submits, evaluate/apply strictly alternating,
-// fail/revoke only on live nodes, recover only on failed ones. The
+// current state: known jobs and nodes only, no duplicate submits,
+// evaluate/apply strictly alternating, a round event or crash only between
+// rounds, fail/revoke only on live nodes, recover only on failed ones. The
 // explorer enumerates only feasible actions; the minimizer skips infeasible
 // ones left behind by deletions.
 func (in *Instance) Feasible(a Action) bool {
-	switch a.Kind {
-	case ActSubmit:
-		return !in.submitted[a.Arg]
-	case ActEvaluate, ActCrash:
+	switch a.Step {
+	case StepEvaluate, StepCrash:
 		return in.round == nil
-	case ActApply:
+	case StepApply:
 		return in.round != nil
-	case ActTick:
+	case StepTick:
 		return true
-	case ActFail, ActRevoke:
-		return !in.grid.NodeFailed(resource.NodeID(a.Arg))
-	case ActRecover:
-		return in.grid.NodeFailed(resource.NodeID(a.Arg))
+	case StepEvent:
+		e := a.Event
+		if e.Kind == fault.Submit {
+			j := in.u.jobIndex(e.Job.Name)
+			return j >= 0 && !in.submitted[j]
+		}
+		if e.Kind == fault.Round {
+			return in.round == nil
+		}
+		n := in.u.nodeIndex(e.Node)
+		return n >= 0 && in.grid.NodeFailed(resource.NodeID(n)) == (e.Kind == fault.Recover)
 	default:
 		return false
 	}
@@ -110,53 +109,48 @@ func (in *Instance) Feasible(a Action) bool {
 // full audit safety set. Any returned error — an invariant violation or an
 // unexpected scheduler failure — marks the trace as a counterexample.
 func (in *Instance) Apply(a Action) error {
-	switch a.Kind {
-	case ActSubmit:
-		if err := in.svc.Submit(in.u.buildJob(a.Arg)); err != nil {
-			return err
+	var err error
+	switch a.Step {
+	case StepEvent:
+		err = in.inject(a.Event)
+	case StepEvaluate:
+		if in.round, err = in.svc.BeginRound(); err == nil {
+			err = in.round.Evaluate()
 		}
-		in.submitted[a.Arg] = true
-	case ActEvaluate:
-		r, err := in.svc.BeginRound()
-		if err != nil {
-			return err
-		}
-		if err := r.Evaluate(); err != nil {
-			return err
-		}
-		in.round = r
-	case ActApply:
-		if in.mut == MutBlindApply {
-			in.blindApply()
-		}
-		if err := in.round.Apply(); err != nil {
-			return err
-		}
-		rep, err := in.round.Finish()
-		if err != nil {
-			return err
-		}
-		in.round = nil
-		fault.WriteIterationReport(in.w, rep)
-		for _, p := range rep.Placed {
-			in.audit.JobRescheduled(p.Job.Name)
-		}
-	case ActTick:
-		if err := in.grid.Advance(in.grid.Now().Add(in.u.Step)); err != nil {
-			return err
-		}
-	case ActCrash:
-		if err := in.crash(); err != nil {
-			return err
-		}
-	case ActFail, ActRecover, ActRevoke:
-		if err := in.inject(a); err != nil {
-			return err
-		}
+	case StepApply:
+		err = in.apply()
+	case StepTick:
+		err = in.grid.Advance(in.grid.Now().Add(in.u.Step))
+	case StepCrash:
+		err = in.crash()
 	default:
-		return fmt.Errorf("mc: unknown action kind %d", int(a.Kind))
+		err = fmt.Errorf("mc: unknown step %d", int(a.Step))
+	}
+	if err != nil {
+		return err
 	}
 	return in.check()
+}
+
+// apply closes the open round, after the blind applier under MutBlindApply,
+// and writes its transcript lines.
+func (in *Instance) apply() error {
+	if in.mut == MutBlindApply {
+		in.blindApply()
+	}
+	if err := in.round.Apply(); err != nil {
+		return err
+	}
+	rep, err := in.round.Finish()
+	if err != nil {
+		return err
+	}
+	in.round = nil
+	fault.WriteIterationReport(in.w, rep)
+	for _, p := range rep.Placed {
+		in.audit.JobRescheduled(p.Job.Name)
+	}
+	return nil
 }
 
 // blindApply seeds the MutBlindApply bug: if the open round's pending plan
@@ -181,18 +175,23 @@ func (in *Instance) blindApply() {
 	}
 }
 
-// inject applies an environment action as a fault.Event stamped with the
-// current clock, through the same injection step fault.Session uses, so
-// session-compatible traces replay byte-identically.
-func (in *Instance) inject(a Action) error {
-	e := fault.Event{At: in.grid.Now(), Kind: a.Kind.event(), Node: in.u.Nodes[a.Arg].Name}
-	if e.Kind == fault.Revoke {
-		e.Span = in.u.RevokeSpan
+// inject applies an event through the injection step a fault.Session uses,
+// so session-shaped traces replay byte-identically. A submit's job is built
+// afresh from the universe's spec.
+func (in *Instance) inject(e fault.Event) error {
+	j := -1
+	if e.Kind == fault.Submit {
+		if j = in.u.jobIndex(e.Job.Name); j < 0 {
+			return fmt.Errorf("mc: unknown job %q", e.Job.Name)
+		}
+		e.Job = in.u.buildJob(j)
 	}
-	if _, err := fault.Inject(in.handlers, in.audit, in.w, e); err != nil {
+	if _, _, err := fault.Inject(in.handlers, in.audit, in.w, e); err != nil {
 		return err
 	}
-	in.events = append(in.events, e)
+	if j >= 0 {
+		in.submitted[j] = true
+	}
 	return nil
 }
 
@@ -281,33 +280,19 @@ func (in *Instance) Hash() uint64 {
 // neither placed nor dropped — a liveness violation.
 func (in *Instance) Drain(maxIter int) error {
 	if in.round != nil {
-		if err := in.round.Apply(); err != nil {
-			return err
-		}
-		if _, err := in.round.Finish(); err != nil {
-			return err
-		}
-		in.round = nil
-		if err := in.check(); err != nil {
+		if err := in.Apply(Action{Step: StepApply}); err != nil {
 			return err
 		}
 	}
-	for i := range in.u.Nodes {
-		if a := (Action{Kind: ActRecover, Arg: i}); in.Feasible(a) {
+	for _, n := range in.u.Nodes {
+		if a := event(fault.Recover, n.Name); in.Feasible(a) {
 			if err := in.Apply(a); err != nil {
 				return err
 			}
 		}
 	}
 	for i := 0; i < maxIter && in.sched.QueueLength() > 0; i++ {
-		rep, err := in.svc.Tick()
-		if err != nil {
-			return err
-		}
-		for _, p := range rep.Placed {
-			in.audit.JobRescheduled(p.Job.Name)
-		}
-		if err := in.check(); err != nil {
+		if err := in.Apply(event(fault.Round, "")); err != nil {
 			return err
 		}
 	}
@@ -327,7 +312,7 @@ func Replay(u *Universe, mut Mutation, trace []Action, w io.Writer) (*Instance, 
 	}
 	for i, a := range trace {
 		if err := in.Apply(a); err != nil {
-			return in, fmt.Errorf("mc: action %d (%s): %w", i, a.Render(u), err)
+			return in, fmt.Errorf("mc: action %d (%v): %w", i, a, err)
 		}
 	}
 	return in, nil

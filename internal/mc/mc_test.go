@@ -29,26 +29,42 @@ func TestParseMutation(t *testing.T) {
 	}
 }
 
-// TestParseScriptErrors pins the script parser's rejection of malformed
+// TestParseScriptErrors pins the script reader's rejection of malformed
 // lines — a corrupted counterexample artifact must fail loudly, not replay
-// something else.
+// something else — and the replay's rejection of names the universe lacks.
 func TestParseScriptErrors(t *testing.T) {
-	u := Tiny()
 	for _, script := range []string{
-		"launch j1",       // unknown keyword
+		"launch:j1",       // unknown keyword
 		"submit",          // missing job
-		"submit ghost",    // unknown job
+		"submit j1",       // the retired space-separated form
 		"fail",            // missing node
-		"fail n9",         // unknown node
-		"recover n9",      // unknown node
-		"revoke",          // missing node
+		"revoke:n1",       // missing span
+		"revoke:n1:50-50", // empty span
 		"plan",            // retired keyword
-		"evaluate now",    // stray argument
+		"event",           // a step's name, not an action
+		"evaluate:now",    // stray argument
 		"tick tock",       // stray argument
-		"submit j1 twice", // stray argument
+		"round:n1",        // stray argument
+		"submit:j1:twice", // stray argument
+		"fail@-5:n1",      // negative time
+		"recover@xx:n1",   // bad time
 	} {
-		if _, err := ParseScript(u, script); err == nil {
-			t.Errorf("ParseScript(%q) accepted", script)
+		if _, err := parseScript(script); err == nil {
+			t.Errorf("parseScript(%q) accepted", script)
+		}
+	}
+	u := Tiny()
+	in, err := NewInstance(u, MutNone, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, script := range []string{"submit:ghost", "fail:n9", "recover:n9", "revoke:n9:40-120"} {
+		tr := mustTrace(t, script)
+		if in.Feasible(tr[0]) {
+			t.Errorf("%q feasible in %d-node universe", script, len(u.Nodes))
+		}
+		if _, err := Replay(u, MutNone, tr, nil); err == nil {
+			t.Errorf("%q replayed", script)
 		}
 	}
 }
@@ -85,33 +101,25 @@ func TestUniverseValidate(t *testing.T) {
 	}
 }
 
-// TestSessionCompatibleShapes pins the compatibility predicate on every
-// rejected shape.
+// TestSessionCompatibleShapes pins the compatibility predicate: a trace is
+// session-shaped exactly when its evaluate/apply pairs are unbroken.
 func TestSessionCompatibleShapes(t *testing.T) {
-	sub := Action{Kind: ActSubmit, Arg: 0}
-	eval := Action{Kind: ActEvaluate}
-	apply := Action{Kind: ActApply}
-	fail := Action{Kind: ActFail, Arg: 0}
-	for name, tc := range map[string]struct {
-		trace []Action
-		want  bool
-	}{
-		"canonical":             {[]Action{sub, fail, eval, apply}, true},
-		"two-rounds":            {[]Action{sub, eval, apply, fail, eval, apply}, true},
-		"submit-after-evaluate": {[]Action{eval, apply, sub, eval, apply}, false},
-		"tick":                  {[]Action{sub, Action{Kind: ActTick}, eval, apply}, false},
-		"crash":                 {[]Action{sub, eval, apply, Action{Kind: ActCrash}, eval, apply}, false},
-		"fault-mid-round":       {[]Action{sub, eval, fail, apply}, false},
-		"open-at-end":           {[]Action{sub, eval}, false},
-		"trailing-fault":        {[]Action{sub, eval, apply, fail}, false},
-		"no-round":              {[]Action{sub, fail}, false},
+	for shape, want := range map[string]bool{
+		"submit:j1; fail:n1; evaluate; apply":                  true,
+		"submit:j1; evaluate; apply; fail:n1; evaluate; apply": true,
+		"evaluate; apply; submit:j1; evaluate; apply":          true,
+		"submit:j1; evaluate; apply; fail:n1":                  true,
+		"submit:j1; fail:n1; round":                            true,
+		"submit:j1; tick; evaluate; apply":                     false,
+		"submit:j1; evaluate; apply; crash; evaluate; apply":   false,
+		"submit:j1; evaluate; fail:n1; apply":                  false,
+		"submit:j1; evaluate; round; apply":                    false,
+		"submit:j1; evaluate":                                  false,
+		"apply":                                                false,
 	} {
-		if got := SessionCompatible(tc.trace); got != tc.want {
-			t.Errorf("%s: SessionCompatible = %t, want %t", name, got, tc.want)
+		if got := SessionCompatible(mustTrace(t, shape)); got != want {
+			t.Errorf("%s: SessionCompatible = %t, want %t", shape, got, want)
 		}
-	}
-	if _, _, err := SessionTranscripts(Tiny(), []Action{sub}); err == nil {
-		t.Fatal("incompatible trace accepted by SessionTranscripts")
 	}
 }
 
@@ -122,10 +130,7 @@ func TestDrainReportsStuckJob(t *testing.T) {
 	// Evaluate first, then crash every node: the open round's windows are
 	// all stale, so closing it postpones the job back into the queue, and
 	// a zero-round budget cannot drain it.
-	stuck := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActEvaluate},
-		{Kind: ActFail, Arg: 0}, {Kind: ActFail, Arg: 1},
-	}
+	stuck := mustTrace(t, "submit:j1; evaluate; fail:n1; fail:n2")
 	in, err := Replay(Tiny(), MutNone, stuck, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -145,50 +150,9 @@ func TestDrainReportsStuckJob(t *testing.T) {
 	}
 }
 
-// TestFeasibleMatchesEnabled cross-checks the frontier metadata against the
-// live instance: on a random-ish walk the actions the explorer would
-// enumerate from metadata are exactly the ones the instance deems feasible.
+// TestFeasibleMatchesEnabled cross-checks the instance's feasibility — the
+// set the explorer enumerates successors from — against a model of what a
+// walk implies (submitted jobs, failed nodes, an open round) at every step.
 func TestFeasibleMatchesEnabled(t *testing.T) {
-	u := Default()
-	trace := []Action{
-		{Kind: ActSubmit, Arg: 1}, {Kind: ActEvaluate}, {Kind: ActFail, Arg: 2},
-		{Kind: ActApply}, {Kind: ActSubmit, Arg: 0}, {Kind: ActTick},
-		{Kind: ActRevoke, Arg: 0}, {Kind: ActEvaluate},
-	}
-	in, err := NewInstance(u, MutNone, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := node{}
-	all := func() []Action {
-		var out []Action
-		for j := range u.Jobs {
-			out = append(out, Action{Kind: ActSubmit, Arg: j})
-		}
-		out = append(out, Action{Kind: ActTick},
-			Action{Kind: ActEvaluate}, Action{Kind: ActApply}, Action{Kind: ActCrash})
-		for i := range u.Nodes {
-			out = append(out, Action{Kind: ActFail, Arg: i},
-				Action{Kind: ActRecover, Arg: i}, Action{Kind: ActRevoke, Arg: i})
-		}
-		return out
-	}
-	for step, a := range trace {
-		enabled := map[Action]bool{}
-		for _, e := range u.enabled(n) {
-			enabled[e] = true
-		}
-		for _, cand := range all() {
-			if got := in.Feasible(cand); got != enabled[cand] {
-				t.Fatalf("step %d: Feasible(%s) = %t, enabled = %t",
-					step, cand.Render(u), got, enabled[cand])
-			}
-		}
-		if err := in.Apply(a); err != nil {
-			t.Fatal(err)
-		}
-		full := make([]Action, step+1)
-		copy(full, trace[:step+1])
-		n = n.child(a, full)
-	}
+	checkFeasibleWalk(t, Default(), "submit:j2; evaluate; fail:n3; apply; submit:j1; tick; revoke:n1:40-120; evaluate")
 }

@@ -2,9 +2,8 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"ecosched/internal/fault"
 )
 
 // Property names the violated property class of a counterexample.
@@ -20,8 +19,7 @@ const (
 )
 
 // Counterexample is a violating trace, greedily minimized, with everything
-// needed to reproduce it outside the explorer: the replay script and the
-// equivalent fault-plan DSL.
+// needed to reproduce it outside the explorer.
 type Counterexample struct {
 	Property Property
 	// Detail is the violation message from the first failing probe.
@@ -37,7 +35,7 @@ type Counterexample struct {
 // newCounterexample minimizes the violating trace (for safety and liveness)
 // and packages it.
 func newCounterexample(u *Universe, opts Options, prop Property, detail string, trace []Action) *Counterexample {
-	cex := &Counterexample{Property: prop, Detail: detail, Trace: trace}
+	cex := &Counterexample{Property: prop, Detail: detail, Trace: slices.Clone(trace)}
 	if prop == PropDeterminism {
 		return cex
 	}
@@ -94,30 +92,14 @@ func minimizeTrace(u *Universe, opts Options, prop Property, trace []Action) []A
 	}
 }
 
-// FaultPlan rebuilds the fault-plan DSL equivalent of the counterexample's
-// environment events by replaying the trace and collecting the events with
-// their recorded injection times — already in time order, and valid because
-// the universe is. Traces without fault actions yield the empty string.
-func (c *Counterexample) FaultPlan(u *Universe) string {
-	in, _ := replayLenient(u, MutNone, c.Trace)
-	if in == nil {
-		return ""
-	}
-	return (&fault.Plan{Events: in.Events()}).String()
-}
-
-// Script renders the counterexample as a replayable artifact: commented
-// header with the property and violation, the action script (one action per
-// line, as RenderTrace writes it), and the fault-plan DSL for the
-// environment events.
-func (c *Counterexample) Script(u *Universe) string {
+// Script renders the counterexample as a replayable artifact: a commented
+// header with the property and violation, then the trace, one action per
+// line — each event in fault's text form, untimed.
+func (c *Counterexample) Script() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# property: %s\n", c.Property)
 	fmt.Fprintf(&b, "# violation: %s\n", c.Detail)
 	fmt.Fprintf(&b, "# minimized: %t\n", c.Minimized)
-	if plan := c.FaultPlan(u); plan != "" {
-		fmt.Fprintf(&b, "# fault plan: %s\n", plan)
-	}
-	b.WriteString(RenderTrace(u, c.Trace))
+	b.WriteString(script(c.Trace))
 	return b.String()
 }

@@ -29,7 +29,7 @@ const (
 	// event-adds-capacity invariants.
 	MutResurrect
 	// MutBlindApply makes the service applier skip re-validation: when the
-	// pending plan is stale at ActApply, the plan's placements are written
+	// pending plan is stale at StepApply, the plan's placements are written
 	// to the grid as-is (bypassing every commit check) before the real apply
 	// runs — the optimistic-concurrency bug the Plan epoch exists to
 	// prevent. Caught by the double-booking, failed-node-reservation, and
@@ -41,22 +41,14 @@ const (
 	MutLossyCrash
 )
 
+var mutationNames = [...]string{"none", "double-refund", "resurrect", "blind-apply", "lossy-crash"}
+
 // String names the mutation; also the CLI flag syntax.
 func (m Mutation) String() string {
-	switch m {
-	case MutNone:
-		return "none"
-	case MutDoubleRefund:
-		return "double-refund"
-	case MutResurrect:
-		return "resurrect"
-	case MutBlindApply:
-		return "blind-apply"
-	case MutLossyCrash:
-		return "lossy-crash"
-	default:
+	if m < 0 || int(m) >= len(mutationNames) {
 		return fmt.Sprintf("mutation(%d)", int(m))
 	}
+	return mutationNames[m]
 }
 
 // ParseMutation parses the CLI spelling of a mutation: String's inverse,
@@ -70,11 +62,11 @@ func ParseMutation(s string) (Mutation, error) {
 	return MutNone, fmt.Errorf("mc: unknown mutation %q (want none, double-refund, resurrect, blind-apply, lossy-crash)", s)
 }
 
-// handlers returns what the instance injects environment events into: the
-// service, or the service behind a decorator seeding MutDoubleRefund or
-// MutResurrect. fault.Inject calls it between the auditor's BeginEvent and
-// EndEvent, so the auditor sees the bug as the event's own effect.
-func (m Mutation) handlers(svc *metasched.Service) fault.Handler {
+// handlers returns what the instance injects events into: the service, or
+// the service behind a decorator seeding MutDoubleRefund or MutResurrect.
+// fault.Inject calls it between the auditor's BeginEvent and EndEvent, so
+// the auditor sees the bug as the event's own effect.
+func (m Mutation) handlers(svc *metasched.Service) fault.Driver {
 	if m == MutDoubleRefund || m == MutResurrect {
 		return &mutant{Service: svc, mut: m, zombies: map[string][]gridsim.Task{}}
 	}

@@ -8,8 +8,9 @@ import (
 // TestMutationsCaught is the checker's self-test: with a deliberately
 // seeded protocol bug the sweep must end in a violation, the counterexample
 // must be minimized (1-minimal: removing any action loses the bug), and the
-// printed script must replay to the same violation — a model-checker
-// finding is a deterministic regression input, not a one-off log line.
+// printed script — its events read back by fault.ParseEvent, the parser
+// plans use — must replay to the same violation: a model-checker finding
+// is a deterministic regression input, not a one-off log line.
 func TestMutationsCaught(t *testing.T) {
 	cases := []struct {
 		mutation Mutation
@@ -24,7 +25,7 @@ func TestMutationsCaught(t *testing.T) {
 		// The applier that skips re-validation writes a stale plan's
 		// placements blind; the checker must pin it within six actions
 		// (submit, evaluate, a mutating event, apply — plus slack).
-		{MutBlindApply, "", 6},
+		{MutBlindApply, "safety violated", 6},
 		// Recovery that drops the job queue's last entry diverges from the
 		// pre-crash hash as soon as the queue is non-empty: submit then
 		// crash is the whole counterexample.
@@ -54,7 +55,7 @@ func TestMutationsCaught(t *testing.T) {
 			}
 			if tc.maxLen > 0 && len(cex.Trace) > tc.maxLen {
 				t.Fatalf("counterexample has %d actions, want <= %d:\n%s",
-					len(cex.Trace), tc.maxLen, cex.Script(u))
+					len(cex.Trace), tc.maxLen, cex.Script())
 			}
 
 			// 1-minimality: every remaining action is necessary.
@@ -64,22 +65,25 @@ func TestMutationsCaught(t *testing.T) {
 				cand = append(cand, cex.Trace[i+1:]...)
 				if _, ok := reproduces(u, opts, PropSafety, cand); ok {
 					t.Fatalf("dropping action %d (%s) still reproduces — not minimal",
-						i, cex.Trace[i].Render(u))
+						i, cex.Trace[i])
 				}
 			}
 
 			// Replayability: parse the printed script back and replay it
 			// under the same mutation; the violation must reproduce.
-			script := cex.Script(u)
-			parsed, err := ParseScript(u, script)
-			if err != nil {
-				t.Fatalf("counterexample script does not parse: %v\n%s", err, script)
+			text := cex.Script()
+			if !strings.HasPrefix(text, "# property: safety\n") {
+				t.Fatalf("script header does not name the property:\n%s", text)
 			}
-			if len(parsed) != len(cex.Trace) {
-				t.Fatalf("script round trip changed trace length: %d -> %d", len(cex.Trace), len(parsed))
+			parsed, err := parseScript(text)
+			if err != nil {
+				t.Fatalf("counterexample script does not parse: %v\n%s", err, text)
+			}
+			if got, want := script(parsed), script(cex.Trace); got != want {
+				t.Fatalf("script round trip changed the trace:\n got %s\nwant %s", got, want)
 			}
 			if _, err := Replay(u, tc.mutation, parsed, nil); err == nil {
-				t.Fatalf("replayed script did not reproduce the violation:\n%s", script)
+				t.Fatalf("replayed script did not reproduce the violation:\n%s", text)
 			} else if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("replayed script failed differently: %v", err)
 			}
@@ -90,7 +94,7 @@ func TestMutationsCaught(t *testing.T) {
 				t.Fatalf("counterexample trace violates the real protocol too: %v", err)
 			}
 			t.Logf("caught %s in %d states with %d-action counterexample:\n%s",
-				tc.mutation, res.States, len(cex.Trace), script)
+				tc.mutation, res.States, len(cex.Trace), text)
 		})
 	}
 }

@@ -3,80 +3,119 @@ package mc
 import (
 	"fmt"
 	"strings"
+	"testing"
 
 	"ecosched/internal/fault"
 )
 
-// ParseScript parses a replay script back into a trace: one action per
-// line, '#' comments and blank lines ignored. Render and ParseScript are
-// inverses, which is what makes a printed counterexample replayable.
-func ParseScript(u *Universe, script string) ([]Action, error) {
+// parseScript reads a trace script back: one action per line, '#' comments
+// and blank lines ignored. A harness step is its keyword; every other line
+// is an event, read by fault.ParseEvent — the parser plans and the
+// journal's text share — so a printed counterexample replays.
+func parseScript(script string) ([]Action, error) {
 	var trace []Action
 	for ln, line := range strings.Split(script, "\n") {
 		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		fields := strings.Fields(line)
-		var a Action
-		switch fields[0] {
-		case "tick", "evaluate", "apply", "crash":
-			if len(fields) != 1 {
-				return nil, fmt.Errorf("mc: line %d: %q takes no argument", ln+1, fields[0])
-			}
-			switch fields[0] {
-			case "tick":
-				a.Kind = ActTick
-			case "evaluate":
-				a.Kind = ActEvaluate
-			case "apply":
-				a.Kind = ActApply
-			case "crash":
-				a.Kind = ActCrash
-			}
-		case "submit":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("mc: line %d: submit needs a job name", ln+1)
-			}
-			j := jobIndex(u, fields[1])
-			if j < 0 {
-				return nil, fmt.Errorf("mc: line %d: unknown job %q", ln+1, fields[1])
-			}
-			a = Action{Kind: ActSubmit, Arg: j}
-		default:
-			// The environment actions take their keywords from fault.Kind.
-			kind, err := fault.ParseKind(fields[0])
-			if err != nil {
-				return nil, fmt.Errorf("mc: line %d: unknown action %q", ln+1, fields[0])
-			}
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("mc: line %d: %s needs a node name", ln+1, fields[0])
-			}
-			n := nodeIndex(u, fields[1])
-			if n < 0 {
-				return nil, fmt.Errorf("mc: line %d: unknown node %q", ln+1, fields[1])
-			}
-			a = Action{Kind: ActFail + ActionKind(kind), Arg: n}
+		a, err := parseAction(line)
+		if err != nil {
+			return nil, fmt.Errorf("mc: line %d: %w", ln+1, err)
 		}
 		trace = append(trace, a)
 	}
 	return trace, nil
 }
 
-func jobIndex(u *Universe, name string) int {
-	for i, j := range u.Jobs {
-		if j.Name == name {
-			return i
+func parseAction(line string) (Action, error) {
+	for s := StepEvaluate; s <= StepCrash; s++ {
+		if line == s.String() {
+			return Action{Step: s}, nil
 		}
 	}
-	return -1
+	e, err := fault.ParseEvent(line)
+	return Action{Event: e}, err
 }
 
-func nodeIndex(u *Universe, name string) int {
-	for i, n := range u.Nodes {
-		if n.Name == name {
-			return i
-		}
+// trace parses a literal test trace, one action per ';'-separated entry.
+func mustTrace(t testing.TB, s string) []Action {
+	t.Helper()
+	tr, err := parseScript(strings.ReplaceAll(s, ";", "\n"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return -1
+	return tr
+}
+
+// model is the walk-side reference for Instance.Feasible: the submitted
+// jobs, failed nodes and open round a trace implies.
+type model struct {
+	open              bool
+	submitted, failed map[string]bool
+}
+
+func (m *model) feasible(a Action) bool {
+	switch a.Step {
+	case StepEvaluate, StepCrash:
+		return !m.open
+	case StepApply:
+		return m.open
+	case StepTick:
+		return true
+	}
+	switch e := a.Event; e.Kind {
+	case fault.Submit:
+		return !m.submitted[e.Job.Name]
+	case fault.Round:
+		return !m.open
+	case fault.Recover:
+		return m.failed[e.Node]
+	default:
+		return !m.failed[e.Node]
+	}
+}
+
+func (m *model) apply(a Action) {
+	switch e := a.Event; {
+	case a.Step == StepEvaluate:
+		m.open = true
+	case a.Step == StepApply:
+		m.open = false
+	case a.Step != StepEvent:
+	case e.Kind == fault.Submit:
+		m.submitted[e.Job.Name] = true
+	case e.Kind == fault.Fail:
+		m.failed[e.Node] = true
+	case e.Kind == fault.Recover:
+		delete(m.failed, e.Node)
+	}
+}
+
+// checkFeasibleWalk applies the trace step by step and requires, before
+// every step, that the instance's feasible set over the alphabet — and its
+// verdict on a round event — match the model's.
+func checkFeasibleWalk(t *testing.T, u *Universe, text string) {
+	t.Helper()
+	in, err := NewInstance(u, MutNone, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alpha := u.alphabet()
+	m := &model{submitted: map[string]bool{}, failed: map[string]bool{}}
+	for step, a := range mustTrace(t, text) {
+		set := in.feasible(alpha)
+		for k, cand := range alpha {
+			if got, want := set&(1<<k) != 0, m.feasible(cand); got != want {
+				t.Fatalf("step %d: feasible(%s) = %t, model says %t", step, cand, got, want)
+			}
+		}
+		if round := event(fault.Round, ""); in.Feasible(round) != m.feasible(round) {
+			t.Fatalf("step %d: Feasible(round) = %t, model says %t", step, in.Feasible(round), m.feasible(round))
+		}
+		if err := in.Apply(a); err != nil {
+			t.Fatal(err)
+		}
+		m.apply(a)
+	}
 }

@@ -12,19 +12,12 @@ import (
 // must reach byte-identical grid and scheduler canonical states,
 // single-domain and sharded.
 func TestServiceMatchesBatch(t *testing.T) {
-	bare := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1}, {Kind: ActSubmit, Arg: 2},
-		{Kind: ActEvaluate}, {Kind: ActApply},
-		{Kind: ActFail, Arg: 1}, {Kind: ActTick},
-		{Kind: ActEvaluate}, {Kind: ActApply},
-		{Kind: ActRevoke, Arg: 0}, {Kind: ActRecover, Arg: 1},
-		{Kind: ActEvaluate}, {Kind: ActApply},
-	}
+	bare := mustTrace(t, "submit:j1; submit:j2; submit:j3; evaluate; apply; fail:n2; tick; evaluate; apply; revoke:n1:40-120; recover:n2; evaluate; apply")
 	var ticked []Action
 	for _, a := range bare {
 		ticked = append(ticked, a)
-		if a.Kind == ActApply {
-			ticked = append(ticked, Action{Kind: ActCrash})
+		if a.Step == StepApply {
+			ticked = append(ticked, Action{Step: StepCrash})
 		}
 	}
 	for _, u := range []*Universe{Default(), TwoShard()} {
@@ -48,32 +41,21 @@ func TestServiceMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestServiceScriptRoundTrip pins Render/ParseScript as inverses over the
-// round action kinds, their rejection of arguments, and the retired enqueue
+// TestServiceScriptRoundTrip pins a trace's text as its exact inverse over
+// the round steps, their rejection of arguments, and the retired enqueue
 // action.
 func TestServiceScriptRoundTrip(t *testing.T) {
-	u := Tiny()
-	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActEvaluate},
-		{Kind: ActFail, Arg: 1}, {Kind: ActApply}, {Kind: ActRecover, Arg: 1},
-		{Kind: ActTick}, {Kind: ActEvaluate}, {Kind: ActApply},
-	}
-	script := RenderTrace(u, trace)
-	back, err := ParseScript(u, script)
+	const text = "submit:j1\nevaluate\nfail:n2\napply\nrecover:n2\ntick\nround\nevaluate\napply\n"
+	tr, err := parseScript(text)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(trace) {
-		t.Fatalf("round trip changed length: %d -> %d", len(trace), len(back))
+	if got := script(tr); got != text {
+		t.Fatalf("round trip changed the script:\n got %q\nwant %q", got, text)
 	}
-	for i := range trace {
-		if back[i] != trace[i] {
-			t.Fatalf("action %d: %v -> %v", i, trace[i], back[i])
-		}
-	}
-	for _, bad := range []string{"enqueue", "evaluate j1", "apply n1"} {
-		if _, err := ParseScript(u, bad); err == nil {
-			t.Errorf("ParseScript(%q) accepted", bad)
+	for _, bad := range []string{"enqueue", "evaluate j1", "apply:n1"} {
+		if _, err := parseScript(bad); err == nil {
+			t.Errorf("parseScript(%q) accepted", bad)
 		}
 	}
 }
@@ -83,49 +65,7 @@ func TestServiceScriptRoundTrip(t *testing.T) {
 // explorer's metadata-derived action set
 // must agree with Instance.Feasible at every step.
 func TestServiceFeasibleMatchesEnabled(t *testing.T) {
-	u := Tiny()
-	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActEvaluate},
-		{Kind: ActFail, Arg: 1}, {Kind: ActApply},
-		{Kind: ActRecover, Arg: 1}, {Kind: ActEvaluate}, {Kind: ActApply},
-		{Kind: ActTick}, {Kind: ActSubmit, Arg: 1},
-	}
-	in, err := NewInstance(u, MutNone, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := node{}
-	all := func() []Action {
-		var out []Action
-		for j := range u.Jobs {
-			out = append(out, Action{Kind: ActSubmit, Arg: j})
-		}
-		out = append(out, Action{Kind: ActTick},
-			Action{Kind: ActEvaluate}, Action{Kind: ActApply}, Action{Kind: ActCrash})
-		for i := range u.Nodes {
-			out = append(out, Action{Kind: ActFail, Arg: i},
-				Action{Kind: ActRecover, Arg: i}, Action{Kind: ActRevoke, Arg: i})
-		}
-		return out
-	}
-	for step, a := range trace {
-		enabled := map[Action]bool{}
-		for _, e := range u.enabled(n) {
-			enabled[e] = true
-		}
-		for _, cand := range all() {
-			if got := in.Feasible(cand); got != enabled[cand] {
-				t.Fatalf("step %d: Feasible(%s) = %t, enabled = %t",
-					step, cand.Render(u), got, enabled[cand])
-			}
-		}
-		if err := in.Apply(a); err != nil {
-			t.Fatal(err)
-		}
-		full := make([]Action, step+1)
-		copy(full, trace[:step+1])
-		n = n.child(a, full)
-	}
+	checkFeasibleWalk(t, Tiny(), "submit:j1; evaluate; fail:n2; apply; recover:n2; evaluate; apply; tick; submit:j2; round")
 }
 
 // TestCrashIsIdentity pins the crash action's contract directly: a trace with
@@ -134,18 +74,10 @@ func TestServiceFeasibleMatchesEnabled(t *testing.T) {
 // checkpoint codec without observable effect — and crash stays infeasible
 // inside an open round.
 func TestCrashIsIdentity(t *testing.T) {
-	withCrashes := []Action{
-		{Kind: ActCrash},
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActCrash},
-		{Kind: ActSubmit, Arg: 1}, {Kind: ActCrash},
-		{Kind: ActEvaluate}, {Kind: ActApply}, {Kind: ActCrash},
-		{Kind: ActFail, Arg: 1}, {Kind: ActCrash},
-		{Kind: ActTick}, {Kind: ActRecover, Arg: 1}, {Kind: ActCrash},
-		{Kind: ActEvaluate}, {Kind: ActApply}, {Kind: ActCrash},
-	}
+	withCrashes := mustTrace(t, "crash; submit:j1; crash; submit:j2; crash; evaluate; apply; crash; fail:n2; crash; tick; recover:n2; crash; evaluate; apply; crash")
 	var without []Action
 	for _, a := range withCrashes {
-		if a.Kind != ActCrash {
+		if a.Step != StepCrash {
 			without = append(without, a)
 		}
 	}
@@ -162,10 +94,10 @@ func TestCrashIsIdentity(t *testing.T) {
 			inC.Hash(), inP.Hash())
 	}
 
-	if err := inC.Apply(Action{Kind: ActEvaluate}); err != nil {
+	if err := inC.Apply(Action{Step: StepEvaluate}); err != nil {
 		t.Fatal(err)
 	}
-	if inC.Feasible(Action{Kind: ActCrash}) {
+	if inC.Feasible(Action{Step: StepCrash}) {
 		t.Fatal("crash feasible inside an open round")
 	}
 }
@@ -174,10 +106,7 @@ func TestCrashIsIdentity(t *testing.T) {
 // that leaves an open round and failed nodes must still drain to an empty
 // queue through fault-free tick rounds.
 func TestServiceDrain(t *testing.T) {
-	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1},
-		{Kind: ActEvaluate}, {Kind: ActFail, Arg: 0}, {Kind: ActFail, Arg: 1},
-	}
+	trace := mustTrace(t, "submit:j1; submit:j2; evaluate; fail:n1; fail:n2")
 	in, err := Replay(Tiny(), MutNone, trace, nil)
 	if err != nil {
 		t.Fatal(err)

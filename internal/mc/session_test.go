@@ -1,42 +1,29 @@
 package mc
 
 import (
-	"fmt"
 	"strings"
 
 	"ecosched/internal/fault"
 )
 
-// SessionCompatible reports whether the trace has the shape fault.Session
-// can reproduce: all submits before the first evaluate, every evaluate
-// immediately followed by its apply, fault events only between rounds, no
-// bare clock ticks or crashes, and an apply as the final action (so every
-// event fires within Session.Run's round loop). For such traces the explorer's
-// transcript and a Session driven by the trace's fault plan must be
-// byte-identical — the differential suite pins exactly that.
+// SessionCompatible reports whether a fault.Session can apply the trace
+// event for event: every evaluate immediately followed by its apply — the
+// pair is one round event — and no bare clock ticks or crashes.
 func SessionCompatible(trace []Action) bool {
-	sawEvaluate := false
 	open := false
-	last := -1
-	for i, a := range trace {
-		switch a.Kind {
-		case ActSubmit:
-			if sawEvaluate {
-				return false
-			}
-		case ActEvaluate:
+	for _, a := range trace {
+		switch a.Step {
+		case StepEvaluate:
 			if open {
 				return false
 			}
-			sawEvaluate = true
 			open = true
-		case ActApply:
+		case StepApply:
 			if !open {
 				return false
 			}
 			open = false
-			last = i
-		case ActFail, ActRecover, ActRevoke:
+		case StepEvent:
 			if open {
 				return false
 			}
@@ -44,58 +31,48 @@ func SessionCompatible(trace []Action) bool {
 			return false
 		}
 	}
-	return !open && last == len(trace)-1
+	return !open
 }
 
 // SessionTranscripts replays a session-compatible trace twice — once
-// through the explorer's instance, once through a fresh fault.Session
-// driven by the plan the first replay recorded — and returns both
-// transcripts. The caller asserts byte equality.
+// through the explorer's instance, once through a fresh fault.Session that
+// applies the trace's own events, each evaluate/apply pair as one round
+// event — and returns both transcripts, each closed by the session footer.
+// The caller asserts byte equality.
 func SessionTranscripts(u *Universe, trace []Action) (mcT, sessT string, err error) {
-	if !SessionCompatible(trace) {
-		return "", "", fmt.Errorf("mc: trace is not session-compatible")
-	}
-
-	// Explorer side: drive the instance with a transcript writer, then
-	// append the summary footer Session.Run writes.
 	var mcB strings.Builder
 	in, err := Replay(u, MutNone, trace, &mcB)
 	if err != nil {
 		return "", "", err
 	}
-	applied := len(in.Events())
-	fault.WriteSummary(&mcB, in.sched, applied, applied)
 
-	// Session side: fresh service, all jobs submitted up front, the
-	// recorded events as the fault plan, one Run round per apply.
-	rounds := 0
-	for _, a := range trace {
-		if a.Kind == ActApply {
-			rounds++
-		}
-	}
-	plan, err := fault.NewPlan(in.Events()...)
-	if err != nil {
-		return "", "", err
-	}
 	fresh, err := NewInstance(u, MutNone, nil)
 	if err != nil {
 		return "", "", err
 	}
-	for _, a := range trace {
-		if a.Kind == ActSubmit {
-			if err := fresh.svc.Submit(u.buildJob(a.Arg)); err != nil {
-				return "", "", err
-			}
-		}
-	}
 	var sessB strings.Builder
-	sess, err := fault.NewSession(fresh.svc, plan, &sessB)
+	sess, err := fault.NewSession(fresh.svc, nil, &sessB)
 	if err != nil {
 		return "", "", err
 	}
-	if err := sess.Run(rounds); err != nil {
-		return "", "", err
+	events := 0
+	for _, a := range trace {
+		e := a.Event
+		switch {
+		case a.Step == StepApply:
+			e = fault.Event{At: fault.Untimed, Kind: fault.Round}
+		case a.Step != StepEvent:
+			continue
+		case e.Kind == fault.Submit:
+			e.Job = u.buildJob(u.jobIndex(e.Job.Name))
+		case e.Kind != fault.Round:
+			events++
+		}
+		if _, _, err := sess.Apply(e); err != nil {
+			return "", "", err
+		}
 	}
+	fault.WriteSummary(&mcB, in.sched, events, events)
+	fault.WriteSummary(&sessB, fresh.sched, events, events)
 	return mcB.String(), sessB.String(), nil
 }

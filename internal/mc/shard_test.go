@@ -65,7 +65,7 @@ func TestExploreTwoShardClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Cex != nil {
-		t.Fatalf("violation in 2-shard universe:\n%s", res.Cex.Script(u))
+		t.Fatalf("violation in 2-shard universe:\n%s", res.Cex.Script())
 	}
 	if res.States < 100 || res.Transitions <= res.States {
 		t.Fatalf("implausibly small sweep: %+v", res)
@@ -83,14 +83,7 @@ func TestExploreTwoShardClean(t *testing.T) {
 // n1 (shard 0), and recovers — so one shard's store churns while the other's
 // must neither diverge nor rebuild.
 func TestTwoShardMatchesDefault(t *testing.T) {
-	trace := []Action{
-		{Kind: ActSubmit, Arg: 0}, {Kind: ActSubmit, Arg: 1}, {Kind: ActSubmit, Arg: 2},
-		{Kind: ActEvaluate}, {Kind: ActApply},
-		{Kind: ActFail, Arg: 1}, {Kind: ActTick},
-		{Kind: ActEvaluate}, {Kind: ActApply},
-		{Kind: ActRevoke, Arg: 0}, {Kind: ActRecover, Arg: 1},
-		{Kind: ActEvaluate}, {Kind: ActApply},
-	}
+	trace := mustTrace(t, "submit:j1; submit:j2; submit:j3; evaluate; apply; fail:n2; tick; evaluate; apply; revoke:n1:40-120; recover:n2; evaluate; apply")
 	single, err := Replay(Default(), MutNone, trace, nil)
 	if err != nil {
 		t.Fatal(err)

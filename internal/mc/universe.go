@@ -2,9 +2,9 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 
 	"ecosched/internal/alloc"
-	"ecosched/internal/fault"
 	"ecosched/internal/job"
 	"ecosched/internal/metasched"
 	"ecosched/internal/resource"
@@ -114,8 +114,13 @@ func (u *Universe) Validate() error {
 		return fmt.Errorf("mc: universe needs positive step and horizon")
 	}
 	// Every event the explorer can inject must be a valid fault.Event.
-	for _, n := range u.Nodes {
-		if err := (fault.Event{Kind: fault.Revoke, Node: n.Name, Span: u.RevokeSpan}).Validate(); err != nil {
+	for i := range u.Nodes {
+		if err := u.revoke(i).Event.Validate(); err != nil {
+			return fmt.Errorf("mc: universe: %w", err)
+		}
+	}
+	for j := range u.Jobs {
+		if err := u.submit(j).Event.Validate(); err != nil {
 			return fmt.Errorf("mc: universe: %w", err)
 		}
 	}
@@ -137,6 +142,16 @@ func (u *Universe) pool() (*resource.Pool, error) {
 		}
 	}
 	return resource.NewPool(nodes)
+}
+
+// jobIndex returns the index of the job named name, or -1.
+func (u *Universe) jobIndex(name string) int {
+	return slices.IndexFunc(u.Jobs, func(j JobSpec) bool { return j.Name == name })
+}
+
+// nodeIndex returns the index of the node labelled name, or -1.
+func (u *Universe) nodeIndex(name string) int {
+	return slices.IndexFunc(u.Nodes, func(n NodeSpec) bool { return n.Name == name })
 }
 
 // buildJob materializes a fresh job for submission; each replay gets its

@@ -267,7 +267,7 @@ func (s *Scheduler) Submit(j *job.Job) error {
 		// A terminal drop is terminal for the name too: re-admitting it
 		// would leave the job counted both queued and dropped, breaking the
 		// conservation ledger (submitted = queued + placed + dropped) the
-		// auditor checks. FuzzEvalOrder found exactly this interleaving.
+		// auditor checks. FuzzEventOrder found exactly this interleaving.
 		return fmt.Errorf("metasched: job %q was terminally dropped (%s)", j.Name, reason)
 	}
 	s.queue = append(s.queue, &queued{job: j, submitTick: s.grid.Now()})

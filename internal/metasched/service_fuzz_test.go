@@ -2,6 +2,7 @@ package metasched_test
 
 import (
 	"hash/fnv"
+	"sort"
 	"strings"
 	"testing"
 
@@ -14,60 +15,79 @@ import (
 	"ecosched/internal/sim"
 )
 
-// evalOrderOps decodes the fuzz input into a bounded event sequence over the
-// small fixed universe: each byte selects submit j1..j4, fail/recover/revoke
-// of a derived node, or a service tick. The sequence is capped so every
-// input terminates quickly.
-func evalOrderOps(data []byte) []byte {
-	const maxOps = 48
+// fuzzStep is the universe's clock step: round k starts at k*fuzzStep, so
+// the decoder can stamp every event with the clock it will apply at.
+const fuzzStep = 50
+
+// eventOrder decodes the fuzz input into a bounded event script over the
+// small fixed universe. Each byte selects, by b%8, submit j1..j4, fail,
+// recover or revoke of node n1..n3 (by b/8), or a round; the sequence is
+// capped so every input terminates quickly.
+func eventOrder(data []byte) []fault.Event {
+	const maxOps, maxRounds = 48, 12
 	if len(data) > maxOps {
 		data = data[:maxOps]
 	}
-	ticks := 0
-	var ops []byte
+	labels := []string{"n1", "n2", "n3"}
+	rounds := 0
+	var events []fault.Event
 	for _, b := range data {
-		if b%8 == 7 {
-			if ticks >= 12 {
+		now := sim.Time(fuzzStep * rounds)
+		e := fault.Event{At: now, Node: labels[int(b/8)%len(labels)]}
+		switch op := b % 8; {
+		case op < 4:
+			idx := int(op) + 1
+			e.Kind, e.Node = fault.Submit, ""
+			e.Job = &job.Job{
+				Name:     "j" + string(rune('0'+idx)),
+				Priority: idx,
+				Request:  job.ResourceRequest{Nodes: 1, Time: 40, MinPerformance: 1, MaxPrice: 10},
+			}
+		case op == 4:
+			e.Kind = fault.Fail
+		case op == 5:
+			e.Kind = fault.Recover
+		case op == 6:
+			e.Kind = fault.Revoke
+			e.Span = sim.Interval{Start: now.Add(10), End: now.Add(60)}
+		default:
+			if rounds >= maxRounds {
 				continue
 			}
-			ticks++
+			rounds++
+			e.Kind, e.Node = fault.Round, ""
 		}
-		ops = append(ops, b)
+		events = append(events, e)
 	}
-	return ops
+	return events
 }
 
-// commutative reports whether the op sequence contains only submits and
-// ticks. Submissions within one tick segment are commutative: jobs carry
-// distinct priorities, so the frozen batch — and therefore the schedule —
-// is independent of their arrival order. Fault events are not commutative
-// (failing a node before versus after a tick cancels different bookings).
-func commutative(ops []byte) bool {
-	for _, b := range ops {
-		if op := b % 8; op >= 4 && op <= 6 {
+// commutative reports whether the script holds only submits and rounds.
+// Submissions within one round segment are commutative: jobs carry distinct
+// priorities, so the frozen batch — and therefore the schedule — is
+// independent of their arrival order. Fault events are not commutative
+// (failing a node before versus after a round cancels different bookings).
+func commutative(events []fault.Event) bool {
+	for _, e := range events {
+		if e.Kind != fault.Submit && e.Kind != fault.Round {
 			return false
 		}
 	}
 	return true
 }
 
-// canonicalOrder rewrites a commutative sequence into its canonical form:
-// within each tick-delimited segment the submit ops are sorted ascending by
-// job index (insertion sort keeps it allocation-light and stable).
-func canonicalOrder(ops []byte) []byte {
-	out := append([]byte(nil), ops...)
+// canonicalOrder rewrites a commutative script into its canonical form:
+// within each round-delimited segment the submits are sorted by job name.
+func canonicalOrder(events []fault.Event) []fault.Event {
+	out := append([]fault.Event(nil), events...)
 	segStart := 0
 	flush := func(end int) {
 		seg := out[segStart:end]
-		for i := 1; i < len(seg); i++ {
-			for k := i; k > 0 && seg[k]%8 < seg[k-1]%8; k-- {
-				seg[k], seg[k-1] = seg[k-1], seg[k]
-			}
-		}
+		sort.SliceStable(seg, func(a, b int) bool { return seg[a].Job.Name < seg[b].Job.Name })
 		segStart = end + 1
 	}
-	for i, b := range out {
-		if b%8 == 7 {
+	for i, e := range out {
+		if e.Kind == fault.Round {
 			flush(i)
 		}
 	}
@@ -75,12 +95,12 @@ func canonicalOrder(ops []byte) []byte {
 	return out
 }
 
-// runEvalOrder plays the op sequence through a fresh service session,
-// running the full fault audit after every operation, and returns the
-// FNV-64a hash of the final canonical grid state. Infeasible operations
-// (duplicate submits, events on already-failed nodes) are skipped — the
-// fuzzer explores them freely.
-func runEvalOrder(t *testing.T, ops []byte) uint64 {
+// runEventOrder plays the script through a fresh service, each event
+// through fault.Dispatch, running the full fault audit after every event,
+// and returns the FNV-64a hash of the final canonical grid state. Duplicate
+// submits are rejected by contract and skipped — the fuzzer explores them
+// freely; every other event must apply.
+func runEventOrder(t *testing.T, events []fault.Event) uint64 {
 	t.Helper()
 	nodes := []*resource.Node{
 		{Name: "n1", Performance: 1, Price: 2},
@@ -99,7 +119,7 @@ func runEvalOrder(t *testing.T, ops []byte) uint64 {
 		Algorithm:        alloc.ALP{},
 		Policy:           metasched.MinimizeTime,
 		Horizon:          300,
-		Step:             50,
+		Step:             fuzzStep,
 		MaxPostponements: 3,
 		Retry:            &metasched.RetryPolicy{MaxAttempts: 2, BackoffBase: 50, BackoffMax: 50},
 	}, grid)
@@ -111,55 +131,31 @@ func runEvalOrder(t *testing.T, ops []byte) uint64 {
 		t.Fatal(err)
 	}
 	audit := fault.NewAudit(sched)
-	labels := []string{"n1", "n2", "n3"}
-	for _, b := range ops {
-		node := labels[int(b/8)%len(labels)]
-		now := grid.Now()
-		switch b % 8 {
-		case 0, 1, 2, 3:
-			idx := int(b%8) + 1
-			j := &job.Job{
-				Name:     "j" + string(rune('0'+idx)),
-				Priority: idx,
-				Request:  job.ResourceRequest{Nodes: 1, Time: 40, MinPerformance: 1, MaxPrice: 10},
-			}
-			// Duplicate submissions are rejected by contract; skip them.
-			_ = svc.Submit(j)
-		case 4:
-			if _, err := svc.HandleNodeFailure(node); err != nil {
-				t.Fatalf("ops %q: fail %s: %v", ops, node, err)
-			}
-		case 5:
-			if err := svc.HandleNodeRecovery(node); err != nil {
-				t.Fatalf("ops %q: recover %s: %v", ops, node, err)
-			}
-		case 6:
-			span := sim.Interval{Start: now.Add(10), End: now.Add(60)}
-			if _, err := svc.HandleRevocation(node, span); err != nil {
-				t.Fatalf("ops %q: revoke %s: %v", ops, node, err)
-			}
-		case 7:
-			if _, err := svc.Tick(); err != nil {
-				t.Fatalf("ops %q: tick: %v", ops, err)
-			}
+	script := (&fault.Plan{Events: events}).String()
+	for _, e := range events {
+		if e.At != grid.Now() {
+			t.Fatalf("script %q: %v decoded for a clock of %v", script, e, grid.Now())
+		}
+		if _, _, err := fault.Dispatch(svc, e); err != nil && e.Kind != fault.Submit {
+			t.Fatalf("script %q: %v: %v", script, e, err)
 		}
 		if err := audit.Check(); err != nil {
-			t.Fatalf("ops %q: audit violated after op %d: %v", ops, b, err)
+			t.Fatalf("script %q: audit violated after %v: %v", script, e, err)
 		}
 	}
 	// Settle with a fixed drain so both orderings compare the same number of
 	// rounds; recover everything first so the drain has capacity.
-	for _, l := range labels {
-		if err := svc.HandleNodeRecovery(l); err != nil {
-			t.Fatalf("ops %q: drain recover %s: %v", ops, l, err)
+	for _, n := range nodes {
+		if err := svc.HandleNodeRecovery(n.Name); err != nil {
+			t.Fatalf("script %q: drain recover %s: %v", script, n.Name, err)
 		}
 	}
 	for i := 0; i < 6; i++ {
 		if _, err := svc.Tick(); err != nil {
-			t.Fatalf("ops %q: drain tick: %v", ops, err)
+			t.Fatalf("script %q: drain round: %v", script, err)
 		}
 		if err := audit.Check(); err != nil {
-			t.Fatalf("ops %q: audit violated during drain: %v", ops, err)
+			t.Fatalf("script %q: audit violated during drain: %v", script, err)
 		}
 	}
 	var b strings.Builder
@@ -169,12 +165,12 @@ func runEvalOrder(t *testing.T, ops []byte) uint64 {
 	return h.Sum64()
 }
 
-// FuzzEvalOrder feeds arbitrary event permutations of a small universe
-// through the continuous service: every sequence must keep all fault.Audit
-// invariants after every operation, and a commutative sequence (submits and
-// ticks only) must converge to the same final grid hash as its canonical
-// order — arrival order within a tick cannot change the schedule.
-func FuzzEvalOrder(f *testing.F) {
+// FuzzEventOrder feeds arbitrary event scripts of a small universe through
+// the continuous service: every script must keep all fault.Audit invariants
+// after every event, and a commutative script (submits and rounds only)
+// must converge to the same final grid hash as its canonical order —
+// arrival order within a round cannot change the schedule.
+func FuzzEventOrder(f *testing.F) {
 	f.Add([]byte("01237777"))
 	f.Add([]byte("10327777"))
 	f.Add([]byte("3210777777"))
@@ -182,14 +178,13 @@ func FuzzEvalOrder(f *testing.F) {
 	f.Add([]byte("0617277737"))
 	f.Add([]byte("7704127"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops := evalOrderOps(data)
-		got := runEvalOrder(t, ops)
-		if commutative(ops) {
-			canon := canonicalOrder(ops)
-			want := runEvalOrder(t, canon)
-			if got != want {
-				t.Fatalf("ops %q: final grid hash %x diverged from canonical order %q hash %x",
-					ops, got, canon, want)
+		events := eventOrder(data)
+		got := runEventOrder(t, events)
+		if commutative(events) {
+			canon := canonicalOrder(events)
+			if want := runEventOrder(t, canon); got != want {
+				t.Fatalf("script %v: final grid hash %x diverged from canonical order %v hash %x",
+					&fault.Plan{Events: events}, got, &fault.Plan{Events: canon}, want)
 			}
 		}
 	})

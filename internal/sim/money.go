@@ -8,8 +8,9 @@ import (
 // Money is an amount of VO currency ("credits"). Prices per time unit and
 // accumulated usage costs are both Money. The type is float64-based because
 // node prices in the paper's generator are continuous (0.75p..1.25p with
-// p = 1.7^performance); the dynamic-programming optimizer discretizes Money
-// onto an integer grid when it needs exact state indexing (see internal/dp).
+// p = 1.7^performance). Nothing discretizes it: the dynamic-programming
+// optimizer (internal/dp) indexes its states by integral time and carries
+// cost as an exact float sum.
 type Money float64
 
 // MoneyEpsilon is the tolerance used by approximate money comparisons.

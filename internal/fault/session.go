@@ -50,7 +50,8 @@ func Dispatch(d Driver, e Event) ([]string, *metasched.IterationReport, error) {
 // between the auditor's BeginEvent and EndEvent, so the auditor records the
 // reservations it cancelled and flags any it added; a round clears the jobs
 // it placed from the resurrection watch. Every event but a submit writes its
-// transcript lines. Inject returns Dispatch's results; the caller runs the
+// transcript lines to w; a nil w keeps no transcript, and the lines are not
+// formatted at all. Inject returns Dispatch's results; the caller runs the
 // invariant check.
 func Inject(d Driver, a *Audit, w io.Writer, e Event) ([]string, *metasched.IterationReport, error) {
 	if e.At == Untimed {
@@ -67,10 +68,14 @@ func Inject(d Driver, a *Audit, w io.Writer, e Event) ([]string, *metasched.Iter
 	switch {
 	case env:
 		cancelled := a.EndEvent(e)
-		fmt.Fprintf(w, "fault %v cancelled=%d requeued=%v drops=%d\n",
-			e, len(cancelled), requeued, len(a.sched.DroppedJobs()))
+		if w != nil {
+			fmt.Fprintf(w, "fault %v cancelled=%d requeued=%v drops=%d\n",
+				e, len(cancelled), requeued, len(a.sched.DroppedJobs()))
+		}
 	case rep != nil:
-		WriteIterationReport(w, rep)
+		if w != nil {
+			WriteIterationReport(w, rep)
+		}
 		for _, p := range rep.Placed {
 			a.JobRescheduled(p.Job.Name)
 		}

@@ -12,20 +12,21 @@ import (
 )
 
 // cancelJobOracle is CancelJob as a full scan: every node in pool order,
-// every booking on it. The job→nodes index must reproduce it exactly —
-// returned tasks, refund order, store writes.
+// every booking on it, each removal leaving a fresh plain list. The
+// job→nodes index must reproduce it exactly — returned tasks, refund order,
+// store writes.
 func cancelJobOracle(g *Grid, name string) []Task {
 	var out []Task
 	for _, node := range g.pool.Nodes() {
 		id := node.ID
-		list := g.booked[id]
+		list := g.bookings(id)
 		for i := 0; i < len(list); {
 			t := list[i]
 			if !t.Local && t.Name == name {
 				out = append(out, t)
 				g.income[node.Domain] -= t.charged
-				list = append(list[:i], list[i+1:]...)
-				g.booked[id] = list
+				list = slices.Delete(slices.Clone(list), i, i+1)
+				g.booked[id] = nodeBookings{all: list}
 				g.storeUnbook(node, t.Span)
 				g.epoch++
 				continue
@@ -36,21 +37,22 @@ func cancelJobOracle(g *Grid, name string) []Task {
 	return out
 }
 
-// advanceOracle is Advance as a filter over every booking of every node.
-// The expired-prefix drop must keep exactly what it keeps.
+// advanceOracle is Advance as a plain filter over every live booking of
+// every node into a fresh list with no dead prefix. The expired-prefix drop
+// must keep exactly what it keeps.
 func advanceOracle(g *Grid, to sim.Time) error {
 	if to < g.now {
 		return fmt.Errorf("gridsim: cannot advance backwards from %v to %v", g.now, to)
 	}
 	g.now = to
-	for id, list := range g.booked {
-		kept := list[:0]
-		for _, t := range list {
+	for id := range g.booked {
+		var kept []Task
+		for _, t := range g.bookings(resource.NodeID(id)) {
 			if t.Span.End > to {
 				kept = append(kept, t)
 			}
 		}
-		g.booked[id] = kept
+		g.booked[id] = nodeBookings{all: kept}
 	}
 	g.storeAdvance(to)
 	g.epoch++
@@ -58,15 +60,18 @@ func advanceOracle(g *Grid, to sim.Time) error {
 }
 
 // FuzzGridBookings drives the grid's booking side — Book, Commit,
-// CancelJob, FailNode, RecoverNode, RevokeInterval, Advance, a publication
-// whose views the search writes to and hands back, and an ExportState →
-// RestoreState round trip into a fresh grid — on two grids at once: the
-// production one, and a twin whose CancelJob and Advance are the oracles
-// above. After every operation the two must have returned the same tasks
-// and hold the same bookings and income; both live stores must match the
-// rebuild oracle; and the production grid's job→nodes index must list
-// exactly the jobs holding a live VO booking, each with the node of every
-// such booking in ID order.
+// CancelJob, FailNode, RecoverNode, RevokeInterval, Advance, ForceBook, a
+// publication whose views the search writes to and hands back, and an
+// ExportState → RestoreState round trip into a fresh grid, also right after
+// an Advance — on two grids at once: the production one, and a twin whose
+// CancelJob and Advance are the plain-list oracles above. One op packs a
+// node's array full and books once more, so a dead prefix left by Advance
+// meets an insert into a full array. After every operation the two must have
+// returned the same tasks and hold the same bookings (Tasks) and income; both
+// live stores must match the rebuild oracle; every production list must hold
+// zero tasks outside its live part; and the production grid's job→nodes index
+// must list exactly the jobs holding a live VO booking, each with the node of
+// every such booking in ID order.
 func FuzzGridBookings(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 10, 5, 1, 2, 12, 4, 2, 1, 30, 8, 3, 1, 0, 0, 6, 5, 0, 0})
 	f.Add(uint8(1), []byte{8, 0, 20, 6, 8, 1, 20, 6, 3, 0, 0, 0, 4, 1, 3, 0, 5, 1, 0, 0, 6, 40, 0, 0})
@@ -80,6 +85,11 @@ func FuzzGridBookings(f *testing.F) {
 		}
 		f.Add(uint8(k), ops)
 	}
+	// Three bookings on cpu1, the first expired behind a dead prefix, then a
+	// pack past the full array and ForceBook, CancelJob, RevokeInterval and
+	// FailNode on the node, ending with an Advance and an export right away.
+	f.Add(uint8(0), []byte{1, 0, 0, 9, 1, 0, 20, 9, 0, 0, 40, 9, 7, 0, 15, 0, 11, 0, 0, 0,
+		7, 0, 25, 0, 10, 0, 0, 5, 3, 0, 0, 0, 6, 0, 5, 30, 4, 0, 0, 0, 12, 0, 30, 0})
 
 	f.Fuzz(func(t *testing.T, shape uint8, ops []byte) {
 		nodes := make([]*resource.Node, 5)
@@ -107,7 +117,7 @@ func FuzzGridBookings(f *testing.F) {
 		const horizon = 300
 
 		for i := 0; i+3 < len(ops); i += 4 {
-			op, a, b, c := ops[i]%12, ops[i+1], ops[i+2], ops[i+3]
+			op, a, b, c := ops[i]%14, ops[i+1], ops[i+2], ops[i+3]
 			node := resource.NodeID(int(a) % len(nodes))
 			name := fmt.Sprintf("j%d", int(a/8)%4)
 			span := sim.Interval{Start: g.now.Add(sim.Duration(b % 120)), End: g.now.Add(sim.Duration(b%120) + 1 + sim.Duration(c%60))}
@@ -155,12 +165,44 @@ func FuzzGridBookings(f *testing.F) {
 				if _, err := o.ShardViews(o.now.Add(horizon + sim.Duration(c%2)*sim.Duration(b))); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-			case 9: // export, restore into a fresh grid, carry on with that
+			case 9, 12: // export (after an Advance), restore into a fresh grid, carry on with that
+				if op == 12 {
+					to := g.now.Add(sim.Duration(b % 40))
+					gotErr, wantErr = g.Advance(to), advanceOracle(o, to)
+				}
 				fresh := grid()
 				if err := fresh.RestoreState(g.ExportState()); err != nil {
 					t.Fatalf("%s: restore: %v", label, err)
 				}
 				g = fresh
+			case 10: // force a VO booking onto the node's tail, past every store horizon
+				start := g.now.Add(600)
+				if live := g.bookings(node); len(live) > 0 && live[len(live)-1].Span.End > start {
+					start = live[len(live)-1].Span.End
+				}
+				tk := Task{Name: name, Node: node, Span: sim.Interval{Start: start, End: start.Add(1 + sim.Duration(c%20))}}
+				g.ForceBook(tk)
+				o.ForceBook(tk)
+			case 11: // behind a dead prefix, book local tasks past the node's tail until the array is full, then one more
+				// Without a dead prefix the last insert grows the array; a
+				// small room keeps packs from compounding with that growth.
+				bk := &g.booked[node]
+				if bk.head == 0 || cap(bk.all)-len(bk.all) > 16 {
+					break
+				}
+				start := g.now.Add(sim.Duration(b % 120))
+				if live := g.bookings(node); len(live) > 0 && live[len(live)-1].Span.End > start {
+					start = live[len(live)-1].Span.End
+				}
+				dead, full, room := bk.head, cap(bk.all), cap(bk.all)-len(bk.all)
+				for k := 0; k <= room && gotErr == nil; k++ {
+					at := start.Add(sim.Duration(2 * k))
+					tk := Task{Name: "pack", Node: node, Span: sim.Interval{Start: at, End: at + 1}, Local: true}
+					gotErr, wantErr = g.Book(tk), o.Book(tk)
+				}
+				if gotErr == nil && cap(bk.all) != full {
+					t.Fatalf("%s: an insert into a full array behind a %d-booking dead prefix grew it from %d to %d", label, dead, full, cap(bk.all))
+				}
 			default: // a few more VO bookings: most ops should write
 				tk := Task{Name: name, Node: node, Span: span}
 				gotErr, wantErr = g.Book(tk), o.Book(tk)
@@ -173,8 +215,14 @@ func FuzzGridBookings(f *testing.F) {
 				t.Fatalf("%s: returned %v, oracle twin returned %v", label, got, want)
 			}
 			for _, n := range pool.Nodes() {
-				if !slices.Equal(g.booked[n.ID], o.booked[n.ID]) {
-					t.Fatalf("%s: %s booked %v, oracle twin %v", label, n.Name, g.booked[n.ID], o.booked[n.ID])
+				if have, want := g.Tasks(n.ID), o.Tasks(n.ID); !slices.Equal(have, want) {
+					t.Fatalf("%s: %s booked %v, oracle twin %v", label, n.Name, have, want)
+				}
+				b := g.booked[n.ID]
+				for k, tk := range b.all[:cap(b.all)] {
+					if (k < b.head || k >= len(b.all)) && tk != (Task{}) {
+						t.Fatalf("%s: %s holds %v at %d outside its live part [%d, %d)", label, n.Name, tk, k, b.head, len(b.all))
+					}
 				}
 			}
 			if !maps.Equal(g.income, o.income) {
@@ -190,7 +238,7 @@ func FuzzGridBookings(f *testing.F) {
 			}
 			wantJobs := map[string][]resource.NodeID{}
 			for _, n := range pool.Nodes() {
-				for _, tk := range g.booked[n.ID] {
+				for _, tk := range g.Tasks(n.ID) {
 					if !tk.Local {
 						wantJobs[tk.Name] = append(wantJobs[tk.Name], n.ID)
 					}

@@ -22,7 +22,7 @@ func (g *Grid) CanonicalState(b *strings.Builder) {
 		}
 	}
 	for _, n := range g.pool.Nodes() {
-		for _, t := range g.booked[n.ID] {
+		for _, t := range g.bookings(n.ID) {
 			fmt.Fprintf(b, "task %s node=%s span=%d-%d local=%t cost=%v charged=%v\n",
 				t.Name, n.Label(), int64(t.Span.Start), int64(t.Span.End), t.Local, t.Cost, t.charged)
 		}
@@ -44,9 +44,13 @@ func (g *Grid) CanonicalState(b *strings.Builder) {
 // self-tests and the model checker's mutation harness: it builds the broken
 // states the production paths must never reach, proving the checkers would
 // flag them. Production code must only ever book through Book or Commit.
+// A task on a node outside the pool has no list to land in and is dropped.
 func (g *Grid) ForceBook(t Task) {
-	g.booked[t.Node] = append(g.booked[t.Node], t)
-	g.jobBooked(t)
+	if g.pool.Node(t.Node) != nil {
+		b := &g.booked[t.Node]
+		g.metrics.bookingsMoved(b.insert(len(b.live()), t))
+		g.jobBooked(t)
+	}
 	g.epoch++
 }
 

@@ -37,8 +37,9 @@ func (g *Grid) FailNode(id resource.NodeID, at sim.Time) ([]Task, error) {
 	g.storeFail(node)
 
 	var cancelled []Task
-	kept := g.booked[id][:0]
-	for _, t := range g.booked[id] {
+	list := g.bookings(id)
+	kept := list[:0]
+	for _, t := range list {
 		if !t.Local && t.Span.End > at {
 			cancelled = append(cancelled, t)
 			g.income[node.Domain] -= t.charged
@@ -47,7 +48,7 @@ func (g *Grid) FailNode(id resource.NodeID, at sim.Time) ([]Task, error) {
 		}
 		kept = append(kept, t)
 	}
-	g.booked[id] = kept
+	g.booked[id].truncate(len(kept))
 	g.metrics.failed(len(cancelled))
 	return cancelled, nil
 }
@@ -94,17 +95,12 @@ func (g *Grid) CancelJob(name string) []Task {
 	}
 	for _, id := range ids {
 		node := g.pool.Node(id)
-		if node == nil {
-			continue // ForceBook surgery on a node the pool does not have
-		}
-		list := g.booked[id]
-		for i := 0; i < len(list); {
-			t := list[i]
+		for i := 0; i < len(g.bookings(id)); {
+			t := g.bookings(id)[i]
 			if !t.Local && t.Name == name {
 				out = append(out, t)
 				g.income[node.Domain] -= t.charged
-				list = append(list[:i], list[i+1:]...)
-				g.booked[id] = list
+				g.booked[id].delete(i)
 				g.jobUnbooked(t)
 				g.storeUnbook(node, t.Span)
 				g.epoch++
@@ -162,14 +158,12 @@ func (g *Grid) RevokeInterval(id resource.NodeID, span sim.Interval) ([]Task, er
 	// Cancel overlapping reservations one at a time (see CancelJob for why
 	// the store restore must interleave with the removals).
 	var cancelled []Task
-	list := g.booked[id]
-	for i := 0; i < len(list); {
-		t := list[i]
+	for i := 0; i < len(g.bookings(id)); {
+		t := g.bookings(id)[i]
 		if !t.Local && t.Span.Overlaps(span) {
 			cancelled = append(cancelled, t)
 			g.income[node.Domain] -= t.charged
-			list = append(list[:i], list[i+1:]...)
-			g.booked[id] = list
+			g.booked[id].delete(i)
 			g.jobUnbooked(t)
 			g.storeUnbook(node, t.Span)
 			g.epoch++
@@ -182,7 +176,7 @@ func (g *Grid) RevokeInterval(id resource.NodeID, span sim.Interval) ([]Task, er
 	// it not already covered by a surviving booking, so the revoked window
 	// disappears from future VacantSlots publications.
 	free := []sim.Interval{span}
-	for _, t := range g.booked[id] {
+	for _, t := range g.bookings(id) {
 		var next []sim.Interval
 		for _, iv := range free {
 			next = append(next, iv.Subtract(t.Span)...)

@@ -43,8 +43,10 @@ type Task struct {
 // intervals.
 type Grid struct {
 	pool *resource.Pool
-	// booked holds, per node, the sorted non-overlapping busy intervals.
-	booked map[resource.NodeID][]Task
+	// booked holds, per node (indexed by NodeID, a dense pool index), the
+	// sorted non-overlapping busy intervals behind a lazily compacted dead
+	// prefix (bookings.go); read them through bookings.
+	booked []nodeBookings
 	// jobNodes is derived from booked and never persisted: per job name, the
 	// node of each of its live VO bookings, in ascending ID order (a node
 	// appears once per booking), so CancelJob visits the job's nodes only.
@@ -85,7 +87,7 @@ func New(pool *resource.Pool) (*Grid, error) {
 	}
 	return &Grid{
 		pool:     pool,
-		booked:   make(map[resource.NodeID][]Task),
+		booked:   make([]nodeBookings, pool.Size()),
 		jobNodes: make(map[string][]resource.NodeID),
 		income:   make(map[string]sim.Money),
 	}, nil
@@ -125,20 +127,23 @@ func (g *Grid) Book(t Task) error {
 		// accepting it would violate the failed-node safety invariant.
 		return fmt.Errorf("gridsim: task %s books failed node %s", t.Name, node.Label())
 	}
-	list := g.booked[t.Node]
-	i := sort.Search(len(list), func(i int) bool { return list[i].Span.Start >= t.Span.Start })
+	// A new task usually starts after the node's last booking (Populate
+	// books each node's arrivals in start order past its tail), so the tail
+	// is checked before the binary search.
+	list := g.bookings(t.Node)
+	i := len(list)
+	if i > 0 && list[i-1].Span.Start >= t.Span.Start {
+		i = sort.Search(len(list), func(i int) bool { return list[i].Span.Start >= t.Span.Start })
+	}
 	if i > 0 && list[i-1].Span.End > t.Span.Start {
 		return fmt.Errorf("gridsim: task %s overlaps %s on %s", t.Name, list[i-1].Name, node.Label())
 	}
 	if i < len(list) && list[i].Span.Start < t.Span.End {
 		return fmt.Errorf("gridsim: task %s overlaps %s on %s", t.Name, list[i].Name, node.Label())
 	}
-	list = append(list, Task{})
-	copy(list[i+1:], list[i:])
-	list[i] = t
-	g.booked[t.Node] = list
+	g.metrics.bookingsMoved(g.booked[t.Node].insert(i, t))
 	g.jobBooked(t)
-	g.storeBook(node, list, i)
+	g.storeBook(node, g.bookings(t.Node), i)
 	g.epoch++
 	return nil
 }
@@ -155,8 +160,9 @@ func (g *Grid) BookLocal(name, nodeLabel string, start, end sim.Time) error {
 
 // Tasks returns all bookings on the node in start order.
 func (g *Grid) Tasks(id resource.NodeID) []Task {
-	out := make([]Task, len(g.booked[id]))
-	copy(out, g.booked[id])
+	list := g.bookings(id)
+	out := make([]Task, len(list))
+	copy(out, list)
 	return out
 }
 
@@ -164,7 +170,7 @@ func (g *Grid) Tasks(id resource.NodeID) []Task {
 func (g *Grid) AllTasks() []Task {
 	var out []Task
 	for _, n := range g.pool.Nodes() {
-		out = append(out, g.booked[n.ID]...)
+		out = append(out, g.bookings(n.ID)...)
 	}
 	return out
 }
@@ -214,10 +220,9 @@ func (g *Grid) Commit(w *slot.Window) error {
 
 // remove deletes an exact booking; internal rollback helper.
 func (g *Grid) remove(t Task) {
-	list := g.booked[t.Node]
-	for i, b := range list {
+	for i, b := range g.bookings(t.Node) {
 		if b.Name == t.Name && b.Span == t.Span && b.Local == t.Local {
-			g.booked[t.Node] = append(list[:i], list[i+1:]...)
+			g.booked[t.Node].delete(i)
 			g.jobUnbooked(t)
 			g.storeUnbook(g.pool.Node(t.Node), t.Span)
 			g.epoch++
@@ -230,23 +235,34 @@ func (g *Grid) remove(t Task) {
 // before the new time. Bookings straddling the new time are kept (their
 // remaining part still occupies the node). A node's bookings are sorted and
 // disjoint, so their ends increase along the list and the expired ones are
-// its prefix: each node with one drops it in one copy, and a node with none
-// is not written.
+// its prefix: each node with one moves its list's head past it, copying
+// nothing, and a node with none is not written. Nodes are visited in ID
+// order. The survivors are copied down only once the dead prefix is as long
+// as they are (nodeBookings), so the bookings moved stay proportional to the
+// bookings expired (gridsim/bookings_moved_total), not to the bookings held.
 func (g *Grid) Advance(to sim.Time) error {
 	if to < g.now {
 		return fmt.Errorf("gridsim: cannot advance backwards from %v to %v", g.now, to)
 	}
 	g.now = to
-	for id, list := range g.booked {
+	moved := 0
+	for id := range g.booked {
+		b := &g.booked[id]
+		list := b.live()
 		k := 0
 		for k < len(list) && list[k].Span.End <= to {
-			g.jobUnbooked(list[k])
+			// Most expired bookings are owner-local, which the index
+			// does not hold: skip the call and its copy of the task.
+			if !list[k].Local {
+				g.jobUnbooked(list[k])
+			}
 			k++
 		}
 		if k > 0 {
-			g.booked[id] = append(list[:0], list[k:]...)
+			moved += b.expire(k)
 		}
 	}
+	g.metrics.bookingsMoved(moved)
 	g.storeAdvance(to)
 	g.epoch++
 	return nil
@@ -304,7 +320,7 @@ func (g *Grid) Utilization(horizon sim.Time) float64 {
 	total := float64(horizon.Sub(g.now)) * float64(g.pool.Size())
 	var busy float64
 	for _, n := range g.pool.Nodes() {
-		for _, t := range g.booked[n.ID] {
+		for _, t := range g.bookings(n.ID) {
 			overlap := t.Span.Intersect(sim.Interval{Start: g.now, End: horizon})
 			busy += float64(overlap.Length())
 		}

@@ -32,6 +32,10 @@ type Metrics struct {
 	NodeRecoveries      *metrics.Counter
 	Revocations         *metrics.Counter
 	RevokedReservations *metrics.Counter
+	// BookingsMoved counts the bookings copied down when a node's booking
+	// list compacts its dead prefix (bookings.go): the clock advance's
+	// work beyond the expired bookings themselves.
+	BookingsMoved *metrics.Counter
 	// The gridsim/store/ family instruments the live vacant-slot store
 	// (store.go). StoreRebuilds counts full builds — exactly one on the
 	// steady-state path (the lazy initial build); StoreSnapshots counts
@@ -80,6 +84,7 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		NodeRecoveries:        r.Counter("gridsim/fault/node_recoveries_total"),
 		Revocations:           r.Counter("gridsim/fault/revocations_total"),
 		RevokedReservations:   r.Counter("gridsim/fault/revoked_reservations_total"),
+		BookingsMoved:         r.Counter("gridsim/bookings_moved_total"),
 		StoreRebuilds:         r.Counter("gridsim/store/rebuilds_total"),
 		StoreSnapshots:        r.Counter("gridsim/store/snapshots_total"),
 		StorePunches:          r.Counter("gridsim/store/punches_total"),
@@ -158,6 +163,13 @@ func (m *Metrics) revoked(cancelled int) {
 	m.Revocations.Inc()
 	m.RevokedReservations.Add(int64(cancelled))
 	m.ReservationsCancelled.Add(int64(cancelled))
+}
+
+func (m *Metrics) bookingsMoved(n int) {
+	if m == nil || n == 0 {
+		return
+	}
+	m.BookingsMoved.Add(int64(n))
 }
 
 // storeIndexMetrics returns the live store's index instruments (nil when

@@ -60,14 +60,14 @@ func (g *Grid) ExportState() *GridState {
 		if at, down := g.failed[n.ID]; down {
 			st.Failed = append(st.Failed, NodeFailureState{Node: n.Label(), At: at})
 		}
-		booked += len(g.booked[n.ID])
+		booked += len(g.bookings(n.ID))
 	}
 	if booked > 0 {
 		st.Tasks = make([]TaskState, 0, booked)
 	}
 	for _, n := range g.pool.Nodes() {
 		label := n.Label()
-		for _, t := range g.booked[n.ID] {
+		for _, t := range g.bookings(n.ID) {
 			st.Tasks = append(st.Tasks, TaskState{
 				Name:    t.Name,
 				Node:    label,
@@ -106,7 +106,7 @@ func (g *Grid) RestoreState(st *GridState) error {
 	if st == nil {
 		return fmt.Errorf("gridsim: nil grid state")
 	}
-	booked := make(map[resource.NodeID][]Task)
+	booked := make([]nodeBookings, g.pool.Size())
 	for _, ts := range st.Tasks {
 		n := g.pool.ByName(ts.Node)
 		if n == nil {
@@ -115,7 +115,7 @@ func (g *Grid) RestoreState(st *GridState) error {
 		if ts.Span.Empty() || !ts.Span.Valid() {
 			return fmt.Errorf("gridsim: restore: task %s has empty or invalid span %v", ts.Name, ts.Span)
 		}
-		booked[n.ID] = append(booked[n.ID], Task{
+		booked[n.ID].all = append(booked[n.ID].all, Task{
 			Name:    ts.Name,
 			Node:    n.ID,
 			Span:    ts.Span,
@@ -124,15 +124,15 @@ func (g *Grid) RestoreState(st *GridState) error {
 			charged: ts.Charged,
 		})
 	}
-	for id, list := range booked {
+	for id := range booked {
+		list := booked[id].all
 		sort.SliceStable(list, func(i, k int) bool { return list[i].Span.Start < list[k].Span.Start })
 		for i := 1; i < len(list); i++ {
 			if list[i-1].Span.End > list[i].Span.Start {
 				return fmt.Errorf("gridsim: restore: %s %v overlaps %s %v on %s",
-					list[i-1].Name, list[i-1].Span, list[i].Name, list[i].Span, g.pool.Node(id).Label())
+					list[i-1].Name, list[i-1].Span, list[i].Name, list[i].Span, g.pool.Node(resource.NodeID(id)).Label())
 			}
 		}
-		booked[id] = list
 	}
 	failed := make(map[resource.NodeID]sim.Time)
 	for _, f := range st.Failed {
@@ -148,7 +148,7 @@ func (g *Grid) RestoreState(st *GridState) error {
 	}
 	jobNodes := make(map[string][]resource.NodeID)
 	for _, n := range g.pool.Nodes() {
-		for _, t := range booked[n.ID] {
+		for _, t := range booked[n.ID].all {
 			if !t.Local {
 				jobNodes[t.Name] = append(jobNodes[t.Name], n.ID)
 			}

@@ -244,7 +244,7 @@ func (g *Grid) storeUnbook(node *resource.Node, span sim.Interval) {
 	if clip.Empty() {
 		return
 	}
-	list := g.booked[node.ID]
+	list := g.bookings(node.ID)
 	i := sort.Search(len(list), func(k int) bool { return list[k].Span.Start >= span.Start })
 	lo, hi := g.now, st.horizon
 	if i > 0 && list[i-1].Span.End > lo {
@@ -288,7 +288,7 @@ func (g *Grid) storeRecover(node *resource.Node) {
 	if st == nil {
 		return
 	}
-	for _, f := range appendFragments(nil, node, g.booked[node.ID], g.now, st.horizon) {
+	for _, f := range appendFragments(nil, node, g.bookings(node.ID), g.now, st.horizon) {
 		st.ix.Insert(f)
 	}
 	g.metrics.storeNodeRestored(g.storeSlotsTotal())
@@ -315,7 +315,8 @@ func (g *Grid) storeAdvance(to sim.Time) {
 // extendStores grows every shard store whose horizon lies before the new one
 // to cover it, with one slot.Index.Extend per shard. One walk over the pool
 // derives each live node's share from its bookings: the fragments over
-// [old horizon, horizon), whose walk an O(log n) search starts. A fragment
+// [old horizon, horizon), whose walk starts at the first booking past the old
+// horizon, found by walking back from the tail. A fragment
 // opening exactly at the old horizon continues a vacancy run clipped there.
 // If the node was vacant right up to the old horizon, its trailing store slot
 // grows to the fragment's end — the merged maximal interval the oracle emits
@@ -336,8 +337,13 @@ func (g *Grid) extendStores(horizon sim.Time) {
 			continue
 		}
 		old := st.horizon
-		list := g.booked[n.ID]
-		i := sort.Search(len(list), func(k int) bool { return list[k].Span.Start >= old })
+		// The bookings this walk back passes are the ones the fragment
+		// walk below reads anyway.
+		list := g.bookings(n.ID)
+		i := len(list)
+		for i > 0 && list[i-1].Span.Start >= old {
+			i--
+		}
 		from := len(st.run)
 		st.run = appendFragments(st.run, n, list[max(i-1, 0):], old, horizon)
 		if len(st.run) == from || st.run[from].Start() != old {
@@ -387,7 +393,7 @@ func (g *Grid) shardOracle(si int, horizon sim.Time) *slot.List {
 		if (si >= 0 && g.shardIdx(n) != si) || g.NodeFailed(n.ID) {
 			continue
 		}
-		slots = appendFragments(slots, n, g.booked[n.ID], g.now, horizon)
+		slots = appendFragments(slots, n, g.bookings(n.ID), g.now, horizon)
 	}
 	return slot.NewList(slots)
 }

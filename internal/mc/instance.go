@@ -31,7 +31,8 @@ type Instance struct {
 	round *metasched.Round
 	// submitted marks jobs already handed to the scheduler.
 	submitted []bool
-	// w receives the session-format transcript (io.Discard by default).
+	// w receives the session-format transcript; nil keeps none, and the
+	// lines are never formatted.
 	w   io.Writer
 	mut Mutation
 }
@@ -42,9 +43,6 @@ type Instance struct {
 func NewInstance(u *Universe, mut Mutation, w io.Writer) (*Instance, error) {
 	if err := u.Validate(); err != nil {
 		return nil, err
-	}
-	if w == nil {
-		w = io.Discard
 	}
 	pool, err := u.pool()
 	if err != nil {
@@ -146,7 +144,9 @@ func (in *Instance) apply() error {
 		return err
 	}
 	in.round = nil
-	fault.WriteIterationReport(in.w, rep)
+	if in.w != nil {
+		fault.WriteIterationReport(in.w, rep)
+	}
 	for _, p := range rep.Placed {
 		in.audit.JobRescheduled(p.Job.Name)
 	}

@@ -71,11 +71,19 @@ type Index struct {
 	pub publication
 	m   *IndexMetrics
 	// scratch serves the selective scan path; grown, counts and spare serve
-	// Extend.
+	// Extend; keys serves newBucket.
 	scratch []int32
 	grown   []growAt
 	counts  []int
 	spare   []Slot
+	keys    []perfKey
+}
+
+// perfKey is one slot's byPerf sort key: its performance, read out of its
+// node once, and its offset in the bucket.
+type perfKey struct {
+	perf float64
+	off  int32
 }
 
 // NewIndex builds an index holding a copy of l's slots, with the default
@@ -110,23 +118,31 @@ func (ix *Index) tile(dst []*bucket, slots []Slot) []*bucket {
 }
 
 // newBucket returns an owned bucket holding a copy of slots, bounds and
-// permutation computed from scratch — O(n log n).
+// permutation computed from scratch — O(n log n). The permutation sorts
+// (performance, offset) keys extracted into the index's scratch buffer, so a
+// comparison reads no node; offset breaks performance ties, so the order is
+// total and equals a stable sort by performance descending.
 func (ix *Index) newBucket(slots []Slot) *bucket {
 	b := &bucket{owner: ix.own, slots: append(make([]Slot, 0, len(slots)+cowHeadroom), slots...)}
 	b.aggregates()
-	b.byPerf = make([]int32, len(slots), len(slots)+cowHeadroom)
-	for off := range b.byPerf {
-		b.byPerf[off] = int32(off)
+	keys := slices.Grow(ix.keys[:0], len(slots))
+	for off, s := range slots {
+		keys = append(keys, perfKey{perf: s.Performance(), off: int32(off)})
 	}
-	slices.SortFunc(b.byPerf, func(i, j int32) int {
-		switch pi, pj := b.slots[i].Performance(), b.slots[j].Performance(); {
-		case pi > pj:
+	ix.keys = keys
+	slices.SortFunc(keys, func(a, c perfKey) int {
+		switch {
+		case a.perf > c.perf:
 			return -1
-		case pi < pj:
+		case a.perf < c.perf:
 			return 1
 		}
-		return int(i - j)
+		return int(a.off - c.off)
 	})
+	b.byPerf = make([]int32, len(slots), len(slots)+cowHeadroom)
+	for k, key := range keys {
+		b.byPerf[k] = key.off
+	}
 	ix.m.moved(len(slots))
 	return b
 }

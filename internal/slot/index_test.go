@@ -3,6 +3,7 @@ package slot
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"testing"
 
 	"ecosched/internal/metrics"
@@ -360,5 +361,65 @@ func TestNilIndexMetricsZeroAllocs(t *testing.T) {
 	}
 	if m := NewIndexMetrics(nil, "x/"); m != nil {
 		t.Error("NewIndexMetrics(nil, ...) should return nil")
+	}
+}
+
+// stablePerfOrder is the independent model of a bucket's permutation: the
+// offsets of slots stably sorted by performance descending, so equal
+// performances keep their offset order.
+func stablePerfOrder(slots []Slot) []int32 {
+	offs := make([]int32, len(slots))
+	for i := range offs {
+		offs[i] = int32(i)
+	}
+	sort.SliceStable(offs, func(i, j int) bool {
+		return slots[offs[i]].Performance() > slots[offs[j]].Performance()
+	})
+	return offs
+}
+
+// TestBucketPermutationMatchesStableSort checks every bucket's byPerf
+// against stablePerfOrder: buckets built fresh (newBucket, through
+// NewIndexSize's tiling) over performances with many ties, with none, and
+// with one throughout, and buckets kept up incrementally through random
+// inserts, removals and cuts.
+func TestBucketPermutationMatchesStableSort(t *testing.T) {
+	check := func(label string, ix *Index) {
+		t.Helper()
+		for bi, b := range ix.buckets {
+			if want := stablePerfOrder(b.slots); !slices.Equal(b.byPerf, want) {
+				t.Fatalf("%s: bucket %d byPerf %v, stable sort by performance says %v", label, bi, b.byPerf, want)
+			}
+		}
+	}
+	for _, distinct := range []int{1, 3, 1000} {
+		nodes := make([]*resource.Node, 64)
+		for i := range nodes {
+			nodes[i] = &resource.Node{Name: fmt.Sprintf("n%d", i), Performance: 1 + float64(i%distinct)/7, Price: 1}
+		}
+		for _, target := range []int{1, 7, 64, DefaultBucketSize} {
+			rng := sim.NewRNG(uint64(distinct*1000 + target))
+			var slots []Slot
+			for k := 0; k < 600; k++ {
+				slots = append(slots, randomSlot(rng, nodes))
+			}
+			label := fmt.Sprintf("%d distinct, target %d", distinct, target)
+			ix := NewIndexSize(NewList(slots), target, nil)
+			check(label+", fresh", ix)
+			for step := 0; step < 200 && ix.Len() > 0; step++ {
+				switch rng.IntN(3) {
+				case 0:
+					ix.Insert(randomSlot(rng, nodes))
+				case 1:
+					ix.RemoveAt(rng.IntN(ix.Len()))
+				default:
+					s := ix.At(rng.IntN(ix.Len()))
+					if err := ix.SubtractInterval(s, subtractedInterval(s, rng.IntN)); err != nil {
+						t.Fatalf("%s step %d: %v", label, step, err)
+					}
+				}
+				check(fmt.Sprintf("%s, step %d", label, step), ix)
+			}
+		}
 	}
 }

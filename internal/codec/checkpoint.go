@@ -2,9 +2,12 @@
 // grid and scheduler state — written periodically so
 // recovery replays only the journal suffix past the snapshot instead of the
 // whole history. A checkpoint is one CRC frame behind its own magic header
-// (temp-file + rename on write keeps the previous checkpoint intact until
-// the new one is durable), so a torn checkpoint is detected exactly like a
-// torn journal tail and recovery falls back to full replay.
+// (its writer publishes it by renaming a fully written file over the old
+// one, so the previous checkpoint stays intact until the new one is
+// durable), so a torn checkpoint is detected exactly like a torn journal
+// tail and recovery falls back to full replay. The grid section, nearly all
+// of a checkpoint, has one encoder: AppendCheckpoint streams it from a live
+// grid into a caller's buffer, and EncodeCheckpoint feeds it a GridState.
 package codec
 
 import (
@@ -130,15 +133,18 @@ type retryStatsJSON struct {
 	DroppedDeadline  int `json:"dropped_deadline,omitempty"`
 }
 
+// GridSource streams a grid's observable state: the live *gridsim.Grid,
+// or a *gridsim.GridState snapshot of one.
+type GridSource interface {
+	WriteState(gridsim.StateWriter)
+}
+
 // EncodeCheckpoint serializes the checkpoint as magic + one CRC frame. The
 // payload is byte for byte the encoding/json document of checkpointJSON.
-// The grid section — nearly all of a checkpoint — is appended straight into
-// the output: one pass bounds the encoded length (and rejects the floats
-// JSON cannot represent), the buffer is allocated once behind the magic and
-// frame header, and the length and CRC are filled in last. The small
-// scheduler section is json.Marshal of schedStateJSON. DecodeCheckpoint
-// uses the strict encoding/json decoder, an independent check on this
-// encoder.
+// It is AppendCheckpoint fed from cp.Grid into one buffer, sized by a pass
+// that bounds the grid section's encoded length, so the encoding allocates
+// nothing per task. DecodeCheckpoint uses the strict encoding/json decoder,
+// an independent check on this encoder.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if cp == nil || cp.Grid == nil || cp.Sched == nil {
 		return nil, fmt.Errorf("codec: incomplete checkpoint")
@@ -147,14 +153,35 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
-	gridLen, err := gridBound(cp.Grid)
-	if err != nil {
-		return nil, err
+	size := len(CheckpointMagic) + FrameOverhead + len(`{"v":,"seq":,"journal_offset":,"rounds":,"grid":,"sched":}`) +
+		4*maxIntLen + gridBound(cp.Grid) + len(sched)
+	return appendCheckpoint(make([]byte, 0, size), cp, cp.Grid, sched)
+}
+
+// AppendCheckpoint appends the encoding EncodeCheckpoint would give to b and
+// returns the extended buffer, streaming the grid section from grid — cp.Grid
+// is not read. Fed the live grid, it builds no GridState; fed a buffer kept
+// from the last call, it allocates nothing per task. A fee or income that
+// JSON cannot represent (NaN, ±Inf) fails with encoding/json's error and a
+// nil buffer.
+func AppendCheckpoint(b []byte, cp *Checkpoint, grid GridSource) ([]byte, error) {
+	if cp == nil || grid == nil || cp.Sched == nil {
+		return nil, fmt.Errorf("codec: incomplete checkpoint")
 	}
-	const head = len(CheckpointMagic) + FrameOverhead
-	size := head + len(`{"v":,"seq":,"journal_offset":,"rounds":,"grid":,"sched":}`) + 4*maxIntLen + gridLen + len(sched)
-	b := make([]byte, head, size) // the frame header is filled in last
-	copy(b, CheckpointMagic)
+	sched, err := json.Marshal(schedToWire(cp.Sched))
+	if err != nil {
+		return nil, fmt.Errorf("codec: %w", err)
+	}
+	return appendCheckpoint(b, cp, grid, sched)
+}
+
+// appendCheckpoint writes the magic, a frame header filled in last, and the
+// payload with the grid section streamed from grid and the scheduler section
+// already encoded.
+func appendCheckpoint(b []byte, cp *Checkpoint, grid GridSource, sched []byte) ([]byte, error) {
+	start := len(b)
+	b = append(b, CheckpointMagic...)
+	b = append(b, make([]byte, FrameOverhead)...)
 	b = append(b, `{"v":`...)
 	b = strconv.AppendInt(b, CheckpointVersion, 10)
 	b = append(b, `,"seq":`...)
@@ -164,13 +191,17 @@ func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
 	b = append(b, `,"rounds":`...)
 	b = strconv.AppendInt(b, int64(cp.Rounds), 10)
 	b = append(b, `,"grid":`...)
-	b = appendGrid(b, cp.Grid)
+	b, err := appendGrid(b, grid)
+	if err != nil {
+		return nil, err
+	}
 	b = append(b, `,"sched":`...)
 	b = append(b, sched...)
 	b = append(b, '}')
-	payload := b[head:]
-	binary.BigEndian.PutUint32(b[len(CheckpointMagic):], uint32(len(payload)))
-	binary.BigEndian.PutUint32(b[len(CheckpointMagic)+4:], crc32.ChecksumIEEE(payload))
+	head := start + len(CheckpointMagic)
+	payload := b[head+FrameOverhead:]
+	binary.BigEndian.PutUint32(b[head:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(b[head+4:], crc32.ChecksumIEEE(payload))
 	return b, nil
 }
 
@@ -185,9 +216,8 @@ const (
 // gridBound returns an upper bound on the encoded length of the grid
 // section: keys, punctuation and plain strings at their exact lengths,
 // integers at intBound, strings needing escapes at six bytes per input byte
-// (json's widest escape), and floats at maxFloatLen. It rejects NaN and
-// ±Inf, as encoding/json does, so appendGrid cannot fail.
-func gridBound(g *gridsim.GridState) (int, error) {
+// (json's widest escape), and floats at maxFloatLen.
+func gridBound(g *gridsim.GridState) int {
 	n := len(`{"now":,"failed":[],"tasks":[],"income":[]}`) + intBound(int64(g.Now))
 	for _, f := range g.Failed {
 		n += len(`{"node":,"at":},`) + stringBound(f.Node) + intBound(int64(f.At))
@@ -201,87 +231,100 @@ func gridBound(g *gridsim.GridState) (int, error) {
 		}
 		for _, f := range [...]sim.Money{t.Cost, t.Charged} {
 			if f != 0 {
-				if err := checkFloat(float64(f)); err != nil {
-					return 0, err
-				}
 				n += len(`,"charged":`) + maxFloatLen // the longer of the two keys
 			}
 		}
 	}
 	for _, in := range g.Income {
-		if err := checkFloat(float64(in.Amount)); err != nil {
-			return 0, err
-		}
 		n += len(`{"domain":,"amount":},`) + stringBound(in.Domain) + maxFloatLen
 	}
-	return n, nil
+	return n
 }
 
-// appendGrid appends the grid section as encoding/json writes gridStateJSON:
-// fields in declaration order, empty lists and zero omitempty values left
-// out. The floats were checked by gridBound.
-func appendGrid(b []byte, g *gridsim.GridState) []byte {
-	b = append(b, `{"now":`...)
-	b = strconv.AppendInt(b, int64(g.Now), 10)
-	if len(g.Failed) > 0 {
-		b = append(b, `,"failed":[`...)
-		for i, f := range g.Failed {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"node":`...)
-			b = appendString(b, f.Node)
-			b = append(b, `,"at":`...)
-			b = strconv.AppendInt(b, int64(f.At), 10)
-			b = append(b, '}')
-		}
-		b = append(b, ']')
+// appendGrid appends the grid section grid streams, as encoding/json writes
+// gridStateJSON: fields in declaration order, empty lists and zero omitempty
+// values left out. It is the one grid-section encoder.
+func appendGrid(b []byte, grid GridSource) ([]byte, error) {
+	w := gridWriter{b: b}
+	grid.WriteState(&w)
+	if w.err != nil {
+		return nil, w.err
 	}
-	if len(g.Tasks) > 0 {
-		b = append(b, `,"tasks":[`...)
-		for i := range g.Tasks {
-			t := &g.Tasks[i]
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"name":`...)
-			b = appendString(b, t.Name)
-			b = append(b, `,"node":`...)
-			b = appendString(b, t.Node)
-			b = append(b, `,"start":`...)
-			b = strconv.AppendInt(b, int64(t.Span.Start), 10)
-			b = append(b, `,"end":`...)
-			b = strconv.AppendInt(b, int64(t.Span.End), 10)
-			if t.Local {
-				b = append(b, `,"local":true`...)
-			}
-			if t.Cost != 0 {
-				b = append(b, `,"cost":`...)
-				b = appendFloat(b, float64(t.Cost))
-			}
-			if t.Charged != 0 {
-				b = append(b, `,"charged":`...)
-				b = appendFloat(b, float64(t.Charged))
-			}
-			b = append(b, '}')
-		}
-		b = append(b, ']')
+	if w.list != "" {
+		w.b = append(w.b, ']')
 	}
-	if len(g.Income) > 0 {
-		b = append(b, `,"income":[`...)
-		for i, in := range g.Income {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"domain":`...)
-			b = appendString(b, in.Domain)
-			b = append(b, `,"amount":`...)
-			b = appendFloat(b, float64(in.Amount))
-			b = append(b, '}')
-		}
-		b = append(b, ']')
+	return append(w.b, '}'), nil
+}
+
+// gridWriter is the gridsim.StateWriter appendGrid streams the grid
+// through. A list is opened by its first element and closed by the next
+// list's, or by appendGrid, so an empty list is never written.
+type gridWriter struct {
+	b []byte
+	// list is the opening of the list being written, "" before the first.
+	list string
+	// err is the first float JSON cannot represent.
+	err error
+}
+
+// element starts one element of the list that opens with open.
+func (w *gridWriter) element(open string) {
+	switch {
+	case w.list == open:
+		w.b = append(w.b, ',')
+		return
+	case w.list != "":
+		w.b = append(w.b, ']')
 	}
-	return append(b, '}')
+	w.list = open
+	w.b = append(w.b, open...)
+}
+
+// float appends key and f, or records why f cannot be written.
+func (w *gridWriter) float(key string, f sim.Money) {
+	if err := checkFloat(float64(f)); err != nil {
+		if w.err == nil {
+			w.err = err
+		}
+		return
+	}
+	w.b = appendFloat(append(w.b, key...), float64(f))
+}
+
+func (w *gridWriter) Clock(now sim.Time) {
+	w.b = strconv.AppendInt(append(w.b, `{"now":`...), int64(now), 10)
+}
+
+func (w *gridWriter) Failure(f gridsim.NodeFailureState) {
+	w.element(`,"failed":[`)
+	w.b = appendString(append(w.b, `{"node":`...), f.Node)
+	w.b = strconv.AppendInt(append(w.b, `,"at":`...), int64(f.At), 10)
+	w.b = append(w.b, '}')
+}
+
+func (w *gridWriter) Booking(t gridsim.TaskState) {
+	w.element(`,"tasks":[`)
+	w.b = appendString(append(w.b, `{"name":`...), t.Name)
+	w.b = appendString(append(w.b, `,"node":`...), t.Node)
+	w.b = strconv.AppendInt(append(w.b, `,"start":`...), int64(t.Span.Start), 10)
+	w.b = strconv.AppendInt(append(w.b, `,"end":`...), int64(t.Span.End), 10)
+	if t.Local {
+		w.b = append(w.b, `,"local":true`...)
+	}
+	if t.Cost != 0 {
+		w.float(`,"cost":`, t.Cost)
+	}
+	if t.Charged != 0 {
+		w.float(`,"charged":`, t.Charged)
+	}
+	w.b = append(w.b, '}')
+}
+
+func (w *gridWriter) Ledger(in gridsim.DomainIncomeState) {
+	w.element(`,"income":[`)
+	w.b = appendString(append(w.b, `{"domain":`...), in.Domain)
+	w.float(`,"amount":`, in.Amount)
+	w.b = append(w.b, '}')
 }
 
 // plainByte marks the bytes encoding/json writes verbatim inside a string:

@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"ecosched/internal/gridsim"
+	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 )
 
@@ -65,8 +67,11 @@ func checkAgainstOracle(t *testing.T, cp *Checkpoint) ([]byte, bool) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("encoding differs from the oracle\n got %q\nwant %q", got, want)
 	}
-	bound, _ := gridBound(cp.Grid)
-	if n := len(appendGrid(nil, cp.Grid)); n > bound {
+	section, err := appendGrid(nil, cp.Grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, bound := len(section), gridBound(cp.Grid); n > bound {
 		t.Fatalf("grid section is %d bytes, over its bound %d", n, bound)
 	}
 	return got, true
@@ -141,6 +146,65 @@ func TestEncodeCheckpointMatchesOracle(t *testing.T) {
 				t.Errorf("%s = %v encoded", field, bad)
 			}
 		}
+	}
+}
+
+// TestAppendCheckpointFromLiveGrid: the grid section streamed from a live
+// grid — failed nodes, charged VO bookings, a name that takes the escape
+// path, income — gives EncodeCheckpoint's bytes for the grid's export and
+// the oracle's, appended after what the buffer held. A NaN fee booked past
+// the rules is refused with encoding/json's error.
+func TestAppendCheckpointFromLiveGrid(t *testing.T) {
+	pool := resource.MustNewPool([]*resource.Node{
+		{Name: "n1", Performance: 1, Price: 1, Domain: "east"},
+		{Name: "n2", Performance: 2, Price: 2, Domain: "west"},
+		{Name: "n<3>", Performance: 1.5, Price: 3, Domain: "east"},
+	})
+	g, err := gridsim.New(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.RestoreState(&gridsim.GridState{
+		Now:    150,
+		Failed: []gridsim.NodeFailureState{{Node: "n1", At: 100}},
+		Tasks: []gridsim.TaskState{
+			{Name: "j1", Node: "n2", Span: sim.Interval{Start: 150, End: 190}, Cost: 120, Charged: 120},
+			{Name: "j\"2\"\u2028", Node: "n<3>", Span: sim.Interval{Start: 160, End: 200}, Cost: 33.25, Charged: 1e-7},
+			{Name: "local@0-30", Node: "n<3>", Span: sim.Interval{Start: 0, End: 30}, Local: true},
+			{Name: "local@200-260", Node: "n2", Span: sim.Interval{Start: 200, End: 260}, Local: true},
+		},
+		Income: []gridsim.DomainIncomeState{{Domain: "east", Amount: 1e21}, {Domain: "we&st", Amount: 120}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	cp := sampleCheckpoint()
+	cp.Grid = g.ExportState()
+	want, err := EncodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle, err := oracleEncodeCheckpoint(cp); err != nil || !bytes.Equal(want, oracle) {
+		t.Fatalf("EncodeCheckpoint differs from the oracle (%v)", err)
+	}
+	prefix := []byte("kept")
+	live := *cp
+	live.Grid = nil // AppendCheckpoint reads the grid from its source only
+	got, err := AppendCheckpoint(prefix, &live, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("live encoding differs from the export's\n got %q\nwant %q", got[len(prefix):], want)
+	}
+
+	g.ForceBook(gridsim.Task{Name: "nan", Node: 1, Span: sim.Interval{Start: 400, End: 420}, Cost: sim.Money(math.NaN())})
+	var unsupported *json.UnsupportedValueError
+	if _, err := AppendCheckpoint(got[:0], &live, g); !errors.As(err, &unsupported) {
+		t.Fatalf("a NaN fee streamed from the live grid gave %v, want a json.UnsupportedValueError", err)
+	}
+	cp.Grid = g.ExportState()
+	if _, err := EncodeCheckpoint(cp); !errors.As(err, &unsupported) {
+		t.Fatalf("a NaN fee in the export gave %v, want a json.UnsupportedValueError", err)
 	}
 }
 

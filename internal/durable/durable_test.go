@@ -132,8 +132,10 @@ func TestJournalMetrics(t *testing.T) {
 }
 
 // TestSyncCheckpointRecovers: with Options.Sync the checkpoint goes through
-// the fsync path (temp file, rename, directory), writes the same bytes as
-// without it, and recovers to the live session's state hash.
+// the fsync path (temp file, rename, directory) for a new file and for a
+// recycled one, writes the same bytes as without it, leaves the superseded
+// checkpoint as path.prev in a file of its own, and recovers to the live
+// session's state hash.
 func TestSyncCheckpointRecovers(t *testing.T) {
 	var ckpts [2][]byte
 	for i, sync := range []bool{false, true} {
@@ -145,6 +147,13 @@ func TestSyncCheckpointRecovers(t *testing.T) {
 			Sync:            sync,
 		}
 		ds := miniSession(t, opts)
+		// The cadence wrote a new file; the next links it as path.prev, the
+		// one after overwrites it.
+		for k := 0; k < 2; k++ {
+			if err := ds.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		want := durable.StateHash(ds.Unwrap())
 		if err := ds.Close(); err != nil {
 			t.Fatal(err)
@@ -156,6 +165,14 @@ func TestSyncCheckpointRecovers(t *testing.T) {
 		ckpts[i] = data
 		if _, err := os.Stat(opts.CheckpointPath + ".tmp"); !os.IsNotExist(err) {
 			t.Fatalf("sync=%v: temp file left behind (%v)", sync, err)
+		}
+		cur, err1 := os.Stat(opts.CheckpointPath)
+		prev, err2 := os.Stat(opts.CheckpointPath + ".prev")
+		if err1 != nil || err2 != nil {
+			t.Fatalf("sync=%v: %v, %v", sync, err1, err2)
+		}
+		if os.SameFile(cur, prev) {
+			t.Fatalf("sync=%v: path.prev is the published checkpoint", sync)
 		}
 		rds, rep, err := durable.Recover(opts, fuzzFactory)
 		if err != nil {

@@ -1,8 +1,9 @@
 package durable
 
 import (
+	"errors"
 	"fmt"
-	"hash/fnv"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,13 +23,16 @@ type Options struct {
 	// JournalPath is the write-ahead journal file. Required.
 	JournalPath string
 	// CheckpointPath is the checkpoint file; empty disables checkpoints and
-	// recovery replays the full journal.
+	// recovery replays the full journal. Publishing a checkpoint also uses
+	// CheckpointPath+".tmp" while it writes and leaves the superseded
+	// checkpoint as CheckpointPath+".prev", the file the next checkpoint
+	// overwrites (see checkpointFile). Recovery reads CheckpointPath only.
 	CheckpointPath string
 	// CheckpointEvery writes a checkpoint after every N completed rounds;
 	// 0 disables automatic checkpoints (Checkpoint can still be called).
 	CheckpointEvery int
 	// Sync fsyncs the journal after every append, and each checkpoint's
-	// temp file before the rename that publishes it and the checkpoint's
+	// written file before the rename that publishes it and the checkpoint's
 	// directory after. Off by default: the crash-injection harness models
 	// crashes by truncating bytes, which is exactly the guarantee the frame
 	// CRCs defend, and real deployments can opt in for power-loss safety.
@@ -72,6 +76,7 @@ type Service struct {
 	// round and back: the journaled record in on replay, the record a
 	// live round wrote out.
 	roundRec *codec.RoundRecord
+	ckpt     checkpointFile
 }
 
 // New wraps a freshly built service with a new (or empty) journal. A journal
@@ -187,12 +192,10 @@ func (ds *Service) step(e fault.Event) ([]string, *metasched.IterationReport, er
 func (ds *Service) apply(rec *codec.Record, replay bool) ([]string, *metasched.IterationReport, error) {
 	e := rec.Event
 	// Only a failure or revocation cancels reservations, so only they can
-	// drop a job; the others skip copying the drop ledger.
+	// drop a job.
 	cancels := e.Kind == fault.Fail || e.Kind == fault.Revoke
-	var before map[string]string
-	if cancels {
-		before = ds.svc.Scheduler().DroppedJobs()
-	}
+	sched := ds.svc.Scheduler()
+	before := sched.DroppedCount()
 	ds.roundRec = rec.Round
 	requeued, rep, err := fault.Dispatch((*engine)(ds), e)
 	rec.Round, ds.roundRec = ds.roundRec, nil
@@ -201,7 +204,9 @@ func (ds *Service) apply(rec *codec.Record, replay bool) ([]string, *metasched.I
 	}
 	var dropped []string
 	if cancels {
-		dropped = newlyDropped(before, ds.svc.Scheduler().DroppedJobs())
+		if sched.DroppedCount() != before {
+			dropped = newlyDropped(ds.appliedLive, sched.DroppedJobs())
+		}
 		for _, name := range requeued {
 			delete(ds.appliedLive, name)
 		}
@@ -297,51 +302,90 @@ func (ds *Service) round() (*metasched.IterationReport, error) {
 }
 
 // Checkpoint snapshots the complete canonical state — grid and scheduler —
-// stamped with the journal position it corresponds to, and
-// writes it atomically (temp file + rename), so a crash mid-checkpoint
-// leaves the previous checkpoint intact. With Options.Sync the temp file is
-// fsynced before the rename and the directory after it, so the published
-// checkpoint also survives power loss.
+// stamped with the journal position it corresponds to, and publishes it
+// atomically (see checkpointFile), so a crash mid-checkpoint leaves the
+// previous checkpoint intact. The grid section is streamed from the live
+// booking lists into a buffer kept between checkpoints. With Options.Sync
+// the written file is fsynced before the rename that publishes it and the
+// directory after, so the published checkpoint also survives power loss.
 func (ds *Service) Checkpoint() error {
 	if ds.opts.CheckpointPath == "" {
 		return fmt.Errorf("durable: no checkpoint path configured")
 	}
 	// The service export carries no state; it refuses an open round, whose
 	// frozen batch and pending plan are not committed state.
-	svcState, err := ds.svc.ExportState()
-	if err != nil {
+	if _, err := ds.svc.ExportState(); err != nil {
 		return err
 	}
+	sched := ds.svc.Scheduler()
 	cp := &codec.Checkpoint{
 		Seq:           ds.j.Seq(),
 		JournalOffset: ds.j.Size(),
 		Rounds:        ds.rounds,
-		Grid:          ds.svc.Scheduler().Grid().ExportState(),
-		Sched:         ds.svc.Scheduler().ExportState(),
-		Service:       svcState,
+		Sched:         sched.ExportState(),
 	}
-	data, err := codec.EncodeCheckpoint(cp)
+	data, err := codec.AppendCheckpoint(ds.ckpt.buf[:0], cp, sched.Grid())
 	if err != nil {
 		return err
 	}
-	if err := writeCheckpoint(ds.opts.CheckpointPath, data, ds.opts.Sync); err != nil {
+	ds.ckpt.buf = data
+	if err := ds.ckpt.publish(ds.opts.CheckpointPath, data, ds.opts.Sync); err != nil {
 		return err
 	}
 	ds.m.checkpointWritten()
 	return nil
 }
 
-// writeCheckpoint writes data to path+".tmp" and renames it over path. With
-// sync set it fsyncs the temp file before the rename and path's directory
-// after it, so the rename cannot reach the disk ahead of the bytes it
-// publishes, nor be lost itself.
-func writeCheckpoint(path string, data []byte, sync bool) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// checkpointFile publishes checkpoints at one path. A publish writes the
+// file under path.tmp and renames it over path. Creating that file afresh
+// each time is the slow part: on ext4, renaming a new file over the old one
+// makes the rename allocate the new file's delayed blocks and free the old
+// inode's pages. So a publish instead overwrites the checkpoint before the
+// current one, which the last publish left hard-linked as path.prev:
+// rename path.prev to path.tmp, write it in place and cut it to length,
+// hard-link path to path.prev, rename path.tmp over path. path.prev costs
+// one checkpoint's worth of disk.
+//
+// Only a publish this process completed leaves a path.prev fit to
+// overwrite: the superseded checkpoint, which shares no inode with path. At
+// open, after any failed step, and whenever hard links fail, the next
+// publish unlinks path.prev and path.tmp and writes a new file, because a
+// crash between the link and the rename leaves path.prev naming the
+// published checkpoint itself.
+type checkpointFile struct {
+	// buf is the encoding buffer, kept so a checkpoint reallocates nothing.
+	buf []byte
+	// recycle is set by a completed publish that linked path.prev.
+	recycle bool
+	// noLinks is set once a hard link failed for another reason than a
+	// missing path: the file system has none, and every publish writes a
+	// new file.
+	noLinks bool
+}
+
+// publish makes data the checkpoint at path.
+func (c *checkpointFile) publish(path string, data []byte, sync bool) error {
+	tmp, prev := path+".tmp", path+".prev"
+	recycle := c.recycle
+	c.recycle = false // until this publish completes
+	var f *os.File
+	var err error
+	if recycle {
+		if err = os.Rename(prev, tmp); err == nil {
+			f, err = os.OpenFile(tmp, os.O_WRONLY, 0)
+		}
+	} else if err = removeIfExists(prev); err == nil {
+		if err = removeIfExists(tmp); err == nil {
+			f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		}
+	}
 	if err != nil {
 		return fmt.Errorf("durable: write checkpoint: %w", err)
 	}
-	_, err = f.Write(data)
+	_, err = f.WriteAt(data, 0)
+	if err == nil && recycle {
+		err = f.Truncate(int64(len(data)))
+	}
 	if err == nil && sync {
 		err = f.Sync()
 	}
@@ -351,32 +395,56 @@ func writeCheckpoint(path string, data []byte, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("durable: write checkpoint: %w", err)
 	}
+	linked := false
+	if !c.noLinks {
+		switch err := os.Link(path, prev); {
+		case err == nil:
+			linked = true
+		case !errors.Is(err, fs.ErrNotExist): // path missing: the first checkpoint
+			c.noLinks = true
+		}
+	}
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("durable: publish checkpoint: %w", err)
 	}
-	if !sync {
-		return nil
+	if sync {
+		if err := syncDir(filepath.Dir(path)); err != nil {
+			return fmt.Errorf("durable: sync checkpoint directory: %w", err)
+		}
 	}
-	dir, err := os.Open(filepath.Dir(path))
+	c.recycle = linked
+	return nil
+}
+
+// removeIfExists unlinks name unless it is already gone.
+func removeIfExists(name string) error {
+	if err := os.Remove(name); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making the renames in it durable.
+func syncDir(name string) error {
+	dir, err := os.Open(name)
 	if err != nil {
-		return fmt.Errorf("durable: sync checkpoint directory: %w", err)
+		return err
 	}
 	err = dir.Sync()
 	if cerr := dir.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return fmt.Errorf("durable: sync checkpoint directory: %w", err)
-	}
-	return nil
+	return err
 }
 
-// newlyDropped returns the names terminally dropped between two snapshots of
-// the scheduler's drop ledger, sorted.
-func newlyDropped(before, after map[string]string) []string {
+// newlyDropped returns, sorted, the dropped jobs that held an applied plan
+// before a cancellation. A cancellation drops only jobs it took a
+// reservation from, and a job holding an applied plan was never dropped
+// before, so these are exactly the jobs the cancellation dropped.
+func newlyDropped(held map[string]bool, dropped map[string]string) []string {
 	var out []string
-	for name := range after {
-		if _, ok := before[name]; !ok {
+	for name := range dropped {
+		if held[name] {
 			out = append(out, name)
 		}
 	}
@@ -392,7 +460,13 @@ func StateHash(svc *metasched.Service) uint64 {
 	var b strings.Builder
 	svc.Scheduler().Grid().CanonicalState(&b)
 	svc.Scheduler().CanonicalState(&b)
-	h := fnv.New64a()
-	h.Write([]byte(b.String()))
-	return h.Sum64()
+	// FNV-64a over the builder's string, which hash/fnv would take only as
+	// a copy.
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for s, i := b.String(), 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
+	}
+	return h
 }

@@ -39,7 +39,7 @@ type Target interface {
 	QueueLength() int
 	PlacedCount() int
 	PlacedJobs() []string
-	DroppedJobs() map[string]string
+	DroppedCount() int
 	RetryStats() metasched.RetryStats
 }
 
@@ -230,7 +230,7 @@ func (a *Audit) checkConservation() {
 	submitted := a.sched.SubmittedCount()
 	queued := a.sched.QueueLength()
 	placed := a.sched.PlacedCount()
-	dropped := len(a.sched.DroppedJobs())
+	dropped := a.sched.DroppedCount()
 	if submitted != queued+placed+dropped {
 		a.violate("job conservation broken: %d submitted != %d queued + %d placed + %d dropped",
 			submitted, queued, placed, dropped)

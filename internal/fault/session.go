@@ -70,7 +70,7 @@ func Inject(d Driver, a *Audit, w io.Writer, e Event) ([]string, *metasched.Iter
 		cancelled := a.EndEvent(e)
 		if w != nil {
 			fmt.Fprintf(w, "fault %v cancelled=%d requeued=%v drops=%d\n",
-				e, len(cancelled), requeued, len(a.sched.DroppedJobs()))
+				e, len(cancelled), requeued, a.sched.DroppedCount())
 		}
 	case rep != nil:
 		if w != nil {

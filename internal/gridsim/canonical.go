@@ -1,8 +1,7 @@
 package gridsim
 
 import (
-	"fmt"
-	"sort"
+	"strconv"
 	"strings"
 
 	"ecosched/internal/sim"
@@ -15,26 +14,54 @@ import (
 // history led to them, which is exactly what the model checker's
 // state-hashing needs: canonical bytes in, canonical hash out.
 func (g *Grid) CanonicalState(b *strings.Builder) {
-	fmt.Fprintf(b, "grid now=%d\n", int64(g.now))
-	for _, n := range g.pool.Nodes() {
-		if at, down := g.failed[n.ID]; down {
-			fmt.Fprintf(b, "failed %s at=%d\n", n.Label(), int64(at))
-		}
-	}
-	for _, n := range g.pool.Nodes() {
-		for _, t := range g.bookings(n.ID) {
-			fmt.Fprintf(b, "task %s node=%s span=%d-%d local=%t cost=%v charged=%v\n",
-				t.Name, n.Label(), int64(t.Span.Start), int64(t.Span.End), t.Local, t.Cost, t.charged)
-		}
-	}
-	domains := make([]string, 0, len(g.income))
-	for d := range g.income {
-		domains = append(domains, d)
-	}
-	sort.Strings(domains)
-	for _, d := range domains {
-		fmt.Fprintf(b, "income %s=%v\n", d, g.income[d])
-	}
+	g.WriteState(&canonicalWriter{b: b})
+}
+
+// canonicalWriter formats each part of a streamed state as one line with
+// the bytes fmt's %d, %s and %t and sim.Money's String would write, built in
+// line and copied to b.
+type canonicalWriter struct {
+	b    *strings.Builder
+	line []byte
+}
+
+func (w *canonicalWriter) Clock(now sim.Time) {
+	w.line = strconv.AppendInt(append(w.line[:0], "grid now="...), int64(now), 10)
+	w.flush()
+}
+
+func (w *canonicalWriter) Failure(f NodeFailureState) {
+	w.line = append(append(append(w.line[:0], "failed "...), f.Node...), " at="...)
+	w.line = strconv.AppendInt(w.line, int64(f.At), 10)
+	w.flush()
+}
+
+func (w *canonicalWriter) Booking(t TaskState) {
+	b := append(append(append(w.line[:0], "task "...), t.Name...), " node="...)
+	b = append(append(b, t.Node...), " span="...)
+	b = strconv.AppendInt(b, int64(t.Span.Start), 10)
+	b = strconv.AppendInt(append(b, '-'), int64(t.Span.End), 10)
+	b = strconv.AppendBool(append(b, " local="...), t.Local)
+	b = appendMoney(append(b, " cost="...), t.Cost)
+	w.line = appendMoney(append(b, " charged="...), t.Charged)
+	w.flush()
+}
+
+func (w *canonicalWriter) Ledger(in DomainIncomeState) {
+	w.line = append(append(append(w.line[:0], "income "...), in.Domain...), '=')
+	w.line = appendMoney(w.line, in.Amount)
+	w.flush()
+}
+
+// flush ends the line and copies it to the builder.
+func (w *canonicalWriter) flush() {
+	w.line = append(w.line, '\n')
+	w.b.Write(w.line)
+}
+
+// appendMoney appends m as its String method writes it: two decimals.
+func appendMoney(b []byte, m sim.Money) []byte {
+	return strconv.AppendFloat(b, float64(m), 'f', 2, 64)
 }
 
 // ForceBook inserts a booking bypassing every rule Book enforces — overlap,

@@ -49,33 +49,39 @@ type GridState struct {
 	Income []DomainIncomeState
 }
 
-// ExportState captures the grid's observable state as a GridState. The
-// snapshot shares nothing with the grid — mutating either afterwards leaves
-// the other untouched. The task list is allocated once, at its final length,
-// so the export allocates nothing per booking.
-func (g *Grid) ExportState() *GridState {
-	st := &GridState{Now: g.now}
-	booked := 0
-	for _, n := range g.pool.Nodes() {
-		if at, down := g.failed[n.ID]; down {
-			st.Failed = append(st.Failed, NodeFailureState{Node: n.Label(), At: at})
+// StateWriter receives a grid's observable state part by part, in the order
+// GridState lists it: the clock, the failure marks in pool order, the
+// bookings in (node, start) order, then the income ledger by domain. The
+// export, the canonical serialization and the checkpoint encoder are all
+// StateWriters, so every reader walks the grid the same way.
+type StateWriter interface {
+	Clock(sim.Time)
+	Failure(NodeFailureState)
+	Booking(TaskState)
+	Ledger(DomainIncomeState)
+}
+
+// WriteState streams the grid's observable state to w straight from the
+// live booking lists, building no GridState. Each part w receives is a
+// copy; w must not mutate the grid.
+func (g *Grid) WriteState(w StateWriter) {
+	w.Clock(g.now)
+	if len(g.failed) > 0 {
+		for _, n := range g.pool.Nodes() {
+			if at, down := g.failed[n.ID]; down {
+				w.Failure(NodeFailureState{Node: n.Label(), At: at})
+			}
 		}
-		booked += len(g.bookings(n.ID))
-	}
-	if booked > 0 {
-		st.Tasks = make([]TaskState, 0, booked)
 	}
 	for _, n := range g.pool.Nodes() {
+		list := g.bookings(n.ID)
+		if len(list) == 0 {
+			continue
+		}
 		label := n.Label()
-		for _, t := range g.bookings(n.ID) {
-			st.Tasks = append(st.Tasks, TaskState{
-				Name:    t.Name,
-				Node:    label,
-				Span:    t.Span,
-				Local:   t.Local,
-				Cost:    t.Cost,
-				Charged: t.charged,
-			})
+		for i := range list {
+			t := &list[i]
+			w.Booking(TaskState{Name: t.Name, Node: label, Span: t.Span, Local: t.Local, Cost: t.Cost, Charged: t.charged})
 		}
 	}
 	domains := make([]string, 0, len(g.income))
@@ -84,10 +90,49 @@ func (g *Grid) ExportState() *GridState {
 	}
 	sort.Strings(domains)
 	for _, d := range domains {
-		st.Income = append(st.Income, DomainIncomeState{Domain: d, Amount: g.income[d]})
+		w.Ledger(DomainIncomeState{Domain: d, Amount: g.income[d]})
 	}
+}
+
+// WriteState streams the snapshot to w in the order the live grid's
+// WriteState does.
+func (st *GridState) WriteState(w StateWriter) {
+	w.Clock(st.Now)
+	for _, f := range st.Failed {
+		w.Failure(f)
+	}
+	for i := range st.Tasks {
+		w.Booking(st.Tasks[i])
+	}
+	for _, in := range st.Income {
+		w.Ledger(in)
+	}
+}
+
+// ExportState captures the grid's observable state as a GridState. The
+// snapshot shares nothing with the grid — mutating either afterwards leaves
+// the other untouched. The task list is allocated once, at its final length,
+// so the export allocates nothing per booking.
+func (g *Grid) ExportState() *GridState {
+	st := &GridState{}
+	booked := 0
+	for id := range g.booked {
+		booked += len(g.booked[id].live())
+	}
+	if booked > 0 {
+		st.Tasks = make([]TaskState, 0, booked)
+	}
+	g.WriteState((*exporter)(st))
 	return st
 }
+
+// exporter collects a streamed state into the GridState it is.
+type exporter GridState
+
+func (e *exporter) Clock(now sim.Time)          { e.Now = now }
+func (e *exporter) Failure(f NodeFailureState)  { e.Failed = append(e.Failed, f) }
+func (e *exporter) Booking(t TaskState)         { e.Tasks = append(e.Tasks, t) }
+func (e *exporter) Ledger(in DomainIncomeState) { e.Income = append(e.Income, in) }
 
 // RestoreState replaces the grid's observable state with the snapshot,
 // in place: the clock, failure marks, bookings, and income ledger are

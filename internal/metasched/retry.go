@@ -147,6 +147,10 @@ func (s *Scheduler) SubmittedCount() int { return len(s.firstSubmit) }
 // PlacedCount returns the number of jobs currently holding reservations.
 func (s *Scheduler) PlacedCount() int { return len(s.placed) }
 
+// DroppedCount returns the number of terminally dropped jobs. Drops are
+// never undone, so an unchanged count means an unchanged drop ledger.
+func (s *Scheduler) DroppedCount() int { return len(s.droppedJobs) }
+
 // DroppedJobs returns the terminally dropped jobs with their recorded
 // reasons ("postponements", "retries-exhausted", "deadline").
 func (s *Scheduler) DroppedJobs() map[string]string {

@@ -208,6 +208,11 @@ func TestCLIOutputDigests(t *testing.T) {
 		{[]string{"dynamics", "-iterations", "200"}, "405140d9dccaf1c5046f1240c4d956a21b9949aa8c136f986dd72d400e518bfe"},
 		{[]string{"pareto"}, "36a2fced50e3c4e1ae5b5615d4f95d3fea97b9ebef12c23941fe61f947fe9ebc"},
 		{[]string{"mc", "-universe", "tiny", "-depth", "4", "-states", "2000"}, "68aeb380f1b4735bdb9aa5cce7169253714222869ed4643131ce78b7bfe68aa1"},
+		// Metrics snapshots, appended to stdout by -metrics -.
+		{[]string{"gridsim", "-metrics", "-"}, "7ab82480ce97fea90737aba62dc3967565c0d4402e48d7f9db0c7ad0510ddf57"},
+		{[]string{"gridsim", "-shards", "3", "-metrics", "-"}, "ed08c6317da8da5d2825aac4b3425240d7639313b10a46c71b38514167e9deed"},
+		{[]string{"fig4", "-iterations", "50", "-metrics", "-"}, "34216314d55493686f5d7e93afecc7ee5f5f6d164aa1ebd866017adc1225dd7a"},
+		{[]string{"mc", "-universe", "tiny", "-depth", "4", "-states", "2000", "-metrics", "-"}, "1f899ce081a9f22cf03dab198a0702a3b4ad5eb1e147da29dad34e6d196a07d0"},
 	}
 	for _, tc := range cases {
 		out := capture(t, tc.args)
@@ -215,6 +220,19 @@ func TestCLIOutputDigests(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.sha256 {
 			t.Errorf("%v: stdout sha256 %s, want %s; output:\n%s", tc.args, got, tc.sha256, out)
 		}
+	}
+
+	// The snapshot file of a journaled chaos run, the only run that reaches
+	// metasched/durable/*. Its bytes do not depend on the paths.
+	dir := t.TempDir()
+	snapshot := filepath.Join(dir, "metrics.txt")
+	capture(t, []string{"chaos", "-seed", "7", "-journal", filepath.Join(dir, "J"), "-checkpoint-every", "2", "-metrics", snapshot})
+	data, err := os.ReadFile(snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, want := sha256.Sum256(data), "20e3ed2a3bfc757c918cc6dd185861d39eb9e2a5726c569350acbe88fc30f456"; hex.EncodeToString(sum[:]) != want {
+		t.Errorf("durable chaos metrics snapshot: sha256 %x, want %s; snapshot:\n%s", sum, want, data)
 	}
 }
 

@@ -7,8 +7,9 @@ import (
 
 // SearchMetrics holds the pre-resolved instruments of one algorithm's
 // alternative search. Resolve once per scheduler (or per study) with
-// NewSearchMetrics and attach via SearchOptions.Metrics; a nil *SearchMetrics
-// disables instrumentation at zero cost on the scan hot path.
+// NewSearchMetrics and attach via SearchOptions.Metrics. A holder built from a
+// nil registry holds nil instruments and costs nothing on the scan hot path;
+// a nil SearchOptions.Metrics uses such a holder.
 //
 // Determinism note: every observation below happens in the multi-pass loop,
 // on the caller's goroutine, so two identical seeded searches always produce
@@ -44,12 +45,14 @@ type SearchMetrics struct {
 	SlotsSkipped   *metrics.Counter
 }
 
+// disabledSearchMetrics is the holder of a search without instruments.
+var disabledSearchMetrics SearchMetrics
+
 // NewSearchMetrics resolves the search instruments for one algorithm under
-// the "alloc/<algo>/" prefix. A nil registry returns nil, the disabled
-// state every method of SearchMetrics accepts.
+// the "alloc/<algo>/" prefix. A nil registry returns the disabled holder.
 func NewSearchMetrics(r *metrics.Registry, algo string) *SearchMetrics {
 	if r == nil {
-		return nil
+		return &disabledSearchMetrics
 	}
 	p := "alloc/" + algo + "/"
 	return &SearchMetrics{
@@ -70,19 +73,8 @@ func NewSearchMetrics(r *metrics.Registry, algo string) *SearchMetrics {
 	}
 }
 
-// indexMetrics returns the index maintenance instruments; nil when disabled.
-func (m *SearchMetrics) indexMetrics() *slot.IndexMetrics {
-	if m == nil {
-		return nil
-	}
-	return m.Index
-}
-
 // probeDone records the traversal work of one committed indexed scan.
 func (m *SearchMetrics) probeDone(p slot.ScanStats) {
-	if m == nil {
-		return
-	}
 	m.IndexScans.Inc()
 	m.BucketsVisited.Add(int64(p.BucketsVisited))
 	m.BucketsPruned.Add(int64(p.BucketsPruned))
@@ -91,9 +83,6 @@ func (m *SearchMetrics) probeDone(p slot.ScanStats) {
 
 // scanDone records one committed per-job scan outcome.
 func (m *SearchMetrics) scanDone(st Stats, found bool) {
-	if m == nil {
-		return
-	}
 	if found {
 		m.WindowsFound.Inc()
 	} else {
@@ -104,20 +93,4 @@ func (m *SearchMetrics) scanDone(st Stats, found bool) {
 	m.CandidatesEvicted.Add(int64(st.CandidatesEvicted))
 	m.BudgetChecks.Add(int64(st.BudgetChecks))
 	m.ScanLength.Observe(int64(st.SlotsExamined))
-}
-
-// passDone records one completed pass over the batch.
-func (m *SearchMetrics) passDone() {
-	if m == nil {
-		return
-	}
-	m.Passes.Inc()
-}
-
-// searchStarted records one FindAlternatives-level invocation.
-func (m *SearchMetrics) searchStarted() {
-	if m == nil {
-		return
-	}
-	m.Searches.Inc()
 }

@@ -27,6 +27,9 @@ func linearScanner(algo Algorithm, list *slot.List) (*slot.List, scanFunc, func(
 // returns the working list after all subtractions.
 func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, *slot.List, error) {
 	working, scan, subtract := linearScanner(algo, list)
+	if opts.Metrics == nil {
+		opts.Metrics = &disabledSearchMetrics
+	}
 	res, err := multiPass(algo.Name(), batch, opts, scan, subtract)
 	if err != nil {
 		return nil, nil, err
@@ -39,7 +42,10 @@ func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, o
 // search's index instruments), handed in as opts.Prebuilt. It also returns
 // that index's vacancy after all subtractions.
 func findAlternativesHeld(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, *slot.List, error) {
-	opts.Prebuilt = slot.NewIndex(list, opts.Metrics.indexMetrics())
+	if opts.Metrics == nil {
+		opts.Metrics = &disabledSearchMetrics
+	}
+	opts.Prebuilt = slot.NewIndex(list, opts.Metrics.Index)
 	res, err := FindAlternatives(algo, list, batch, opts)
 	if err != nil {
 		return nil, nil, err

@@ -29,10 +29,10 @@ type SearchOptions struct {
 	// FindAlternativesSharded takes its views as an argument and rejects
 	// this field.
 	Prebuilt *slot.Index
-	// Metrics, when non-nil, receives the search's observability counters
-	// (windows found, scan lengths, pass counts). Instrumentation never
-	// influences which windows are found, and a nil value costs nothing
-	// (see internal/metrics).
+	// Metrics receives the search's observability counters (windows found,
+	// scan lengths, pass counts). Instrumentation never influences which
+	// windows are found, and nil, like a holder built from a nil registry,
+	// costs nothing (see internal/metrics).
 	Metrics *SearchMetrics
 }
 
@@ -93,9 +93,12 @@ func FindAlternatives(algo Algorithm, list *slot.List, batch *job.Batch, opts Se
 	if list == nil {
 		return nil, fmt.Errorf("alloc: nil slot list")
 	}
+	if opts.Metrics == nil {
+		opts.Metrics = &disabledSearchMetrics
+	}
 	view := opts.Prebuilt
 	if view == nil {
-		view = slot.NewIndex(list, opts.Metrics.indexMetrics())
+		view = slot.NewIndex(list, opts.Metrics.Index)
 	}
 	return searchViews(algo, []*slot.Index{view}, nil, batch, opts, nil)
 }
@@ -113,7 +116,8 @@ func FindAlternativesParallel(algo Algorithm, list *slot.List, batch *job.Batch,
 type scanFunc func(*job.Job) (*slot.Window, Stats, bool)
 
 // searchViews is the search every entry point reduces to: the multi-pass
-// loop over K >= 1 node-disjoint views, which it mutates in place.
+// loop over K >= 1 node-disjoint views, which it mutates in place. The entry
+// points have mapped a nil opts.Metrics to the disabled holder.
 func searchViews(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node) int,
 	batch *job.Batch, opts SearchOptions, work *ShardWork) (*SearchResult, error) {
 	scan, subtract, err := newScanner(algo, views, shardOf, opts, work)
@@ -135,7 +139,7 @@ func multiPass(name string, batch *job.Batch, opts SearchOptions, scan scanFunc,
 		Alternatives: make(map[string][]*slot.Window, batch.Len()),
 	}
 	maxPasses, perJobCap := opts.caps()
-	opts.Metrics.searchStarted()
+	opts.Metrics.Searches.Inc()
 
 	for pass := 0; ; pass++ {
 		if maxPasses > 0 && pass >= maxPasses {
@@ -157,7 +161,7 @@ func multiPass(name string, batch *job.Batch, opts SearchOptions, scan scanFunc,
 			}
 		}
 		res.Passes++
-		opts.Metrics.passDone()
+		opts.Metrics.Passes.Inc()
 		foundAny := false
 		for _, j := range batch.Jobs() {
 			if perJobCap > 0 && len(res.Alternatives[j.Name]) >= perJobCap {
@@ -221,12 +225,12 @@ func newScanner(algo Algorithm, views []*slot.Index, shardOf func(*resource.Node
 		work.ScanSlots = make([]int64, len(views))
 	}
 	for _, ix := range views {
-		ix.SetMetrics(opts.Metrics.indexMetrics())
+		ix.SetMetrics(opts.Metrics.Index)
 	}
 	// The probe exists only when metrics are attached, keeping the disabled
 	// path allocation-free.
 	var probe *slot.ScanStats
-	if opts.Metrics != nil {
+	if opts.Metrics.IndexScans != nil {
 		probe = &slot.ScanStats{}
 	}
 	var merge *mergeScan

@@ -264,5 +264,8 @@ func FindAlternativesSharded(algo Algorithm, shards []*slot.Index, shardOf func(
 	if opts.Prebuilt != nil {
 		return nil, fmt.Errorf("alloc: Prebuilt is not used by the sharded search; pass the shard indexes")
 	}
+	if opts.Metrics == nil {
+		opts.Metrics = &disabledSearchMetrics
+	}
 	return searchViews(algo, shards, shardOf, batch, opts, work)
 }

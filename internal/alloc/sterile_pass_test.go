@@ -137,7 +137,7 @@ func TestPrebuiltIndexEquivalence(t *testing.T) {
 				}
 
 				fresh := slot.NewIndex(smallList(), nil)
-				scan, _, err := newScanner(algo, []*slot.Index{fresh}, nil, SearchOptions{}, nil)
+				scan, _, err := newScanner(algo, []*slot.Index{fresh}, nil, SearchOptions{Metrics: &disabledSearchMetrics}, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

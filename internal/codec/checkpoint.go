@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/bits"
 	"reflect"
 	"strconv"
 	"unicode/utf8"
@@ -139,31 +138,26 @@ type GridSource interface {
 	WriteState(gridsim.StateWriter)
 }
 
-// EncodeCheckpoint serializes the checkpoint as magic + one CRC frame. The
-// payload is byte for byte the encoding/json document of checkpointJSON.
-// It is AppendCheckpoint fed from cp.Grid into one buffer, sized by a pass
-// that bounds the grid section's encoded length, so the encoding allocates
-// nothing per task. DecodeCheckpoint uses the strict encoding/json decoder,
-// an independent check on this encoder.
+// EncodeCheckpoint serializes the checkpoint as magic + one CRC frame: it is
+// AppendCheckpoint(nil, cp, cp.Grid). The payload is byte for byte the
+// encoding/json document of checkpointJSON; DecodeCheckpoint uses the strict
+// encoding/json decoder, an independent check on this encoder.
 func EncodeCheckpoint(cp *Checkpoint) ([]byte, error) {
-	if cp == nil || cp.Grid == nil || cp.Sched == nil {
+	if cp == nil || cp.Grid == nil {
 		return nil, fmt.Errorf("codec: incomplete checkpoint")
 	}
-	sched, err := json.Marshal(schedToWire(cp.Sched))
-	if err != nil {
-		return nil, fmt.Errorf("codec: %w", err)
-	}
-	size := len(CheckpointMagic) + FrameOverhead + len(`{"v":,"seq":,"journal_offset":,"rounds":,"grid":,"sched":}`) +
-		4*maxIntLen + gridBound(cp.Grid) + len(sched)
-	return appendCheckpoint(make([]byte, 0, size), cp, cp.Grid, sched)
+	return AppendCheckpoint(nil, cp, cp.Grid)
 }
 
-// AppendCheckpoint appends the encoding EncodeCheckpoint would give to b and
-// returns the extended buffer, streaming the grid section from grid — cp.Grid
-// is not read. Fed the live grid, it builds no GridState; fed a buffer kept
-// from the last call, it allocates nothing per task. A fee or income that
-// JSON cannot represent (NaN, ±Inf) fails with encoding/json's error and a
-// nil buffer.
+// AppendCheckpoint appends the encoding of cp to b and returns the extended
+// buffer, streaming the grid section from grid — cp.Grid is not read. Fed
+// the live grid, it builds no GridState; fed a buffer kept from the last
+// call, it allocates nothing per task. A fee or income that JSON cannot
+// represent (NaN, ±Inf) fails with encoding/json's error and a nil buffer.
+//
+// The output is the magic, a frame header filled in last, and the payload
+// with the grid section streamed and the scheduler section encoded by
+// encoding/json.
 func AppendCheckpoint(b []byte, cp *Checkpoint, grid GridSource) ([]byte, error) {
 	if cp == nil || grid == nil || cp.Sched == nil {
 		return nil, fmt.Errorf("codec: incomplete checkpoint")
@@ -172,13 +166,6 @@ func AppendCheckpoint(b []byte, cp *Checkpoint, grid GridSource) ([]byte, error)
 	if err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
-	return appendCheckpoint(b, cp, grid, sched)
-}
-
-// appendCheckpoint writes the magic, a frame header filled in last, and the
-// payload with the grid section streamed from grid and the scheduler section
-// already encoded.
-func appendCheckpoint(b []byte, cp *Checkpoint, grid GridSource, sched []byte) ([]byte, error) {
 	start := len(b)
 	b = append(b, CheckpointMagic...)
 	b = append(b, make([]byte, FrameOverhead)...)
@@ -191,7 +178,7 @@ func appendCheckpoint(b []byte, cp *Checkpoint, grid GridSource, sched []byte) (
 	b = append(b, `,"rounds":`...)
 	b = strconv.AppendInt(b, int64(cp.Rounds), 10)
 	b = append(b, `,"grid":`...)
-	b, err := appendGrid(b, grid)
+	b, err = appendGrid(b, grid)
 	if err != nil {
 		return nil, err
 	}
@@ -203,42 +190,6 @@ func appendCheckpoint(b []byte, cp *Checkpoint, grid GridSource, sched []byte) (
 	binary.BigEndian.PutUint32(b[head:], uint32(len(payload)))
 	binary.BigEndian.PutUint32(b[head+4:], crc32.ChecksumIEEE(payload))
 	return b, nil
-}
-
-// maxIntLen bounds one encoded int64 or uint64. maxFloatLen bounds one
-// encoded float64: a sign, then either "0.00000" and 17 significant digits
-// (the widest 'f' form json uses) or 17 digits, a point and "e-308".
-const (
-	maxIntLen   = len("-9223372036854775808")
-	maxFloatLen = len("-0.00000") + 17
-)
-
-// gridBound returns an upper bound on the encoded length of the grid
-// section: keys, punctuation and plain strings at their exact lengths,
-// integers at intBound, strings needing escapes at six bytes per input byte
-// (json's widest escape), and floats at maxFloatLen.
-func gridBound(g *gridsim.GridState) int {
-	n := len(`{"now":,"failed":[],"tasks":[],"income":[]}`) + intBound(int64(g.Now))
-	for _, f := range g.Failed {
-		n += len(`{"node":,"at":},`) + stringBound(f.Node) + intBound(int64(f.At))
-	}
-	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		n += len(`{"name":,"node":,"start":,"end":},`) + stringBound(t.Name) + stringBound(t.Node) +
-			intBound(int64(t.Span.Start)) + intBound(int64(t.Span.End))
-		if t.Local {
-			n += len(`,"local":true`)
-		}
-		for _, f := range [...]sim.Money{t.Cost, t.Charged} {
-			if f != 0 {
-				n += len(`,"charged":`) + maxFloatLen // the longer of the two keys
-			}
-		}
-	}
-	for _, in := range g.Income {
-		n += len(`{"domain":,"amount":},`) + stringBound(in.Domain) + maxFloatLen
-	}
-	return n
 }
 
 // appendGrid appends the grid section grid streams, as encoding/json writes
@@ -347,14 +298,6 @@ func plainString(s string) bool {
 	return true
 }
 
-// stringBound bounds the encoded length of s, quotes included.
-func stringBound(s string) int {
-	if plainString(s) {
-		return len(s) + 2
-	}
-	return 6*len(s) + 2
-}
-
 // appendString appends s as encoding/json encodes it. Plain strings are
 // copied; anything else — escapes, non-ASCII, invalid UTF-8 — goes through
 // json.Marshal itself, so the rare case shares its rules exactly.
@@ -390,17 +333,6 @@ func appendFloat(b []byte, f float64) []byte {
 		b = b[:n-1]
 	}
 	return b
-}
-
-// intBound bounds the bytes strconv.AppendInt writes for v: a sign and the
-// digits of the largest number with v's bit length b, 1 + ⌊b·log10 2⌋, which
-// ⌊b·1233/4096⌋ computes exactly for every b ≤ 64.
-func intBound(v int64) int {
-	n, u := 1, uint64(v)
-	if v < 0 {
-		n, u = 2, -u
-	}
-	return n + bits.Len64(u)*1233>>12
 }
 
 // schedToWire converts the scheduler state to its wire form.

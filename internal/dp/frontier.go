@@ -194,7 +194,8 @@ func (f *Frontier) Stages() int { return len(f.lists) }
 
 // FrontierMetrics holds the pre-resolved instruments of the sparse DP
 // engine. Resolve once with NewFrontierMetrics and feed every built frontier
-// to Observe; a nil *FrontierMetrics disables instrumentation at zero cost.
+// to Observe. A holder built from a nil registry holds nil instruments and
+// costs nothing; Observe treats a nil holder as that one.
 type FrontierMetrics struct {
 	// Builds counts backward passes (one per scheduling iteration on the
 	// production path), Stages the DP stages folded across them.
@@ -210,12 +211,15 @@ type FrontierMetrics struct {
 	Size *metrics.Histogram
 }
 
+// disabledFrontierMetrics is the holder of a frontier build without
+// instruments.
+var disabledFrontierMetrics FrontierMetrics
+
 // NewFrontierMetrics resolves the sparse-engine instruments under the
-// "dp/frontier/" prefix. A nil registry returns nil, the disabled state
-// Observe accepts.
+// "dp/frontier/" prefix. A nil registry returns the disabled holder.
 func NewFrontierMetrics(r *metrics.Registry) *FrontierMetrics {
 	if r == nil {
-		return nil
+		return &disabledFrontierMetrics
 	}
 	return &FrontierMetrics{
 		Builds:          r.Counter("dp/frontier/builds_total"),
@@ -226,12 +230,12 @@ func NewFrontierMetrics(r *metrics.Registry) *FrontierMetrics {
 	}
 }
 
-// Observe records one built frontier's accounting into m. Safe on a nil
-// receiver and never mutates the frontier, so instrumented and plain runs
-// compute identical plans.
+// Observe records one built frontier's accounting into m (nil: the
+// disabled holder). It never mutates the frontier, so instrumented and plain
+// runs compute identical plans.
 func (f *Frontier) Observe(m *FrontierMetrics) {
 	if m == nil {
-		return
+		m = &disabledFrontierMetrics
 	}
 	m.Builds.Inc()
 	m.Stages.Add(int64(f.Stages()))

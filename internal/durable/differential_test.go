@@ -364,3 +364,24 @@ func TestTornWriteByteSweep(t *testing.T) {
 		ds.Close()
 	}
 }
+
+// TestStateHashCoversArrivalsRNG: two services that differ only in the
+// local-arrivals generator's state draw different owner-local tasks next,
+// so their futures differ and so must their state hashes.
+func TestStateHashCoversArrivalsRNG(t *testing.T) {
+	hash := func(rng uint64) uint64 {
+		svc, err := durableFactory(1, alloc.ALP{}, 1)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := svc.Scheduler().ExportState()
+		*st.ArrivalsRNG = rng
+		if err := svc.Scheduler().RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		return durable.StateHash(svc)
+	}
+	if h1, h2 := hash(1), hash(2); h1 == h2 {
+		t.Errorf("arrivals RNG states 1 and 2 hash alike (%016x)", h1)
+	}
+}

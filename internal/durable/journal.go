@@ -42,11 +42,14 @@ type Journal struct {
 // the valid prefix. A file that exists but does not start with the journal
 // magic is rejected — it is not a journal, and appending to it would destroy
 // whatever it is. The third result reports how many torn-tail bytes were
-// dropped.
+// dropped. A nil m records nothing.
 func OpenJournal(path string, sync bool, m *durableMetrics) (*Journal, [][]byte, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, 0, fmt.Errorf("durable: read journal: %w", err)
+	}
+	if m == nil {
+		m = &disabledDurableMetrics
 	}
 	j := &Journal{path: path, sync: sync, m: m}
 	var payloads [][]byte
@@ -68,7 +71,7 @@ func OpenJournal(path string, sync bool, m *durableMetrics) (*Journal, [][]byte,
 			if err := os.Truncate(path, j.size); err != nil {
 				return nil, nil, 0, fmt.Errorf("durable: truncate torn tail: %w", err)
 			}
-			m.tornDropped(torn)
+			m.tornBytes.Add(torn)
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)

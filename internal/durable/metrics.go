@@ -3,8 +3,8 @@ package durable
 import "ecosched/internal/metrics"
 
 // durableMetrics holds the journal/recovery instruments under the
-// "metasched/durable/" prefix. All fields are nil when observability is off
-// (nil registry), making every observation a no-op branch — the
+// "metasched/durable/" prefix. Built from a nil registry it holds nil
+// instruments, making every observation a no-op branch — the
 // allocation-parity test pins that the disabled path allocates nothing.
 type durableMetrics struct {
 	// Journal write path.
@@ -18,11 +18,14 @@ type durableMetrics struct {
 	checkpointed *metrics.Counter
 }
 
-// newDurableMetrics resolves the instruments; a nil registry returns nil and
-// every method below accepts that.
+// disabledDurableMetrics is the holder of a journal without instruments.
+var disabledDurableMetrics durableMetrics
+
+// newDurableMetrics resolves the instruments; a nil registry returns the
+// disabled holder.
 func newDurableMetrics(r *metrics.Registry) *durableMetrics {
 	if r == nil {
-		return nil
+		return &disabledDurableMetrics
 	}
 	return &durableMetrics{
 		records:      r.Counter("metasched/durable/records_appended_total"),
@@ -36,40 +39,13 @@ func newDurableMetrics(r *metrics.Registry) *durableMetrics {
 }
 
 func (m *durableMetrics) appended(frameBytes int64) {
-	if m == nil {
-		return
-	}
 	m.records.Inc()
 	m.bytes.Add(frameBytes)
 }
 
-func (m *durableMetrics) checkpointWritten() {
-	if m == nil {
-		return
-	}
-	m.checkpoints.Inc()
-}
-
 func (m *durableMetrics) replayStarted(fromCheckpoint bool) {
-	if m == nil {
-		return
-	}
 	m.replays.Inc()
 	if fromCheckpoint {
 		m.checkpointed.Inc()
 	}
-}
-
-func (m *durableMetrics) recordReplayed() {
-	if m == nil {
-		return
-	}
-	m.replayed.Inc()
-}
-
-func (m *durableMetrics) tornDropped(bytes int64) {
-	if m == nil {
-		return
-	}
-	m.tornBytes.Add(bytes)
 }

@@ -7,20 +7,21 @@ import (
 )
 
 // TestDisabledMetricsZeroAllocs pins the observability-off contract the
-// journal hot path relies on: with a nil registry every durable instrument
-// method is a nil-receiver no-op performing zero allocations, so running with
-// metrics disabled costs nothing beyond the branch.
+// journal hot path relies on: a nil registry resolves to a holder of nil
+// instruments, and every observation on it is a no-op performing zero
+// allocations, so running with metrics disabled costs nothing beyond the
+// branch.
 func TestDisabledMetricsZeroAllocs(t *testing.T) {
-	if m := newDurableMetrics(nil); m != nil {
-		t.Fatal("nil registry produced non-nil metrics")
+	m := newDurableMetrics(nil)
+	if *m != (durableMetrics{}) {
+		t.Fatal("nil registry produced live instruments")
 	}
-	var m *durableMetrics
 	if allocs := testing.AllocsPerRun(1000, func() {
 		m.appended(128)
-		m.checkpointWritten()
+		m.checkpoints.Inc()
 		m.replayStarted(true)
-		m.recordReplayed()
-		m.tornDropped(16)
+		m.replayed.Inc()
+		m.tornBytes.Add(16)
 	}); allocs != 0 {
 		t.Fatalf("disabled durable metrics allocate %.1f allocs/op, want 0", allocs)
 	}
@@ -34,7 +35,7 @@ func TestDisabledMetricsZeroAllocs(t *testing.T) {
 	em := newDurableMetrics(metrics.New())
 	if allocs := testing.AllocsPerRun(1000, func() {
 		em.appended(128)
-		em.recordReplayed()
+		em.replayed.Inc()
 	}); allocs != 0 {
 		t.Fatalf("enabled durable metrics allocate %.1f allocs/op, want 0", allocs)
 	}

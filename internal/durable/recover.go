@@ -130,7 +130,7 @@ func recoverFrom(svc *metasched.Service, j *Journal, payloads [][]byte, torn int
 		}
 		rep.Replayed[records[i].Event.Kind]++
 		rep.RecordsReplayed++
-		m.recordReplayed()
+		m.replayed.Inc()
 	}
 	j.resume(uint64(len(records)))
 

@@ -332,7 +332,7 @@ func (ds *Service) Checkpoint() error {
 	if err := ds.ckpt.publish(ds.opts.CheckpointPath, data, ds.opts.Sync); err != nil {
 		return err
 	}
-	ds.m.checkpointWritten()
+	ds.m.checkpoints.Inc()
 	return nil
 }
 

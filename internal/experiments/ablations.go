@@ -104,7 +104,7 @@ func runAMPVariant(cfg StudyConfig, algo alloc.Algorithm) (*AlgoAggregate, int, 
 		if err != nil {
 			return nil, 0, err
 		}
-		out, ok, err := runAlgorithm(algo, sc, TimeMin, &cfg, sm)
+		out, ok, err := runAlgorithm(algo, sc, TimeMin, &cfg, &sm)
 		if err != nil {
 			return nil, 0, err
 		}

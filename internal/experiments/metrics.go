@@ -9,7 +9,7 @@ import (
 // studyMetrics holds the instruments of one study run: experiment-level
 // inclusion counters plus the per-algorithm search instruments and the
 // shared frontier accounting. Resolved once per RunStudy from
-// StudyConfig.Metrics; nil when observability is off.
+// StudyConfig.Metrics; every instrument is nil when observability is off.
 //
 // The search and frontier observations happen inside the iteration worker
 // pool, but every instrument is an order-independent atomic sum over the
@@ -29,12 +29,10 @@ type studyMetrics struct {
 
 // newStudyMetrics resolves the study instruments under the "experiments/"
 // prefix (search instruments keep their own "alloc/<ALGO>/" prefix so one
-// registry can be compared across study and metascheduler runs).
-func newStudyMetrics(r *metrics.Registry) *studyMetrics {
-	if r == nil {
-		return nil
-	}
-	return &studyMetrics{
+// registry can be compared across study and metascheduler runs). A nil
+// registry resolves every instrument to nil without allocating.
+func newStudyMetrics(r *metrics.Registry) studyMetrics {
+	return studyMetrics{
 		iterations:        r.Counter("experiments/iterations_total"),
 		kept:              r.Counter("experiments/kept_total"),
 		droppedNoCoverage: r.Counter("experiments/dropped_no_coverage_total"),
@@ -45,34 +43,9 @@ func newStudyMetrics(r *metrics.Registry) *studyMetrics {
 	}
 }
 
-// searchFor returns the search instruments for the named algorithm; nil
-// receiver or unknown name disables instrumentation.
-func (m *studyMetrics) searchFor(name string) *alloc.SearchMetrics {
-	if m == nil {
-		return nil
-	}
-	switch name {
-	case "AMP":
-		return m.amp
-	default:
-		return m.alp
-	}
-}
-
-// frontierMetrics returns the frontier instruments (nil when disabled).
-func (m *studyMetrics) frontierMetrics() *dp.FrontierMetrics {
-	if m == nil {
-		return nil
-	}
-	return m.frontier
-}
-
 // reduce records one iteration's inclusion outcome; called only from the
 // ordered reduction.
 func (m *studyMetrics) reduce(sum iterSummary) {
-	if m == nil {
-		return
-	}
 	m.iterations.Inc()
 	switch {
 	case sum.kept:

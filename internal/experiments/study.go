@@ -146,7 +146,10 @@ type iterationOutcome struct {
 // must be dropped (no coverage); an ErrInfeasible also drops it.
 func runAlgorithm(algo alloc.Algorithm, sc *workload.Scenario, obj Objective, cfg *StudyConfig, sm *studyMetrics) (*iterationOutcome, bool, error) {
 	opts := cfg.Search
-	opts.Metrics = sm.searchFor(algo.Name())
+	opts.Metrics = sm.alp
+	if algo.Name() == "AMP" {
+		opts.Metrics = sm.amp
+	}
 	res, err := alloc.FindAlternatives(algo, sc.Slots, sc.Batch, opts)
 	if err != nil {
 		return nil, false, err
@@ -161,7 +164,7 @@ func runAlgorithm(algo alloc.Algorithm, sc *workload.Scenario, obj Objective, cf
 	if err != nil {
 		return nil, false, err
 	}
-	fr.Observe(sm.frontierMetrics())
+	fr.Observe(sm.frontier)
 	limits, err := fr.Limits()
 	if err != nil {
 		var inf *dp.ErrInfeasible
@@ -287,7 +290,7 @@ func RunStudy(obj Objective, cfg StudyConfig) (*StudyResult, error) {
 				if it >= cfg.Iterations {
 					return
 				}
-				summaries[it], errs[it] = runIteration(seeds[it], obj, &cfg, sm)
+				summaries[it], errs[it] = runIteration(seeds[it], obj, &cfg, &sm)
 			}
 		}()
 	}

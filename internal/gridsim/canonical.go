@@ -75,7 +75,7 @@ func appendMoney(b []byte, m sim.Money) []byte {
 func (g *Grid) ForceBook(t Task) {
 	if g.pool.Node(t.Node) != nil {
 		b := &g.booked[t.Node]
-		g.metrics.bookingsMoved(b.insert(len(b.live()), t))
+		g.metrics.BookingsMoved.Add(int64(b.insert(len(b.live()), t)))
 		g.jobBooked(t)
 	}
 	g.epoch++

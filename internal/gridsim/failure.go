@@ -109,7 +109,7 @@ func (g *Grid) CancelJob(name string) []Task {
 			i++
 		}
 	}
-	g.metrics.jobCancelled(len(out))
+	g.metrics.ReservationsCancelled.Add(int64(len(out)))
 	return out
 }
 
@@ -128,7 +128,7 @@ func (g *Grid) RecoverNode(id resource.NodeID) error {
 	delete(g.failed, id)
 	g.epoch++
 	g.storeRecover(g.pool.Node(id))
-	g.metrics.recovered()
+	g.metrics.NodeRecoveries.Inc()
 	return nil
 }
 

@@ -58,7 +58,7 @@ type Grid struct {
 	// credited on commit, refunded on cancellation; unaffected by the
 	// clock advancing past completed bookings.
 	income map[string]sim.Money
-	// metrics, when non-nil, observes environment churn (see SetMetrics).
+	// metrics observes environment churn (see SetMetrics).
 	metrics *Metrics
 	// stores holds the live vacant-slot stores (see store.go), one per
 	// shard under SetSharding — stores[i] covers the nodes assigned to
@@ -90,6 +90,7 @@ func New(pool *resource.Pool) (*Grid, error) {
 		booked:   make([]nodeBookings, pool.Size()),
 		jobNodes: make(map[string][]resource.NodeID),
 		income:   make(map[string]sim.Money),
+		metrics:  &disabledMetrics,
 	}, nil
 }
 
@@ -141,7 +142,7 @@ func (g *Grid) Book(t Task) error {
 	if i < len(list) && list[i].Span.Start < t.Span.End {
 		return fmt.Errorf("gridsim: task %s overlaps %s on %s", t.Name, list[i].Name, node.Label())
 	}
-	g.metrics.bookingsMoved(g.booked[t.Node].insert(i, t))
+	g.metrics.BookingsMoved.Add(int64(g.booked[t.Node].insert(i, t)))
 	g.jobBooked(t)
 	g.storeBook(node, g.bookings(t.Node), i)
 	g.epoch++
@@ -187,7 +188,7 @@ func (g *Grid) VacantSlots(horizon sim.Time) (*slot.List, error) {
 		return nil, fmt.Errorf("gridsim: horizon %v not after current time %v", horizon, g.now)
 	}
 	g.ensureStore(horizon)
-	g.metrics.storeSnapshot()
+	g.metrics.StoreSnapshots.Inc()
 	return g.mergedStoreList(), nil
 }
 
@@ -262,7 +263,7 @@ func (g *Grid) Advance(to sim.Time) error {
 			moved += b.expire(k)
 		}
 	}
-	g.metrics.bookingsMoved(moved)
+	g.metrics.BookingsMoved.Add(int64(moved))
 	g.storeAdvance(to)
 	g.epoch++
 	return nil

@@ -69,11 +69,11 @@ func (g *Grid) Populate(load LocalLoad, from, to sim.Time, rng *sim.RNG) error {
 			}
 			if err := g.Book(task); err != nil {
 				// Collision with an existing booking: skip past it.
-				g.metrics.collision()
+				g.metrics.BookCollisions.Inc()
 				cursor = start + 1
 				continue
 			}
-			g.metrics.localBooked()
+			g.metrics.LocalTasksBooked.Inc()
 			cursor = end
 		}
 	}

@@ -9,8 +9,9 @@ import (
 
 // Metrics holds the pre-resolved instruments of the grid environment:
 // owner-local load injected, commit/cancellation churn, and failures. Attach
-// with Grid.SetMetrics; a nil *Metrics disables instrumentation at zero cost
-// and observation never changes any booking decision.
+// with Grid.SetMetrics. A holder built from a nil registry holds nil
+// instruments and costs nothing; observation never changes any booking
+// decision.
 type Metrics struct {
 	// LocalTasksBooked counts owner-local tasks injected by Populate;
 	// BookCollisions counts arrivals skipped because the sampled interval
@@ -68,11 +69,14 @@ type Metrics struct {
 	reg *metrics.Registry
 }
 
+// disabledMetrics is the holder of a grid without instruments.
+var disabledMetrics Metrics
+
 // NewMetrics resolves the grid instruments under the "gridsim/" prefix. A
-// nil registry returns nil, the disabled state SetMetrics accepts.
+// nil registry returns the disabled holder.
 func NewMetrics(r *metrics.Registry) *Metrics {
 	if r == nil {
-		return nil
+		return &disabledMetrics
 	}
 	return &Metrics{
 		LocalTasksBooked:      r.Counter("gridsim/local_tasks_booked_total"),
@@ -104,169 +108,48 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 // already-built live stores are re-targeted at the new registry's index
 // instruments.
 func (g *Grid) SetMetrics(m *Metrics) {
+	if m == nil {
+		m = &disabledMetrics
+	}
 	g.metrics = m
 	for _, st := range g.stores {
 		if st != nil {
-			st.ix.SetMetrics(m.storeIndexMetrics())
+			st.ix.SetMetrics(m.StoreIndex)
 		}
 	}
 }
 
-func (m *Metrics) localBooked() {
-	if m == nil {
-		return
-	}
-	m.LocalTasksBooked.Inc()
-}
-
-func (m *Metrics) collision() {
-	if m == nil {
-		return
-	}
-	m.BookCollisions.Inc()
-}
-
 func (m *Metrics) committed(placements int) {
-	if m == nil {
-		return
-	}
 	m.Commits.Inc()
 	m.Reservations.Add(int64(placements))
 }
 
 func (m *Metrics) failed(cancelled int) {
-	if m == nil {
-		return
-	}
 	m.FailuresInjected.Inc()
 	m.ReservationsCancelled.Add(int64(cancelled))
 }
 
-func (m *Metrics) jobCancelled(tasks int) {
-	if m == nil {
-		return
-	}
-	m.ReservationsCancelled.Add(int64(tasks))
-}
-
-func (m *Metrics) recovered() {
-	if m == nil {
-		return
-	}
-	m.NodeRecoveries.Inc()
-}
-
 func (m *Metrics) revoked(cancelled int) {
-	if m == nil {
-		return
-	}
 	m.Revocations.Inc()
 	m.RevokedReservations.Add(int64(cancelled))
 	m.ReservationsCancelled.Add(int64(cancelled))
 }
 
-func (m *Metrics) bookingsMoved(n int) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.BookingsMoved.Add(int64(n))
-}
-
-// storeIndexMetrics returns the live store's index instruments (nil when
-// metrics are detached).
-func (m *Metrics) storeIndexMetrics() *slot.IndexMetrics {
-	if m == nil {
-		return nil
-	}
-	return m.StoreIndex
-}
-
-func (m *Metrics) storeRebuilt(slots int) {
-	if m == nil {
-		return
-	}
-	m.StoreRebuilds.Inc()
+// storeChanged counts one store operation by its counter c and records the
+// store size after it.
+func (m *Metrics) storeChanged(c *metrics.Counter, slots int) {
+	c.Inc()
 	m.StoreSlots.Set(int64(slots))
 }
 
-func (m *Metrics) storeSnapshot() {
-	if m == nil {
-		return
-	}
-	m.StoreSnapshots.Inc()
-}
-
-func (m *Metrics) storePunched(slots int) {
-	if m == nil {
-		return
-	}
-	m.StorePunches.Inc()
-	m.StoreSlots.Set(int64(slots))
-}
-
-func (m *Metrics) storeRestored(slots int) {
-	if m == nil {
-		return
-	}
-	m.StoreRestores.Inc()
-	m.StoreSlots.Set(int64(slots))
-}
-
-func (m *Metrics) storeNodeDropped(slots int) {
-	if m == nil {
-		return
-	}
-	m.StoreNodeDrops.Inc()
-	m.StoreSlots.Set(int64(slots))
-}
-
-func (m *Metrics) storeNodeRestored(slots int) {
-	if m == nil {
-		return
-	}
-	m.StoreNodeRestores.Inc()
-	m.StoreSlots.Set(int64(slots))
-}
-
-func (m *Metrics) storeTrimmed(slots int) {
-	if m == nil {
-		return
-	}
-	m.StoreTrims.Inc()
-	m.StoreSlots.Set(int64(slots))
-}
-
-func (m *Metrics) storeExtended(slots int) {
-	if m == nil {
-		return
-	}
-	m.StoreExtends.Inc()
-	m.StoreSlots.Set(int64(slots))
-}
-
-func (m *Metrics) storeIncoherent() {
-	if m == nil {
-		return
-	}
-	m.StoreIncoherentDrops.Inc()
-}
-
-// storeShardRebuilt and storeShardIncoherent attribute a rebuild or
-// self-healing drop to one shard of a sharded grid. The counters resolve
+// storeShard attributes a rebuild or self-healing drop (event "rebuilds" or
+// "incoherent_drops") to one shard of a sharded grid. The counter resolves
 // lazily (Registry.Counter is resolve-or-create) so the shard count never
-// has to reach NewMetrics, and they only exist once a sharded grid emits
-// them — unsharded runs keep their historical metric snapshots byte for
-// byte.
-func (m *Metrics) storeShardRebuilt(i int) {
-	if m == nil || m.reg == nil {
+// has to reach NewMetrics, and it only exists once a sharded grid emits it —
+// unsharded runs keep their historical metric snapshots byte for byte.
+func (m *Metrics) storeShard(i int, event string) {
+	if m.reg == nil {
 		return
 	}
-	m.reg.Counter(fmt.Sprintf("gridsim/store/shard%d/rebuilds_total", i)).Inc()
-}
-
-func (m *Metrics) storeShardIncoherent(i int) {
-	if m == nil || m.reg == nil {
-		return
-	}
-	m.reg.Counter(fmt.Sprintf("gridsim/store/shard%d/incoherent_drops_total", i)).Inc()
+	m.reg.Counter(fmt.Sprintf("gridsim/store/shard%d/%s_total", i, event)).Inc()
 }

@@ -176,11 +176,11 @@ func (g *Grid) ensureStore(horizon sim.Time) {
 // buildShardStore constructs one shard's store from scratch at the given
 // horizon — the only place the live path pays a full build.
 func (g *Grid) buildShardStore(i int, horizon sim.Time) {
-	ix := slot.NewIndex(g.shardOracle(i, horizon), g.metrics.storeIndexMetrics())
+	ix := slot.NewIndex(g.shardOracle(i, horizon), g.metrics.StoreIndex)
 	g.stores[i] = &vacantStore{ix: ix, horizon: horizon}
-	g.metrics.storeRebuilt(g.storeSlotsTotal())
+	g.metrics.storeChanged(g.metrics.StoreRebuilds, g.storeSlotsTotal())
 	if g.Shards() > 1 {
-		g.metrics.storeShardRebuilt(i)
+		g.metrics.storeShard(i, "rebuilds")
 	}
 }
 
@@ -193,9 +193,9 @@ func (g *Grid) buildShardStore(i int, horizon sim.Time) {
 // zero on every production path.
 func (g *Grid) dropShardStore(i int) {
 	g.stores[i] = nil
-	g.metrics.storeIncoherent()
+	g.metrics.StoreIncoherentDrops.Inc()
 	if g.Shards() > 1 {
-		g.metrics.storeShardIncoherent(i)
+		g.metrics.storeShard(i, "incoherent_drops")
 	}
 }
 
@@ -226,7 +226,7 @@ func (g *Grid) storeBook(node *resource.Node, list []Task, i int) {
 		g.dropShardStore(si)
 		return
 	}
-	g.metrics.storePunched(g.storeSlotsTotal())
+	g.metrics.storeChanged(g.metrics.StorePunches, g.storeSlotsTotal())
 }
 
 // storeUnbook restores a just-removed booking's span to the node's shard
@@ -264,7 +264,7 @@ func (g *Grid) storeUnbook(node *resource.Node, span sim.Interval) {
 		return
 	}
 	st.ix.Insert(slot.Slot{Node: node, Price: node.Price, Span: sim.Interval{Start: lo, End: hi}})
-	g.metrics.storeRestored(g.storeSlotsTotal())
+	g.metrics.storeChanged(g.metrics.StoreRestores, g.storeSlotsTotal())
 }
 
 // storeFail drops every store slot of a node that just failed from its shard.
@@ -276,7 +276,7 @@ func (g *Grid) storeFail(node *resource.Node) {
 		return
 	}
 	st.ix.DropNode(node)
-	g.metrics.storeNodeDropped(g.storeSlotsTotal())
+	g.metrics.storeChanged(g.metrics.StoreNodeDrops, g.storeSlotsTotal())
 }
 
 // storeRecover re-derives a just-recovered node's vacancy from its bookings
@@ -291,7 +291,7 @@ func (g *Grid) storeRecover(node *resource.Node) {
 	for _, f := range appendFragments(nil, node, g.bookings(node.ID), g.now, st.horizon) {
 		st.ix.Insert(f)
 	}
-	g.metrics.storeNodeRestored(g.storeSlotsTotal())
+	g.metrics.storeChanged(g.metrics.StoreNodeRestores, g.storeSlotsTotal())
 }
 
 // storeAdvance trims every shard store to the new clock. A clock at or past a
@@ -308,7 +308,7 @@ func (g *Grid) storeAdvance(to sim.Time) {
 			continue
 		}
 		st.ix.TrimBefore(to)
-		g.metrics.storeTrimmed(g.storeSlotsTotal())
+		g.metrics.storeChanged(g.metrics.StoreTrims, g.storeSlotsTotal())
 	}
 }
 
@@ -368,7 +368,7 @@ func (g *Grid) extendStores(horizon sim.Time) {
 			g.dropShardStore(i)
 			continue
 		}
-		g.metrics.storeExtended(g.storeSlotsTotal())
+		g.metrics.storeChanged(g.metrics.StoreExtends, g.storeSlotsTotal())
 	}
 }
 
@@ -432,7 +432,7 @@ func (g *Grid) ShardViews(horizon sim.Time) ([]*slot.Index, error) {
 	for i, st := range g.stores {
 		views[i] = st.ix.Clone(nil)
 	}
-	g.metrics.storeSnapshot()
+	g.metrics.StoreSnapshots.Inc()
 	return views, nil
 }
 

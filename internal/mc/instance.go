@@ -197,8 +197,9 @@ func (in *Instance) inject(e fault.Event) error {
 
 // crash simulates a process crash at a committed boundary followed by
 // recovery from a durability checkpoint: the complete canonical state —
-// grid and scheduler — is exported, encoded through the codec's
-// checkpoint wire format, decoded back, and restored in place into the same
+// grid and scheduler — is encoded through the codec's checkpoint wire
+// format, the grid streamed live as the durable service does, decoded back,
+// and restored in place into the same
 // objects (the auditor and the transcript writer keep their pointers). The
 // protocol property is that durability is invisible: the post-recovery hash
 // must equal the pre-crash hash, and a divergence is a safety violation.
@@ -210,12 +211,8 @@ func (in *Instance) crash() error {
 	if err != nil {
 		return err
 	}
-	cp := &codec.Checkpoint{
-		Grid:    in.grid.ExportState(),
-		Sched:   in.sched.ExportState(),
-		Service: svcState,
-	}
-	data, err := codec.EncodeCheckpoint(cp)
+	cp := &codec.Checkpoint{Sched: in.sched.ExportState(), Service: svcState}
+	data, err := codec.AppendCheckpoint(nil, cp, in.grid)
 	if err != nil {
 		return err
 	}

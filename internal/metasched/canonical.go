@@ -10,8 +10,9 @@ import (
 // scheduler's mutable state to b: the iteration counter, the queue in
 // order (with each entry's postponement count, submission tick, retry
 // backoff gate, and the job's current — possibly relaxed — request), the
-// placed set, the submission/retry/drop ledgers, and the cancellation
-// bookkeeping. Together with gridsim.Grid.CanonicalState this is the whole
+// placed set, the submission/retry/drop ledgers, the cancellation
+// bookkeeping, and, when local arrivals are on, their generator's state.
+// Together with gridsim.Grid.CanonicalState this is the whole
 // observable state of a session, so the model checker can hash it to
 // deduplicate interleavings: equal serializations ⇒ indistinguishable
 // futures.
@@ -37,6 +38,9 @@ func (s *Scheduler) CanonicalState(b *strings.Builder) {
 	st := s.retryStats
 	fmt.Fprintf(b, "retrystats cancelled=%d requeued=%d relaxed=%d exhausted=%d deadline=%d\n",
 		st.Cancelled, st.Requeued, st.Relaxations, st.DroppedExhausted, st.DroppedDeadline)
+	if la := s.cfg.LocalArrivals; la != nil {
+		fmt.Fprintf(b, "arrivals rng=%d\n", la.RNG.State())
+	}
 }
 
 // CanonicalState appends the open round's state to b: the frozen batch,

@@ -193,8 +193,8 @@ type Scheduler struct {
 	placed map[string]*job.Job
 	// seededTo marks how far local arrivals have been injected.
 	seededTo sim.Time
-	// metrics holds the pre-resolved instruments; nil when disabled.
-	metrics *schedMetrics
+	// metrics holds the pre-resolved instruments, nil ones when disabled.
+	metrics schedMetrics
 	// firstSubmit records each job's first submission tick, the anchor of
 	// the retry policy's per-job deadline and of the audit's conservation
 	// check (submitted = queued + placed + dropped).
@@ -207,8 +207,8 @@ type Scheduler struct {
 	retryStats RetryStats
 	// part is the node-to-shard assignment (K=1 when unsharded).
 	part shard.Partition
-	// shardMetrics instruments the federated search; nil when metrics are
-	// off or the session is unsharded.
+	// shardMetrics instruments the federated search; the disabled holder
+	// when metrics are off or the session is unsharded.
 	shardMetrics *shard.Metrics
 }
 
@@ -234,6 +234,7 @@ func New(cfg Config, grid *gridsim.Grid) (*Scheduler, error) {
 		}
 	}
 	s.metrics = newSchedMetrics(cfg.Metrics)
+	s.shardMetrics = shard.NewMetrics(nil, 0)
 	if cfg.Metrics != nil {
 		if s.cfg.Search.Metrics == nil {
 			s.cfg.Search.Metrics = alloc.NewSearchMetrics(cfg.Metrics, cfg.Algorithm.Name())
@@ -330,7 +331,7 @@ func (s *Scheduler) optimize(batch *job.Batch, alts dp.Alternatives) (*dp.Plan, 
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.engineUsed(fr)
+	s.metrics.frontierBuilt(fr)
 	if s.cfg.Policy == MinimizeCost {
 		return fr.MinimizeCost(limits.Quota)
 	}

@@ -6,11 +6,11 @@ import (
 	"ecosched/internal/sim"
 )
 
-// schedMetrics holds the scheduler's pre-resolved instruments. All fields
-// are nil when observability is off (nil Config.Metrics), which makes every
-// observation a no-op branch — the scheduling decisions are identical with
-// metrics on and off, a contract the metasched differential tests pin over
-// 20 seeded sessions.
+// schedMetrics holds the scheduler's pre-resolved instruments. Every
+// instrument is nil when observability is off (nil Config.Metrics), which
+// makes every observation a no-op branch — the scheduling decisions are
+// identical with metrics on and off, a contract the metasched differential
+// tests pin over 20 seeded sessions.
 //
 // There is deliberately no wall-clock timing here: per-iteration "phase
 // timings" are recorded as deterministic work units (slots published, slots
@@ -49,19 +49,18 @@ type schedMetrics struct {
 	retryRelaxations  *metrics.Counter
 	retryDropExhaust  *metrics.Counter
 	retryDropDeadline *metrics.Counter
-	// Optimizer engine selection.
-	engineFrontier *metrics.Counter
 	// frontier feeds the dp-level accounting of every built frontier.
 	frontier *dp.FrontierMetrics
 }
 
 // newSchedMetrics resolves the scheduler instruments under the "metasched/"
-// prefix. A nil registry returns nil; every method below accepts that.
-func newSchedMetrics(r *metrics.Registry) *schedMetrics {
+// prefix. A nil registry returns the zero value, whose nil instruments
+// record nothing.
+func newSchedMetrics(r *metrics.Registry) schedMetrics {
 	if r == nil {
-		return nil
+		return schedMetrics{}
 	}
-	return &schedMetrics{
+	return schedMetrics{
 		iterations:          r.Counter("metasched/iterations_total"),
 		batchJobs:           r.Histogram("metasched/batch_jobs", metrics.LinearBuckets(1, 1, 8)),
 		placed:              r.Counter("metasched/jobs_placed_total"),
@@ -85,38 +84,21 @@ func newSchedMetrics(r *metrics.Registry) *schedMetrics {
 		retryRelaxations:    r.Counter("metasched/retry/relaxations_total"),
 		retryDropExhaust:    r.Counter("metasched/retry/dropped_exhausted_total"),
 		retryDropDeadline:   r.Counter("metasched/retry/dropped_deadline_total"),
-		engineFrontier:      r.Counter("metasched/engine/frontier_total"),
 		frontier:            dp.NewFrontierMetrics(r),
 	}
 }
 
 func (m *schedMetrics) iterationStarted(batch int) {
-	if m == nil {
-		return
-	}
 	m.iterations.Inc()
 	m.batchJobs.Observe(int64(batch))
 }
 
-func (m *schedMetrics) published(slots int) {
-	if m == nil {
-		return
-	}
-	m.phasePublishSlots.Observe(int64(slots))
-}
-
 func (m *schedMetrics) searched(slotsExamined, alternatives int) {
-	if m == nil {
-		return
-	}
 	m.phaseSearchSlots.Observe(int64(slotsExamined))
 	m.alternatives.Add(int64(alternatives))
 }
 
 func (m *schedMetrics) planChosen(t sim.Duration, c sim.Money, windows int) {
-	if m == nil {
-		return
-	}
 	m.planTimeTicks.Observe(int64(t))
 	// Money is observed in whole credits; the sub-credit fraction is noise
 	// at histogram resolution.
@@ -125,67 +107,19 @@ func (m *schedMetrics) planChosen(t sim.Duration, c sim.Money, windows int) {
 }
 
 func (m *schedMetrics) jobPlaced(wait sim.Duration) {
-	if m == nil {
-		return
-	}
 	m.placed.Inc()
 	m.waitTicks.Observe(int64(wait))
 }
 
-func (m *schedMetrics) jobPostponed() {
-	if m == nil {
-		return
-	}
-	m.postponed.Inc()
-}
-
-func (m *schedMetrics) jobDropped() {
-	if m == nil {
-		return
-	}
-	m.dropped.Inc()
-}
-
-func (m *schedMetrics) jobsRequeued(n int) {
-	if m == nil {
-		return
-	}
-	m.requeued.Add(int64(n))
-}
-
 func (m *schedMetrics) retryRequeued(backoff sim.Duration) {
-	if m == nil {
-		return
-	}
 	m.retryRequeues.Inc()
 	m.retryBackoffTicks.Observe(int64(backoff))
-}
-
-func (m *schedMetrics) retryRelaxed() {
-	if m == nil {
-		return
-	}
-	m.retryRelaxations.Inc()
-}
-
-func (m *schedMetrics) retryDropped(deadline bool) {
-	if m == nil {
-		return
-	}
-	if deadline {
-		m.retryDropDeadline.Inc()
-	} else {
-		m.retryDropExhaust.Inc()
-	}
 }
 
 // planApplied records which apply path a non-nil plan took: stale means the
 // grid mutated since the plan's snapshot and every window was re-validated;
 // otherwise the epoch proved the snapshot exact (fast path).
 func (m *schedMetrics) planApplied(stale bool) {
-	if m == nil {
-		return
-	}
 	if stale {
 		m.planRevalidated.Inc()
 	} else {
@@ -193,28 +127,8 @@ func (m *schedMetrics) planApplied(stale bool) {
 	}
 }
 
-// planWindowStale counts one chosen window rejected by the commit.
-func (m *schedMetrics) planWindowStale() {
-	if m == nil {
-		return
-	}
-	m.planStaleWins.Inc()
-}
-
-func (m *schedMetrics) planInfeasible() {
-	if m == nil {
-		return
-	}
-	m.infeasible.Inc()
-}
-
-// engineUsed records the frontier build that answered this iteration and its
-// accounting.
-func (m *schedMetrics) engineUsed(fr *dp.Frontier) {
-	if m == nil {
-		return
-	}
-	m.engineFrontier.Inc()
+// frontierBuilt records the frontier build that answered this iteration.
+func (m *schedMetrics) frontierBuilt(fr *dp.Frontier) {
 	fr.Observe(m.frontier)
 	m.phaseOptimizePoints.Observe(int64(fr.Size()))
 }

@@ -178,7 +178,7 @@ func (s *Scheduler) retryEntry(name string) *retryState {
 func (s *Scheduler) dropJob(name, reason string) {
 	s.droppedJobs[name] = reason
 	s.cfg.Trace.Record(trace.Dropped, name, "%s", reason)
-	s.metrics.jobDropped()
+	s.metrics.dropped.Inc()
 }
 
 // requeueCancelled resolves a batch of environment-cancelled reservations:
@@ -216,7 +216,7 @@ func (s *Scheduler) requeueCancelled(cancelled []gridsim.Task, cause string) []s
 		}
 	}
 	sort.Strings(requeued)
-	s.metrics.jobsRequeued(len(requeued))
+	s.metrics.requeued.Add(int64(len(requeued)))
 	return requeued
 }
 
@@ -234,7 +234,7 @@ func (s *Scheduler) requeueWithPolicy(j *job.Job, cause string) bool {
 	}
 	if p.JobDeadline > 0 && now.Sub(s.firstSubmit[j.Name]) > p.JobDeadline {
 		s.retryStats.DroppedDeadline++
-		s.metrics.retryDropped(true)
+		s.metrics.retryDropDeadline.Inc()
 		s.dropJob(j.Name, "deadline")
 		return false
 	}
@@ -246,12 +246,12 @@ func (s *Scheduler) requeueWithPolicy(j *job.Job, cause string) bool {
 			st.attempts = 1
 			j.Request.MaxPrice *= sim.Money(p.PriceRelaxFactor)
 			s.retryStats.Relaxations++
-			s.metrics.retryRelaxed()
+			s.metrics.retryRelaxations.Inc()
 			s.cfg.Trace.Record(trace.Relaxed, j.Name,
 				"rung %d: price cap -> %v, budget -> %v", st.relaxations, j.Request.MaxPrice, j.Request.Budget())
 		} else {
 			s.retryStats.DroppedExhausted++
-			s.metrics.retryDropped(false)
+			s.metrics.retryDropExhaust.Inc()
 			s.dropJob(j.Name, "retries-exhausted")
 			return false
 		}

@@ -126,7 +126,7 @@ func (r *Round) Evaluate() error {
 		vacantLen += v.Len()
 	}
 	s.shardMetrics.Published(views)
-	s.metrics.published(vacantLen)
+	s.metrics.phasePublishSlots.Observe(int64(vacantLen))
 	s.cfg.Trace.Record(trace.SearchStarted, "", "%s over %d slots for %d jobs", s.cfg.Algorithm.Name(), vacantLen, batch.Len())
 	search, err := shard.Search(s.cfg.Algorithm, s.part, views, batch, s.cfg.Search, s.shardMetrics)
 	// The windows hold their slots by value: the views go back to the stores
@@ -169,7 +169,7 @@ func (r *Round) Evaluate() error {
 			return err
 		}
 		// Infeasible combination: postpone the whole batch.
-		s.metrics.planInfeasible()
+		s.metrics.infeasible.Inc()
 		return nil
 	}
 	s.cfg.Trace.Record(trace.PlanChosen, "", "%s: T=%v C=%v over %d jobs",
@@ -241,7 +241,7 @@ func (r *Round) Apply() error {
 				// rolled back its partial placements, so postponing is
 				// side-effect-free.
 				r.staleNames = append(r.staleNames, ch.Job.Name)
-				s.metrics.planWindowStale()
+				s.metrics.planStaleWins.Inc()
 				s.cfg.Trace.Record(trace.PlanStale, ch.Job.Name, "window rejected at commit: %v", err)
 				continue
 			}
@@ -286,12 +286,12 @@ func (r *Round) Apply() error {
 				r.rep.Dropped = append(r.rep.Dropped, q.job.Name)
 				s.droppedJobs[q.job.Name] = "postponements"
 				s.cfg.Trace.Record(trace.Dropped, q.job.Name, "after %d postponements", q.postponed)
-				s.metrics.jobDropped()
+				s.metrics.dropped.Inc()
 				continue
 			}
 			r.rep.Postponed = append(r.rep.Postponed, q.job.Name)
 			s.cfg.Trace.Record(trace.Postponed, q.job.Name, "postponement %d", q.postponed)
-			s.metrics.jobPostponed()
+			s.metrics.postponed.Inc()
 		}
 		remaining = append(remaining, q)
 	}

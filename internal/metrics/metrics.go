@@ -21,9 +21,9 @@
 //     the disabled-path benchmarks.
 //
 // Instruments are safe for concurrent use: all state is atomic, so the
-// speculative parallel search and the experiment worker pools can increment
-// shared counters. Totals are order-independent sums, which preserves the
-// byte-identical-snapshot guarantee for any worker count.
+// experiment worker pools can increment shared counters. Totals are
+// order-independent sums, which preserves the byte-identical-snapshot
+// guarantee for any worker count.
 package metrics
 
 import (

@@ -9,9 +9,9 @@ import (
 )
 
 // Metrics is the sharded search's observability family, under "shard/".
-// All methods are nil-safe; a disabled registry costs nothing. Like every
-// instrument in this repo, the counters are deterministic work units, never
-// wall-clock readings.
+// Built from a nil registry it holds nil instruments and costs nothing. Like
+// every instrument in this repo, the counters are deterministic work units,
+// never wall-clock readings.
 type Metrics struct {
 	// Count is the configured shard count.
 	Count *metrics.Gauge
@@ -34,11 +34,14 @@ type Metrics struct {
 	Imbalance *metrics.Gauge
 }
 
-// NewMetrics resolves the shard family for k shards in the registry.
-// A nil registry returns nil, which every method accepts.
+// disabledMetrics is the holder of a search without instruments.
+var disabledMetrics Metrics
+
+// NewMetrics resolves the shard family for k shards in the registry. A nil
+// registry returns the disabled holder.
 func NewMetrics(r *metrics.Registry, k int) *Metrics {
 	if r == nil {
-		return nil
+		return &disabledMetrics
 	}
 	m := &Metrics{
 		Count:           r.Gauge("shard/count"),
@@ -60,9 +63,6 @@ func NewMetrics(r *metrics.Registry, k int) *Metrics {
 // Published records a publication of per-shard vacant views: each shard's
 // slot gauge and the imbalance of the split.
 func (m *Metrics) Published(views []*slot.Index) {
-	if m == nil {
-		return
-	}
 	total, max := int64(0), int64(0)
 	for i, v := range views {
 		n := int64(v.Len())
@@ -80,9 +80,10 @@ func (m *Metrics) Published(views []*slot.Index) {
 	}
 }
 
-// ObserveSearch folds one search's ShardWork accounting into the counters.
+// ObserveSearch folds one search's ShardWork accounting into the counters;
+// a nil work records nothing.
 func (m *Metrics) ObserveSearch(work *alloc.ShardWork) {
-	if m == nil || work == nil {
+	if work == nil {
 		return
 	}
 	for i, n := range work.ScanSlots {

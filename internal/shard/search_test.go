@@ -115,7 +115,8 @@ func TestSearchMatchesUnsharded(t *testing.T) {
 
 // TestSearchMetrics smoke-tests the shard metric family through the real
 // entry points: Published sets the per-shard slot gauges and the imbalance,
-// Search feeds the scan/merge counters, and all methods tolerate nil.
+// Search feeds the scan/merge counters, and the disabled holder takes every
+// call.
 func TestSearchMetrics(t *testing.T) {
 	reg := metrics.New()
 	k := 3
@@ -148,10 +149,10 @@ func TestSearchMetrics(t *testing.T) {
 	if n := snap.Counter("shard/scan_critical_path_total"); n == 0 {
 		t.Error("no critical path counted")
 	}
-	var nilM *shard.Metrics
-	nilM.Published(views)
-	nilM.ObserveSearch(nil)
-	if shard.NewMetrics(nil, 2) != nil {
-		t.Error("NewMetrics(nil) must return nil")
+	off := shard.NewMetrics(nil, 2)
+	off.Published(views)
+	off.ObserveSearch(nil)
+	if off.Count != nil || off.Slots != nil || off.ScanSlots != nil || off.Imbalance != nil {
+		t.Error("NewMetrics(nil) must hold nil instruments")
 	}
 }

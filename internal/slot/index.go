@@ -98,7 +98,7 @@ func NewIndexSize(l *List, target int, m *IndexMetrics) *Index {
 	if target < 1 {
 		target = 1
 	}
-	ix := &Index{target: target, own: new(owner), m: m, n: l.Len()}
+	ix := &Index{target: target, own: new(owner), m: orDisabled(m), n: l.Len()}
 	ix.buckets = ix.tile(nil, l.slots)
 	ix.m.rebuilt(ix.buckets)
 	return ix
@@ -143,7 +143,7 @@ func (ix *Index) newBucket(slots []Slot) *bucket {
 	for k, key := range keys {
 		b.byPerf[k] = key.off
 	}
-	ix.m.moved(len(slots))
+	ix.m.SlotsMoved.Add(int64(len(slots)))
 	return b
 }
 
@@ -395,7 +395,7 @@ func (ix *Index) Insert(s Slot) {
 		return
 	}
 	if len(ix.buckets) == 0 {
-		ix.m.insert()
+		ix.m.Inserts.Inc()
 		ix.n++
 		ix.buckets = append(ix.buckets, ix.newBucket([]Slot{s}))
 		ix.m.shape(ix.buckets)
@@ -409,7 +409,7 @@ func (ix *Index) Insert(s Slot) {
 // past every slot ordering before or tying with s; pos == len(ix.buckets)
 // means past every slot. The index holds at least one bucket.
 func (ix *Index) insertAt(pos, off int, s Slot) {
-	ix.m.insert()
+	ix.m.Inserts.Inc()
 	ix.n++
 	if pos == len(ix.buckets) {
 		// Past every slot: s extends the last bucket.
@@ -418,14 +418,14 @@ func (ix *Index) insertAt(pos, off int, s Slot) {
 	}
 	b := ix.writable(pos)
 	b.insert(off, s)
-	ix.m.moved(len(b.slots) - off)
+	ix.m.SlotsMoved.Add(int64(len(b.slots) - off))
 	if len(b.slots) >= 2*ix.target {
 		half := len(b.slots) / 2
 		ix.buckets = append(ix.buckets, nil)
 		copy(ix.buckets[pos+2:], ix.buckets[pos+1:])
 		ix.buckets[pos] = ix.newBucket(b.slots[:half])
 		ix.buckets[pos+1] = ix.newBucket(b.slots[half:])
-		ix.m.split()
+		ix.m.Splits.Inc()
 		ix.m.shape(ix.buckets)
 	}
 }
@@ -433,17 +433,17 @@ func (ix *Index) insertAt(pos, off int, s Slot) {
 // removeFrom deletes the slot at offset off of bucket pos, dropping the
 // bucket when that empties it.
 func (ix *Index) removeFrom(pos, off int) {
-	ix.m.removed(1)
+	ix.m.Removes.Inc()
 	ix.n--
 	if len(ix.buckets[pos].slots) == 1 {
 		ix.buckets = append(ix.buckets[:pos], ix.buckets[pos+1:]...)
-		ix.m.drop()
+		ix.m.Drops.Inc()
 		ix.m.shape(ix.buckets)
 		return
 	}
 	b := ix.writable(pos)
 	b.remove(off)
-	ix.m.moved(len(b.slots) - off)
+	ix.m.SlotsMoved.Add(int64(len(b.slots) - off))
 }
 
 // SubtractInterval removes the usage interval used from the slot equal to
@@ -475,14 +475,14 @@ func (ix *Index) SubtractInterval(target Slot, used sim.Interval) error {
 	right.Span.Start = used.End
 	switch {
 	case !left.Empty() && ix.followsPredecessor(pos, off, left):
-		ix.m.removed(1)
-		ix.m.insert()
+		ix.m.Removes.Inc()
+		ix.m.Inserts.Inc()
 		b := ix.writable(pos)
 		b.slots[off] = left
 		if target.End() == b.maxEnd {
 			b.maxEnd = b.latestEnd()
 		}
-		ix.m.moved(1)
+		ix.m.SlotsMoved.Inc()
 		ix.Insert(right)
 	case left.Empty() && !right.Empty():
 		ix.moveLater(pos, off, right)
@@ -527,10 +527,10 @@ func (ix *Index) moveLater(pos, off int, s Slot) {
 		ix.insertAt(to, toOff, s)
 		return
 	}
-	ix.m.removed(1)
-	ix.m.insert()
+	ix.m.Removes.Inc()
+	ix.m.Inserts.Inc()
 	ix.writable(pos).rotate(off, toOff, s)
-	ix.m.moved(toOff - off + 1)
+	ix.m.SlotsMoved.Add(int64(toOff - off + 1))
 }
 
 // RankAtOrAfter returns the first rank whose slot starts at or after t —
@@ -702,7 +702,7 @@ func (ix *Index) CheckInvariants() error {
 	}
 	total := 0
 	var prev Slot
-	var fresh Index // uninstrumented, owns nothing
+	fresh := Index{m: &disabledIndexMetrics} // uninstrumented, owns nothing
 	for bi, bk := range ix.buckets {
 		count := len(bk.slots)
 		if count == 0 {
@@ -739,7 +739,7 @@ func (ix *Index) CheckInvariants() error {
 // instruments. A long-lived index can be handed between owners — the grid's
 // live store clones it for each search — and each owner re-targets the clone
 // at its own prefix without rebuilding anything.
-func (ix *Index) SetMetrics(m *IndexMetrics) { ix.m = m }
+func (ix *Index) SetMetrics(m *IndexMetrics) { ix.m = orDisabled(m) }
 
 // Clone returns an independent index over the same slots without moving one:
 // it copies the bucket pointers, and both sides take a fresh write token, so
@@ -758,7 +758,7 @@ func (ix *Index) Clone(m *IndexMetrics) *Index {
 		buckets: append(make([]*bucket, 0, len(ix.buckets)+1), ix.buckets...),
 		n:       ix.n,
 		own:     new(owner),
-		m:       m,
+		m:       orDisabled(m),
 	}
 	c.pub = publication{origin: ix.own, view: c.own, shared: shared}
 	return c
@@ -882,7 +882,7 @@ func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
 	fresh := make([]*bucket, 0, len(front)/ix.target+1+len(rest))
 	ix.buckets = append(ix.tile(fresh, front), rest...)
 	ix.n -= dropped
-	ix.m.removed(dropped)
+	ix.m.Removes.Add(int64(dropped))
 	ix.m.shape(ix.buckets)
 	return dropped, trimmed
 }

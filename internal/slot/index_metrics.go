@@ -7,8 +7,9 @@ import "ecosched/internal/metrics"
 // the shape of the bucket tiling. Scan-time traversal work is reported
 // separately through ScanStats so read-only shared indexes stay write-free.
 //
-// A nil *IndexMetrics disables instrumentation at zero cost, following the
-// internal/metrics contract. All observations happen on the mutating
+// A holder built from a nil registry holds nil instruments, which discard
+// every observation (the internal/metrics contract); an Index given a nil
+// *IndexMetrics uses such a holder. All observations happen on the mutating
 // goroutine — an Index has exactly one — so identical seeded sessions
 // produce identical values.
 type IndexMetrics struct {
@@ -35,12 +36,22 @@ type IndexMetrics struct {
 	BucketCopies *metrics.Counter
 }
 
+// disabledIndexMetrics is the holder of an index without instruments.
+var disabledIndexMetrics IndexMetrics
+
+// orDisabled maps a nil holder to disabledIndexMetrics.
+func orDisabled(m *IndexMetrics) *IndexMetrics {
+	if m == nil {
+		return &disabledIndexMetrics
+	}
+	return m
+}
+
 // NewIndexMetrics resolves the index instruments under the given prefix
-// (e.g. "alloc/AMP/index/"). A nil registry returns nil, the disabled state
-// every method accepts.
+// (e.g. "alloc/AMP/index/"). A nil registry returns the disabled holder.
 func NewIndexMetrics(r *metrics.Registry, prefix string) *IndexMetrics {
 	if r == nil {
-		return nil
+		return &disabledIndexMetrics
 	}
 	return &IndexMetrics{
 		Rebuilds:   r.Counter(prefix + "rebuilds_total"),
@@ -58,67 +69,24 @@ func NewIndexMetrics(r *metrics.Registry, prefix string) *IndexMetrics {
 
 // rebuilt records a full re-tiling and its resulting shape.
 func (m *IndexMetrics) rebuilt(buckets []*bucket) {
-	if m == nil {
-		return
-	}
 	m.Rebuilds.Inc()
 	m.shape(buckets)
 }
 
 // shape records the tiling after a split, a drop, a first insert or a bulk
-// rewrite changed it.
+// rewrite changed it. A disabled holder skips the walk over the buckets.
 func (m *IndexMetrics) shape(buckets []*bucket) {
-	if m == nil {
+	m.Buckets.Set(int64(len(buckets)))
+	if m.BucketSize == nil {
 		return
 	}
-	m.Buckets.Set(int64(len(buckets)))
 	for i := range buckets {
 		m.BucketSize.Observe(int64(len(buckets[i].slots)))
 	}
 }
 
-func (m *IndexMetrics) insert() {
-	if m == nil {
-		return
-	}
-	m.Inserts.Inc()
-}
-
-// removed records the removal of n slots.
-func (m *IndexMetrics) removed(n int) {
-	if m == nil || n == 0 {
-		return
-	}
-	m.Removes.Add(int64(n))
-}
-
-func (m *IndexMetrics) split() {
-	if m == nil {
-		return
-	}
-	m.Splits.Inc()
-}
-
-func (m *IndexMetrics) drop() {
-	if m == nil {
-		return
-	}
-	m.Drops.Inc()
-}
-
-// moved records n slots written by a mutation.
-func (m *IndexMetrics) moved(n int) {
-	if m == nil {
-		return
-	}
-	m.SlotsMoved.Add(int64(n))
-}
-
 // bucketCopied records the copy-on-write copy of one n-slot bucket.
 func (m *IndexMetrics) bucketCopied(n int) {
-	if m == nil {
-		return
-	}
 	m.BucketCopies.Inc()
 	m.SlotsMoved.Add(int64(n))
 }

@@ -343,24 +343,26 @@ func TestIndexMetricsAccounting(t *testing.T) {
 }
 
 // TestNilIndexMetricsZeroAllocs extends the disabled-instrumentation
-// contract to the index: every observation on a nil *IndexMetrics is free.
+// contract to the index: the holder a nil registry resolves to holds nil
+// instruments, and every observation on it is free.
 func TestNilIndexMetricsZeroAllocs(t *testing.T) {
-	var m *IndexMetrics
+	m := NewIndexMetrics(nil, "x/")
+	if *m != (IndexMetrics{}) {
+		t.Error("NewIndexMetrics(nil, ...) should hold nil instruments")
+	}
 	bks := []*bucket{{slots: make([]Slot, 3)}}
 	if avg := testing.AllocsPerRun(1000, func() {
 		m.rebuilt(bks)
 		m.shape(bks)
-		m.insert()
-		m.removed(2)
-		m.split()
-		m.drop()
-		m.moved(7)
+		m.Inserts.Inc()
+		m.Removes.Add(2)
+		m.Splits.Inc()
+		m.Drops.Inc()
+		m.SlotsMoved.Add(7)
 		m.bucketCopied(3)
+		_ = NewIndexMetrics(nil, "x/")
 	}); avg != 0 {
-		t.Errorf("nil IndexMetrics observations allocate %.1f per run, want 0", avg)
-	}
-	if m := NewIndexMetrics(nil, "x/"); m != nil {
-		t.Error("NewIndexMetrics(nil, ...) should return nil")
+		t.Errorf("disabled IndexMetrics observations allocate %.1f per run, want 0", avg)
 	}
 }
 

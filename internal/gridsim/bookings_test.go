@@ -2,6 +2,8 @@ package gridsim
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"ecosched/internal/metrics"
@@ -19,10 +21,10 @@ const (
 
 var wideLoad = LocalLoad{MeanGap: 30, DurMin: 20, DurMax: 40}
 
-// wideGrid returns an idle grid over the wide shape's pool.
-func wideGrid(tb testing.TB) *Grid {
+// wideGrid returns an idle grid over the wide shape's pool of n nodes.
+func wideGrid(tb testing.TB, n int) *Grid {
 	tb.Helper()
-	nodes := make([]*resource.Node, wideNodes)
+	nodes := make([]*resource.Node, n)
 	for i := range nodes {
 		nodes[i] = &resource.Node{
 			Name:        fmt.Sprintf("n%d", i+1),
@@ -54,7 +56,7 @@ func liveBookings(g *Grid) int {
 // list that copies its survivors down on every expiry moves about forty: a
 // hundred survivors per node for the two or three bookings a step expires.
 func TestAdvanceMovesInProportionToExpired(t *testing.T) {
-	g := wideGrid(t)
+	g := wideGrid(t, wideNodes)
 	reg := metrics.New()
 	g.SetMetrics(NewMetrics(reg))
 	moved := reg.Counter("gridsim/bookings_moved_total")
@@ -88,28 +90,104 @@ func TestAdvanceMovesInProportionToExpired(t *testing.T) {
 	}
 }
 
-// TestAdvanceSteadyStateAllocatesNothing: dropping the expired bookings —
-// Advance on a grid with no live store to trim — allocates nothing, the
-// compactions included.
+// TestAdvanceSteadyStateAllocatesNothing: the clock advance allocates
+// nothing — dropping the expired bookings, the compactions included, and
+// trimming a built live store, whose re-tiled front buckets reuse the ones
+// the trim retires, in one store or four.
 func TestAdvanceSteadyStateAllocatesNothing(t *testing.T) {
-	g := wideGrid(t)
-	const advances = 40
-	end := sim.Time(0).Add(wideHorizon + advances*wideStep)
-	if err := g.Populate(wideLoad, 0, end, sim.NewRNG(1)); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		shards int // 0: no live store
+	}{{"bookings", 0}, {"store_K=1", 1}, {"store_K=4", 4}} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := wideGrid(t, wideNodes)
+			const advances = 40
+			end := sim.Time(0).Add(wideHorizon + advances*wideStep)
+			if err := g.Populate(wideLoad, 0, end, sim.NewRNG(1)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.shards > 0 {
+				if err := g.SetSharding(tc.shards, byIDMod(tc.shards)); err != nil {
+					t.Fatal(err)
+				}
+				views, err := g.ShardViews(end)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.ReleaseViews(views)
+			}
+			reg := metrics.New()
+			g.SetMetrics(NewMetrics(reg))
+			allocs := testing.AllocsPerRun(advances-1, func() {
+				if err := g.Advance(g.Now().Add(wideStep)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("Advance allocates %v times per call, want 0", allocs)
+			}
+			if reg.Counter("gridsim/bookings_moved_total").Value() == 0 {
+				t.Fatal("no advance compacted a list: the compaction path went unmeasured")
+			}
+			if tc.shards > 0 {
+				if trims := reg.Counter("gridsim/store/trims_total").Value(); trims != int64(advances*tc.shards) {
+					t.Fatalf("%d store trims, want %d", trims, advances*tc.shards)
+				}
+				if err := g.VacantStoreCoherent(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
-	reg := metrics.New()
-	g.SetMetrics(NewMetrics(reg))
-	allocs := testing.AllocsPerRun(advances-1, func() {
-		if err := g.Advance(g.Now().Add(wideStep)); err != nil {
-			t.Fatal(err)
+}
+
+// TestWarmPublicationAllocsIndependentOfNodes pins what a warm round's
+// publication allocates — ShardViews, whose horizon extension tiles the
+// newly visible slots into the buckets the last trim retired, handed
+// straight back through ReleaseViews — to the views themselves: the view
+// slice, and per shard the clone (index, bucket-pointer slice, two write
+// tokens). The count is the same at 100 and 1000 nodes. It is the median of
+// twenty rounds: a scratch buffer still growing to its working size
+// allocates once in a while.
+func TestWarmPublicationAllocsIndependentOfNodes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, shards := range []int{1, 4} {
+		want := uint64(1 + 4*shards)
+		for _, nodes := range []int{100, 1000} {
+			g := wideGrid(t, nodes)
+			if err := g.SetSharding(shards, byIDMod(shards)); err != nil {
+				t.Fatal(err)
+			}
+			rng := sim.NewRNG(1)
+			seeded := sim.Time(0)
+			var counts []uint64
+			for round := 0; round < 60; round++ {
+				horizon := g.Now().Add(wideHorizon)
+				if err := g.Populate(wideLoad, seeded, horizon, rng); err != nil {
+					t.Fatal(err)
+				}
+				seeded = horizon
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				views, err := g.ShardViews(horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.ReleaseViews(views)
+				runtime.ReadMemStats(&after)
+				if round >= 40 {
+					counts = append(counts, after.Mallocs-before.Mallocs)
+				}
+				if err := g.Advance(g.Now().Add(wideStep)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			slices.Sort(counts)
+			if got := counts[len(counts)/2]; got != want {
+				t.Errorf("K=%d, %d nodes: a warm publication allocates %d times (median; sorted %v), want %d",
+					shards, nodes, got, counts, want)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("Advance allocates %v times per call, want 0", allocs)
-	}
-	if reg.Counter("gridsim/bookings_moved_total").Value() == 0 {
-		t.Fatal("no advance compacted a list: the compaction path went unmeasured")
 	}
 }
 
@@ -137,32 +215,41 @@ func TestForceBookOutsidePool(t *testing.T) {
 // BenchmarkGridRoundMaintenance measures the grid upkeep of one round of the
 // wide shape between two searches: the owner-local top-up of the newly
 // visible step, the publication of per-shard views (which extends the live
-// store's horizon) handed straight back, and the clock advance.
+// stores' horizon) handed straight back, and the clock advance — in one
+// store, and in four whose trims and extensions run on up to GOMAXPROCS
+// goroutines.
 func BenchmarkGridRoundMaintenance(b *testing.B) {
-	g := wideGrid(b)
-	rng := sim.NewRNG(1)
-	seeded := sim.Time(0)
-	round := func() {
-		horizon := g.Now().Add(wideHorizon)
-		if err := g.Populate(wideLoad, seeded, horizon, rng); err != nil {
-			b.Fatal(err)
-		}
-		seeded = horizon
-		views, err := g.ShardViews(horizon)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.ReleaseViews(views)
-		if err := g.Advance(g.Now().Add(wideStep)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 40; i++ {
-		round()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("K=%d", shards), func(b *testing.B) {
+			g := wideGrid(b, wideNodes)
+			if err := g.SetSharding(shards, byIDMod(shards)); err != nil {
+				b.Fatal(err)
+			}
+			rng := sim.NewRNG(1)
+			seeded := sim.Time(0)
+			round := func() {
+				horizon := g.Now().Add(wideHorizon)
+				if err := g.Populate(wideLoad, seeded, horizon, rng); err != nil {
+					b.Fatal(err)
+				}
+				seeded = horizon
+				views, err := g.ShardViews(horizon)
+				if err != nil {
+					b.Fatal(err)
+				}
+				g.ReleaseViews(views)
+				if err := g.Advance(g.Now().Add(wideStep)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 40; i++ {
+				round()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+		})
 	}
 }

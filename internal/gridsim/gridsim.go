@@ -66,10 +66,11 @@ type Grid struct {
 	// the first publication and maintained in place by every mutation; nil
 	// until then. An individual entry goes nil while that shard self-heals.
 	stores []*vacantStore
-	// shardCount and shardOf define the node partition (SetSharding);
-	// shardCount <= 1 means unsharded.
-	shardCount int
-	shardOf    func(*resource.Node) int
+	// nodeShard[id] is node id's shard and shardNodes[i] the nodes of shard
+	// i in pool order, both read from the assignment by SetSharding; one
+	// shard holding every node when unsharded.
+	nodeShard  []int
+	shardNodes [][]*resource.Node
 	// epoch counts logical mutations (bookings, removals, failures,
 	// recoveries, revocations, clock advances). A plan records the epoch of
 	// the snapshot it searched against; an unchanged epoch at apply time
@@ -85,13 +86,15 @@ func New(pool *resource.Pool) (*Grid, error) {
 	if pool == nil || pool.Size() == 0 {
 		return nil, fmt.Errorf("gridsim: empty node pool")
 	}
-	return &Grid{
+	g := &Grid{
 		pool:     pool,
 		booked:   make([]nodeBookings, pool.Size()),
 		jobNodes: make(map[string][]resource.NodeID),
 		income:   make(map[string]sim.Money),
 		metrics:  &disabledMetrics,
-	}, nil
+	}
+	_ = g.SetSharding(1, nil) // one shard reads no assignment: it cannot fail
+	return g, nil
 }
 
 // Pool returns the grid's node pool.

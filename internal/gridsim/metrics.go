@@ -70,7 +70,7 @@ type Metrics struct {
 }
 
 // disabledMetrics is the holder of a grid without instruments.
-var disabledMetrics Metrics
+var disabledMetrics = Metrics{StoreIndex: slot.NewIndexMetrics(nil, "")}
 
 // NewMetrics resolves the grid instruments under the "gridsim/" prefix. A
 // nil registry returns the disabled holder.

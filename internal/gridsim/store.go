@@ -2,8 +2,12 @@ package gridsim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
+	"ecosched/internal/metrics"
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
 	"ecosched/internal/slot"
@@ -38,61 +42,85 @@ import (
 // Lifecycle. Stores build lazily on the first publication (one NewIndex per
 // shard on the steady-state path, counted in gridsim/store/rebuilds_total and,
 // when sharded, gridsim/store/shard<i>/rebuilds_total), extend when the
-// horizon slides forward — one slot.Index.Extend per shard, fed by a single
-// walk over the pool (extendStores) — trim when the clock advances, and
-// self-heal by dropping the affected shard if an exact-identity operation
-// ever misses (counted in incoherent_drops_total; the equivalence suites
-// assert it stays zero).
+// horizon slides forward — one walk over the shard's nodes and one
+// slot.Index.Extend per shard (extendShard) — trim when the clock advances
+// (trimShard), and self-heal by dropping the affected shard if an
+// exact-identity operation ever misses (counted in incoherent_drops_total;
+// the equivalence suites assert it stays zero).
+//
+// Concurrency. The per-round maintenance — the clock advance's trim and the
+// horizon extension — runs once per shard, the shards concurrently on up to
+// GOMAXPROCS goroutines (eachShard). A shard's step writes its own store only
+// and reads the bookings and failure marks, which no step writes; the steps
+// join before anything order-sensitive, and their counters, gauges and
+// self-healing drops are emitted after the join in shard order
+// (afterShards), so every metric reads as a serial loop over the shards
+// leaves it. Every other hook — a booking, a cancellation, a failure — and
+// publication run on the caller's goroutine.
 type vacantStore struct {
 	ix *slot.Index
 	// horizon is the exclusive right edge the store currently covers.
 	horizon sim.Time
-	// grows and run are extendStores' buffers, reused across extensions.
+	// grows and run are extendShard's buffers, reused across extensions.
 	grows []slot.Grow
 	run   []slot.Slot
+	// step is what the last eachShard step did to the store, read after the
+	// join.
+	step stepResult
 }
+
+// stepResult is the outcome of one shard's maintenance step.
+type stepResult uint8
+
+const (
+	// stepSkipped: the step did not apply to the store.
+	stepSkipped stepResult = iota
+	// stepDone: the step applied and left the bucket tiling as it was.
+	stepDone
+	// stepReshaped: the step applied and re-tiled buckets, which the index
+	// recorded in its Buckets gauge.
+	stepReshaped
+	// stepFailed: the step found the store incoherent; it must drop.
+	stepFailed
+)
+
+// shardStep is one shard's part of a maintenance step: it maintains
+// g.stores[i], which is not nil, toward the time t.
+type shardStep func(g *Grid, i int, t sim.Time) stepResult
 
 // SetSharding partitions the live store by node into k shards using the
 // given assignment (internal/shard provides the canonical one; gridsim only
 // requires determinism and range [0, k)). k <= 1 with any assignment returns
 // to the unsharded single store. Existing stores are released so the next
 // publication rebuilds under the new partition; results are byte-identical
-// for every k (the sharding differential pins this).
+// for every k (the sharding differential pins this). The assignment is read
+// once here: the grid keeps each node's shard and each shard's nodes.
 func (g *Grid) SetSharding(k int, of func(*resource.Node) int) error {
-	if k < 1 {
-		k = 1
+	k = max(k, 1)
+	if k > 1 && of == nil {
+		return fmt.Errorf("gridsim: sharding into %d shards needs a node assignment", k)
 	}
-	if k > 1 {
-		if of == nil {
-			return fmt.Errorf("gridsim: sharding into %d shards needs a node assignment", k)
-		}
-		for _, n := range g.pool.Nodes() {
-			if i := of(n); i < 0 || i >= k {
+	nodeShard := make([]int, g.pool.Size())
+	shardNodes := make([][]*resource.Node, k)
+	for _, n := range g.pool.Nodes() {
+		i := 0
+		if k > 1 {
+			if i = of(n); i < 0 || i >= k {
 				return fmt.Errorf("gridsim: node %s assigned to shard %d, want [0,%d)", n.Label(), i, k)
 			}
 		}
+		nodeShard[n.ID] = i
+		shardNodes[i] = append(shardNodes[i], n)
 	}
-	g.shardCount = k
-	g.shardOf = of
-	g.stores = nil
+	g.nodeShard, g.shardNodes, g.stores = nodeShard, shardNodes, nil
 	return nil
 }
 
 // Shards returns the configured shard count (1 when unsharded).
-func (g *Grid) Shards() int {
-	if g.shardCount < 1 {
-		return 1
-	}
-	return g.shardCount
-}
+func (g *Grid) Shards() int { return len(g.shardNodes) }
 
 // shardIdx returns the shard owning the node.
-func (g *Grid) shardIdx(n *resource.Node) int {
-	if g.shardCount <= 1 || g.shardOf == nil {
-		return 0
-	}
-	return g.shardOf(n)
-}
+func (g *Grid) shardIdx(n *resource.Node) int { return g.nodeShard[n.ID] }
 
 // storeFor returns the node's shard store (nil when inactive) and its shard
 // index, for the shard-local self-healing path.
@@ -102,6 +130,70 @@ func (g *Grid) storeFor(n *resource.Node) (*vacantStore, int) {
 	}
 	i := g.shardIdx(n)
 	return g.stores[i], i
+}
+
+// eachShard runs step on every shard store, the shards spread over
+// min(K, GOMAXPROCS) goroutines — the caller's and the ones it starts and
+// joins — and records each store's outcome in its step field; the caller
+// emits them after the join (afterShards). With one worker — K = 1, or
+// GOMAXPROCS = 1 — the same loop runs inline on the caller's goroutine: step
+// is a plain function, not a closure, so that path starts no goroutine and
+// allocates nothing.
+func (g *Grid) eachShard(step shardStep, t sim.Time) {
+	workers := min(len(g.stores), runtime.GOMAXPROCS(0))
+	if workers <= 1 {
+		var next atomic.Int64
+		g.stepShards(step, t, &next)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			g.stepShards(step, t, &next)
+		}()
+	}
+	g.stepShards(step, t, &next)
+	wg.Wait()
+}
+
+// stepShards steps the shard stores whose indexes it claims from next, in
+// claim order, until every index is claimed.
+func (g *Grid) stepShards(step shardStep, t sim.Time, next *atomic.Int64) {
+	for i := int(next.Add(1) - 1); i < len(g.stores); i = int(next.Add(1) - 1) {
+		if st := g.stores[i]; st != nil {
+			st.step = step(g, i, t)
+		}
+	}
+}
+
+// afterShards emits, in shard order, what the last eachShard step did: a
+// store whose step failed drops (dropShardStore), and every other store the
+// step applied to counts once in c, with the store size after it. The steps'
+// own writes to the shared gridsim/store/index/buckets gauge raced, so it is
+// set last to what a serial loop leaves there: the bucket count of the last
+// shard whose step re-tiled.
+func (g *Grid) afterShards(c *metrics.Counter) {
+	reshaped := -1
+	for i, st := range g.stores {
+		if st == nil {
+			continue
+		}
+		switch st.step {
+		case stepFailed:
+			g.dropShardStore(i)
+		case stepDone, stepReshaped:
+			g.metrics.storeChanged(c, g.storeSlotsTotal())
+			if st.step == stepReshaped {
+				reshaped = i
+			}
+		}
+	}
+	if reshaped >= 0 {
+		g.metrics.StoreIndex.Buckets.Set(int64(g.stores[reshaped].ix.Buckets()))
+	}
 }
 
 // storeSlotsTotal is the live slot count across all shard stores — the value
@@ -164,7 +256,8 @@ func (g *Grid) ensureStore(horizon sim.Time) {
 		}
 	}
 	if extend {
-		g.extendStores(horizon)
+		g.eachShard(extendShard, horizon)
+		g.afterShards(g.metrics.StoreExtends)
 	}
 	for i := range g.stores {
 		if g.stores[i] == nil {
@@ -294,82 +387,82 @@ func (g *Grid) storeRecover(node *resource.Node) {
 	g.metrics.storeChanged(g.metrics.StoreNodeRestores, g.storeSlotsTotal())
 }
 
-// storeAdvance trims every shard store to the new clock. A clock at or past a
-// store's horizon leaves nothing to keep; that store is released and rebuilds
-// on the next publication (the metascheduler's Step < Horizon never hits
-// this).
+// storeAdvance trims every shard store to the new clock, one trimShard per
+// shard (eachShard). A clock at or past a store's horizon leaves nothing to
+// keep; that store is released and rebuilds on the next publication (the
+// metascheduler's Step < Horizon never hits this).
 func (g *Grid) storeAdvance(to sim.Time) {
 	for i, st := range g.stores {
-		if st == nil {
-			continue
-		}
-		if to >= st.horizon {
+		if st != nil && to >= st.horizon {
 			g.stores[i] = nil
-			continue
 		}
-		st.ix.TrimBefore(to)
-		g.metrics.storeChanged(g.metrics.StoreTrims, g.storeSlotsTotal())
 	}
+	g.eachShard(trimShard, to)
+	g.afterShards(g.metrics.StoreTrims)
 }
 
-// extendStores grows every shard store whose horizon lies before the new one
-// to cover it, with one slot.Index.Extend per shard. One walk over the pool
+// trimShard trims shard i's store to the clock t.
+func trimShard(g *Grid, i int, t sim.Time) stepResult {
+	if dropped, trimmed := g.stores[i].ix.TrimBefore(t); dropped+trimmed == 0 {
+		return stepDone
+	}
+	return stepReshaped
+}
+
+// extendShard grows shard i's store, when its horizon lies before the new
+// one, to cover it with one slot.Index.Extend. A walk over the shard's nodes
 // derives each live node's share from its bookings: the fragments over
 // [old horizon, horizon), whose walk starts at the first booking past the old
-// horizon, found by walking back from the tail. A fragment
-// opening exactly at the old horizon continues a vacancy run clipped there.
-// If the node was vacant right up to the old horizon, its trailing store slot
-// grows to the fragment's end — the merged maximal interval the oracle emits
-// over the wider window. If a booking ended exactly at the old horizon, there
-// is no trailing slot and the fragment stands alone. Every other fragment starts at or after the old
-// horizon, past every held slot, so each shard's fragments append as one run.
-// The grow and run buffers live on the store and are reused from round to
-// round.
-func (g *Grid) extendStores(horizon sim.Time) {
-	for _, st := range g.stores {
-		if st != nil {
-			st.grows, st.run = st.grows[:0], st.run[:0]
-		}
+// horizon, found by walking back from the tail. A fragment opening exactly at
+// the old horizon continues a vacancy run clipped there. If the node was
+// vacant right up to the old horizon, its trailing store slot grows to the
+// fragment's end — the merged maximal interval the oracle emits over the
+// wider window. If a booking ended exactly at the old horizon, there is no
+// trailing slot and the fragment stands alone. Every other fragment starts at
+// or after the old horizon, past every held slot, so the shard's fragments
+// append as one run. The grow and run buffers live on the store and are
+// reused from round to round.
+func extendShard(g *Grid, i int, horizon sim.Time) stepResult {
+	st := g.stores[i]
+	if st.horizon >= horizon {
+		return stepSkipped
 	}
-	for _, n := range g.pool.Nodes() {
-		st := g.stores[g.shardIdx(n)]
-		if st == nil || st.horizon >= horizon || g.NodeFailed(n.ID) {
+	old := st.horizon
+	st.grows, st.run = st.grows[:0], st.run[:0]
+	for _, n := range g.shardNodes[i] {
+		if g.NodeFailed(n.ID) {
 			continue
 		}
-		old := st.horizon
 		// The bookings this walk back passes are the ones the fragment
 		// walk below reads anyway.
 		list := g.bookings(n.ID)
-		i := len(list)
-		for i > 0 && list[i-1].Span.Start >= old {
-			i--
+		k := len(list)
+		for k > 0 && list[k-1].Span.Start >= old {
+			k--
 		}
 		from := len(st.run)
-		st.run = appendFragments(st.run, n, list[max(i-1, 0):], old, horizon)
+		st.run = appendFragments(st.run, n, list[max(k-1, 0):], old, horizon)
 		if len(st.run) == from || st.run[from].Start() != old {
 			continue
 		}
-		if i > 0 && list[i-1].Span.End >= old {
+		if k > 0 && list[k-1].Span.End >= old {
 			continue // a booking ends exactly at the old horizon
 		}
 		trailStart := g.now
-		if i > 0 && list[i-1].Span.End > trailStart {
-			trailStart = list[i-1].Span.End
+		if k > 0 && list[k-1].Span.End > trailStart {
+			trailStart = list[k-1].Span.End
 		}
 		st.grows = append(st.grows, slot.Grow{Slot: slot.New(n, trailStart, old), End: st.run[from].End()})
 		st.run = append(st.run[:from], st.run[from+1:]...)
 	}
-	for i, st := range g.stores {
-		if st == nil || st.horizon >= horizon {
-			continue
-		}
-		st.horizon = horizon
-		if err := st.ix.Extend(st.grows, st.run); err != nil {
-			g.dropShardStore(i)
-			continue
-		}
-		g.metrics.storeChanged(g.metrics.StoreExtends, g.storeSlotsTotal())
+	st.horizon = horizon
+	switch err := st.ix.Extend(st.grows, st.run); {
+	case err != nil:
+		return stepFailed
+	case len(st.run) == 0:
+		return stepDone
 	}
+	return stepReshaped
 }
 
 // RebuildVacantSlots is the pinned oracle: it derives the full vacant list
@@ -388,9 +481,13 @@ func (g *Grid) RebuildVacantSlots(horizon sim.Time) (*slot.List, error) {
 // rebuild oracle restricted to the shard's live nodes, or to every live node
 // when si is negative.
 func (g *Grid) shardOracle(si int, horizon sim.Time) *slot.List {
+	nodes := g.pool.Nodes()
+	if si >= 0 {
+		nodes = g.shardNodes[si]
+	}
 	var slots []slot.Slot
-	for _, n := range g.pool.Nodes() {
-		if (si >= 0 && g.shardIdx(n) != si) || g.NodeFailed(n.ID) {
+	for _, n := range nodes {
+		if g.NodeFailed(n.ID) {
 			continue
 		}
 		slots = appendFragments(slots, n, g.bookings(n.ID), g.now, horizon)

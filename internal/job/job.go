@@ -7,6 +7,7 @@ package job
 
 import (
 	"fmt"
+	"strconv"
 
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
@@ -81,9 +82,16 @@ func (r ResourceRequest) Validate() error {
 }
 
 // String renders the request compactly.
-func (r ResourceRequest) String() string {
-	return fmt.Sprintf("N=%d t=%v P>=%.2f C<=%v rho=%.2f",
-		r.Nodes, r.Time, r.MinPerformance, r.MaxPrice, r.Rho())
+func (r ResourceRequest) String() string { return string(r.Append(nil)) }
+
+// Append appends the request to b as String renders it, e.g.
+// "N=2 t=80 P>=1.00 C<=5.00 rho=1.00".
+func (r ResourceRequest) Append(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "N="...), int64(r.Nodes), 10)
+	b = strconv.AppendInt(append(b, " t="...), int64(r.Time), 10)
+	b = strconv.AppendFloat(append(b, " P>="...), r.MinPerformance, 'f', 2, 64)
+	b = strconv.AppendFloat(append(b, " C<="...), float64(r.MaxPrice), 'f', 2, 64)
+	return strconv.AppendFloat(append(b, " rho="...), r.Rho(), 'f', 2, 64)
 }
 
 // Job is one independent parallel application in the batch.

@@ -1,8 +1,8 @@
 package metasched
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -17,30 +17,45 @@ import (
 // deduplicate interleavings: equal serializations ⇒ indistinguishable
 // futures.
 func (s *Scheduler) CanonicalState(b *strings.Builder) {
-	fmt.Fprintf(b, "sched iter=%d seededTo=%d\n", s.iter, int64(s.seededTo))
+	buf := strconv.AppendInt(append(make([]byte, 0, 256), "sched iter="...), int64(s.iter), 10)
+	buf = strconv.AppendInt(append(buf, " seededTo="...), int64(s.seededTo), 10)
+	buf = append(buf, '\n')
 	for _, q := range s.queue {
-		fmt.Fprintf(b, "queued %s prio=%d postponed=%d submit=%d notBefore=%d req{%v}\n",
-			q.job.Name, q.job.Priority, q.postponed, int64(q.submitTick), int64(q.notBefore), q.job.Request)
+		buf = append(append(buf, "queued "...), q.job.Name...)
+		buf = strconv.AppendInt(append(buf, " prio="...), int64(q.job.Priority), 10)
+		buf = strconv.AppendInt(append(buf, " postponed="...), int64(q.postponed), 10)
+		buf = strconv.AppendInt(append(buf, " submit="...), int64(q.submitTick), 10)
+		buf = strconv.AppendInt(append(buf, " notBefore="...), int64(q.notBefore), 10)
+		buf = append(q.job.Request.Append(append(buf, " req{"...)), "}\n"...)
 	}
 	for _, name := range sortedKeys(s.placed) {
-		fmt.Fprintf(b, "placed %s req{%v}\n", name, s.placed[name].Request)
+		buf = append(append(buf, "placed "...), name...)
+		buf = append(s.placed[name].Request.Append(append(buf, " req{"...)), "}\n"...)
 	}
 	for _, name := range sortedKeys(s.firstSubmit) {
-		fmt.Fprintf(b, "submitted %s at=%d\n", name, int64(s.firstSubmit[name]))
+		buf = append(append(buf, "submitted "...), name...)
+		buf = append(strconv.AppendInt(append(buf, " at="...), int64(s.firstSubmit[name]), 10), '\n')
 	}
 	for _, name := range sortedKeys(s.retry) {
 		st := s.retry[name]
-		fmt.Fprintf(b, "retry %s attempts=%d relaxations=%d\n", name, st.attempts, st.relaxations)
+		buf = append(append(buf, "retry "...), name...)
+		buf = strconv.AppendInt(append(buf, " attempts="...), int64(st.attempts), 10)
+		buf = append(strconv.AppendInt(append(buf, " relaxations="...), int64(st.relaxations), 10), '\n')
 	}
 	for _, name := range sortedKeys(s.droppedJobs) {
-		fmt.Fprintf(b, "dropped %s reason=%s\n", name, s.droppedJobs[name])
+		buf = append(append(append(append(buf, "dropped "...), name...), " reason="...), s.droppedJobs[name]...)
+		buf = append(buf, '\n')
 	}
 	st := s.retryStats
-	fmt.Fprintf(b, "retrystats cancelled=%d requeued=%d relaxed=%d exhausted=%d deadline=%d\n",
-		st.Cancelled, st.Requeued, st.Relaxations, st.DroppedExhausted, st.DroppedDeadline)
+	buf = strconv.AppendInt(append(buf, "retrystats cancelled="...), int64(st.Cancelled), 10)
+	buf = strconv.AppendInt(append(buf, " requeued="...), int64(st.Requeued), 10)
+	buf = strconv.AppendInt(append(buf, " relaxed="...), int64(st.Relaxations), 10)
+	buf = strconv.AppendInt(append(buf, " exhausted="...), int64(st.DroppedExhausted), 10)
+	buf = append(strconv.AppendInt(append(buf, " deadline="...), int64(st.DroppedDeadline), 10), '\n')
 	if la := s.cfg.LocalArrivals; la != nil {
-		fmt.Fprintf(b, "arrivals rng=%d\n", la.RNG.State())
+		buf = append(strconv.AppendUint(append(buf, "arrivals rng="...), la.RNG.State(), 10), '\n')
 	}
+	b.Write(buf)
 }
 
 // CanonicalState appends the open round's state to b: the frozen batch,
@@ -49,12 +64,17 @@ func (s *Scheduler) CanonicalState(b *strings.Builder) {
 // everything else but hold different pending plans diverge at the next
 // Apply — so the model checker folds it into the state hash.
 func (r *Round) CanonicalState(b *strings.Builder) {
-	fmt.Fprintf(b, "iteration open=%d planned=%t applied=%t alts=%d planT=%v planC=%v stale=%d\n",
-		r.rep.Iteration, r.planned, r.applied, r.rep.Alternatives, r.rep.PlanTime, r.rep.PlanCost,
-		len(r.staleNames))
+	buf := strconv.AppendInt(append(make([]byte, 0, 128), "iteration open="...), int64(r.rep.Iteration), 10)
+	buf = strconv.AppendBool(append(buf, " planned="...), r.planned)
+	buf = strconv.AppendBool(append(buf, " applied="...), r.applied)
+	buf = strconv.AppendInt(append(buf, " alts="...), int64(r.rep.Alternatives), 10)
+	buf = strconv.AppendInt(append(buf, " planT="...), int64(r.rep.PlanTime), 10)
+	buf = strconv.AppendFloat(append(buf, " planC="...), float64(r.rep.PlanCost), 'f', 2, 64)
+	buf = append(strconv.AppendInt(append(buf, " stale="...), int64(len(r.staleNames)), 10), '\n')
 	for _, q := range r.selected {
-		fmt.Fprintf(b, "batched %s\n", q.job.Name)
+		buf = append(append(append(buf, "batched "...), q.job.Name...), '\n')
 	}
+	b.Write(buf)
 	r.plan.CanonicalState(b)
 }
 

@@ -1,7 +1,6 @@
 package metasched
 
 import (
-	"fmt"
 	"strings"
 
 	"ecosched/internal/dp"
@@ -63,6 +62,10 @@ func (p *Plan) CanonicalState(b *strings.Builder) {
 		return
 	}
 	for _, ch := range p.Choices {
-		fmt.Fprintf(b, "chosen %s -> %v\n", ch.Job.Name, ch.Window)
+		b.WriteString("chosen ")
+		b.WriteString(ch.Job.Name)
+		b.WriteString(" -> ")
+		b.WriteString(ch.Window.String())
+		b.WriteByte('\n')
 	}
 }

@@ -417,3 +417,92 @@ func TestReleasedIndexFailsLoudly(t *testing.T) {
 		t.Fatalf("origin after release: Len %d (want %d), %v", ix.Len(), list.Len(), err)
 	}
 }
+
+// TestRetiredBucketsStayPrivate pins the free list's two rules on a
+// 20 000-slot index. Only a bucket the index owns outright retires: a trim
+// while a view holds the front buckets retires none of them, so the re-tiled
+// front cannot be written over the view's slots, and after the view is
+// released the next trim retires what it replaces. A reused bucket is
+// stamped with the index's current token: after a later view is published
+// and released, the extension that reuses buckets retired before it leaves
+// every bucket owned, and cuts in the new tail copy nothing.
+func TestRetiredBucketsStayPrivate(t *testing.T) {
+	list, nodes := wideList(20_000)
+	m := NewIndexMetrics(metrics.New(), "origin/")
+	ix := NewIndex(list, m)
+	model := listModel(slices.Clone(list.Slots()))
+	// trim cuts the index and its model at cut; the model is re-sorted whole
+	// rather than taking listModel.trimBefore's one insert per slot.
+	trim := func(cut sim.Time) {
+		var kept []Slot
+		for _, s := range model {
+			switch {
+			case s.End() <= cut:
+				continue
+			case s.Start() < cut:
+				s.Span.Start = cut
+			}
+			kept = append(kept, s)
+		}
+		model = listModel(NewList(kept).Slots())
+		ix.TrimBefore(cut)
+	}
+
+	view := ix.Clone(nil)
+	viewModel := model.clone()
+	trim(120)
+	if len(ix.free) != 0 {
+		t.Fatalf("a trim of buckets a view holds retired %d of them", len(ix.free))
+	}
+	if !viewModel.matches(view) {
+		t.Fatal("the view changed under the origin's trim")
+	}
+	ix.Release(view)
+	trim(240)
+	if len(ix.free) == 0 {
+		t.Fatal("a trim of owned buckets retired none")
+	}
+	if !model.matches(ix) {
+		t.Fatal("the trimmed index diverged from its model")
+	}
+
+	view = ix.Clone(nil)
+	ix.Release(view)
+	last := ix.At(ix.Len() - 1).Start()
+	var run []Slot
+	for i, n := range nodes {
+		start := last.Add(sim.Duration(60 + i%50))
+		run = append(run, New(n, start, start.Add(50)))
+	}
+	free := len(ix.free)
+	model, _ = model.extend(nil, run)
+	if err := ix.Extend(nil, slices.Clone(run)); err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.free) >= free {
+		t.Fatalf("the extension reused none of %d retired buckets", free)
+	}
+	for pos, b := range ix.buckets {
+		if b.owner != ix.own {
+			t.Fatalf("bucket %d of %d is not stamped with the index's token", pos, len(ix.buckets))
+		}
+	}
+	copies := m.BucketCopies.Value()
+	for r := ix.Len() - len(run); r < ix.Len(); r += DefaultBucketSize / 2 {
+		s := ix.At(r)
+		used := sim.Interval{Start: s.Start().Add(s.Length() / 2), End: s.End()}
+		if err := ix.SubtractInterval(s, used); err != nil {
+			t.Fatal(err)
+		}
+		model = model.subtract(s, used)
+	}
+	if n := m.BucketCopies.Value() - copies; n != 0 {
+		t.Errorf("cuts in the extended tail copied %d buckets, want 0", n)
+	}
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !model.matches(ix) {
+		t.Fatal("the index diverged from its model")
+	}
+}

@@ -19,6 +19,12 @@ const DefaultBucketSize = 256
 // bucket by at most one slot, so the copy takes a few before append regrows it.
 const cowHeadroom = 8
 
+// maxFree bounds an index's free list of retired buckets. A clock advance of
+// the grid's live store retires about as many buckets as the next horizon
+// extension tiles, so a steady store cycles a handful through the list; the
+// bound only matters when an index shrinks for good.
+const maxFree = 64
+
 // owner is an index's write token. It has a size so that distinct tokens have
 // distinct addresses.
 type owner struct{ _ byte }
@@ -62,6 +68,12 @@ type bucket struct {
 // on the index. Clones (copy-on-write per bucket, see Clone) are independent:
 // any number of goroutines may scan and mutate their own clones while the
 // origin is mutated, as long as Clone is called from the origin's goroutine.
+//
+// Buckets the index stops holding — the front buckets TrimBefore re-tiles,
+// the last bucket Extend re-tiles, a bucket split in two or emptied — go to a
+// bounded free list when the index owns them outright, and newBucket takes
+// its storage from there before allocating (see retire). A warm index that
+// trims and extends about as much as it drops therefore allocates no buckets.
 type Index struct {
 	target  int
 	buckets []*bucket
@@ -70,12 +82,17 @@ type Index struct {
 	own *owner
 	pub publication
 	m   *IndexMetrics
-	// scratch serves the selective scan path; grown, counts and spare serve
-	// Extend; keys serves newBucket.
+	// free holds retired buckets for newBucket to reuse (retire).
+	free []*bucket
+	// scratch serves the selective scan path; grown and counts serve Extend;
+	// spare serves Extend's run sort and gathers the slots TrimBefore and
+	// Extend re-tile; tiles holds TrimBefore's fresh front buckets; keys
+	// serves newBucket.
 	scratch []int32
 	grown   []growAt
 	counts  []int
 	spare   []Slot
+	tiles   []*bucket
 	keys    []perfKey
 }
 
@@ -122,8 +139,24 @@ func (ix *Index) tile(dst []*bucket, slots []Slot) []*bucket {
 // (performance, offset) keys extracted into the index's scratch buffer, so a
 // comparison reads no node; offset breaks performance ties, so the order is
 // total and equals a stable sort by performance descending.
+//
+// The bucket is the last one retired to the free list when there is one, its
+// slot and permutation arrays reused when they fit. Its owner is stamped
+// afresh: a Clone since its retirement changed the index's token.
 func (ix *Index) newBucket(slots []Slot) *bucket {
-	b := &bucket{owner: ix.own, slots: append(make([]Slot, 0, len(slots)+cowHeadroom), slots...)}
+	var b *bucket
+	if k := len(ix.free) - 1; k >= 0 {
+		b = ix.free[k]
+		ix.free[k] = nil
+		ix.free = ix.free[:k]
+	} else {
+		b = new(bucket)
+	}
+	b.owner = ix.own
+	if cap(b.slots) < len(slots) {
+		b.slots = make([]Slot, 0, len(slots)+cowHeadroom)
+	}
+	b.slots = append(b.slots[:0], slots...)
 	b.aggregates()
 	keys := slices.Grow(ix.keys[:0], len(slots))
 	for off, s := range slots {
@@ -139,12 +172,27 @@ func (ix *Index) newBucket(slots []Slot) *bucket {
 		}
 		return int(a.off - c.off)
 	})
-	b.byPerf = make([]int32, len(slots), len(slots)+cowHeadroom)
+	if cap(b.byPerf) < len(slots) {
+		b.byPerf = make([]int32, 0, len(slots)+cowHeadroom)
+	}
+	b.byPerf = b.byPerf[:len(slots)]
 	for k, key := range keys {
 		b.byPerf[k] = key.off
 	}
 	ix.m.SlotsMoved.Add(int64(len(slots)))
 	return b
+}
+
+// retire hands a bucket the index has just stopped holding to the free list.
+// Only a bucket stamped with the index's current token goes there: Clone
+// re-tokens both sides, so every bucket a clone shares carries an older
+// token, and a bucket carrying the current one is held by this index alone.
+// Its arrays are then the index's to overwrite. Any other bucket is left to
+// the clones still holding it.
+func (ix *Index) retire(b *bucket) {
+	if b.owner == ix.own && len(ix.free) < maxFree {
+		ix.free = append(ix.free, b)
+	}
 }
 
 // writable returns the bucket at pos, first replacing it with a copy the
@@ -346,6 +394,13 @@ func (ix *Index) Len() int {
 	return ix.n
 }
 
+// Buckets returns how many buckets hold the slots: the value the Buckets
+// gauge records whenever the tiling changes shape.
+func (ix *Index) Buckets() int {
+	ix.live()
+	return len(ix.buckets)
+}
+
 // live panics on an index given back by Release: its slots went back to the
 // store it was cloned from, so any answer it gave now would be a wrong one.
 func (ix *Index) live() {
@@ -425,6 +480,7 @@ func (ix *Index) insertAt(pos, off int, s Slot) {
 		copy(ix.buckets[pos+2:], ix.buckets[pos+1:])
 		ix.buckets[pos] = ix.newBucket(b.slots[:half])
 		ix.buckets[pos+1] = ix.newBucket(b.slots[half:])
+		ix.retire(b)
 		ix.m.Splits.Inc()
 		ix.m.shape(ix.buckets)
 	}
@@ -436,7 +492,8 @@ func (ix *Index) removeFrom(pos, off int) {
 	ix.m.Removes.Inc()
 	ix.n--
 	if len(ix.buckets[pos].slots) == 1 {
-		ix.buckets = append(ix.buckets[:pos], ix.buckets[pos+1:]...)
+		ix.retire(ix.buckets[pos])
+		ix.buckets = slices.Delete(ix.buckets, pos, pos+1)
 		ix.m.Drops.Inc()
 		ix.m.shape(ix.buckets)
 		return
@@ -842,7 +899,10 @@ func (ix *Index) DropNode(node *resource.Node) int {
 // target-size tiling of the survivors, and every bucket past them is kept as
 // it is. The resulting order is canonical by construction — every surviving
 // prefix slot starts exactly at t, so (node, end) ordering within the merged
-// front block reproduces what a full NewList sort would produce.
+// front block reproduces what a full NewList sort would produce. The
+// survivors are gathered in the index's spare buffer and the replaced
+// buckets retire, so the fresh ones reuse their storage: a warm trim
+// allocates nothing.
 func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
 	ix.live()
 	if ix.n == 0 || ix.buckets[0].slots[0].Start() >= t {
@@ -850,7 +910,7 @@ func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
 	}
 	// [0, endPos:endOff) is the affected prefix: starts at or before t.
 	endPos, endOff := ix.seek(func(c Slot) bool { return c.Start() > t })
-	var front []Slot
+	front := ix.spare[:0]
 	for pos, b := range ix.buckets[:min(endPos+1, len(ix.buckets))] {
 		slots := b.slots
 		if pos == endPos {
@@ -878,9 +938,13 @@ func (ix *Index) TrimBefore(t sim.Time) (dropped, trimmed int) {
 		front = append(front, ix.buckets[endPos].slots[endOff:]...)
 		endPos++
 	}
-	rest := ix.buckets[endPos:]
-	fresh := make([]*bucket, 0, len(front)/ix.target+1+len(rest))
-	ix.buckets = append(ix.tile(fresh, front), rest...)
+	for _, b := range ix.buckets[:endPos] {
+		ix.retire(b)
+	}
+	ix.tiles = ix.tile(ix.tiles[:0], front)
+	ix.buckets = slices.Replace(ix.buckets, 0, endPos, ix.tiles...)
+	clear(ix.tiles)
+	ix.spare = front
 	ix.n -= dropped
 	ix.m.Removes.Add(int64(dropped))
 	ix.m.shape(ix.buckets)
@@ -911,7 +975,7 @@ type growAt struct {
 // other slot stay as they are. The run orders after every held slot, so it is
 // tiled as fresh target-size buckets behind the held ones, together with the
 // last bucket when that is under target — TrimBefore's retiling, at the other
-// end.
+// end, through the same spare buffer and free list.
 //
 // Misuse returns an error and leaves the index unchanged: a grow whose slot
 // is missing, that does not move its end later, that repeats another grow's
@@ -989,8 +1053,12 @@ func (ix *Index) Extend(grows []Grow, run []Slot) error {
 	ix.n += len(run)
 	// A last bucket under target is consumed whole, re-tiled with the run.
 	if k := len(ix.buckets) - 1; k >= 0 && len(ix.buckets[k].slots) < ix.target {
-		run = append(slices.Clone(ix.buckets[k].slots), run...)
+		last := ix.buckets[k]
+		run = append(append(ix.spare[:0], last.slots...), run...)
+		ix.spare = run
+		ix.buckets[k] = nil
 		ix.buckets = ix.buckets[:k]
+		ix.retire(last)
 	}
 	ix.buckets = ix.tile(ix.buckets, run)
 	ix.m.shape(ix.buckets)

@@ -7,27 +7,6 @@ import (
 	"ecosched/internal/sim"
 )
 
-// FuzzSlotIndex drives raw fuzz bytes as an operation stream — insert,
-// remove, subtract, trim, node drop, exact removal, clone, release, horizon
-// extension, query — against an Index and the naive slice model, asserting after every
-// mutation that the index matches the model element for element, the bucket
-// invariants hold (canonical order across bucket boundaries, aggregate
-// freshness, permutation membership — so no stale entries survive a
-// subtraction), and Scan agrees with a filtered walk of the model. The
-// trim/drop/exact/clone/extend ops are the live vacant-store maintenance
-// surface (gridsim/store.go); fuzzing them against the model is what licenses
-// the store to mutate the index in place between iterations. An extension
-// (ops 24–25, 25 always a misuse the index must refuse unchanged) runs with a
-// clone taken just before it, which must not see it.
-//
-// Clones come in two kinds: a throwaway that is mutated once, and retained
-// ones. A retained clone is kept with the model frozen at its birth and must
-// equal it after every later operation; the stream can also swap the working
-// index with a retained one, so clones are mutated after their origin,
-// origins after their clones, and clones are cloned again. The stream can
-// also hand a retained clone back to the working index (Release, op 26): the
-// working index goes on mutating buckets it may have taken back, and every
-// other retained clone must still equal its model.
 // fuzzDraw turns the argument byte of the fuzz op at stream position i into a
 // deterministic sequence of draws, each in [0, n).
 func fuzzDraw(arg byte, i int) func(n int) int {
@@ -55,6 +34,34 @@ func subtractedInterval(s Slot, draw func(n int) int) sim.Interval {
 	return sim.Interval{Start: lo, End: hi}
 }
 
+// FuzzSlotIndex drives raw fuzz bytes as an operation stream — insert,
+// remove, subtract, trim, node drop, exact removal, clone, release, horizon
+// extension, query — against an Index and the naive slice model, asserting after every
+// mutation that the index matches the model element for element, the bucket
+// invariants hold (canonical order across bucket boundaries, aggregate
+// freshness, permutation membership — so no stale entries survive a
+// subtraction), and Scan agrees with a filtered walk of the model. The
+// trim/drop/exact/clone/extend ops are the live vacant-store maintenance
+// surface (gridsim/store.go); fuzzing them against the model is what licenses
+// the store to mutate the index in place between iterations. An extension
+// (ops 24–25, 25 always a misuse the index must refuse unchanged) runs with a
+// clone taken just before it, which must not see it.
+//
+// Clones come in two kinds: a throwaway that is mutated once, and retained
+// ones. A retained clone is kept with the model frozen at its birth and must
+// equal it after every later operation; the stream can also swap the working
+// index with a retained one, so clones are mutated after their origin,
+// origins after their clones, and clones are cloned again. The stream can
+// also hand a retained clone back to the working index (Release, op 26): the
+// working index goes on mutating buckets it may have taken back, and every
+// other retained clone must still equal its model.
+//
+// Splits, dropped buckets, trims and extensions retire buckets to the
+// index's free list, and newBucket reuses them. The named seed
+// recycle-retired-buckets (testdata) trims the front while a retained clone
+// holds it, releases the clone, then splits, drops and extends while another
+// clone is retained: an index that recycled a bucket a clone still holds
+// would write that clone's slots.
 func FuzzSlotIndex(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 10, 0, 200, 1, 30, 7, 0, 8, 2, 5, 1})
 	f.Add(uint8(0), []byte{0, 1, 0, 2, 0, 3, 0, 4, 6, 0, 7, 1, 9, 9})

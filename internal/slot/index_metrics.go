@@ -10,8 +10,11 @@ import "ecosched/internal/metrics"
 // A holder built from a nil registry holds nil instruments, which discard
 // every observation (the internal/metrics contract); an Index given a nil
 // *IndexMetrics uses such a holder. All observations happen on the mutating
-// goroutine — an Index has exactly one — so identical seeded sessions
-// produce identical values.
+// goroutine — an Index has exactly one. Indexes sharing one holder may be
+// mutated on different goroutines (the grid's shard stores are): the
+// counters and the histogram are sums, whose values do not depend on the
+// order, but the Buckets gauge keeps whichever write came last, so such an
+// owner sets it again once the goroutines join.
 type IndexMetrics struct {
 	// Rebuilds counts full re-tilings (including the initial build).
 	Rebuilds *metrics.Counter

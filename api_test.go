@@ -36,7 +36,6 @@ var apiAllowlist = map[string]string{
 	"internal/dp.MinimizeCostDense":            "DESIGN.md §8 oracle",
 	"internal/dp.MinimizeTimeDense":            "DESIGN.md §8 oracle",
 	"internal/gridsim.Grid.RebuildVacantSlots": "DESIGN.md §8 oracle",
-	"internal/slot.List.SubtractWindow":        "DESIGN.md §8 oracle",
 
 	// Fixture constructors and lookups the tests of several packages share.
 	"internal/job.Batch.ByName":                "cross-package test helper",
@@ -45,7 +44,6 @@ var apiAllowlist = map[string]string{
 	"internal/metrics.Snapshot.HistogramCount": "cross-package test helper",
 	"internal/resource.MustNewPool":            "cross-package test helper",
 	"internal/sim.Money.ApproxEq":              "cross-package test helper",
-	"internal/slot.List.Clone":                 "cross-package test helper",
 	"internal/slot.List.TotalTime":             "cross-package test helper",
 	"internal/slot.List.Validate":              "cross-package test helper",
 	"internal/slot.Window.MaxSlotPrice":        "cross-package test helper",

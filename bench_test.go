@@ -91,9 +91,9 @@ func BenchmarkRhoSweep(b *testing.B) {
 	}
 }
 
-// scalingList builds an m-slot paper-style list and a probing job whose cap
-// forces a deep scan.
-func scalingList(m int, seed uint64) (*slot.List, *job.Job) {
+// scalingList builds an m-slot paper-style list and a one-job batch whose
+// probing job's cap forces a deep scan.
+func scalingList(m int, seed uint64) (*slot.List, *job.Batch) {
 	gen := workload.PaperSlotGenerator()
 	gen.CountMin, gen.CountMax = m, m
 	list, _, err := gen.Generate(sim.NewRNG(seed))
@@ -102,18 +102,19 @@ func scalingList(m int, seed uint64) (*slot.List, *job.Job) {
 	}
 	j := &job.Job{Name: "probe", Priority: 1, Request: job.ResourceRequest{
 		Nodes: 4, Time: 100, MinPerformance: 1, MaxPrice: 2.0}}
-	return list, j
+	return list, job.MustNewBatch([]*job.Job{j})
 }
 
 // BenchmarkALPScaling and BenchmarkAMPScaling back the Section 3 complexity
 // claim with wall-clock evidence: doubling m at most doubles the single-
-// window search time.
+// window search time. The search is the one production runs: an index built
+// over the list, then one indexed scan (FindFirst on a one-job batch).
 func BenchmarkALPScaling(b *testing.B) {
 	for _, m := range []int{1000, 2000, 4000, 8000} {
-		list, j := scalingList(m, 7)
+		list, batch := scalingList(m, 7)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				alloc.ALP{}.FindWindow(list, j)
+				alloc.FindFirst(alloc.ALP{}, list, batch)
 			}
 		})
 	}
@@ -121,10 +122,10 @@ func BenchmarkALPScaling(b *testing.B) {
 
 func BenchmarkAMPScaling(b *testing.B) {
 	for _, m := range []int{1000, 2000, 4000, 8000} {
-		list, j := scalingList(m, 7)
+		list, batch := scalingList(m, 7)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				alloc.AMP{}.FindWindow(list, j)
+				alloc.FindFirst(alloc.AMP{}, list, batch)
 			}
 		})
 	}
@@ -161,12 +162,12 @@ func BenchmarkBackfillScaling(b *testing.B) {
 // BenchmarkAMPPolicyAblation compares the paper's cheapest-N window policy
 // against the first-N arrival-order policy (DESIGN.md §5).
 func BenchmarkAMPPolicyAblation(b *testing.B) {
-	list, j := scalingList(2000, 3)
+	list, batch := scalingList(2000, 3)
 	for _, pol := range []alloc.WindowPolicy{alloc.CheapestN, alloc.FirstN} {
 		b.Run(pol.String(), func(b *testing.B) {
 			algo := alloc.AMP{Policy: pol}
 			for i := 0; i < b.N; i++ {
-				algo.FindWindow(list, j)
+				alloc.FindFirst(algo, list, batch)
 			}
 		})
 	}
@@ -276,21 +277,23 @@ func BenchmarkSearchPasses(b *testing.B) {
 	})
 }
 
-// BenchmarkSlotSubtraction measures the Fig. 1b list surgery in isolation.
+// BenchmarkSlotSubtraction measures the Fig. 1b cut in isolation, as a
+// search takes it: on a clone of the slot store (Index.SubtractInterval).
 func BenchmarkSlotSubtraction(b *testing.B) {
 	gen := workload.PaperSlotGenerator()
 	gen.CountMin, gen.CountMax = 140, 140
-	base, _, err := gen.Generate(sim.NewRNG(17))
+	list, _, err := gen.Generate(sim.NewRNG(17))
 	if err != nil {
 		b.Fatal(err)
 	}
+	base := slot.NewIndex(list, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l := base.Clone()
-		target := l.At(i % l.Len())
+		ix := base.Clone(nil)
+		target := list.At(i % list.Len())
 		mid := target.Start().Add(target.Length() / 4)
 		end := mid.Add(target.Length() / 2)
-		if err := l.SubtractInterval(target, sim.Interval{Start: mid, End: end}); err != nil {
+		if err := ix.SubtractInterval(target, sim.Interval{Start: mid, End: end}); err != nil {
 			b.Fatal(err)
 		}
 	}

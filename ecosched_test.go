@@ -303,8 +303,15 @@ func TestNodeRequirementsThroughFacade(t *testing.T) {
 		Nodes: 1, Time: 50, MinPerformance: 1, MaxPrice: 5,
 		Needs: ecosched.NodeRequirements{Tags: []string{"gpu"}},
 	}}
-	w, _, ok := ecosched.AMP{}.FindWindow(list, j)
-	if !ok || !w.UsesNode("gpu") {
+	batch, err := ecosched.NewBatch([]*ecosched.Job{j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ecosched.FindFirst(ecosched.AMP{}, list, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ws := res.Alternatives["ml"]; len(ws) != 1 || !ws[0].UsesNode("gpu") {
 		t.Error("attribute requirements not honored through the facade")
 	}
 }

@@ -33,9 +33,9 @@ func ExampleScheduleBatch() {
 	// window [0, 100) on 2 nodes, cost 400.00
 }
 
-// ExampleALP_FindWindow shows the per-slot price cap in action: the
+// ExampleFindFirst_alp shows the per-slot price cap in action: the
 // expensive node is invisible to ALP.
-func ExampleALP_FindWindow() {
+func ExampleFindFirst_alp() {
 	cheap := &ecosched.Node{Name: "cheap", Performance: 1, Price: 2}
 	pricey := &ecosched.Node{Name: "pricey", Performance: 1, Price: 9}
 	if _, err := ecosched.NewPool([]*ecosched.Node{cheap, pricey}); err != nil {
@@ -46,17 +46,22 @@ func ExampleALP_FindWindow() {
 		ecosched.NewSlot(cheap, 0, 300),
 		ecosched.NewSlot(pricey, 0, 300),
 	})
-	j := &ecosched.Job{Name: "j", Priority: 1, Request: ecosched.ResourceRequest{
-		Nodes: 1, Time: 100, MinPerformance: 1, MaxPrice: 5}}
-	w, _, ok := ecosched.ALP{}.FindWindow(list, j)
-	fmt.Println("found:", ok, "node:", w.NodeLabels()[0])
+	batch, _ := ecosched.NewBatch([]*ecosched.Job{{Name: "j", Priority: 1, Request: ecosched.ResourceRequest{
+		Nodes: 1, Time: 100, MinPerformance: 1, MaxPrice: 5}}})
+	res, err := ecosched.FindFirst(ecosched.ALP{}, list, batch)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	ws := res.Alternatives["j"]
+	fmt.Println("found:", len(ws) == 1, "node:", ws[0].NodeLabels()[0])
 	// Output:
 	// found: true node: cheap
 }
 
-// ExampleAMP_FindWindow shows the whole-job budget: AMP mixes an expensive
+// ExampleFindFirst_amp shows the whole-job budget: AMP mixes an expensive
 // slot into the window as long as the total fits S = C·t·N.
-func ExampleAMP_FindWindow() {
+func ExampleFindFirst_amp() {
 	cheap := &ecosched.Node{Name: "cheap", Performance: 1, Price: 2}
 	pricey := &ecosched.Node{Name: "pricey", Performance: 1, Price: 7}
 	if _, err := ecosched.NewPool([]*ecosched.Node{cheap, pricey}); err != nil {
@@ -70,8 +75,14 @@ func ExampleAMP_FindWindow() {
 	// Budget S = 5·100·2 = 1000 ≥ (2+7)·100.
 	j := &ecosched.Job{Name: "j", Priority: 1, Request: ecosched.ResourceRequest{
 		Nodes: 2, Time: 100, MinPerformance: 1, MaxPrice: 5}}
-	w, _, ok := ecosched.AMP{}.FindWindow(list, j)
-	fmt.Println("found:", ok, "cost:", w.Cost(), "within budget:", w.Cost().LessEq(j.Request.Budget()))
+	batch, _ := ecosched.NewBatch([]*ecosched.Job{j})
+	res, err := ecosched.FindFirst(ecosched.AMP{}, list, batch)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	ws := res.Alternatives["j"]
+	fmt.Println("found:", len(ws) == 1, "cost:", ws[0].Cost(), "within budget:", ws[0].Cost().LessEq(j.Request.Budget()))
 	// Output:
 	// found: true cost: 900.00 within budget: true
 }

@@ -51,24 +51,21 @@ func (s *Stats) Add(other Stats) {
 	s.BudgetChecks += other.BudgetChecks
 }
 
-// Algorithm is a single-window slot search: given the current vacant list
-// and a job, find one suitable co-allocation window (the earliest one the
+// Algorithm is a single-window slot search: given the current vacancy and a
+// job, find one suitable co-allocation window (the earliest one the
 // algorithm's policy admits) or report that none exists.
 //
-// Implementations must not modify the list; window subtraction is the
-// caller's responsibility (see FindAlternatives). The unexported methods seal
-// the interface: ALP and AMP are its only implementations, and every search
-// runs them through the same decomposition — an index prefilter plus a
-// scanState fold — which is what lets one view be scanned directly and
-// several be merged in canonical order (stream.go, shardscan.go).
+// An algorithm is a policy, not a scan: it names the index prefilter and the
+// scanState fold, and the searches run them over slot.Index views and cut
+// each found window out of them (FindAlternatives). The unexported methods
+// seal the interface: ALP and AMP are its only implementations, and every
+// search runs them through the same decomposition, which is what lets one
+// view be scanned directly and several be merged in canonical order
+// (stream.go, shardscan.go). The paper's raw front-to-back scan is the test
+// oracle this decomposition is pinned against (linear_test.go).
 type Algorithm interface {
 	// Name returns the algorithm's short name ("ALP" or "AMP").
 	Name() string
-	// FindWindow searches list front to back — the paper's linear scan and
-	// the reference oracle the indexed scan is pinned against
-	// (indexed_test.go). It returns ok=false when no window exists on the
-	// current list.
-	FindWindow(list *slot.List, j *job.Job) (w *slot.Window, stats Stats, ok bool)
 	// scanFilter returns the bucket prefilter equivalent to the algorithm's
 	// per-slot performance/price rejections.
 	scanFilter(req job.ResourceRequest) slot.Filter
@@ -129,13 +126,6 @@ func newCandidate(s slot.Slot, req *job.ResourceRequest, rt sim.Duration, seq in
 	}
 }
 
-// pastDeadline reports whether the scan can stop: with starts non-decreasing
-// and a positive deadline, no slot starting at or after the deadline can
-// host any task.
-func pastDeadline(s slot.Slot, req *job.ResourceRequest) bool {
-	return req.Deadline > 0 && s.Start() >= req.Deadline
-}
-
 // buildWindow materializes a window starting at start from the given
 // candidates. Callers guarantee every candidate can host from start.
 func buildWindow(jobName string, start sim.Time, chosen []candidate) *slot.Window {
@@ -150,9 +140,9 @@ func buildWindow(jobName string, start sim.Time, chosen []candidate) *slot.Windo
 }
 
 // scanLimit returns the exclusive rank bound of an indexed scan: the rank a
-// deadline-carrying linear scan breaks at (its pastDeadline check fires on
-// the first slot starting at or after the deadline), or the list length when
-// the request has no deadline.
+// deadline-carrying linear scan breaks at (its pastDeadline check, in
+// linear_test.go, fires on the first slot starting at or after the
+// deadline), or the list length when the request has no deadline.
 func scanLimit(ix *slot.Index, req job.ResourceRequest) (limit, n int) {
 	n = ix.Len()
 	limit = n

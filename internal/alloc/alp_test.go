@@ -221,7 +221,7 @@ func TestAttributeRequirementsFilterSlots(t *testing.T) {
 	})
 	j := mkJob("ml", 1, 100, 1, 5)
 	j.Request.Needs = resource.Requirements{MinRAMMB: 8192, OS: "linux", Tags: []string{"gpu"}}
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
+	for _, algo := range []linearAlgorithm{ALP{}, AMP{}} {
 		w, stats, ok := algo.FindWindow(list, j)
 		if !ok {
 			t.Fatalf("%s: no window", algo.Name())

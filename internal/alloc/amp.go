@@ -4,9 +4,7 @@ import (
 	"container/heap"
 	"sort"
 
-	"ecosched/internal/job"
 	"ecosched/internal/sim"
-	"ecosched/internal/slot"
 )
 
 // WindowPolicy selects which N candidates form the window once AMP's budget
@@ -65,49 +63,6 @@ func (h deadlineHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
 func (h *deadlineHeap) Push(x any)     { *h = append(*h, x.(candidate)) }
 func (h *deadlineHeap) Pop() any       { old := *h; n := len(old); c := old[n-1]; *h = old[:n-1]; return c }
 func (h deadlineHeap) Peek() candidate { return h[0] }
-
-// FindWindow follows the paper's AMP steps 1°–4° by a raw front-to-
-// back scan: accumulate suitable slots exactly as ALP does but without the
-// per-slot price condition; whenever the window holds at least N candidates,
-// check whether the N cheapest fit the job budget; if so, the window is
-// formed by those N slots and the rest are conceptually returned to the list
-// (they were never removed — the list is immutable during a search).
-// Otherwise the scan keeps advancing the window start, evicting expired
-// candidates, until the list is exhausted. This is the reference oracle the
-// indexed scan is differentially tested against; the searches run the
-// indexed scan (findWindowIndexedStream), whose index prefilter applies the
-// performance floor.
-func (a AMP) FindWindow(list *slot.List, j *job.Job) (*slot.Window, Stats, bool) {
-	var stats Stats
-	if list == nil || j.Validate() != nil {
-		return nil, stats, false
-	}
-	req := &j.Request
-	needs := !req.Needs.Empty()
-	budget := req.Budget()
-
-	alive := make(map[int]candidate) // seq -> candidate
-	var byDeadline deadlineHeap
-	cheapest := newTopK(req.Nodes)
-
-	for _, s := range list.Slots() {
-		stats.SlotsExamined++
-		// Step 1°/3°: conditions 2°a and 2°b only — no per-slot price cap.
-		if pastDeadline(s, req) {
-			break
-		}
-		rt, ok := suitable(s, req, needs)
-		if !ok || s.Performance() < req.MinPerformance {
-			stats.SlotsRejected++
-			continue
-		}
-		c := newCandidate(s, req, rt, stats.SlotsExamined)
-		if w, ok := a.accept(c, req.Nodes, budget, alive, &byDeadline, cheapest, &stats); ok {
-			return buildWindow(j.Name, c.s.Start(), w), stats, true
-		}
-	}
-	return nil, stats, false
-}
 
 // accept folds one suitable candidate into the scan state shared by the
 // linear and indexed entry points: advance the window start to the

@@ -279,7 +279,7 @@ func TestDeadlineConstrainsWindows(t *testing.T) {
 	})
 	// Without a deadline, the pair {a, b} forms at 150 and ends at 250.
 	free := mkJob("free", 2, 100, 1, 10)
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
+	for _, algo := range []linearAlgorithm{ALP{}, AMP{}} {
 		w, _, ok := algo.FindWindow(list, free)
 		if !ok || w.Start() != 150 {
 			t.Fatalf("%s baseline: %v %v", algo.Name(), w, ok)
@@ -288,7 +288,7 @@ func TestDeadlineConstrainsWindows(t *testing.T) {
 	// A deadline of 250 still admits that window (ends exactly at 250).
 	tight := mkJob("tight", 2, 100, 1, 10)
 	tight.Request.Deadline = 250
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
+	for _, algo := range []linearAlgorithm{ALP{}, AMP{}} {
 		w, _, ok := algo.FindWindow(list, tight)
 		if !ok {
 			t.Fatalf("%s: boundary deadline rejected", algo.Name())
@@ -300,7 +300,7 @@ func TestDeadlineConstrainsWindows(t *testing.T) {
 	// A deadline of 249 kills it: the earliest pair cannot finish in time.
 	impossible := mkJob("late", 2, 100, 1, 10)
 	impossible.Request.Deadline = 249
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
+	for _, algo := range []linearAlgorithm{ALP{}, AMP{}} {
 		if _, _, ok := algo.FindWindow(list, impossible); ok {
 			t.Errorf("%s: found a window violating the deadline", algo.Name())
 		}

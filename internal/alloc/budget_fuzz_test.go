@@ -31,7 +31,7 @@ func FuzzAMPBudget(f *testing.F) {
 			t.Fatalf("batch: %v", err)
 		}
 
-		for _, algo := range []Algorithm{AMP{}, AMP{Policy: FirstN}} {
+		for _, algo := range []linearAlgorithm{AMP{}, AMP{Policy: FirstN}} {
 			res, err := FindAlternatives(algo, list, batch, SearchOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", algo.Name(), err)

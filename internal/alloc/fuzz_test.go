@@ -67,7 +67,7 @@ func FuzzFindWindow(f *testing.F) {
 			return // mapping produced a request the API rejects; nothing to check
 		}
 
-		for _, algo := range []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}} {
+		for _, algo := range []linearAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}} {
 			w, stats, ok := algo.FindWindow(list, j)
 			if stats.SlotsExamined > list.Len() {
 				t.Fatalf("%s examined %d slots of %d: not a single linear scan", algo.Name(), stats.SlotsExamined, list.Len())
@@ -123,7 +123,7 @@ func FuzzFindWindow(f *testing.F) {
 		if err != nil {
 			t.Fatalf("batch: %v", err)
 		}
-		for _, algo := range []Algorithm{ALP{}, AMP{}} {
+		for _, algo := range []linearAlgorithm{ALP{}, AMP{}} {
 			res, remaining, err := findAlternativesHeld(algo, list, batch, SearchOptions{MaxAlternativesPerJob: 4})
 			if err != nil {
 				t.Fatalf("%s FindAlternatives: %v", algo.Name(), err)

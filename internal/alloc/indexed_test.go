@@ -18,7 +18,7 @@ import (
 // fold per algorithm serves every scan, as in a search, so each scan starts
 // from the state the previous one left.
 func TestIndexedFindWindowMatchesLinear(t *testing.T) {
-	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
+	algos := []linearAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	folds := make([]scanState, len(algos))
 	for a, algo := range algos {
 		folds[a] = algo.newScan()
@@ -81,7 +81,7 @@ func TestIndexedFindWindowMatchesLinear(t *testing.T) {
 // scaled by a seeded factor, which moves slots across ALP's per-slot cap and
 // AMP's budget.
 func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
-	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
+	algos := []linearAlgorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	options := []SearchOptions{
 		{},
 		{FirstOnly: true},
@@ -117,7 +117,7 @@ func TestIndexedSearchMatchesLinearOracle(t *testing.T) {
 					// The adopted index is searched in place: the vacancy
 					// read back from it is the oracle's remaining list.
 					prebuilt := opts
-					prebuilt.Prebuilt = slot.NewIndexSize(list.Clone(), 5, nil)
+					prebuilt.Prebuilt = slot.NewIndexSize(list, 5, nil)
 					adopted, err := FindAlternatives(algo, prebuilt.Prebuilt.List(), batch, prebuilt)
 					check("prebuilt", adopted, prebuilt.Prebuilt.List(), err)
 
@@ -147,7 +147,7 @@ func priceScaled(list *slot.List, factor sim.Money) *slot.List {
 func TestIndexedSearchDisjointBands(t *testing.T) {
 	list, batch := disjointBandsFixture(6, 12, 6)
 	opts := SearchOptions{MaxAlternativesPerJob: 3}
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
+	for _, algo := range []linearAlgorithm{ALP{}, AMP{}} {
 		oracle, oracleRemaining, err := findAlternativesLinear(algo, list, batch, opts)
 		if err != nil {
 			t.Fatal(err)

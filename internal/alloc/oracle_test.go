@@ -2,6 +2,8 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,21 +14,43 @@ import (
 	"ecosched/internal/workload"
 )
 
-// linearScanner is the reference binding of a search to its vacancy: the
-// paper's raw front-to-back scan and plain list subtraction over a clone of
-// the list — no index, no views.
-func linearScanner(algo Algorithm, list *slot.List) (*slot.List, scanFunc, func(*slot.Window) error) {
-	working := list.Clone()
-	return working, func(j *job.Job) (*slot.Window, Stats, bool) { return algo.FindWindow(working, j) },
-		working.SubtractWindow
+// cutWindow is the paper's cut (Fig. 1b) of every placement of w on a plain
+// sorted slice: remove the source slot K, then insert the non-empty
+// remainders K1 = [K.start, used.start) and K2 = [used.end, K.end), each
+// after every slot that orders before or ties with it.
+func cutWindow(slots []slot.Slot, w *slot.Window) ([]slot.Slot, error) {
+	for _, p := range w.Placements {
+		k := slices.Index(slots, p.Source)
+		if k < 0 || !p.Source.Span.ContainsInterval(p.Used) {
+			return nil, fmt.Errorf("cut window %q: %v not contained in a held slot %v", w.JobName, p.Used, p.Source)
+		}
+		slots = slices.Delete(slots, k, k+1)
+		k1, k2 := p.Source, p.Source
+		k1.Span.End = p.Used.Start
+		k2.Span.Start = p.Used.End
+		for _, r := range []slot.Slot{k1, k2} {
+			if !r.Empty() {
+				at := sort.Search(len(slots), func(i int) bool { return slot.Less(r, slots[i]) })
+				slots = slices.Insert(slots, at, r)
+			}
+		}
+	}
+	return slots, nil
 }
 
 // findAlternativesLinear is the multi-pass reference: the production loop
-// (multiPass) over linearScanner. Every indexed, prebuilt and sharded search
-// in this package is compared against it; opts.Prebuilt is ignored. It also
-// returns the working list after all subtractions.
-func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, *slot.List, error) {
-	working, scan, subtract := linearScanner(algo, list)
+// (multiPass) over the paper's raw front-to-back scan and the plain-slice
+// cut (cutWindow) on a copy of the list's slots — no index, no views. Every
+// indexed, prebuilt and sharded search in this package is compared against
+// it; opts.Prebuilt is ignored. It also returns the working list after all
+// subtractions.
+func findAlternativesLinear(algo linearAlgorithm, list *slot.List, batch *job.Batch, opts SearchOptions) (*SearchResult, *slot.List, error) {
+	working := slices.Clone(list.Slots())
+	scan := func(j *job.Job) (*slot.Window, Stats, bool) { return algo.FindWindow(slot.NewList(working), j) }
+	subtract := func(w *slot.Window) (err error) {
+		working, err = cutWindow(working, w)
+		return err
+	}
 	if opts.Metrics == nil {
 		opts.Metrics = &disabledSearchMetrics
 	}
@@ -34,7 +58,7 @@ func findAlternativesLinear(algo Algorithm, list *slot.List, batch *job.Batch, o
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, working, nil
+	return res, slot.NewList(working), nil
 }
 
 // findAlternativesHeld is FindAlternatives over an index the test holds: the

@@ -36,7 +36,7 @@ func TestFindWindowShardedMatchesIndexed(t *testing.T) {
 	algos := []Algorithm{ALP{}, AMP{}, AMP{Policy: FirstN}}
 	for seed := uint64(1); seed <= 12; seed++ {
 		list, batch := diffScenario(t, seed)
-		full := slot.NewIndex(list.Clone(), nil)
+		full := slot.NewIndex(list, nil)
 		for _, k := range []int{1, 2, 3, 5, 7} {
 			shards, _ := shardSplit(list, k)
 			// One merge state for every scan below, as in a search: each job
@@ -141,7 +141,7 @@ func TestFindAlternativesShardedRejects(t *testing.T) {
 			return err
 		}},
 		{"prebuilt", func() error {
-			_, err := FindAlternativesSharded(ALP{}, shards, shardOf, batch, SearchOptions{Prebuilt: slot.NewIndex(list.Clone(), nil)}, 1, nil)
+			_, err := FindAlternativesSharded(ALP{}, shards, shardOf, batch, SearchOptions{Prebuilt: slot.NewIndex(list, nil)}, 1, nil)
 			return err
 		}},
 	}

@@ -25,21 +25,21 @@ func TestNoSterileFinalPass(t *testing.T) {
 	searches := []struct {
 		linear bool
 		par    int
-		run    func(algo Algorithm, opts SearchOptions) (*SearchResult, error)
+		run    func(algo linearAlgorithm, opts SearchOptions) (*SearchResult, error)
 	}{
-		{false, 1, func(algo Algorithm, opts SearchOptions) (*SearchResult, error) {
+		{false, 1, func(algo linearAlgorithm, opts SearchOptions) (*SearchResult, error) {
 			return FindAlternatives(algo, smallList(), twoJobBatch(), opts)
 		}},
-		{false, 4, func(algo Algorithm, opts SearchOptions) (*SearchResult, error) {
+		{false, 4, func(algo linearAlgorithm, opts SearchOptions) (*SearchResult, error) {
 			views, shardOf := shardSplit(smallList(), 2)
 			return FindAlternativesSharded(algo, views, shardOf, twoJobBatch(), opts, 1, nil)
 		}},
-		{true, 1, func(algo Algorithm, opts SearchOptions) (*SearchResult, error) {
+		{true, 1, func(algo linearAlgorithm, opts SearchOptions) (*SearchResult, error) {
 			res, _, err := findAlternativesLinear(algo, smallList(), twoJobBatch(), opts)
 			return res, err
 		}},
 	}
-	for _, algo := range []Algorithm{ALP{}, AMP{}} {
+	for _, algo := range []linearAlgorithm{ALP{}, AMP{}} {
 		for _, search := range searches {
 			t.Run(fmt.Sprintf("%s/linear=%t/par=%d", algo.Name(), search.linear, search.par), func(t *testing.T) {
 				reg := metrics.New()

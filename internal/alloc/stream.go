@@ -97,8 +97,9 @@ func (a AMP) newScan() scanState {
 // walk, suitability check, fold, and Stats reconstruction from the stopping
 // rank. The performance floor (and, for ALP, the per-slot price cap) is
 // delegated to the index's bucket prefilter, so slots failing it are never
-// visited; the accepted-candidate sequence is exactly FindWindow's, so the
-// window and Stats are byte-identical to the linear scan for every input.
+// visited; the accepted-candidate sequence is exactly the linear reference
+// scan's (FindWindow, linear_test.go), so the window and Stats are
+// byte-identical to the linear scan for every input.
 // probe, when non-nil, accumulates the index traversal work; it never
 // influences the result.
 func findWindowIndexedStream(algo Algorithm, st scanState, ix *slot.Index, j *job.Job, probe *slot.ScanStats) (*slot.Window, Stats, bool) {

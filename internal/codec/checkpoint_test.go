@@ -115,7 +115,7 @@ func TestEncodeCheckpointMatchesOracle(t *testing.T) {
 		}
 	}
 	cp := sampleCheckpoint()
-	cp.Seq, cp.JournalOffset, cp.Rounds, cp.Grid.Now = math.MaxUint64, math.MinInt64, math.MaxInt64, math.MinInt64
+	cp.Seq, cp.JournalOffset, cp.Rounds, cp.Grid.Now = math.MaxUint64, math.MinInt64, math.MaxInt, math.MinInt64
 	cp.Grid.Tasks[0].Span = sim.Interval{Start: math.MinInt64, End: math.MaxInt64}
 	cases["extreme integers"] = cp
 	for name, cp := range cases {

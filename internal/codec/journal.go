@@ -78,10 +78,13 @@ func Frame(payload []byte) []byte {
 func ScanFrames(data []byte) (payloads [][]byte, ends []int, validLen int) {
 	off := 0
 	for off+FrameOverhead <= len(data) {
-		n := int(binary.BigEndian.Uint32(data[off : off+4]))
-		if n > maxFramePayload || off+FrameOverhead+n > len(data) {
+		// The bound is checked before the conversion: on a 32-bit build a
+		// length with the top bit set is a negative int.
+		size := binary.BigEndian.Uint32(data[off : off+4])
+		if size > maxFramePayload || off+FrameOverhead+int(size) > len(data) {
 			break
 		}
+		n := int(size)
 		payload := data[off+FrameOverhead : off+FrameOverhead+n]
 		if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[off+4:off+8]) {
 			break

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ecosched/internal/alloc"
@@ -12,6 +13,7 @@ import (
 	"ecosched/internal/fault"
 	"ecosched/internal/gridsim"
 	"ecosched/internal/job"
+	"ecosched/internal/mc"
 	"ecosched/internal/metasched"
 	"ecosched/internal/resource"
 	"ecosched/internal/sim"
@@ -89,11 +91,16 @@ func genEvents(seed uint64) []fault.Event {
 		}
 		return ""
 	}
+	// anyFailed picks the lowest-named failed node, so which node recovers
+	// follows the seed, not Go's map order.
 	anyFailed := func() string {
+		first := ""
 		for n := range failed {
-			return n
+			if first == "" || n < first {
+				first = n
+			}
 		}
-		return ""
+		return first
 	}
 	jobs := 0
 	for round := 0; round < 12; round++ {
@@ -314,6 +321,50 @@ func TestCrashInjectionDifferential(t *testing.T) {
 					crashAtEveryRecord(t, dir, factory, ref, checkpointEvery)
 				}
 			})
+		}
+	}
+}
+
+// TestSeededScriptsReproduce runs each seeded script generator the
+// differentials and the model checker feed on twice in one process and
+// requires the same script both times: genEvents (the crash and parallel
+// differentials), fault.RandomPlan (chaos runs) and the counterexample
+// script of a model-checker sweep over each universe. A generator whose
+// output follows Go's map order fails here, while a differential it feeds
+// passes on a different script each run.
+func TestSeededScriptsReproduce(t *testing.T) {
+	pool := resource.MustNewPool([]*resource.Node{
+		{Name: "n1", Performance: 1, Price: 1}, {Name: "n2", Performance: 2, Price: 2},
+		{Name: "n3", Performance: 1, Price: 2}, {Name: "n4", Performance: 2, Price: 1},
+	})
+	for seed := uint64(1); seed <= 20; seed++ {
+		if a, b := genEvents(seed), genEvents(seed); !reflect.DeepEqual(a, b) {
+			t.Errorf("genEvents(%d) differs between calls:\n%v\n%v", seed, a, b)
+		}
+		spec := fault.RandomSpec{Seed: seed, Horizon: 3000, Step: 150, Rate: 0.4, RevokeFraction: 0.3, Outage: 300}
+		a, errA := fault.RandomPlan(pool, spec)
+		b, errB := fault.RandomPlan(pool, spec)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if a.String() != b.String() {
+			t.Errorf("RandomPlan(seed %d) differs between calls:\n%v\n%v", seed, a, b)
+		}
+	}
+	for name, universe := range map[string]func() *mc.Universe{"tiny": mc.Tiny, "2shard": mc.TwoShard, "default": mc.Default} {
+		var scripts [2]string
+		for i := range scripts {
+			res, err := mc.Explore(universe(), mc.Options{MaxDepth: 3, MaxStates: 2000, Mutation: mc.MutLossyCrash})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cex == nil {
+				t.Fatalf("%s: the lossy-crash sweep found no counterexample", name)
+			}
+			scripts[i] = fmt.Sprintf("%d states, %d transitions\n%s", res.States, res.Transitions, res.Cex.Script())
+		}
+		if scripts[0] != scripts[1] {
+			t.Errorf("%s: model-checker sweep differs between runs:\n%s\n---\n%s", name, scripts[0], scripts[1])
 		}
 	}
 }

@@ -136,14 +136,17 @@ func (g *Grid) storeFor(n *resource.Node) (*vacantStore, int) {
 // min(K, GOMAXPROCS) goroutines — the caller's and the ones it starts and
 // joins — and records each store's outcome in its step field; the caller
 // emits them after the join (afterShards). With one worker — K = 1, or
-// GOMAXPROCS = 1 — the same loop runs inline on the caller's goroutine: step
-// is a plain function, not a closure, so that path starts no goroutine and
-// allocates nothing.
+// GOMAXPROCS = 1 — a plain loop steps the shards in order on the caller's
+// goroutine: step is a plain function, not a closure, and the loop needs no
+// claim counter, so that path starts no goroutine and allocates nothing.
 func (g *Grid) eachShard(step shardStep, t sim.Time) {
 	workers := min(len(g.stores), runtime.GOMAXPROCS(0))
 	if workers <= 1 {
-		var next atomic.Int64
-		g.stepShards(step, t, &next)
+		for i, st := range g.stores {
+			if st != nil {
+				st.step = step(g, i, t)
+			}
+		}
 		return
 	}
 	var next atomic.Int64

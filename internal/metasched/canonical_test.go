@@ -148,21 +148,21 @@ func TestCanonicalStateMatchesFprintf(t *testing.T) {
 		}
 		for i, q := range s.queue {
 			q.job.Request = edges[i%len(edges)]
-			q.job.Priority = math.MinInt64 + i
+			q.job.Priority = math.MinInt + i
 			q.postponed = i + 7
 			q.submitTick = math.MaxInt64
 			q.notBefore = math.MinInt64
 		}
-		s.iter, s.seededTo = math.MaxInt64, math.MinInt64
+		s.iter, s.seededTo = math.MaxInt, math.MinInt64
 		s.retry = make(map[string]*retryState)
 		for i, req := range edges {
 			name := fmt.Sprintf("p%d", i)
 			s.placed[name] = &job.Job{Name: name, Request: req}
 			s.firstSubmit[name] = sim.Time(-i)
-			s.retry[name] = &retryState{attempts: i, relaxations: math.MaxInt64 - i}
+			s.retry[name] = &retryState{attempts: i, relaxations: math.MaxInt - i}
 			s.droppedJobs[name] = fmt.Sprintf("reason with spaces %d", i)
 		}
-		s.retryStats = RetryStats{Cancelled: 1, Requeued: -2, Relaxations: math.MaxInt64, DroppedExhausted: math.MinInt64, DroppedDeadline: 5}
+		s.retryStats = RetryStats{Cancelled: 1, Requeued: -2, Relaxations: math.MaxInt, DroppedExhausted: math.MinInt, DroppedDeadline: 5}
 		check("edge values")
 	}
 }

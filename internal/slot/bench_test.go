@@ -7,29 +7,6 @@ import (
 	"ecosched/internal/sim"
 )
 
-// benchBase builds a 140-slot list across 20 nodes.
-func benchBase() *List {
-	ns := buildNodes(20)
-	rng := sim.NewRNG(11)
-	var slots []Slot
-	for i := 0; i < 140; i++ {
-		n := ns[i%len(ns)]
-		start := sim.Time(1000*(i/len(ns))) + sim.Time(rng.IntN(300))
-		slots = append(slots, New(n, start, start.Add(sim.Duration(rng.IntBetween(50, 300)))))
-	}
-	return NewList(slots)
-}
-
-func BenchmarkListInsert(b *testing.B) {
-	base := benchBase()
-	n := base.At(0).Node
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := base.Clone()
-		l.Insert(New(n, sim.Time(50_000+i), sim.Time(50_100+i)))
-	}
-}
-
 // benchSizes names the store sizes of the benchmark's dense and wide grids.
 var benchSizes = []struct {
 	name string

@@ -252,7 +252,7 @@ func TestOrderInvariantIsTheFullOrder(t *testing.T) {
 			t.Fatal("fixture breaks the start order too; it must only misorder ties")
 		}
 	}
-	if l.indexOf(c) >= 0 {
+	if _, _, ok := NewIndex(l, nil).find(c); ok {
 		t.Fatal("fixture too weak: the lookup still finds the misplaced slot")
 	}
 	if err := l.Validate(); err == nil {

@@ -443,7 +443,8 @@ func (ix *Index) List() *List {
 }
 
 // Insert adds a slot after every slot that orders before or ties with it.
-// Empty slots are ignored, as with List.Insert.
+// Empty slots are ignored, matching the paper's rule that zero-span
+// remainders K1/K2 are not added.
 func (ix *Index) Insert(s Slot) {
 	ix.live()
 	if s.Empty() {

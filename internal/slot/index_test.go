@@ -118,7 +118,7 @@ func TestIndexModelInterleavings(t *testing.T) {
 				if err := ix.CheckInvariants(); err != nil {
 					t.Fatalf("target %d seed %d step %d: %v", target, seed, step, err)
 				}
-				if !model.equalTo(ix.List()) {
+				if !model.matches(ix) {
 					t.Fatalf("target %d seed %d step %d: indexed list diverged from model\nlist:  %v\nmodel: %v",
 						target, seed, step, ix.List().Slots(), []Slot(model))
 				}
@@ -127,22 +127,20 @@ func TestIndexModelInterleavings(t *testing.T) {
 	}
 }
 
-// subtractOnBoth applies one cut to an index and to the List oracle
+// subtractOnBoth applies one cut to an index and to the naive slice model
 // (DESIGN.md §8) and fails unless both hold the same slots in the same order
 // and the index's invariants hold.
 func subtractOnBoth(t *testing.T, label string, ix *Index, l *List, target Slot, used sim.Interval) {
 	t.Helper()
-	if err := l.SubtractInterval(target, used); err != nil {
-		t.Fatalf("%s: list: %v", label, err)
-	}
+	want := listModel(l.Slots()).subtract(target, used)
 	if err := ix.SubtractInterval(target, used); err != nil {
 		t.Fatalf("%s: index: %v", label, err)
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	if got, want := ix.List().Slots(), l.Slots(); !slices.Equal(got, want) {
-		t.Fatalf("%s: index holds %v, list oracle %v", label, got, want)
+	if !want.matches(ix) {
+		t.Fatalf("%s: index holds %v, slice model %v", label, ix.List().Slots(), []Slot(want))
 	}
 }
 
@@ -160,9 +158,9 @@ func pathList() *List {
 // TestSubtractIntervalPathsMatchList drives every way the index realizes a
 // cut — K1 overwriting K in place, K1 empty with K2 rotated inside K's
 // bucket or moved to a later one, the whole slot used — and checks each
-// against the List oracle, at bucket targets that put K2 in K's bucket, at
-// its end, in the next bucket, or (target 1) in a bucket of its own that
-// splits, after K's one-slot bucket is dropped.
+// against the naive slice model, at bucket targets that put K2 in K's
+// bucket, at its end, in the next bucket, or (target 1) in a bucket of its
+// own that splits, after K's one-slot bucket is dropped.
 func TestSubtractIntervalPathsMatchList(t *testing.T) {
 	cases := []struct {
 		name string
@@ -193,7 +191,7 @@ func TestSubtractIntervalPathsMatchList(t *testing.T) {
 // TestSubtractIntervalInPlaceYieldsToOrder pins the one order an in-place K1
 // would break: slots [5,10) and [5,20) on one node, [8,20) cut from the
 // second. K1 = [5,8) orders before [5,10), so it cannot take K's place; the
-// cut goes through removal and insert and must match the List oracle —
+// cut goes through removal and insert and must match the slice model —
 // with both slots in one bucket and split over two.
 func TestSubtractIntervalInPlaceYieldsToOrder(t *testing.T) {
 	n := &resource.Node{ID: 1, Performance: 1, Price: 1}
@@ -212,11 +210,7 @@ func TestSubtractIntervalInPlaceYieldsToOrder(t *testing.T) {
 func TestIndexScanEarlyStop(t *testing.T) {
 	rng := sim.NewRNG(3)
 	nodes := propNodes(6)
-	l := NewList(nil)
-	for i := 0; i < 200; i++ {
-		l.Insert(randomSlot(rng, nodes))
-	}
-	ix := NewIndexSize(l, 16, nil)
+	ix := NewIndexSize(randomList(rng, nodes, 200), 16, nil)
 	for _, f := range []Filter{{}, {MinPerf: 3}} {
 		all := collectScan(ix, f, ix.Len())
 		if len(all) < 3 {
@@ -237,10 +231,7 @@ func TestIndexScanEarlyStop(t *testing.T) {
 func TestIndexRankAtOrAfter(t *testing.T) {
 	rng := sim.NewRNG(9)
 	nodes := propNodes(5)
-	l := NewList(nil)
-	for i := 0; i < 150; i++ {
-		l.Insert(randomSlot(rng, nodes))
-	}
+	l := randomList(rng, nodes, 150)
 	ix := NewIndexSize(l, 8, nil)
 	for _, tm := range []sim.Time{-5, 0, 1, 100, 250, 499, 500, 1000} {
 		want := 0
@@ -262,10 +253,7 @@ func TestIndexMetricsAccounting(t *testing.T) {
 	m := NewIndexMetrics(reg, "slot/index/")
 	rng := sim.NewRNG(7)
 	nodes := propNodes(4)
-	l := NewList(nil)
-	for i := 0; i < 40; i++ {
-		l.Insert(randomSlot(rng, nodes))
-	}
+	l := randomList(rng, nodes, 40)
 	before := l.Len()
 	ix := NewIndexSize(l, 2, m)
 	inserts, removes := 0, 0

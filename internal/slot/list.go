@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"ecosched/internal/resource"
@@ -16,10 +15,10 @@ import (
 // Ties on start time keep a deterministic secondary order (node ID, then end
 // time) so experiment runs are reproducible.
 //
-// List is the plain value form of that order: one sorted slice, O(n) to
-// mutate. Generators, codecs, the rebuild oracle and the linear reference
-// scan work on it; the searches and the grid's live store hold the same
-// order in a slot.Index, whose mutations cost one bucket.
+// List is the immutable input form of that order: one sorted slice, only
+// read once built. Generators and codecs produce it, and NewIndex copies it
+// into the one mutable slot store, a slot.Index, where the searches cut
+// their windows out of it and the grid keeps it live.
 //
 // The zero value is an empty, ready-to-use list.
 type List struct {
@@ -75,7 +74,7 @@ func Less(a, b Slot) bool { return less(a, b) }
 // It is the inverse of partitioning a list by node: merging the per-shard
 // vacant views yields the exact global view, byte for byte, because the
 // canonical order is total and node-disjoint parts never tie. The result owns
-// fresh backing storage, so later mutations of the inputs do not affect it.
+// fresh backing storage.
 func MergeLists(parts ...*List) *List {
 	total := 0
 	for _, p := range parts {
@@ -108,54 +107,13 @@ func (l *List) Len() int { return len(l.slots) }
 func (l *List) At(i int) Slot { return l.slots[i] }
 
 // Slots returns the underlying slice in order. Callers must treat it as
-// read-only; mutate through Insert/Remove/Subtract instead.
+// read-only: a List is never mutated after NewList builds it.
 func (l *List) Slots() []Slot { return l.slots }
-
-// Clone returns a deep copy of the list. Node pointers are shared (nodes are
-// immutable during a scheduling iteration).
-func (l *List) Clone() *List {
-	c := &List{slots: make([]Slot, len(l.slots))}
-	copy(c.slots, l.slots)
-	return c
-}
-
-// Insert adds a slot after every slot that orders before or ties with it,
-// keeping the canonical order. Empty slots are ignored, matching the paper's
-// rule that zero-span remainders K1/K2 are not added.
-func (l *List) Insert(s Slot) {
-	if s.Empty() {
-		return
-	}
-	i := sort.Search(len(l.slots), func(i int) bool { return less(s, l.slots[i]) })
-	l.slots = append(l.slots, Slot{})
-	copy(l.slots[i+1:], l.slots[i:])
-	l.slots[i] = s
-}
-
-// RemoveAt deletes the i-th slot.
-func (l *List) RemoveAt(i int) {
-	l.slots = append(l.slots[:i], l.slots[i+1:]...)
-}
-
-// indexOf locates a slot equal to s (same node, same span); -1 when absent.
-func (l *List) indexOf(s Slot) int {
-	i := sort.Search(len(l.slots), func(i int) bool { return !less(l.slots[i], s) })
-	for ; i < len(l.slots); i++ {
-		c := l.slots[i]
-		if c.Start() != s.Start() {
-			break
-		}
-		if c.Node == s.Node && c.Span == s.Span {
-			return i
-		}
-	}
-	return -1
-}
 
 // Validate checks every slot and the ordering invariant: no slot orders
 // before its predecessor under the full canonical order (start, node, end) —
-// the order indexOf and every index search bisect on, not just the start
-// times. Slots that tie on all three are accepted in either order.
+// the order every index search bisects on, not just the start times. Slots
+// that tie on all three are accepted in either order.
 func (l *List) Validate() error {
 	for i, s := range l.slots {
 		if err := s.Validate(); err != nil {
@@ -195,42 +153,6 @@ func (l *List) TotalTime() sim.Duration {
 		sum += s.Length()
 	}
 	return sum
-}
-
-// SubtractInterval removes the usage interval used from the slot equal to
-// target, inserting the up-to-two remainder slots K1 = [K.start, used.start)
-// and K2 = [used.end, K.end) per Fig. 1b. It returns an error when target is
-// not present or used is not contained in target's span.
-func (l *List) SubtractInterval(target Slot, used sim.Interval) error {
-	i := l.indexOf(target)
-	if i < 0 {
-		return fmt.Errorf("slot: subtract: slot %v not found in list", target)
-	}
-	if !target.Span.ContainsInterval(used) {
-		return fmt.Errorf("slot: subtract: interval %v not contained in slot %v", used, target)
-	}
-	l.RemoveAt(i)
-	left := target
-	left.Span = sim.Interval{Start: target.Start(), End: used.Start}
-	right := target
-	right.Span = sim.Interval{Start: used.End, End: target.End()}
-	// Insert keeps order; K1 lands where K was (same start), K2 later.
-	l.Insert(left)
-	l.Insert(right)
-	return nil
-}
-
-// SubtractWindow removes every placement of the window from the list: for
-// each placed slot, the interval actually occupied by its task is cut out of
-// the originating vacant slot. This is the modification applied after a
-// successful search for job i, before searching for job i+1.
-func (l *List) SubtractWindow(w *Window) error {
-	for _, p := range w.Placements {
-		if err := l.SubtractInterval(p.Source, p.Used); err != nil {
-			return fmt.Errorf("slot: subtract window %q: %w", w.JobName, err)
-		}
-	}
-	return nil
 }
 
 // String renders the list one slot per line.

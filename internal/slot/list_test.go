@@ -51,45 +51,21 @@ func TestListTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-func TestListInsertKeepsOrder(t *testing.T) {
-	ns := buildNodes(2)
-	l := NewList(nil)
-	l.Insert(New(ns[0], 100, 200))
-	l.Insert(New(ns[1], 50, 80))
-	l.Insert(New(ns[0], 300, 400))
-	l.Insert(New(ns[1], 60, 60)) // empty: ignored
-	if l.Len() != 3 {
-		t.Fatalf("Len after inserts: got %d", l.Len())
-	}
-	if err := l.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if l.At(0).Start() != 50 {
-		t.Errorf("first slot should start at 50, got %v", l.At(0).Start())
-	}
-}
-
-func TestListCloneIsDeep(t *testing.T) {
-	ns := buildNodes(1)
-	l := NewList([]Slot{New(ns[0], 0, 100)})
-	c := l.Clone()
-	c.RemoveAt(0)
-	if l.Len() != 1 || c.Len() != 0 {
-		t.Error("Clone shares backing storage with original")
-	}
-}
+// cutIndex builds an index over slots for the Fig. 1b cut tests below, which
+// run on Index.SubtractInterval, the cut production runs.
+func cutIndex(slots ...Slot) *Index { return NewIndex(NewList(slots), nil) }
 
 func TestSubtractIntervalMiddle(t *testing.T) {
 	ns := buildNodes(1)
-	l := NewList([]Slot{New(ns[0], 0, 100)})
-	target := l.At(0)
-	if err := l.SubtractInterval(target, sim.Interval{Start: 30, End: 60}); err != nil {
+	ix := cutIndex(New(ns[0], 0, 100))
+	target := ix.At(0)
+	if err := ix.SubtractInterval(target, sim.Interval{Start: 30, End: 60}); err != nil {
 		t.Fatalf("SubtractInterval: %v", err)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("expected K1 and K2, got %d slots", l.Len())
+	if ix.Len() != 2 {
+		t.Fatalf("expected K1 and K2, got %d slots", ix.Len())
 	}
-	k1, k2 := l.At(0), l.At(1)
+	k1, k2 := ix.At(0), ix.At(1)
 	if k1.Start() != 0 || k1.End() != 30 {
 		t.Errorf("K1 = %v, want [0, 30)", k1)
 	}
@@ -102,68 +78,45 @@ func TestSubtractIntervalEdges(t *testing.T) {
 	ns := buildNodes(1)
 
 	// Cut at the left edge: only K2 remains.
-	l := NewList([]Slot{New(ns[0], 0, 100)})
-	if err := l.SubtractInterval(l.At(0), sim.Interval{Start: 0, End: 40}); err != nil {
+	ix := cutIndex(New(ns[0], 0, 100))
+	if err := ix.SubtractInterval(ix.At(0), sim.Interval{Start: 0, End: 40}); err != nil {
 		t.Fatalf("left edge: %v", err)
 	}
-	if l.Len() != 1 || l.At(0).Start() != 40 || l.At(0).End() != 100 {
-		t.Errorf("left edge remainder wrong: %v", l)
+	if ix.Len() != 1 || ix.At(0).Start() != 40 || ix.At(0).End() != 100 {
+		t.Errorf("left edge remainder wrong: %v", ix.List())
 	}
 
 	// Cut at the right edge: only K1 remains.
-	l = NewList([]Slot{New(ns[0], 0, 100)})
-	if err := l.SubtractInterval(l.At(0), sim.Interval{Start: 70, End: 100}); err != nil {
+	ix = cutIndex(New(ns[0], 0, 100))
+	if err := ix.SubtractInterval(ix.At(0), sim.Interval{Start: 70, End: 100}); err != nil {
 		t.Fatalf("right edge: %v", err)
 	}
-	if l.Len() != 1 || l.At(0).Start() != 0 || l.At(0).End() != 70 {
-		t.Errorf("right edge remainder wrong: %v", l)
+	if ix.Len() != 1 || ix.At(0).Start() != 0 || ix.At(0).End() != 70 {
+		t.Errorf("right edge remainder wrong: %v", ix.List())
 	}
 
 	// Cut the whole slot: nothing remains.
-	l = NewList([]Slot{New(ns[0], 0, 100)})
-	if err := l.SubtractInterval(l.At(0), sim.Interval{Start: 0, End: 100}); err != nil {
+	ix = cutIndex(New(ns[0], 0, 100))
+	if err := ix.SubtractInterval(ix.At(0), sim.Interval{Start: 0, End: 100}); err != nil {
 		t.Fatalf("full cut: %v", err)
 	}
-	if l.Len() != 0 {
-		t.Errorf("full cut should leave empty list, got %v", l)
+	if ix.Len() != 0 {
+		t.Errorf("full cut should leave empty list, got %v", ix.List())
 	}
 }
 
 func TestSubtractIntervalErrors(t *testing.T) {
 	ns := buildNodes(2)
-	l := NewList([]Slot{New(ns[0], 0, 100)})
+	ix := cutIndex(New(ns[0], 0, 100))
 	missing := New(ns[1], 0, 100)
-	if err := l.SubtractInterval(missing, sim.Interval{Start: 0, End: 10}); err == nil {
+	if err := ix.SubtractInterval(missing, sim.Interval{Start: 0, End: 10}); err == nil {
 		t.Error("subtracting from a slot not in the list must fail")
 	}
-	if err := l.SubtractInterval(l.At(0), sim.Interval{Start: 50, End: 150}); err == nil {
+	if err := ix.SubtractInterval(ix.At(0), sim.Interval{Start: 50, End: 150}); err == nil {
 		t.Error("interval escaping the slot must fail")
 	}
-	if l.Len() != 1 {
+	if ix.Len() != 1 {
 		t.Error("failed subtraction must leave the list unchanged")
-	}
-}
-
-func TestSubtractWindow(t *testing.T) {
-	ns := buildNodes(2)
-	s0, s1 := New(ns[0], 0, 100), New(ns[1], 20, 120)
-	l := NewList([]Slot{s0, s1})
-	w := &Window{JobName: "j", Placements: []Placement{
-		{Source: s0, Used: sim.Interval{Start: 20, End: 60}},
-		{Source: s1, Used: sim.Interval{Start: 20, End: 60}},
-	}}
-	if err := l.SubtractWindow(w); err != nil {
-		t.Fatalf("SubtractWindow: %v", err)
-	}
-	// Expect [0,20) and [60,100) on node 0; [60,120) on node 1.
-	if l.Len() != 3 {
-		t.Fatalf("Len after subtraction: got %d, want 3", l.Len())
-	}
-	if l.OverlapOnSameNode() {
-		t.Error("subtraction produced overlapping slots")
-	}
-	if got := l.TotalTime(); got != 20+40+60 {
-		t.Errorf("TotalTime: got %v, want 120", got)
 	}
 }
 
@@ -213,22 +166,17 @@ func TestSubtractConservesTime(t *testing.T) {
 		l := NewList(slots)
 		before := l.TotalTime()
 		// Pick a random slot and cut a random contained interval.
-		idx := rng.IntN(l.Len())
-		target := l.At(idx)
+		target := l.At(rng.IntN(l.Len()))
 		off := sim.Duration(rng.IntN(int(target.Length())))
 		maxLen := int(target.Length() - off)
 		cutLen := sim.Duration(rng.IntBetween(1, maxLen))
 		cut := sim.Interval{Start: target.Start().Add(off), End: target.Start().Add(off + cutLen)}
-		if err := l.SubtractInterval(target, cut); err != nil {
+		ix := NewIndex(l, nil)
+		if err := ix.SubtractInterval(target, cut); err != nil {
 			return false
 		}
-		if l.TotalTime() != before-cutLen {
-			return false
-		}
-		if err := l.Validate(); err != nil {
-			return false
-		}
-		return true
+		after := ix.List()
+		return after.TotalTime() == before-cutLen && after.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

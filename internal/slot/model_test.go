@@ -165,19 +165,6 @@ func checkExtend(t *testing.T, label string, ix *Index, m listModel, grows []Gro
 	return want
 }
 
-// equalTo compares the model against a List slot by slot.
-func (m listModel) equalTo(l *List) bool {
-	if len(m) != l.Len() {
-		return false
-	}
-	for i, s := range m {
-		if l.At(i) != s {
-			return false
-		}
-	}
-	return true
-}
-
 // matches compares the model against an Index by iteration, with the ranks
 // Each reports.
 func (m listModel) matches(ix *Index) bool {
@@ -194,7 +181,7 @@ func (m listModel) matches(ix *Index) bool {
 }
 
 // randomSlot draws a slot over the node pool; roughly one in ten is empty,
-// exercising Insert's ignore-empty rule.
+// exercising the ignore-empty rule of Insert and NewList.
 func randomSlot(rng *sim.RNG, nodes []*resource.Node) Slot {
 	n := nodes[rng.IntN(len(nodes))]
 	start := sim.Time(rng.IntBetween(0, 500))
@@ -205,50 +192,14 @@ func randomSlot(rng *sim.RNG, nodes []*resource.Node) Slot {
 	return New(n, start, start.Add(length))
 }
 
-// TestListModelInterleavings drives long random interleavings of Insert and
-// RemoveAt against the naive slice model: after every step the list must
-// match the model, and every copy taken along the way must still match the
-// model state frozen with it. List is the value type the oracles run on, so
-// this is the reference the Index suites below are measured against.
-func TestListModelInterleavings(t *testing.T) {
-	for seed := uint64(1); seed <= 40; seed++ {
-		rng := sim.NewRNG(seed)
-		nodes := propNodes(6)
-		list := NewList(nil)
-		model := listModel{}
-
-		type frozen struct {
-			view  *List
-			model listModel
-			step  int
-		}
-		var copies []frozen
-
-		for step := 0; step < 150; step++ {
-			label := fmt.Sprintf("seed %d step %d", seed, step)
-			switch op := rng.IntN(10); {
-			case op < 5: // insert
-				s := randomSlot(rng, nodes)
-				list.Insert(s)
-				model = model.insert(s)
-			case op < 7 && list.Len() > 0: // remove
-				i := rng.IntN(list.Len())
-				list.RemoveAt(i)
-				model = model.removeAt(i)
-			default: // copy
-				copies = append(copies, frozen{view: list.Clone(), model: model.clone(), step: step})
-			}
-			if !model.equalTo(list) {
-				t.Fatalf("%s: list diverged from model\nlist:  %v\nmodel: %v", label, list.Slots(), []Slot(model))
-			}
-			for _, c := range copies {
-				if !c.model.equalTo(c.view) {
-					t.Fatalf("%s: copy from step %d no longer matches its frozen model\nview:  %v\nmodel: %v",
-						label, c.step, c.view.Slots(), []Slot(c.model))
-				}
-			}
-		}
+// randomList is a list of n random slots (randomSlot), the empty ones
+// dropped.
+func randomList(rng *sim.RNG, nodes []*resource.Node, n int) *List {
+	slots := make([]Slot, n)
+	for i := range slots {
+		slots[i] = randomSlot(rng, nodes)
 	}
+	return NewList(slots)
 }
 
 // cowMember is one index of a clone family with the model it must equal.

@@ -35,9 +35,14 @@ func seedList(rng *sim.RNG, nodes []*resource.Node) *List {
 }
 
 // checkInvariants asserts the structural invariants the search algorithms
-// rely on: canonical order, no empty slots, no same-node overlap.
-func checkInvariants(t *testing.T, step string, l *List) {
+// rely on: the bucket invariants, canonical order, no empty slots, no
+// same-node overlap.
+func checkInvariants(t *testing.T, step string, ix *Index) {
 	t.Helper()
+	if err := ix.CheckInvariants(); err != nil {
+		t.Fatalf("%s: invariant broken: %v", step, err)
+	}
+	l := ix.List()
 	if err := l.Validate(); err != nil {
 		t.Fatalf("%s: invariant broken: %v", step, err)
 	}
@@ -46,25 +51,28 @@ func checkInvariants(t *testing.T, step string, l *List) {
 	}
 }
 
-// snapshotState captures a list's observable state for later comparison.
-func snapshotState(l *List) string { return l.String() }
+// snapshotState captures an index's observable state for later comparison.
+func snapshotState(ix *Index) string { return ix.List().String() }
+
+// totalTime is the summed length of the index's slots.
+func totalTime(ix *Index) sim.Duration { return ix.List().TotalTime() }
 
 // TestListOperationProperties drives long random sequences of the mutations
-// the scheduler performs — subtract a window-sized interval from a random
-// slot, insert a freed reservation back, coalesce — interleaved with
-// snapshots, and checks after every step that the list stays sorted and
-// non-overlapping per node, that total vacant time only changes by the
-// subtracted/inserted amount, and that every live snapshot still renders
-// exactly the state it was taken in.
+// the scheduler performs on its slot store — subtract a window-sized
+// interval from a random slot, insert a freed reservation back, coalesce —
+// interleaved with snapshots, and checks after every step that the store
+// stays sorted and non-overlapping per node, that total vacant time only
+// changes by the subtracted/inserted amount, and that every live snapshot
+// still renders exactly the state it was taken in.
 func TestListOperationProperties(t *testing.T) {
 	for seed := uint64(1); seed <= 30; seed++ {
 		rng := sim.NewRNG(seed)
 		nodes := propNodes(8)
-		list := seedList(rng, nodes)
+		list := NewIndex(seedList(rng, nodes), nil)
 		checkInvariants(t, "seed", list)
 
 		type snap struct {
-			view  *List
+			view  *Index
 			state string
 			step  int
 		}
@@ -82,11 +90,11 @@ func TestListOperationProperties(t *testing.T) {
 				off := sim.Duration(rng.IntBetween(0, maxOff))
 				length := sim.Duration(rng.IntBetween(1, int(target.Length()-off)))
 				used := sim.Interval{Start: target.Start().Add(off), End: target.Start().Add(off + length)}
-				before := list.TotalTime()
+				before := totalTime(list)
 				if err := list.SubtractInterval(target, used); err != nil {
 					t.Fatalf("%s: subtract: %v", label, err)
 				}
-				if got, want := list.TotalTime(), before-used.Length(); got != want {
+				if got, want := totalTime(list), before-used.Length(); got != want {
 					t.Fatalf("%s: total time %v after subtracting %v from %v, want %v",
 						label, got, used.Length(), before, want)
 				}
@@ -96,27 +104,28 @@ func TestListOperationProperties(t *testing.T) {
 				// disjointness — mirrors a cancelled reservation re-opening
 				// vacancy after existing slots.
 				var latest sim.Time
-				for _, s := range list.Slots() {
+				list.Each(func(_ int, s Slot) bool {
 					if s.Node == n && s.End() > latest {
 						latest = s.End()
 					}
-				}
+					return true
+				})
 				start := latest.Add(sim.Duration(rng.IntBetween(1, 50)))
 				length := rng.DurationBetween(10, 120)
-				before := list.TotalTime()
+				before := totalTime(list)
 				list.Insert(New(n, start, start.Add(length)))
-				if got, want := list.TotalTime(), before+length; got != want {
+				if got, want := totalTime(list), before+length; got != want {
 					t.Fatalf("%s: total time %v after inserting %v into %v, want %v",
 						label, got, length, before, want)
 				}
 			case op < 7: // coalesce preserves vacant time and invariants
-				before := list.TotalTime()
-				list = list.Coalesce()
-				if got := list.TotalTime(); got != before {
+				before := totalTime(list)
+				list = NewIndex(list.List().Coalesce(), nil)
+				if got := totalTime(list); got != before {
 					t.Fatalf("%s: coalesce changed total time %v -> %v", label, before, got)
 				}
 			default: // take a copy to audit later
-				snaps = append(snaps, snap{view: list.Clone(), state: snapshotState(list), step: step})
+				snaps = append(snaps, snap{view: list.Clone(nil), state: snapshotState(list), step: step})
 			}
 			checkInvariants(t, label, list)
 			// Every copy taken so far must be unaffected by any of the
@@ -141,11 +150,10 @@ func TestIndexCloneWriteIsolation(t *testing.T) {
 		rng := sim.NewRNG(7)
 		nodes := propNodes(6)
 		origin := NewIndexSize(seedList(rng, nodes), target, nil)
-		state := func(ix *Index) string { return snapshotState(ix.List()) }
-		origState := state(origin)
+		origState := snapshotState(origin)
 
 		view := origin.Clone(nil)
-		if got := state(view); got != origState {
+		if got := snapshotState(view); got != origState {
 			t.Fatalf("fresh clone differs from origin:\n%s\nvs\n%s", got, origState)
 		}
 
@@ -155,24 +163,24 @@ func TestIndexCloneWriteIsolation(t *testing.T) {
 		if err := origin.SubtractInterval(first, sim.Interval{Start: first.Start(), End: mid}); err != nil {
 			t.Fatal(err)
 		}
-		if got := state(view); got != origState {
+		if got := snapshotState(view); got != origState {
 			t.Fatal("mutating the origin leaked into the clone")
 		}
 
 		// Mutate the clone: the origin must hold.
-		afterMutation := state(origin)
+		afterMutation := snapshotState(origin)
 		view.RemoveAt(0)
-		if got := state(origin); got != afterMutation {
+		if got := snapshotState(origin); got != afterMutation {
 			t.Fatal("mutating the clone leaked into the origin")
 		}
 
 		// A second generation keeps isolating, and so does a clone of a clone.
 		second := origin.Clone(nil)
 		third := second.Clone(nil)
-		secondState := state(second)
+		secondState := snapshotState(second)
 		origin.Insert(New(nodes[0], 10_000, 10_050))
 		second.DropNode(nodes[1])
-		if got := state(third); got != secondState {
+		if got := snapshotState(third); got != secondState {
 			t.Fatal("clone of a clone observed a later mutation")
 		}
 		for _, ix := range []*Index{origin, view, second, third} {

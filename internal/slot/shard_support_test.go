@@ -95,7 +95,7 @@ func TestScanFromEarlyStop(t *testing.T) {
 	nodes := propNodes(6)
 	list := randomShardList(rng, nodes, 60)
 	for _, target := range []int{2, 64} {
-		ix := NewIndexSize(list.Clone(), target, nil)
+		ix := NewIndexSize(list, target, nil)
 		for _, f := range []Filter{{}, {MinPerf: 3}} {
 			full := collectScan(ix, f, ix.Len())
 			if len(full) < 4 {
@@ -159,13 +159,14 @@ func TestMergeListsPartitionRoundTrip(t *testing.T) {
 			rng := sim.NewRNG(seed)
 			nodes := shardNodes(7)
 			global := randomShardList(rng, nodes, 60)
-			parts := make([]*List, k)
-			for i := range parts {
-				parts[i] = NewList(nil)
-			}
+			byPart := make([][]Slot, k)
 			for _, s := range global.Slots() {
 				i := int(s.Node.ID) % k
-				parts[i].Insert(s)
+				byPart[i] = append(byPart[i], s)
+			}
+			parts := make([]*List, k)
+			for i := range parts {
+				parts[i] = NewList(byPart[i])
 			}
 			merged := MergeLists(parts...)
 			if merged.Len() != global.Len() {
@@ -188,7 +189,7 @@ func TestMergeListsPartitionRoundTrip(t *testing.T) {
 			}
 			if global.Len() > 0 {
 				before := merged.At(0)
-				parts[int(global.At(0).Node.ID)%k].RemoveAt(0)
+				parts[int(global.At(0).Node.ID)%k].slots[0] = Slot{}
 				if merged.At(0) != before {
 					t.Fatalf("seed %d k=%d: merge aliases its inputs", seed, k)
 				}
